@@ -22,7 +22,7 @@ fi
 
 run() {
     echo "==> repro bench $*"
-    python -m repro.cli.main bench "$@"
+    python -m repro.cli bench "$@"
 }
 
 run hotpath --out benchmarks/out/hotpath.json
@@ -33,6 +33,6 @@ run reclaim ${SMOKE_FLAG}
 run adaptive ${SMOKE_FLAG}
 
 echo "==> repro bench aggregate"
-python -m repro.cli.main bench aggregate
+python -m repro.cli bench aggregate
 
 echo "trajectory written to benchmarks/out/trajectory.json"

@@ -29,7 +29,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.machine import Machine
-from repro.memory.line import Inline
 from repro.segments import dag
 from repro.segments.dag import Entry, entry_key
 from repro.structures.hmatrix import (
@@ -48,20 +47,6 @@ class _OpStats:
         self.zero_shortcuts = 0
 
 
-def _leaf_words(mem, entry: Entry) -> list:
-    w = mem.words_per_line
-    if entry == 0:
-        return [0] * w
-    if isinstance(entry, Inline):
-        return list(entry.values) + [0] * (w - len(entry.values))
-    return list(mem.read(entry.plid))
-
-
-def _children(mem, entry: Entry, level: int) -> list:
-    from repro.segments.merge import _children_view
-    return _children_view(mem, entry, level)
-
-
 def _add_entries(mem, a: Entry, b: Entry, level: int,
                  memo: Dict[Tuple[bytes, bytes], Entry],
                  stats: _OpStats) -> Entry:
@@ -78,7 +63,8 @@ def _add_entries(mem, a: Entry, b: Entry, level: int,
         return dag.retain_entry(mem, hit)
     if level == 0:
         stats.leaf_ops += 1
-        wa, wb = _leaf_words(mem, a), _leaf_words(mem, b)
+        wa = dag._expand(mem, a, 0, owned=False)
+        wb = dag._expand(mem, b, 0, owned=False)
         summed = [
             float_to_word(word_to_float(x) + word_to_float(y))
             if (x or y) else 0
@@ -86,7 +72,8 @@ def _add_entries(mem, a: Entry, b: Entry, level: int,
         ]
         result = dag._leaf_entry(mem, summed)
     else:
-        ca, cb = _children(mem, a, level), _children(mem, b, level)
+        ca = dag._expand(mem, a, level, owned=False)
+        cb = dag._expand(mem, b, level, owned=False)
         kids = [_add_entries(mem, ca[j], cb[j], level - 1, memo, stats)
                 for j in range(mem.fanout)]
         result = dag._canonical_interior(mem, kids, level)
@@ -131,13 +118,13 @@ def _scale_entry(mem, entry: Entry, alpha: float, level: int,
         return dag.retain_entry(mem, hit)
     if level == 0:
         stats.leaf_ops += 1
-        words = _leaf_words(mem, entry)
+        words = dag._expand(mem, entry, 0, owned=False)
         scaled = [float_to_word(alpha * word_to_float(x)) if x else 0
                   for x in words]
         result = dag._leaf_entry(mem, scaled)
     else:
         kids = [_scale_entry(mem, c, alpha, level - 1, memo, stats)
-                for c in _children(mem, entry, level)]
+                for c in dag._expand(mem, entry, level, owned=False)]
         result = dag._canonical_interior(mem, kids, level)
     memo[key] = result
     return result

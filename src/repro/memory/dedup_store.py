@@ -463,12 +463,12 @@ class DedupStore:
             plid = self._slots.claim_overflow()
             if plid is None:
                 plid = self._next_overflow
-                self._next_overflow += 1
                 if plid - self._overflow_base >= self.config.overflow_lines:
                     raise MemoryExhaustedError(
                         "overflow area exhausted (%d lines)"
                         % self.config.overflow_lines
                     )
+                self._next_overflow += 1
             bucket.overflow.append(plid)
             self._overflow_bucket[plid] = bucket_idx
             self.counters.overflow_allocations += 1

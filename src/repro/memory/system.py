@@ -31,38 +31,29 @@ class MemorySystem:
         self.store = DedupStore(self.config.memory,
                                 verify_reads=self.config.memory.verify_reads)
         self.cache = HicampCache(self.store, self.config.cache)
-        self._zero = zero_line(self.config.memory.words_per_line)
+        #: the store's structural memo (:mod:`repro.memory.memo`):
+        #: disabled by default so modeled statistics are untouched; the
+        #: serving stack enables it for host-level speed
+        self.memo = self.store.memo
+        # The geometry table: fixed for the life of the machine, read on
+        # every DAG step, so plain attributes rather than config lookups.
+        #: data words per leaf line
+        self.words_per_line = self.config.memory.words_per_line
+        #: child entries per interior line (the DAG fan-out)
+        self.fanout = self.config.memory.fanout
+        #: line size in bytes
+        self.line_bytes = self.config.memory.line_bytes
+        #: ``spans[level]``: words under one entry at ``level``; extended
+        #: on demand by :func:`repro.segments.dag.entry_capacity`
+        self.spans = [self.words_per_line]
+        self._zero = zero_line(self.words_per_line)
 
     # ------------------------------------------------------------------
-
-    @property
-    def words_per_line(self) -> int:
-        """Data words per leaf line."""
-        return self.config.memory.words_per_line
-
-    @property
-    def fanout(self) -> int:
-        """Child entries per interior line (the DAG fan-out)."""
-        return self.config.memory.fanout
-
-    @property
-    def line_bytes(self) -> int:
-        """Line size in bytes."""
-        return self.config.memory.line_bytes
 
     @property
     def dram(self) -> DramStats:
         """Off-chip DRAM access counters (the paper's headline metric)."""
         return self.store.stats
-
-    @property
-    def memo(self):
-        """The store's structural memo (:mod:`repro.memory.memo`).
-
-        Disabled by default so modeled statistics are untouched; the
-        serving stack enables it for host-level speed.
-        """
-        return self.store.memo
 
     def dram_probe(self):
         """Context manager capturing the DRAM-access delta of a block.

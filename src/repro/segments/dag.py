@@ -32,6 +32,7 @@ that *consumes* entries consumes the caller's references on them.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import SegmentRangeError
@@ -44,16 +45,25 @@ _INLINE_WIDTHS = (1, 2, 4, 8)
 
 
 def entry_capacity(mem: MemorySystem, level: int) -> int:
-    """Words addressable by a subtree entry at ``level``."""
-    return mem.words_per_line * (mem.fanout ** level)
+    """Words addressable by a subtree entry at ``level``.
+
+    Reads the machine's span-by-level table (``mem.spans``), extending
+    it on demand. Every public entry point below calls this once for its
+    own ``level``, so the code under it may index ``mem.spans`` directly
+    for that level and all lower ones.
+    """
+    spans = mem.spans
+    while len(spans) <= level:
+        spans.append(spans[-1] * mem.fanout)
+    return spans[level]
 
 
 def height_for(mem: MemorySystem, length: int) -> int:
     """Minimal height whose capacity covers ``length`` words."""
-    height = 0
-    while entry_capacity(mem, height) < length:
-        height += 1
-    return height
+    spans = mem.spans
+    while spans[-1] < length:
+        spans.append(spans[-1] * mem.fanout)
+    return bisect_left(spans, length)
 
 
 def _trim(words: Sequence) -> Tuple:
@@ -72,16 +82,20 @@ def _inline_for(words: Sequence) -> Optional[Inline]:
     does not pack (tagged reference words are never inlined).
     """
     vals = _trim(words)
-    if not vals:
+    n = len(vals)
+    if not 0 < n <= 8:
         return None
-    if any(not isinstance(v, int) for v in vals):
-        return None
-    biggest = max(vals)
+    biggest = 0
+    for v in vals:
+        if not isinstance(v, int):
+            return None
+        if v > biggest:
+            biggest = v
     for width in _INLINE_WIDTHS:
-        if len(vals) * width > 8:
+        if n * width > 8:
             break
         if biggest < (1 << (8 * width)):
-            return Inline(width=width, values=vals, span=len(vals))
+            return Inline(width=width, values=vals, span=n)
     return None
 
 
@@ -142,10 +156,8 @@ def _leaf_entry(mem: MemorySystem, words: Sequence) -> Entry:
         inline = _inline_for(vals)
         if inline is not None:
             return inline
-    w = mem.words_per_line
-    line: Line = tuple(words) + (0,) * (w - len(words))
-    plid = _interned_lookup(mem, line)
-    return PlidRef(plid)
+    line: Line = tuple(words) + (0,) * (mem.words_per_line - len(words))
+    return PlidRef(_interned_lookup(mem, line))
 
 
 def _canonical_interior(mem: MemorySystem, children: List[Entry], level: int) -> Entry:
@@ -154,54 +166,108 @@ def _canonical_interior(mem: MemorySystem, children: List[Entry], level: int) ->
     Consumes the caller's references on PLID children; returns an entry
     carrying one caller reference.
     """
-    nonzero = [(i, c) for i, c in enumerate(children) if c != 0]
-    if not nonzero:
+    count, last, packed = 0, -1, True
+    for i, child in enumerate(children):
+        if child != 0:
+            count += 1
+            last = i
+            packed = packed and isinstance(child, Inline)
+    if not count:
         return 0
+    config = mem.config
     # Data compaction: all children already packed (0/Inline) and the
     # combined trimmed words still fit one entry slot.
-    if mem.config.data_compaction and all(
-            isinstance(c, Inline) for _, c in nonzero):
+    if packed and config.data_compaction:
         child_span = entry_capacity(mem, level - 1)
-        last_idx, last_child = nonzero[-1]
-        combined_len = last_idx * child_span + len(last_child.values)
-        if combined_len <= 8:  # cheap pre-filter before expanding
+        last_values = children[last].values
+        if last * child_span + len(last_values) <= 8:  # cheap pre-filter
             # Children past the last non-zero one contribute nothing, and
             # the pre-filter guarantees the expanded prefix stays tiny.
             combined: List[int] = []
-            for c in children[:last_idx]:
+            for c in children[:last]:
                 if c == 0:
                     combined.extend([0] * child_span)
                 else:
-                    vals = list(c.values)
-                    combined.extend(vals + [0] * (child_span - len(vals)))
-            combined.extend(last_child.values)  # no trailing padding needed
+                    combined.extend(c.values)
+                    combined.extend([0] * (child_span - len(c.values)))
+            combined.extend(last_values)  # no trailing padding needed
             inline = _inline_for(combined)
             if inline is not None:
                 return inline
     # Path compaction: a single non-zero child that is a line reference.
-    if (mem.config.path_compaction and len(nonzero) == 1
-            and isinstance(nonzero[0][1], PlidRef)):
-        idx, child = nonzero[0]
-        return PlidRef(child.plid, (idx,) + child.path)
+    if (count == 1 and config.path_compaction
+            and isinstance(children[last], PlidRef)):
+        return PlidRef(children[last].plid, (last,) + children[last].path)
     # Materialize the interior line.
-    line: Line = tuple(children)
-    plid = _interned_lookup(mem, line)
-    for _, c in nonzero:
-        if isinstance(c, PlidRef):
-            mem.decref(c.plid)
+    plid = _interned_lookup(mem, tuple(children))
+    for child in children:
+        if isinstance(child, PlidRef):
+            mem.decref(child.plid)
     return PlidRef(plid)
 
 
+def _wrap_run(mem: MemorySystem, entry: Entry, level: int,
+              digits: Tuple[int, ...]) -> Entry:
+    """Re-emit a run of single-child interior levels above ``entry``.
+
+    ``entry`` sits at ``level``; ``digits`` are the child positions of
+    its ancestors, top-down. The result is what one
+    :func:`_canonical_interior` per level would give, but only a level
+    that materializes a line pays for one: under path compaction a line
+    reference takes the whole run as a path prefix, and a packed entry
+    is its own parent wherever it is child 0 (Figure 4). Consumes the
+    caller's reference on ``entry``; returns an entry carrying one.
+    """
+    config = mem.config
+    n = len(digits)
+    while n and entry != 0:
+        if isinstance(entry, PlidRef):
+            if config.path_compaction:
+                return PlidRef(entry.plid, digits[:n] + entry.path)
+        elif config.data_compaction:
+            if not any(digits[:n]):
+                return entry
+            if digits[n - 1] == 0:
+                n -= 1
+                level += 1
+                continue
+        children: List[Entry] = [0] * mem.fanout
+        children[digits[n - 1]] = entry
+        n -= 1
+        level += 1
+        entry = _canonical_interior(mem, children, level)
+    return entry
+
+
 def build_entry(mem: MemorySystem, words: Sequence, level: int) -> Entry:
-    """Build the canonical entry for ``words`` as a subtree at ``level``."""
-    if level == 0:
-        return _leaf_entry(mem, words)
-    child_span = entry_capacity(mem, level - 1)
-    children: List[Entry] = []
-    for j in range(mem.fanout):
-        chunk = words[j * child_span:(j + 1) * child_span]
-        children.append(build_entry(mem, chunk, level - 1) if len(chunk) else 0)
-    return _canonical_interior(mem, children, level)
+    """Build the canonical entry for ``words`` as a subtree at ``level``.
+
+    Leaves are interned left to right and an interior closes as soon as
+    its last child has — the post-order of a recursive build, so lines
+    are looked up in the same sequence — and the levels above the
+    minimal height for ``len(words)`` are one :func:`_wrap_run`.
+    """
+    words = words[:entry_capacity(mem, level)]
+    w, fan = mem.words_per_line, mem.fanout
+    height = min(level, height_for(mem, len(words)))
+    # open_at[l]: the children so far of the unfinished interior at l + 1
+    open_at: List[List[Entry]] = [[] for _ in range(height)]
+    entry: Entry = 0
+    for start in range(0, len(words), w):
+        entry = _leaf_entry(mem, words[start:start + w])
+        for below, children in enumerate(open_at):
+            children.append(entry)
+            if len(children) < fan:
+                break
+            entry = _canonical_interior(mem, children, below + 1)
+            del children[:]
+    for below, children in enumerate(open_at):  # close the right edge
+        if children:
+            children.extend([0] * (fan - len(children)))
+            entry = _canonical_interior(mem, children, below + 1)
+            if below + 1 < height:
+                open_at[below + 1].append(entry)
+    return _wrap_run(mem, entry, height, (0,) * (level - height))
 
 
 def build_segment(mem: MemorySystem, words: Sequence) -> Tuple[Entry, int]:
@@ -220,11 +286,7 @@ def grow_entry(mem: MemorySystem, entry: Entry, height: int, new_height: int) ->
     Consumes the caller's reference on ``entry``; this is the "DAG simply
     extended with additional lines" growth of section 4.1.
     """
-    while height < new_height:
-        children: List[Entry] = [entry] + [0] * (mem.fanout - 1)
-        entry = _canonical_interior(mem, children, height + 1)
-        height += 1
-    return entry
+    return _wrap_run(mem, entry, height, (0,) * (new_height - height))
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +301,7 @@ def read_word(mem: MemorySystem, entry: Entry, level: int, index: int):
     """
     if index >= entry_capacity(mem, level):
         raise SegmentRangeError("index %d beyond height-%d capacity" % (index, level))
-    fan = mem.fanout
+    spans = mem.spans
     while True:
         if entry == 0:
             return 0
@@ -247,19 +309,16 @@ def read_word(mem: MemorySystem, entry: Entry, level: int, index: int):
             return entry.values[index] if index < len(entry.values) else 0
         # PlidRef: follow the compacted path, then the line.
         for p in entry.path:
-            child_span = entry_capacity(mem, level - 1)
-            if index // child_span != p:
-                return 0
-            index %= child_span
             level -= 1
+            j, index = divmod(index, spans[level])
+            if j != p:
+                return 0
         line = mem.read(entry.plid)
         if level == 0:
             return line[index]
-        child_span = entry_capacity(mem, level - 1)
-        j = index // child_span
-        entry = line[j]
-        index %= child_span
         level -= 1
+        j, index = divmod(index, spans[level])
+        entry = line[j]
 
 
 def gather_words(mem: MemorySystem, entry: Entry, level: int,
@@ -272,41 +331,41 @@ def gather_words(mem: MemorySystem, entry: Entry, level: int,
     out = [0] * count
     if count <= 0:
         return out
-    if start + count > entry_capacity(mem, level):
-        raise SegmentRangeError("range [%d, %d) beyond capacity" % (start, start + count))
+    stop = start + count
+    if stop > entry_capacity(mem, level):
+        raise SegmentRangeError("range [%d, %d) beyond capacity" % (start, stop))
+    spans = mem.spans
 
     def visit(entry: Entry, level: int, base: int) -> None:
-        if entry == 0:
-            return
-        span = entry_capacity(mem, level)
-        lo, hi = max(start, base), min(start + count, base + span)
-        if lo >= hi:
-            return
-        if isinstance(entry, Inline):
-            for k, v in enumerate(entry.values):
-                pos = base + k
-                if start <= pos < start + count and v:
-                    out[pos - start] = v
-            return
-        for p in entry.path:
-            span = entry_capacity(mem, level - 1)
-            base += p * span
-            level -= 1
-            lo, hi = max(start, base), min(start + count, base + span)
-            if lo >= hi:
+        while entry != 0:
+            if isinstance(entry, Inline):
+                for k, v in enumerate(entry.values):
+                    pos = base + k
+                    if start <= pos < stop and v:
+                        out[pos - start] = v
                 return
-        line = mem.read(entry.plid)
-        if level == 0:
-            for k in range(mem.words_per_line):
-                pos = base + k
-                if start <= pos < start + count:
+            for p in entry.path:
+                level -= 1
+                base += p * spans[level]
+                if base >= stop or base + spans[level] <= start:
+                    return
+            line = mem.read(entry.plid)
+            first, last = start - base, stop - 1 - base
+            if level == 0:
+                for k in range(first if first > 0 else 0,
+                               last + 1 if last < len(line) else len(line)):
                     word = line[k]
                     if word != 0:
-                        out[pos - start] = word
-            return
-        child_span = entry_capacity(mem, level - 1)
-        for j in range(mem.fanout):
-            visit(line[j], level - 1, base + j * child_span)
+                        out[base + k - start] = word
+                return
+            level -= 1
+            span = spans[level]
+            first = first // span if first > 0 else 0
+            last = last // span if last < span * len(line) else len(line) - 1
+            for j in range(first, last):  # all but the last touched child
+                visit(line[j], level, base + j * span)
+            entry = line[last]  # ... which this frame descends itself
+            base += last * span
 
     visit(entry, level, 0)
     return out
@@ -320,14 +379,11 @@ def iter_nonzero(mem: MemorySystem, entry: Entry, level: int,
     moving directly to the next non-null element, skipping zero subtrees
     without touching memory (section 3.3).
     """
-    limit = entry_capacity(mem, level) if stop is None else stop
+    cap = entry_capacity(mem, level)
+    limit = cap if stop is None else stop
+    spans = mem.spans
 
     def visit(entry: Entry, level: int, base: int) -> Iterator[Tuple[int, object]]:
-        if entry == 0:
-            return
-        span = entry_capacity(mem, level)
-        if base + span <= start or base >= limit:
-            return
         if isinstance(entry, Inline):
             for k, v in enumerate(entry.values):
                 pos = base + k
@@ -335,87 +391,63 @@ def iter_nonzero(mem: MemorySystem, entry: Entry, level: int,
                     yield pos, v
             return
         for p in entry.path:
-            span = entry_capacity(mem, level - 1)
-            base += p * span
             level -= 1
-            if base + span <= start or base >= limit:
+            base += p * spans[level]
+            if base >= limit or base + spans[level] <= start:
                 return
         line = mem.read(entry.plid)
         if level == 0:
-            for k in range(mem.words_per_line):
-                word = line[k]
-                pos = base + k
-                if word != 0 and start <= pos < limit:
-                    yield pos, word
+            for k, word in enumerate(line):
+                if word != 0 and start <= base + k < limit:
+                    yield base + k, word
             return
-        child_span = entry_capacity(mem, level - 1)
-        for j in range(mem.fanout):
-            child_base = base + j * child_span
-            if child_base + child_span <= start or child_base >= limit:
-                continue
-            for item in visit(line[j], level - 1, child_base):
-                yield item
+        span = spans[level - 1]
+        for j in range(max((start - base) // span, 0),
+                       min((limit - 1 - base) // span + 1, len(line))):
+            if line[j] != 0:
+                yield from visit(line[j], level - 1, base + j * span)
 
+    if entry == 0 or start >= cap or limit <= 0:
+        return iter(())
     return visit(entry, level, 0)
 
 
 # ----------------------------------------------------------------------
 # writing
 
-def _expand_children(mem: MemorySystem, entry: Entry, level: int) -> List[Entry]:
-    """Expand an entry at ``level > 0`` into its ``fanout`` child entries.
+def _expand(mem: MemorySystem, entry: Entry, level: int,
+            owned: bool = True) -> List:
+    """One level of ``entry``: its ``fanout`` child entries at
+    ``level > 0``, its words at level 0.
 
-    The returned child entries carry one caller reference each (so they
-    can be fed back to :func:`_canonical_interior` uniformly).
+    ``owned`` trades the caller's reference on ``entry`` for one on every
+    reference in the result, so a rebuild can feed it back to
+    :func:`_canonical_interior` / :func:`_leaf_entry` (they are taken
+    before the line's own is dropped, so a cascading deallocation cannot
+    free them mid-rebuild). Otherwise the result is a borrowed view and
+    no count changes (merge-update, matrix algebra).
     """
-    fan = mem.fanout
+    width = mem.fanout if level else mem.words_per_line
     if entry == 0:
-        return [0] * fan
+        return [0] * width
     if isinstance(entry, Inline):
-        child_span = entry_capacity(mem, level - 1)
-        vals = list(entry.values)  # trailing zeros are implicit
-        children = []
-        for j in range(fan):
-            lo = j * child_span
-            chunk = _trim(vals[lo:lo + child_span]) if lo < len(vals) else ()
-            children.append(_inline_for(chunk) if chunk else 0)
-        return children
+        vals = entry.values  # trailing zeros are implicit
+        if not level:
+            return list(vals) + [0] * (width - len(vals))
+        span = entry_capacity(mem, level - 1)
+        return [_inline_for(vals[j * span:(j + 1) * span]) or 0
+                for j in range(width)]
     if entry.path:
-        j = entry.path[0]
-        children: List[Entry] = [0] * fan
-        child = PlidRef(entry.plid, entry.path[1:])
-        children[j] = child  # inherits the caller's reference
+        children: List[Entry] = [0] * width
+        # the peeled child inherits the caller's reference, if any
+        children[entry.path[0]] = PlidRef(entry.plid, entry.path[1:])
         return children
-    line = mem.read(entry.plid)
-    children = list(line)
-    for c in children:
-        if isinstance(c, PlidRef):
-            mem.incref(c.plid)
-    # The caller's reference on the expanded line itself is released: the
-    # children references above stand in for it during rebuilding.
-    mem.decref(entry.plid)
-    return children
-
-
-def _expand_leaf(mem: MemorySystem, entry: Entry) -> List:
-    """Expand a level-0 entry into its words.
-
-    Consumes the caller's reference on the leaf line. Tagged reference
-    words inside the leaf are returned with one caller-owned reference
-    each (taken before the line reference is dropped, so a cascading
-    deallocation cannot free them mid-rebuild).
-    """
-    w = mem.words_per_line
-    if entry == 0:
-        return [0] * w
-    if isinstance(entry, Inline):
-        return list(entry.values) + [0] * (w - len(entry.values))
-    line = mem.read(entry.plid)
-    words = list(line)
-    for word in words:
-        if isinstance(word, PlidRef):
-            mem.incref(word.plid)
-    mem.decref(entry.plid)
+    words = list(mem.read(entry.plid))
+    if owned:
+        for word in words:
+            if isinstance(word, PlidRef):
+                mem.incref(word.plid)
+        mem.decref(entry.plid)
     return words
 
 
@@ -437,40 +469,112 @@ def write_words_bulk(mem: MemorySystem, entry: Entry, level: int,
     This is what an iterator-register commit does: transient writes are
     accumulated and the affected paths are converted to content-unique
     lines bottom-up in a single sweep (section 3.3), amortizing the
-    lookup-by-content cost over many writes.
+    lookup-by-content cost over many writes. ``updates`` is only read.
     """
     if not updates:
         return entry
+    lo, hi = min(updates), max(updates)
     cap = entry_capacity(mem, level)
-    for index in updates:
-        if not 0 <= index < cap:
-            raise SegmentRangeError("write at %d beyond capacity %d" % (index, cap))
+    if lo < 0 or hi >= cap:
+        raise SegmentRangeError("write at %d beyond capacity %d"
+                                % (lo if lo < 0 else hi, cap))
+    return _rebuild(mem, entry, level, 0, updates.items(), lo, hi)
 
-    def apply(entry: Entry, level: int, updates: Dict[int, object]) -> Entry:
-        if level == 0:
-            words = _expand_leaf(mem, entry)
-            owned = {i for i, word in enumerate(words) if isinstance(word, PlidRef)}
-            for i, v in updates.items():
-                if i in owned:
-                    mem.decref(words[i].plid)
-                    owned.discard(i)
-                words[i] = v
-            new_entry = _leaf_entry(mem, words)
-            # Release the expansion-owned references: the new leaf (if
-            # materialized) took its own on creation.
-            for i in owned:
+
+def _digits(number: int, fan: int, count: int) -> Tuple[int, ...]:
+    """``number`` as ``count`` base-``fan`` digits, most significant first."""
+    digits = []
+    for _ in range(count):
+        number, digit = divmod(number, fan)
+        digits.append(digit)
+    return tuple(reversed(digits))
+
+
+def _rebuild(mem: MemorySystem, entry: Entry, level: int, base: int,
+             items: Iterable[Tuple[int, object]], lo: int, hi: int) -> Entry:
+    """The subtree ``entry`` (at ``level``, its first word at offset
+    ``base``) with ``items`` stored: ``(offset, word)`` pairs in commit
+    order, ``lo``/``hi`` their least and greatest offset.
+
+    One descent. A stretch of levels the entry elides — a compacted path,
+    the spine above a packed entry, a zero subtree — is crossed in one
+    step for as long as every update stays inside it, and re-emitted in
+    one step by :func:`_wrap_run` (the run-at-once rule, Figure 4). A
+    level whose updates all fall under one child is crossed by iteration;
+    only a level where they part recurses, child by child in order of
+    first appearance — so the memory system sees exactly the reads,
+    lookups and reference changes of a level-at-a-time rebuild.
+    """
+    spans, fan = mem.spans, mem.fanout
+    # what to re-emit on the way up: (level, children, slot) for a line
+    # or split crossed, (level below, None, digits) for an elided run
+    trail: List[tuple] = []
+    while level:
+        below = level
+        if entry == 0:
+            below = 0
+            while (lo - base) // spans[below] != (hi - base) // spans[below]:
+                below += 1
+            prefix = (lo - base) // spans[below]
+            digits = _digits(prefix, fan, level - below)
+            base += prefix * spans[below]
+        elif isinstance(entry, Inline):
+            below = bisect_right(
+                spans, max(hi - base, len(entry.values) - 1), 0, level)
+            digits = (0,) * (level - below)
+        else:
+            for digit in entry.path:
+                first = base + digit * spans[below - 1]
+                if lo < first or hi >= first + spans[below - 1]:
+                    break
+                base = first
+                below -= 1
+            digits = entry.path[:level - below]
+            if digits:
+                entry = PlidRef(entry.plid, entry.path[len(digits):])
+        if digits:
+            trail.append((below, None, digits))
+            level = below
+        if level:
+            children = _expand(mem, entry, level)
+            span = spans[level - 1]
+            slot = (lo - base) // span
+            if slot != (hi - base) // span:
+                groups: Dict[int, list] = {}
+                for item in items:
+                    groups.setdefault((item[0] - base) // span, []).append(item)
+                for slot, group in groups.items():
+                    offsets = [offset for offset, _ in group]
+                    children[slot] = _rebuild(
+                        mem, children[slot], level - 1, base + slot * span,
+                        group, min(offsets), max(offsets))
+                entry = _canonical_interior(mem, children, level)
+                break
+            trail.append((level, children, slot))
+            entry = children[slot]
+            base += slot * span
+            level -= 1
+    else:
+        words = _expand(mem, entry, 0)
+        owned = {i for i, word in enumerate(words) if isinstance(word, PlidRef)}
+        for offset, value in items:
+            i = offset - base
+            if i in owned:
                 mem.decref(words[i].plid)
-            return new_entry
-        child_span = entry_capacity(mem, level - 1)
-        by_child: Dict[int, Dict[int, object]] = {}
-        for i, v in updates.items():
-            by_child.setdefault(i // child_span, {})[i % child_span] = v
-        children = _expand_children(mem, entry, level)
-        for j, child_updates in by_child.items():
-            children[j] = apply(children[j], level - 1, child_updates)
-        return _canonical_interior(mem, children, level)
-
-    return apply(entry, level, dict(updates))
+                owned.discard(i)
+            words[i] = value
+        entry = _leaf_entry(mem, words)
+        # Release the expansion-owned references: the new leaf (if
+        # materialized) took its own on creation.
+        for i in owned:
+            mem.decref(words[i].plid)
+    for level, children, where in reversed(trail):
+        if children is None:
+            entry = _wrap_run(mem, entry, level, where)
+        else:
+            children[where] = entry
+            entry = _canonical_interior(mem, children, level)
+    return entry
 
 
 # ----------------------------------------------------------------------

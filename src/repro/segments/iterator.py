@@ -270,15 +270,13 @@ class IteratorRegister:
         content-unique lines that commit performs. Does not touch the map.
         """
         self._require_loaded()
-        w = self.mem.words_per_line
         root, height = self._root, self._height
         dag.retain_entry(self.mem, root)
         needed = dag.height_for(self.mem, max(1, self._length))
         if needed > height:
             root = dag.grow_entry(self.mem, root, height, needed)
             height = needed
-        updates = {o: v for o, v in self._transient.items()}
-        root = dag.write_words_bulk(self.mem, root, height, updates)
+        root = dag.write_words_bulk(self.mem, root, height, self._transient)
         return root, height
 
     def try_commit(self) -> bool:

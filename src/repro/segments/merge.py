@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.errors import MergeConflictError
-from repro.memory.line import Inline, PlidRef
+from repro.memory.line import PlidRef
 from repro.memory.memo import MISS
 from repro.memory.system import MemorySystem
 from repro.params import WORD_MASK
@@ -64,36 +64,74 @@ def three_way_merge_word(base, mine, theirs):
     )
 
 
-def _leaf_view(mem: MemorySystem, entry: Entry) -> List:
-    """Borrowed view of a level-0 entry's words (no reference changes)."""
-    w = mem.words_per_line
-    if entry == 0:
-        return [0] * w
-    if isinstance(entry, Inline):
-        return list(entry.values) + [0] * (w - len(entry.values))
-    return list(mem.read(entry.plid))
+def _shared_run(mem: MemorySystem, entries: Tuple[Entry, ...],
+                level: int) -> Tuple[int, ...]:
+    """Child positions, top-down, of the levels below ``level`` at which
+    every one of ``entries`` has the same single non-zero child: a
+    compacted path, the child-0 spine above a packed entry, or anything
+    at all under a zero entry."""
+    run = None
+    for entry in entries:
+        if entry == 0:
+            continue
+        if isinstance(entry, PlidRef):
+            spine = entry.path
+        else:
+            spine = (0,) * (level - dag.height_for(mem, len(entry.values)))
+        if run is None:
+            run = spine
+        else:
+            n = min(len(run), len(spine))
+            if run[:n] != spine[:n]:
+                n = next(i for i in range(n) if run[i] != spine[i])
+            run = run[:n]
+        if not run:
+            break
+    return run
 
 
-def _children_view(mem: MemorySystem, entry: Entry, level: int) -> List[Entry]:
-    """Borrowed view of an interior entry's child entries."""
-    fan = mem.fanout
-    if entry == 0:
-        return [0] * fan
-    if isinstance(entry, Inline):
-        child_span = dag.entry_capacity(mem, level - 1)
-        vals = list(entry.values)  # trailing zeros are implicit
-        out: List[Entry] = []
-        for j in range(fan):
-            lo = j * child_span
-            chunk = dag._trim(vals[lo:lo + child_span]) if lo < len(vals) else ()
-            sub = dag._inline_for(chunk) if chunk else None
-            out.append(sub if sub is not None else 0)
-        return out
-    if entry.path:
-        children: List[Entry] = [0] * fan
-        children[entry.path[0]] = PlidRef(entry.plid, entry.path[1:])
-        return children
-    return list(mem.read(entry.plid))
+def _merge_run(mem: MemorySystem, triple: Tuple[Entry, Entry, Entry],
+               keys: Tuple[bytes, bytes, bytes], level: int,
+               run: Tuple[int, ...], stats: MergeStats) -> Entry:
+    """Merge three entries that elide the same ``run`` of levels below
+    ``level``: one descent to the bottom of the run, one re-emission.
+
+    Accounts for every elided level what a level-at-a-time merge does
+    there — one level descended, ``fanout - 1`` all-zero sibling triples
+    skipped and, with the structural memo on, one probe on the way down
+    and one record on the way up (``level`` itself is the caller's).
+    """
+    depth, cached, memo = len(run), MISS, mem.memo
+    below_keys = []  # memo keys of levels level-1, level-2, ...
+    if memo.enabled:
+        # a reference's key ends in its path and sheds leading positions
+        # as it peels; a zero or packed entry keeps its key all the way
+        (b, b_path), (m, m_path), (t, t_path) = (
+            (k[:9], k[9:]) if k[:1] == b"P" else (k, b"") for k in keys)
+        for i in range(1, depth):
+            key = (b + b_path[i:], m + m_path[i:], t + t_path[i:], level - i)
+            cached = memo.get_merge(key)
+            if cached is not MISS:
+                depth = i
+                break
+            below_keys.append(key)
+    left = sum(run[:depth])  # sibling triples merged before the descent
+    stats.levels_descended += depth
+    stats.subtrees_skipped += left
+    if cached is not MISS:
+        stats.subtrees_skipped += 1
+        merged = dag.retain_entry(mem, cached)
+    else:
+        peeled = (PlidRef(e.plid, e.path[depth:]) if isinstance(e, PlidRef)
+                  else e for e in triple)
+        merged = merge_entries(mem, *peeled, level - depth, stats)
+    stats.subtrees_skipped += depth * (mem.fanout - 1) - left
+    if not below_keys:
+        return dag._wrap_run(mem, merged, level - depth, run[:depth])
+    for i in range(depth - 1, 0, -1):
+        merged = dag._wrap_run(mem, merged, level - i - 1, run[i:i + 1])
+        memo.put_merge(below_keys[i - 1], merged, triple + (merged,))
+    return dag._wrap_run(mem, merged, level - 1, run[:1])
 
 
 def merge_entries(mem: MemorySystem, base: Entry, mine: Entry, theirs: Entry,
@@ -132,17 +170,19 @@ def merge_entries(mem: MemorySystem, base: Entry, mine: Entry, theirs: Entry,
             # re-deriving it (intermediate lookup hits cancel out)
             stats.subtrees_skipped += 1
             return dag.retain_entry(mem, cached)
+    triple = (base, mine, theirs)
     if level == 0:
         stats.leaf_merges += 1
-        b, m, t = (_leaf_view(mem, e) for e in (base, mine, theirs))
+        b, m, t = (dag._expand(mem, e, 0, owned=False) for e in triple)
         words = [three_way_merge_word(b[i], m[i], t[i])
                  for i in range(mem.words_per_line)]
         merged = dag._leaf_entry(mem, words)
+    elif run := _shared_run(mem, triple, level):
+        merged = _merge_run(mem, triple, (k_base, k_mine, k_theirs), level,
+                            run, stats)
     else:
         stats.levels_descended += 1
-        bc = _children_view(mem, base, level)
-        mc = _children_view(mem, mine, level)
-        tc = _children_view(mem, theirs, level)
+        bc, mc, tc = (dag._expand(mem, e, level, owned=False) for e in triple)
         children: List[Entry] = []
         try:
             for j in range(mem.fanout):
@@ -154,7 +194,7 @@ def merge_entries(mem: MemorySystem, base: Entry, mine: Entry, theirs: Entry,
             raise
         merged = dag._canonical_interior(mem, children, level)
     if memo_key is not None:
-        memo.put_merge(memo_key, merged, (base, mine, theirs, merged))
+        memo.put_merge(memo_key, merged, triple + (merged,))
     return merged
 
 

@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
 
 import pytest
 
+import repro
 from repro.cli.main import build_parser, main
 
 
@@ -278,3 +282,32 @@ class TestHiAndScaleCli:
         assert report["keys"] == 2000
         assert report["footprint"]["dedup_ratio"] > 0
         assert "populate" in capsys.readouterr().out
+
+
+class TestModuleEntryPoints:
+    @staticmethod
+    def _python(*args):
+        src = pathlib.Path(repro.__file__).parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + env.get("PYTHONPATH", "").split(os.pathsep))
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning"] + list(args),
+            capture_output=True, text=True, timeout=120, env=env)
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stderr == ""
+        return result.stdout
+
+    @pytest.mark.parametrize("module", ["repro.cli", "repro.cli.main"])
+    def test_dash_m_imports_nothing_twice(self, module):
+        """``python -m`` must not find its target already imported by the
+        package (runpy's "found in sys.modules" RuntimeWarning)."""
+        assert "usage: repro" in self._python("-m", module, "--help")
+
+    def test_package_level_main_is_lazy_and_stays_callable(self):
+        out = self._python("-c", (
+            "import sys, repro.cli\n"
+            "assert 'repro.cli.main' not in sys.modules\n"
+            "for _ in range(2):\n"  # loading the submodule must not shadow it
+            "    assert repro.cli.main(['experiments', '--list']) == 0\n"))
+        assert out.count("table1") == 2

@@ -154,6 +154,30 @@ class TestBucketsAndOverflow:
         with pytest.raises(MemoryExhaustedError):
             store.lookup((99, 0))
 
+    def test_failed_allocations_leak_no_overflow_plid(self):
+        """A refused allocation must not advance the overflow cursor:
+        every retried set on a full store used to burn one PLID."""
+        store = small_store(num_buckets=64, data_ways=4, overflow=256)
+        stored = 0
+        with pytest.raises(MemoryExhaustedError):
+            while True:
+                store.lookup((stored + 1, 7))
+                stored += 1
+        assert stored >= 256
+        cursor = store._next_overflow
+        assert cursor - store._overflow_base == 256
+        for attempt in range(20):
+            with pytest.raises(MemoryExhaustedError):
+                store.lookup((stored + 1, 7))
+            assert store._next_overflow == cursor
+        # and the slot a deallocation frees is still the next one handed out
+        victim = next(plid for plid in store.live_plids()
+                      if plid >= store._overflow_base)
+        store.decref(victim)
+        plid, created = store.lookup((stored + 1, 7))
+        assert created and plid == victim
+        assert store._next_overflow == cursor
+
     def test_overflow_slot_reused_after_dealloc(self):
         store = small_store(num_buckets=1, data_ways=1, overflow=4)
         store.lookup((1, 0))
