@@ -23,9 +23,9 @@ def test_dedup_index_cuckoo_beats_legacy(report_dir, scale):
 
     ratios = report["ratios_legacy_over_cuckoo"]
     # structural margin: bounded two-bucket probes vs linear chain walk
-    # at ~10x capacity is an order of magnitude in DRAM ops; 2.0 floor
-    # leaves room for geometry changes without masking a regression
-    assert ratios["mixed_dram_ops"] >= 2.0, ratios
+    # at ~10x capacity measure 22.98x in DRAM ops (a counter ratio, no
+    # clock); the floor pins the overflow-regime win near its real size
+    assert ratios["mixed_dram_ops"] >= 15, ratios
     # wall-clock tail follows the DRAM traffic but is noisier
     assert ratios["p99_latency"] >= 1.2, ratios
     # the run starts from a tiny table on purpose: online resizes must

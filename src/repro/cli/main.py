@@ -267,12 +267,15 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
+    from repro.params import MemoryConfig
+
+    memory = MemoryConfig(index_kind=args.index_kind,
+                          reclaim_kind=args.reclaim_kind)
     if args.profile == "hi":
         from repro.testing.hi import HIConfig, run_hi
 
         cfg = HIConfig(schedules=args.schedules, keys=args.keys,
-                       ops=args.ops, index_kind=args.index_kind,
-                       reclaim_kind=args.reclaim_kind)
+                       ops=args.ops, memory=memory)
         report = run_hi(episodes=args.episodes, seed=args.seed, cfg=cfg)
     elif args.profile == "expiry":
         from repro.testing.fuzz import expiry_config, run_fuzz
@@ -281,8 +284,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                             ops_per_client=args.ops,
                             pipeline_depth=args.pipeline,
                             key_space=args.keys, shards=args.shards)
-        cfg.index_kind = args.index_kind
-        cfg.reclaim_kind = args.reclaim_kind
+        cfg.memory = memory
         cfg.commit_mode = args.commit_mode
         report = run_fuzz(episodes=args.episodes, seed=args.seed, cfg=cfg)
     elif args.profile == "cluster":
@@ -306,9 +308,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         cfg = EpisodeConfig(clients=args.clients, ops_per_client=args.ops,
                             pipeline_depth=args.pipeline,
                             key_space=args.keys, shards=args.shards,
-                            index_kind=args.index_kind,
-                            reclaim_kind=args.reclaim_kind,
-                            commit_mode=args.commit_mode)
+                            memory=memory, commit_mode=args.commit_mode)
         report = run_fuzz(episodes=args.episodes, seed=args.seed, cfg=cfg)
     print(report.render(verbose=args.verbose))
     return 0 if report.ok else 1

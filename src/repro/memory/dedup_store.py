@@ -44,6 +44,7 @@ from repro.memory import hashing
 from repro.memory.index import CuckooIndex
 from repro.memory.line import (
     Line,
+    PlidRef,
     ZERO_PLID,
     encode_line,
     is_zero_line,
@@ -197,10 +198,11 @@ class DedupStore:
         #: stack and hotpath benchmarks enable it — see memo.py)
         self.memo = StructuralMemo()
         self.dealloc_listeners.append(self.memo.on_dealloc)
-        #: opt-in cuckoo lookup-by-content path (index.py). Physical
-        #: placement (_allocate) is identical under both kinds; only the
-        #: way a lookup *finds* resident content differs, so PLIDs,
-        #: refcounts and fingerprints never depend on the index kind.
+        #: opt-in cuckoo lookup-by-content path (index.py), holding the
+        #: lines of buckets that have overflowed (see :meth:`lookup`).
+        #: Physical placement (_allocate) is identical under both kinds;
+        #: only the way a lookup *finds* resident content differs, so
+        #: PLIDs, refcounts and fingerprints never depend on the kind.
         self._index: Optional[CuckooIndex] = None
         if self.config.index_kind == "cuckoo":
             self._index = CuckooIndex(
@@ -355,25 +357,35 @@ class DedupStore:
         read; one data-line read per signature match (false positives cost
         extra reads); on allocation, one signature-line write. The data
         line itself is written back later by the cache.
+
+        Under ``index_kind="cuckoo"`` this in-bucket resolution serves
+        every bucket whose overflow list is empty — charge for charge the
+        legacy path. A bucket is handed to the :class:`CuckooIndex` by
+        the allocation that first spills it (all its lines are indexed)
+        and handed back by the deallocation that empties its overflow
+        list, so which path serves a bucket is a function of its live
+        lines, never of its history.
         """
         if is_zero_line(line):
             return ZERO_PLID, False
         if enc is None:
             enc = encode_line(line)
-        if self._index is not None:
-            return self._lookup_cuckoo(line, enc)
         bucket_idx = hashing.bucket_hash(enc, self._num_buckets)
-        sig = hashing.signature(enc)
         bucket = self._buckets.get(bucket_idx)
         if bucket is None:
             bucket = _Bucket(signatures=[0] * (self._data_ways + 1))
             self._buckets[bucket_idx] = bucket
+        index = self._index
+        if index is not None and bucket.overflow:
+            # a spilled bucket belongs to the cuckoo index
+            return self._lookup_cuckoo(line, enc, bucket_idx, bucket)
+        sig = hashing.signature(enc)
 
         self.counters.lookups += 1
         self.stats.lookups += 1  # signature line read
         self.rows.access(bucket_idx)
 
-        matches = sum(1 for s in bucket.signatures if s == sig)
+        matches = bucket.signatures.count(sig)
         existing = bucket.by_encoding.get(enc)
         if existing is not None:
             # Read each candidate data line with a matching signature —
@@ -394,7 +406,8 @@ class DedupStore:
                 self.rows.access(bucket_idx)
             self.counters.signature_false_positives += matches
             self.counters.false_positive_scans += matches
-        # Check the overflow chain for this bucket.
+        # Check the overflow chain for this bucket (legacy kind only:
+        # under cuckoo a bucket with a chain took the branch above).
         if bucket.overflow:
             self.counters.bucket_overflows += 1
         for plid in bucket.overflow:
@@ -408,15 +421,21 @@ class DedupStore:
             self.counters.false_positive_scans += 1
 
         plid = self._allocate(line, enc, bucket_idx, sig, bucket)
+        if index is not None and bucket.overflow:
+            # first spill: hand the whole bucket over to the index
+            for resident_enc, resident in bucket.by_encoding.items():
+                index.insert(CuckooIndex.key_of(resident_enc), resident)
         return plid, True
 
-    def _lookup_cuckoo(self, line: Line, enc: bytes) -> Tuple[int, bool]:
-        """Find-or-allocate through the cuckoo index.
+    def _lookup_cuckoo(self, line: Line, enc: bytes, bucket_idx: int,
+                       bucket: _Bucket) -> Tuple[int, bool]:
+        """Find-or-allocate in a bucket that has been handed to the index.
 
         The index narrows candidates by adaptive-width fingerprint; each
         surviving candidate costs one charged data-line read for the
-        full content compare (a mismatch is a false-positive scan).
-        Physical allocation is byte-identical to the legacy path.
+        full content compare (a mismatch is a false-positive scan). No
+        signature read, no chain walk. Physical allocation is
+        byte-identical to the legacy path.
         """
         self.counters.lookups += 1
         key = CuckooIndex.key_of(enc)
@@ -435,13 +454,8 @@ class DedupStore:
             self._refcounts[found] += 1
             self._rc_cache.touch(found)
             return found, False
-        bucket_idx = hashing.bucket_hash(enc, self._num_buckets)
-        sig = hashing.signature(enc)
-        bucket = self._buckets.get(bucket_idx)
-        if bucket is None:
-            bucket = _Bucket(signatures=[0] * (self._data_ways + 1))
-            self._buckets[bucket_idx] = bucket
-        plid = self._allocate(line, enc, bucket_idx, sig, bucket)
+        plid = self._allocate(line, enc, bucket_idx,
+                              hashing.signature(enc), bucket)
         self._index.insert(key, plid)
         return plid, True
 
@@ -483,9 +497,10 @@ class DedupStore:
         self.counters.allocations += 1
         # A new line takes one reference on each child PLID it stores
         # (hardware tracks sharing through the per-word tags).
-        for child in line_child_plids(line):
-            self._refcounts[child] += 1
-            self._rc_cache.touch(child)
+        for word in line:
+            if isinstance(word, PlidRef) and word.plid != ZERO_PLID:
+                self._refcounts[word.plid] += 1
+                self._rc_cache.touch(word.plid)
         return plid
 
     def writeback(self, plid: int) -> None:
@@ -570,17 +585,22 @@ class DedupStore:
         enc = self._enc_by_plid.pop(plid, None)
         if enc is None:
             enc = encode_line(line)
-        if self._index is not None:
-            # keyed off the *stored* encoding, so a silently corrupted
-            # line still unindexes cleanly (the audit flags it instead)
-            self._index.remove(CuckooIndex.key_of(enc), plid)
         bucket_idx = self.bucket_of(plid)
         bucket = self._buckets[bucket_idx]
+        index = self._index if bucket.overflow else None
+        if index is not None:
+            # keyed off the *stored* encoding, so a silently corrupted
+            # line still unindexes cleanly (the audit flags it instead)
+            index.remove(CuckooIndex.key_of(enc), plid)
         bucket.by_encoding.pop(enc, None)
         if plid >= self._overflow_base:
             bucket.overflow.remove(plid)
             self._overflow_bucket.pop(plid, None)
             self._slots.release_overflow(plid)
+            if index is not None and not bucket.overflow:
+                # last spilled line gone: hand the bucket back
+                for resident_enc, resident in bucket.by_encoding.items():
+                    index.remove(CuckooIndex.key_of(resident_enc), resident)
         else:
             way = plid // self._num_buckets
             bucket.signatures[way] = 0
@@ -701,9 +721,17 @@ class DedupStore:
         snap["bucket_overflows"] = self.counters.bucket_overflows
         snap["signature_false_positives"] = \
             self.counters.signature_false_positives
+        snap["indexed_buckets"] = self.indexed_buckets()
         if self._index is not None:
             snap["cuckoo"] = self._index.snapshot()
         return snap
+
+    def indexed_buckets(self) -> int:
+        """Buckets served by the cuckoo index: those with a non-empty
+        overflow list (always 0 under the legacy kind)."""
+        if self._index is None:
+            return 0
+        return len(set(self._overflow_bucket.values()))
 
     def reindex(self) -> None:
         """Rebuild derived lookup state from the stored lines.
@@ -711,8 +739,10 @@ class DedupStore:
         Used after :func:`repro.core.persistence.restore_machine`
         repopulates ``_lines``/``_buckets`` directly: recaptures the
         canonical encoding of every live line and, under the cuckoo
-        kind, rebuilds the index table from scratch. Charges no DRAM
-        (restore is out-of-band, like replication's export path).
+        kind, rebuilds the index table from scratch over the lines of
+        buckets that have overflowed (the hand-over rule of
+        :meth:`lookup`). Charges no DRAM (restore is out-of-band, like
+        replication's export path).
         """
         if self._index is not None:
             self._index = CuckooIndex(
@@ -726,7 +756,8 @@ class DedupStore:
             if enc is None:
                 enc = encode_line(line)
                 self._enc_by_plid[plid] = enc
-            if self._index is not None:
+            if self._index is not None \
+                    and self._buckets[self.bucket_of(plid)].overflow:
                 self._index.insert(CuckooIndex.key_of(enc), plid)
         if self._index is not None:
             # rebuilt uncharged; live operation from here on is charged
@@ -743,14 +774,15 @@ class DedupStore:
         """
         failures: List[str] = []
         if self._index is not None:
-            expected = {
+            # the index holds exactly the lines of overflowed buckets
+            failures.extend(self._index.audit({
                 plid: CuckooIndex.key_of(encode_line(line))
                 for plid, line in self._lines.items()
-            }
-            failures.extend(self._index.audit(expected))
-            return failures
-        # Legacy: the per-bucket by_encoding maps must exactly cover the
-        # live lines, each reachable under its current content hash.
+                if self._buckets[self.bucket_of(plid)].overflow
+            }))
+        # Both kinds resolve un-spilled buckets in place: the per-bucket
+        # by_encoding maps must exactly cover the live lines, each
+        # reachable under its current content hash.
         total = sum(len(b.by_encoding) for b in self._buckets.values())
         if total != len(self._lines):
             failures.append(

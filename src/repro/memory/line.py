@@ -24,6 +24,8 @@ import struct
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple, Union
 
+from repro.params import WORD_MASK
+
 #: The reserved PLID of the all-zero line. Reading it at any level yields
 #: zero content; looking up all-zero content returns it without allocation.
 ZERO_PLID = 0
@@ -89,6 +91,7 @@ Word = Union[DataWord, PlidRef, Inline]
 Line = Tuple[Word, ...]
 
 _U64 = struct.Struct(">Q")
+_DATA_WORD = struct.Struct(">sQ").pack
 
 
 def zero_line(words_per_line: int) -> Line:
@@ -107,7 +110,8 @@ def make_leaf(words: Sequence[int], words_per_line: int) -> Line:
 
 def is_zero_line(line: Line) -> bool:
     """True when every word of the line is a zero data word."""
-    return all(w == 0 for w in line)
+    # only a zero data word is falsy: PlidRef and Inline are plain objects
+    return not any(line)
 
 
 def line_child_plids(line: Line) -> Iterator[int]:
@@ -132,7 +136,7 @@ def encode_word(word: Word) -> bytes:
             + bytes((word.width, word.span, len(word.values)))
             + b"".join(_U64.pack(v) for v in word.values)
         )
-    return b"D" + _U64.pack(word & ((1 << 64) - 1))
+    return b"D" + _U64.pack(word & WORD_MASK)
 
 
 def encode_line(line: Line) -> bytes:
@@ -142,7 +146,10 @@ def encode_line(line: Line) -> bytes:
     deduplicating store hashes this encoding to choose the hash bucket and
     the 8-bit signature.
     """
-    return b"".join(encode_word(w) for w in line)
+    # data words (the common case) are packed in place; a tagged word —
+    # or a bool, which is not ``int`` itself — takes encode_word
+    return b"".join([_DATA_WORD(b"D", w & WORD_MASK) if type(w) is int
+                     else encode_word(w) for w in line])
 
 
 def pack_words(data: bytes) -> Tuple[int, ...]:

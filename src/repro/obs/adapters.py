@@ -314,7 +314,9 @@ def register_index(registry: MetricsRegistry, store,
 
     Same callback idiom as the other silos: `StoreCounters` /
     `CuckooIndexStats` stay plain inline-bumped dataclasses; the
-    registry reads them live. Under the cuckoo kind this additionally
+    registry reads them live. ``indexed_buckets`` counts the buckets
+    currently handed to the cuckoo index (0 until one overflows; always
+    0 under the legacy kind). Under the cuckoo kind this additionally
     publishes the displacement-depth histogram, per-width bucket
     counts, occupancy and resize progress.
     """
@@ -328,6 +330,9 @@ def register_index(registry: MetricsRegistry, store,
         labels=("event",),
         fn=lambda: {name: getattr(store.counters, name)
                     for name in INDEX_STORE_FIELDS})
+    registry.gauge(prefix + "indexed_buckets",
+                   "hash buckets handed to the cuckoo index (overflowed)",
+                   fn=store.indexed_buckets)
     index = store.index
     if index is None:
         return

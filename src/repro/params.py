@@ -68,11 +68,12 @@ class MemoryConfig:
         index_kind: lookup-by-content resolution path. ``"legacy"`` is
             the paper's Figure-2 organization (in-bucket signature
             compare plus a linear overflow-chain scan); ``"cuckoo"``
-            routes lookups through :class:`repro.memory.index.
-            CuckooIndex` (XOR partial-key displacement, adaptive
-            fingerprint widths, online resize) while keeping physical
-            placement — and therefore PLIDs and fingerprints —
-            identical.
+            is the same in-bucket compare until a bucket overflows and
+            from then on routes that bucket's lookups through
+            :class:`repro.memory.index.CuckooIndex` (XOR partial-key
+            displacement, adaptive fingerprint widths, online resize)
+            instead of the chain scan, while keeping physical placement
+            — and therefore PLIDs and fingerprints — identical.
         index_buckets: initial cuckoo-table buckets (power of two; the
             table doubles online as it fills).
         index_slots: entries per cuckoo bucket.

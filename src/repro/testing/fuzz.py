@@ -33,6 +33,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.machine import Machine
 from repro.net.server import MemcachedServer
+from repro.params import MachineConfig, MemoryConfig
 from repro.testing.auditors import audit_machine
 from repro.testing.faults import CONN_RESET, FaultInjector, FaultPlan
 from repro.testing.history import (
@@ -69,18 +70,14 @@ class EpisodeConfig:
     #: alternative backend factory for the server under test (the
     #: ``expiry`` profile runs against ManagedMemcached); None = plain
     backend: Optional[Callable] = None
-    #: lookup-by-content index of the machine under test ("legacy" or
-    #: "cuckoo"); trace content is index-independent by construction
-    index_kind: str = "legacy"
-    #: initial cuckoo-table buckets; a deliberately tiny value forces
-    #: online resizes to complete *during* the episode (0 = config
-    #: default)
-    index_buckets: int = 0
-    #: reclamation of the machine under test ("immediate" or "epoch").
-    #: Episodes quiesce the reclaimer before the machine auditors run
-    #: (via the router drain and ``audit_refcounts``'s machine drain),
-    #: and trace content is reclaim-kind-independent by construction.
-    reclaim_kind: str = "immediate"
+    #: memory geometry and kinds of the machine under test, passed
+    #: whole (the paper profile by default): a small store spills
+    #: buckets so the cuckoo index is consulted and resizes online
+    #: *during* the episode. Episodes quiesce the reclaimer before the
+    #: machine auditors run (via the router drain and
+    #: ``audit_refcounts``'s machine drain), and trace content is
+    #: independent of every field by construction.
+    memory: MemoryConfig = MemoryConfig()
     #: router commit strategy of the server under test ("merge", "cas",
     #: "bulk", or "adaptive"). Adaptive episodes run a deliberately
     #: twitchy controller (short window, single-epoch dwell, forced
@@ -344,16 +341,7 @@ async def _run_episode(seed: int, cfg: EpisodeConfig,
         rates.update(cfg.rates)
     plan = FaultPlan(seed, rates, max_stall=cfg.max_stall)
     injector = FaultInjector(plan)
-    if (cfg.index_kind != "legacy" or cfg.index_buckets
-            or cfg.reclaim_kind != "immediate"):
-        from repro.params import MachineConfig, MemoryConfig
-        mem_kwargs = {"index_kind": cfg.index_kind,
-                      "reclaim_kind": cfg.reclaim_kind}
-        if cfg.index_buckets:
-            mem_kwargs["index_buckets"] = cfg.index_buckets
-        machine = Machine(MachineConfig(memory=MemoryConfig(**mem_kwargs)))
-    else:
-        machine = Machine()
+    machine = Machine(MachineConfig(memory=cfg.memory))
     backend_kwargs = {} if cfg.backend is None \
         else {"backend_factory": cfg.backend}
     if cfg.commit_mode != "merge":

@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.machine import Machine
+from repro.params import MachineConfig, MemoryConfig
 from repro.segments.segment_map import SegmentFlags
 from repro.structures.hmap import HMap
 from repro.structures.hmap_sharded import ShardedHMap
@@ -75,18 +76,13 @@ class HIConfig:
     delete_ratio: float = 0.25
     shard_bits: int = 2             # ShardedHMap fan-out
     matrix_size: int = 32           # QuadTreeMatrix dimension (pow 2)
-    #: lookup-by-content index of the machines the schedules run on;
-    #: the observations must be identical under either kind (the index
-    #: is proven an implementation detail by the cross-kind tests)
-    index_kind: str = "legacy"
-    #: initial cuckoo-table buckets (0 = config default); tiny values
-    #: force online resizes during the schedules
-    index_buckets: int = 0
-    #: reclamation kind of the schedule machines ("immediate" or
-    #: "epoch"); every observation point drains the machine first,
-    #: which quiesces the reclaimer, so fingerprints/footprints must be
-    #: identical under either kind
-    reclaim_kind: str = "immediate"
+    #: memory geometry and kinds of the machines the schedules run on,
+    #: passed whole (the paper profile by default). Every observation
+    #: point drains the machine first, which quiesces the reclaimer, so
+    #: fingerprints/footprints must be identical under any index or
+    #: reclaim kind; a small store makes buckets spill into the cuckoo
+    #: index and resize it during the schedules.
+    memory: MemoryConfig = MemoryConfig()
 
 
 def _derive(seed: int, label: str) -> int:
@@ -247,16 +243,7 @@ def _apply_map(target, schedule, mode: str, rng) -> None:
 def _execute(structure: str, schedule: Sequence[Tuple], mode: str,
              memo: bool, rng_seed: int, cfg: HIConfig) -> Observation:
     """One schedule on a fresh machine; returns its observation."""
-    if (cfg.index_kind != "legacy" or cfg.index_buckets
-            or cfg.reclaim_kind != "immediate"):
-        from repro.params import MachineConfig, MemoryConfig
-        mem_kwargs = {"index_kind": cfg.index_kind,
-                      "reclaim_kind": cfg.reclaim_kind}
-        if cfg.index_buckets:
-            mem_kwargs["index_buckets"] = cfg.index_buckets
-        machine = Machine(MachineConfig(memory=MemoryConfig(**mem_kwargs)))
-    else:
-        machine = Machine()
+    machine = Machine(MachineConfig(memory=cfg.memory))
     if memo:
         machine.mem.memo.enable()
     baseline = (machine.footprint_lines(), machine.footprint_bytes())

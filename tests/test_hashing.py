@@ -1,5 +1,9 @@
 """Unit tests for content hashing and signatures."""
 
+import random
+
+import pytest
+
 from repro.memory import hashing
 from repro.memory.line import encode_line
 
@@ -47,6 +51,27 @@ class TestSignature:
         pairs = list(itertools.combinations(sigs, 2))
         collisions = sum(1 for a, b in pairs if a == b)
         assert collisions / len(pairs) < 0.05
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known bug, recorded not fixed: CRC32 is linear, so the two seeded "
+    "CRCs of one message differ by a constant and the low 8 bits of the "
+    "signature are a function of the bucket index whenever num_buckets "
+    "is a power of two >= 256 — measured 1 distinct signature per bucket "
+    "over 200 000 random lines at the default 65 536 buckets (13-32 at "
+    "non-power-of-two sizes). Fixing it moves paper-profile DramStats, "
+    "so it needs its own re-baselining PR (ROADMAP open items)."))
+def test_signature_independent_of_bucket():
+    rng = random.Random(2012)
+    num_buckets = 1 << 16
+    per_bucket = {}
+    for _ in range(200_000):
+        enc = encode_line((rng.getrandbits(64), rng.getrandbits(64)))
+        per_bucket.setdefault(hashing.bucket_hash(enc, num_buckets),
+                              set()).add(hashing.signature(enc))
+    # ~3 lines per bucket: independent signatures would almost never
+    # all agree within a bucket that holds several lines
+    assert max(len(sigs) for sigs in per_bucket.values()) > 1
 
 
 class TestLineHashes:

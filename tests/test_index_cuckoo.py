@@ -166,7 +166,10 @@ class TestCuckooIndexUnit:
 
 
 def _cfg(kind, **over):
-    base = dict(num_buckets=1 << 6, index_kind=kind, index_buckets=8)
+    # 8 buckets x 2 ways: every bucket spills within a few dozen lines,
+    # so the cuckoo store hands all of them to its index
+    base = dict(num_buckets=8, data_ways=2, index_kind=kind,
+                index_buckets=8)
     base.update(over)
     return MemoryConfig(**base)
 
@@ -208,8 +211,8 @@ class TestStoreIntegration:
         assert len(cuckoo.index) == cuckoo.footprint_lines()
 
     def test_cuckoo_beats_legacy_dram_at_overflow_scale(self):
-        legacy = DedupStore(_cfg("legacy"))
-        cuckoo = DedupStore(_cfg("cuckoo"))
+        legacy = DedupStore(_cfg("legacy", num_buckets=64, data_ways=12))
+        cuckoo = DedupStore(_cfg("cuckoo", num_buckets=64, data_ways=12))
         for i in range(4000):  # ~5x the 64*12 resident capacity
             legacy.lookup(_leaf(i))
             cuckoo.lookup(_leaf(i))
@@ -252,8 +255,7 @@ class TestStoreIntegration:
 
     @pytest.mark.parametrize("kind", ["legacy", "cuckoo"])
     def test_audit_machine_includes_index(self, kind):
-        machine = Machine(MachineConfig(
-            memory=MemoryConfig(index_kind=kind, index_buckets=8)))
+        machine = Machine(MachineConfig(memory=_cfg(kind, num_buckets=2)))
         vsid = machine.create_segment([i + 1 for i in range(64)])
         assert audit_machine(machine, strict=True).ok
         store = machine.mem.store
@@ -287,8 +289,7 @@ class TestStoreIntegration:
 
 
 def test_persistence_roundtrip_rebuilds_cuckoo_index():
-    machine = Machine(MachineConfig(
-        memory=MemoryConfig(index_kind="cuckoo", index_buckets=8)))
+    machine = Machine(MachineConfig(memory=_cfg("cuckoo", num_buckets=2)))
     vsid = machine.create_segment([(i * 31 + 5) for i in range(200)])
     image = machine_image(machine)
     assert image["config"]["index_kind"] == "cuckoo"
@@ -348,6 +349,9 @@ def test_register_index_exposes_cuckoo_metrics():
     widths = registry.get("repro_index_buckets_by_fp_bits") \
         .snapshot_value()
     assert sum(widths.values()) == store.index.num_buckets
+    # 200 lines into 8 x 2 ways: every bucket has been handed over
+    assert registry.get("repro_index_indexed_buckets") \
+        .snapshot_value() == store.index_snapshot()["indexed_buckets"] == 8
 
 
 def test_register_index_legacy_only_store_counters():
@@ -359,6 +363,9 @@ def test_register_index_legacy_only_store_counters():
     assert "repro_index_cuckoo_events_total" not in text
     assert registry.get("repro_index_kind_info") \
         .snapshot_value() == {"legacy": 1}
+    for i in range(200):
+        store.lookup(_leaf(i))
+    assert registry.get("repro_index_indexed_buckets").snapshot_value() == 0
 
 
 def test_router_defaults_to_cuckoo_and_snapshots_index():
@@ -369,6 +376,7 @@ def test_router_defaults_to_cuckoo_and_snapshots_index():
     snap = router.snapshot()
     assert snap["index"]["kind"] == "cuckoo"
     assert "cuckoo" in snap["index"]
+    assert snap["index"]["indexed_buckets"] == 0
     legacy = ShardRouter(shard_count=1, index_kind="legacy")
     assert legacy.machine.mem.store.index is None
     assert legacy.snapshot()["index"]["kind"] == "legacy"

@@ -1,0 +1,252 @@
+"""The bucket hand-over rule of ``index_kind="cuckoo"``.
+
+A cuckoo store resolves lookup-by-content inside the hash bucket, charge
+for charge the Figure-2 path, while the bucket has no overflow lines.
+The allocation that first spills a bucket hands *all* its lines to the
+:class:`CuckooIndex`; the deallocation that empties its overflow list
+hands the remaining ones back. The indexed set is therefore a function
+of the live lines, which is what these tests pin — with the audit
+(``index_failures``) run after every operation."""
+
+import random
+import sys
+
+import pytest
+
+from repro.core.machine import Machine
+from repro.core.persistence import machine_image, restore_machine
+from repro.memory import hashing
+from repro.memory.dedup_store import DedupStore
+from repro.memory.line import encode_line, make_leaf
+from repro.memory.system import MemorySystem
+from repro.params import MachineConfig, MemoryConfig
+
+RECLAIM_KINDS = ("immediate", "epoch")
+SMALL = dict(num_buckets=4, data_ways=2, index_buckets=8)
+
+
+def _leaf(i: int):
+    return make_leaf((i + 1, (i * 2654435761 + 7) & ((1 << 64) - 1)), 2)
+
+
+def _leaves_in_bucket(bucket: int, count: int, num_buckets: int = 4):
+    """The first ``count`` test leaves whose content hashes to ``bucket``."""
+    found, i = [], 0
+    while len(found) < count:
+        line = _leaf(i)
+        i += 1
+        if hashing.bucket_hash(encode_line(line), num_buckets) == bucket:
+            found.append(line)
+    return found
+
+
+def _indexed(store: DedupStore) -> set:
+    """PLIDs currently held by the store's cuckoo index."""
+    index = store.index
+    plids = {plid for _key, plid in index._stash}
+    for table in index._tables():
+        for bucket in table.buckets.values():
+            plids.update(plid for _key, plid in bucket.entries)
+    assert len(plids) == len(index)
+    return plids
+
+
+def _release(store: DedupStore, plid: int) -> None:
+    """Drop a reference and let deferred reclamation run."""
+    store.decref(plid)
+    store.reclaim_advance()
+
+
+# ----------------------------------------------------------------------
+# (a) default geometry: a cuckoo store is a legacy store
+
+
+@pytest.mark.parametrize("reclaim_kind", RECLAIM_KINDS)
+def test_default_geometry_is_charge_for_charge_legacy(reclaim_kind):
+    stores = [DedupStore(MemoryConfig(index_kind=kind,
+                                      reclaim_kind=reclaim_kind))
+              for kind in ("legacy", "cuckoo")]
+    helds = []
+    for store in stores:
+        rng = random.Random(2012)
+        held = []
+        for step in range(6000):
+            roll = rng.random()
+            if roll < 0.55 or not held:
+                # small pool -> dedup hits and epoch resurrections
+                plid, _created = store.lookup(_leaf(rng.randrange(1500)))
+                held.append(plid)
+            else:
+                store.decref(held.pop(rng.randrange(len(held))))
+            if step % 40 == 0:
+                store.reclaim_advance(8)
+        helds.append(held)
+    legacy, cuckoo = stores
+    assert helds[0] == helds[1]
+    assert legacy.stats == cuckoo.stats
+    assert legacy.rows == cuckoo.rows  # open row, hits and misses
+    assert legacy.counters == cuckoo.counters
+    assert legacy._lines == cuckoo._lines
+    assert legacy._refcounts == cuckoo._refcounts
+    assert cuckoo.counters.overflow_allocations == 0
+    assert len(cuckoo.index) == 0
+    assert cuckoo.index.stats.lookups == cuckoo.index.stats.inserts == 0
+    assert cuckoo.index_snapshot()["indexed_buckets"] == 0
+    assert cuckoo.index_failures() == legacy.index_failures() == []
+
+
+def _lookup_miss_calls(memory: MemoryConfig) -> int:
+    """Python + C calls made by one ``mem.lookup`` miss (no clock)."""
+    mem = MemorySystem(MachineConfig(memory=memory))
+    for i in range(64):
+        mem.lookup(_leaf(i))
+    calls = 0
+
+    def count(_frame, event, _arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    line = _leaf(10_000)
+    sys.setprofile(count)
+    try:
+        mem.lookup(line)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_serving_lookup_miss_call_ceiling():
+    """Indexing every line again (a key hash, two index probes and a
+    placement per miss: 92 calls against the paper profile's 55 before
+    the hand-over rule, 38 and 38 after) cannot return unnoticed."""
+    paper = _lookup_miss_calls(MemoryConfig())
+    serving = _lookup_miss_calls(MemoryConfig(index_kind="cuckoo",
+                                              reclaim_kind="epoch"))
+    assert serving <= paper + 2, (serving, paper)
+
+
+# ----------------------------------------------------------------------
+# (b) a bucket enters the index whole and leaves it whole
+
+
+@pytest.mark.parametrize("reclaim_kind", RECLAIM_KINDS)
+def test_bucket_enters_and_leaves_index_whole(reclaim_kind):
+    store = DedupStore(MemoryConfig(index_kind="cuckoo",
+                                    reclaim_kind=reclaim_kind, **SMALL))
+    a = _leaves_in_bucket(0, 4)
+    b = _leaves_in_bucket(1, 2)
+
+    def lookup(line):
+        result = store.lookup(line)
+        assert store.index_failures() == []
+        return result
+
+    def release(plid):
+        _release(store, plid)
+        assert store.index_failures() == []
+
+    a0, a1 = lookup(a[0])[0], lookup(a[1])[0]
+    b0, b1 = lookup(b[0])[0], lookup(b[1])[0]
+    assert _indexed(store) == set()  # both buckets full, none spilled
+    assert store.index.stats.lookups == 0
+
+    a2, created = lookup(a[2])  # first spill of bucket 0
+    assert created and a2 >= store._overflow_base
+    assert _indexed(store) == {a0, a1, a2}
+    assert store.index.stats.inserts == 3
+    assert store.index_snapshot()["indexed_buckets"] == 1
+
+    # bucket 0 is now served by the index, bucket 1 still in place
+    signature_reads = store.stats.lookups
+    assert lookup(a[0]) == (a0, False)
+    assert store.index.stats.hits == 1
+    probes = store.index.stats.lookups
+    assert lookup(b[0]) == (b0, False)
+    assert store.index.stats.lookups == probes
+    assert store.stats.lookups > signature_reads
+    release(a0)
+    release(b0)
+
+    # a way freed under a spilled bucket: the bucket stays indexed and
+    # the next allocation (into that way) is indexed on its own
+    release(a0)
+    assert _indexed(store) == {a1, a2}
+    a3, created = lookup(a[3])
+    assert created and a3 == a0  # lowest free way reused
+    assert _indexed(store) == {a1, a2, a3}
+
+    # freeing the last overflow line hands the bucket back
+    store.decref(a2)
+    if reclaim_kind == "epoch":
+        # deferred-dead: still resident, still indexed, resurrectable
+        assert store.refcount(a2) == 0
+        assert _indexed(store) == {a1, a2, a3}
+        assert lookup(a[2]) == (a2, False)
+        store.reclaim_advance()
+        assert store.reclaimer.stats.drained_resurrected == 1
+        assert _indexed(store) == {a1, a2, a3}
+        store.decref(a2)
+        store.reclaim_advance()
+    assert store.index_failures() == []
+    assert _indexed(store) == set()
+    assert store.index_snapshot()["indexed_buckets"] == 0
+    assert store.index.stats.removes == store.index.stats.inserts == 4
+
+    # and the handed-back bucket is served in place again
+    probes = store.index.stats.lookups
+    assert lookup(a[1]) == (a1, False)
+    assert store.index.stats.lookups == probes
+    for plid in (a1, a1, a3, b0, b1):
+        release(plid)
+    assert store.footprint_lines() == 0
+
+
+# ----------------------------------------------------------------------
+# (c) the worst case: one bucket flapping across the boundary
+
+
+@pytest.mark.parametrize("reclaim_kind", RECLAIM_KINDS)
+def test_flapping_costs_at_most_one_bucket_per_flip(reclaim_kind):
+    store = DedupStore(MemoryConfig(index_kind="cuckoo",
+                                    reclaim_kind=reclaim_kind, **SMALL))
+    ways = store.config.data_ways
+    lines = _leaves_in_bucket(2, ways + 1)
+    for line in lines[:ways]:
+        store.lookup(line)
+    stats = store.index.stats
+    for _flip in range(10):
+        inserts, removes = stats.inserts, stats.removes
+        spilled, created = store.lookup(lines[ways])
+        assert created and len(store.index) == ways + 1
+        assert stats.inserts - inserts <= ways + 1
+        assert stats.removes == removes
+        inserts = stats.inserts
+        _release(store, spilled)
+        assert len(store.index) == 0
+        assert stats.removes - removes <= ways + 1
+        assert stats.inserts == inserts
+        assert store.index_failures() == []
+
+
+# ----------------------------------------------------------------------
+# (d) the indexed set is reconstructible from an image
+
+
+def test_restore_reindexes_exactly_the_spilled_buckets():
+    machine = Machine(MachineConfig(memory=MemoryConfig(
+        index_kind="cuckoo", num_buckets=16, data_ways=2, index_buckets=8)))
+    machine.create_segment([(i * 31 + 5) for i in range(200)])
+    store = machine.mem.store
+    indexed = _indexed(store)
+    # a mixed store: some buckets spilled, some still served in place
+    assert 0 < store.index_snapshot()["indexed_buckets"] < len(store._buckets)
+    assert 0 < len(indexed) < store.footprint_lines()
+
+    restored = restore_machine(machine_image(machine)).mem.store
+    assert _indexed(restored) == indexed
+    assert restored.index_snapshot()["indexed_buckets"] == \
+        store.index_snapshot()["indexed_buckets"]
+    assert restored.index_failures() == []
+    restored.reindex()  # idempotent
+    assert _indexed(restored) == indexed

@@ -15,7 +15,9 @@ from repro.testing.hi import HIConfig, verify_structure
 
 
 def _cfg(kind):
-    return MemoryConfig(num_buckets=1 << 6, index_kind=kind,
+    # 4 buckets x 2 ways: every bucket spills at once, so the cuckoo
+    # store serves (and resizes) through its index for the whole run
+    return MemoryConfig(num_buckets=4, data_ways=2, index_kind=kind,
                         index_buckets=8)
 
 
@@ -68,10 +70,9 @@ def test_hi_fingerprints_identical_across_index_kinds(structure):
     seed = 20260808
     base = dict(schedules=6, keys=10, ops=28)
     legacy = verify_structure(seed, structure,
-                              HIConfig(index_kind="legacy", **base))
+                              HIConfig(memory=_cfg("legacy"), **base))
     cuckoo = verify_structure(seed, structure,
-                              HIConfig(index_kind="cuckoo",
-                                       index_buckets=8, **base))
+                              HIConfig(memory=_cfg("cuckoo"), **base))
     assert legacy.ok, legacy.failures
     assert cuckoo.ok, cuckoo.failures
     assert legacy.fingerprints == cuckoo.fingerprints

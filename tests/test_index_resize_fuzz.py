@@ -8,14 +8,21 @@ clean — the resize protocol never blocks or corrupts serving."""
 
 import pytest
 
+from repro.params import MemoryConfig
 from repro.testing.faults import COMMIT_STALL, CONN_RESET
 from repro.testing.fuzz import EpisodeConfig, run_episode
 
 
+def _memory(kind):
+    # a 4 x 2-way store spills every bucket into the index at once, and
+    # 8 index buckets x 4 slots resize fast
+    return MemoryConfig(num_buckets=4, data_ways=2, index_kind=kind,
+                        index_buckets=8)
+
+
 def _resize_cfg(**over):
     base = dict(
-        index_kind="cuckoo",
-        index_buckets=8,            # 8 buckets x 4 slots: resizes fast
+        memory=_memory("cuckoo"),
         clients=4,
         ops_per_client=48,
         key_space=24,               # enough distinct content to grow
@@ -46,8 +53,7 @@ def test_episode_trace_is_index_independent():
     must be identical — the index never leaks into observable serving
     behaviour (resize/migration progress lives outside the trace)."""
     seed = 99
-    legacy = run_episode(seed, _resize_cfg(index_kind="legacy",
-                                           index_buckets=0))
+    legacy = run_episode(seed, _resize_cfg(memory=_memory("legacy")))
     cuckoo = run_episode(seed, _resize_cfg())
     assert legacy.ok and cuckoo.ok
     assert legacy.trace == cuckoo.trace

@@ -25,6 +25,10 @@ class TestZeroLine:
         assert is_zero_line((0, 0))
         assert not is_zero_line((0, 1))
         assert not is_zero_line((PlidRef(3), 0))
+        # a reference to the zero line and an empty pack are not zero words
+        assert not is_zero_line((PlidRef(0), 0))
+        assert not is_zero_line((Inline(width=1, values=(), span=1), 0))
+        assert is_zero_line((0,) * 4) and is_zero_line((False, 0))
 
 
 class TestMakeLeaf:
@@ -100,6 +104,18 @@ class TestEncoding:
 
     def test_distinct_lines_distinct_encodings(self):
         assert encode_line((1, 2)) != encode_line((2, 1))
+
+    @pytest.mark.parametrize("word", [
+        0, 7, (1 << 64) - 1, -1, -(1 << 70), 1 << 64, (1 << 64) + 5,
+        True, False, PlidRef(0), PlidRef(7, (1, 0, 3)),
+        Inline(width=2, values=(1, 2), span=4),
+    ])
+    def test_line_fast_path_equals_per_word_encoding(self, word):
+        # encode_line packs data words in place; every word kind — and
+        # every int the mask folds — must still equal the per-word form
+        for line in ((word, 9), (9, word), (word,) * 4):
+            assert encode_line(line) == b"".join(
+                encode_word(w) for w in line)
 
 
 class TestBytePacking:

@@ -87,14 +87,16 @@ class TestFuzzTraceIndependence:
     def test_episode_traces_match_across_kinds(self):
         for seed in (3, 44):
             results = {
-                kind: run_episode(seed, EpisodeConfig(reclaim_kind=kind))
+                kind: run_episode(seed, EpisodeConfig(
+                    memory=MemoryConfig(reclaim_kind=kind)))
                 for kind in KINDS}
             for kind, result in results.items():
                 assert result.ok, (kind, result.failures)
             assert results["immediate"].trace == results["epoch"].trace
 
     def test_epoch_episode_actually_deferred(self):
-        result = run_episode(5, EpisodeConfig(reclaim_kind="epoch"))
+        result = run_episode(5, EpisodeConfig(
+            memory=MemoryConfig(reclaim_kind="epoch")))
         assert result.ok, result.failures
         assert result.reclaim["kind"] == "epoch"
         assert result.reclaim["deferred_total"] > 0
@@ -102,14 +104,16 @@ class TestFuzzTraceIndependence:
 
 class TestHistoryIndependence:
     def test_hmap_hi_under_epoch_reclaim(self):
-        cfg = HIConfig(schedules=6, ops=32, reclaim_kind="epoch")
+        cfg = HIConfig(schedules=6, ops=32,
+                       memory=MemoryConfig(reclaim_kind="epoch"))
         verdict = verify_structure(11, "hmap", cfg)
         assert verdict.ok, verdict.failures
 
     def test_fingerprints_reclaim_kind_independent(self):
         fps = {}
         for kind in KINDS:
-            cfg = HIConfig(schedules=2, ops=32, reclaim_kind=kind)
+            cfg = HIConfig(schedules=2, ops=32,
+                           memory=MemoryConfig(reclaim_kind=kind))
             fps[kind] = verify_structure(11, "hmap", cfg).fingerprints
         assert fps["immediate"] == fps["epoch"]
 
