@@ -5,7 +5,9 @@ the whole serving stack (asyncio TCP front end, streaming frame decoder,
 shard router, per-shard commit queues with batched merge-commits) under
 a pipelined multi-client load, and reports the counters the paper's
 argument predicts: merge-commits absorbing lost CAS races with zero
-application retries.
+application retries. ``run_serving`` asks for ``commit_mode="merge"``
+explicitly — the router's default lands a run as one group commit and
+has no lost CAS to absorb.
 """
 
 from conftest import emit

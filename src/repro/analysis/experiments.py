@@ -321,14 +321,19 @@ def run_figure10(seed: int = 2) -> ExperimentResult:
 
 
 def run_serving(scale: int = 1) -> ExperimentResult:
-    """Serving throughput — asyncio TCP server + pipelined loadgen."""
+    """Serving throughput — asyncio TCP server + pipelined loadgen.
+
+    About merge-update, so it asks for ``commit_mode="merge"``: batched
+    sets staged against one snapshot, lost CASes absorbed by merging.
+    """
     import asyncio
 
     from repro.net.loadgen import run_loadgen
     from repro.net.server import MemcachedServer
 
     async def drive():
-        server = MemcachedServer(port=0, shard_count=4)
+        server = MemcachedServer(port=0, shard_count=4,
+                                 commit_mode="merge")
         await server.start()
         report = await run_loadgen(
             "127.0.0.1", server.port, clients=4,

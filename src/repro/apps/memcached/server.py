@@ -67,8 +67,8 @@ class HicampMemcached:
 
     def set(self, key: bytes, value: bytes) -> bool:
         """Store a key-value pair unconditionally."""
-        self.stats.sets += 1
         self.kvp.put(key, value)
+        self.stats.sets += 1  # on success: ``sets`` counts STORED replies
         return True
 
     def set_many(self, items) -> None:
@@ -76,10 +76,12 @@ class HicampMemcached:
 
         The whole batch is one tree rebuild and one root swap
         (:meth:`HMap.put_many`), the coalesced alternative to the
-        merge-absorbed per-key commits of the queue worker.
+        merge-absorbed per-key commits of the queue worker. A repeated
+        key is staged once with its last value (what sequential sets
+        would leave) but counts once per occurrence in ``sets``.
         """
+        self.kvp.put_many(list(dict(items).items()))
         self.stats.sets += len(items)
-        self.kvp.put_many(items)
 
     def delete(self, key: bytes) -> bool:
         """Remove a key; False when absent."""
@@ -96,16 +98,16 @@ class HicampMemcached:
         """Store only if the key is absent (atomic via merge rules)."""
         if self.kvp.contains(key):
             return False
-        self.stats.sets += 1
         self.kvp.put(key, value)
+        self.stats.sets += 1
         return True
 
     def replace(self, key: bytes, value: bytes) -> bool:
         """Store only if the key is present."""
         if not self.kvp.contains(key):
             return False
-        self.stats.sets += 1
         self.kvp.put(key, value)
+        self.stats.sets += 1
         return True
 
     def incr(self, key: bytes, delta: int = 1) -> Optional[int]:

@@ -99,22 +99,25 @@ class TenantMemcached(HicampMemcached):
 
     def set(self, key: bytes, value: bytes) -> bool:
         kvp, tstats = self._route(key)
+        kvp.put(key, value)
         self.stats.sets += 1
         tstats.sets += 1
-        kvp.put(key, value)
         return True
 
     def set_many(self, items) -> None:
-        """Bulk ingest: one :meth:`HMap.put_many` commit per tenant."""
+        """Bulk ingest: one :meth:`HMap.put_many` commit per tenant.
+
+        Repeated keys stage once (last value wins) and ``sets`` counts
+        every occurrence, once the whole batch has landed.
+        """
         groups: Dict[bytes, List[Tuple[bytes, bytes]]] = {}
         for key, value in items:
             groups.setdefault(self.tenant_of(key), []).append((key, value))
         for tenant in sorted(groups):
-            group = groups[tenant]
-            kvp = self._map(tenant)
-            self.stats.sets += len(group)
+            self._map(tenant).put_many(list(dict(groups[tenant]).items()))
+        self.stats.sets += len(items)
+        for tenant, group in groups.items():
             self.tenant_stats[tenant].sets += len(group)
-            kvp.put_many(group)
 
     def delete(self, key: bytes) -> bool:
         kvp, tstats = self._route(key)

@@ -747,6 +747,8 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.net.router import DEFAULT_COMMIT_MODE
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="HICAMP (ASPLOS 2012) reproduction tools")
@@ -788,17 +790,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--queue-depth", type=int, default=256,
                        help="per-shard commit queue bound (backpressure)")
     p_srv.add_argument("--batch-limit", type=int, default=16,
-                       help="max commits merged per shard batch")
+                       help="max queued writes a shard worker drains "
+                            "into one batch")
     p_srv.add_argument("--commit-mode",
                        choices=("merge", "bulk", "cas", "adaptive"),
-                       default="merge",
+                       default=DEFAULT_COMMIT_MODE,
                        help="how a shard worker lands a batched run of "
-                            "sets: merge (absorb lost CASes via "
-                            "merge-update, the default), bulk (one "
-                            "put_many tree rebuild per run), cas "
-                            "(per-op compare-and-swap commits), or "
-                            "adaptive (a per-shard controller switches "
-                            "between the three online, with hysteresis)")
+                            "sets: bulk (group commit: one put_many "
+                            "tree rebuild and one root CAS per run), "
+                            "merge (stage each set, absorb the lost "
+                            "CASes via merge-update), cas (per-op "
+                            "compare-and-swap commits), or adaptive (a "
+                            "per-shard controller switches between the "
+                            "three online, with hysteresis); "
+                            "default: %(default)s")
     p_srv.add_argument("--reclaim-budget", type=int, default=512,
                        help="deferred-reclaim segments drained per "
                             "shard batch (adaptive mode retunes this "
@@ -957,9 +962,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "frees and quiesces before the auditors")
     p_fz.add_argument("--commit-mode",
                       choices=("merge", "bulk", "cas", "adaptive"),
-                      default="merge",
+                      default=DEFAULT_COMMIT_MODE,
                       help="router commit strategy of the server under "
-                           "test (serving/expiry profiles); adaptive "
+                           "test (serving/expiry profiles; default: the "
+                           "router's, %(default)s); adaptive "
                            "episodes run a twitchy controller (short "
                            "window, forced rotation) so mode switches "
                            "land mid-episode under faults")

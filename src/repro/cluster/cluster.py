@@ -21,6 +21,7 @@ import asyncio
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.net.router import DEFAULT_COMMIT_MODE
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_RECORDER
 from repro.segments import dag
@@ -44,7 +45,7 @@ class ClusterConfig:
     lag_window: int = 256
     heartbeat_interval: Optional[float] = None
     reconnect_delay: float = 0.02
-    commit_mode: str = "merge"
+    commit_mode: str = DEFAULT_COMMIT_MODE
 
 
 class Cluster:

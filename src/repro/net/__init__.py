@@ -8,7 +8,7 @@ load path end to end:
 * :mod:`repro.net.framing` — streaming decoder for partial reads and
   pipelined requests;
 * :mod:`repro.net.router` — key fan-out across sharded backends with
-  per-shard asyncio commit queues and batched merge-commits;
+  per-shard asyncio commit queues and batched group commits;
 * :mod:`repro.net.server` — the asyncio TCP server (timeouts,
   backpressure, graceful shutdown);
 * :mod:`repro.net.metrics` — ops/s, latency percentiles, pipeline depth,

@@ -13,12 +13,18 @@ worker coroutine:
   headline memcached property;
 * **writes** are enqueued to the owning shard, giving natural
   backpressure (bounded queue) and FIFO ordering per shard;
-* a worker drains its queue in *batches*: consecutive ``set`` requests
-  for distinct keys are all staged against the same snapshot and then
-  committed one by one — every commit after the first loses its CAS and
-  is absorbed by **merge-update**, never an application retry. The
-  ``merge_commits`` counter in :class:`ServerMetrics` counts exactly
-  those absorbed races.
+* a worker drains its queue in *batches*, and a drained run of
+  consecutive ``set`` requests lands as one **group commit**: staged
+  into one iterator register, one tree rebuild, one root CAS (§2.2's
+  snapshot → modify → *one* CAS, via ``set_many`` → ``put_many``). A
+  worker is the only writer of its shard's segment, so there is no
+  concurrent CAS for merge-update to absorb; ``commit_mode="merge"``
+  (stage each set against one snapshot, commit one by one, every commit
+  after the first loses its CAS and merges — counted as
+  ``merge_commits`` in :class:`ServerMetrics`) stays selectable as the
+  differential suites' reference, next to ``"cas"`` and ``"adaptive"``.
+  Merge-update remains the path for genuinely concurrent writers:
+  ``HMap.put`` under the ``Scheduler``, ``conflict_sim``, the HI harness.
 
 Per-connection ordering (a ``get`` pipelined behind a ``set`` of the
 same key must see it) is preserved by :class:`ConnectionState`, which
@@ -59,6 +65,10 @@ HOP_COMMANDS = WRITE_COMMANDS - {b"set"}
 #: Single- or multi-key snapshot reads, answered inline.
 READ_COMMANDS = frozenset((b"get", b"gets"))
 
+#: How a shard worker lands a drained run of sets unless told otherwise.
+#: The one place the default lives: harness and CLI defaults import it.
+DEFAULT_COMMIT_MODE = "bulk"
+
 #: Queue marker that orders a read after this connection's prior writes.
 #: The worker resolves it in FIFO position and yields, so the reader runs
 #: before any write enqueued *behind* the fence commits.
@@ -92,7 +102,7 @@ class ShardRouter:
                  injector=None,
                  recorder=None,
                  registry: Optional[MetricsRegistry] = None,
-                 commit_mode: str = "merge",
+                 commit_mode: str = DEFAULT_COMMIT_MODE,
                  structural_memo: bool = True,
                  index_kind: str = "cuckoo",
                  reclaim_kind: str = "epoch",
@@ -107,8 +117,10 @@ class ShardRouter:
         #: every write per-op through the protocol handler; ``"merge"``
         #: stages each against one snapshot and lets merge-update absorb
         #: the lost CASes (the §4.3 behaviour the latency model prices);
-        #: ``"bulk"`` coalesces the run into one tree rebuild and one
-        #: root swap via the put_many bulk-ingest path; ``"adaptive"``
+        #: ``"bulk"`` (the default) coalesces the run into one tree
+        #: rebuild and one root swap via the put_many bulk-ingest path
+        #: — a worker is its segment's only writer, so merge-update has
+        #: no concurrent CAS to absorb; ``"adaptive"``
         #: starts at merge and lets the :class:`CommitController` move
         #: each shard between the three online (repro.net.adaptive).
         self.commit_mode = commit_mode
@@ -586,29 +598,30 @@ class ShardRouter:
 
         The entire run lands through :meth:`HicampMemcached.set_many` —
         one bottom-up tree rebuild and one root CAS for N keys, instead
-        of N staged commits absorbed by merge-update. Repeated keys
-        inside the run coalesce to their last occurrence before staging
+        of N staged commits absorbed by merge-update. ``set_many``
+        coalesces repeated keys to their last occurrence before staging
         (FIFO last-wins, exactly what N sequential sets would leave), so
-        hot-key bursts cost one staged write per *unique* key.
+        hot-key bursts cost one staged write per *unique* key and still
+        count one ``sets`` per ``STORED`` reply. A run
+        whose group commit raises (a nearly full store) is re-applied
+        one frame at a time, so only the sets that do not fit fail.
         """
-        server = self.servers[shard]
         recorder = self.recorder
-        last: Dict[bytes, bytes] = {}
-        for frame, _, _ in run:
-            last[frame.key] = frame.payload
+        items = [(frame.key, frame.payload) for frame, _, _ in run]
         bulk_span = None
         if recorder.enabled:
+            staged = len(dict(items))
             bulk_span = recorder.begin("bulk_commit", parent=batch_span,
-                                       shard=shard, staged=len(last),
-                                       coalesced=len(run) - len(last))
+                                       shard=shard, staged=staged,
+                                       coalesced=len(run) - staged)
         try:
-            server.set_many(list(last.items()))
-        except Exception as exc:
-            response = b"SERVER_ERROR %s\r\n" \
-                % str(exc).encode("ascii", "replace")
-            self.metrics.server_errors += len(run)
-            for _, future, _ in run:
-                _resolve(future, response)
+            self.servers[shard].set_many(items)
+        except Exception:
+            # re-apply per-op, in order (idempotent over whatever part
+            # of a multi-tenant run did land): only the sets that do
+            # not fit answer SERVER_ERROR, as under cas/merge
+            for frame, future, _ in run:
+                self._apply_one(shard, frame, future)
         else:
             for _, future, _ in run:
                 _resolve(future, b"STORED\r\n")

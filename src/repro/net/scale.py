@@ -178,8 +178,7 @@ async def _worker_async(cfg: ScaleConfig, worker: int) -> WorkerResult:
     from repro.net.server import MemcachedServer
 
     server = MemcachedServer(port=0, shard_count=cfg.shards,
-                             backend_factory=TenantMemcached,
-                             commit_mode="bulk")
+                             backend_factory=TenantMemcached)
     await server.start()
     result = WorkerResult(worker=worker,
                           keys=cfg.per_worker_keys(worker))

@@ -222,12 +222,21 @@ class MemcachedServer:
 
     async def _flush(self, inflight, writer: asyncio.StreamWriter,
                      scope: int = -1) -> None:
-        """Resolve outstanding responses in order and write them out."""
+        """Resolve outstanding responses in order and write them out.
+
+        Consecutive already-resolved responses leave as one write; what
+        is held is written *before* suspending on an unresolved one, so
+        no reply waits on a later request's commit.
+        """
         injector = self.injector
         if injector is not None and inflight:
             await injector.before_flush(scope)
+        held = []
         while inflight:
             started, command, awaitable, span = inflight.pop(0)
+            if held and not awaitable.done():
+                writer.write(b"".join(held))
+                held.clear()
             response = await awaitable
             self.metrics.observe_request(
                 command, self.metrics.now() - started, len(response))
@@ -238,7 +247,9 @@ class MemcachedServer:
                     writer.write(chunk)
                     await writer.drain()
             else:
-                writer.write(response)
+                held.append(response)
+        if held:
+            writer.write(b"".join(held))
         await writer.drain()
 
 

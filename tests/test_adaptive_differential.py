@@ -96,6 +96,8 @@ async def _replay(mode, chunks, switches=None):
                             for p in store.live_plids()),
         "audit": audit_machine(machine, strict=True).ok,
         "items": sum(s.item_count() for s in router.servers),
+        # cmd_set counts STORED replies, however the run was coalesced
+        "sets": sum(s.stats.sets for s in router.servers),
     }
     if mode == "adaptive":
         observed["switches"] = len(router.controller.switch_log)
@@ -112,11 +114,15 @@ class TestCrossModeIdentity:
         for seed in (3, 77):
             chunks = _chunks(seed)
             baseline = _run("merge", chunks)
-            for mode in ("cas", "bulk"):
+            for mode in ("cas", "bulk", "adaptive"):
                 responses, observed = _run(mode, chunks)
+                observed.pop("switches", None)
                 assert responses == baseline[0], mode
                 assert observed == baseline[1], mode
             assert baseline[1]["audit"] and baseline[1]["items"] > 0
+            # the storm chunk repeats keys inside one drained run
+            assert baseline[1]["sets"] \
+                == baseline[0].count(b"STORED\r\n") > baseline[1]["items"]
 
     def test_mid_stream_switches_are_invisible_to_state(self):
         # the storm chunk lands under forced bulk (storm-staging hop

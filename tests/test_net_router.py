@@ -5,6 +5,7 @@ import json
 
 from repro.net.framing import FrameDecoder
 from repro.net.router import ConnectionState, ShardRouter
+from repro.obs.trace import StepClock, TraceRecorder
 
 
 def frames_of(raw: bytes):
@@ -68,7 +69,8 @@ class TestRouting:
     def test_batched_sets_merge_commit(self):
         # distinct keys, same shard, enqueued before the worker runs: the
         # batch stages against one snapshot and merges — zero retries
-        router = ShardRouter(shard_count=1, batch_limit=16)
+        router = ShardRouter(shard_count=1, batch_limit=16,
+                             commit_mode="merge")
         raw = b"".join(b"set key%d 0 0 2\r\nv%d\r\n" % (i, i)
                        for i in range(8))
         responses = run_session(router, raw)
@@ -76,6 +78,29 @@ class TestRouting:
         assert router.metrics.merge_commits > 0
         assert router.metrics.cas_retries == 0
         assert router.servers[0].item_count() == 8
+
+    def test_batched_sets_group_commit_by_default(self):
+        # the same burst under the default mode: one group commit — one
+        # bulk_commit span under the batch span, one root CAS, no
+        # manufactured lost CAS for merge-update to absorb
+        rec = TraceRecorder(clock=StepClock())
+        router = ShardRouter(shard_count=1, batch_limit=16, recorder=rec)
+        segmap = router.machine.segmap
+        attempts = segmap.cas_attempts
+        raw = b"".join(b"set key%d 0 0 2\r\nv%d\r\n" % (i, i)
+                       for i in range(8))
+        assert run_session(router, raw) == [b"STORED\r\n"] * 8
+        assert router.metrics.merge_commits == 0
+        assert router.metrics.cas_retries == 0
+        assert segmap.cas_attempts - attempts == 1
+        assert segmap.cas_failures == 0
+        (batch,) = rec.find("commit_batch")
+        (bulk,) = rec.find("bulk_commit")
+        assert bulk.parent_id == batch.span_id
+        assert bulk.attrs["staged"] == 8 and bulk.attrs["coalesced"] == 0
+        assert rec.find("merge_update") == []
+        assert router.servers[0].item_count() == 8
+        assert router.servers[0].stats.sets == 8
 
     def test_flush_all_broadcasts(self):
         router = ShardRouter(shard_count=4)

@@ -15,6 +15,7 @@ from repro.net.loadgen import (
     run_loadgen,
 )
 from repro.net.server import MemcachedServer
+from repro.obs.trace import StepClock, TraceRecorder
 
 
 async def request(port, payload, terminators=(b"END\r\n",), lines=None):
@@ -44,7 +45,8 @@ class TestServerEndToEnd:
         """The ISSUE acceptance test, over real TCP."""
 
         async def go():
-            async with MemcachedServer(port=0, shard_count=4) as server:
+            async with MemcachedServer(port=0, shard_count=4,
+                                       commit_mode="merge") as server:
                 report = await run_loadgen(
                     "127.0.0.1", server.port, clients=4, ops_per_client=60,
                     pipeline_depth=8, get_ratio=0.5, seed=1)
@@ -65,6 +67,32 @@ class TestServerEndToEnd:
         # (3) graceful shutdown flushed every pending commit
         assert server.metrics.pending_at_shutdown == 0
         assert server.router.pending_commits() == 0
+
+    def test_pipelined_burst_group_commits_by_default(self):
+        """Default-mode twin: a burst to one shard is one group commit."""
+
+        async def go():
+            rec = TraceRecorder(clock=StepClock())
+            async with MemcachedServer(port=0, shard_count=1,
+                                       recorder=rec) as server:
+                segmap = server.router.machine.segmap
+                attempts = segmap.cas_attempts
+                burst = b"".join(b"set key%d 0 0 2\r\nv%d\r\n" % (i, i)
+                                 for i in range(8))
+                out = await request(server.port, burst, lines=8)
+                body = await request(server.port, b"stats json\r\n")
+                snapshot = json.loads(body.split(b"\r\n")[0])
+                return (out, snapshot, rec,
+                        segmap.cas_attempts - attempts)
+
+        out, snapshot, rec, cas_attempts = asyncio.run(go())
+        assert out == b"STORED\r\n" * 8
+        assert snapshot["merge_commits"] == 0
+        assert snapshot["server"]["sets"] == 8
+        assert cas_attempts == 1
+        (batch,) = rec.find("commit_batch")
+        assert [c.name for c in rec.children(batch.span_id)] \
+            == ["bulk_commit"]
 
     def test_set_get_over_socket(self):
         async def go():

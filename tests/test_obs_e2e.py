@@ -41,8 +41,8 @@ async def _pipelined(port: int, request: bytes, responses: int) -> bytes:
 def test_request_to_commit_batch_to_merge_update_links():
     async def scenario():
         rec = TraceRecorder(clock=StepClock())
-        async with MemcachedServer(port=0, shard_count=1,
-                                   recorder=rec) as server:
+        async with MemcachedServer(port=0, shard_count=1, recorder=rec,
+                                   commit_mode="merge") as server:
             # one pipelined burst of writes to one shard: the commit
             # queue batches them and the batch merge-commits
             burst = b"".join(b"set k%d 0 0 2\r\nv%d\r\n" % (i, i)
@@ -70,6 +70,35 @@ def test_request_to_commit_batch_to_merge_update_links():
     assert all("dram_lookups" in b.attrs for b in batches)
     assert sum(b.attrs["dram_lookups"] for b in batches) > 0
     # every span closed
+    assert all(s.end is not None for s in rec.spans)
+
+
+def test_request_to_commit_batch_to_bulk_commit_links_by_default():
+    async def scenario():
+        rec = TraceRecorder(clock=StepClock())
+        async with MemcachedServer(port=0, shard_count=1,
+                                   recorder=rec) as server:
+            segmap = server.router.machine.segmap
+            attempts = segmap.cas_attempts
+            burst = b"".join(b"set k%d 0 0 2\r\nv%d\r\n" % (i, i)
+                             for i in range(8))
+            out = await _pipelined(server.port, burst, 8)
+            await server.router.drain()
+            return rec, out, server, segmap.cas_attempts - attempts
+
+    rec, out, server, cas_attempts = asyncio.run(scenario())
+    assert out == (b"STORED" + CRLF) * 8
+    assert server.metrics.merge_commits == 0
+    # the run is one group commit: one root CAS, one bulk_commit span
+    # hanging off the one commit_batch span that carried all 8 requests
+    assert cas_attempts == 1
+    requests = {s.span_id for s in rec.find("request")}
+    (batch,) = rec.find("commit_batch")
+    assert sorted(batch.attrs["requests"]) == sorted(requests)
+    assert batch.attrs["writes"] == 8
+    assert [c.name for c in rec.children(batch.span_id)] == ["bulk_commit"]
+    assert rec.find("merge_update") == []
+    assert batch.attrs["dram_lookups"] > 0
     assert all(s.end is not None for s in rec.spans)
 
 
