@@ -30,7 +30,6 @@ run cluster ${SMOKE_FLAG}
 run scale ${SMOKE_FLAG}
 run dedup-index ${SMOKE_FLAG}
 run reclaim ${SMOKE_FLAG}
-run adaptive ${SMOKE_FLAG}
 
 echo "==> repro bench aggregate"
 python -m repro.cli bench aggregate

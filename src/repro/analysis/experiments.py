@@ -320,64 +320,6 @@ def run_figure10(seed: int = 2) -> ExperimentResult:
     return ExperimentResult("figure10", text, {"series": series})
 
 
-def run_serving(scale: int = 1) -> ExperimentResult:
-    """Serving throughput — asyncio TCP server + pipelined loadgen.
-
-    About merge-update, so it asks for ``commit_mode="merge"``: batched
-    sets staged against one snapshot, lost CASes absorbed by merging.
-    """
-    import asyncio
-
-    from repro.net.loadgen import run_loadgen
-    from repro.net.server import MemcachedServer
-
-    async def drive():
-        server = MemcachedServer(port=0, shard_count=4,
-                                 commit_mode="merge")
-        await server.start()
-        report = await run_loadgen(
-            "127.0.0.1", server.port, clients=4,
-            ops_per_client=60 * scale, pipeline_depth=8,
-            get_ratio=0.5, seed=3)
-        snapshot = server.router.snapshot()
-        await server.shutdown()
-        snapshot["pending_at_shutdown"] = \
-            server.metrics.pending_at_shutdown
-        return report, snapshot
-
-    report, snapshot = asyncio.run(drive())
-    latency = report.latency()
-    rows = [
-        ["clients x ops", "%d x %d" % (report.clients,
-                                       report.ops // report.clients)],
-        ["ops/s (client-side)", round(report.ops_per_second, 1)],
-        ["batch RTT p50/p99 ms", "%.2f / %.2f" % (latency["p50_ms"],
-                                                  latency["p99_ms"])],
-        ["pipelined requests", snapshot["pipelined_requests"]],
-        ["commit batches", snapshot["commit_batches"]],
-        ["merge commits (absorbed races)", snapshot["merge_commits"]],
-        ["CAS retries (true conflicts)", snapshot["cas_retries"]],
-        ["oracle mismatches", report.oracle_mismatches
-         + report.shared_mismatches],
-        ["pending at shutdown", snapshot["pending_at_shutdown"]],
-    ]
-    text = format_table(
-        ["metric", "value"], rows,
-        title="Serving layer: HICAMP memcached over TCP "
-              "(4 shards, merge-update commit batching)")
-    return ExperimentResult("serving", text, {
-        "report": report.as_dict(),
-        "server": snapshot,
-        "ops": report.ops,
-        "ops_per_second": report.ops_per_second,
-        "merge_commits": snapshot["merge_commits"],
-        "pipelined_requests": snapshot["pipelined_requests"],
-        "oracle_mismatches": report.oracle_mismatches
-        + report.shared_mismatches,
-        "pending_at_shutdown": snapshot["pending_at_shutdown"],
-    })
-
-
 #: Registry used by the CLI and by documentation.
 RUNNERS: Dict[str, Callable[..., ExperimentResult]] = {
     "table1": run_table1,
@@ -387,7 +329,6 @@ RUNNERS: Dict[str, Callable[..., ExperimentResult]] = {
     "table2_figure8": run_table2_figure8,
     "figure9": run_figure9,
     "figure10": run_figure10,
-    "serving": run_serving,
 }
 
 
@@ -439,13 +380,4 @@ def headline_metrics(result: ExperimentResult) -> Dict[str, Any]:
         return {"hicamp_x_tiles": round(last.hicamp_compaction, 2),
                 "page_sharing_x_tiles": round(last.page_sharing_compaction,
                                               2)}
-    if name == "serving":
-        latency = data["report"]["batch_rtt"]
-        return {
-            "serving_ops_per_second": round(data["ops_per_second"], 1),
-            "serving_batch_rtt_p99_ms": latency["p99_ms"],
-            "serving_merge_commits": data["merge_commits"],
-            "serving_pipelined_requests": data["pipelined_requests"],
-            "serving_oracle_mismatches": data["oracle_mismatches"],
-        }
     return {}

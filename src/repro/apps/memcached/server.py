@@ -75,9 +75,8 @@ class HicampMemcached:
         """Store a batch of pairs in one atomic commit (bulk ingest).
 
         The whole batch is one tree rebuild and one root swap
-        (:meth:`HMap.put_many`), the coalesced alternative to the
-        merge-absorbed per-key commits of the queue worker. A repeated
-        key is staged once with its last value (what sequential sets
+        (:meth:`HMap.put_many`): how the router's queue worker lands
+        a run of sets. A repeated key is staged once with its last value (what sequential sets
         would leave) but counts once per occurrence in ``sets``.
         """
         self.kvp.put_many(list(dict(items).items()))

@@ -115,7 +115,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             read_timeout=args.read_timeout,
             backend_factory=backend_factory,
             queue_depth=args.queue_depth, batch_limit=args.batch_limit,
-            commit_mode=args.commit_mode,
             reclaim_budget=args.reclaim_budget)
         await server.start()
         print("# repro serve: HICAMP memcached on %s:%d "
@@ -131,10 +130,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if args.metrics_json:
                 pathlib.Path(args.metrics_json).write_text(
                     json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
-            print("# served %d ops (%.0f ops/s), %d merge commits, "
+            print("# served %d ops (%.0f ops/s), %d commit batches, "
                   "%d pending at shutdown"
                   % (snapshot["ops_total"], snapshot["ops_per_second"],
-                     snapshot["merge_commits"],
+                     snapshot["commit_batches"],
                      snapshot["pending_at_shutdown"]), file=sys.stderr)
 
     try:
@@ -285,7 +284,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                             pipeline_depth=args.pipeline,
                             key_space=args.keys, shards=args.shards)
         cfg.memory = memory
-        cfg.commit_mode = args.commit_mode
         report = run_fuzz(episodes=args.episodes, seed=args.seed, cfg=cfg)
     elif args.profile == "cluster":
         from repro.cluster.fuzz import ClusterEpisodeConfig, run_fuzz
@@ -308,7 +306,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         cfg = EpisodeConfig(clients=args.clients, ops_per_client=args.ops,
                             pipeline_depth=args.pipeline,
                             key_space=args.keys, shards=args.shards,
-                            memory=memory, commit_mode=args.commit_mode)
+                            memory=memory)
         report = run_fuzz(episodes=args.episodes, seed=args.seed, cfg=cfg)
     print(report.render(verbose=args.verbose))
     return 0 if report.ok else 1
@@ -625,29 +623,6 @@ def _cmd_bench_reclaim(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_adaptive(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.analysis import adaptivebench
-
-    report = adaptivebench.run_adaptive_bench(smoke=args.smoke)
-    out = pathlib.Path(args.out or adaptivebench.DEFAULT_OUT)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(adaptivebench.render(report))
-        print("  -> %s" % out)
-    if args.check is not None:
-        problems = adaptivebench.check_floor(report, args.check)
-        for problem in problems:
-            print("bench adaptive: %s" % problem, file=sys.stderr)
-        if problems:
-            return 1
-    return 0
-
-
 def _cmd_bench_aggregate(args: argparse.Namespace) -> int:
     import json
 
@@ -683,8 +658,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return _cmd_bench_dedup_index(args)
     if args.target == "reclaim":
         return _cmd_bench_reclaim(args)
-    if args.target == "adaptive":
-        return _cmd_bench_adaptive(args)
     if args.target == "aggregate":
         return _cmd_bench_aggregate(args)
     report = run_hotpath(scale=args.scale)
@@ -747,8 +720,6 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.net.router import DEFAULT_COMMIT_MODE
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="HICAMP (ASPLOS 2012) reproduction tools")
@@ -792,22 +763,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--batch-limit", type=int, default=16,
                        help="max queued writes a shard worker drains "
                             "into one batch")
-    p_srv.add_argument("--commit-mode",
-                       choices=("merge", "bulk", "cas", "adaptive"),
-                       default=DEFAULT_COMMIT_MODE,
-                       help="how a shard worker lands a batched run of "
-                            "sets: bulk (group commit: one put_many "
-                            "tree rebuild and one root CAS per run), "
-                            "merge (stage each set, absorb the lost "
-                            "CASes via merge-update), cas (per-op "
-                            "compare-and-swap commits), or adaptive (a "
-                            "per-shard controller switches between the "
-                            "three online, with hysteresis); "
-                            "default: %(default)s")
     p_srv.add_argument("--reclaim-budget", type=int, default=512,
                        help="deferred-reclaim segments drained per "
-                            "shard batch (adaptive mode retunes this "
-                            "online: raised when idle)")
+                            "shard batch")
     p_srv.add_argument("--quota", type=int, default=None,
                        help="per-machine byte quota (enables LRU eviction)")
     p_srv.add_argument("--metrics-json", default=None,
@@ -960,15 +918,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="reclamation of the machine under test "
                            "(serving/expiry/hi profiles); epoch defers "
                            "frees and quiesces before the auditors")
-    p_fz.add_argument("--commit-mode",
-                      choices=("merge", "bulk", "cas", "adaptive"),
-                      default=DEFAULT_COMMIT_MODE,
-                      help="router commit strategy of the server under "
-                           "test (serving/expiry profiles; default: the "
-                           "router's, %(default)s); adaptive "
-                           "episodes run a twitchy controller (short "
-                           "window, forced rotation) so mode switches "
-                           "land mid-episode under faults")
     p_fz.add_argument("--verbose", action="store_true",
                       help="print the full trace of passing episodes too")
     p_fz.set_defaults(func=_cmd_fuzz)
@@ -1005,22 +954,19 @@ def build_parser() -> argparse.ArgumentParser:
              "read-scaling and recovery")
     p_bench.add_argument("target",
                          choices=("hotpath", "cluster", "scale",
-                                  "dedup-index", "reclaim", "adaptive",
-                                  "aggregate"),
+                                  "dedup-index", "reclaim", "aggregate"),
                          help="benchmark suite to run (dedup-index: "
                               "lookup-by-content cuckoo vs legacy at "
                               "overflow scale; reclaim: p99/p999 commit "
                               "latency under churny overwrites + "
                               "big-root drops, epoch vs immediate; "
-                              "adaptive: phase-shifting serving raced "
-                              "across every commit mode, adaptive must "
-                              "beat the best static; aggregate: merge "
+                              "aggregate: merge "
                               "every bench JSON into benchmarks/out/"
                               "trajectory.json)")
     p_bench.add_argument("--scale", type=int, default=1,
                          help="repetition multiplier (default 1)")
     p_bench.add_argument("--smoke", action="store_true",
-                         help="scale/dedup-index/reclaim/adaptive: CI tier "
+                         help="scale/dedup-index/reclaim: CI tier "
                               "(small key counts, seconds instead of "
                               "minutes)")
     p_bench.add_argument("--keys", type=int, default=0,
@@ -1049,11 +995,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "ratio is below it; reclaim: exit 1 if "
                               "the immediate/epoch p99 commit-latency "
                               "ratio is below it or post-quiesce state "
-                              "diverges; adaptive: exit 1 if the "
-                              "adaptive/best-static end-to-end "
-                              "ratio is below it, any phase falls "
-                              "under 0.9x its best static, or a "
-                              "phase boundary shows no switch")
+                              "diverges")
     p_bench.set_defaults(func=_cmd_bench)
 
     p_demo = sub.add_parser("demo", help="one-minute architecture tour")

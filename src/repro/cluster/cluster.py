@@ -21,7 +21,6 @@ import asyncio
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.net.router import DEFAULT_COMMIT_MODE
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_RECORDER
 from repro.segments import dag
@@ -45,7 +44,6 @@ class ClusterConfig:
     lag_window: int = 256
     heartbeat_interval: Optional[float] = None
     reconnect_delay: float = 0.02
-    commit_mode: str = DEFAULT_COMMIT_MODE
 
 
 class Cluster:
@@ -82,8 +80,7 @@ class Cluster:
                 "lead-%d" % i, shards=cfg.shards, host=cfg.host,
                 lag_window=cfg.lag_window,
                 heartbeat_interval=cfg.heartbeat_interval,
-                recorder=self.recorder, injector=self.injector,
-                commit_mode=cfg.commit_mode)
+                recorder=self.recorder, injector=self.injector)
             await node.start()
             self.leaders[node.node_id] = node
         leader_infos = [node.info() for node in self.leaders.values()]

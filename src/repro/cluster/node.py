@@ -39,8 +39,8 @@ from repro.apps.memcached.protocol import CRLF
 from repro.apps.memcached.server import HicampMemcached
 from repro.core.machine import Machine
 from repro.net.framing import Frame
-from repro.net.router import (DEFAULT_COMMIT_MODE, ConnectionState,
-                              ShardRouter, WRITE_COMMANDS, _completed)
+from repro.net.router import (ConnectionState, ShardRouter,
+                              WRITE_COMMANDS, _completed)
 from repro.net.server import MemcachedServer
 from repro.replication.follower import FollowerServer, ReplicationFollower
 from repro.replication.leader import ReplicationLeader
@@ -173,13 +173,11 @@ class LeaderNode:
                  lag_window: int = 256,
                  heartbeat_interval: Optional[float] = None,
                  backend_factory=HicampMemcached,
-                 recorder=None, injector=None,
-                 commit_mode: str = DEFAULT_COMMIT_MODE) -> None:
+                 recorder=None, injector=None) -> None:
         self.node_id = node_id
         self.router = ClusterRouter(
             node_id, machine=machine, shard_count=shards,
-            backend_factory=backend_factory, recorder=recorder,
-            commit_mode=commit_mode)
+            backend_factory=backend_factory, recorder=recorder)
         self.server = MemcachedServer(host=host, port=port,
                                       router=self.router,
                                       injector=injector)

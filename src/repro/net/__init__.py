@@ -1,9 +1,8 @@
 """The serving layer: HICAMP memcached on a real socket.
 
 The paper's §4.4 claim — snapshot reads without locks, atomic root-swap
-commits with merge-update absorbing non-conflicting races — is only
-interesting under *concurrent client load*. This package provides that
-load path end to end:
+commits — is only interesting under *concurrent client load*. This
+package provides that load path end to end:
 
 * :mod:`repro.net.framing` — streaming decoder for partial reads and
   pipelined requests;
@@ -12,16 +11,11 @@ load path end to end:
 * :mod:`repro.net.server` — the asyncio TCP server (timeouts,
   backpressure, graceful shutdown);
 * :mod:`repro.net.metrics` — ops/s, latency percentiles, pipeline depth,
-  CAS-retry and merge-commit counters (``stats`` / ``stats json``);
+  commit-batch counters (``stats`` / ``stats json``);
 * :mod:`repro.net.loadgen` — a pipelining multi-client load generator
-  with a built-in sequential-oracle consistency check;
-* :mod:`repro.net.adaptive` — the per-shard commit controller behind
-  ``commit_mode="adaptive"`` (online strategy switching with
-  hysteresis).
+  with a built-in sequential-oracle consistency check.
 """
 
-from repro.net.adaptive import (AdaptiveConfig, BatchSample,
-                                CommitController)
 from repro.net.framing import Frame, FrameDecoder
 from repro.net.loadgen import (LoadgenClient, LoadgenReport, PhaseSpec,
                                parse_phases, run_loadgen)
@@ -30,9 +24,6 @@ from repro.net.router import ConnectionState, ShardRouter
 from repro.net.server import MemcachedServer, serve
 
 __all__ = [
-    "AdaptiveConfig",
-    "BatchSample",
-    "CommitController",
     "Frame",
     "FrameDecoder",
     "LoadgenClient",

@@ -12,7 +12,7 @@ verifying as it goes:
   final value of every shared key must be one some client actually
   committed;
 * every batch is written in one syscall, so the server sees genuinely
-  pipelined frames (its decoder and batching merge-commit path are
+  pipelined frames (its decoder and batched group-commit path are
   exercised, not just its happy path).
 
 The :class:`LoadgenReport` mirrors the server's metrics block from the
@@ -117,7 +117,7 @@ def parse_phases(spec: str) -> List[PhaseSpec]:
 class PhaseGate:
     """Arrival barrier: every client enters phase ``k`` together, so a
     fleet-wide mix shift hits the server as one front, not a ragged
-    per-client drift (what the adaptive bench's boundaries rely on)."""
+    per-client drift."""
 
     def __init__(self, parties: int, phases: int) -> None:
         self.parties = max(1, parties)

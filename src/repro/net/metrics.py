@@ -1,12 +1,10 @@
 """Serving-layer metrics: throughput, latency percentiles, pipelining
-and merge-commit accounting.
+and commit-batch accounting.
 
-The paper's concurrency argument (§5.1.1) is about what happens *under
-load*: lost CAS races resolved by merge-update instead of retries. The
-network server therefore counts exactly those events — alongside the
-operational numbers (ops/s, latency percentiles, pipeline depth) any
-cache server must export — and exposes all of it both as ``STAT`` lines
-for the ``stats`` protocol command and as a JSON-safe snapshot dict.
+The operational numbers any cache server must export (ops/s, latency
+percentiles, pipeline depth, commit batches and root advances per
+segment), exposed both as ``STAT`` lines for the ``stats`` protocol
+command and as a JSON-safe snapshot dict.
 """
 
 from __future__ import annotations
@@ -54,10 +52,6 @@ class ServerMetrics:
 
     #: write batches drained from a shard commit queue in one go
     commit_batches: int = 0
-    #: lost CAS races absorbed by merge-update (no application retry)
-    merge_commits: int = 0
-    #: application-level retries (logically conflicting updates)
-    cas_retries: int = 0
     queue_high_watermark: int = 0
     pending_at_shutdown: int = 0
 
@@ -135,8 +129,6 @@ class ServerMetrics:
             "protocol_errors": self.protocol_errors,
             "server_errors": self.server_errors,
             "commit_batches": self.commit_batches,
-            "merge_commits": self.merge_commits,
-            "cas_retries": self.cas_retries,
             "queue_high_watermark": self.queue_high_watermark,
             "pending_at_shutdown": self.pending_at_shutdown,
             "commits_by_vsid": {str(v): n

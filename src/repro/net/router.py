@@ -12,24 +12,30 @@ worker coroutine:
   they are snapshot reads and need no synchronization, the paper's
   headline memcached property;
 * **writes** are enqueued to the owning shard, giving natural
-  backpressure (bounded queue) and FIFO ordering per shard;
-* a worker drains its queue in *batches*, and a drained run of
-  consecutive ``set`` requests lands as one **group commit**: staged
-  into one iterator register, one tree rebuild, one root CAS (§2.2's
-  snapshot → modify → *one* CAS, via ``set_many`` → ``put_many``). A
-  worker is the only writer of its shard's segment, so there is no
-  concurrent CAS for merge-update to absorb; ``commit_mode="merge"``
-  (stage each set against one snapshot, commit one by one, every commit
-  after the first loses its CAS and merges — counted as
-  ``merge_commits`` in :class:`ServerMetrics`) stays selectable as the
-  differential suites' reference, next to ``"cas"`` and ``"adaptive"``.
-  Merge-update remains the path for genuinely concurrent writers:
-  ``HMap.put`` under the ``Scheduler``, ``conflict_sim``, the HI harness.
+  backpressure (bounded queue);
+* a worker drains its queue in *batches* and has one way to land one,
+  chosen by what the batch contains: consecutive ``set`` requests are
+  staged into a run (repeated keys coalesce last-wins), a read fence
+  whose keys the run does not touch resolves early, a key-disjoint
+  non-``set`` write is applied in place, and anything that touches a
+  staged key — or a ``stats`` fence, which reads every key — splits the
+  run. A run of two or more lands as one **group commit**: one iterator
+  register, one tree rebuild, one root CAS (§2.2's snapshot → modify →
+  *one* CAS, via ``set_many`` → ``put_many``); a run of one is the
+  per-op path. A worker is the only writer of its shard's segment, so
+  there is no concurrent CAS for merge-update to absorb — merge-update
+  (§3.4) stays where writers are genuinely concurrent: ``HMap.put``
+  under the ``Scheduler``, ``conflict_sim``, the HI harness.
 
-Per-connection ordering (a ``get`` pipelined behind a ``set`` of the
-same key must see it) is preserved by :class:`ConnectionState`, which
-tracks the last write enqueued per shard and makes later reads from the
-same connection wait on it.
+**Ordering contract.** Promised: *per-key order* (two writes to one key
+apply in the order their shard queue received them; a write never
+passes an earlier write or fenced read of its key), *per-connection
+read-after-write* (:class:`ConnectionState` tracks the last write
+enqueued per shard and a later read from that connection waits behind a
+fence for it), and *responses in request order per connection*. Not
+promised: cross-key FIFO across a shard queue — a ``delete b`` queued
+behind ``set a`` may apply before it, and ``set a`` answers when its
+whole run lands. Memcached orders per key, never across keys.
 """
 
 from __future__ import annotations
@@ -43,35 +49,32 @@ from typing import Awaitable, Callable, Dict, List, Optional
 from repro.apps.memcached.protocol import CRLF, ProtocolHandler
 from repro.apps.memcached.server import HicampMemcached
 from repro.core.machine import Machine
-from repro.net.adaptive import AdaptiveConfig, BatchSample, CommitController
 from repro.net.framing import Frame
 from repro.net.metrics import ServerMetrics
 from repro.obs import adapters
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_RECORDER, DramProbe
+from repro.params import SERVING_MEMORY, MachineConfig, MemoryConfig
 
 #: Commands that mutate the cache and therefore go through a commit queue.
 WRITE_COMMANDS = frozenset((b"set", b"add", b"replace", b"cas", b"delete",
                             b"incr", b"decr"))
 
-#: Non-``set`` writes that may commute around a staged bulk run when the
-#: controller's storm-staging posture is on and their key is disjoint
-#: from every key in the run. Applying such a frame against the
-#: committed snapshot *before* the run lands is indistinguishable from
-#: wire order for its own key (memcached orders per key, not across
-#: keys), so the run keeps growing instead of splitting.
+#: Non-``set`` writes that commute around a staged run of sets when
+#: their key is disjoint from every key in the run. Applying such a
+#: frame against the committed snapshot *before* the run lands is
+#: indistinguishable from wire order for its own key (memcached orders
+#: per key, not across keys), so the run keeps growing instead of
+#: splitting.
 HOP_COMMANDS = WRITE_COMMANDS - {b"set"}
 
 #: Single- or multi-key snapshot reads, answered inline.
 READ_COMMANDS = frozenset((b"get", b"gets"))
 
-#: How a shard worker lands a drained run of sets unless told otherwise.
-#: The one place the default lives: harness and CLI defaults import it.
-DEFAULT_COMMIT_MODE = "bulk"
-
 #: Queue marker that orders a read after this connection's prior writes.
-#: The worker resolves it in FIFO position and yields, so the reader runs
-#: before any write enqueued *behind* the fence commits.
+#: The worker resolves it once every write of the fence's keys queued
+#: ahead of it has landed, and yields, so the reader runs before any
+#: write enqueued *behind* the fence commits.
 FENCE = b"\x00fence"
 
 
@@ -102,42 +105,20 @@ class ShardRouter:
                  injector=None,
                  recorder=None,
                  registry: Optional[MetricsRegistry] = None,
-                 commit_mode: str = DEFAULT_COMMIT_MODE,
                  structural_memo: bool = True,
-                 index_kind: str = "cuckoo",
-                 reclaim_kind: str = "epoch",
-                 reclaim_budget: int = 512,
-                 adaptive_config: Optional[AdaptiveConfig] = None) -> None:
+                 memory: Optional[MemoryConfig] = None,
+                 reclaim_budget: int = 512) -> None:
         if shard_count < 1:
             raise ValueError("need at least one shard")
-        if commit_mode not in ("cas", "merge", "bulk", "adaptive"):
-            raise ValueError("commit_mode must be 'cas', 'merge', "
-                             "'bulk' or 'adaptive'")
-        #: how a worker commits a run of batched sets: ``"cas"`` applies
-        #: every write per-op through the protocol handler; ``"merge"``
-        #: stages each against one snapshot and lets merge-update absorb
-        #: the lost CASes (the §4.3 behaviour the latency model prices);
-        #: ``"bulk"`` (the default) coalesces the run into one tree
-        #: rebuild and one root swap via the put_many bulk-ingest path
-        #: — a worker is its segment's only writer, so merge-update has
-        #: no concurrent CAS to absorb; ``"adaptive"``
-        #: starts at merge and lets the :class:`CommitController` move
-        #: each shard between the three online (repro.net.adaptive).
-        self.commit_mode = commit_mode
         #: optional :class:`repro.testing.faults.FaultInjector`; its
         #: ``before_commit`` hook stalls a shard worker between draining
         #: a batch and applying it (adversarial testing only).
         self.injector = injector
-        # the serving stack opts into the cuckoo lookup-by-content index
-        # and epoch-deferred reclamation by default (index.py,
-        # reclaim.py; legacy/immediate remain available for modeled
-        # experiments). Both kinds only apply when the router owns its
-        # machine — a caller-supplied machine keeps its own config.
+        # ``memory`` only applies when the router owns its machine — a
+        # caller-supplied machine keeps its own config
         if machine is None:
-            from repro.params import MachineConfig, MemoryConfig
             machine = Machine(MachineConfig(
-                memory=MemoryConfig(index_kind=index_kind,
-                                    reclaim_kind=reclaim_kind)))
+                memory=memory if memory is not None else SERVING_MEMORY))
         self.machine = machine
         #: per-epoch drain bound applied between commit batches; the
         #: deferral queue carries at most one batch's frees past this
@@ -176,29 +157,11 @@ class ShardRouter:
                 self.registry, [s.eviction for s in self.servers])
         if all(hasattr(s, "tenants") for s in self.servers):
             adapters.register_tenants(self.registry, self.servers)
-        # batched merge-commits stage through HMap.put_steps, which only
-        # matches plain backends (a TTL backend rewrites the payload);
-        # bulk commits go through set_many, which any BULK_SAFE backend
-        # (plain or tenant-routed) supports
-        self._merge_batches = all(type(s) is HicampMemcached
-                                  for s in self.servers)
+        # group commits go through set_many, which any BULK_SAFE backend
+        # (plain or tenant-routed) supports; a TTL backend rewrites the
+        # payload per set, so its sets land one by one
         self._bulk_safe = all(getattr(type(s), "BULK_SAFE", False)
                               for s in self.servers)
-        #: per-shard commit-strategy lens: always samples (the adapter
-        #: exports its raw inputs under static modes too); only
-        #: ``commit_mode="adaptive"`` lets it retune mode/batch
-        #: limit/reclaim budget online at batch boundaries
-        self.controller = CommitController(
-            shard_count,
-            "merge" if commit_mode == "adaptive" else commit_mode,
-            adaptive=(commit_mode == "adaptive"),
-            batch_limit=self.batch_limit,
-            reclaim_budget=self.reclaim_budget,
-            merge_ok=self._merge_batches,
-            bulk_ok=self._bulk_safe,
-            config=adaptive_config,
-            recorder=self.recorder)
-        adapters.register_adaptive(self.registry, self.controller)
         self.queues: List["asyncio.Queue"] = []
         self._workers: List["asyncio.Task"] = []
         #: callbacks fired as ``listener(shard, vsid, commits)`` after a
@@ -287,7 +250,6 @@ class ShardRouter:
             return await self._multi_get(frame, conn)
         if command in READ_COMMANDS and frame.key is not None:
             shard = self.shard_index(frame.key)
-            self.controller.note_read(shard)
             if conn.depends_on(shard) is not None:
                 fence = await self._enqueue_fence(shard, (frame.key,))
                 return asyncio.ensure_future(
@@ -314,10 +276,10 @@ class ShardRouter:
 
     async def _enqueue_fence(self, shard: int,
                              keys=()) -> "asyncio.Future[bytes]":
-        # the fence carries the keys its reader is about to fetch: a
-        # storm-staging worker may resolve it early when none of them
-        # are in the staged run (an empty tuple means "all keys" —
-        # stats fences — and always splits the run)
+        # the fence carries the keys its reader is about to fetch: the
+        # worker resolves it early when none of them are in the run of
+        # sets it is staging (an empty tuple means "all keys" — stats
+        # fences — and always splits the run)
         future: "asyncio.Future[bytes]" = \
             asyncio.get_running_loop().create_future()
         await self.queues[shard].put(
@@ -337,7 +299,6 @@ class ShardRouter:
         by_shard: Dict[int, List[bytes]] = {}
         for key in frame.args:
             shard = self.shard_index(key)
-            self.controller.note_read(shard)
             by_shard.setdefault(shard, []).append(key)
         deps = [await self._enqueue_fence(shard, keys)
                 for shard, keys in by_shard.items()
@@ -401,10 +362,7 @@ class ShardRouter:
         queue = self.queues[shard]
         while True:
             batch = [await queue.get()]
-            # the controller owns the coalescing limit per shard (it is
-            # just ``batch_limit`` under static modes); read it fresh
-            # every drain so storms widen batches immediately
-            while len(batch) < self.controller.batch_limit(shard):
+            while len(batch) < self.batch_limit:
                 try:
                     batch.append(queue.get_nowait())
                 except asyncio.QueueEmpty:
@@ -420,26 +378,8 @@ class ShardRouter:
                     queue.task_done()
 
     async def _apply_batch(self, shard: int, batch) -> None:
-        controller = self.controller
-        # mode is read once per batch: the safe mid-stream handoff point
-        # — fences and read-after-write ordering only depend on queue
-        # FIFO position, never on how a drained batch commits
-        mode = controller.mode(shard)
-        batch_runs = ((self._merge_batches if mode == "merge"
-                       else self._bulk_safe) if mode != "cas" else False)
         self.metrics.commit_batches += 1
         writes = sum(1 for frame, _, _ in batch if frame.command != FENCE)
-        # duplicate-set census, mode-independent (a shard running per-op
-        # CAS must still see the hot-key signal fade to switch back)
-        sets = dups = 0
-        seen: set = set()
-        for frame, _, _ in batch:
-            if frame.command == b"set" and frame.payload is not None:
-                sets += 1
-                if frame.key in seen:
-                    dups += 1
-                else:
-                    seen.add(frame.key)
         recorder = self.recorder
         batch_span = None
         dram_probe = None
@@ -452,39 +392,24 @@ class ShardRouter:
                 requests=[p for _, _, p in batch if p is not None])
             dram_probe = DramProbe(self.machine.mem.dram)
             dram_probe.__enter__()
-        # retry/merge counters are global; the deltas are exact unless a
-        # fence yield interleaves another shard's batch (sampling noise
-        # the hysteresis windows absorb)
-        retries_before = self.metrics.cas_retries
-        merges_before = self.metrics.merge_commits
-        batch_t0 = controller.clock()
-        # storm staging: while the controller holds this shard in bulk
-        # mode it may commute key-disjoint fences and non-set writes
-        # around a staged run instead of splitting it — per-key order
-        # is untouched (anything touching a staged key still splits),
-        # only the cross-key FIFO interleaving loosens, which memcached
-        # semantics never promised. The payoff is that a storm batch
-        # becomes one put_many instead of one per fence/delete/cas gap.
-        hop = (mode == "bulk" and batch_runs
-               and controller.hop_reads(shard))
+        # a run of sets keeps growing across key-disjoint fences and
+        # non-set writes instead of splitting at them: per-key order is
+        # untouched (anything touching a staged key splits), only the
+        # cross-key interleaving loosens, which memcached semantics
+        # never promised — so a mixed batch is one put_many, not one
+        # per fence/delete/cas gap
         pending = list(batch)
         while pending:
             run, keys = [], set()
-            while pending and batch_runs:
+            while pending and self._bulk_safe:
                 frame, future, _ = pending[0]
                 if frame.command == b"set" and frame.payload is not None:
-                    if frame.key in keys and mode != "bulk":
-                        # staging one key twice against one snapshot is
-                        # a true conflict, so a merge run must split
-                        # here; put_many's documented last-wins dup
-                        # handling lets a bulk run absorb repeats
-                        # instead of splitting — under hot keys that is
-                        # bulk's whole advantage
-                        break
+                    # set_many's documented last-wins handling of a
+                    # repeated key lets the run absorb hot-key repeats
                     keys.add(frame.key)
                     run.append(pending.pop(0))
                     continue
-                if not hop or not run:
+                if not run:
                     break
                 if frame.command == FENCE:
                     if not frame.args \
@@ -504,10 +429,8 @@ class ShardRouter:
                     self._apply_one(shard, frame, future)
                     continue
                 break
-            if len(run) > 1 and mode == "bulk":
+            if len(run) > 1:
                 self._commit_bulk_sets(shard, run, batch_span)
-            elif len(run) > 1:
-                self._commit_merged_sets(shard, run, batch_span)
             elif run:
                 self._apply_one(shard, run[0][0], run[0][1])
             else:
@@ -519,7 +442,6 @@ class ShardRouter:
                     await asyncio.sleep(0)
                 else:
                     self._apply_one(shard, frame, future)
-        batch_rtt_s = controller.clock() - batch_t0
         if writes:
             kvp = getattr(self.servers[shard], "kvp", None)
             vsid = kvp.vsid if kvp is not None else shard
@@ -535,76 +457,22 @@ class ShardRouter:
         # epoch advancement between commit batches: drain a bounded
         # slice of the frees this batch deferred (no-op under the
         # immediate kind) so the queue stays shallow without putting
-        # subtree walks back on any commit's critical path. The budget
-        # is the controller's: shrunk during storms, raised when idle.
-        store = self.machine.mem.store
-        store.reclaim_advance(controller.reclaim_budget(shard))
-        reclaimer = store.reclaimer
-        controller.observe_batch(shard, BatchSample(
-            writes=writes, sets=sets, dup_sets=dups,
-            cas_retries=self.metrics.cas_retries - retries_before,
-            merge_commits=self.metrics.merge_commits - merges_before,
-            queue_depth=self.queues[shard].qsize(),
-            rtt_s=batch_rtt_s,
-            reclaim_pending=(reclaimer.pending()
-                             if reclaimer is not None else 0)))
-
-    def _commit_merged_sets(self, shard: int, run,
-                            batch_span: Optional[int] = None) -> None:
-        """Stage distinct-key sets against one snapshot, commit each.
-
-        Every commit after the first finds the root moved, loses its CAS
-        and merges (§3.4/§4.3) — counted as ``merge_commits``. Distinct
-        keys guarantee no logical conflict, so no application retries.
-        """
-        server = self.servers[shard]
-        segmap = self.machine.segmap
-        failures_before = segmap.cas_failures
-        recorder = self.recorder
-        merge_span = None
-        if recorder.enabled:
-            merge_span = recorder.begin("merge_update", parent=batch_span,
-                                        shard=shard, staged=len(run))
-        staged = []
-        for frame, future, _ in run:
-            try:
-                gen = server.kvp.put_steps(frame.key, frame.payload)
-                next(gen)  # stage into the update window
-            except Exception as exc:
-                self.metrics.server_errors += 1
-                _resolve(future, b"SERVER_ERROR %s\r\n"
-                         % str(exc).encode("ascii", "replace"))
-                continue
-            staged.append((gen, future))
-        for gen, future in staged:
-            try:
-                retries = _exhaust(gen)
-            except Exception as exc:
-                self.metrics.server_errors += 1
-                _resolve(future, b"SERVER_ERROR %s\r\n"
-                         % str(exc).encode("ascii", "replace"))
-                continue
-            server.stats.sets += 1
-            self.metrics.cas_retries += retries
-            _resolve(future, b"STORED\r\n")
-        merged = segmap.cas_failures - failures_before
-        self.metrics.merge_commits += merged
-        if merge_span is not None:
-            recorder.end(merge_span, merge_commits=merged)
+        # subtree walks back on any commit's critical path
+        self.machine.mem.store.reclaim_advance(self.reclaim_budget)
 
     def _commit_bulk_sets(self, shard: int, run,
                           batch_span: Optional[int] = None) -> None:
-        """Coalesce a run of distinct-key sets into one bulk commit.
+        """Land a run of sets as one group commit.
 
         The entire run lands through :meth:`HicampMemcached.set_many` —
-        one bottom-up tree rebuild and one root CAS for N keys, instead
-        of N staged commits absorbed by merge-update. ``set_many``
-        coalesces repeated keys to their last occurrence before staging
-        (FIFO last-wins, exactly what N sequential sets would leave), so
-        hot-key bursts cost one staged write per *unique* key and still
-        count one ``sets`` per ``STORED`` reply. A run
-        whose group commit raises (a nearly full store) is re-applied
-        one frame at a time, so only the sets that do not fit fail.
+        one bottom-up tree rebuild and one root CAS for N sets.
+        ``set_many`` coalesces repeated keys to their last occurrence
+        before staging (FIFO last-wins, exactly what N sequential sets
+        would leave), so hot-key bursts cost one staged write per
+        *unique* key and still count one ``sets`` per ``STORED`` reply.
+        A run whose group commit raises (a nearly full store) is
+        re-applied one frame at a time, so only the sets that do not fit
+        fail.
         """
         recorder = self.recorder
         items = [(frame.key, frame.payload) for frame, _, _ in run]
@@ -619,7 +487,7 @@ class ShardRouter:
         except Exception:
             # re-apply per-op, in order (idempotent over whatever part
             # of a multi-tenant run did land): only the sets that do
-            # not fit answer SERVER_ERROR, as under cas/merge
+            # not fit answer SERVER_ERROR
             for frame, future, _ in run:
                 self._apply_one(shard, frame, future)
         else:
@@ -659,7 +527,6 @@ class ShardRouter:
             "server": self.aggregate_server_stats(),
             "index": self.machine.mem.store.index_snapshot(),
             "reclaim": self.machine.mem.store.reclaim_snapshot(),
-            "adaptive": self.controller.snapshot(),
         })
 
     def stats_response(self, args: List[bytes]) -> bytes:
@@ -693,12 +560,3 @@ def _completed(response: bytes) -> "asyncio.Future[bytes]":
 def _resolve(future: "asyncio.Future[bytes]", response: bytes) -> None:
     if not future.done():
         future.set_result(response)
-
-
-def _exhaust(gen) -> int:
-    """Drive a put_steps generator to completion; returns its retries."""
-    while True:
-        try:
-            next(gen)
-        except StopIteration as stop:
-            return stop.value or 0

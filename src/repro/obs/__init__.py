@@ -13,7 +13,7 @@ rigor:
   ``DramStats``) so one registry exposes everything without changing
   the silos' own output;
 * :mod:`repro.obs.trace` — spans with an injectable monotonic clock,
-  propagated request → commit-queue batch → merge-update → replication
+  propagated request → commit-queue batch → group commit → replication
   root advance, exportable as JSONL and Chrome ``trace_event``; DRAM
   deltas attach to the enclosing span (``DramProbe``).
 

@@ -29,7 +29,6 @@ __all__ = [
     "register_router",
     "register_index",
     "register_reclaim",
-    "register_adaptive",
     "register_memo",
     "register_cluster",
     "register_eviction",
@@ -48,7 +47,7 @@ SERVER_COUNTER_FIELDS = (
     "connections_opened", "connections_closed", "read_timeouts",
     "frames_decoded", "pipelined_requests",
     "protocol_errors", "server_errors",
-    "commit_batches", "merge_commits", "cas_retries",
+    "commit_batches",
 )
 SERVER_GAUGE_FIELDS = (
     "max_pipeline_depth", "queue_high_watermark", "pending_at_shutdown",
@@ -418,72 +417,6 @@ def register_reclaim(registry: MetricsRegistry, store,
     registry.gauge(prefix + "free_overflow_slots",
                    "recycled overflow-area PLIDs awaiting reuse",
                    fn=lambda: len(store.slots.free_overflow))
-
-
-#: metric namespace for the adaptive commit controller
-ADAPTIVE_PREFIX = "repro_adaptive_"
-
-
-def register_adaptive(registry: MetricsRegistry, controller,
-                      prefix: str = ADAPTIVE_PREFIX) -> None:
-    """Expose a :class:`~repro.net.adaptive.CommitController`.
-
-    Registered under static commit modes too — the controller always
-    samples, so the raw policy inputs (per-shard commit-queue depth,
-    CAS retries, merge-commit rate, batch RTT histogram) are visible
-    through ``stats prom``/``stats json`` even when adaptation is off;
-    only the mode/switch series move once ``commit_mode="adaptive"``.
-    """
-    registry.gauge(prefix + "enabled",
-                   "1 when online mode switching is active",
-                   fn=lambda: 1 if controller.adaptive else 0)
-    registry.gauge(prefix + "mode_info",
-                   "current commit mode per shard (1 = active)",
-                   labels=("shard", "mode"), fn=controller.mode_counts)
-    registry.counter(prefix + "mode_switches_total",
-                     "commit-mode transitions per shard",
-                     labels=("shard",),
-                     fn=lambda: controller.per_shard("switches"))
-    registry.gauge(prefix + "batch_limit",
-                   "coalescing limit the controller set per shard",
-                   labels=("shard",),
-                   fn=lambda: controller.per_shard("batch_limit"))
-    registry.gauge(prefix + "reclaim_budget",
-                   "per-batch reclaim drain budget per shard",
-                   labels=("shard",),
-                   fn=lambda: controller.per_shard("reclaim_budget"))
-    registry.gauge(prefix + "queue_depth",
-                   "commit-queue depth after the last drain, per shard",
-                   labels=("shard",),
-                   fn=lambda: controller.per_shard("queue_depth"))
-    registry.counter(prefix + "writes_total",
-                     "write frames committed per shard",
-                     labels=("shard",),
-                     fn=lambda: controller.per_shard("writes"))
-    registry.counter(prefix + "reads_total",
-                     "inline snapshot reads served per shard",
-                     labels=("shard",),
-                     fn=lambda: controller.per_shard("reads"))
-    registry.counter(prefix + "dup_sets_total",
-                     "sets whose key repeated within a batch (hot keys)",
-                     labels=("shard",),
-                     fn=lambda: controller.per_shard("dup_sets"))
-    registry.counter(prefix + "cas_retries_total",
-                     "true-conflict retries attributed per shard",
-                     labels=("shard",),
-                     fn=lambda: controller.per_shard("cas_retries"))
-    registry.counter(prefix + "merge_commits_total",
-                     "merge-absorbed lost CASes attributed per shard",
-                     labels=("shard",),
-                     fn=lambda: controller.per_shard("merge_commits"))
-    registry.counter(prefix + "batch_rtt_ms_bucket",
-                     "batch apply RTT histogram (cumulative, ms bounds)",
-                     labels=("shard", "le"),
-                     fn=controller.rtt_bucket_counts)
-    registry.counter(prefix + "epochs_total",
-                     "closed evaluation windows per shard",
-                     labels=("shard",),
-                     fn=lambda: controller.per_shard("epochs"))
 
 
 def register_router(registry: MetricsRegistry, router) -> None:

@@ -15,7 +15,7 @@ Prometheus text exposition and a JSON snapshot of the same values.
 Three instrument kinds, mirroring the Prometheus data model:
 
 * :class:`Counter` — monotonically increasing totals (ops, bytes,
-  merge commits, DRAM accesses);
+  commit batches, DRAM accesses);
 * :class:`Gauge` — point-in-time values (queue high-watermarks,
   replication lag, latency quantiles from the reservoir);
 * :class:`Histogram` — fixed-bucket distributions with cumulative

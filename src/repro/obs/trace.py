@@ -1,7 +1,7 @@
 """Trace spans with DRAM-traffic attribution.
 
 A *span* is one timed operation — a request, a commit-queue batch, a
-merge-update, a replication root advance — with a name, a parent link,
+group commit, a replication root advance — with a name, a parent link,
 and free-form attributes. The recorder follows the same discipline as
 :class:`~repro.net.metrics.ServerMetrics`: the clock is injectable, so
 under a deterministic testing clock a recorded trace is a pure function

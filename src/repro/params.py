@@ -136,6 +136,13 @@ class MemoryConfig:
         return self.line_bytes // self.plid_bytes
 
 
+#: The serving stack's memory profile: the cuckoo lookup-by-content
+#: index and epoch-deferred reclamation (index.py, reclaim.py). The
+#: paper profile — ``MemoryConfig()``, legacy + immediate — is what the
+#: modeled experiments use.
+SERVING_MEMORY = MemoryConfig(index_kind="cuckoo", reclaim_kind="epoch")
+
+
 @dataclass(frozen=True)
 class MachineConfig:
     """Full configuration of a simulated HICAMP machine.

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.machine import Machine
-from repro.net.router import DEFAULT_COMMIT_MODE
 from repro.net.server import MemcachedServer
 from repro.params import MachineConfig, MemoryConfig
 from repro.testing.auditors import audit_machine
@@ -79,15 +78,6 @@ class EpisodeConfig:
     #: ``audit_refcounts``'s machine drain), and trace content is
     #: independent of every field by construction.
     memory: MemoryConfig = MemoryConfig()
-    #: router commit strategy of the server under test ("merge", "cas",
-    #: "bulk", or "adaptive"; the default is the router's). Adaptive
-    #: episodes run a deliberately twitchy controller (short window,
-    #: single-epoch dwell, forced rotation) so mode switches land
-    #: mid-episode, under faults, on a tiny keyspace. Kept out of the
-    #: episode trace header: trace content is commit-mode-independent
-    #: by construction, and the linearizability + refcount auditors
-    #: must hold across switches.
-    commit_mode: str = DEFAULT_COMMIT_MODE
 
 
 # ----------------------------------------------------------------------
@@ -346,18 +336,10 @@ async def _run_episode(seed: int, cfg: EpisodeConfig,
     machine = Machine(MachineConfig(memory=cfg.memory))
     backend_kwargs = {} if cfg.backend is None \
         else {"backend_factory": cfg.backend}
-    if cfg.commit_mode == "adaptive":
-        from repro.net.adaptive import AdaptiveConfig
-        # twitchy on purpose: rotation forces a strategy handoff
-        # every few controller epochs even when the tiny episode
-        # workload would never cross a policy threshold
-        backend_kwargs["adaptive_config"] = AdaptiveConfig(
-            window=2, dwell_epochs=1, rotate_every=3)
     server = MemcachedServer(
         port=0, machine=machine, shard_count=cfg.shards,
         batch_limit=cfg.batch_limit, injector=injector,
-        recorder=trace_recorder, commit_mode=cfg.commit_mode,
-        **backend_kwargs)
+        recorder=trace_recorder, **backend_kwargs)
     recorder = HistoryRecorder()
     scripts = [_build_script(seed, cid, cfg) for cid in range(cfg.clients)]
 

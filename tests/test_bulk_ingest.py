@@ -3,7 +3,7 @@
 One batch, one bottom-up rebuild, one root swap — and exactly the same
 canonical structure N sequential updates would have produced. The tests
 here pin the equivalence at every layer: raw DAG bulk writes, HMap /
-ShardedHMap ``put_many``, and the router's ``commit_mode="bulk"``.
+ShardedHMap ``put_many``, and the router's group commit.
 """
 
 import asyncio
@@ -152,34 +152,12 @@ class TestRouterBulkCommit:
     RAW = b"".join(b"set bk%02d 0 0 5\r\nval%02d\r\n" % (i, i)
                    for i in range(8))
 
-    def test_bulk_mode_stores_without_merge_commits(self):
-        router = ShardRouter(shard_count=1, batch_limit=16,
-                             commit_mode="bulk")
+    def test_run_of_sets_stores_without_a_lost_cas(self):
+        router = ShardRouter(shard_count=1, batch_limit=16)
         responses = _run_session(router, self.RAW)
         assert responses == [b"STORED\r\n"] * 8
         assert router.servers[0].item_count() == 8
         assert router.servers[0].stats.sets == 8
         # a coalesced batch is one commit: nothing lost a CAS
-        assert router.metrics.merge_commits == 0
-        assert router.metrics.cas_retries == 0
+        assert router.machine.segmap.cas_failures == 0
         assert audit_machine(router.machine).ok
-
-    def test_bulk_and_merge_modes_agree_on_content(self):
-        content = {}
-        for mode in ("merge", "bulk"):
-            router = ShardRouter(shard_count=2, batch_limit=16,
-                                 commit_mode=mode)
-            _run_session(router, self.RAW)
-            content[mode] = {
-                key: router.servers[router.shard_index(key)].get(key)
-                for key in (b"bk%02d" % i for i in range(8))}
-        assert content["merge"] == content["bulk"]
-        assert all(v is not None for v in content["bulk"].values())
-
-    def test_invalid_commit_mode_rejected(self):
-        try:
-            ShardRouter(shard_count=1, commit_mode="nope")
-        except ValueError:
-            pass
-        else:
-            raise AssertionError("commit_mode='nope' was accepted")

@@ -65,6 +65,8 @@ class TestBenchCommand:
     def test_parser_rejects_unknown_target(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "nonsense"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "adaptive"])
 
 
 class TestMemcachedCommand:
@@ -240,6 +242,11 @@ class TestFuzzProfiles:
     def test_parser_rejects_unknown_profile(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fuzz", "--profile", "bogus"])
+
+    @pytest.mark.parametrize("command", ("fuzz", "serve"))
+    def test_commit_mode_flag_is_gone(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--commit-mode", "bulk"])
 
     def test_replication_profile_runs_an_episode(self, capsys):
         assert main(["fuzz", "--profile", "replication", "--episodes", "1",

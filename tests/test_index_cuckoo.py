@@ -377,6 +377,6 @@ def test_router_defaults_to_cuckoo_and_snapshots_index():
     assert snap["index"]["kind"] == "cuckoo"
     assert "cuckoo" in snap["index"]
     assert snap["index"]["indexed_buckets"] == 0
-    legacy = ShardRouter(shard_count=1, index_kind="legacy")
+    legacy = ShardRouter(shard_count=1, memory=MemoryConfig())
     assert legacy.machine.mem.store.index is None
     assert legacy.snapshot()["index"]["kind"] == "legacy"

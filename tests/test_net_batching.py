@@ -1,15 +1,15 @@
 """Batches stay batched — wall-clock-free pins on both ends of a request.
 
-(i) a drained run of sets lands as one group commit under the router's
-default mode: one root CAS, none lost, one ``write_words_bulk`` rebuild,
-and never more host calls than per-op CAS commits of the same run;
+(i) a drained run of sets lands as one group commit: one root CAS, none
+lost, one ``write_words_bulk`` rebuild, and never more host calls than
+per-op CAS commits of the same run;
 (ii) ``MemcachedServer._flush`` joins consecutive resolved responses
 into one ``writer.write``, writes what it holds before suspending on an
 unresolved one, and leaves the fault-injector write sequence alone;
 (iii) a group commit that raises on a full store is re-applied per set,
-so ``SERVER_ERROR`` granularity and ``cmd_set`` do not depend on the
-commit mode (the cross-mode ``sets`` field itself rides in
-``tests/test_adaptive_differential.py``).
+so ``SERVER_ERROR`` granularity and ``cmd_set`` do not depend on how
+the sets were batched (the ``sets`` field against the per-op handler
+rides in ``tests/test_router_differential.py``).
 """
 
 import asyncio
@@ -27,8 +27,6 @@ from repro.params import MachineConfig, MemoryConfig
 from repro.segments import dag
 from repro.testing.auditors import audit_machine
 from repro.testing.faults import WRITE_SPLIT, FaultInjector, FaultPlan
-
-MODES = ("cas", "merge", "bulk", "adaptive")
 
 
 def _set(key: bytes, value: bytes) -> bytes:
@@ -78,13 +76,13 @@ def test_default_run_is_one_root_cas_and_one_rebuild(n, monkeypatch):
     assert segmap.cas_failures == 0
     assert len(rebuilds) == 1
     assert router.metrics.commit_batches == 1
-    assert router.metrics.merge_commits == 0
     assert router.servers[0].stats.sets == n
 
 
-def _drain_calls(n: int, **router_kwargs) -> int:
-    """Python + C calls one worker makes applying a drained run of
-    ``n`` distinct-key sets (no clock, no event-loop machinery)."""
+def _drain_calls(n: int, batch_size: int) -> int:
+    """Python + C calls one worker makes applying ``n`` distinct-key
+    sets drained ``batch_size`` at a time (no clock, no event-loop
+    machinery); a batch of one is the per-op path."""
     calls = 0
 
     def count(_frame, event, _arg):
@@ -93,15 +91,15 @@ def _drain_calls(n: int, **router_kwargs) -> int:
             calls += 1
 
     async def go():
-        router = ShardRouter(shard_count=1, batch_limit=16,
-                             **router_kwargs)
+        router = ShardRouter(shard_count=1, batch_limit=16)
         await router.start()
         loop = asyncio.get_running_loop()
         batch = [(frame, loop.create_future(), None)
                  for frame in FrameDecoder().feed(_distinct_sets(n))]
         sys.setprofile(count)
         try:
-            await router._apply_batch(0, batch)
+            for i in range(0, n, batch_size):
+                await router._apply_batch(0, batch[i:i + batch_size])
         finally:
             sys.setprofile(None)
         assert [f.result() for _, f, _ in batch] == [b"STORED\r\n"] * n
@@ -114,13 +112,13 @@ def _drain_calls(n: int, **router_kwargs) -> int:
 @pytest.mark.parametrize("n", (2, 4, 16))
 def test_default_run_call_ceiling_is_per_op_cas(n):
     """Manufactured contention (N - 1 lost CASes, each a second rebuild
-    and a three-way merge: 4 984 / 13 542 / 66 099 calls under
-    ``merge`` against 2 003 / 4 085 / 17 727 under ``cas`` and
-    1 676 / 2 956 / 10 539 as one group commit) cannot return as the
-    default unnoticed."""
-    default = _drain_calls(n)
-    cas = _drain_calls(n, commit_mode="cas")
-    assert default <= cas, (default, cas)
+    and a three-way merge: 4 984 / 13 542 / 66 099 calls when every set
+    of a run committed against one stale snapshot, against
+    2 003 / 4 085 / 17 727 per-op and 1 676 / 2 956 / 10 539 as one
+    group commit) cannot return unnoticed."""
+    grouped = _drain_calls(n, batch_size=n)
+    per_op = _drain_calls(n, batch_size=1)
+    assert grouped <= per_op, (grouped, per_op)
 
 
 # ----------------------------------------------------------------------
@@ -237,15 +235,15 @@ def test_max_inflight_mid_burst_flush_keeps_order():
 
 
 # ----------------------------------------------------------------------
-# (iii) cmd_set and SERVER_ERROR granularity do not depend on the mode
+# (iii) cmd_set and SERVER_ERROR granularity do not depend on batching
 
 
 def test_tenant_sets_count_every_stored_reply_in_a_coalesced_run():
     burst = (_set(b"a:k", b"1") + _set(b"a:k", b"2") + _set(b"b:j", b"3")
              + _set(b"a:k", b"4") + _set(b"a:k", b"5"))
 
-    async def go(mode):
-        router = ShardRouter(shard_count=1, commit_mode=mode,
+    async def go():
+        router = ShardRouter(shard_count=1,
                              backend_factory=TenantMemcached)
         await router.start()
         responses = await _session(router, ConnectionState(), burst)
@@ -256,15 +254,15 @@ def test_tenant_sets_count_every_stored_reply_in_a_coalesced_run():
                  if s.sets},
                 server.get(b"a:k"))
 
-    for mode in MODES:
-        assert asyncio.run(go(mode)) == (
-            [b"STORED\r\n"] * 5, 5, {b"a": 4, b"b": 1}, b"5"), mode
+    assert asyncio.run(go()) == (
+        [b"STORED\r\n"] * 5, 5, {b"a": 4, b"b": 1}, b"5")
 
 
-def _full_store_run(mode):
+def _full_store_run(batch_limit):
     """On a store with no free line, a run of two sets that need none
     (a key re-set to its current value deduplicates completely) around
-    one that needs a new leaf."""
+    one that needs a new leaf. ``batch_limit=1`` drains one frame per
+    batch: the per-op reference."""
     # the 64 x 4 + 256 geometry tests/test_dedup_store.py exhausts
     machine = Machine(MachineConfig(memory=MemoryConfig(
         line_bytes=16, num_buckets=64, data_ways=4, overflow_lines=256)))
@@ -274,7 +272,7 @@ def _full_store_run(mode):
 
     async def go():
         router = ShardRouter(machine=machine, shard_count=1,
-                             commit_mode=mode)
+                             batch_limit=batch_limit)
         await router.start()
         conn = ConnectionState()
         preload = await _session(
@@ -315,12 +313,11 @@ def _full_store_run(mode):
 
 
 def test_failed_group_commit_falls_back_to_per_set_errors():
-    baseline = _full_store_run("cas")
+    baseline = _full_store_run(batch_limit=1)
     assert baseline["responses"] == [b"STORED\r\n", b"SERVER_ERROR",
                                      b"STORED\r\n", b"STORED\r\n"]
     assert baseline["sets"] == 4 + 3  # the preload, then STORED replies
     assert baseline["server_errors"] == 1
     assert baseline["fresh"] is None
     assert baseline["audit"] == []
-    for mode in ("merge", "bulk", "adaptive"):
-        assert _full_store_run(mode) == baseline, mode
+    assert _full_store_run(batch_limit=16) == baseline

@@ -66,23 +66,11 @@ class TestRouting:
         assert responses[2].count(b"VALUE") == 2
         assert responses[2].endswith(b"END\r\n")
 
-    def test_batched_sets_merge_commit(self):
-        # distinct keys, same shard, enqueued before the worker runs: the
-        # batch stages against one snapshot and merges — zero retries
-        router = ShardRouter(shard_count=1, batch_limit=16,
-                             commit_mode="merge")
-        raw = b"".join(b"set key%d 0 0 2\r\nv%d\r\n" % (i, i)
-                       for i in range(8))
-        responses = run_session(router, raw)
-        assert responses == [b"STORED\r\n"] * 8
-        assert router.metrics.merge_commits > 0
-        assert router.metrics.cas_retries == 0
-        assert router.servers[0].item_count() == 8
-
     def test_batched_sets_group_commit_by_default(self):
-        # the same burst under the default mode: one group commit — one
-        # bulk_commit span under the batch span, one root CAS, no
-        # manufactured lost CAS for merge-update to absorb
+        # distinct keys, same shard, enqueued before the worker runs:
+        # one group commit — one bulk_commit span under the batch span,
+        # one root CAS, no manufactured lost CAS for merge-update to
+        # absorb
         rec = TraceRecorder(clock=StepClock())
         router = ShardRouter(shard_count=1, batch_limit=16, recorder=rec)
         segmap = router.machine.segmap
@@ -90,8 +78,6 @@ class TestRouting:
         raw = b"".join(b"set key%d 0 0 2\r\nv%d\r\n" % (i, i)
                        for i in range(8))
         assert run_session(router, raw) == [b"STORED\r\n"] * 8
-        assert router.metrics.merge_commits == 0
-        assert router.metrics.cas_retries == 0
         assert segmap.cas_attempts - attempts == 1
         assert segmap.cas_failures == 0
         (batch,) = rec.find("commit_batch")
@@ -128,7 +114,8 @@ class TestRouting:
         assert responses[1].startswith(b"VERSION ")
         assert b"STAT curr_items 1" in responses[2]
         assert b"STAT shards 2" in responses[2]
-        assert b"STAT merge_commits" in responses[2]
+        assert b"STAT commit_batches" in responses[2]
+        assert b"STAT merge_commits" not in responses[2]
 
     def test_stats_json_snapshot(self):
         router = ShardRouter(shard_count=2)
@@ -138,7 +125,8 @@ class TestRouting:
         snapshot = json.loads(body)
         assert snapshot["shards"] == 2
         assert snapshot["server"]["curr_items"] == 1
-        assert "merge_commits" in snapshot
+        assert "commit_batches" in snapshot
+        assert "adaptive" not in snapshot
 
     def test_drain_leaves_no_pending(self):
         router = ShardRouter(shard_count=2)

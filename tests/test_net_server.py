@@ -45,8 +45,7 @@ class TestServerEndToEnd:
         """The ISSUE acceptance test, over real TCP."""
 
         async def go():
-            async with MemcachedServer(port=0, shard_count=4,
-                                       commit_mode="merge") as server:
+            async with MemcachedServer(port=0, shard_count=4) as server:
                 report = await run_loadgen(
                     "127.0.0.1", server.port, clients=4, ops_per_client=60,
                     pipeline_depth=8, get_ratio=0.5, seed=1)
@@ -60,16 +59,17 @@ class TestServerEndToEnd:
         assert report.oracle_checked > 0 and report.oracle_mismatches == 0
         assert report.shared_checked > 0 and report.shared_mismatches == 0
         assert report.consistent
-        # (2) stats show pipelining and merge-commit absorption happened
+        # (2) stats show pipelining and batched commits happened
         assert snapshot["pipelined_requests"] > 0
-        assert snapshot["merge_commits"] > 0
+        assert 0 < snapshot["commit_batches"] \
+            < sum(snapshot["commits_by_vsid"].values())
         assert snapshot["ops_total"] >= 4 * 60
         # (3) graceful shutdown flushed every pending commit
         assert server.metrics.pending_at_shutdown == 0
         assert server.router.pending_commits() == 0
 
     def test_pipelined_burst_group_commits_by_default(self):
-        """Default-mode twin: a burst to one shard is one group commit."""
+        """A burst to one shard is one group commit."""
 
         async def go():
             rec = TraceRecorder(clock=StepClock())
@@ -87,7 +87,6 @@ class TestServerEndToEnd:
 
         out, snapshot, rec, cas_attempts = asyncio.run(go())
         assert out == b"STORED\r\n" * 8
-        assert snapshot["merge_commits"] == 0
         assert snapshot["server"]["sets"] == 8
         assert cas_attempts == 1
         (batch,) = rec.find("commit_batch")
@@ -115,7 +114,7 @@ class TestServerEndToEnd:
         out = asyncio.run(go())
         assert b"STAT shards 3" in out
         assert b"STAT curr_items 1" in out
-        assert b"STAT merge_commits" in out
+        assert b"STAT commit_batches" in out
         assert out.endswith(b"END\r\n")
 
     def test_malformed_frame_connection_survives(self):

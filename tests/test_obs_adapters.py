@@ -41,7 +41,6 @@ def _busy_server_metrics(clock: FakeClock) -> ServerMetrics:
     metrics.observe_commit(vsid=9)
     metrics.connections_opened = 2
     metrics.commit_batches = 4
-    metrics.merge_commits = 1
     return metrics
 
 
@@ -172,79 +171,3 @@ def test_reclaim_schema_is_kind_independent():
     # identical metric families (label *values* differ only on kind_info)
     assert {name for name, _ in expositions["immediate"]} \
         == {name for name, _ in expositions["epoch"]}
-
-
-def _sampled_controller(adaptive=False):
-    from repro.net.adaptive import (AdaptiveConfig, BatchSample,
-                                    CommitController)
-
-    controller = CommitController(
-        2, "merge", adaptive=adaptive,
-        config=AdaptiveConfig(window=1, dwell_epochs=0))
-    controller.note_read(0)
-    controller.note_read(0)
-    controller.observe_batch(0, BatchSample(
-        writes=10, sets=9, dup_sets=2, cas_retries=1, merge_commits=3,
-        queue_depth=4, rtt_s=0.004))
-    for _ in range(8):
-        controller.note_read(1)  # shard 1 stays read-mostly -> merge
-    controller.observe_batch(1, BatchSample(
-        writes=2, sets=2, queue_depth=0, rtt_s=0.030))
-    return controller
-
-
-def test_adaptive_registration_exports_raw_inputs_when_disabled():
-    # satellite claim: the controller samples under static modes too —
-    # the policy inputs are scrapeable before adaptation is ever on
-    controller = _sampled_controller(adaptive=False)
-    registry = MetricsRegistry()
-    adapters.register_adaptive(registry, controller)
-    parsed = parse_exposition(registry.exposition())
-    assert sample(parsed, "repro_adaptive_enabled") == 0
-    assert sample(parsed, "repro_adaptive_mode_info",
-                  shard="0", mode="merge") == 1
-    assert sample(parsed, "repro_adaptive_queue_depth", shard="0") == 4
-    assert sample(parsed, "repro_adaptive_writes_total", shard="0") == 10
-    assert sample(parsed, "repro_adaptive_reads_total", shard="0") == 2
-    assert sample(parsed, "repro_adaptive_dup_sets_total", shard="0") == 2
-    assert sample(parsed, "repro_adaptive_cas_retries_total",
-                  shard="0") == 1
-    assert sample(parsed, "repro_adaptive_merge_commits_total",
-                  shard="0") == 3
-    # cumulative RTT histogram: 4ms lands in le=5.0, 30ms in le=50.0
-    assert sample(parsed, "repro_adaptive_batch_rtt_ms_bucket",
-                  shard="0", le="5.0") == 1
-    assert sample(parsed, "repro_adaptive_batch_rtt_ms_bucket",
-                  shard="1", le="25.0") == 0
-    assert sample(parsed, "repro_adaptive_batch_rtt_ms_bucket",
-                  shard="1", le="+Inf") == 1
-    assert sample(parsed, "repro_adaptive_mode_switches_total",
-                  shard="0") == 0
-
-
-def test_adaptive_mode_series_move_once_enabled():
-    controller = _sampled_controller(adaptive=True)  # window=1: retuned
-    registry = MetricsRegistry()
-    adapters.register_adaptive(registry, controller)
-    parsed = parse_exposition(registry.exposition())
-    assert sample(parsed, "repro_adaptive_enabled") == 1
-    # shard 0's all-set window entered bulk and retuned both knobs
-    assert sample(parsed, "repro_adaptive_mode_info",
-                  shard="0", mode="bulk") == 1
-    assert sample(parsed, "repro_adaptive_mode_switches_total",
-                  shard="0") == 1
-    assert sample(parsed, "repro_adaptive_batch_limit", shard="0") == 48
-    assert sample(parsed, "repro_adaptive_batch_limit", shard="1") == 16
-    assert sample(parsed, "repro_adaptive_epochs_total", shard="0") == 1
-
-
-def test_router_registers_adaptive_series_for_every_commit_mode():
-    from repro.net.router import ShardRouter
-
-    for mode in ("merge", "adaptive"):
-        router = ShardRouter(shard_count=2, commit_mode=mode)
-        parsed = parse_exposition(router.registry.exposition())
-        assert sample(parsed, "repro_adaptive_enabled") \
-            == (1 if mode == "adaptive" else 0)
-        assert sample(parsed, "repro_adaptive_mode_info",
-                      shard="1", mode="merge") == 1

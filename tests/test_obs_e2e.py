@@ -38,41 +38,6 @@ async def _pipelined(port: int, request: bytes, responses: int) -> bytes:
     return out
 
 
-def test_request_to_commit_batch_to_merge_update_links():
-    async def scenario():
-        rec = TraceRecorder(clock=StepClock())
-        async with MemcachedServer(port=0, shard_count=1, recorder=rec,
-                                   commit_mode="merge") as server:
-            # one pipelined burst of writes to one shard: the commit
-            # queue batches them and the batch merge-commits
-            burst = b"".join(b"set k%d 0 0 2\r\nv%d\r\n" % (i, i)
-                             for i in range(6))
-            await _pipelined(server.port, burst, 6)
-            await server.router.drain()
-        return rec
-
-    rec = asyncio.run(scenario())
-    requests = {s.span_id: s for s in rec.find("request")}
-    batches = rec.find("commit_batch")
-    assert len(requests) == 6
-    assert batches, "writes must produce commit_batch spans"
-    # every batch lists the request spans whose writes it carried
-    carried = [r for b in batches for r in b.attrs["requests"]]
-    assert sorted(carried) == sorted(requests)
-    assert sum(b.attrs["writes"] for b in batches) == 6
-    # merged batches hang a merge_update span off the batch span
-    merged = [b for b in batches if b.attrs["writes"] > 1]
-    assert merged, "a pipelined burst to one shard must merge"
-    for batch in merged:
-        names = [c.name for c in rec.children(batch.span_id)]
-        assert "merge_update" in names
-    # DRAM attribution landed on the batch spans
-    assert all("dram_lookups" in b.attrs for b in batches)
-    assert sum(b.attrs["dram_lookups"] for b in batches) > 0
-    # every span closed
-    assert all(s.end is not None for s in rec.spans)
-
-
 def test_request_to_commit_batch_to_bulk_commit_links_by_default():
     async def scenario():
         rec = TraceRecorder(clock=StepClock())
@@ -88,7 +53,6 @@ def test_request_to_commit_batch_to_bulk_commit_links_by_default():
 
     rec, out, server, cas_attempts = asyncio.run(scenario())
     assert out == (b"STORED" + CRLF) * 8
-    assert server.metrics.merge_commits == 0
     # the run is one group commit: one root CAS, one bulk_commit span
     # hanging off the one commit_batch span that carried all 8 requests
     assert cas_attempts == 1

@@ -29,8 +29,6 @@ STABLE_KEYS = {
     "protocol_errors": "repro_server_protocol_errors",
     "server_errors": "repro_server_server_errors",
     "commit_batches": "repro_server_commit_batches",
-    "merge_commits": "repro_server_merge_commits",
-    "cas_retries": "repro_server_cas_retries",
     "queue_high_watermark": "repro_server_queue_high_watermark",
     "shards": "repro_server_shards",
     "pending_commits": "repro_server_pending_commits",
