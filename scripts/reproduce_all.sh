@@ -28,7 +28,6 @@ run() {
 run hotpath --out benchmarks/out/hotpath.json
 run cluster ${SMOKE_FLAG}
 run scale ${SMOKE_FLAG}
-run dedup-index ${SMOKE_FLAG}
 run reclaim ${SMOKE_FLAG}
 
 echo "==> repro bench aggregate"

@@ -17,6 +17,7 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.experiments import RUNNERS, headline_metrics
+from repro.params import SERVING_MEMORY
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
@@ -266,10 +267,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.params import MemoryConfig
+    import dataclasses
 
-    memory = MemoryConfig(index_kind=args.index_kind,
-                          reclaim_kind=args.reclaim_kind)
+    memory = dataclasses.replace(SERVING_MEMORY,
+                                 reclaim_kind=args.reclaim_kind)
     if args.profile == "hi":
         from repro.testing.hi import HIConfig, run_hi
 
@@ -432,8 +433,9 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
                       % (args.source, exc), file=sys.stderr)
                 return 1
         else:
-            from repro import Machine
-            machine, extra = Machine(), {}
+            from repro import Machine, MachineConfig
+            machine = Machine(MachineConfig(memory=SERVING_MEMORY))
+            extra = {}
         save_machine_file(machine, args.path, extra=extra or None)
         print("saved %s: %d unique lines, %d bytes footprint"
               % (args.path, machine.footprint_lines(),
@@ -576,30 +578,6 @@ def _cmd_bench_scale(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_dedup_index(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.analysis import indexbench
-
-    report = indexbench.run_index_bench(smoke=args.smoke,
-                                        keys=args.keys or 0)
-    out = pathlib.Path(args.out or indexbench.DEFAULT_OUT)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(indexbench.render(report))
-        print("  -> %s" % out)
-    if args.check is not None:
-        problems = indexbench.check_floor(report, args.check)
-        for problem in problems:
-            print("bench dedup-index: %s" % problem, file=sys.stderr)
-        if problems:
-            return 1
-    return 0
-
-
 def _cmd_bench_reclaim(args: argparse.Namespace) -> int:
     import json
 
@@ -654,8 +632,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return _cmd_bench_cluster(args)
     if args.target == "scale":
         return _cmd_bench_scale(args)
-    if args.target == "dedup-index":
-        return _cmd_bench_dedup_index(args)
     if args.target == "reclaim":
         return _cmd_bench_reclaim(args)
     if args.target == "aggregate":
@@ -909,15 +885,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_fz.add_argument("--schedules", type=int, default=20,
                       help="hi profile: permuted schedules per workload "
                            "(default 20)")
-    p_fz.add_argument("--index-kind", choices=("legacy", "cuckoo"),
-                      default="legacy",
-                      help="lookup-by-content index of the machine "
-                           "under test (serving/expiry/hi profiles)")
     p_fz.add_argument("--reclaim-kind", choices=("immediate", "epoch"),
-                      default="immediate",
+                      default=SERVING_MEMORY.reclaim_kind,
                       help="reclamation of the machine under test "
-                           "(serving/expiry/hi profiles); epoch defers "
-                           "frees and quiesces before the auditors")
+                           "(serving/expiry/hi profiles; default: the "
+                           "serving profile's); epoch defers frees and "
+                           "quiesces before the auditors")
     p_fz.add_argument("--verbose", action="store_true",
                       help="print the full trace of passing episodes too")
     p_fz.set_defaults(func=_cmd_fuzz)
@@ -954,25 +927,21 @@ def build_parser() -> argparse.ArgumentParser:
              "read-scaling and recovery")
     p_bench.add_argument("target",
                          choices=("hotpath", "cluster", "scale",
-                                  "dedup-index", "reclaim", "aggregate"),
-                         help="benchmark suite to run (dedup-index: "
-                              "lookup-by-content cuckoo vs legacy at "
-                              "overflow scale; reclaim: p99/p999 commit "
-                              "latency under churny overwrites + "
-                              "big-root drops, epoch vs immediate; "
-                              "aggregate: merge "
-                              "every bench JSON into benchmarks/out/"
-                              "trajectory.json)")
+                                  "reclaim", "aggregate"),
+                         help="benchmark suite to run (reclaim: "
+                              "p99/p999 commit latency under churny "
+                              "overwrites + big-root drops, epoch vs "
+                              "immediate; aggregate: merge every bench "
+                              "JSON into benchmarks/out/trajectory.json)")
     p_bench.add_argument("--scale", type=int, default=1,
                          help="repetition multiplier (default 1)")
     p_bench.add_argument("--smoke", action="store_true",
-                         help="scale/dedup-index/reclaim: CI tier "
+                         help="scale/reclaim: CI tier "
                               "(small key counts, seconds instead of "
                               "minutes)")
     p_bench.add_argument("--keys", type=int, default=0,
                          help="scale: total keys across workers "
-                              "(default 1M, or 20k with --smoke); "
-                              "dedup-index: unique lines per kind")
+                              "(default 1M, or 20k with --smoke)")
     p_bench.add_argument("--workers", type=int, default=0,
                          help="scale: worker processes (default 4, "
                               "or 2 with --smoke)")
@@ -990,10 +959,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "exit 1 if the full-fanout aggregate read "
                               "speedup is below it; scale: exit 1 if "
                               "populate ops/s falls below it (or any "
-                              "serve-phase error/miss); dedup-index: "
-                              "exit 1 if the legacy/cuckoo DRAM or p99 "
-                              "ratio is below it; reclaim: exit 1 if "
-                              "the immediate/epoch p99 commit-latency "
+                              "serve-phase error/miss); reclaim: exit 1 "
+                              "if the immediate/epoch p99 commit-latency "
                               "ratio is below it or post-quiesce state "
                               "diverges")
     p_bench.set_defaults(func=_cmd_bench)

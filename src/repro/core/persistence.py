@@ -15,6 +15,7 @@ cold.
 
 from __future__ import annotations
 
+import dataclasses
 import gzip
 import json
 from typing import Any, Dict, Optional, Tuple
@@ -26,7 +27,10 @@ from repro.memory.line import Inline, Line, PlidRef, encode_line
 from repro.params import CacheGeometry, MachineConfig, MemoryConfig
 from repro.segments.segment_map import MapEntry, SegmentFlags
 
-FORMAT_VERSION = 1
+#: Version 2: the image config carries every ``MemoryConfig`` field by
+#: name and all are required (version 1 had per-field defaults for
+#: images older than a field).
+FORMAT_VERSION = 2
 
 
 def _word_to_json(word) -> Any:
@@ -85,23 +89,15 @@ def machine_image(machine: Machine) -> Dict[str, Any]:
     }
     return {
         "format": FORMAT_VERSION,
-        "config": {
-            "line_bytes": mc.memory.line_bytes,
-            "num_buckets": mc.memory.num_buckets,
-            "data_ways": mc.memory.data_ways,
-            "overflow_lines": mc.memory.overflow_lines,
-            "plid_bytes": mc.memory.plid_bytes,
-            "index_kind": mc.memory.index_kind,
-            "index_buckets": mc.memory.index_buckets,
-            "index_slots": mc.memory.index_slots,
-            "reclaim_kind": mc.memory.reclaim_kind,
-            "cache_bytes": mc.cache.size_bytes,
-            "cache_ways": mc.cache.ways,
-            "path_compaction": mc.path_compaction,
-            "data_compaction": mc.data_compaction,
-            "iterator_registers": mc.iterator_registers,
-            "n_processors": mc.n_processors,
-        },
+        "config": dict(
+            dataclasses.asdict(mc.memory),
+            cache_bytes=mc.cache.size_bytes,
+            cache_ways=mc.cache.ways,
+            path_compaction=mc.path_compaction,
+            data_compaction=mc.data_compaction,
+            iterator_registers=mc.iterator_registers,
+            n_processors=mc.n_processors,
+        ),
         "next_overflow": store._next_overflow,
         "free_overflow": list(store.slots.free_overflow),
         "overflow_bucket": {str(p): b
@@ -135,18 +131,9 @@ def restore_machine(image: Dict[str, Any]) -> Machine:
     try:
         cfg = image["config"]
         machine = Machine(MachineConfig(
-            memory=MemoryConfig(line_bytes=cfg["line_bytes"],
-                                num_buckets=cfg["num_buckets"],
-                                data_ways=cfg["data_ways"],
-                                overflow_lines=cfg["overflow_lines"],
-                                plid_bytes=cfg["plid_bytes"],
-                                # older images predate the index switch
-                                index_kind=cfg.get("index_kind", "legacy"),
-                                index_buckets=cfg.get("index_buckets", 1 << 10),
-                                index_slots=cfg.get("index_slots", 4),
-                                # and the reclamation switch
-                                reclaim_kind=cfg.get("reclaim_kind",
-                                                     "immediate")),
+            memory=MemoryConfig(**{
+                f.name: cfg[f.name]
+                for f in dataclasses.fields(MemoryConfig)}),
             cache=CacheGeometry(size_bytes=cfg["cache_bytes"],
                                 ways=cfg["cache_ways"],
                                 line_bytes=cfg["line_bytes"]),
@@ -184,8 +171,8 @@ def restore_machine(image: Dict[str, Any]) -> Machine:
         store._next_overflow = image["next_overflow"]
         store.slots.free_overflow[:] = [int(p) for p
                                         in image["free_overflow"]]
-        # recapture canonical encodings (and rebuild the cuckoo table
-        # when the image was saved under index_kind="cuckoo")
+        # recapture canonical encodings and rebuild the cuckoo table
+        # over the buckets that were spilled when the image was saved
         store.reindex()
 
         # restore the segment map

@@ -5,8 +5,11 @@ holds a *signature line* (one 8-bit signature per data way), a
 *reference-count line*, and a number of data ways. A line lives in the
 bucket selected by the hash of its content; its PLID is the concatenation
 of its way number and its bucket number. When a bucket is full, lines
-spill into a shared overflow area reached through the bucket's overflow
-pointer.
+spill into a shared overflow area. The paper reaches a spilled line by
+chaining through the bucket's overflow pointer; here a bucket with
+overflow lines is resolved by a :class:`repro.memory.index.CuckooIndex`
+instead (no experiment spills a bucket, so every paper number is a
+Figure-2 number; see :meth:`DedupStore.lookup`).
 
 The two fundamental operations are:
 
@@ -76,12 +79,9 @@ class StoreCounters:
     deallocations: int = 0
     overflow_allocations: int = 0
     signature_false_positives: int = 0
-    #: full-line compares performed against non-matching content (legacy:
-    #: signature collisions + overflow-chain reads past other lines;
-    #: cuckoo: fingerprint collisions) — the honest cross-index baseline
+    #: full-line compares performed against non-matching content
+    #: (in-bucket signature collisions + index fingerprint collisions)
     false_positive_scans: int = 0
-    #: lookups that had to walk a non-empty overflow chain (legacy only)
-    bucket_overflows: int = 0
 
 
 class _RcCache:
@@ -161,12 +161,11 @@ class DedupStore:
     """Deduplicated, reference-counted, content-addressable line store."""
 
     def __init__(self, config: Optional[MemoryConfig] = None,
-                 rc_cache_entries: int = 1 << 16,
-                 verify_reads: bool = False) -> None:
+                 rc_cache_entries: int = 1 << 16) -> None:
         self.config = config or MemoryConfig()
         #: recompute content hashes on every DRAM read (section 3.1's
         #: extra error-detection; off by default for speed)
-        self.verify_reads = verify_reads
+        self.verify_reads = self.config.verify_reads
         self.stats = DramStats()
         self.counters = StoreCounters()
         self._num_buckets = self.config.num_buckets
@@ -198,27 +197,27 @@ class DedupStore:
         #: stack and hotpath benchmarks enable it — see memo.py)
         self.memo = StructuralMemo()
         self.dealloc_listeners.append(self.memo.on_dealloc)
-        #: opt-in cuckoo lookup-by-content path (index.py), holding the
-        #: lines of buckets that have overflowed (see :meth:`lookup`).
-        #: Physical placement (_allocate) is identical under both kinds;
-        #: only the way a lookup *finds* resident content differs, so
-        #: PLIDs, refcounts and fingerprints never depend on the kind.
-        self._index: Optional[CuckooIndex] = None
-        if self.config.index_kind == "cuckoo":
-            self._index = CuckooIndex(
-                initial_buckets=self.config.index_buckets,
-                slots_per_bucket=self.config.index_slots,
-                target_fp_rate=self.config.index_target_fp_rate,
-                stats=self.stats, rows=self.rows)
-            # resize-aware RC-cache sizing: an online index resize means
-            # the resident-line population outgrew the startup estimate,
-            # so the RC working set did too
-            self._index.resize_listeners.append(self._on_index_resize)
+        #: lookup-by-content index (index.py) over the lines of buckets
+        #: that have overflowed, empty until one does (see
+        #: :meth:`lookup`). It only changes how a lookup *finds*
+        #: resident content; physical placement (_allocate), and so
+        #: PLIDs, refcounts and fingerprints, never depend on it.
+        self._index = self._new_index(self.stats, self.rows)
         #: opt-in epoch-deferred reclamation (reclaim.py). ``immediate``
         #: keeps the paper's inline recursive dealloc byte-identical.
         self._reclaimer: Optional[EpochReclaimer] = None
         if self.config.reclaim_kind == "epoch":
             self._reclaimer = EpochReclaimer(self)
+
+    def _new_index(self, stats: Optional[DramStats],
+                   rows: Optional[RowBuffer]) -> CuckooIndex:
+        index = CuckooIndex(initial_buckets=self.config.index_buckets,
+                            stats=stats, rows=rows)
+        # resize-aware RC-cache sizing: an online index resize means
+        # the resident-line population outgrew the startup estimate,
+        # so the RC working set did too
+        index.resize_listeners.append(self._on_index_resize)
+        return index
 
     def _on_index_resize(self, num_buckets: int) -> None:
         """Scale the RC cache with the index's post-resize capacity."""
@@ -358,13 +357,12 @@ class DedupStore:
         extra reads); on allocation, one signature-line write. The data
         line itself is written back later by the cache.
 
-        Under ``index_kind="cuckoo"`` this in-bucket resolution serves
-        every bucket whose overflow list is empty — charge for charge the
-        legacy path. A bucket is handed to the :class:`CuckooIndex` by
+        That in-bucket resolution serves every bucket whose overflow
+        list is empty. A bucket is handed to the :class:`CuckooIndex` by
         the allocation that first spills it (all its lines are indexed)
         and handed back by the deallocation that empties its overflow
         list, so which path serves a bucket is a function of its live
-        lines, never of its history.
+        lines, never of its history or of a setting.
         """
         if is_zero_line(line):
             return ZERO_PLID, False
@@ -375,8 +373,7 @@ class DedupStore:
         if bucket is None:
             bucket = _Bucket(signatures=[0] * (self._data_ways + 1))
             self._buckets[bucket_idx] = bucket
-        index = self._index
-        if index is not None and bucket.overflow:
+        if bucket.overflow:
             # a spilled bucket belongs to the cuckoo index
             return self._lookup_cuckoo(line, enc, bucket_idx, bucket)
         sig = hashing.signature(enc)
@@ -406,25 +403,13 @@ class DedupStore:
                 self.rows.access(bucket_idx)
             self.counters.signature_false_positives += matches
             self.counters.false_positive_scans += matches
-        # Check the overflow chain for this bucket (legacy kind only:
-        # under cuckoo a bucket with a chain took the branch above).
-        if bucket.overflow:
-            self.counters.bucket_overflows += 1
-        for plid in bucket.overflow:
-            self.stats.lookups += 1
-            self.rows.access(self._row_of(plid))
-            if self._lines[plid] == line:
-                self.counters.lookup_hits += 1
-                self._refcounts[plid] += 1
-                self._rc_cache.touch(plid)
-                return plid, False
-            self.counters.false_positive_scans += 1
 
         plid = self._allocate(line, enc, bucket_idx, sig, bucket)
-        if index is not None and bucket.overflow:
+        if bucket.overflow:
             # first spill: hand the whole bucket over to the index
             for resident_enc, resident in bucket.by_encoding.items():
-                index.insert(CuckooIndex.key_of(resident_enc), resident)
+                self._index.insert(CuckooIndex.key_of(resident_enc),
+                                   resident)
         return plid, True
 
     def _lookup_cuckoo(self, line: Line, enc: bytes, bucket_idx: int,
@@ -434,8 +419,8 @@ class DedupStore:
         The index narrows candidates by adaptive-width fingerprint; each
         surviving candidate costs one charged data-line read for the
         full content compare (a mismatch is a false-positive scan). No
-        signature read, no chain walk. Physical allocation is
-        byte-identical to the legacy path.
+        signature read. Physical allocation is the same
+        :meth:`_allocate` the in-bucket path uses.
         """
         self.counters.lookups += 1
         key = CuckooIndex.key_of(enc)
@@ -587,20 +572,20 @@ class DedupStore:
             enc = encode_line(line)
         bucket_idx = self.bucket_of(plid)
         bucket = self._buckets[bucket_idx]
-        index = self._index if bucket.overflow else None
-        if index is not None:
+        if bucket.overflow:
             # keyed off the *stored* encoding, so a silently corrupted
             # line still unindexes cleanly (the audit flags it instead)
-            index.remove(CuckooIndex.key_of(enc), plid)
+            self._index.remove(CuckooIndex.key_of(enc), plid)
         bucket.by_encoding.pop(enc, None)
         if plid >= self._overflow_base:
             bucket.overflow.remove(plid)
             self._overflow_bucket.pop(plid, None)
             self._slots.release_overflow(plid)
-            if index is not None and not bucket.overflow:
+            if not bucket.overflow:
                 # last spilled line gone: hand the bucket back
                 for resident_enc, resident in bucket.by_encoding.items():
-                    index.remove(CuckooIndex.key_of(resident_enc), resident)
+                    self._index.remove(CuckooIndex.key_of(resident_enc),
+                                       resident)
         else:
             way = plid // self._num_buckets
             bucket.signatures[way] = 0
@@ -710,27 +695,24 @@ class DedupStore:
     # lookup-by-content index
 
     @property
-    def index(self) -> Optional[CuckooIndex]:
-        """The cuckoo index, or None under the legacy path."""
+    def index(self) -> CuckooIndex:
+        """The cuckoo index over overflowed buckets (empty until one
+        spills)."""
         return self._index
 
     def index_snapshot(self) -> Dict:
         """JSON-safe view of the lookup-by-content path (stats json)."""
-        snap: Dict = {"kind": self.config.index_kind}
-        snap["false_positive_scans"] = self.counters.false_positive_scans
-        snap["bucket_overflows"] = self.counters.bucket_overflows
-        snap["signature_false_positives"] = \
-            self.counters.signature_false_positives
-        snap["indexed_buckets"] = self.indexed_buckets()
-        if self._index is not None:
-            snap["cuckoo"] = self._index.snapshot()
-        return snap
+        return {
+            "false_positive_scans": self.counters.false_positive_scans,
+            "signature_false_positives":
+                self.counters.signature_false_positives,
+            "indexed_buckets": self.indexed_buckets(),
+            "cuckoo": self._index.snapshot(),
+        }
 
     def indexed_buckets(self) -> int:
         """Buckets served by the cuckoo index: those with a non-empty
-        overflow list (always 0 under the legacy kind)."""
-        if self._index is None:
-            return 0
+        overflow list."""
         return len(set(self._overflow_bucket.values()))
 
     def reindex(self) -> None:
@@ -738,31 +720,22 @@ class DedupStore:
 
         Used after :func:`repro.core.persistence.restore_machine`
         repopulates ``_lines``/``_buckets`` directly: recaptures the
-        canonical encoding of every live line and, under the cuckoo
-        kind, rebuilds the index table from scratch over the lines of
-        buckets that have overflowed (the hand-over rule of
-        :meth:`lookup`). Charges no DRAM (restore is out-of-band, like
-        replication's export path).
+        canonical encoding of every live line and rebuilds the index
+        table from scratch over the lines of buckets that have
+        overflowed (the hand-over rule of :meth:`lookup`). Charges no
+        DRAM (restore is out-of-band, like replication's export path).
         """
-        if self._index is not None:
-            self._index = CuckooIndex(
-                initial_buckets=self.config.index_buckets,
-                slots_per_bucket=self.config.index_slots,
-                target_fp_rate=self.config.index_target_fp_rate,
-                stats=None, rows=None)
-            self._index.resize_listeners.append(self._on_index_resize)
+        self._index = self._new_index(None, None)
         for plid, line in self._lines.items():
             enc = self._enc_by_plid.get(plid)
             if enc is None:
                 enc = encode_line(line)
                 self._enc_by_plid[plid] = enc
-            if self._index is not None \
-                    and self._buckets[self.bucket_of(plid)].overflow:
+            if self._buckets[self.bucket_of(plid)].overflow:
                 self._index.insert(CuckooIndex.key_of(enc), plid)
-        if self._index is not None:
-            # rebuilt uncharged; live operation from here on is charged
-            self._index._dram = self.stats
-            self._index._rows = self.rows
+        # rebuilt uncharged; live operation from here on is charged
+        self._index._dram = self.stats
+        self._index._rows = self.rows
 
     def index_failures(self) -> List[str]:
         """Prove the index is exactly reconstructible from live lines.
@@ -772,17 +745,16 @@ class DedupStore:
         line surfaces as an index mismatch here as well as in the
         canonical-form audit. Returns failure strings; empty = clean.
         """
-        failures: List[str] = []
-        if self._index is not None:
-            # the index holds exactly the lines of overflowed buckets
-            failures.extend(self._index.audit({
-                plid: CuckooIndex.key_of(encode_line(line))
-                for plid, line in self._lines.items()
-                if self._buckets[self.bucket_of(plid)].overflow
-            }))
-        # Both kinds resolve un-spilled buckets in place: the per-bucket
-        # by_encoding maps must exactly cover the live lines, each
-        # reachable under its current content hash.
+        # the index holds exactly the lines of overflowed buckets
+        failures: List[str] = self._index.audit({
+            plid: CuckooIndex.key_of(encode_line(line))
+            for plid, line in self._lines.items()
+            if self._buckets[self.bucket_of(plid)].overflow
+        })
+        # Un-spilled buckets are resolved in place (and _allocate dedups
+        # through them everywhere): the per-bucket by_encoding maps must
+        # exactly cover the live lines, each reachable under its current
+        # content hash.
         total = sum(len(b.by_encoding) for b in self._buckets.values())
         if total != len(self._lines):
             failures.append(

@@ -1,16 +1,19 @@
-"""Cuckoo-indexed lookup-by-content with adaptive fingerprints.
+"""Cuckoo-indexed lookup-by-content for overflowed hash buckets.
 
 The paper's Figure-2 organization resolves lookup-by-content inside one
 hash bucket: read the signature line, compare 8-bit signatures, read
-candidate ways. That is exact and row-local — until a bucket fills and
-lines spill into the shared overflow area, where the legacy path walks
-the bucket's overflow chain *linearly*, one charged DRAM read per
-resident line. PR 7's million-key run holds ~4.6x the resident capacity,
-so every miss pays a ~40-line chain scan and populate throughput
-collapses.
+candidate ways. That is exact and row-local, and it is what
+:class:`~repro.memory.dedup_store.DedupStore` does for every bucket
+with no overflow lines. When a bucket fills, lines spill into the
+shared overflow area; the paper reaches them by chaining through the
+bucket's overflow pointer, one DRAM read per spilled line. No
+experiment in this repo spills a bucket, and a serving store held at
+several times its resident capacity pays a ~40-line scan per miss that
+way, so a spilled bucket is resolved here instead (the measurements
+are in docs/performance.md, "Why the legacy index went").
 
-:class:`CuckooIndex` replaces that chain walk with a bounded-probe
-index, independent of where lines physically live:
+:class:`CuckooIndex` is a bounded-probe index, independent of where
+lines physically live:
 
 * **two candidate buckets** per content hash, the second derived by
   XOR'ing the first with a spread of the entry's 16-bit partial key
@@ -38,13 +41,13 @@ content itself: candidate verification is delegated to a ``match``
 callback supplied by the caller (the dedup store charges one data-line
 read per verification, and counts the mismatches as false-positive
 scans). The index therefore stays an implementation detail that leaks
-nothing into PLID assignment, canonical form, or segment fingerprints —
-two stores populated through different indexes hold bit-identical state
-(history independence of the index; see ``tests/test_index_hi.py``).
+nothing into PLID assignment, canonical form, or segment fingerprints:
+what it holds is a function of the store's live lines, never of the
+order they arrived in (``tests/test_index_hi.py``).
 
 DRAM charging goes through the same :class:`~repro.memory.stats.
 DramStats` ``lookups`` category and :class:`~repro.memory.stats.
-RowBuffer` as the legacy path, so benchmark deltas are apples-to-apples.
+RowBuffer` as the in-bucket path.
 """
 
 from __future__ import annotations
@@ -63,6 +66,13 @@ MIN_FP_BITS = 6
 MAX_FP_BITS = 16
 
 _FP_MASK = (1 << MAX_FP_BITS) - 1
+
+#: Entries per index bucket.
+SLOTS_PER_BUCKET = 4
+
+#: Target false-positive full-line-compare rate per probe; per-bucket
+#: fingerprint widths grow to hold observed density under this rate.
+TARGET_FP_RATE = 0.02
 
 
 def _key_of(encoded: bytes) -> int:
@@ -176,8 +186,8 @@ class CuckooIndex:
     """Content-hash -> PLID index with displacement and online resize."""
 
     def __init__(self, initial_buckets: int = 1 << 10,
-                 slots_per_bucket: int = 4,
-                 target_fp_rate: float = 0.02,
+                 slots_per_bucket: int = SLOTS_PER_BUCKET,
+                 target_fp_rate: float = TARGET_FP_RATE,
                  max_load: float = 0.85,
                  max_kick_depth: int = 8,
                  resize_depth_trigger: int = 4,

@@ -28,8 +28,7 @@ class MemorySystem:
 
     def __init__(self, config: Optional[MachineConfig] = None) -> None:
         self.config = config or MachineConfig()
-        self.store = DedupStore(self.config.memory,
-                                verify_reads=self.config.memory.verify_reads)
+        self.store = DedupStore(self.config.memory)
         self.cache = HicampCache(self.store, self.config.cache)
         #: the store's structural memo (:mod:`repro.memory.memo`):
         #: disabled by default so modeled statistics are untouched; the

@@ -71,6 +71,10 @@ HOP_COMMANDS = WRITE_COMMANDS - {b"set"}
 #: Single- or multi-key snapshot reads, answered inline.
 READ_COMMANDS = frozenset((b"get", b"gets"))
 
+#: Deferred lines drained per epoch advance: between a shard's commit
+#: batches here, between a follower's applied root advances.
+RECLAIM_BUDGET = 512
+
 #: Queue marker that orders a read after this connection's prior writes.
 #: The worker resolves it once every write of the fence's keys queued
 #: ahead of it has landed, and yields, so the reader runs before any
@@ -107,7 +111,7 @@ class ShardRouter:
                  registry: Optional[MetricsRegistry] = None,
                  structural_memo: bool = True,
                  memory: Optional[MemoryConfig] = None,
-                 reclaim_budget: int = 512) -> None:
+                 reclaim_budget: int = RECLAIM_BUDGET) -> None:
         if shard_count < 1:
             raise ValueError("need at least one shard")
         #: optional :class:`repro.testing.faults.FaultInjector`; its

@@ -9,10 +9,10 @@ that read the live silo at collection time — the silo is the single
 source of truth, the registry is a view, and the legacy ``stats`` /
 ``stats json`` output stays byte-identical.
 
-Each adapter has an inverse (``legacy_*_snapshot``) that rebuilds the
-silo's own snapshot dict purely from registry reads; the test suite
-asserts the round trip is exact, so a silo field added without its
-registry registration fails loudly.
+The ``*_FIELDS`` tuples name the silo fields each adapter registers;
+the test suite rebuilds every silo's own snapshot dict from registry
+reads over them and asserts the round trip is exact, so a silo field
+added without its registry registration fails loudly.
 """
 
 from __future__ import annotations
@@ -33,15 +33,11 @@ __all__ = [
     "register_cluster",
     "register_eviction",
     "register_tenants",
-    "legacy_server_snapshot",
-    "legacy_replication_snapshot",
-    "legacy_dram_dict",
-    "legacy_eviction_snapshot",
 ]
 
 # ServerMetrics scalar fields, split by Prometheus kind. Keep in sync
-# with ServerMetrics.snapshot(); legacy_server_snapshot() reconstructs
-# that snapshot from these lists, and tests assert the round trip.
+# with ServerMetrics.snapshot(); tests reconstruct that snapshot from
+# these lists and assert the round trip.
 SERVER_COUNTER_FIELDS = (
     "ops_total", "bytes_in", "bytes_out",
     "connections_opened", "connections_closed", "read_timeouts",
@@ -97,22 +93,6 @@ def register_server_metrics(registry: MetricsRegistry, metrics,
                    fn=lambda: latency_summary(metrics.latency_ms()))
 
 
-def legacy_server_snapshot(registry: MetricsRegistry,
-                           prefix: str = SERVER_PREFIX) -> Dict:
-    """Rebuild ``ServerMetrics.snapshot()`` from registry reads."""
-    snap: Dict = {}
-    for name in SERVER_COUNTER_FIELDS + SERVER_GAUGE_FIELDS + (
-            "uptime_seconds", "ops_per_second"):
-        snap[name] = registry.get(prefix + name).snapshot_value()
-    snap["ops_by_command"] = dict(
-        registry.get(prefix + "ops_by_command").snapshot_value())
-    snap["commits_by_vsid"] = dict(
-        registry.get(prefix + "commits_by_vsid").snapshot_value())
-    snap["latency"] = dict(
-        registry.get(prefix + "latency_ms").snapshot_value())
-    return snap
-
-
 def register_replication_metrics(registry: MetricsRegistry, metrics,
                                  prefix: str = REPLICATION_PREFIX
                                  ) -> None:
@@ -133,31 +113,12 @@ def register_replication_metrics(registry: MetricsRegistry, metrics,
                                in metrics.lag_by_stream.items()})
 
 
-def legacy_replication_snapshot(registry: MetricsRegistry,
-                                prefix: str = REPLICATION_PREFIX
-                                ) -> Dict:
-    """Rebuild ``ReplicationMetrics.snapshot()`` from registry reads."""
-    snap: Dict = {}
-    for name in REPLICATION_COUNTER_FIELDS:
-        snap[name] = registry.get(prefix + name).snapshot_value()
-    snap["max_lag"] = registry.get(prefix + "max_lag").snapshot_value()
-    snap["lag_by_stream"] = dict(
-        registry.get(prefix + "lag_by_stream").snapshot_value())
-    return snap
-
-
 def register_dram_stats(registry: MetricsRegistry, dram,
                         name: str = DRAM_METRIC) -> None:
     """Expose a live :class:`DramStats` as one labeled counter —
     Figure 6's categories, straight off the store."""
     registry.counter(name, "off-chip DRAM accesses by category",
                      labels=("category",), fn=dram.as_dict)
-
-
-def legacy_dram_dict(registry: MetricsRegistry,
-                     name: str = DRAM_METRIC) -> Dict[str, int]:
-    """Rebuild ``DramStats.as_dict()`` from the registry."""
-    return dict(registry.get(name).snapshot_value())
 
 
 def register_memo(registry: MetricsRegistry, memo,
@@ -215,10 +176,10 @@ def register_cluster(registry: MetricsRegistry, cluster,
                    fn=lambda: len(cluster.dead))
 
 
-# EvictionStats scalar fields; legacy_eviction_snapshot() reconstructs
-# ``dataclasses.asdict(stats)`` from these, and tests assert the round
-# trip — a field added to EvictionStats without its registration here
-# fails loudly, same contract as the other silos.
+# EvictionStats scalar fields; tests reconstruct
+# ``dataclasses.asdict(stats)`` from these and assert the round trip —
+# a field added to EvictionStats without its registration here fails
+# loudly, same contract as the other silos.
 EVICTION_COUNTER_FIELDS = ("expired", "evicted", "eviction_passes")
 
 EVICTION_PREFIX = "repro_eviction_"
@@ -239,15 +200,6 @@ def register_eviction(registry: MetricsRegistry, stats,
             labels=("shard",),
             fn=lambda silos=silos, name=name: {
                 str(i): getattr(s, name) for i, s in enumerate(silos)})
-
-
-def legacy_eviction_snapshot(registry: MetricsRegistry, shard: int = 0,
-                             prefix: str = EVICTION_PREFIX) -> Dict:
-    """Rebuild one shard's ``dataclasses.asdict(EvictionStats)`` from
-    registry reads."""
-    return {name: registry.get(prefix + name + "_total")
-            .snapshot_value()[str(shard)]
-            for name in EVICTION_COUNTER_FIELDS}
 
 
 def register_tenants(registry: MetricsRegistry, servers,
@@ -291,11 +243,9 @@ def register_tenants(registry: MetricsRegistry, servers,
 
 INDEX_PREFIX = "repro_index_"
 
-# StoreCounters fields exposed for the lookup-by-content path (the
-# legacy baseline reports the same counters, so scan-rate regressions
-# are comparable across index kinds).
+# StoreCounters fields exposed for the lookup-by-content path.
 INDEX_STORE_FIELDS = (
-    "lookups", "lookup_hits", "false_positive_scans", "bucket_overflows",
+    "lookups", "lookup_hits", "false_positive_scans",
     "signature_false_positives", "overflow_allocations",
 )
 
@@ -314,15 +264,10 @@ def register_index(registry: MetricsRegistry, store,
     Same callback idiom as the other silos: `StoreCounters` /
     `CuckooIndexStats` stay plain inline-bumped dataclasses; the
     registry reads them live. ``indexed_buckets`` counts the buckets
-    currently handed to the cuckoo index (0 until one overflows; always
-    0 under the legacy kind). Under the cuckoo kind this additionally
-    publishes the displacement-depth histogram, per-width bucket
-    counts, occupancy and resize progress.
+    currently handed to the cuckoo index (0 until one overflows); the
+    index's displacement-depth histogram, per-width bucket counts,
+    occupancy and resize progress follow.
     """
-    registry.gauge(prefix + "kind_info",
-                   "active lookup-by-content index kind",
-                   labels=("kind",),
-                   fn=lambda: {store.config.index_kind: 1})
     registry.counter(
         prefix + "store_ops_total",
         "store-level lookup path events",
@@ -333,8 +278,6 @@ def register_index(registry: MetricsRegistry, store,
                    "hash buckets handed to the cuckoo index (overflowed)",
                    fn=store.indexed_buckets)
     index = store.index
-    if index is None:
-        return
     stats = index.stats
     registry.counter(
         prefix + "cuckoo_events_total", "cuckoo index events",

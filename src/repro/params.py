@@ -65,21 +65,13 @@ class MemoryConfig:
             DAG space overhead of 1/(fanout-1); set 8 to model 64-bit
             PLIDs (the footnote-6 worst case of 2x overhead at 16-byte
             lines).
-        index_kind: lookup-by-content resolution path. ``"legacy"`` is
-            the paper's Figure-2 organization (in-bucket signature
-            compare plus a linear overflow-chain scan); ``"cuckoo"``
-            is the same in-bucket compare until a bucket overflows and
-            from then on routes that bucket's lookups through
-            :class:`repro.memory.index.CuckooIndex` (XOR partial-key
-            displacement, adaptive fingerprint widths, online resize)
-            instead of the chain scan, while keeping physical placement
-            — and therefore PLIDs and fingerprints — identical.
-        index_buckets: initial cuckoo-table buckets (power of two; the
-            table doubles online as it fills).
-        index_slots: entries per cuckoo bucket.
-        index_target_fp_rate: target false-positive full-line-compare
-            rate per probe; per-bucket fingerprint widths grow from 6
-            toward 16 bits to hold observed density under this rate.
+        index_buckets: initial buckets (power of two; the table doubles
+            online as it fills) of the
+            :class:`repro.memory.index.CuckooIndex` that resolves
+            lookup-by-content for hash buckets that have overflowed.
+            A bucket with no overflow lines is resolved in place, the
+            paper's Figure-2 signature compare, so at the default
+            geometry the index stays empty.
         reclaim_kind: deallocation strategy when a refcount reaches
             zero. ``"immediate"`` is the paper's recursive decrement
             walk (subtree freed inline at the release site, dealloc
@@ -97,10 +89,7 @@ class MemoryConfig:
     overflow_lines: int = 1 << 20
     plid_bytes: int = 4
     verify_reads: bool = False
-    index_kind: str = "legacy"
     index_buckets: int = 1 << 10
-    index_slots: int = 4
-    index_target_fp_rate: float = 0.02
     reclaim_kind: str = "immediate"
 
     def __post_init__(self) -> None:
@@ -110,16 +99,8 @@ class MemoryConfig:
             raise ValueError("a line must hold at least two words to form a DAG")
         if self.plid_bytes not in (4, 8):
             raise ValueError("plid_bytes must be 4 or 8")
-        if self.index_kind not in ("legacy", "cuckoo"):
-            raise ValueError(
-                "index_kind must be 'legacy' or 'cuckoo', not %r"
-                % (self.index_kind,))
         if self.index_buckets < 2 or self.index_buckets & (self.index_buckets - 1):
             raise ValueError("index_buckets must be a power of two >= 2")
-        if not 1 <= self.index_slots <= 8:
-            raise ValueError("index_slots must be 1..8")
-        if not 0.0 < self.index_target_fp_rate <= 1.0:
-            raise ValueError("index_target_fp_rate must be in (0, 1]")
         if self.reclaim_kind not in ("immediate", "epoch"):
             raise ValueError(
                 "reclaim_kind must be 'immediate' or 'epoch', not %r"
@@ -136,11 +117,13 @@ class MemoryConfig:
         return self.line_bytes // self.plid_bytes
 
 
-#: The serving stack's memory profile: the cuckoo lookup-by-content
-#: index and epoch-deferred reclamation (index.py, reclaim.py). The
-#: paper profile — ``MemoryConfig()``, legacy + immediate — is what the
-#: modeled experiments use.
-SERVING_MEMORY = MemoryConfig(index_kind="cuckoo", reclaim_kind="epoch")
+#: The serving stack's memory profile: epoch-deferred reclamation
+#: (reclaim.py). Everything that builds a machine to serve from — the
+#: shard router, a replication follower, the checkpoint CLI, the fuzz
+#: and HI harnesses — uses it, so a promoted follower serves on the
+#: profile its leader had. The paper profile, ``MemoryConfig()`` with
+#: the recursive inline dealloc, is what the modeled experiments use.
+SERVING_MEMORY = MemoryConfig(reclaim_kind="epoch")
 
 
 @dataclass(frozen=True)

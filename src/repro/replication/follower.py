@@ -40,8 +40,9 @@ from repro.core.machine import Machine
 from repro.errors import ReplicationError
 from repro.memory.line import PlidRef
 from repro.net.framing import FrameDecoder
-from repro.net.router import WRITE_COMMANDS
+from repro.net.router import RECLAIM_BUDGET, WRITE_COMMANDS
 from repro.obs.trace import NULL_RECORDER
+from repro.params import SERVING_MEMORY, MachineConfig
 from repro.replication import wire
 from repro.replication.delta import translate_line
 from repro.replication.metrics import ReplicationMetrics
@@ -61,7 +62,9 @@ class ReplicationFollower:
                  recorder=None) -> None:
         self.host = host
         self.port = port
-        self.machine = machine if machine is not None else Machine()
+        # a follower may be promoted: its machine is a serving machine
+        self.machine = machine if machine is not None \
+            else Machine(MachineConfig(memory=SERVING_MEMORY))
         #: trace recorder (no-op default); root advances record spans
         #: with the DRAM traffic their installs caused on this machine
         self.recorder = recorder if recorder is not None \
@@ -107,7 +110,12 @@ class ReplicationFollower:
         self._release_translations()
 
     def fingerprints(self) -> Dict[int, bytes]:
-        """Per-stream content digests (convergence checks, HELLO)."""
+        """Per-stream content digests (convergence checks, HELLO).
+
+        Quiesces deferred reclamation first, as the router's ``drain``
+        does, so whoever compares fingerprints also sees exact
+        footprints and refcounts."""
+        self.machine.mem.store.reclaim_quiesce()
         return {stream: dag.segment_fingerprint(self.machine, vsid)
                 for stream, vsid in self.streams.items()}
 
@@ -312,6 +320,9 @@ class ReplicationFollower:
                 "root CAS lost on follower stream %d" % stream)
         self.applied_seq[stream] = seq
         self.metrics.root_advances += 1
+        # the replaced root's subtree was deferred, not walked: drain a
+        # bounded slice between advances (no-op under ``immediate``)
+        self.machine.mem.store.reclaim_advance(RECLAIM_BUDGET)
         self._send(writer, wire.ACK, wire.encode_ack_payload(stream, seq))
         self.metrics.acks += 1
         self.advanced.set()

@@ -21,8 +21,8 @@ bundles them into one :class:`AuditReport`.
   readable end to end; and each root is the **canonical form** of its
   own content (rebuilding the segment's words reproduces the root,
   bit for bit).
-* :func:`audit_index` — the lookup-by-content index (legacy bucket maps
-  or the cuckoo table) is exactly reconstructible from the live lines:
+* :func:`audit_index` — the lookup-by-content index (the bucket maps
+  and the cuckoo table) is exactly reconstructible from the live lines:
   every live line is reachable under its *current* content, no stale or
   duplicate entries exist, and cuckoo entries sit in one of their two
   candidate buckets. The canonical-form audit stays the oracle; this

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.machine import Machine
-from repro.params import MachineConfig, MemoryConfig
+from repro.params import SERVING_MEMORY, MachineConfig, MemoryConfig
 from repro.segments.segment_map import SegmentFlags
 from repro.structures.hmap import HMap
 from repro.structures.hmap_sharded import ShardedHMap
@@ -76,13 +76,13 @@ class HIConfig:
     delete_ratio: float = 0.25
     shard_bits: int = 2             # ShardedHMap fan-out
     matrix_size: int = 32           # QuadTreeMatrix dimension (pow 2)
-    #: memory geometry and kinds of the machines the schedules run on,
-    #: passed whole (the paper profile by default). Every observation
-    #: point drains the machine first, which quiesces the reclaimer, so
-    #: fingerprints/footprints must be identical under any index or
-    #: reclaim kind; a small store makes buckets spill into the cuckoo
-    #: index and resize it during the schedules.
-    memory: MemoryConfig = MemoryConfig()
+    #: memory profile of the machines the schedules run on, passed
+    #: whole (the serving profile by default). Every observation point
+    #: drains the machine first, which quiesces the reclaimer, so
+    #: fingerprints/footprints must be identical under either reclaim
+    #: kind and any geometry; a small store makes buckets spill into
+    #: the cuckoo index and resize it during the schedules.
+    memory: MemoryConfig = SERVING_MEMORY
 
 
 def _derive(seed: int, label: str) -> int:

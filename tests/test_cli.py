@@ -65,8 +65,9 @@ class TestBenchCommand:
     def test_parser_rejects_unknown_target(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "nonsense"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "adaptive"])
+        for retired in ("adaptive", "dedup-index"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["bench", retired])
 
 
 class TestMemcachedCommand:
@@ -116,6 +117,11 @@ class TestCheckpointCommand:
         assert main(["checkpoint", "load", path]) == 0
         out = capsys.readouterr().out
         assert "audit ok" in out
+        # the fresh machine it fell back to is a serving machine
+        from repro.core.persistence import load_machine_file
+        from repro.params import SERVING_MEMORY
+        machine, _extra = load_machine_file(path)
+        assert machine.config.memory == SERVING_MEMORY
 
     def test_save_copies_a_source_checkpoint(self, tmp_path, capsys):
         from repro import Machine
@@ -247,6 +253,16 @@ class TestFuzzProfiles:
     def test_commit_mode_flag_is_gone(self, command):
         with pytest.raises(SystemExit):
             build_parser().parse_args([command, "--commit-mode", "bulk"])
+
+    def test_index_kind_flag_is_gone_and_reclaim_defaults_to_serving(self):
+        from repro.params import SERVING_MEMORY
+        parser = build_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args(["fuzz", "--index-kind", "cuckoo"])
+        assert parser.parse_args(["fuzz"]).reclaim_kind \
+            == SERVING_MEMORY.reclaim_kind == "epoch"
+        args = parser.parse_args(["fuzz", "--reclaim-kind", "immediate"])
+        assert args.reclaim_kind == "immediate"
 
     def test_replication_profile_runs_an_episode(self, capsys):
         assert main(["fuzz", "--profile", "replication", "--episodes", "1",

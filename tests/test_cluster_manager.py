@@ -18,6 +18,9 @@ from repro.cluster import (
     TopologyManager,
 )
 
+from repro.params import SERVING_MEMORY
+from repro.testing.auditors import audit_machine
+
 CRLF = b"\r\n"
 
 
@@ -135,6 +138,31 @@ class TestRepairLoop:
                 await client.close()
 
         asyncio.run(go())
+
+    def test_promoted_leader_serves_on_the_profile_its_leader_had(self):
+        """One serving profile on both sides of a fail-over: the
+        follower's machine becomes the new leader's machine."""
+        async def go():
+            cluster = Cluster(ClusterConfig(
+                leaders=1, followers=1, shards=2))
+            client = ClusterClient(max_retries=40, retry_delay=0.02)
+            async with cluster:
+                client.topology = cluster.topology
+                await fill(client, 20)
+                before = cluster.leaders["lead-0"].router.snapshot()
+                assert await cluster.wait_converged("lead-0")
+                await cluster.kill("lead-0")
+                node = await cluster.promote("lead-0-f0")
+                after = node.router.snapshot()
+                await client.close()
+            return before, after, node.machine
+
+        before, after, machine = asyncio.run(go())
+        assert before["reclaim"]["kind"] == after["reclaim"]["kind"] \
+            == "epoch"
+        assert machine.config.memory == SERVING_MEMORY
+        report = audit_machine(machine, strict=True)
+        assert report.ok, report.failures
 
     def test_stale_epoch_client_rides_moved_to_the_owner(self):
         """A client holding a wrong slot binding is corrected in-band:

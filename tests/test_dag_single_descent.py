@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro import Machine, MachineConfig, MemoryConfig
 from repro.errors import MergeConflictError, SegmentRangeError
 from repro.memory.line import Inline, PlidRef
-from repro.params import CacheGeometry
+from repro.params import SERVING_MEMORY, CacheGeometry
 from repro.segments import dag, merge
 from repro.segments.merge import MergeStats
 from repro.structures.hmap import HMap
@@ -38,11 +38,10 @@ WIDE = 1 << 120
 
 
 def make_machine(line_bytes, profile):
-    """A small machine in the paper profile (legacy index, immediate
-    reclamation, memo off) or the serving one (what ``ShardRouter``
-    builds: cuckoo index, epoch reclamation, memo on)."""
-    kinds = {} if profile == "paper" else {"index_kind": "cuckoo",
-                                           "reclaim_kind": "epoch"}
+    """A small machine in the paper profile (immediate reclamation,
+    memo off) or the serving one (what ``ShardRouter`` builds: epoch
+    reclamation, memo on)."""
+    kinds = {} if profile == "paper" else {"reclaim_kind": "epoch"}
     machine = Machine(MachineConfig(
         memory=MemoryConfig(line_bytes=line_bytes, num_buckets=1 << 8,
                             data_ways=12, overflow_lines=1 << 14, **kinds),
@@ -518,8 +517,7 @@ PUT_CALL_CEILING = 3700
 
 
 def test_put_call_budget():
-    machine = Machine(MachineConfig(memory=MemoryConfig(
-        index_kind="cuckoo", reclaim_kind="epoch")))
+    machine = Machine(MachineConfig(memory=SERVING_MEMORY))
     machine.mem.memo.enable()
     hmap = HMap.create(machine)
     rng = random.Random(2012)

@@ -1,5 +1,5 @@
 """Cuckoo lookup-by-content index: unit, store integration, obs, and
-persistence coverage (repro.memory.index + MemoryConfig.index_kind)."""
+persistence coverage (repro.memory.index and the store's use of it)."""
 
 import pytest
 
@@ -15,8 +15,9 @@ from repro.memory.index import (
 from repro.memory.line import encode_line, make_leaf
 from repro.obs.registry import MetricsRegistry
 from repro.obs import adapters
-from repro.params import MachineConfig, MemoryConfig
+from repro.params import SERVING_MEMORY, MachineConfig, MemoryConfig
 from repro.testing.auditors import audit_index, audit_machine
+from tests.dedup_model import ModelledStore
 
 
 def _key(i: int) -> int:
@@ -165,11 +166,10 @@ class TestCuckooIndexUnit:
 # DedupStore integration
 
 
-def _cfg(kind, **over):
+def _cfg(**over):
     # 8 buckets x 2 ways: every bucket spills within a few dozen lines,
-    # so the cuckoo store hands all of them to its index
-    base = dict(num_buckets=8, data_ways=2, index_kind=kind,
-                index_buckets=8)
+    # so the store hands all of them to its index
+    base = dict(num_buckets=8, data_ways=2, index_buckets=8)
     base.update(over)
     return MemoryConfig(**base)
 
@@ -177,52 +177,34 @@ def _cfg(kind, **over):
 class TestStoreIntegration:
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            MemoryConfig(index_kind="nope")
-        with pytest.raises(ValueError):
             MemoryConfig(index_buckets=12)
-        with pytest.raises(ValueError):
-            MemoryConfig(index_target_fp_rate=0.0)
+        with pytest.raises(TypeError):
+            MemoryConfig(index_kind="cuckoo")
 
     def test_plid_parity_and_identical_state_across_kinds(self):
-        legacy = DedupStore(_cfg("legacy"))
-        cuckoo = DedupStore(_cfg("cuckoo"))
+        """Was a comparison with the overflow-chain store; the same
+        script now runs against the dict model."""
+        store = DedupStore(_cfg())
+        modelled = ModelledStore(store)
         plids = []
         for i in range(600):
-            line = _leaf(i)
-            pl, cl = legacy.lookup(line)
-            pc, cc = cuckoo.lookup(line)
-            assert (pl, cl) == (pc, cc)
-            plids.append(pl)
-        # dedup hits resolve to the same PLIDs under both kinds
+            plid, created = modelled.lookup(_leaf(i))
+            assert created
+            plids.append(plid)
+        assert len(store.index) == store.footprint_lines() == 600
+        # dedup hits resolve to the PLIDs the misses allocated
         for i in range(0, 600, 7):
-            line = _leaf(i)
-            assert legacy.lookup(line) == (plids[i], False)
-            assert cuckoo.lookup(line) == (plids[i], False)
-        # interleaved churn keeps the stores bit-identical
+            assert modelled.lookup(_leaf(i)) == (plids[i], False)
+        # interleaved churn
         for i in range(0, 600, 2):
-            count = 2 if i % 7 == 0 else 1
-            legacy.decref(plids[i], count)
-            cuckoo.decref(plids[i], count)
-        assert legacy._lines == cuckoo._lines
-        assert legacy._refcounts == cuckoo._refcounts
-        assert legacy.footprint_bytes() == cuckoo.footprint_bytes()
-        assert legacy.index_failures() == []
-        assert cuckoo.index_failures() == []
-        assert len(cuckoo.index) == cuckoo.footprint_lines()
-
-    def test_cuckoo_beats_legacy_dram_at_overflow_scale(self):
-        legacy = DedupStore(_cfg("legacy", num_buckets=64, data_ways=12))
-        cuckoo = DedupStore(_cfg("cuckoo", num_buckets=64, data_ways=12))
-        for i in range(4000):  # ~5x the 64*12 resident capacity
-            legacy.lookup(_leaf(i))
-            cuckoo.lookup(_leaf(i))
-        assert legacy.counters.bucket_overflows > 0
-        assert legacy.counters.false_positive_scans > \
-            cuckoo.counters.false_positive_scans
-        assert cuckoo.stats.total() < legacy.stats.total() / 2
+            modelled.decref(plids[i], 2 if i % 7 == 0 else 1)
+        assert store.footprint_bytes() == 300 * store.config.line_bytes
+        assert len(store.index) == store.footprint_lines()
+        # what is left: the odd lines, those hit above still held twice
+        modelled.release_all(plids[1::2] + plids[7::14])
 
     def test_dealloc_listener_and_overflow_slot_reuse(self):
-        store = DedupStore(_cfg("cuckoo", num_buckets=2))
+        store = DedupStore(_cfg(num_buckets=2))
         seen = []
         store.dealloc_listeners.append(seen.append)
         plids = [store.lookup(_leaf(i))[0] for i in range(40)]
@@ -238,11 +220,17 @@ class TestStoreIntegration:
         assert set(again) == set(plids)
         assert store.index_failures() == []
 
-    @pytest.mark.parametrize("kind", ["legacy", "cuckoo"])
-    def test_corrupt_line_flagged_then_deallocates_cleanly(self, kind):
-        store = DedupStore(_cfg(kind))
+    @pytest.mark.parametrize("resolved_by", ["cuckoo", "bucket"])
+    def test_corrupt_line_flagged_then_deallocates_cleanly(
+            self, resolved_by):
+        # one bucket: the third line spills it into the cuckoo index
+        store = DedupStore(_cfg(num_buckets=1))
         plid = store.lookup(_leaf(1))[0]
         store.lookup(_leaf(2))
+        if resolved_by == "cuckoo":
+            store.lookup(_leaf(3))
+        assert len(store.index) == (3 if resolved_by == "cuckoo" else 0)
+        before = store.footprint_lines()
         store.corrupt_line_for_test(plid, _leaf(999))
         failures = store.index_failures()
         assert failures, "stale index entry for corrupted line not flagged"
@@ -250,22 +238,22 @@ class TestStoreIntegration:
         # dealloc keys off the captured allocation-time encoding, so the
         # corrupted line still unindexes without raising
         store.decref(plid)
-        assert store.footprint_lines() == 1
+        assert store.footprint_lines() == before - 1
         assert store.index_failures() == []
 
-    @pytest.mark.parametrize("kind", ["legacy", "cuckoo"])
-    def test_audit_machine_includes_index(self, kind):
-        machine = Machine(MachineConfig(memory=_cfg(kind, num_buckets=2)))
+    @pytest.mark.parametrize("lost_from", ["cuckoo", "bucket"])
+    def test_audit_machine_includes_index(self, lost_from):
+        machine = Machine(MachineConfig(memory=_cfg(num_buckets=2)))
         vsid = machine.create_segment([i + 1 for i in range(64)])
         assert audit_machine(machine, strict=True).ok
         store = machine.mem.store
-        # manually lose an index entry: the auditor must notice
+        # manually lose an entry from either lookup structure: the
+        # auditor must notice
         victim = store.live_plids()[0]
-        if kind == "cuckoo":
-            enc = store._enc_by_plid[victim]
+        enc = store._enc_by_plid[victim]
+        if lost_from == "cuckoo":
             assert store.index.remove(CuckooIndex.key_of(enc), victim)
         else:
-            enc = store._enc_by_plid[victim]
             store._buckets[store.bucket_of(victim)].by_encoding.pop(enc)
         failures = audit_index(machine)
         assert any("not" in f and str(victim) in f for f in failures)
@@ -273,8 +261,8 @@ class TestStoreIntegration:
         machine.drop_segment(vsid)
 
     def test_install_line_dedups_through_cuckoo(self):
-        src = DedupStore(_cfg("cuckoo"))
-        dst = DedupStore(_cfg("cuckoo"))
+        src = DedupStore(_cfg())
+        dst = DedupStore(_cfg())
         plids = [src.lookup(_leaf(i))[0] for i in range(50)]
         for plid in plids:
             line = src.export_line(plid)
@@ -289,14 +277,11 @@ class TestStoreIntegration:
 
 
 def test_persistence_roundtrip_rebuilds_cuckoo_index():
-    machine = Machine(MachineConfig(memory=_cfg("cuckoo", num_buckets=2)))
+    machine = Machine(MachineConfig(memory=_cfg(num_buckets=2)))
     vsid = machine.create_segment([(i * 31 + 5) for i in range(200)])
     image = machine_image(machine)
-    assert image["config"]["index_kind"] == "cuckoo"
     restored = restore_machine(image)
     store = restored.mem.store
-    assert store.config.index_kind == "cuckoo"
-    assert store.index is not None
     assert len(store.index) == store.footprint_lines()
     assert store.index_failures() == []
     # content lookups after restore dedup to the pre-existing lines
@@ -309,31 +294,20 @@ def test_persistence_roundtrip_rebuilds_cuckoo_index():
     assert restored.read_segment(vsid) == machine.read_segment(vsid)
 
 
-def test_persistence_legacy_image_defaults_to_legacy_kind():
-    machine = Machine()
-    machine.create_segment([1, 2, 3, 4])
-    image = machine_image(machine)
-    del image["config"]["index_kind"]  # image from before the switch
-    del image["config"]["index_buckets"]
-    del image["config"]["index_slots"]
-    restored = restore_machine(image)
-    assert restored.mem.store.index is None
-    assert audit_machine(restored, strict=True).ok
-
-
 # ----------------------------------------------------------------------
 # observability
 
 
 def test_register_index_exposes_cuckoo_metrics():
-    store = DedupStore(_cfg("cuckoo"))
+    store = DedupStore(_cfg())
     registry = MetricsRegistry()
     adapters.register_index(registry, store)
     for i in range(200):
         store.lookup(_leaf(i))
     store.lookup(_leaf(0))
     text = registry.exposition()
-    for metric in ("repro_index_kind_info", "repro_index_store_ops_total",
+    assert "repro_index_kind_info" not in text
+    for metric in ("repro_index_store_ops_total",
                    "repro_index_cuckoo_events_total",
                    "repro_index_displacement_depth_total",
                    "repro_index_buckets_by_fp_bits",
@@ -354,29 +328,15 @@ def test_register_index_exposes_cuckoo_metrics():
         .snapshot_value() == store.index_snapshot()["indexed_buckets"] == 8
 
 
-def test_register_index_legacy_only_store_counters():
-    store = DedupStore(_cfg("legacy"))
-    registry = MetricsRegistry()
-    adapters.register_index(registry, store)
-    text = registry.exposition()
-    assert "repro_index_store_ops_total" in text
-    assert "repro_index_cuckoo_events_total" not in text
-    assert registry.get("repro_index_kind_info") \
-        .snapshot_value() == {"legacy": 1}
-    for i in range(200):
-        store.lookup(_leaf(i))
-    assert registry.get("repro_index_indexed_buckets").snapshot_value() == 0
-
-
 def test_router_defaults_to_cuckoo_and_snapshots_index():
     from repro.net.router import ShardRouter
 
     router = ShardRouter(shard_count=1)
-    assert router.machine.mem.store.config.index_kind == "cuckoo"
+    assert router.machine.config.memory == SERVING_MEMORY
     snap = router.snapshot()
-    assert snap["index"]["kind"] == "cuckoo"
-    assert "cuckoo" in snap["index"]
+    assert "kind" not in snap["index"]
+    assert snap["index"]["cuckoo"]["entries"] == 0
     assert snap["index"]["indexed_buckets"] == 0
-    legacy = ShardRouter(shard_count=1, memory=MemoryConfig())
-    assert legacy.machine.mem.store.index is None
-    assert legacy.snapshot()["index"]["kind"] == "legacy"
+    # the paper profile serves through the same store
+    paper = ShardRouter(shard_count=1, memory=MemoryConfig())
+    assert sorted(paper.snapshot()["index"]) == sorted(snap["index"])

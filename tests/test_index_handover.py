@@ -1,7 +1,7 @@
-"""The bucket hand-over rule of ``index_kind="cuckoo"``.
+"""The bucket hand-over rule of the dedup store.
 
-A cuckoo store resolves lookup-by-content inside the hash bucket, charge
-for charge the Figure-2 path, while the bucket has no overflow lines.
+The store resolves lookup-by-content inside the hash bucket, charge for
+charge the Figure-2 path, while the bucket has no overflow lines.
 The allocation that first spills a bucket hands *all* its lines to the
 :class:`CuckooIndex`; the deallocation that empties its overflow list
 hands the remaining ones back. The indexed set is therefore a function
@@ -16,10 +16,14 @@ import pytest
 from repro.core.machine import Machine
 from repro.core.persistence import machine_image, restore_machine
 from repro.memory import hashing
-from repro.memory.dedup_store import DedupStore
+from repro.memory.dedup_store import DedupStore, StoreCounters
+from repro.memory.index import CuckooIndexStats
 from repro.memory.line import encode_line, make_leaf
+from repro.memory.stats import DramStats, RowBuffer
 from repro.memory.system import MemorySystem
-from repro.params import MachineConfig, MemoryConfig
+from repro.params import SERVING_MEMORY, MachineConfig, MemoryConfig
+from tests.dedup_model import ModelledStore
+from tests.dedup_model import indexed_plids as _indexed
 
 RECLAIM_KINDS = ("immediate", "epoch")
 SMALL = dict(num_buckets=4, data_ways=2, index_buckets=8)
@@ -40,17 +44,6 @@ def _leaves_in_bucket(bucket: int, count: int, num_buckets: int = 4):
     return found
 
 
-def _indexed(store: DedupStore) -> set:
-    """PLIDs currently held by the store's cuckoo index."""
-    index = store.index
-    plids = {plid for _key, plid in index._stash}
-    for table in index._tables():
-        for bucket in table.buckets.values():
-            plids.update(plid for _key, plid in bucket.entries)
-    assert len(plids) == len(index)
-    return plids
-
-
 def _release(store: DedupStore, plid: int) -> None:
     """Drop a reference and let deferred reclamation run."""
     store.decref(plid)
@@ -58,41 +51,52 @@ def _release(store: DedupStore, plid: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# (a) default geometry: a cuckoo store is a legacy store
+# (a) default geometry: every charge is a Figure-2 charge
+
+#: What the seeded script below charged on the overflow-chain store this
+#: store replaced (recorded from its last commit, 2f10719): the
+#: Figure-2 charge list, pinned by number.
+FIGURE2_CHARGES = {
+    "immediate": (
+        DramStats(lookups=6486, dealloc=2399),
+        RowBuffer(last_row=30669, hits=3270, misses=5615),
+        StoreCounters(lookups=3241, lookup_hits=429, allocations=2812,
+                      deallocations=2399, signature_false_positives=4,
+                      false_positive_scans=4)),
+    "epoch": (
+        DramStats(lookups=6505, dealloc=1192),
+        RowBuffer(last_row=41422, hits=3267, misses=4430),
+        StoreCounters(lookups=3241, lookup_hits=1184, allocations=2057,
+                      deallocations=1192, signature_false_positives=23,
+                      false_positive_scans=23)),
+}
 
 
 @pytest.mark.parametrize("reclaim_kind", RECLAIM_KINDS)
 def test_default_geometry_is_charge_for_charge_legacy(reclaim_kind):
-    stores = [DedupStore(MemoryConfig(index_kind=kind,
-                                      reclaim_kind=reclaim_kind))
-              for kind in ("legacy", "cuckoo")]
-    helds = []
-    for store in stores:
-        rng = random.Random(2012)
-        held = []
-        for step in range(6000):
-            roll = rng.random()
-            if roll < 0.55 or not held:
-                # small pool -> dedup hits and epoch resurrections
-                plid, _created = store.lookup(_leaf(rng.randrange(1500)))
-                held.append(plid)
-            else:
-                store.decref(held.pop(rng.randrange(len(held))))
-            if step % 40 == 0:
-                store.reclaim_advance(8)
-        helds.append(held)
-    legacy, cuckoo = stores
-    assert helds[0] == helds[1]
-    assert legacy.stats == cuckoo.stats
-    assert legacy.rows == cuckoo.rows  # open row, hits and misses
-    assert legacy.counters == cuckoo.counters
-    assert legacy._lines == cuckoo._lines
-    assert legacy._refcounts == cuckoo._refcounts
-    assert cuckoo.counters.overflow_allocations == 0
-    assert len(cuckoo.index) == 0
-    assert cuckoo.index.stats.lookups == cuckoo.index.stats.inserts == 0
-    assert cuckoo.index_snapshot()["indexed_buckets"] == 0
-    assert cuckoo.index_failures() == legacy.index_failures() == []
+    store = DedupStore(MemoryConfig(reclaim_kind=reclaim_kind))
+    modelled = ModelledStore(store)
+    rng = random.Random(2012)
+    held = []
+    for step in range(6000):
+        roll = rng.random()
+        if roll < 0.55 or not held:
+            # small pool -> dedup hits and epoch resurrections
+            plid, _created = modelled.lookup(_leaf(rng.randrange(1500)))
+            held.append(plid)
+        else:
+            modelled.decref(held.pop(rng.randrange(len(held))))
+        if step % 40 == 0:
+            modelled.advance(8)
+    stats, rows, counters = FIGURE2_CHARGES[reclaim_kind]
+    assert store.stats == stats
+    assert store.rows == rows  # open row, hits and misses
+    assert store.counters == counters
+    assert store.counters.overflow_allocations == 0
+    assert len(store.index) == 0
+    assert store.index.stats == CuckooIndexStats()
+    assert store.index_snapshot()["indexed_buckets"] == 0
+    modelled.release_all(held)
 
 
 def _lookup_miss_calls(memory: MemoryConfig) -> int:
@@ -118,12 +122,9 @@ def _lookup_miss_calls(memory: MemoryConfig) -> int:
 
 def test_serving_lookup_miss_call_ceiling():
     """Indexing every line again (a key hash, two index probes and a
-    placement per miss: 92 calls against the paper profile's 55 before
-    the hand-over rule, 38 and 38 after) cannot return unnoticed."""
-    paper = _lookup_miss_calls(MemoryConfig())
-    serving = _lookup_miss_calls(MemoryConfig(index_kind="cuckoo",
-                                              reclaim_kind="epoch"))
-    assert serving <= paper + 2, (serving, paper)
+    placement per miss: 92 calls against 55 before the hand-over rule,
+    38 after) cannot return unnoticed."""
+    assert _lookup_miss_calls(SERVING_MEMORY) <= 40
 
 
 # ----------------------------------------------------------------------
@@ -132,8 +133,7 @@ def test_serving_lookup_miss_call_ceiling():
 
 @pytest.mark.parametrize("reclaim_kind", RECLAIM_KINDS)
 def test_bucket_enters_and_leaves_index_whole(reclaim_kind):
-    store = DedupStore(MemoryConfig(index_kind="cuckoo",
-                                    reclaim_kind=reclaim_kind, **SMALL))
+    store = DedupStore(MemoryConfig(reclaim_kind=reclaim_kind, **SMALL))
     a = _leaves_in_bucket(0, 4)
     b = _leaves_in_bucket(1, 2)
 
@@ -208,8 +208,7 @@ def test_bucket_enters_and_leaves_index_whole(reclaim_kind):
 
 @pytest.mark.parametrize("reclaim_kind", RECLAIM_KINDS)
 def test_flapping_costs_at_most_one_bucket_per_flip(reclaim_kind):
-    store = DedupStore(MemoryConfig(index_kind="cuckoo",
-                                    reclaim_kind=reclaim_kind, **SMALL))
+    store = DedupStore(MemoryConfig(reclaim_kind=reclaim_kind, **SMALL))
     ways = store.config.data_ways
     lines = _leaves_in_bucket(2, ways + 1)
     for line in lines[:ways]:
@@ -235,7 +234,7 @@ def test_flapping_costs_at_most_one_bucket_per_flip(reclaim_kind):
 
 def test_restore_reindexes_exactly_the_spilled_buckets():
     machine = Machine(MachineConfig(memory=MemoryConfig(
-        index_kind="cuckoo", num_buckets=16, data_ways=2, index_buckets=8)))
+        num_buckets=16, data_ways=2, index_buckets=8)))
     machine.create_segment([(i * 31 + 5) for i in range(200)])
     store = machine.mem.store
     indexed = _indexed(store)

@@ -1,8 +1,8 @@
-"""Index-kind invariance: the lookup-by-content index must be a pure
-implementation detail. Seeded churn lands on bit-identical store state
-under ``legacy`` and ``cuckoo``, and the history-independence harness
-produces identical fingerprints under either kind — including while the
-cuckoo table resizes online mid-schedule."""
+"""The lookup-by-content index is a pure implementation detail. Seeded
+churn through a store whose every bucket is spilled agrees with a dict
+model operation by operation, and the history-independence harness
+produces the fingerprints the overflow-chain store produced — including
+while the cuckoo table resizes online mid-schedule."""
 
 import random
 
@@ -10,18 +10,11 @@ import pytest
 
 from repro.memory.dedup_store import DedupStore
 from repro.memory.line import make_leaf
-from repro.params import MemoryConfig
 from repro.testing.hi import HIConfig, verify_structure
+from tests.dedup_model import SPILLED, ModelledStore
 
 
-def _cfg(kind):
-    # 4 buckets x 2 ways: every bucket spills at once, so the cuckoo
-    # store serves (and resizes) through its index for the whole run
-    return MemoryConfig(num_buckets=4, data_ways=2, index_kind=kind,
-                        index_buckets=8)
-
-
-def _churn(store: DedupStore, seed: int, steps: int = 2500):
+def _churn(store: ModelledStore, seed: int, steps: int = 2500):
     """Seeded install/dup/dealloc churn; trace depends only on seed."""
     rng = random.Random(seed)
     held = []
@@ -40,40 +33,35 @@ def _churn(store: DedupStore, seed: int, steps: int = 2500):
 
 @pytest.mark.parametrize("seed", [11, 4242])
 def test_seeded_churn_identical_store_state_across_kinds(seed):
-    legacy = DedupStore(_cfg("legacy"))
-    cuckoo = DedupStore(_cfg("cuckoo"))
-    held_l = _churn(legacy, seed)
-    held_c = _churn(cuckoo, seed)
-    assert held_l == held_c, "PLID assignment depends on index kind"
-    assert legacy._lines == cuckoo._lines
-    assert legacy._refcounts == cuckoo._refcounts
-    assert legacy.footprint_bytes() == cuckoo.footprint_bytes()
-    assert legacy.index_failures() == []
-    assert cuckoo.index_failures() == []
+    """Was a comparison with the overflow-chain store; the same script
+    now runs against the dict model."""
+    store = DedupStore(SPILLED)
+    modelled = ModelledStore(store)
+    held = _churn(modelled, seed)
+    assert store.footprint_bytes() \
+        == len(set(held)) * store.config.line_bytes
     # the tiny initial table must have resized under this much churn
-    assert cuckoo.index.stats.resizes_completed >= 1
-    # drain to zero on both: reclamation is index-independent too
-    for plid in held_l:
-        legacy.decref(plid)
-    for plid in held_c:
-        cuckoo.decref(plid)
-    assert legacy.footprint_lines() == cuckoo.footprint_lines() == 0
-    assert len(cuckoo.index) == 0
-    assert cuckoo.index_failures() == []
+    assert store.index.stats.resizes_completed >= 1
+    modelled.release_all(held)
+
+
+#: Fingerprints the overflow-chain store's machines produced for these
+#: schedules (recorded from its last commit, 2f10719).
+HI_FINGERPRINTS = {
+    "hmap": ("a03d7198b30dfd329abc3256efed6fac",),
+    "hsorted": ("b549840ebdb7a6265e0c08fcacbe3cac",
+                "36cc7de6a9ac2446aa9d5dbdfb0471e2"),
+}
 
 
 @pytest.mark.parametrize("structure", ["hmap", "hsorted"])
 def test_hi_fingerprints_identical_across_index_kinds(structure):
-    """The HI harness observes canonical roots/fingerprints only — they
-    must match between index kinds, with the cuckoo machines resizing
+    """The HI harness observes canonical roots/fingerprints only, so
+    they are the recorded ones, with the machines resizing their index
     online from a deliberately tiny table during the schedules."""
-    seed = 20260808
-    base = dict(schedules=6, keys=10, ops=28)
-    legacy = verify_structure(seed, structure,
-                              HIConfig(memory=_cfg("legacy"), **base))
-    cuckoo = verify_structure(seed, structure,
-                              HIConfig(memory=_cfg("cuckoo"), **base))
-    assert legacy.ok, legacy.failures
-    assert cuckoo.ok, cuckoo.failures
-    assert legacy.fingerprints == cuckoo.fingerprints
-    assert legacy.schedules == cuckoo.schedules
+    verdict = verify_structure(
+        20260808, structure,
+        HIConfig(memory=SPILLED, schedules=6, keys=10, ops=28))
+    assert verdict.ok, verdict.failures
+    assert verdict.fingerprints == HI_FINGERPRINTS[structure]
+    assert verdict.schedules == 6

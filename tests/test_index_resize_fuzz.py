@@ -6,30 +6,23 @@ raised well above the default rate) must drive at least one online
 resize to completion with **zero failed operations** and strict audits
 clean — the resize protocol never blocks or corrupts serving."""
 
+import hashlib
+
 import pytest
 
-from repro.params import MemoryConfig
 from repro.testing.faults import COMMIT_STALL, CONN_RESET
 from repro.testing.fuzz import EpisodeConfig, run_episode
+from tests.dedup_model import SPILLED
 
 
-def _memory(kind):
-    # a 4 x 2-way store spills every bucket into the index at once, and
-    # 8 index buckets x 4 slots resize fast
-    return MemoryConfig(num_buckets=4, data_ways=2, index_kind=kind,
-                        index_buckets=8)
-
-
-def _resize_cfg(**over):
-    base = dict(
-        memory=_memory("cuckoo"),
+def _resize_cfg():
+    return EpisodeConfig(
+        memory=SPILLED,
         clients=4,
         ops_per_client=48,
         key_space=24,               # enough distinct content to grow
         rates={CONN_RESET: 0.06, COMMIT_STALL: 0.5},
     )
-    base.update(over)
-    return EpisodeConfig(**base)
 
 
 @pytest.mark.parametrize("seed", [7, 1001])
@@ -37,9 +30,7 @@ def test_online_resize_completes_during_live_episode(seed):
     result = run_episode(seed, _resize_cfg())
     assert result.ok, result.failures
     assert result.failures == []
-    snap = result.index
-    assert snap["kind"] == "cuckoo"
-    cuckoo = snap["cuckoo"]
+    cuckoo = result.index["cuckoo"]
     assert cuckoo["resizes_started"] >= 1, \
         "episode never stressed the table into a resize"
     assert cuckoo["resizes_completed"] >= 1, \
@@ -49,15 +40,14 @@ def test_online_resize_completes_during_live_episode(seed):
 
 
 def test_episode_trace_is_index_independent():
-    """Same seed, both kinds: the seed-deterministic trace and verdict
-    must be identical — the index never leaks into observable serving
-    behaviour (resize/migration progress lives outside the trace)."""
-    seed = 99
-    legacy = run_episode(seed, _resize_cfg(memory=_memory("legacy")))
-    cuckoo = run_episode(seed, _resize_cfg())
-    assert legacy.ok and cuckoo.ok
-    assert legacy.trace == cuckoo.trace
-    assert legacy.fired.get(CONN_RESET, 0) == cuckoo.fired.get(
-        CONN_RESET, 0)
-    assert legacy.index["kind"] == "legacy"
-    assert cuckoo.index["kind"] == "cuckoo"
+    """The seed-deterministic trace and verdict are the ones the
+    overflow-chain store produced (sha256 of the trace's ``repr``,
+    recorded from its last commit, 2f10719) — the index never leaks
+    into observable serving behaviour (resize/migration progress lives
+    outside the trace)."""
+    result = run_episode(99, _resize_cfg())
+    assert result.ok, result.failures
+    assert hashlib.sha256(repr(result.trace).encode()).hexdigest() == (
+        "81334e5d37062ad0eb3237230414415a33592704aa10159ec9457b8283a5c1b4")
+    assert result.fired.get(CONN_RESET, 0) == 2
+    assert result.index["cuckoo"]["resizes_completed"] >= 1

@@ -11,8 +11,8 @@ from repro.params import CacheGeometry
 
 def small_store(**kwargs):
     return DedupStore(MemoryConfig(line_bytes=16, num_buckets=256,
-                                   data_ways=4, overflow_lines=1024),
-                      **kwargs)
+                                   data_ways=4, overflow_lines=1024,
+                                   **kwargs))
 
 
 class TestIntegrity:

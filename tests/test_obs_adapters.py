@@ -1,9 +1,10 @@
 """Adapters: the registry must mirror the legacy silos exactly.
 
-Each ``legacy_*_snapshot`` helper rebuilds a silo's own snapshot dict
-purely from registry reads; equality here proves the registry is a
-lossless view — and a silo field added without its registration breaks
-these tests instead of silently vanishing from the exposition.
+Each ``*_from_registry`` helper rebuilds a silo's own snapshot dict
+purely from registry reads over the adapters' ``*_FIELDS`` tuples;
+equality here proves the registry is a lossless view — and a silo field
+added without its registration breaks these tests instead of silently
+vanishing from the exposition.
 """
 
 from dataclasses import fields as dataclass_fields
@@ -13,6 +14,32 @@ from repro.net.metrics import ServerMetrics
 from repro.obs import adapters
 from repro.obs.registry import MetricsRegistry, parse_exposition, sample
 from repro.replication.metrics import ReplicationMetrics
+
+
+def _read(registry, name):
+    return registry.get(name).snapshot_value()
+
+
+def server_from_registry(registry):
+    """``ServerMetrics.snapshot()`` rebuilt from registry reads."""
+    prefix = adapters.SERVER_PREFIX
+    snap = {name: _read(registry, prefix + name)
+            for name in adapters.SERVER_COUNTER_FIELDS
+            + adapters.SERVER_GAUGE_FIELDS
+            + ("uptime_seconds", "ops_per_second")}
+    for name in ("ops_by_command", "commits_by_vsid"):
+        snap[name] = dict(_read(registry, prefix + name))
+    snap["latency"] = dict(_read(registry, prefix + "latency_ms"))
+    return snap
+
+
+def replication_from_registry(registry):
+    """``ReplicationMetrics.snapshot()`` rebuilt from registry reads."""
+    prefix = adapters.REPLICATION_PREFIX
+    snap = {name: _read(registry, prefix + name)
+            for name in adapters.REPLICATION_COUNTER_FIELDS + ("max_lag",)}
+    snap["lag_by_stream"] = dict(_read(registry, prefix + "lag_by_stream"))
+    return snap
 
 
 class FakeClock:
@@ -49,7 +76,7 @@ def test_server_snapshot_round_trip():
     metrics = _busy_server_metrics(clock)
     registry = MetricsRegistry()
     adapters.register_server_metrics(registry, metrics)
-    assert adapters.legacy_server_snapshot(registry) == metrics.snapshot()
+    assert server_from_registry(registry) == metrics.snapshot()
 
 
 def test_server_round_trip_tracks_live_updates():
@@ -60,7 +87,7 @@ def test_server_round_trip_tracks_live_updates():
     # mutate after registration: the registry reads live state
     clock.advance(3.5)
     metrics.observe_request(b"delete", 0.009, 9)
-    assert adapters.legacy_server_snapshot(registry) == metrics.snapshot()
+    assert server_from_registry(registry) == metrics.snapshot()
 
 
 def test_every_server_scalar_field_is_registered():
@@ -81,8 +108,7 @@ def test_replication_snapshot_round_trip():
     metrics.lag_by_stream = {0: 2, 1: 0}
     registry = MetricsRegistry()
     adapters.register_replication_metrics(registry, metrics)
-    assert adapters.legacy_replication_snapshot(registry) \
-        == metrics.snapshot()
+    assert replication_from_registry(registry) == metrics.snapshot()
 
 
 def test_every_replication_scalar_field_is_registered():
@@ -95,7 +121,7 @@ def test_dram_round_trip_and_exposition():
     dram = DramStats(reads=5, lookups=11, refcount=2)
     registry = MetricsRegistry()
     adapters.register_dram_stats(registry, dram)
-    assert adapters.legacy_dram_dict(registry) == dram.as_dict()
+    assert dict(_read(registry, adapters.DRAM_METRIC)) == dram.as_dict()
     dram.writes += 4  # live view
     parsed = parse_exposition(registry.exposition())
     assert sample(parsed, adapters.DRAM_METRIC, category="writes") == 4

@@ -1,5 +1,6 @@
 """Tests for machine checkpoint/restore."""
 
+import dataclasses
 import gzip
 import json
 
@@ -16,7 +17,8 @@ from repro.core.persistence import (
 from repro.errors import PersistenceError
 from repro.structures import HMap
 from tests.conftest import small_config
-from repro import Machine
+from tests.dedup_model import SPILLED, indexed_plids
+from repro import Machine, MachineConfig, MemoryConfig
 
 
 @pytest.fixture
@@ -104,7 +106,40 @@ class TestRoundtrip:
 
     def test_malformed_image_rejected(self):
         with pytest.raises(PersistenceError, match="malformed"):
-            restore_machine({"format": 1, "config": {}})
+            restore_machine({"format": 2, "config": {}})
+
+    def test_version_1_image_refused(self, populated):
+        image = machine_image(populated[0])
+        image["format"] = 1
+        with pytest.raises(PersistenceError,
+                           match="unsupported image format 1"):
+            restore_machine(image)
+
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(MemoryConfig)])
+    def test_every_memory_field_is_carried_and_required(self, populated,
+                                                        field):
+        image = machine_image(populated[0])
+        assert image["format"] == 2
+        del image["config"][field]
+        with pytest.raises(PersistenceError, match="malformed.*" + field):
+            restore_machine(image)
+
+    def test_spilled_store_roundtrips_index_and_reclaim_kind(self):
+        machine = Machine(MachineConfig(memory=dataclasses.replace(
+            SPILLED, reclaim_kind="epoch")))
+        vsid = machine.create_segment([(i * 31 + 5) for i in range(200)])
+        store = machine.mem.store
+        assert store.counters.overflow_allocations > 0
+
+        restored = restore_machine(machine_image(machine))
+        rstore = restored.mem.store
+        assert restored.config.memory == machine.config.memory
+        assert rstore.reclaimer is not None
+        assert indexed_plids(rstore) == indexed_plids(store) != set()
+        assert len(rstore.index) == rstore.footprint_lines()
+        assert rstore.index_failures() == []
+        assert restored.read_segment(vsid) == machine.read_segment(vsid)
 
     def test_save_machine_file_plain_and_gzip(self, populated, tmp_path):
         machine, a, *_ = populated
@@ -116,7 +151,7 @@ class TestRoundtrip:
             assert extra == {}
         # the .gz file really is gzip-compressed JSON
         with gzip.open(str(tmp_path / "image.json.gz"), "rb") as f:
-            assert json.loads(f.read())["format"] == 1
+            assert json.loads(f.read())["format"] == 2
 
     def test_save_machine_file_extra_metadata(self, populated, tmp_path):
         machine, *_ = populated

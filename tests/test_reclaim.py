@@ -266,8 +266,7 @@ class TestRcCacheResize:
     def _resized_store(self):
         # 4 buckets x 2 ways: all spilled, so every line is indexed
         store = DedupStore(
-            MemoryConfig(num_buckets=4, data_ways=2, index_kind="cuckoo",
-                         index_buckets=8),
+            MemoryConfig(num_buckets=4, data_ways=2, index_buckets=8),
             rc_cache_entries=32)
         plids = []
         for i in range(400):

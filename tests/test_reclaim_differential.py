@@ -143,10 +143,3 @@ class TestPersistence:
         assert audit_machine(restored, strict=True).ok
         # the recycled-overflow free list survives the roundtrip
         assert rstore.slots.free_overflow == store.slots.free_overflow
-
-    def test_image_reclaim_kind_defaults_immediate(self):
-        machine = Machine(MachineConfig())
-        image = machine_image(machine)
-        image["config"].pop("reclaim_kind")  # pre-reclaim image
-        restored = restore_machine(image)
-        assert restored.mem.store.reclaimer is None

@@ -11,6 +11,7 @@ import asyncio
 
 from repro.core.persistence import load_machine_file, save_machine_file
 from repro.net.server import MemcachedServer
+from repro.params import SERVING_MEMORY
 from repro.replication import (
     FollowerServer,
     ReplicationFollower,
@@ -128,6 +129,9 @@ class TestConvergence:
             return stack.follower.machine
 
         machine = asyncio.run(go())
+        # a fresh follower builds a serving machine: it may be promoted
+        assert machine.config.memory == SERVING_MEMORY
+        assert machine.mem.store.reclaim_snapshot()["kind"] == "epoch"
         audit_machine(machine, strict=True).raise_if_failed()
 
     def test_overwrites_and_deletes_keep_converging(self):

@@ -4,7 +4,7 @@ Each tenant prefix owns a *separate* HMap — a separate VSID, so one
 tenant's churn can never perturb another's canonical root, and a
 tenant's whole namespace is one `drop` away from reclaimed. The
 registry adapters (PR 4 idiom) expose per-tenant counters and the
-eviction silo, with ``legacy_*_snapshot`` byte-compat checks.
+eviction silo, with byte-compat round trips over its ``*_FIELDS``.
 """
 
 import dataclasses
@@ -139,6 +139,14 @@ class TestTenantAdapters:
             .snapshot_value() == 3  # default + a + b
 
 
+def eviction_from_registry(registry, shard=0):
+    """One shard's ``dataclasses.asdict(EvictionStats)`` rebuilt from
+    registry reads."""
+    return {name: registry.get(adapters.EVICTION_PREFIX + name + "_total")
+            .snapshot_value()[str(shard)]
+            for name in adapters.EVICTION_COUNTER_FIELDS}
+
+
 class TestEvictionAdapter:
     def test_legacy_snapshot_is_byte_compatible(self):
         machine = Machine()
@@ -151,7 +159,7 @@ class TestEvictionAdapter:
         server.get(b"key-0")          # lazy-expires
         assert registry.get("repro_eviction_expired_total") \
             .snapshot_value()["0"] == server.eviction.expired
-        assert adapters.legacy_eviction_snapshot(registry) \
+        assert eviction_from_registry(registry) \
             == dataclasses.asdict(server.eviction)
 
     def test_multi_shard_labels(self):
@@ -167,5 +175,5 @@ class TestEvictionAdapter:
             .snapshot_value()
         assert set(snapshot) == {"0", "1"}
         assert snapshot["1"] == shards[1].eviction.evicted > 0
-        assert adapters.legacy_eviction_snapshot(registry, shard=1) \
+        assert eviction_from_registry(registry, shard=1) \
             == dataclasses.asdict(shards[1].eviction)
