@@ -4,7 +4,10 @@
 # Runs each `repro bench` target in sequence, then `repro bench
 # aggregate`, which sweeps every BENCH_*.json and benchmarks/out/*.json
 # into benchmarks/out/trajectory.json — the single document to diff
-# across commits.
+# across commits. Then the paper benches (they rewrite the figure and
+# table files under benchmarks/out/, which CI requires to come out
+# unchanged) and, last, the ledger: the four workloads of BENCHMARK.json and the traced pass, into
+# benchmarks/ledger/out/latest.json.
 #
 # Smoke tier by default (minutes); FULL=1 runs the full geometries.
 #
@@ -34,3 +37,19 @@ echo "==> repro bench aggregate"
 python -m repro.cli bench aggregate
 
 echo "trajectory written to benchmarks/out/trajectory.json"
+
+echo "==> paper benches (figures, tables, ablations)"
+(cd benchmarks && PYTHONPATH=../src python -m pytest -x -q \
+    test_bench_ablation_compaction.py \
+    test_bench_concurrency.py \
+    test_bench_memcached_compaction.py \
+    test_bench_memcached_traffic.py \
+    test_bench_microops.py \
+    test_bench_replication.py \
+    test_bench_sequential_access.py \
+    test_bench_spmv_footprint.py \
+    test_bench_spmv_traffic.py \
+    test_bench_vmhost.py)
+
+echo "==> the ledger (end to end, then layer by layer)"
+python3 benchmarks/ledger/run.py

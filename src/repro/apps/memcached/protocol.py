@@ -49,21 +49,24 @@ class IncompleteRequestError(ProtocolError):
     """
 
 
-def parse_frame(data: bytes) -> Tuple[bytes, List[bytes], Optional[bytes], int]:
-    """Parse one request from the head of ``data``.
+def parse_frame(data: bytes, start: int = 0
+                ) -> Tuple[bytes, List[bytes], Optional[bytes], int]:
+    """Parse the request that begins at ``data[start]``.
 
     Returns ``(command, arguments, payload, consumed)`` where
     ``consumed`` is the number of bytes the request occupied — the
-    streaming decoder uses it to pop pipelined requests one by one.
-    Raises :class:`IncompleteRequestError` when ``data`` is a valid
-    prefix of a request (more bytes could complete it) and plain
-    :class:`ProtocolError` when it can never become valid.
+    streaming decoder uses it to step through pipelined requests in one
+    buffer; only the request's own bytes are looked at or copied, never
+    what follows it.
+    Raises :class:`IncompleteRequestError` when the bytes from ``start``
+    are a valid prefix of a request (more bytes could complete it) and
+    plain :class:`ProtocolError` when they can never become valid.
     """
-    if CRLF not in data:
+    eol = data.find(CRLF, start)
+    if eol < 0:
         raise IncompleteRequestError("unterminated request line")
-    line, rest = data.split(CRLF, 1)
-    consumed = len(line) + len(CRLF)
-    parts = line.split()
+    body = eol + len(CRLF)
+    parts = data[start:eol].split()
     if not parts:
         raise ProtocolError("empty request")
     command, args = parts[0], parts[1:]
@@ -78,24 +81,24 @@ def parse_frame(data: bytes) -> Tuple[bytes, List[bytes], Optional[bytes], int]:
             raise ProtocolError("negative byte count")
         if nbytes > MAX_VALUE_BYTES:
             raise ProtocolError("object too large for cache")
-        if len(rest) < nbytes + len(CRLF):
+        end = body + nbytes
+        if len(data) < end + len(CRLF):
             # data block shorter than the declared byte count: do NOT
             # truncate — either more bytes are coming (streaming) or the
             # request is rejected outright (complete-request callers)
             raise IncompleteRequestError(
                 "data block shorter than declared %d bytes" % nbytes)
-        payload = rest[:nbytes]
-        if rest[nbytes:nbytes + len(CRLF)] != CRLF:
+        if data[end:end + len(CRLF)] != CRLF:
             exc = ProtocolError("payload length mismatch")
             # the data block's real terminator is the first CRLF at or
             # after the declared length; everything up to it belongs to
             # this (malformed) request, not the next one
-            end = rest.find(CRLF, nbytes)
-            if end != -1:
-                exc.resync_bytes = consumed + end + len(CRLF)
+            terminator = data.find(CRLF, end)
+            if terminator != -1:
+                exc.resync_bytes = terminator + len(CRLF) - start
             raise exc
-        return command, args, payload, consumed + nbytes + len(CRLF)
-    return command, args, None, consumed
+        return command, args, data[body:end], end + len(CRLF) - start
+    return command, args, None, body - start
 
 
 def parse_request(data: bytes) -> Tuple[bytes, List[bytes], Optional[bytes]]:
@@ -124,6 +127,12 @@ class ProtocolHandler:
             command, args, payload = parse_request(data)
         except ProtocolError as exc:
             return b"CLIENT_ERROR %s\r\n" % str(exc).encode()
+        return self.execute(command, args, payload)
+
+    def execute(self, command: bytes, args: List[bytes],
+                payload: Optional[bytes]) -> bytes:
+        """Process one request that is already parsed (a decoded
+        :class:`repro.net.framing.Frame`); returns the wire response."""
         try:
             name = command.decode("ascii")
         except UnicodeDecodeError:
@@ -139,25 +148,30 @@ class ProtocolHandler:
     # ------------------------------------------------------------------
     # retrieval
 
-    def _cmd_get(self, args, payload) -> bytes:
+    def value_block(self, key: bytes, with_token: bool = False) -> bytes:
+        """One key's ``VALUE`` block of a retrieval response (empty when
+        the key is absent); ``with_token`` adds the ``gets`` CAS token."""
+        if with_token:
+            got = self.server.gets(key)
+            if got is None:
+                return b""
+            value, token = got
+            return b"VALUE %s 0 %d %d\r\n%s\r\n" % (
+                key, len(value), binascii.crc32(token), value)
+        value = self.server.get(key)
+        if value is None:
+            return b""
+        return b"VALUE %s 0 %d\r\n%s\r\n" % (key, len(value), value)
+
+    def _cmd_get(self, args, payload, with_token: bool = False) -> bytes:
         out = []
         for key in args:
-            value = self.server.get(key)
-            if value is not None:
-                out.append(b"VALUE %s 0 %d\r\n%s\r\n" % (key, len(value), value))
+            out.append(self.value_block(key, with_token))
         out.append(b"END\r\n")
         return b"".join(out)
 
     def _cmd_gets(self, args, payload) -> bytes:
-        out = []
-        for key in args:
-            got = self.server.gets(key)
-            if got is not None:
-                value, token = got
-                out.append(b"VALUE %s 0 %d %d\r\n%s\r\n" % (
-                    key, len(value), binascii.crc32(token), value))
-        out.append(b"END\r\n")
-        return b"".join(out)
+        return self._cmd_get(args, payload, with_token=True)
 
     # ------------------------------------------------------------------
     # storage

@@ -56,11 +56,18 @@ class Snapshot:
 
     # ------------------------------------------------------------------
 
-    def read(self, offset: int):
-        """Word at ``offset`` (zero beyond the written content)."""
-        if offset >= self._length:
+    def read(self, offset: int, count: int = 1):
+        """Word at ``offset`` (zero beyond the written content).
+
+        ``count > 1`` reads that many consecutive words as a list, in one
+        descent when they share a leaf line (:func:`dag.read_word`)."""
+        if offset + count <= self._length:
+            return dag.read_word(self._mem, self._root, self._height,
+                                 offset, count)
+        if count == 1:
             return 0
-        return dag.read_word(self._mem, self._root, self._height, offset)
+        words = self.read_range(offset, count)
+        return words + [0] * (count - len(words))
 
     def read_range(self, start: int, count: int) -> List:
         """``count`` consecutive words starting at ``start``."""

@@ -10,6 +10,16 @@ Like the main memory, the cache supports both fundamental operations:
   single set: hash the content, probe that one set, compare contents, and
   on a hit recompose the PLID from the matching way's tag.
 
+That single-set search is the *model*: one set, all ways compared at
+once, LRU within the set. The host does not walk the ways. Content is
+unique, so "which resident line has this content" is a function of the
+content alone, and every resident line sits in the set of its content's
+hash bucket however it entered (a PLID names that bucket, an overflow
+PLID through the store's overflow map). A ``content -> PLID`` map over
+the resident lines therefore returns exactly what the way scan returns,
+and the hit's set is recovered from the PLID; only a miss encodes and
+hashes the line, in the store.
+
 Data lines are immutable, so there is no coherence problem and no dirty
 state in the conventional sense; the only writeback is the *deferred
 allocation write* of a newly created line, charged to the store when the
@@ -19,11 +29,10 @@ line is evicted (or never, if it was deallocated first).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
+from typing import Dict, Optional
 
-from repro.memory import hashing
 from repro.memory.dedup_store import DedupStore
-from repro.memory.line import Line, ZERO_PLID, encode_line, is_zero_line
+from repro.memory.line import Line, ZERO_PLID, is_zero_line
 from repro.memory.stats import TrafficCounter
 from repro.params import CacheGeometry
 
@@ -45,26 +54,40 @@ class HicampCache:
         self.traffic = TrafficCounter()
         self._num_sets = geometry.num_sets
         self._ways = geometry.ways
-        # Per set: PLID -> Line in LRU order. Content search scans one set.
+        self._num_buckets = store.config.num_buckets
+        self._overflow_base = store._overflow_base
+        # Per set: PLID -> Line in LRU order.
         self._sets: "list[OrderedDict[int, Line]]" = [
             OrderedDict() for _ in range(self._num_sets)
         ]
-        self._where: "dict[int, int]" = {}  # plid -> set index (for invalidate)
+        # Content -> PLID over every resident line: the host's form of
+        # the single-set search (module docstring). Entries leave through
+        # pop(line, None) because a line corrupted in DRAM for a test can
+        # be resident beside the line it now duplicates.
+        self._by_content: Dict[Line, int] = {}
         store.dealloc_listeners.append(self.invalidate)
 
     # ------------------------------------------------------------------
 
-    def _set_index_for_plid(self, plid: int) -> int:
-        return self.store.bucket_of(plid) % self._num_sets
+    def _ways_of(self, plid: int) -> "OrderedDict[int, Line]":
+        """The one set ``plid`` can be resident in: the cache indexes on
+        the hash-bucket bits of the PLID."""
+        if plid < self._overflow_base:
+            return self._sets[plid % self._num_buckets % self._num_sets]
+        return self._sets[self.store.bucket_of(plid) % self._num_sets]
 
-    def _insert(self, set_idx: int, plid: int, line: Line) -> None:
-        ways = self._sets[set_idx]
+    def _insert(self, ways: "OrderedDict[int, Line]", plid: int,
+                line: Line) -> None:
+        if plid in ways:
+            # resident under an unequal tuple of the same encoding (a
+            # word outside 64 bits): replaced, and most recently used
+            self._by_content.pop(ways[plid], None)
+            ways.move_to_end(plid)
         ways[plid] = line
-        ways.move_to_end(plid)
-        self._where[plid] = set_idx
+        self._by_content[line] = plid
         if len(ways) > self._ways:
-            victim, _ = ways.popitem(last=False)
-            self._where.pop(victim, None)
+            victim, evicted = ways.popitem(last=False)
+            self._by_content.pop(evicted, None)
             self.traffic.evictions += 1
             # Deferred allocation write of a never-written line.
             self.store.writeback(victim)
@@ -75,8 +98,11 @@ class HicampCache:
         """Read a line through the cache (PLID-indexed probe)."""
         if plid == ZERO_PLID:
             return self.store.peek(ZERO_PLID)
-        set_idx = self._set_index_for_plid(plid)
-        ways = self._sets[set_idx]
+        # _ways_of, in line: this is the simulator's most-called function
+        if plid < self._overflow_base:
+            ways = self._sets[plid % self._num_buckets % self._num_sets]
+        else:
+            ways = self._sets[self.store.bucket_of(plid) % self._num_sets]
         line = ways.get(plid)
         if line is not None:
             ways.move_to_end(plid)
@@ -84,7 +110,7 @@ class HicampCache:
             return line
         self.traffic.misses += 1
         line = self.store.read_dram(plid)
-        self._insert(set_idx, plid, line)
+        self._insert(ways, plid, line)
         return line
 
     def lookup(self, line: Line) -> int:
@@ -96,38 +122,31 @@ class HicampCache:
         """
         if is_zero_line(line):
             return ZERO_PLID
-        enc = encode_line(line)
-        bucket = hashing.bucket_hash(enc, self.store.config.num_buckets)
-        set_idx = bucket % self._num_sets
-        ways = self._sets[set_idx]
-        # Single-set content search: compare against resident lines.
-        for plid, resident in ways.items():
-            if resident == line:
-                ways.move_to_end(plid)
-                self.traffic.lookup_hits += 1
-                self.store.incref(plid)
-                return plid
+        plid = self._by_content.get(line)
+        if plid is not None:
+            self._ways_of(plid).move_to_end(plid)
+            self.traffic.lookup_hits += 1
+            self.store.incref(plid)
+            return plid
         self.traffic.lookup_misses += 1
-        # thread the encoding through: the store would otherwise re-derive
-        # the same bytes for its bucket hash and signature
-        plid, _created = self.store.lookup(line, enc)
-        self._insert(set_idx, plid, line)
+        plid, _created = self.store.lookup(line)
+        self._insert(self._ways_of(plid), plid, line)
         return plid
 
     def invalidate(self, plid: int) -> None:
         """Drop a (deallocated) line from the cache."""
-        set_idx = self._where.pop(plid, None)
-        if set_idx is not None:
-            self._sets[set_idx].pop(plid, None)
+        line = self._ways_of(plid).pop(plid, None)
+        if line is not None:
+            self._by_content.pop(line, None)
 
     def flush(self) -> None:
         """Evict everything, charging deferred allocation writes."""
         for ways in self._sets:
-            for plid in list(ways):
+            for plid in ways:
                 self.store.writeback(plid)
             ways.clear()
-        self._where.clear()
+        self._by_content.clear()
 
     def resident_lines(self) -> int:
         """Number of lines currently cached (diagnostics)."""
-        return len(self._where)
+        return len(self._by_content)

@@ -349,8 +349,7 @@ class DedupStore:
         allocation starts it at one (section 3.1).
 
         ``enc`` is the line's canonical encoding when the caller already
-        derived it (the HICAMP cache computes it for its own set index);
-        passing it avoids re-encoding on this hot path.
+        derived it; passing it avoids re-encoding.
 
         DRAM charging follows the paper's step list: one signature-line
         read; one data-line read per signature match (false positives cost

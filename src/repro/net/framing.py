@@ -55,7 +55,7 @@ class FrameDecoder:
     """Incremental splitter of a byte stream into protocol frames."""
 
     def __init__(self) -> None:
-        self._buf = bytearray()
+        self._buf = b""
 
     def __len__(self) -> int:
         return len(self._buf)
@@ -66,20 +66,26 @@ class FrameDecoder:
         return len(self._buf)
 
     def feed(self, data: bytes) -> List[Frame]:
-        """Absorb ``data``; return every request it completed."""
-        self._buf += data
+        """Absorb ``data``; return every request it completed.
+
+        The pipelined requests of one read are parsed where they lie, at
+        an offset into one buffer that is trimmed once at the end, so a
+        burst costs its own length and not its length per frame.
+        """
+        buf = self._buf + data
+        pos = 0
         frames: List[Frame] = []
-        while self._buf:
+        while pos < len(buf):
             try:
-                command, args, payload, consumed = parse_frame(
-                    bytes(self._buf))
+                command, args, payload, consumed = parse_frame(buf, pos)
             except IncompleteRequestError:
-                if CRLF not in self._buf and len(self._buf) > MAX_LINE_BYTES:
+                if buf.find(CRLF, pos) < 0 \
+                        and len(buf) - pos > MAX_LINE_BYTES:
                     # unterminated garbage: drop it or the buffer grows
                     # without bound on a hostile/broken client
-                    frames.append(Frame(raw=bytes(self._buf),
+                    frames.append(Frame(raw=buf[pos:],
                                         error="request line too long"))
-                    self._buf.clear()
+                    pos = len(buf)
                 break
             except ProtocolError as exc:
                 # resync: the parser may know exactly how many bytes the
@@ -89,18 +95,16 @@ class FrameDecoder:
                 # (memcached behaves the same: CLIENT_ERROR, then the
                 # stream continues)
                 skip = getattr(exc, "resync_bytes", 0)
-                if 0 < skip <= len(self._buf):
-                    frames.append(Frame(raw=bytes(self._buf[:skip]),
-                                        error=str(exc)))
-                    del self._buf[:skip]
-                else:
-                    line, _, rest = bytes(self._buf).partition(CRLF)
-                    frames.append(Frame(raw=line + CRLF, error=str(exc)))
-                    self._buf = bytearray(rest)
+                if not 0 < skip <= len(buf) - pos:
+                    skip = buf.find(CRLF, pos) + len(CRLF) - pos
+                frames.append(Frame(raw=buf[pos:pos + skip],
+                                    error=str(exc)))
+                pos += skip
                 continue
-            frames.append(Frame(raw=bytes(self._buf[:consumed]),
+            frames.append(Frame(raw=buf[pos:pos + consumed],
                                 command=command, args=args, payload=payload))
-            del self._buf[:consumed]
+            pos += consumed
+        self._buf = buf[pos:]
         return frames
 
 

@@ -258,14 +258,20 @@ class ShardRouter:
                 fence = await self._enqueue_fence(shard, (frame.key,))
                 return asyncio.ensure_future(
                     self._read_after((fence,), shard, frame))
-            return _completed(self.handlers[shard].handle(frame.raw))
+            return _completed(self._execute(shard, frame))
         if command == b"stats":
             return await self._stats_after_writes(frame, conn)
         if command == b"flush_all":
             return await self._broadcast(frame, conn, parent)
         # version, unknown commands, malformed writes: any handler can
         # answer these without touching shard state
-        return _completed(self.handlers[0].handle(frame.raw))
+        return _completed(self._execute(0, frame))
+
+    def _execute(self, shard: int, frame: Frame) -> bytes:
+        """Answer a decoded frame from ``shard``'s backend: the decoder
+        parsed it, so the handler is entered past its parser."""
+        return self.handlers[shard].execute(frame.command, frame.args,
+                                            frame.payload)
 
     async def _enqueue_write(self, frame: Frame, conn: ConnectionState,
                              parent: Optional[int] = None
@@ -296,7 +302,7 @@ class ShardRouter:
                 await dep
             except Exception:
                 pass  # the write's own response reports its failure
-        return self.handlers[shard].handle(frame.raw)
+        return self._execute(shard, frame)
 
     async def _multi_get(self, frame: Frame,
                          conn: ConnectionState) -> Awaitable[bytes]:
@@ -315,13 +321,8 @@ class ShardRouter:
                 except Exception:
                     pass
             with_token = frame.command == b"gets"
-            out = []
-            for key in frame.args:
-                handler = self.handlers[self.shard_index(key)]
-                # reuse the single-shard formatter, dropping its END
-                sub = handler.handle(
-                    (b"gets " if with_token else b"get ") + key + CRLF)
-                out.append(sub[:-len(b"END\r\n")])
+            out = [self.handlers[self.shard_index(key)].value_block(
+                       key, with_token) for key in frame.args]
             out.append(b"END\r\n")
             return b"".join(out)
 
@@ -502,7 +503,7 @@ class ShardRouter:
 
     def _apply_one(self, shard: int, frame: Frame, future) -> None:
         try:
-            response = self.handlers[shard].handle(frame.raw)
+            response = self._execute(shard, frame)
         except Exception as exc:
             self.metrics.server_errors += 1
             response = b"SERVER_ERROR %s\r\n" \

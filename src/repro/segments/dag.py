@@ -292,33 +292,45 @@ def grow_entry(mem: MemorySystem, entry: Entry, height: int, new_height: int) ->
 # ----------------------------------------------------------------------
 # reading
 
-def read_word(mem: MemorySystem, entry: Entry, level: int, index: int):
+def read_word(mem: MemorySystem, entry: Entry, level: int, index: int,
+              count: int = 1):
     """Read the word at ``index`` within a subtree at ``level``.
 
     Returns a plain data ``int`` or, for segments that store references in
     their leaves (e.g. a map of value-segment roots), a tagged
     :class:`PlidRef` word.
+
+    With ``count > 1``, returns the list of ``count`` consecutive words
+    from ``index``. Words that share a leaf line cost one descent — the
+    path an iterator register keeps to its current leaf (section 3.3);
+    words that straddle a leaf boundary go to :func:`gather_words`.
     """
-    if index >= entry_capacity(mem, level):
-        raise SegmentRangeError("index %d beyond height-%d capacity" % (index, level))
+    last = index + count - 1
+    if last >= entry_capacity(mem, level):
+        raise SegmentRangeError("index %d beyond height-%d capacity" % (last, level))
     spans = mem.spans
-    while True:
-        if entry == 0:
-            return 0
-        if isinstance(entry, Inline):
-            return entry.values[index] if index < len(entry.values) else 0
-        # PlidRef: follow the compacted path, then the line.
+    if count > 1 and index // spans[0] != last // spans[0]:
+        return gather_words(mem, entry, level, index, count)
+    while type(entry) is PlidRef:
+        # follow the compacted path, then the line
         for p in entry.path:
             level -= 1
             j, index = divmod(index, spans[level])
             if j != p:
-                return 0
+                return 0 if count == 1 else [0] * count
         line = mem.read(entry.plid)
         if level == 0:
-            return line[index]
+            return line[index] if count == 1 \
+                else list(line[index:index + count])
         level -= 1
         j, index = divmod(index, spans[level])
         entry = line[j]
+    # a zero subtree, or an Inline pack (its trailing zeros are implicit)
+    values = entry.values if type(entry) is Inline else ()
+    if count == 1:
+        return values[index] if index < len(values) else 0
+    words = list(values[index:index + count])
+    return words + [0] * (count - len(words))
 
 
 def gather_words(mem: MemorySystem, entry: Entry, level: int,

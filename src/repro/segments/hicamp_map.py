@@ -103,10 +103,11 @@ class HicampSegmentMap:
         capacity = dag.entry_capacity(self.mem, anchor.height)
         if base + 1 >= capacity:
             raise BadVsidError("VSID %d is not mapped" % vsid)
-        meta = dag.read_word(self.mem, anchor.root, anchor.height, base + 1)
+        # a slot is two words of one leaf line: one descent
+        root, meta = dag.read_word(self.mem, anchor.root, anchor.height,
+                                   base, 2)
         if meta == 0:
             raise BadVsidError("VSID %d is not mapped" % vsid)
-        root = dag.read_word(self.mem, anchor.root, anchor.height, base)
         height, length, flags = _unpack_meta(meta)
         return MapEntryView(root, height, length, SegmentFlags(flags))
 

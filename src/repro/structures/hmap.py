@@ -85,10 +85,11 @@ class HMap:
 
     def _read_slot(self, snap, base: int) -> Optional[Tuple[object, int]]:
         """(value entry, value meta) at a slot, or None when absent."""
-        meta = snap.read(base + 3)
+        # the two words share a leaf line: one descent (section 3.3)
+        value_entry, meta = snap.read(base + 2, 2)
         if meta == 0:
             return None
-        return snap.read(base + 2), meta
+        return value_entry, meta
 
     # ------------------------------------------------------------------
     # operations

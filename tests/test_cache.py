@@ -1,7 +1,9 @@
 """Unit tests for the HICAMP cache (read + lookup-by-content)."""
 
+from repro.memory import hashing
 from repro.memory.cache import HicampCache
 from repro.memory.dedup_store import DedupStore
+from repro.memory.line import encode_line
 from repro.params import CacheGeometry, MemoryConfig
 
 
@@ -11,6 +13,25 @@ def make(cache_lines=64, ways=4, line_bytes=16):
     geometry = CacheGeometry(size_bytes=cache_lines * line_bytes, ways=ways,
                              line_bytes=line_bytes)
     return store, HicampCache(store, geometry)
+
+
+def assert_residency(cache):
+    """What answering a content hit from a map rests on: every resident
+    line sits in the set of its *content's* hash bucket — which its PLID
+    names — however it entered, and the content map holds exactly the
+    resident lines."""
+    store = cache.store
+    resident = {}
+    for index, ways in enumerate(cache._sets):
+        assert len(ways) <= cache.geometry.ways
+        for plid, line in ways.items():
+            bucket = hashing.bucket_hash(encode_line(line),
+                                         store.config.num_buckets)
+            assert store.bucket_of(plid) == bucket
+            assert index == bucket % cache.geometry.num_sets
+            assert line not in resident
+            resident[line] = plid
+    assert cache._by_content == resident
 
 
 class TestRead:
@@ -51,13 +72,21 @@ class TestLookup:
         assert cache.lookup((0, 0)) == 0
 
     def test_same_bucket_single_set(self):
-        # Every line of one hash bucket must land in one cache set.
-        store, cache = make()
+        # Every line of one hash bucket lands in one cache set, whether a
+        # content lookup or a read by PLID brought it in.
+        store, cache = make(cache_lines=16, ways=2)
         plids = [cache.lookup((i, 7)) for i in range(1, 30)]
+        assert_residency(cache)
+        cache.flush()
+        assert_residency(cache)
         for plid in plids:
-            expected = store.bucket_of(plid) % cache.geometry.num_sets
-            if plid in cache._where:
-                assert cache._where[plid] == expected
+            cache.read(plid)
+            assert_residency(cache)
+        assert cache.traffic.evictions > 0
+        for plid in plids[::2]:
+            store.decref(plid)  # deallocates: the listener invalidates
+            assert_residency(cache)
+        assert cache.resident_lines() == sum(len(w) for w in cache._sets)
 
 
 class TestEvictionAndWriteback:
