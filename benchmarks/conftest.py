@@ -40,6 +40,10 @@ def figure2_only(monkeypatch):
     Figure-2 number only while no bucket spills, so a ``REPRO_SCALE``
     (or a geometry) that spills one says so here instead of quietly
     charging index probes in a paper figure.
+
+    Yields the ``StoreCounters`` of every store built so far, one per
+    ``DedupStore``, so a bench that asks for the fixture by name can
+    gate on how many stores and allocations its figure took.
     """
     counters = []
     init = DedupStore.__init__
@@ -49,7 +53,7 @@ def figure2_only(monkeypatch):
         counters.append(self.counters)
 
     monkeypatch.setattr(DedupStore, "__init__", recording_init)
-    yield
+    yield counters
     spilled = sum(c.overflow_allocations for c in counters)
     assert spilled == 0, (
         "%d allocation(s) spilled a hash bucket across the %d stores "

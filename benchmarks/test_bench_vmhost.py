@@ -8,6 +8,11 @@ consumption scales with VM count in the order
 with HICAMP compacting individual-role groups by 1.86x-10.87x against
 1.44x-5.21x for ideal page sharing (Figure 9), and whole tiles by more
 than 3.55x against ~1.8x (Figure 10).
+
+Each scaling series is one incremental load: a machine per role, one for
+the tiles. The store and allocation counts asserted below are exact, so
+a reload per point (36 stores / 74 764 allocations for Figure 9, 6 /
+54 697 for Figure 10) fails here rather than on the clock.
 """
 
 from conftest import emit
@@ -15,9 +20,15 @@ from conftest import emit
 from repro.analysis.experiments import run_figure9, run_figure10
 
 
-def test_figure9_vm_memory_by_role(benchmark, report_dir):
+def built(stores):
+    """(stores built, lines allocated) over the recorded counters."""
+    return len(stores), sum(c.allocations for c in stores)
+
+
+def test_figure9_vm_memory_by_role(benchmark, report_dir, figure2_only):
     result = benchmark.pedantic(run_figure9, rounds=1, iterations=1)
     emit(report_dir, "figure9_vm_roles", result.text)
+    assert built(figure2_only) == (6, 18_703)
     measurements = result.data["measurements"]
 
     for role, series in measurements.items():
@@ -38,9 +49,10 @@ def test_figure9_vm_memory_by_role(benchmark, report_dir):
     assert max(hicamp_x) > max(ps_x)
 
 
-def test_figure10_vm_memory_by_tile(benchmark, report_dir):
+def test_figure10_vm_memory_by_tile(benchmark, report_dir, figure2_only):
     result = benchmark.pedantic(run_figure10, rounds=1, iterations=1)
     emit(report_dir, "figure10_vm_tiles", result.text)
+    assert built(figure2_only) == (1, 12_513)
     series = result.data["series"]
 
     last = series[-1]

@@ -5,29 +5,30 @@ VM memory images vs ideal page sharing.
 Run:  python examples/vm_dedup.py
 """
 
-from repro.apps.vmhost import measure_images
-from repro.workloads.vm_images import TILE_ROLES, _Pools, scale_vms, vmmark_tile
+from repro.apps.vmhost import measure_series
+from repro.workloads.vm_images import TILE_ROLES, scale_vms, vmmark_tiles
 
 
 def main() -> None:
     print("Per-role scaling (Figure 9): compaction vs #VMs")
     for role in ("database", "web", "standby"):
         print("  %s:" % role)
-        for n in (1, 4, 10):
-            m = measure_images(role, scale_vms(role, n, seed=2))
+        # one load of ten VMs, measured as it passes 1, 4 and 10
+        for m in measure_series(role, scale_vms(role, 10, seed=2),
+                                (1, 4, 10)):
             print("    %2d VMs: allocated %5d KB | page sharing %.2fx "
                   "| HICAMP 64B %.2fx"
-                  % (n, m.allocated_bytes // 1024,
+                  % (m.n_vms, m.allocated_bytes // 1024,
                      m.page_sharing_compaction, m.hicamp_compaction))
 
     print("\nWhole tiles (Figure 10): six mixed VMs per tile")
-    pools = _Pools(2)
-    images = []
-    for t in range(4):
-        images.extend(vmmark_tile(t, pools, seed=2))
-        m = measure_images("tiles", list(images))
+    images = vmmark_tiles(range(4), seed=2)
+    per_tile = len(TILE_ROLES)
+    # one load of four tiles, measured after each whole tile
+    for m in measure_series("tiles", images,
+                            range(per_tile, len(images) + 1, per_tile)):
         print("  %d tile(s), %2d VMs: page sharing %.2fx | HICAMP %.2fx"
-              % (t + 1, len(images), m.page_sharing_compaction,
+              % (m.n_vms // per_tile, m.n_vms, m.page_sharing_compaction,
                  m.hicamp_compaction))
 
     print("\nWhy HICAMP beats page sharing: a guest page with a few dirty"

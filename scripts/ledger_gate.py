@@ -1,11 +1,18 @@
 #!/usr/bin/env python3
 """Gate on the ledger's exact counters, not on time.
 
-Runs the traced ledger once, in the driver's form,
+Two legs, each one ledger run in the driver's form whose JSON line is
+read back. The second,
+
+    python3 benchmarks/ledger/run.py --workload sim-paper --seconds 10 --trace 0
+
+regenerates the paper's tables and figures once and must be correct:
+every headline number equal to ``benchmarks/ledger/golden/sim-paper.json``
+and no failed operation. The first,
 
     python3 benchmarks/ledger/run.py --workload tcp-read-hot --seconds 1 --trace 1
 
-reads the JSON line it prints and fails unless
+is traced and fails unless
 
 * the run is correct (no failed operation);
 * the spans the per-layer cut of a get hangs on still resolve and are
@@ -28,8 +35,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COMMAND = [sys.executable, "benchmarks/ledger/run.py", "--workload",
-           "tcp-read-hot", "--seconds", "1", "--trace", "1"]
+RUN = [sys.executable, "benchmarks/ledger/run.py", "--workload"]
 
 #: recorded by the PR that made a slot pair one descent (19.4 and 2
 #: before it); lookups per insert have stood since the single-descent
@@ -44,12 +50,17 @@ DRAM_PER_GET = tuple("memory.dram.%s_per_get" % category for category in
                      ("reads", "writes", "lookups", "dealloc", "refcount"))
 
 
+def incorrect(report: dict) -> list:
+    """Why ``report`` (the ledger's JSON line) is not a correct run."""
+    if report.get("correct") and not report.get("failed"):
+        return []
+    return ["run not correct: %s failed of %s attempted"
+            % (report.get("failed"), report.get("attempted"))]
+
+
 def problems(report: dict) -> list:
-    """Why ``report`` (the ledger's JSON line) does not pass."""
-    found = []
-    if not report.get("correct") or report.get("failed"):
-        found.append("run not correct: %s failed of %s attempted"
-                     % (report.get("failed"), report.get("attempted")))
+    """Why ``report`` (the traced leg's JSON line) does not pass."""
+    found = incorrect(report)
     metrics = {name: entry["value"]
                for name, entry in report.get("metrics", {}).items()}
     for name in POSITIVE + DRAM_PER_GET + tuple(EXACT):
@@ -69,20 +80,32 @@ def problems(report: dict) -> list:
     return found
 
 
-def main() -> int:
-    proc = subprocess.run(COMMAND, cwd=ROOT, capture_output=True, text=True)
+#: (workload, --seconds, --trace, what to check on its JSON line)
+LEGS = (("tcp-read-hot", "1", "1", problems),
+        ("sim-paper", "10", "0", incorrect))
+
+
+def leg(workload: str, seconds: str, trace: str, check) -> list:
+    """Run one ledger workload; ``check``'s findings on its JSON line."""
+    proc = subprocess.run(
+        RUN + [workload, "--seconds", seconds, "--trace", trace],
+        cwd=ROOT, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
         sys.stderr.write(proc.stderr)
-        print("ledger_gate: %s exited %d" % (" ".join(COMMAND[1:]),
-                                             proc.returncode))
-        return 1
-    found = problems(json.loads(lines[-1]))
+        return ["run.py exited %d" % proc.returncode]
+    return check(json.loads(lines[-1]))
+
+
+def main() -> int:
+    found = ["%s: %s" % (args[0], finding)
+             for args in LEGS for finding in leg(*args)]
     for line in found:
         print("ledger_gate: " + line)
     if not found:
         print("ledger_gate: ok (%d exact counters, %d spans, %d DRAM "
-              "categories)" % (len(EXACT), len(POSITIVE), len(DRAM_PER_GET)))
+              "categories; sim-paper equals its golden file)"
+              % (len(EXACT), len(POSITIVE), len(DRAM_PER_GET)))
     return 1 if found else 0
 
 

@@ -193,7 +193,7 @@ def run_figure7(scale: int = 1) -> ExperimentResult:
     from repro.workloads.matrices import matrix_suite
 
     results = []
-    for spec in matrix_suite(scale=1):
+    for spec in matrix_suite(scale):
         hicamp, conventional = spmv_comparison(spec)
         ratio = hicamp.dram_accesses / max(1, conventional.dram_accesses)
         results.append((spec, hicamp, conventional, ratio))
@@ -221,7 +221,7 @@ def run_table2_figure8(scale: int = 1) -> ExperimentResult:
     from repro.workloads.matrices import matrix_suite
 
     per_matrix = []
-    for spec in matrix_suite(scale=1):
+    for spec in matrix_suite(scale):
         fmt, hicamp_bytes = best_hicamp_footprint(spec)
         csr_bytes = spec.csr_bytes()
         per_matrix.append((spec, fmt, hicamp_bytes, csr_bytes,
@@ -273,14 +273,14 @@ TILE_COUNTS = (1, 2, 3, 4, 5, 6)
 
 def run_figure9(seed: int = 2) -> ExperimentResult:
     """Figure 9 — per-role VM memory scaling."""
-    from repro.apps.vmhost.study import measure_images
+    from repro.apps.vmhost.study import measure_series
     from repro.workloads.vm_images import TILE_ROLES, scale_vms
 
     measurements = {}
     rows = []
     for role in TILE_ROLES:
-        series = [measure_images(role, scale_vms(role, n, seed=seed))
-                  for n in VM_COUNTS]
+        series = measure_series(
+            role, scale_vms(role, max(VM_COUNTS), seed=seed), VM_COUNTS)
         measurements[role] = series
         for m in series:
             rows.append([role, m.n_vms, m.allocated_bytes // 1024,
@@ -298,20 +298,18 @@ def run_figure9(seed: int = 2) -> ExperimentResult:
 
 def run_figure10(seed: int = 2) -> ExperimentResult:
     """Figure 10 — whole-tile VM memory scaling."""
-    from repro.apps.vmhost.study import measure_images
-    from repro.workloads.vm_images import TILE_ROLES, _Pools, vmmark_tile
+    from repro.apps.vmhost.study import measure_series
+    from repro.workloads.vm_images import TILE_ROLES, vmmark_tiles
 
-    pools = _Pools(seed)
-    images: list = []
-    series = []
-    for t in TILE_COUNTS:
-        images.extend(vmmark_tile(t, pools, seed=seed))
-        series.append(measure_images("tiles", list(images)))
-    rows = [[len(TILE_ROLES) * (i + 1), m.allocated_bytes // 1024,
+    images = vmmark_tiles(TILE_COUNTS, seed=seed)
+    per_tile = len(TILE_ROLES)  # one point after each whole tile
+    series = measure_series("tiles", images,
+                            range(per_tile, len(images) + 1, per_tile))
+    rows = [[m.n_vms, m.allocated_bytes // 1024,
              m.page_sharing_bytes // 1024, m.hicamp_bytes // 1024,
              round(m.page_sharing_compaction, 2),
              round(m.hicamp_compaction, 2)]
-            for i, m in enumerate(series)]
+            for m in series]
     text = format_table(
         ["VMs", "allocKB", "pageshareKB", "hicampKB", "ps_x", "hicamp_x"],
         rows,

@@ -11,6 +11,7 @@ from repro.apps.vmhost.study import (
     ideal_page_sharing_bytes,
     load_images_into_hicamp,
     measure_images,
+    measure_series,
 )
 
 __all__ = [
@@ -18,4 +19,5 @@ __all__ = [
     "ideal_page_sharing_bytes",
     "load_images_into_hicamp",
     "measure_images",
+    "measure_series",
 ]

@@ -17,7 +17,7 @@ pipeline runs here over the synthetic images of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable, Iterator, List, Sequence, Set
 
 from repro.core.machine import Machine
 from repro.memory.line import pack_words
@@ -55,14 +55,21 @@ def vmhost_machine(line_bytes: int = 64) -> Machine:
     ))
 
 
+def _shareable_pages(image: VmImage) -> Iterator[bytes]:
+    """The image's non-zero pages (zero pages are free in both schemes)."""
+    return (page for page in image.pages if page.count(0) != PAGE)
+
+
 def ideal_page_sharing_bytes(images: Iterable[VmImage]) -> int:
     """Unique non-zero pages across all images, at page granularity."""
-    unique = set()
+    unique: Set[bytes] = set()
     for image in images:
-        for page in image.pages:
-            if page.count(0) != PAGE:  # zero pages are free in both schemes
-                unique.add(page)
+        unique.update(_shareable_pages(image))
     return len(unique) * PAGE
+
+
+def _load_image(machine: Machine, image: VmImage) -> None:
+    machine.create_segment(pack_words(b"".join(image.pages)))
 
 
 def load_images_into_hicamp(images: Iterable[VmImage],
@@ -70,19 +77,50 @@ def load_images_into_hicamp(images: Iterable[VmImage],
     """Load every image as a segment; returns the machine for inspection."""
     machine = vmhost_machine(line_bytes)
     for image in images:
-        words = pack_words(b"".join(image.pages))
-        machine.create_segment(words)
+        _load_image(machine, image)
     return machine
+
+
+def measure_series(label: str, images: Sequence[VmImage],
+                   counts: Iterable[int],
+                   line_bytes: int = 64) -> List[VmhostMeasurement]:
+    """One measurement per prefix ``images[:n]``, ``n`` in ``counts``.
+
+    The images are loaded in order into one machine and each prefix is
+    measured as the load passes it. Step ``n`` of that load is the
+    operation sequence a fresh load of ``images[:n]`` performs, so every
+    point equals what a machine loaded with that prefix alone reports.
+    ``counts`` must ascend strictly within ``0..len(images)``.
+    """
+    counts = list(counts)
+    ascending = all(a < b for a, b in zip(counts, counts[1:]))
+    if not ascending or (counts and (counts[0] < 0
+                                     or counts[-1] > len(images))):
+        raise ValueError("counts %r must ascend within 0..%d"
+                         % (counts, len(images)))
+    if not counts:
+        return []
+    machine = vmhost_machine(line_bytes)
+    series = []
+    loaded = allocated = 0
+    unique_pages: Set[bytes] = set()
+    for count in counts:
+        for image in images[loaded:count]:
+            _load_image(machine, image)
+            allocated += image.allocated_bytes
+            unique_pages.update(_shareable_pages(image))
+        loaded = count
+        series.append(VmhostMeasurement(
+            label=label,
+            n_vms=count,
+            allocated_bytes=allocated,
+            page_sharing_bytes=len(unique_pages) * PAGE,
+            hicamp_bytes=machine.footprint_bytes(),
+        ))
+    return series
 
 
 def measure_images(label: str, images: List[VmImage],
                    line_bytes: int = 64) -> VmhostMeasurement:
     """Allocated / page-sharing / HICAMP bytes for a set of VM images."""
-    machine = load_images_into_hicamp(images, line_bytes)
-    return VmhostMeasurement(
-        label=label,
-        n_vms=len(images),
-        allocated_bytes=sum(img.allocated_bytes for img in images),
-        page_sharing_bytes=ideal_page_sharing_bytes(images),
-        hicamp_bytes=machine.footprint_bytes(),
-    )
+    return measure_series(label, images, (len(images),), line_bytes)[0]

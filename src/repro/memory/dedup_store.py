@@ -41,6 +41,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
+from zlib import crc32
 
 from repro.errors import BadPlidError, IntegrityError, MemoryExhaustedError
 from repro.memory import hashing
@@ -367,7 +368,8 @@ class DedupStore:
             return ZERO_PLID, False
         if enc is None:
             enc = encode_line(line)
-        bucket_idx = hashing.bucket_hash(enc, self._num_buckets)
+        # hashing.bucket_hash and hashing.signature, in line
+        bucket_idx = crc32(enc, hashing.BUCKET_SEED) % self._num_buckets
         bucket = self._buckets.get(bucket_idx)
         if bucket is None:
             bucket = _Bucket(signatures=[0] * (self._data_ways + 1))
@@ -375,7 +377,7 @@ class DedupStore:
         if bucket.overflow:
             # a spilled bucket belongs to the cuckoo index
             return self._lookup_cuckoo(line, enc, bucket_idx, bucket)
-        sig = hashing.signature(enc)
+        sig = crc32(enc, hashing.SIGNATURE_SEED) & 0xFF or 1
 
         self.counters.lookups += 1
         self.stats.lookups += 1  # signature line read

@@ -19,13 +19,14 @@ import zlib
 
 from repro.memory.line import Line, encode_line
 
-_SIGNATURE_SEED = zlib.crc32(b"hicamp-signature")
-_BUCKET_SEED = zlib.crc32(b"hicamp-bucket")
+#: the two CRC32 seeds; :meth:`DedupStore.lookup` applies them in line
+SIGNATURE_SEED = zlib.crc32(b"hicamp-signature")
+BUCKET_SEED = zlib.crc32(b"hicamp-bucket")
 
 
 def bucket_hash(encoded: bytes, num_buckets: int) -> int:
     """Map a line's canonical encoding to its hash bucket index."""
-    return zlib.crc32(encoded, _BUCKET_SEED) % num_buckets
+    return zlib.crc32(encoded, BUCKET_SEED) % num_buckets
 
 
 def signature(encoded: bytes) -> int:
@@ -35,7 +36,7 @@ def signature(encoded: bytes) -> int:
     an empty (or deallocated) way, so the 256 hash values are folded onto
     1..255.
     """
-    h = zlib.crc32(encoded, _SIGNATURE_SEED) & 0xFF
+    h = zlib.crc32(encoded, SIGNATURE_SEED) & 0xFF
     return h if h != 0 else 1
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, Sequence, Tuple, Union
 
 from repro.params import WORD_MASK
 
@@ -139,6 +139,26 @@ def encode_word(word: Word) -> bytes:
     return b"D" + _U64.pack(word & WORD_MASK)
 
 
+#: words per line -> its :func:`_data_line_packer`, made on first use
+_DATA_LINE_PACKERS: Dict[int, Callable[..., bytes]] = {}
+
+
+def _data_line_packer(n_words: int) -> Callable[..., bytes]:
+    """``pack(*line)`` encoding an all-data line of ``n_words`` words in
+    one struct call: ``b"D"`` and eight bytes per word, as
+    :func:`encode_word` gives. The tags are interleaved by the generated
+    lambda's own signature, which is what saves a Python loop per line.
+    A word struct will not take as an unsigned 64-bit integer (a tagged
+    word, a negative or wider int) raises ``struct.error``.
+    """
+    names = ["w%d" % i for i in range(n_words)]
+    pack = _DATA_LINE_PACKERS[n_words] = eval(
+        "lambda %s: pack(%s)" % (", ".join(names),
+                                 ", ".join("D, " + w for w in names)),
+        {"pack": struct.Struct(">" + "sQ" * n_words).pack, "D": b"D"})
+    return pack
+
+
 def encode_line(line: Line) -> bytes:
     """Canonical byte encoding of a line's tagged content.
 
@@ -146,8 +166,14 @@ def encode_line(line: Line) -> bytes:
     deduplicating store hashes this encoding to choose the hash bucket and
     the 8-bit signature.
     """
-    # data words (the common case) are packed in place; a tagged word —
-    # or a bool, which is not ``int`` itself — takes encode_word
+    # an interior line leads with a reference, so only a line that leads
+    # with data is offered to the all-data packer
+    if line and type(line[0]) is int:
+        n = len(line)
+        try:
+            return (_DATA_LINE_PACKERS.get(n) or _data_line_packer(n))(*line)
+        except struct.error:
+            pass  # a tagged word further in, or one outside 64 bits
     return b"".join([_DATA_WORD(b"D", w & WORD_MASK) if type(w) is int
                      else encode_word(w) for w in line])
 
@@ -156,7 +182,7 @@ def pack_words(data: bytes) -> Tuple[int, ...]:
     """Pack a byte string into big-endian 64-bit data words (zero-padded)."""
     if len(data) % 8:
         data = data + b"\x00" * (8 - len(data) % 8)
-    return tuple(_U64.unpack_from(data, i)[0] for i in range(0, len(data), 8))
+    return struct.unpack(">%dQ" % (len(data) // 8), data)
 
 
 def unpack_words(words: Sequence[int], length: int) -> bytes:

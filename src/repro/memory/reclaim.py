@@ -74,6 +74,9 @@ class SlotAllocator:
 
     def __init__(self, data_ways: int) -> None:
         self.data_ways = data_ways
+        #: the mask of a bucket with every data way free (way 0 is the
+        #: signature line's own slot)
+        self._all_free = (1 << (data_ways + 1)) - 2
         self.stats = SlotAllocatorStats()
         self._way_masks: Dict[int, int] = {}
         #: recycled overflow-area PLIDs (LIFO); persistence serializes
@@ -88,10 +91,13 @@ class SlotAllocator:
         """Lowest free way of a bucket, or None when the bucket is full."""
         mask = self._way_masks.get(bucket_idx)
         if mask is None:
-            mask = 0
-            for w in range(1, self.data_ways + 1):
-                if signatures[w] == 0:
-                    mask |= 1 << w
+            if any(signatures):
+                mask = 0
+                for w in range(1, self.data_ways + 1):
+                    if signatures[w] == 0:
+                        mask |= 1 << w
+            else:
+                mask = self._all_free  # untouched: nothing to scan for
             self.stats.mask_builds += 1
         if not mask:
             self._way_masks[bucket_idx] = 0

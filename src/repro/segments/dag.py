@@ -74,14 +74,13 @@ def _trim(words: Sequence) -> Tuple:
     return tuple(words[:n])
 
 
-def _inline_for(words: Sequence) -> Optional[Inline]:
-    """Try to pack a subtree's words into one Inline entry (Figure 4b).
+def _pack(vals: Tuple) -> Optional[Inline]:
+    """Pack already-trimmed words into one Inline entry (Figure 4b).
 
-    Qualifies when the trimmed words are all plain data and fit a common
-    width ``w`` with ``len * w <= 8`` bytes. Returns None when the subtree
-    does not pack (tagged reference words are never inlined).
+    Qualifies when the words are all plain data and fit a common width
+    ``w`` with ``len * w <= 8`` bytes. Returns None when they do not
+    pack (tagged reference words are never inlined).
     """
-    vals = _trim(words)
     n = len(vals)
     if not 0 < n <= 8:
         return None
@@ -97,6 +96,12 @@ def _inline_for(words: Sequence) -> Optional[Inline]:
         if biggest < (1 << (8 * width)):
             return Inline(width=width, values=vals, span=n)
     return None
+
+
+def _inline_for(words: Sequence) -> Optional[Inline]:
+    """Try to pack a subtree's words into one Inline entry: trailing
+    zeros dropped, then :func:`_pack`."""
+    return _pack(_trim(words))
 
 
 def retain_entry(mem: MemorySystem, entry: Entry) -> Entry:
@@ -153,7 +158,7 @@ def _leaf_entry(mem: MemorySystem, words: Sequence) -> Entry:
     if not vals:
         return 0
     if mem.config.data_compaction:
-        inline = _inline_for(vals)
+        inline = _pack(vals)
         if inline is not None:
             return inline
     line: Line = tuple(words) + (0,) * (mem.words_per_line - len(words))

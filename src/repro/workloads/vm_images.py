@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
 PAGE = 4096
 LINE = 64
@@ -155,6 +155,13 @@ def vmmark_tile(tile_id: int, pools: _Pools = None, seed: int = 0) -> List[VmIma
         pools = _Pools(seed)
     return [generate_vm(role, tile_id * 10 + i, pools, seed)
             for i, role in enumerate(TILE_ROLES)]
+
+
+def vmmark_tiles(tile_ids: Iterable[int], seed: int = 0) -> List[VmImage]:
+    """The VMs of several tiles over one set of pools, tile after tile
+    (the Figure 10 x-axis)."""
+    pools = _Pools(seed)
+    return [vm for t in tile_ids for vm in vmmark_tile(t, pools, seed)]
 
 
 def scale_vms(role: str, count: int, seed: int = 0) -> List[VmImage]:

@@ -62,9 +62,13 @@ class TestSlotAllocator:
             alloc = SlotAllocator(data_ways=4)
             signatures = [0] + [1 if pattern & (1 << w) else 0
                                 for w in range(4)]
-            legacy = next((w for w in range(1, 5) if not signatures[w]),
-                          None)
-            assert alloc.claim_way(7, signatures) == legacy
+            legacy = [w for w in range(1, 5) if not signatures[w]]
+            # pattern 0 is the untouched bucket, whose mask is not
+            # scanned for: same ways in the same order, one mask build
+            claimed = [alloc.claim_way(7, signatures)
+                       for _ in range(len(legacy) + 1)]
+            assert claimed == legacy + [None]
+            assert alloc.stats.mask_builds == 1
 
     def test_overflow_lifo_reuse(self):
         alloc = SlotAllocator(data_ways=4)
