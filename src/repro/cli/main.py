@@ -115,8 +115,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host, port=args.port, shard_count=args.shards,
             read_timeout=args.read_timeout,
             backend_factory=backend_factory,
-            queue_depth=args.queue_depth, batch_limit=args.batch_limit,
-            reclaim_budget=args.reclaim_budget)
+            queue_depth=args.queue_depth, batch_limit=args.batch_limit)
         await server.start()
         print("# repro serve: HICAMP memcached on %s:%d "
               "(%d shards; `stats json` for metrics; Ctrl-C to stop)"
@@ -513,157 +512,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_cluster(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.analysis.reporting import format_table
-    from repro.cluster.bench import run_cluster_bench
-
-    report = run_cluster_bench(scale=args.scale)
-    out = pathlib.Path(args.out or "benchmarks/out/cluster_scaling.json")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    scaling = report["read_scaling"]
-    speedup_key = next(k for k in scaling if k.startswith("speedup_"))
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        rows = [["single node (leader)", scaling["single_node_ops_s"]]]
-        rows += [["aggregate, %s follower(s)" % n, rate]
-                 for n, rate in sorted(
-                     scaling["aggregate_by_followers"].items(),
-                     key=lambda kv: int(kv[0]))]
-        rows.append([speedup_key.replace("_", " x"),
-                     "%.2fx" % scaling[speedup_key]])
-        rows.append(["recovery to convergence (s)",
-                     report["recovery"]["seconds_to_convergence"]])
-        print(format_table(["metric", "read ops/s"], rows,
-                           title="cluster scaling (scale %d) -> %s"
-                           % (report["scale"], out)))
-    if args.check is not None and scaling[speedup_key] < args.check:
-        print("bench cluster: %s %.2fx below the %.2fx floor"
-              % (speedup_key, scaling[speedup_key], args.check),
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bench_scale(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.net import scale
-
-    if args.smoke:
-        cfg = scale.smoke_config(seed=args.seed)
-    else:
-        cfg = scale.ScaleConfig(seed=args.seed)
-    if args.keys:
-        cfg.keys = args.keys
-    if args.workers:
-        cfg.workers = args.workers
-    result = scale.run_scale(cfg)
-    out = args.out or scale.DEFAULT_OUT
-    scale.write_result(result, out)
-    if args.json:
-        print(json.dumps(result, indent=2, sort_keys=True))
-    else:
-        print(scale.render(result))
-        print("  -> %s" % out)
-    if args.check is not None:
-        problems = scale.check_floor(result, args.check)
-        for problem in problems:
-            print("bench scale: %s" % problem, file=sys.stderr)
-        if problems:
-            return 1
-    return 0
-
-
-def _cmd_bench_reclaim(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.analysis import reclaimbench
-
-    report = reclaimbench.run_reclaim_bench(smoke=args.smoke)
-    out = pathlib.Path(args.out or reclaimbench.DEFAULT_OUT)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(reclaimbench.render(report))
-        print("  -> %s" % out)
-    if args.check is not None:
-        problems = reclaimbench.check_floor(report, args.check)
-        for problem in problems:
-            print("bench reclaim: %s" % problem, file=sys.stderr)
-        if problems:
-            return 1
-    return 0
-
-
-def _cmd_bench_aggregate(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.analysis import trajectory
-
-    doc = trajectory.write_trajectory(out=args.out or
-                                      trajectory.DEFAULT_OUT)
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print("aggregated %d bench report(s) -> %s"
-              % (len(doc["benches"]),
-                 args.out or trajectory.DEFAULT_OUT))
-        for source in doc["sources"]:
-            print("  %s" % source)
-        for source, error in doc.get("errors", {}).items():
-            print("  unreadable %s: %s" % (source, error),
-                  file=sys.stderr)
-    return 1 if doc.get("errors") else 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.analysis.hotpath import run_hotpath
-    from repro.analysis.reporting import format_table
-
-    if args.target == "cluster":
-        return _cmd_bench_cluster(args)
-    if args.target == "scale":
-        return _cmd_bench_scale(args)
-    if args.target == "reclaim":
-        return _cmd_bench_reclaim(args)
-    if args.target == "aggregate":
-        return _cmd_bench_aggregate(args)
-    report = run_hotpath(scale=args.scale)
-    if args.out:
-        out = pathlib.Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        rows = [[name, report[name]["seconds_off"],
-                 report[name]["seconds_on"], report[name]["speedup"]]
-                for name in ("build", "merge", "fingerprint")]
-        bulk = report["bulk_ingest"]
-        rows.append(["bulk ingest (%d items)" % bulk["items"],
-                     bulk["seconds_sequential"], bulk["seconds_bulk"],
-                     bulk["speedup"]])
-        print(format_table(
-            ["hot path", "seconds (plain)", "seconds (memo/bulk)",
-             "speedup"],
-            rows, title="structural memo + bulk ingest (scale %d)"
-            % report["scale"]))
-    if args.check is not None and report["min_memo_speedup"] < args.check:
-        print("bench hotpath: min memo speedup %.2fx below the %.2fx "
-              "floor" % (report["min_memo_speedup"], args.check),
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_demo(_args: argparse.Namespace) -> int:
     from repro import Machine
     from repro.structures import HMap, HString
@@ -739,9 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--batch-limit", type=int, default=16,
                        help="max queued writes a shard worker drains "
                             "into one batch")
-    p_srv.add_argument("--reclaim-budget", type=int, default=512,
-                       help="deferred-reclaim segments drained per "
-                            "shard batch")
     p_srv.add_argument("--quota", type=int, default=None,
                        help="per-machine byte quota (enables LRU eviction)")
     p_srv.add_argument("--metrics-json", default=None,
@@ -920,50 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--limit", type=int, default=0,
                       help="print at most N spans (0 = all)")
     p_tr.set_defaults(func=_cmd_trace)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="benchmark suites: hot-path microbenchmarks or cluster "
-             "read-scaling and recovery")
-    p_bench.add_argument("target",
-                         choices=("hotpath", "cluster", "scale",
-                                  "reclaim", "aggregate"),
-                         help="benchmark suite to run (reclaim: "
-                              "p99/p999 commit latency under churny "
-                              "overwrites + big-root drops, epoch vs "
-                              "immediate; aggregate: merge every bench "
-                              "JSON into benchmarks/out/trajectory.json)")
-    p_bench.add_argument("--scale", type=int, default=1,
-                         help="repetition multiplier (default 1)")
-    p_bench.add_argument("--smoke", action="store_true",
-                         help="scale/reclaim: CI tier "
-                              "(small key counts, seconds instead of "
-                              "minutes)")
-    p_bench.add_argument("--keys", type=int, default=0,
-                         help="scale: total keys across workers "
-                              "(default 1M, or 20k with --smoke)")
-    p_bench.add_argument("--workers", type=int, default=0,
-                         help="scale: worker processes (default 4, "
-                              "or 2 with --smoke)")
-    p_bench.add_argument("--seed", type=int, default=0,
-                         help="scale: workload seed")
-    p_bench.add_argument("--out", default=None,
-                         help="write the JSON report here (cluster "
-                              "default: benchmarks/out/"
-                              "cluster_scaling.json)")
-    p_bench.add_argument("--json", action="store_true",
-                         help="print the report as JSON instead of a table")
-    p_bench.add_argument("--check", type=float, default=None,
-                         help="hotpath: exit 1 if the smallest memo "
-                              "speedup is below this floor; cluster: "
-                              "exit 1 if the full-fanout aggregate read "
-                              "speedup is below it; scale: exit 1 if "
-                              "populate ops/s falls below it (or any "
-                              "serve-phase error/miss); reclaim: exit 1 "
-                              "if the immediate/epoch p99 commit-latency "
-                              "ratio is below it or post-quiesce state "
-                              "diverges")
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_demo = sub.add_parser("demo", help="one-minute architecture tour")
     p_demo.set_defaults(func=_cmd_demo)

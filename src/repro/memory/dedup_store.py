@@ -195,7 +195,7 @@ class DedupStore:
         #: (the cache registers here to invalidate its copy).
         self.dealloc_listeners: List = []
         #: host-level structural memo (disabled by default; the serving
-        #: stack and hotpath benchmarks enable it — see memo.py)
+        #: stack enables it — see memo.py)
         self.memo = StructuralMemo()
         self.dealloc_listeners.append(self.memo.on_dealloc)
         #: lookup-by-content index (index.py) over the lines of buckets

@@ -32,9 +32,9 @@ memoized structure suffices.
 
 Modeled-stats transparency: the memo is **disabled by default**. The
 figure/table experiments construct plain machines and never see it, so
-their DRAM/cache statistics are untouched; the serving stack and the
-hotpath microbenchmarks opt in explicitly (a documented
-``DramStats``-bypassing fast path — see ``docs/performance.md``).
+their DRAM/cache statistics are untouched; the serving stack opts in
+explicitly (a documented ``DramStats``-bypassing fast path — see
+``docs/performance.md``).
 Reference counts stay *exact* either way: every memo hit performs the
 same incref the equivalent dedup-hit path would, so the refcount
 auditors hold with the memo on.

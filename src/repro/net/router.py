@@ -72,7 +72,8 @@ HOP_COMMANDS = WRITE_COMMANDS - {b"set"}
 READ_COMMANDS = frozenset((b"get", b"gets"))
 
 #: Deferred lines drained per epoch advance: between a shard's commit
-#: batches here, between a follower's applied root advances.
+#: batches here, between a follower's applied root advances. The
+#: deferral queue carries at most one batch's frees past it.
 RECLAIM_BUDGET = 512
 
 #: Queue marker that orders a read after this connection's prior writes.
@@ -109,9 +110,7 @@ class ShardRouter:
                  injector=None,
                  recorder=None,
                  registry: Optional[MetricsRegistry] = None,
-                 structural_memo: bool = True,
-                 memory: Optional[MemoryConfig] = None,
-                 reclaim_budget: int = RECLAIM_BUDGET) -> None:
+                 memory: Optional[MemoryConfig] = None) -> None:
         if shard_count < 1:
             raise ValueError("need at least one shard")
         #: optional :class:`repro.testing.faults.FaultInjector`; its
@@ -124,9 +123,6 @@ class ShardRouter:
             machine = Machine(MachineConfig(
                 memory=memory if memory is not None else SERVING_MEMORY))
         self.machine = machine
-        #: per-epoch drain bound applied between commit batches; the
-        #: deferral queue carries at most one batch's frees past this
-        self.reclaim_budget = max(1, reclaim_budget)
         self.servers = [backend_factory(self.machine)
                         for _ in range(shard_count)]
         self.handlers = [ProtocolHandler(server) for server in self.servers]
@@ -150,8 +146,7 @@ class ShardRouter:
         # is off by default machine-wide so modeled-DRAM experiments stay
         # exact; the serving stack opts in — hits bypass modeled lookup
         # traffic but stay refcount-exact (docs/performance.md)
-        if structural_memo:
-            self.machine.mem.memo.enable()
+        self.machine.mem.memo.enable()
         adapters.register_memo(self.registry, self.machine.mem.memo)
         # the per-backend silos some subclasses add: eviction accounting
         # (ManagedMemcached) and per-tenant namespaces (TenantMemcached)
@@ -463,7 +458,7 @@ class ShardRouter:
         # slice of the frees this batch deferred (no-op under the
         # immediate kind) so the queue stays shallow without putting
         # subtree walks back on any commit's critical path
-        self.machine.mem.store.reclaim_advance(self.reclaim_budget)
+        self.machine.mem.store.reclaim_advance(RECLAIM_BUDGET)
 
     def _commit_bulk_sets(self, shard: int, run,
                           batch_span: Optional[int] = None) -> None:

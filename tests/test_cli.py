@@ -1,7 +1,6 @@
 """Tests for the command-line interface."""
 
 import io
-import json
 import os
 import pathlib
 import subprocess
@@ -45,29 +44,19 @@ class TestDemoCommand:
 
 
 class TestBenchCommand:
-    def test_hotpath_writes_report_and_passes_floor(self, tmp_path,
-                                                    capsys):
-        out = tmp_path / "hotpath.json"
-        assert main(["bench", "hotpath", "--out", str(out),
-                     "--check", "1.2"]) == 0
-        import json
-        report = json.loads(out.read_text())
-        assert report["min_memo_speedup"] >= 1.2
-        assert set(report) >= {"build", "merge", "fingerprint",
-                               "bulk_ingest"}
-        assert "structural memo" in capsys.readouterr().out
+    """``repro bench`` is retired: ``benchmarks/ledger`` is the benchmark."""
 
-    def test_unreachable_floor_fails(self, tmp_path, capsys):
-        assert main(["bench", "hotpath", "--json",
-                     "--check", "1e9"]) == 1
-        assert "below" in capsys.readouterr().err
-
-    def test_parser_rejects_unknown_target(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "nonsense"])
-        for retired in ("adaptive", "dedup-index"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(["bench", retired])
+    def test_parser_rejects_unknown_target(self, capsys):
+        parser = build_parser()
+        for argv in (["bench"], ["bench", "hotpath"], ["bench", "reclaim"],
+                     ["bench", "cluster"], ["bench", "scale"],
+                     ["bench", "aggregate"], ["bench", "adaptive"],
+                     ["bench", "dedup-index"]):
+            with pytest.raises(SystemExit) as exit_info:
+                parser.parse_args(argv)
+            assert exit_info.value.code == 2
+            assert "invalid choice: 'bench'" in capsys.readouterr().err
+        assert "bench" not in parser.format_help()
 
 
 class TestMemcachedCommand:
@@ -278,10 +267,6 @@ class TestHiAndScaleCli:
             == "hi"
         args = parser.parse_args(["fuzz", "--profile", "expiry"])
         assert args.profile == "expiry"
-        args = parser.parse_args(["bench", "scale", "--smoke",
-                                  "--check", "200"])
-        assert args.target == "scale"
-        assert args.smoke and args.check == 200.0
 
     def test_hi_profile_runs_an_episode(self, capsys):
         assert main(["fuzz", "--profile", "hi", "--episodes", "1",
@@ -294,17 +279,6 @@ class TestHiAndScaleCli:
                      "--seed", "0", "--ops", "12"]) == 0
         out = capsys.readouterr().out
         assert "fuzz episodes=1 ok=1 failed=0" in out
-
-    def test_bench_scale_writes_report_and_checks_floor(self, tmp_path,
-                                                        capsys):
-        out = tmp_path / "scale.json"
-        assert main(["bench", "scale", "--smoke", "--keys", "2000",
-                     "--workers", "2", "--check", "10",
-                     "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
-        assert report["keys"] == 2000
-        assert report["footprint"]["dedup_ratio"] > 0
-        assert "populate" in capsys.readouterr().out
 
 
 class TestModuleEntryPoints:

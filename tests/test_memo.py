@@ -229,5 +229,3 @@ class TestObsIntegration:
         router = ShardRouter(shard_count=1)
         assert router.machine.mem.memo.enabled
         assert router.registry.get("repro_memo_enabled") is not None
-        disabled = ShardRouter(shard_count=1, structural_memo=False)
-        assert not disabled.machine.mem.memo.enabled
