@@ -13,12 +13,6 @@ what the paper's Figure 6 baseline measured through VMware tracing.
 from repro.apps.memcached.server import HicampMemcached
 from repro.apps.memcached.conventional import ConventionalMemcached
 from repro.apps.memcached.compaction import measure_compaction
-from repro.apps.memcached.tenants import (
-    DEFAULT_TENANT,
-    TenantMemcached,
-    TenantStats,
-)
 
 __all__ = ["HicampMemcached", "ConventionalMemcached",
-           "measure_compaction",
-           "DEFAULT_TENANT", "TenantMemcached", "TenantStats"]
+           "measure_compaction"]

@@ -183,12 +183,7 @@ class ProtocolHandler:
             raise ProtocolError("bad exptime %r" % args[2:3])
 
     def _store(self, method, args, payload) -> bool:
-        exptime = self._exptime(args)
-        try:
-            return method(args[0], payload, exptime=exptime)
-        except TypeError:
-            # servers without TTL support (the plain HicampMemcached)
-            return method(args[0], payload)
+        return method(args[0], payload, exptime=self._exptime(args))
 
     def _cmd_set(self, args, payload) -> bytes:
         self._store(self.server.set, args, payload)
@@ -206,6 +201,7 @@ class ProtocolHandler:
     def _cmd_cas(self, args, payload) -> bytes:
         if len(args) < 5:
             raise ProtocolError("cas needs a token")
+        exptime = self._exptime(args)
         got = self.server.gets(args[0])
         if got is None:
             return b"NOT_FOUND\r\n"
@@ -216,7 +212,8 @@ class ProtocolHandler:
             raise ProtocolError("bad cas token")
         if presented != binascii.crc32(token):
             return b"EXISTS\r\n"
-        return b"STORED\r\n" if self.server.cas(args[0], payload, token) \
+        return b"STORED\r\n" \
+            if self.server.cas(args[0], payload, token, exptime=exptime) \
             else b"EXISTS\r\n"
 
     # ------------------------------------------------------------------

@@ -65,8 +65,13 @@ class HicampMemcached:
             self.stats.get_hits += 1
         return value
 
-    def set(self, key: bytes, value: bytes) -> bool:
-        """Store a key-value pair unconditionally."""
+    def set(self, key: bytes, value: bytes, exptime: int = 0) -> bool:
+        """Store a key-value pair unconditionally.
+
+        ``exptime`` is the wire TTL, ignored here and by ``add``,
+        ``replace`` and ``cas``: the plain backend has no clock
+        (:class:`~repro.apps.memcached.eviction.ManagedMemcached` does).
+        """
         self.kvp.put(key, value)
         self.stats.sets += 1  # on success: ``sets`` counts STORED replies
         return True
@@ -93,7 +98,7 @@ class HicampMemcached:
     # ------------------------------------------------------------------
     # conditional commands
 
-    def add(self, key: bytes, value: bytes) -> bool:
+    def add(self, key: bytes, value: bytes, exptime: int = 0) -> bool:
         """Store only if the key is absent (atomic via merge rules)."""
         if self.kvp.contains(key):
             return False
@@ -101,7 +106,7 @@ class HicampMemcached:
         self.stats.sets += 1
         return True
 
-    def replace(self, key: bytes, value: bytes) -> bool:
+    def replace(self, key: bytes, value: bytes, exptime: int = 0) -> bool:
         """Store only if the key is present."""
         if not self.kvp.contains(key):
             return False
@@ -133,7 +138,8 @@ class HicampMemcached:
             return None
         return value, self._token(key)
 
-    def cas(self, key: bytes, value: bytes, token: bytes) -> bool:
+    def cas(self, key: bytes, value: bytes, token: bytes,
+            exptime: int = 0) -> bool:
         """Store only if the value is unchanged since :meth:`gets`."""
         self.stats.cas_ops += 1
         if self._token(key) != token:

@@ -147,42 +147,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_endpoint(spec: str) -> tuple:
-    host, _, port = spec.rpartition(":")
-    return (host or "127.0.0.1", int(port))
-
-
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
     import json
 
-    from repro.net.loadgen import (ReadSplitPolicy, parse_phases,
-                                   run_loadgen)
+    from repro.net.loadgen import run_loadgen
 
-    phases = None
-    if args.phases:
-        try:
-            phases = parse_phases(args.phases)
-        except ValueError as exc:
-            print("repro loadgen: %s" % exc, file=sys.stderr)
-            return 2
-    endpoints = None
-    policy_factory = None
-    if args.read_endpoint:
-        # fleet mode: writes stay on --host/--port (endpoint 0), plain
-        # reads round-robin across the replica endpoints
-        endpoints = [(args.host, args.port)]
-        endpoints += [_parse_endpoint(spec) for spec in args.read_endpoint]
-        readers = list(range(1, len(endpoints)))
-        policy_factory = lambda: ReadSplitPolicy(writer=0, readers=readers)
     try:
         report = asyncio.run(run_loadgen(
             args.host, args.port, clients=args.clients,
             ops_per_client=args.ops, pipeline_depth=args.pipeline,
             get_ratio=args.get_ratio, key_space=args.keys,
-            value_bytes=args.value_bytes, seed=args.seed,
-            endpoints=endpoints, policy_factory=policy_factory,
-            phases=phases))
+            value_bytes=args.value_bytes, seed=args.seed))
     except OSError as exc:
         print("repro loadgen: cannot reach %s:%d: %s"
               % (args.host, args.port, exc), file=sys.stderr)
@@ -204,15 +180,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
              ["cas conflicts", report.cas_conflicts],
              ["errors", report.errors],
              ["oracle mismatches", report.oracle_mismatches],
-             ["shared mismatches", report.shared_mismatches]]
-            + ([["endpoints", report.endpoints],
-                ["stale reads", report.stale_reads]]
-               if report.endpoints > 1 else [])
-            + [["batch RTT p50 (ms)", latency["p50_ms"]],
-               ["batch RTT p99 (ms)", latency["p99_ms"]]]
-            + [["phase %s (%d ops)" % (p["name"], p["ops"]),
-                "%.1f ops/s" % p["ops_per_second"]]
-               for p in report.phases],
+             ["shared mismatches", report.shared_mismatches],
+             ["batch RTT p50 (ms)", latency["p50_ms"]],
+             ["batch RTT p99 (ms)", latency["p99_ms"]]],
             title="loadgen against %s:%d" % (args.host, args.port)))
     return 0 if report.consistent and report.errors == 0 else 1
 
@@ -608,20 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="keys per keyspace (private and shared)")
     p_lg.add_argument("--value-bytes", type=int, default=32)
     p_lg.add_argument("--seed", type=int, default=0)
-    p_lg.add_argument("--phases", default=None,
-                      metavar="SPEC",
-                      help="phase-shifting profile: comma-separated "
-                           "specs, each name[:ops=N][:get=F][:skew=F]"
-                           "[:set=F][:del=F][:value=N][:entropy=0|1] "
-                           "(e.g. read:get=0.9,storm:get=0.05:set=0.95"
-                           ":del=0.2); phases without ops=N split the "
-                           "--ops budget; the report gains a per-phase "
-                           "section for each")
-    p_lg.add_argument("--read-endpoint", action="append", default=[],
-                      metavar="HOST:PORT",
-                      help="replica endpoint for plain reads (repeatable; "
-                           "writes stay on --host/--port, replica reads "
-                           "are checked against the write history)")
     p_lg.add_argument("--json", action="store_true",
                       help="print the report as JSON")
     p_lg.set_defaults(func=_cmd_loadgen)

@@ -20,17 +20,13 @@ Public surface:
   loop, with the fingerprint/lag probes repair decisions read.
 * :class:`~repro.cluster.manager.TopologyManager` — the
   detect→propose→verify→commit repair loop.
-* :class:`~repro.cluster.client.ClusterClient` /
-  :class:`~repro.cluster.client.ClusterPolicy` — owner-routed writes
-  with MOVED/dead-socket retry; fleet-spread reads (direct client and
-  loadgen policy forms).
+* :class:`~repro.cluster.client.ClusterClient` — owner-routed writes
+  with MOVED/dead-socket retry; fleet-spread reads.
 """
 
 from repro.cluster.client import (
     ClusterClient,
-    ClusterPolicy,
     ClusterUnavailableError,
-    topology_endpoints,
 )
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.manager import TopologyManager
@@ -48,7 +44,6 @@ __all__ = [
     "ClusterClient",
     "ClusterConfig",
     "ClusterMetrics",
-    "ClusterPolicy",
     "ClusterTopology",
     "ClusterUnavailableError",
     "FollowerNode",
@@ -57,5 +52,4 @@ __all__ = [
     "NodeInfo",
     "TopologyManager",
     "initial_topology",
-    "topology_endpoints",
 ]

@@ -1,19 +1,12 @@
 """Cluster-aware client: owner-routed writes, fleet-spread reads.
 
-Two consumers of the placement layer live here:
-
-* :class:`ClusterClient` — a direct asyncio client for tests, fuzzing
-  and the CLI. It holds a (possibly stale) topology, routes each write
-  to the owning leader, and reacts to the two stale-view signals a
-  repair produces: a **dead socket** (the owner crashed — refresh from
-  any live node and retry) and a **MOVED line** (a live leader refused
-  the key — refresh from the node MOVED names and retry). Reads prefer
-  the owner's followers round-robin, falling back to the leader.
-* :class:`ClusterPolicy` — the same routing as a
-  :mod:`repro.net.loadgen` policy, so one loadgen process drives a
-  whole fleet: writes land on owners, plain reads spread across the
-  owners' fleets, replica staleness checked under the relaxed
-  write-history oracle.
+:class:`ClusterClient` is a direct asyncio client for tests and fuzzing.
+It holds a (possibly stale) topology, routes each write to the owning
+leader, and reacts to the two stale-view signals a repair produces: a
+**dead socket** (the owner crashed — refresh from any live node and
+retry) and a **MOVED line** (a live leader refused the key — refresh
+from the node MOVED names and retry). Reads prefer the owner's followers
+round-robin, falling back to the leader.
 """
 
 from __future__ import annotations
@@ -22,49 +15,17 @@ import asyncio
 import json
 from typing import Dict, List, Optional, Tuple
 
-from repro.net.loadgen import (read_value_response, set_request)
+from repro.net.loadgen import read_value_response, set_request
 from repro.cluster.node import parse_moved
 from repro.cluster.placement import ClusterTopology
 
-__all__ = ["ClusterClient", "ClusterPolicy", "topology_endpoints",
-           "ClusterUnavailableError"]
+__all__ = ["ClusterClient", "ClusterUnavailableError"]
 
 CRLF = b"\r\n"
 
 
 class ClusterUnavailableError(ConnectionError):
     """No retry path led to a live owner within the attempt budget."""
-
-
-def topology_endpoints(topology: ClusterTopology
-                       ) -> Tuple[List[Tuple[str, int]], Dict[str, int]]:
-    """Loadgen fleet wiring: endpoint list + node id → index map."""
-    ids = sorted(topology.nodes)
-    endpoints = [(topology.nodes[node_id].host, topology.nodes[node_id].port)
-                 for node_id in ids]
-    return endpoints, {node_id: i for i, node_id in enumerate(ids)}
-
-
-class ClusterPolicy:
-    """Topology-aware routing for the multi-endpoint load generator."""
-
-    relaxed_reads = True
-
-    def __init__(self, topology: ClusterTopology,
-                 index: Dict[str, int]) -> None:
-        self.topology = topology
-        self.index = index
-        self._rr = 0
-
-    def write_endpoint(self, key: bytes) -> int:
-        return self.index[self.topology.owner_of(key)]
-
-    def read_endpoint(self, key: bytes) -> int:
-        owner = self.topology.owner_of(key)
-        readers = self.topology.followers_of(owner) or [owner]
-        node_id = readers[self._rr % len(readers)]
-        self._rr += 1
-        return self.index[node_id]
 
 
 class ClusterClient:

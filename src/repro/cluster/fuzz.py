@@ -28,13 +28,13 @@ and is deliberately *not* in the trace (it lives in the debug metrics).
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.loadgen import read_value_response
 from repro.testing.auditors import audit_machine
+from repro.testing.fuzz import FuzzReport, derive, run_episodes, script_digest
 from repro.cluster.client import ClusterClient, ClusterUnavailableError
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.manager import TopologyManager
@@ -58,16 +58,10 @@ class ClusterEpisodeConfig:
     failure_threshold: int = 2
 
 
-def _derive(seed: int, label: str) -> int:
-    digest = hashlib.blake2b(b"%d/%s" % (seed, label.encode()),
-                             digest_size=8).digest()
-    return int.from_bytes(digest, "big")
-
-
 def _build_script(seed: int, cfg: ClusterEpisodeConfig
                   ) -> List[Tuple[str, bytes, bytes]]:
     """Seeded (kind, key, value) triples over a pooled value set."""
-    rng = random.Random(_derive(seed, "cluster-script"))
+    rng = random.Random(derive(seed, "cluster-script"))
     script: List[Tuple[str, bytes, bytes]] = []
     for _ in range(cfg.ops):
         key = b"ck%02d" % rng.randrange(cfg.key_space)
@@ -76,22 +70,16 @@ def _build_script(seed: int, cfg: ClusterEpisodeConfig
     return script
 
 
-def script_digest(script: List[Tuple[str, bytes, bytes]]) -> str:
-    material = b";".join(b"%s %s %s" % (kind.encode(), key, value)
-                         for kind, key, value in script)
-    return hashlib.blake2b(material, digest_size=6).hexdigest()
-
-
 def kill_plan(seed: int, cfg: ClusterEpisodeConfig) -> Tuple[str, int]:
     """(victim leader id, op index at which it dies) — pure in the seed.
 
     The kill lands in the middle half of the script so there is always
     committed state to inherit and writes still pending to reroute.
     """
-    victim = "lead-%d" % (_derive(seed, "cluster-victim") % cfg.leaders)
+    victim = "lead-%d" % (derive(seed, "cluster-victim") % cfg.leaders)
     lo = cfg.ops // 4
     span = max(1, cfg.ops // 2)
-    kill_at = lo + _derive(seed, "cluster-kill-at") % span
+    kill_at = lo + derive(seed, "cluster-kill-at") % span
     return victim, kill_at
 
 
@@ -224,45 +212,6 @@ async def _run_episode(seed: int, cfg: ClusterEpisodeConfig
         metrics=cluster.snapshot(), manager_events=list(manager.events))
 
 
-def episode_seed(seed: int, index: int) -> int:
-    """Episode 0 replays from the run seed itself (same contract as
-    :func:`repro.testing.fuzz.episode_seed`)."""
-    return seed if index == 0 \
-        else _derive(seed, "cluster-episode/%d" % index)
-
-
-@dataclass
-class ClusterFuzzReport:
-    """Outcome of a whole cluster fuzz run."""
-
-    episodes: List[ClusterEpisodeResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.episodes)
-
-    @property
-    def failed_seeds(self) -> List[int]:
-        return [e.seed for e in self.episodes if not e.ok]
-
-    def render(self, verbose: bool = False) -> str:
-        lines: List[str] = []
-        for result in self.episodes:
-            if verbose or not result.ok:
-                lines.extend(result.trace)
-                lines.extend("  " + f for f in result.failures)
-            else:
-                lines.append("%s %s" % (result.trace[0], result.trace[-1]))
-        lines.append("cluster fuzz episodes=%d ok=%d failed=%d"
-                     % (len(self.episodes),
-                        sum(1 for e in self.episodes if e.ok),
-                        len(self.failed_seeds)))
-        for seed in self.failed_seeds:
-            lines.append("reproduce: repro fuzz --profile cluster "
-                         "--episodes 1 --seed %d" % seed)
-        return "\n".join(lines)
-
-
 def run_episode(seed: int, cfg: Optional[ClusterEpisodeConfig] = None
                 ) -> ClusterEpisodeResult:
     """One episode, synchronously (test entry point)."""
@@ -272,11 +221,8 @@ def run_episode(seed: int, cfg: Optional[ClusterEpisodeConfig] = None
 
 
 def run_fuzz(episodes: int = 3, seed: int = 0,
-             cfg: Optional[ClusterEpisodeConfig] = None
-             ) -> ClusterFuzzReport:
+             cfg: Optional[ClusterEpisodeConfig] = None) -> FuzzReport:
     """Run ``episodes`` seeded leader-kill episodes."""
-    cfg = cfg or ClusterEpisodeConfig()
-    report = ClusterFuzzReport()
-    for index in range(episodes):
-        report.episodes.append(run_episode(episode_seed(seed, index), cfg))
-    return report
+    return run_episodes(lambda s: run_episode(s, cfg), episodes, seed,
+                        label="cluster-episode", heading="cluster fuzz",
+                        profile="cluster")

@@ -17,8 +17,7 @@ package provides that load path end to end:
 """
 
 from repro.net.framing import Frame, FrameDecoder
-from repro.net.loadgen import (LoadgenClient, LoadgenReport, PhaseSpec,
-                               parse_phases, run_loadgen)
+from repro.net.loadgen import LoadgenClient, LoadgenReport, run_loadgen
 from repro.net.metrics import ServerMetrics, latency_summary, percentile
 from repro.net.router import ConnectionState, ShardRouter
 from repro.net.server import MemcachedServer, serve
@@ -28,8 +27,6 @@ __all__ = [
     "FrameDecoder",
     "LoadgenClient",
     "LoadgenReport",
-    "PhaseSpec",
-    "parse_phases",
     "run_loadgen",
     "ServerMetrics",
     "latency_summary",

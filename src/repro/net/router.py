@@ -148,17 +148,14 @@ class ShardRouter:
         # traffic but stay refcount-exact (docs/performance.md)
         self.machine.mem.memo.enable()
         adapters.register_memo(self.registry, self.machine.mem.memo)
-        # the per-backend silos some subclasses add: eviction accounting
-        # (ManagedMemcached) and per-tenant namespaces (TenantMemcached)
-        # read through the registry like every other silo
+        # the eviction accounting ManagedMemcached adds reads through
+        # the registry like every other silo
         if all(hasattr(s, "eviction") for s in self.servers):
             adapters.register_eviction(
                 self.registry, [s.eviction for s in self.servers])
-        if all(hasattr(s, "tenants") for s in self.servers):
-            adapters.register_tenants(self.registry, self.servers)
-        # group commits go through set_many, which any BULK_SAFE backend
-        # (plain or tenant-routed) supports; a TTL backend rewrites the
-        # payload per set, so its sets land one by one
+        # group commits go through set_many, which a BULK_SAFE backend
+        # supports; a TTL backend rewrites the payload per set, so its
+        # sets land one by one
         self._bulk_safe = all(getattr(type(s), "BULK_SAFE", False)
                               for s in self.servers)
         self.queues: List["asyncio.Queue"] = []
@@ -485,8 +482,8 @@ class ShardRouter:
         try:
             self.servers[shard].set_many(items)
         except Exception:
-            # re-apply per-op, in order (idempotent over whatever part
-            # of a multi-tenant run did land): only the sets that do
+            # re-apply per-op, in order (the group commit is one root
+            # swap, so none of the run landed): only the sets that do
             # not fit answer SERVER_ERROR
             for frame, future, _ in run:
                 self._apply_one(shard, frame, future)

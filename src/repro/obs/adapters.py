@@ -17,8 +17,6 @@ added without its registry registration fails loudly.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.analysis.reporting import latency_summary
 from repro.obs.registry import MetricsRegistry
 
@@ -32,7 +30,6 @@ __all__ = [
     "register_memo",
     "register_cluster",
     "register_eviction",
-    "register_tenants",
 ]
 
 # ServerMetrics scalar fields, split by Prometheus kind. Keep in sync
@@ -200,45 +197,6 @@ def register_eviction(registry: MetricsRegistry, stats,
             labels=("shard",),
             fn=lambda silos=silos, name=name: {
                 str(i): getattr(s, name) for i, s in enumerate(silos)})
-
-
-def register_tenants(registry: MetricsRegistry, servers,
-                     prefix: str = "repro_tenant_") -> None:
-    """Expose per-tenant namespaces of
-    :class:`~repro.apps.memcached.tenants.TenantMemcached` backends.
-
-    ``servers`` is one backend or the router's per-shard list; counts
-    are summed across shards per tenant, read live at collection time.
-    """
-    backends = list(servers) if isinstance(servers, (list, tuple)) \
-        else [servers]
-
-    def _sum(field):
-        totals: Dict[str, int] = {}
-        for server in backends:
-            for tenant, tstats in server.tenant_stats.items():
-                label = tenant.decode("ascii", "replace")
-                totals[label] = totals.get(label, 0) \
-                    + getattr(tstats, field)
-        return totals
-
-    def _items():
-        totals: Dict[str, int] = {}
-        for server in backends:
-            for tenant, count in server.items_by_tenant().items():
-                label = tenant.decode("ascii", "replace")
-                totals[label] = totals.get(label, 0) + count
-        return totals
-
-    registry.gauge(prefix + "items", "stored items per tenant namespace",
-                   labels=("tenant",), fn=_items)
-    registry.gauge(prefix + "namespaces", "distinct tenant namespaces",
-                   fn=lambda: len({t for s in backends
-                                   for t in s.tenants}))
-    for field in ("gets", "get_hits", "sets", "deletes"):
-        registry.counter(prefix + field + "_total",
-                         "tenant %s" % field, labels=("tenant",),
-                         fn=lambda field=field: _sum(field))
 
 
 INDEX_PREFIX = "repro_index_"

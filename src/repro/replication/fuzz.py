@@ -26,7 +26,6 @@ repairs the rest.
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -36,6 +35,7 @@ from repro.replication.follower import ReplicationFollower
 from repro.replication.leader import ReplicationLeader
 from repro.segments import dag
 from repro.testing.auditors import audit_machine
+from repro.testing.fuzz import FuzzReport, derive, run_episodes, script_digest
 from repro.testing.faults import (
     CONN_RESET,
     READ_SPLIT,
@@ -67,12 +67,6 @@ class ReplicationEpisodeConfig:
     rates: Optional[Dict[str, float]] = None
 
 
-def _derive(seed: int, label: str) -> int:
-    digest = hashlib.blake2b(b"%d/%s" % (seed, label.encode()),
-                             digest_size=8).digest()
-    return int.from_bytes(digest, "big")
-
-
 def _build_script(seed: int,
                   cfg: ReplicationEpisodeConfig) -> List[Tuple[str, bytes, bytes]]:
     """The episode's write script: (kind, key, value) triples.
@@ -81,7 +75,7 @@ def _build_script(seed: int,
     content the follower already holds — exercising both the FORGET path
     (old trees die) and dedup-on-arrival (new trees share lines).
     """
-    rng = random.Random(_derive(seed, "repl-script"))
+    rng = random.Random(derive(seed, "repl-script"))
     script: List[Tuple[str, bytes, bytes]] = []
     for _ in range(cfg.ops):
         key = b"rk%02d" % rng.randrange(cfg.key_space)
@@ -91,12 +85,6 @@ def _build_script(seed: int,
         else:
             script.append(("delete", key, b""))
     return script
-
-
-def script_digest(script: List[Tuple[str, bytes, bytes]]) -> str:
-    material = b";".join(b"%s %s %s" % (kind.encode(), key, value)
-                         for kind, key, value in script)
-    return hashlib.blake2b(material, digest_size=6).hexdigest()
 
 
 async def _drive_script(host: str, port: int,
@@ -223,44 +211,6 @@ async def _run_episode(seed: int, cfg: ReplicationEpisodeConfig
         follower_metrics=follower.metrics.snapshot())
 
 
-def episode_seed(seed: int, index: int) -> int:
-    """Episode 0 replays from the run seed itself (same contract as
-    :func:`repro.testing.fuzz.episode_seed`)."""
-    return seed if index == 0 else _derive(seed, "repl-episode/%d" % index)
-
-
-@dataclass
-class ReplicationFuzzReport:
-    """Outcome of a whole replication fuzz run."""
-
-    episodes: List[ReplicationEpisodeResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.episodes)
-
-    @property
-    def failed_seeds(self) -> List[int]:
-        return [e.seed for e in self.episodes if not e.ok]
-
-    def render(self, verbose: bool = False) -> str:
-        lines: List[str] = []
-        for result in self.episodes:
-            if verbose or not result.ok:
-                lines.extend(result.trace)
-                lines.extend("  " + f for f in result.failures)
-            else:
-                lines.append("%s %s" % (result.trace[0], result.trace[-1]))
-        lines.append("replication fuzz episodes=%d ok=%d failed=%d"
-                     % (len(self.episodes),
-                        sum(1 for e in self.episodes if e.ok),
-                        len(self.failed_seeds)))
-        for seed in self.failed_seeds:
-            lines.append("reproduce: repro fuzz --profile replication "
-                         "--episodes 1 --seed %d" % seed)
-        return "\n".join(lines)
-
-
 def run_episode(seed: int, cfg: Optional[ReplicationEpisodeConfig] = None
                 ) -> ReplicationEpisodeResult:
     """One episode, synchronously (test entry point)."""
@@ -268,12 +218,8 @@ def run_episode(seed: int, cfg: Optional[ReplicationEpisodeConfig] = None
 
 
 def run_fuzz(episodes: int = 5, seed: int = 0,
-             cfg: Optional[ReplicationEpisodeConfig] = None
-             ) -> ReplicationFuzzReport:
+             cfg: Optional[ReplicationEpisodeConfig] = None) -> FuzzReport:
     """Run ``episodes`` seeded faulty-link episodes."""
-    cfg = cfg or ReplicationEpisodeConfig()
-    report = ReplicationFuzzReport()
-    for index in range(episodes):
-        report.episodes.append(
-            asyncio.run(_run_episode(episode_seed(seed, index), cfg)))
-    return report
+    return run_episodes(lambda s: run_episode(s, cfg), episodes, seed,
+                        label="repl-episode", heading="replication fuzz",
+                        profile="replication")

@@ -56,7 +56,6 @@ from repro.testing.fuzz import (
 from repro.testing.hi import (
     HIConfig,
     HIEpisodeResult,
-    HIReport,
     generate_workload,
     run_hi,
     run_hi_episode,
@@ -77,7 +76,7 @@ __all__ = [
     "WRITE_SPLIT", "FaultInjector", "FaultPlan", "InjectedReset",
     "EpisodeConfig", "EpisodeResult", "FuzzReport", "episode_seed",
     "expiry_config", "run_episode", "run_fuzz",
-    "HIConfig", "HIEpisodeResult", "HIReport", "generate_workload",
+    "HIConfig", "HIEpisodeResult", "generate_workload",
     "run_hi", "run_hi_episode", "verify_structure",
     "UNMATCHABLE", "HistoryRecorder", "LinearizabilityReport",
     "Operation", "check_history",

@@ -84,7 +84,9 @@ class EpisodeConfig:
 # scripted clients
 
 
-def _derive(seed: int, label: str) -> int:
+def derive(seed: int, label: str) -> int:
+    """A 64-bit seed for ``label`` under ``seed`` (every profile's
+    scripts, plans and episode seeds come from here)."""
     digest = hashlib.blake2b(b"%d/%s" % (seed, label.encode()),
                              digest_size=8).digest()
     return int.from_bytes(digest, "big")
@@ -100,7 +102,7 @@ def _build_script(seed: int, cid: int,
     With ``ttl_rate`` set, a planned set may become ``setx<N>`` — a set
     carrying TTL ``N`` (in the managed backend's logical ticks).
     """
-    rng = random.Random(_derive(seed, "script/%d" % cid))
+    rng = random.Random(derive(seed, "script/%d" % cid))
     tokened = set()
     ops: List[Tuple[str, bytes]] = []
     for _ in range(cfg.ops_per_client):
@@ -157,9 +159,10 @@ async def _read_values(
         values[key] = (block[:-len(CRLF)], token)
 
 
-def script_digest(script: List[List[Tuple[str, bytes]]]) -> str:
-    material = b";".join(b"%s %s" % (kind.encode(), key)
-                         for batch in script for kind, key in batch)
+def script_digest(ops) -> str:
+    """Digest of a planned script: ``(kind, *bytes fields)`` ops."""
+    material = b";".join(b" ".join((op[0].encode(),) + tuple(op[1:]))
+                         for op in ops)
     return hashlib.blake2b(material, digest_size=6).hexdigest()
 
 
@@ -349,7 +352,8 @@ async def _run_episode(seed: int, cfg: EpisodeConfig,
                 cfg.key_space, cfg.shards, cfg.batch_limit)]
     trace.extend(plan.describe())
     for cid, script in enumerate(scripts):
-        trace.append("script c%d=%s" % (cid, script_digest(script)))
+        trace.append("script c%d=%s" % (cid, script_digest(
+            op for batch in script for op in batch)))
 
     failures: List[str] = []
     await server.start()
@@ -402,20 +406,26 @@ async def _run_episode(seed: int, cfg: EpisodeConfig,
                          reclaim=reclaim_snap)
 
 
-def episode_seed(seed: int, index: int) -> int:
+def episode_seed(seed: int, index: int, label: str = "episode") -> int:
     """Seed of episode ``index`` in a run started from ``seed``.
 
     Episode 0 uses the run seed itself, so a failure printed as
-    ``--episodes 1 --seed S`` replays exactly.
+    ``--episodes 1 --seed S`` replays exactly; ``label`` keeps the
+    profiles' derived seeds apart.
     """
-    return seed if index == 0 else _derive(seed, "episode/%d" % index)
+    return seed if index == 0 else derive(seed, "%s/%d" % (label, index))
 
 
 @dataclass
 class FuzzReport:
-    """Outcome of a whole fuzz run."""
+    """Outcome of a whole fuzz run, whatever the profile: ``episodes``
+    are results carrying ``seed``, ``ok``, ``trace`` and ``failures``."""
 
-    episodes: List[EpisodeResult] = field(default_factory=list)
+    episodes: List = field(default_factory=list)
+    #: first words of the summary line
+    heading: str = "fuzz"
+    #: ``repro fuzz --profile`` of the reproduce line (None: the default)
+    profile: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -434,14 +444,26 @@ class FuzzReport:
             else:
                 lines.append("%s %s" % (result.trace[0],
                                         result.trace[-1]))
-        lines.append("fuzz episodes=%d ok=%d failed=%d"
-                     % (len(self.episodes),
+        lines.append("%s episodes=%d ok=%d failed=%d"
+                     % (self.heading, len(self.episodes),
                         sum(1 for e in self.episodes if e.ok),
                         len(self.failed_seeds)))
+        flag = "--profile %s " % self.profile if self.profile else ""
         for seed in self.failed_seeds:
-            lines.append("reproduce: repro fuzz --episodes 1 --seed %d"
-                         % seed)
+            lines.append("reproduce: repro fuzz %s--episodes 1 --seed %d"
+                         % (flag, seed))
         return "\n".join(lines)
+
+
+def run_episodes(run_one: Callable, episodes: int, seed: int,
+                 label: str = "episode", heading: str = "fuzz",
+                 profile: Optional[str] = None) -> FuzzReport:
+    """``run_one(episode seed)`` for each of ``episodes`` seeds derived
+    from ``seed`` under ``label``, reported under the profile's
+    ``heading`` and ``--profile``."""
+    return FuzzReport(
+        [run_one(episode_seed(seed, index, label))
+         for index in range(episodes)], heading, profile)
 
 
 def run_episode(seed: int, cfg: Optional[EpisodeConfig] = None,
@@ -460,12 +482,7 @@ def run_episode(seed: int, cfg: Optional[EpisodeConfig] = None,
 def run_fuzz(episodes: int = 10, seed: int = 0,
              cfg: Optional[EpisodeConfig] = None) -> FuzzReport:
     """Run ``episodes`` seeded adversarial episodes."""
-    cfg = cfg or EpisodeConfig()
-    report = FuzzReport()
-    for index in range(episodes):
-        report.episodes.append(
-            asyncio.run(_run_episode(episode_seed(seed, index), cfg)))
-    return report
+    return run_episodes(lambda s: run_episode(s, cfg), episodes, seed)
 
 
 def expiry_config(**overrides) -> EpisodeConfig:

@@ -55,6 +55,7 @@ from repro.structures.hmatrix import float_to_word, sz_index
 from repro.structures.hordered import HOrderedCollection
 from repro.structures.hsorted import HSortedMap
 from repro.testing.auditors import audit_machine
+from repro.testing.fuzz import FuzzReport, derive, run_episodes
 
 #: The workload structures a ``hi`` episode sweeps.
 STRUCTURES = ("hmap", "sharded", "hsorted", "hordered", "hmatrix")
@@ -85,12 +86,6 @@ class HIConfig:
     memory: MemoryConfig = SERVING_MEMORY
 
 
-def _derive(seed: int, label: str) -> int:
-    digest = hashlib.blake2b(b"%d/%s" % (seed, label.encode()),
-                             digest_size=8).digest()
-    return int.from_bytes(digest, "big")
-
-
 # ----------------------------------------------------------------------
 # workload generation: normalized ops with per-key streams
 
@@ -107,7 +102,7 @@ def generate_workload(seed: int, structure: str,
     per-key order must land on identical canonical form.
     """
     cfg = cfg or HIConfig()
-    rng = random.Random(_derive(seed, "workload/%s" % structure))
+    rng = random.Random(derive(seed, "workload/%s" % structure))
     values = [b"value-%d-" % i * (1 + 3 * (i % 3))
               for i in range(cfg.value_pool)]
     ops: List[Tuple] = []
@@ -152,7 +147,7 @@ def interleave(ops: Sequence[Tuple], seed: int,
     """
     if index == 0:
         return list(ops)
-    rng = random.Random(_derive(seed, "schedule/%d" % index))
+    rng = random.Random(derive(seed, "schedule/%d" % index))
     streams: Dict[object, List[Tuple]] = {}
     order: List[object] = []
     for op in ops:
@@ -323,7 +318,7 @@ def _run_schedule(seed: int, structure: str, ops: Sequence[Tuple],
     mode = _schedule_mode(structure, index)
     memo = index % 2 == 1
     return _execute(structure, schedule, mode, memo,
-                    _derive(seed, "exec/%s/%d" % (structure, index)), cfg)
+                    derive(seed, "exec/%s/%d" % (structure, index)), cfg)
 
 
 # ----------------------------------------------------------------------
@@ -421,39 +416,6 @@ class HIEpisodeResult:
     failures: List[str] = field(default_factory=list)
 
 
-@dataclass
-class HIReport:
-    """Outcome of a whole ``--profile hi`` run."""
-
-    episodes: List[HIEpisodeResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.episodes)
-
-    @property
-    def failed_seeds(self) -> List[int]:
-        return [e.seed for e in self.episodes if not e.ok]
-
-    def render(self, verbose: bool = False) -> str:
-        lines: List[str] = []
-        for result in self.episodes:
-            if verbose or not result.ok:
-                lines.extend(result.trace)
-                lines.extend("  " + f for f in result.failures)
-            else:
-                lines.append("%s %s" % (result.trace[0],
-                                        result.trace[-1]))
-        lines.append("hi episodes=%d ok=%d failed=%d"
-                     % (len(self.episodes),
-                        sum(1 for e in self.episodes if e.ok),
-                        len(self.failed_seeds)))
-        for seed in self.failed_seeds:
-            lines.append("reproduce: repro fuzz --profile hi "
-                         "--episodes 1 --seed %d" % seed)
-        return "\n".join(lines)
-
-
 def run_hi_episode(seed: int,
                    cfg: Optional[HIConfig] = None) -> HIEpisodeResult:
     """One episode: verify every configured structure under one seed."""
@@ -478,17 +440,8 @@ def run_hi_episode(seed: int,
                            failures=failures)
 
 
-def episode_seed(seed: int, index: int) -> int:
-    """Seed of episode ``index`` (episode 0 replays the run seed)."""
-    return seed if index == 0 else _derive(seed, "episode/%d" % index)
-
-
 def run_hi(episodes: int = 4, seed: int = 0,
-           cfg: Optional[HIConfig] = None) -> HIReport:
+           cfg: Optional[HIConfig] = None) -> FuzzReport:
     """Run ``episodes`` seeded history-independence episodes."""
-    cfg = cfg or HIConfig()
-    report = HIReport()
-    for index in range(episodes):
-        report.episodes.append(
-            run_hi_episode(episode_seed(seed, index), cfg))
-    return report
+    return run_episodes(lambda s: run_hi_episode(s, cfg), episodes, seed,
+                        heading="hi", profile="hi")

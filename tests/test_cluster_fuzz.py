@@ -9,12 +9,11 @@ replays the identical episode.
 from repro.cluster.fuzz import (
     ClusterEpisodeConfig,
     _build_script,
-    episode_seed,
     kill_plan,
     run_episode,
     run_fuzz,
-    script_digest,
 )
+from repro.testing.fuzz import episode_seed, script_digest
 
 
 class TestDeterminism:
@@ -35,9 +34,12 @@ class TestDeterminism:
             assert cfg.ops // 4 <= kill_at < cfg.ops // 4 + cfg.ops // 2
 
     def test_episode_zero_replays_the_run_seed(self):
-        assert episode_seed(7, 0) == 7
-        assert episode_seed(7, 1) != 7
-        assert episode_seed(7, 1) == episode_seed(7, 1)
+        label = "cluster-episode"
+        assert episode_seed(7, 0, label) == 7
+        assert episode_seed(7, 1, label) != 7
+        assert episode_seed(7, 1, label) == episode_seed(7, 1, label)
+        # each profile derives its own later episodes
+        assert episode_seed(7, 1, label) != episode_seed(7, 1)
 
 
 class TestEpisodes:

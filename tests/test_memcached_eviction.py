@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps.memcached.eviction import ManagedMemcached
+from repro.apps.memcached.protocol import ProtocolHandler
 
 
 @pytest.fixture
@@ -49,6 +50,16 @@ class TestExpiry:
         server.set(b"k", b"v2", exptime=50)
         server.tick(10)
         assert server.get(b"k") == b"v2"
+
+    def test_wire_cas_carries_its_exptime(self, server):
+        handler = ProtocolHandler(server)
+        assert handler.handle(b"set k 0 0 1\r\na\r\n") == b"STORED\r\n"
+        token = handler.handle(b"gets k\r\n").split()[4]
+        assert handler.handle(b"cas k 0 2 1 %s\r\nb\r\n" % token) \
+            == b"STORED\r\n"
+        assert handler.handle(b"get k\r\n") == b"VALUE k 0 1\r\nb\r\nEND\r\n"
+        server.tick(5)
+        assert handler.handle(b"get k\r\n") == b"END\r\n"
 
     def test_incr_on_managed_values(self, server):
         server.set(b"n", b"41")

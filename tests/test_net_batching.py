@@ -17,7 +17,6 @@ import sys
 
 import pytest
 
-from repro.apps.memcached.tenants import TenantMemcached
 from repro.core.machine import Machine
 from repro.errors import MemoryExhaustedError
 from repro.net.framing import FrameDecoder
@@ -236,26 +235,6 @@ def test_max_inflight_mid_burst_flush_keeps_order():
 
 # ----------------------------------------------------------------------
 # (iii) cmd_set and SERVER_ERROR granularity do not depend on batching
-
-
-def test_tenant_sets_count_every_stored_reply_in_a_coalesced_run():
-    burst = (_set(b"a:k", b"1") + _set(b"a:k", b"2") + _set(b"b:j", b"3")
-             + _set(b"a:k", b"4") + _set(b"a:k", b"5"))
-
-    async def go():
-        router = ShardRouter(shard_count=1,
-                             backend_factory=TenantMemcached)
-        await router.start()
-        responses = await _session(router, ConnectionState(), burst)
-        await router.stop()
-        server = router.servers[0]
-        return (responses, server.stats.sets,
-                {t: s.sets for t, s in server.tenant_stats.items()
-                 if s.sets},
-                server.get(b"a:k"))
-
-    assert asyncio.run(go()) == (
-        [b"STORED\r\n"] * 5, 5, {b"a": 4, b"b": 1}, b"5")
 
 
 def _full_store_run(batch_limit):

@@ -7,8 +7,11 @@ added without its registration breaks these tests instead of silently
 vanishing from the exposition.
 """
 
+import dataclasses
 from dataclasses import fields as dataclass_fields
 
+from repro.apps.memcached.eviction import ManagedMemcached
+from repro.core.machine import Machine
 from repro.memory.stats import DramStats
 from repro.net.metrics import ServerMetrics
 from repro.obs import adapters
@@ -197,3 +200,43 @@ def test_reclaim_schema_is_kind_independent():
     # identical metric families (label *values* differ only on kind_info)
     assert {name for name, _ in expositions["immediate"]} \
         == {name for name, _ in expositions["epoch"]}
+
+
+def eviction_from_registry(registry, shard=0):
+    """One shard's ``dataclasses.asdict(EvictionStats)`` rebuilt from
+    registry reads."""
+    return {name: registry.get(adapters.EVICTION_PREFIX + name + "_total")
+            .snapshot_value()[str(shard)]
+            for name in adapters.EVICTION_COUNTER_FIELDS}
+
+
+class TestEvictionAdapter:
+    def test_legacy_snapshot_is_byte_compatible(self):
+        machine = Machine()
+        server = ManagedMemcached(machine, quota_bytes=512)
+        registry = MetricsRegistry()
+        adapters.register_eviction(registry, server.eviction)
+        for i in range(12):
+            server.set(b"key-%d" % i, b"x" * 64, exptime=1)
+        server.tick(100)
+        server.get(b"key-0")          # lazy-expires
+        assert registry.get("repro_eviction_expired_total") \
+            .snapshot_value()["0"] == server.eviction.expired
+        assert eviction_from_registry(registry) \
+            == dataclasses.asdict(server.eviction)
+
+    def test_multi_shard_labels(self):
+        machine = Machine()
+        shards = [ManagedMemcached(machine, quota_bytes=256)
+                  for _ in range(2)]
+        registry = MetricsRegistry()
+        adapters.register_eviction(registry,
+                                   [s.eviction for s in shards])
+        for i in range(8):
+            shards[1].set(b"key-%d" % i, b"y" * 64)
+        snapshot = registry.get("repro_eviction_evicted_total") \
+            .snapshot_value()
+        assert set(snapshot) == {"0", "1"}
+        assert snapshot["1"] == shards[1].eviction.evicted > 0
+        assert eviction_from_registry(registry, shard=1) \
+            == dataclasses.asdict(shards[1].eviction)

@@ -7,10 +7,10 @@ convergence plus strict audits of both machines. Episode traces are a
 pure function of the seed so failures replay exactly.
 """
 
+from repro.replication import fuzz
 from repro.replication.fuzz import (
     ReplicationEpisodeConfig,
     ReplicationEpisodeResult,
-    ReplicationFuzzReport,
     run_episode,
     run_fuzz,
 )
@@ -38,11 +38,15 @@ class TestReplicationEpisodes:
 
 
 class TestReport:
-    def test_failed_seed_names_reproduction_command(self):
-        report = ReplicationFuzzReport(episodes=[ReplicationEpisodeResult(
-            seed=41, ok=False, trace=["episode seed=41", "result=FAILED"],
-            failures=["follower never converged"],
-            leader_metrics={}, follower_metrics={})])
+    def test_failed_seed_names_reproduction_command(self, monkeypatch):
+        async def diverged(seed, cfg):
+            return ReplicationEpisodeResult(
+                seed=seed, ok=False,
+                trace=["episode seed=%d" % seed, "result=FAILED"],
+                failures=["follower never converged"])
+
+        monkeypatch.setattr(fuzz, "_run_episode", diverged)
+        report = run_fuzz(episodes=1, seed=41)
         rendered = report.render()
         assert not report.ok and report.failed_seeds == [41]
         assert "repro fuzz --profile replication --episodes 1 --seed 41" \
