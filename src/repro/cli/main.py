@@ -17,7 +17,6 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.experiments import RUNNERS, headline_metrics
-from repro.params import SERVING_MEMORY
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
@@ -236,15 +235,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    import dataclasses
-
-    memory = dataclasses.replace(SERVING_MEMORY,
-                                 reclaim_kind=args.reclaim_kind)
     if args.profile == "hi":
         from repro.testing.hi import HIConfig, run_hi
 
         cfg = HIConfig(schedules=args.schedules, keys=args.keys,
-                       ops=args.ops, memory=memory)
+                       ops=args.ops)
         report = run_hi(episodes=args.episodes, seed=args.seed, cfg=cfg)
     elif args.profile == "expiry":
         from repro.testing.fuzz import expiry_config, run_fuzz
@@ -253,7 +248,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                             ops_per_client=args.ops,
                             pipeline_depth=args.pipeline,
                             key_space=args.keys, shards=args.shards)
-        cfg.memory = memory
         report = run_fuzz(episodes=args.episodes, seed=args.seed, cfg=cfg)
     elif args.profile == "cluster":
         from repro.cluster.fuzz import ClusterEpisodeConfig, run_fuzz
@@ -275,8 +269,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
         cfg = EpisodeConfig(clients=args.clients, ops_per_client=args.ops,
                             pipeline_depth=args.pipeline,
-                            key_space=args.keys, shards=args.shards,
-                            memory=memory)
+                            key_space=args.keys, shards=args.shards)
         report = run_fuzz(episodes=args.episodes, seed=args.seed, cfg=cfg)
     print(report.render(verbose=args.verbose))
     return 0 if report.ok else 1
@@ -403,8 +396,8 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
                       % (args.source, exc), file=sys.stderr)
                 return 1
         else:
-            from repro import Machine, MachineConfig
-            machine = Machine(MachineConfig(memory=SERVING_MEMORY))
+            from repro import Machine
+            machine = Machine()
             extra = {}
         save_machine_file(machine, args.path, extra=extra or None)
         print("saved %s: %d unique lines, %d bytes footprint"
@@ -687,12 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fz.add_argument("--schedules", type=int, default=20,
                       help="hi profile: permuted schedules per workload "
                            "(default 20)")
-    p_fz.add_argument("--reclaim-kind", choices=("immediate", "epoch"),
-                      default=SERVING_MEMORY.reclaim_kind,
-                      help="reclamation of the machine under test "
-                           "(serving/expiry/hi profiles; default: the "
-                           "serving profile's); epoch defers frees and "
-                           "quiesces before the auditors")
     p_fz.add_argument("--verbose", action="store_true",
                       help="print the full trace of passing episodes too")
     p_fz.set_defaults(func=_cmd_fuzz)

@@ -27,10 +27,11 @@ from repro.memory.line import Inline, Line, PlidRef, encode_line
 from repro.params import CacheGeometry, MachineConfig, MemoryConfig
 from repro.segments.segment_map import MapEntry, SegmentFlags
 
-#: Version 2: the image config carries every ``MemoryConfig`` field by
-#: name and all are required (version 1 had per-field defaults for
-#: images older than a field).
-FORMAT_VERSION = 2
+#: Version 3: the image config carries every ``MemoryConfig`` field by
+#: name and all are required. Version 2 also carried the reclamation
+#: kind, which no machine has any more; version 1 had per-field
+#: defaults for images older than a field.
+FORMAT_VERSION = 3
 
 
 def _word_to_json(word) -> Any:
@@ -65,10 +66,10 @@ def _entry_from_json(obj) -> Any:
 def machine_image(machine: Machine) -> Dict[str, Any]:
     """The machine's durable state as a JSON-safe document.
 
-    Quiesces epoch-deferred reclamation first (a no-op under
-    ``reclaim_kind="immediate"``): deferred-dead lines must not be
-    serialized — restoring them would leak count-zero lines into a
-    machine with no reclaimer queue entry pointing at them.
+    Quiesces the reclaimer first (its queue is empty unless the store
+    is held): deferred-dead lines must not be serialized — restoring
+    them would leak count-zero lines into a machine with no reclaimer
+    queue entry pointing at them.
     """
     store = machine.mem.store
     store.reclaim_quiesce()

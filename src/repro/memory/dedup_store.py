@@ -28,12 +28,14 @@ recursive over a line's tagged child PLIDs (the paper's hardware state
 machine). RC traffic is filtered through a modelled RC cache so only
 spills/fills reach the DRAM counters, as in the paper.
 
-Under ``MemoryConfig.reclaim_kind="epoch"`` the recursive walk moves off
-the release site: a line reaching zero is deferred (O(1)) to an
-:class:`repro.memory.reclaim.EpochReclaimer` and freed later by bounded
-drains between commit batches; slot reuse in either kind goes through a
-:class:`repro.memory.reclaim.SlotAllocator` free list that reproduces
-the legacy lowest-free-way / LIFO-overflow placement exactly.
+A line reaching zero is queued on the store's
+:class:`repro.memory.reclaim.EpochReclaimer`, and a drain of that queue
+is the only place a line is freed. An unheld store drains at the end of
+every outermost :meth:`DedupStore.decref`; a held one
+(:meth:`DedupStore.hold_reclaim`) leaves the drains to its owner. Slot
+reuse goes through a :class:`repro.memory.reclaim.SlotAllocator` free
+list that reproduces the legacy lowest-free-way / LIFO-overflow
+placement exactly.
 """
 
 from __future__ import annotations
@@ -204,11 +206,9 @@ class DedupStore:
         #: resident content; physical placement (_allocate), and so
         #: PLIDs, refcounts and fingerprints, never depend on it.
         self._index = self._new_index(self.stats, self.rows)
-        #: opt-in epoch-deferred reclamation (reclaim.py). ``immediate``
-        #: keeps the paper's inline recursive dealloc byte-identical.
-        self._reclaimer: Optional[EpochReclaimer] = None
-        if self.config.reclaim_kind == "epoch":
-            self._reclaimer = EpochReclaimer(self)
+        #: the queue every released-to-zero line is freed through
+        #: (reclaim.py)
+        self._reclaimer = EpochReclaimer(self)
 
     def _new_index(self, stats: Optional[DramStats],
                    rows: Optional[RowBuffer]) -> CuckooIndex:
@@ -405,13 +405,7 @@ class DedupStore:
             self.counters.signature_false_positives += matches
             self.counters.false_positive_scans += matches
 
-        plid = self._allocate(line, enc, bucket_idx, sig, bucket)
-        if bucket.overflow:
-            # first spill: hand the whole bucket over to the index
-            for resident_enc, resident in bucket.by_encoding.items():
-                self._index.insert(CuckooIndex.key_of(resident_enc),
-                                   resident)
-        return plid, True
+        return self._allocate(line, enc, bucket_idx, sig, bucket), True
 
     def _lookup_cuckoo(self, line: Line, enc: bytes, bucket_idx: int,
                        bucket: _Bucket) -> Tuple[int, bool]:
@@ -424,7 +418,6 @@ class DedupStore:
         :meth:`_allocate` the in-bucket path uses.
         """
         self.counters.lookups += 1
-        key = CuckooIndex.key_of(enc)
 
         def match(plid: int) -> bool:
             self.stats.lookups += 1  # candidate data-line read
@@ -434,16 +427,14 @@ class DedupStore:
             self.counters.false_positive_scans += 1
             return False
 
-        found = self._index.get(key, match)
+        found = self._index.get(CuckooIndex.key_of(enc), match)
         if found is not None:
             self.counters.lookup_hits += 1
             self._refcounts[found] += 1
             self._rc_cache.touch(found)
             return found, False
-        plid = self._allocate(line, enc, bucket_idx,
-                              hashing.signature(enc), bucket)
-        self._index.insert(key, plid)
-        return plid, True
+        return self._allocate(line, enc, bucket_idx,
+                              hashing.signature(enc), bucket), True
 
     def _allocate(self, line: Line, enc: bytes, bucket_idx: int, sig: int,
                   bucket: _Bucket) -> int:
@@ -451,9 +442,18 @@ class DedupStore:
 
         Slot choice goes through the :class:`SlotAllocator` free lists;
         the claimed way/overflow PLID — and all DRAM charging — are
-        byte-identical to the original inline scans.
+        byte-identical to the original inline scans. Dead lines never
+        cost capacity: a full bucket drains the reclaimer's queue before
+        it spills (the contract in reclaim.py). The new line is indexed
+        here too, whole-bucket on a first spill, because that drain can
+        hand a spilled bucket back to the in-place path.
         """
         way = self._slots.claim_way(bucket_idx, bucket.signatures)
+        if way is None and self._reclaimer.pending():
+            self._reclaimer.stats.pressure_drains += 1
+            self._reclaimer.drain()
+            way = self._slots.claim_way(bucket_idx, bucket.signatures)
+        indexed = bool(bucket.overflow)
         if way is not None:
             plid = way * self._num_buckets + bucket_idx
             bucket.signatures[way] = sig
@@ -487,6 +487,13 @@ class DedupStore:
             if isinstance(word, PlidRef) and word.plid != ZERO_PLID:
                 self._refcounts[word.plid] += 1
                 self._rc_cache.touch(word.plid)
+        if indexed:
+            self._index.insert(CuckooIndex.key_of(enc), plid)
+        elif bucket.overflow:
+            # first spill: hand the whole bucket over to the index
+            for resident_enc, resident in bucket.by_encoding.items():
+                self._index.insert(CuckooIndex.key_of(resident_enc),
+                                   resident)
         return plid
 
     def writeback(self, plid: int) -> None:
@@ -519,46 +526,40 @@ class DedupStore:
         self._rc_cache.touch(plid)
 
     def decref(self, plid: int, count: int = 1) -> None:
-        """Drop references to a line, deallocating (recursively) at zero."""
+        """Drop references to a line; at zero, queue it for the
+        reclaimer, which frees it now unless the store is held."""
         if plid == ZERO_PLID or count == 0:
             return
-        # Iterative worklist: recursive deallocation may cascade deeply
-        # (the paper handles this with a hardware state machine).
-        work: List[Tuple[int, int]] = [(plid, count)]
-        while work:
-            p, c = work.pop()
-            if p == ZERO_PLID:
-                continue
-            rc = self._refcounts.get(p)
-            if rc is None:
-                raise BadPlidError("decref of unallocated PLID %d" % p)
-            rc -= c
-            if rc > 0:
-                self._refcounts[p] = rc
-                self._rc_cache.touch(p)
-                continue
-            if rc < 0:
-                raise BadPlidError("refcount underflow on PLID %d" % p)
-            if self._reclaimer is not None:
-                # O(1) hot-path free: the line stays resident at count
-                # zero (resurrectable by content lookup); the subtree
-                # walk and the dealloc listeners run at drain time.
-                self._refcounts[p] = 0
-                self._rc_cache.touch(p)
-                self._reclaimer.on_zero(p)
-                continue
-            for child in line_child_plids(self._lines[p]):
-                work.append((child, 1))
-            self._deallocate(p)
+        rc = self._refcounts.get(plid)
+        if rc is None:
+            raise BadPlidError("decref of unallocated PLID %d" % plid)
+        rc -= count
+        if rc > 0:
+            self._refcounts[plid] = rc
+            self._rc_cache.touch(plid)
+            return
+        if rc < 0:
+            raise BadPlidError("refcount underflow on PLID %d" % plid)
+        # the line stays resident at count zero (resurrectable by
+        # content lookup) until a drain frees it; the free drops its RC
+        # entry uncharged, so reaching zero touches no RC entry
+        self._refcounts[plid] = 0
+        self._reclaimer.on_zero(plid)
+
+    def hold_reclaim(self) -> None:
+        """Take a counted hold: releases to zero only queue, and the
+        caller drains the queue between its batches
+        (:meth:`reclaim_advance`, :meth:`reclaim_quiesce`)."""
+        self._reclaimer.holds += 1
 
     def _reclaim_one(self, plid: int) -> None:
-        """Drain-time free of one deferred line.
+        """Drain-time free of one queued line.
 
         Children-first by deferral: each child loses its reference
-        through the normal decref path, so a child reaching zero is
-        itself deferred rather than freed inline — one call does
-        O(fanout) work. Only then is the line deallocated (listeners,
-        index removal, slot release)."""
+        through the normal decref path, and the running drain holds the
+        store, so a child reaching zero is queued rather than freed
+        inline — one call does O(fanout) work. Only then is the line
+        deallocated (listeners, index removal, slot release)."""
         for child in line_child_plids(self._lines[plid]):
             self.decref(child, 1)
         self._deallocate(plid)
@@ -606,8 +607,8 @@ class DedupStore:
     def footprint_lines(self) -> int:
         """Number of allocated (unique) lines, excluding the zero line.
 
-        Under epoch reclamation this includes deferred-dead lines until
-        they drain; quiesce first for immediate-equivalent numbers."""
+        A held store counts its queued dead lines until they drain;
+        quiesce first for the live-line count."""
         return len(self._lines)
 
     def footprint_bytes(self) -> int:
@@ -646,8 +647,8 @@ class DedupStore:
     # reclamation
 
     @property
-    def reclaimer(self) -> Optional[EpochReclaimer]:
-        """The epoch reclaimer, or None under ``immediate`` reclamation."""
+    def reclaimer(self) -> EpochReclaimer:
+        """The queue every released-to-zero line is freed through."""
         return self._reclaimer
 
     @property
@@ -658,39 +659,22 @@ class DedupStore:
 
     def reclaim_advance(self, budget: Optional[int] = None) -> int:
         """Advance the reclamation epoch and drain up to ``budget``
-        deferred lines; a no-op (0) under ``immediate`` reclamation.
-        The shard router calls this between commit batches."""
-        if self._reclaimer is None:
-            return 0
+        queued lines. A held store's owner calls this between
+        batches."""
         return self._reclaimer.advance(budget)
 
     def reclaim_quiesce(self) -> int:
-        """Synchronously drain *all* deferred reclamation (no-op under
-        ``immediate``). After this, state is byte-identical to an
-        immediate-kind store that ran the same workload — the contract
-        audits, persistence images and fingerprint observers rely on."""
-        if self._reclaimer is None:
-            return 0
+        """Synchronously drain the whole queue. After this a held store
+        holds exactly the lines an unheld store that ran the same
+        workload holds — the contract audits, persistence images and
+        fingerprint observers rely on."""
         return self._reclaimer.quiesce()
 
     def reclaim_snapshot(self) -> Dict:
-        """JSON-safe view of reclamation state (stats json; schema-safe:
-        every key is present under both kinds)."""
-        snap: Dict = {
-            "kind": self.config.reclaim_kind,
-            "free_slots": self._slots.free_slots(),
-            "allocator": self._slots.snapshot(),
-        }
-        if self._reclaimer is not None:
-            snap.update(self._reclaimer.snapshot())
-        else:
-            snap.update({
-                "epoch": 0, "pending_lines": 0, "deferred_total": 0,
-                "drained_freed": 0, "drained_resurrected": 0,
-                "drained_stale": 0, "epochs_advanced": 0, "quiesces": 0,
-                "max_pending": 0,
-            })
-        return snap
+        """JSON-safe view of reclamation state (stats json)."""
+        return {"free_slots": self._slots.free_slots(),
+                "allocator": self._slots.snapshot(),
+                **self._reclaimer.snapshot()}
 
     # ------------------------------------------------------------------
     # lookup-by-content index

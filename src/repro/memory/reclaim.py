@@ -1,37 +1,47 @@
-"""Epoch-deferred reclamation and free-list slot allocation.
+"""The one free path, and free-list slot allocation.
 
-HICAMP's recursive refcount deallocation (the paper's hardware state
-machine behind :meth:`~repro.memory.dedup_store.DedupStore.decref`) is
-the last unbounded hot-path operation in the reproduction: dropping a
-big root to zero cascades decrements through the whole subtree,
-stalling the commit that dropped it. Following the constant-time
-allocate/free line of work (Blelloch & Wei) and immediate-reclamation
-hardware primitives (Singh/Brown/Spear) referenced in PAPERS.md, this
-module splits that work off the commit site:
+HICAMP frees a dead subtree with a hardware state machine behind
+:meth:`~repro.memory.dedup_store.DedupStore.decref` (section 3.1).
+Here that state machine is a queue: every line whose count reaches zero
+is appended to the :class:`EpochReclaimer`'s queue, and only a drain of
+that queue frees lines. Freeing a line decrements its children, and a
+child that reaches zero joins the tail of the same queue, so the walk
+is iterative and one drain step does O(fanout) work. Following the
+immediate-reclamation hardware primitives (Singh/Brown/Spear) and the
+constant-time allocate/free line of work (Blelloch & Wei) in
+PAPERS.md, deferral is a choice of *when* to free, not a second way:
 
-* :class:`EpochReclaimer` — the store calls :meth:`EpochReclaimer.
-  on_zero` when a line's count reaches zero under
-  ``reclaim_kind="epoch"``. The hot path only appends the PLID to a
-  per-epoch deferral queue (O(1)); the line stays resident at count
-  zero. :meth:`EpochReclaimer.drain` then walks deferred subtrees
-  incrementally under a budget — freeing a line decrements its
-  children, and any child that reaches zero is *re-deferred* to the
-  tail of the queue, so one call never does more than
-  ``budget * fanout`` decrements. :meth:`EpochReclaimer.advance` is
-  wired into the shard router between commit batches;
-  :meth:`EpochReclaimer.quiesce` drains everything synchronously for
-  audits, persistence images and replication FORGET flushing.
+* An **unheld** store drains the queue to empty at the end of every
+  outermost ``decref`` — the paper's immediate free.
+* A **held** store (:meth:`~repro.memory.dedup_store.DedupStore.
+  hold_reclaim`: the shard router and a replication follower, which
+  own their machine's batch boundaries) leaves the queue alone on
+  release, so a release is O(1). Its owner drains up to
+  :data:`RECLAIM_BUDGET` lines per :meth:`EpochReclaimer.advance`
+  between batches, and :meth:`EpochReclaimer.quiesce` drains
+  everything for audits, persistence images and replication FORGET
+  flushing. A running drain holds the store too, which is what keeps
+  the frees it causes queued instead of nested.
 
-* :class:`SlotAllocator` — a free-list over line slots (per-bucket way
-  bitmasks plus the overflow-area stack) so
-  :meth:`~repro.memory.dedup_store.DedupStore._allocate` reuses slots
-  released by drained epochs in O(1) instead of growing the PLID
-  space under churn. Way selection stays *lowest-free-way* and
-  overflow reuse stays LIFO, byte-identical to the legacy scan, so
-  PLID assignment — and therefore machine images and modeled paper
-  statistics — does not depend on this module.
+**Capacity contract.** Dead lines never cost capacity: when
+``_allocate`` finds a bucket's ways full while the queue is not empty,
+it drains the queue to empty (counted in ``pressure_drains``) and
+claims a way again before it spills to the overflow area. A held store
+therefore spills and refuses (``MemoryExhaustedError``) exactly when an
+unheld store holding the same live lines in the same slots would. The
+slots can differ only after a lookup resurrects a dead line that an
+unheld store had already freed: the resurrected line keeps its old
+slot. Between drains the queue grows by one entry per release to zero.
 
-Two consequences of deferral are deliberate:
+:class:`SlotAllocator` is a free-list over line slots (per-bucket way
+bitmasks plus the overflow-area stack), so
+:meth:`~repro.memory.dedup_store.DedupStore._allocate` reuses freed
+slots in O(1) instead of growing the PLID space under churn. Way
+selection stays *lowest-free-way* and overflow reuse stays LIFO,
+byte-identical to the legacy scan, so PLID assignment — and therefore
+machine images and modeled paper statistics — does not depend on it.
+
+Two consequences of deferral in a held store are deliberate:
 
 * **dealloc listeners fire at drain time**, not at release time. The
   memo invalidation, index unindex, RC-cache drop and replication
@@ -49,7 +59,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
+
+#: Deferred lines a held store's owner drains per epoch advance: between
+#: a shard's commit batches, between a follower's applied root advances.
+#: The queue carries at most one batch's frees past it.
+RECLAIM_BUDGET = 512
 
 
 @dataclass
@@ -160,26 +175,27 @@ class ReclaimStats:
     epochs_advanced: int = 0
     quiesces: int = 0
     max_pending: int = 0          # deepest the deferral queue has been
+    pressure_drains: int = 0      # full drains forced by a full bucket
 
 
 class EpochReclaimer:
-    """Per-epoch deferral queue with bounded incremental drain.
+    """The queue every released-to-zero line goes through.
 
-    Owned by a :class:`~repro.memory.dedup_store.DedupStore` running
-    under ``reclaim_kind="epoch"``; the store routes every
-    release-to-zero through :meth:`on_zero` and performs the actual
-    per-line free when the drain calls back into
+    Owned by every :class:`~repro.memory.dedup_store.DedupStore`; the
+    store routes every release-to-zero through :meth:`on_zero` and
+    performs the actual per-line free when the drain calls back into
     ``DedupStore._reclaim_one``.
     """
 
-    kind = "epoch"
-
     def __init__(self, store) -> None:
         self._store = store
-        #: (epoch sealed in, plid) in deferral order; children freed by
-        #: the drain re-defer to the tail, keeping any single drain
-        #: step O(fanout)
-        self._pending: Deque[Tuple[int, int]] = deque()
+        #: PLIDs in deferral order; children freed by the drain
+        #: re-defer to the tail, keeping any single drain step
+        #: O(fanout)
+        self._pending: Deque[int] = deque()
+        #: counted holds: owners that drain between batches, plus a
+        #: running drain. While any is taken, a release only queues.
+        self.holds = 0
         self.epoch = 0
         self.stats = ReclaimStats()
 
@@ -187,11 +203,15 @@ class EpochReclaimer:
     # hot path
 
     def on_zero(self, plid: int) -> None:
-        """Defer a released-to-zero line — O(1), no subtree walk."""
-        self._pending.append((self.epoch, plid))
+        """Queue a released-to-zero line — O(1), no subtree walk — and,
+        unless the store is held, drain the queue to empty."""
+        pending = self._pending
+        pending.append(plid)
         self.stats.deferred_total += 1
-        if len(self._pending) > self.stats.max_pending:
-            self.stats.max_pending = len(self._pending)
+        if len(pending) > self.stats.max_pending:
+            self.stats.max_pending = len(pending)
+        if not self.holds:
+            self.drain()
 
     # ------------------------------------------------------------------
     # drains
@@ -208,30 +228,36 @@ class EpochReclaimer:
         reaching zero re-defers to the tail of this same queue — so an
         unbudgeted drain reclaims whole subtrees and a budgeted one
         makes monotonic progress without ever exceeding
-        ``budget * fanout`` decrements. Returns the lines freed.
+        ``budget * fanout`` decrements. The drain holds the store while
+        it runs, so the decrements it makes only queue. Returns the
+        lines freed.
         """
         store = self._store
         freed = 0
-        while self._pending and (budget is None or freed < budget):
-            _, plid = self._pending.popleft()
-            if plid not in store._lines:
-                # freed by an earlier queue entry for the same PLID
-                self.stats.drained_stale += 1
-                continue
-            if store._refcounts.get(plid, 0) > 0:
-                # resurrected: a content lookup found the dead line and
-                # revived it (dedup hit); it is live again, skip
-                self.stats.drained_resurrected += 1
-                continue
-            store._reclaim_one(plid)
-            self.stats.drained_freed += 1
-            freed += 1
+        self.holds += 1
+        try:
+            while self._pending and (budget is None or freed < budget):
+                plid = self._pending.popleft()
+                if plid not in store._lines:
+                    # freed by an earlier queue entry for the same PLID
+                    self.stats.drained_stale += 1
+                    continue
+                if store._refcounts.get(plid, 0) > 0:
+                    # resurrected: a content lookup found the dead line
+                    # and revived it (dedup hit); it is live again, skip
+                    self.stats.drained_resurrected += 1
+                    continue
+                store._reclaim_one(plid)
+                self.stats.drained_freed += 1
+                freed += 1
+        finally:
+            self.holds -= 1
         return freed
 
     def advance(self, budget: Optional[int] = None) -> int:
         """Seal the current epoch and drain up to ``budget`` lines.
 
-        The shard router calls this between commit batches: frees
+        A held store's owner calls this between commit batches: frees
         deferred by one batch are reclaimed — bounded — before the
         next batch commits. Returns the lines freed.
         """
@@ -246,8 +272,8 @@ class EpochReclaimer:
         audits, history-independence fingerprints, persistence images
         and replication FORGET flushing all quiesce first (wired
         through :meth:`repro.memory.system.MemorySystem.drain`), after
-        which the store is byte-identical to an
-        ``reclaim_kind="immediate"`` store that ran the same workload.
+        which a held store holds exactly the lines an unheld store that
+        ran the same workload holds.
         """
         self.stats.quiesces += 1
         self.epoch += 1
@@ -269,4 +295,5 @@ class EpochReclaimer:
             "epochs_advanced": self.stats.epochs_advanced,
             "quiesces": self.stats.quiesces,
             "max_pending": self.stats.max_pending,
+            "pressure_drains": self.stats.pressure_drains,
         }

@@ -127,10 +127,10 @@ class MemorySystem:
         """Flush caches so all deferred traffic reaches the DRAM counters.
 
         Call at the end of a measured run before reading :attr:`dram`.
-        Quiesces the epoch reclaimer first (a no-op under ``immediate``
-        reclamation), so every observer that drains before looking —
-        machine auditors, HI fingerprints, persistence images — sees
-        quiesced, immediate-equivalent state. The quiesce runs before
+        Quiesces the reclaimer first (its queue is already empty unless
+        the store is held), so every observer that drains before
+        looking — machine auditors, HI fingerprints, persistence
+        images — sees only live lines. The quiesce runs before
         the cache flush so dealloc listeners can invalidate cached
         copies of freed lines before they would be written back.
         """

@@ -49,12 +49,13 @@ from typing import Awaitable, Callable, Dict, List, Optional
 from repro.apps.memcached.protocol import CRLF, ProtocolHandler
 from repro.apps.memcached.server import HicampMemcached
 from repro.core.machine import Machine
+from repro.memory.reclaim import RECLAIM_BUDGET
 from repro.net.framing import Frame
 from repro.net.metrics import ServerMetrics
 from repro.obs import adapters
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_RECORDER, DramProbe
-from repro.params import SERVING_MEMORY, MachineConfig, MemoryConfig
+from repro.params import MachineConfig, MemoryConfig
 
 #: Commands that mutate the cache and therefore go through a commit queue.
 WRITE_COMMANDS = frozenset((b"set", b"add", b"replace", b"cas", b"delete",
@@ -70,11 +71,6 @@ HOP_COMMANDS = WRITE_COMMANDS - {b"set"}
 
 #: Single- or multi-key snapshot reads, answered inline.
 READ_COMMANDS = frozenset((b"get", b"gets"))
-
-#: Deferred lines drained per epoch advance: between a shard's commit
-#: batches here, between a follower's applied root advances. The
-#: deferral queue carries at most one batch's frees past it.
-RECLAIM_BUDGET = 512
 
 #: Queue marker that orders a read after this connection's prior writes.
 #: The worker resolves it once every write of the fence's keys queued
@@ -120,9 +116,10 @@ class ShardRouter:
         # ``memory`` only applies when the router owns its machine — a
         # caller-supplied machine keeps its own config
         if machine is None:
-            machine = Machine(MachineConfig(
-                memory=memory if memory is not None else SERVING_MEMORY))
+            machine = Machine(MachineConfig(memory=memory or MemoryConfig()))
         self.machine = machine
+        # the shard workers drain reclamation between commit batches
+        self.machine.mem.store.hold_reclaim()
         self.servers = [backend_factory(self.machine)
                         for _ in range(shard_count)]
         self.handlers = [ProtocolHandler(server) for server in self.servers]
@@ -182,10 +179,10 @@ class ShardRouter:
     async def drain(self) -> None:
         """Wait until every enqueued commit has been applied.
 
-        Also quiesces the epoch reclaimer (a no-op under ``immediate``),
-        so a drained router exposes exact state to audits, persistence
-        and replication FORGET flushing. :meth:`abort` deliberately does
-        not — a crash-stop leaves deferred frees behind by design.
+        Also quiesces the reclaimer's queue, so a drained router exposes
+        exact state to audits, persistence and replication FORGET
+        flushing. :meth:`abort` deliberately does not — a crash-stop
+        leaves deferred frees behind by design.
         """
         if self.queues:
             await asyncio.gather(*(queue.join() for queue in self.queues))
@@ -452,9 +449,9 @@ class ShardRouter:
             dram_probe.__exit__(None, None, None)
             recorder.end(batch_span, **dram_probe.attrs())
         # epoch advancement between commit batches: drain a bounded
-        # slice of the frees this batch deferred (no-op under the
-        # immediate kind) so the queue stays shallow without putting
-        # subtree walks back on any commit's critical path
+        # slice of the frees this batch deferred (the store is held) so
+        # the queue stays shallow without putting subtree walks back on
+        # any commit's critical path
         self.machine.mem.store.reclaim_advance(RECLAIM_BUDGET)
 
     def _commit_bulk_sets(self, shard: int, run,

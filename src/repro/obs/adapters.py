@@ -275,43 +275,32 @@ RECLAIM_DRAIN_REASONS = ("freed", "resurrected", "stale")
 
 def register_reclaim(registry: MetricsRegistry, store,
                      prefix: str = RECLAIM_PREFIX) -> None:
-    """Expose a :class:`DedupStore`'s reclamation state.
-
-    Registered for both kinds — under ``immediate`` the reclaimer
-    gauges read zero and only the free-list occupancy moves — so the
-    exposition schema never depends on the configured kind.
-    """
-    registry.gauge(prefix + "kind_info", "active reclamation kind",
-                   labels=("kind",),
-                   fn=lambda: {store.config.reclaim_kind: 1})
+    """Expose a :class:`DedupStore`'s reclamation state."""
+    reclaimer = store.reclaimer
+    stats = reclaimer.stats
     registry.gauge(prefix + "pending_lines",
                    "deferred-dead lines awaiting drain",
-                   fn=lambda: store.reclaimer.pending()
-                   if store.reclaimer is not None else 0)
+                   fn=reclaimer.pending)
     registry.gauge(prefix + "epoch", "current reclamation epoch",
-                   fn=lambda: store.reclaimer.epoch
-                   if store.reclaimer is not None else 0)
+                   fn=lambda: reclaimer.epoch)
     registry.counter(
         prefix + "drained_total",
         "deferral-queue entries processed, by drain outcome",
         labels=("reason",),
-        fn=lambda: {
-            reason: getattr(store.reclaimer.stats, "drained_" + reason)
-            for reason in RECLAIM_DRAIN_REASONS
-        } if store.reclaimer is not None else
-        {reason: 0 for reason in RECLAIM_DRAIN_REASONS})
+        fn=lambda: {reason: getattr(stats, "drained_" + reason)
+                    for reason in RECLAIM_DRAIN_REASONS})
     registry.counter(prefix + "deferred_total",
-                     "release-to-zero events deferred (O(1) frees)",
-                     fn=lambda: store.reclaimer.stats.deferred_total
-                     if store.reclaimer is not None else 0)
+                     "release-to-zero events queued",
+                     fn=lambda: stats.deferred_total)
     registry.counter(prefix + "epochs_total",
                      "epoch advancements (router batch boundaries)",
-                     fn=lambda: store.reclaimer.stats.epochs_advanced
-                     if store.reclaimer is not None else 0)
+                     fn=lambda: stats.epochs_advanced)
     registry.counter(prefix + "quiesces_total",
                      "synchronous full drains",
-                     fn=lambda: store.reclaimer.stats.quiesces
-                     if store.reclaimer is not None else 0)
+                     fn=lambda: stats.quiesces)
+    registry.counter(prefix + "pressure_drains_total",
+                     "full drains forced by a full bucket before a spill",
+                     fn=lambda: stats.pressure_drains)
     registry.gauge(prefix + "free_slots",
                    "free-list occupancy: recyclable ways + overflow slots",
                    fn=lambda: store.slots.free_slots())

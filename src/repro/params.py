@@ -72,15 +72,6 @@ class MemoryConfig:
             A bucket with no overflow lines is resolved in place, the
             paper's Figure-2 signature compare, so at the default
             geometry the index stays empty.
-        reclaim_kind: deallocation strategy when a refcount reaches
-            zero. ``"immediate"`` is the paper's recursive decrement
-            walk (subtree freed inline at the release site, dealloc
-            listeners fire immediately); ``"epoch"`` defers the subtree
-            walk to :class:`repro.memory.reclaim.EpochReclaimer` — the
-            release site is O(1) and the deferred lines drain in
-            bounded steps between commit batches, with a synchronous
-            ``quiesce()`` restoring immediate-equivalent state for
-            audits, persistence and replication.
     """
 
     line_bytes: int = 16
@@ -90,7 +81,6 @@ class MemoryConfig:
     plid_bytes: int = 4
     verify_reads: bool = False
     index_buckets: int = 1 << 10
-    reclaim_kind: str = "immediate"
 
     def __post_init__(self) -> None:
         if self.line_bytes % WORD_BYTES:
@@ -101,10 +91,6 @@ class MemoryConfig:
             raise ValueError("plid_bytes must be 4 or 8")
         if self.index_buckets < 2 or self.index_buckets & (self.index_buckets - 1):
             raise ValueError("index_buckets must be a power of two >= 2")
-        if self.reclaim_kind not in ("immediate", "epoch"):
-            raise ValueError(
-                "reclaim_kind must be 'immediate' or 'epoch', not %r"
-                % (self.reclaim_kind,))
 
     @property
     def words_per_line(self) -> int:
@@ -115,15 +101,6 @@ class MemoryConfig:
     def fanout(self) -> int:
         """PLID entries per interior line (the DAG fan-out)."""
         return self.line_bytes // self.plid_bytes
-
-
-#: The serving stack's memory profile: epoch-deferred reclamation
-#: (reclaim.py). Everything that builds a machine to serve from — the
-#: shard router, a replication follower, the checkpoint CLI, the fuzz
-#: and HI harnesses — uses it, so a promoted follower serves on the
-#: profile its leader had. The paper profile, ``MemoryConfig()`` with
-#: the recursive inline dealloc, is what the modeled experiments use.
-SERVING_MEMORY = MemoryConfig(reclaim_kind="epoch")
 
 
 @dataclass(frozen=True)

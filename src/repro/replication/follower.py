@@ -39,11 +39,10 @@ from repro.apps.memcached.server import ServerStats, cas_token
 from repro.core.machine import Machine
 from repro.errors import ReplicationError
 from repro.memory.line import PlidRef
+from repro.memory.reclaim import RECLAIM_BUDGET
 from repro.net.metrics import ServerMetrics
-from repro.net.router import (RECLAIM_BUDGET, WRITE_COMMANDS, _completed,
-                              cluster_response)
+from repro.net.router import WRITE_COMMANDS, _completed, cluster_response
 from repro.obs.trace import NULL_RECORDER
-from repro.params import SERVING_MEMORY, MachineConfig
 from repro.replication import wire
 from repro.replication.delta import translate_line
 from repro.replication.metrics import ReplicationMetrics
@@ -63,9 +62,9 @@ class ReplicationFollower:
                  recorder=None) -> None:
         self.host = host
         self.port = port
-        # a follower may be promoted: its machine is a serving machine
-        self.machine = machine if machine is not None \
-            else Machine(MachineConfig(memory=SERVING_MEMORY))
+        self.machine = machine if machine is not None else Machine()
+        # reclamation drains between applied root advances
+        self.machine.mem.store.hold_reclaim()
         #: trace recorder (no-op default); root advances record spans
         #: with the DRAM traffic their installs caused on this machine
         self.recorder = recorder if recorder is not None \
@@ -322,7 +321,7 @@ class ReplicationFollower:
         self.applied_seq[stream] = seq
         self.metrics.root_advances += 1
         # the replaced root's subtree was deferred, not walked: drain a
-        # bounded slice between advances (no-op under ``immediate``)
+        # bounded slice between advances (the store is held)
         self.machine.mem.store.reclaim_advance(RECLAIM_BUDGET)
         self._send(writer, wire.ACK, wire.encode_ack_payload(stream, seq))
         self.metrics.acks += 1

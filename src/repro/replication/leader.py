@@ -77,7 +77,7 @@ class FollowerSession:
     def on_dealloc(self, plid: int) -> None:
         """Store callback: a line died; its PLID may be reused.
 
-        Under epoch-deferred reclamation this fires at *drain* time,
+        On the router's held store this fires at *drain* time,
         not when the count reaches zero — which is exactly what the
         FORGET protocol needs: a deferred-dead line's slot cannot be
         reused until it actually deallocates, so a PLID in ``known``

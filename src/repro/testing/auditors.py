@@ -32,14 +32,14 @@ Auditors are read-mostly: the canonical-form rebuild allocates through
 the dedup store and releases everything it allocated, leaving the
 footprint unchanged on a healthy machine.
 
-**Quiesce-then-audit:** under ``MemoryConfig.reclaim_kind="epoch"``
+**Quiesce-then-audit:** in a held store (a router's or a follower's)
 released-to-zero lines stay resident until the reclaimer drains, which
 would trip the refcount auditor's non-positive-count check. The drain
 at the top of :func:`audit_refcounts` goes through
 :meth:`repro.memory.system.MemorySystem.drain`, which quiesces the
-reclaimer first — so every audit observes quiesced, immediate-
-equivalent state regardless of the configured kind, and the auditors
-remain the oracle for the reclamation subsystem.
+reclaimer first — so every audit observes a store holding only live
+lines, held or not, and the auditors remain the oracle for the
+reclamation subsystem.
 """
 
 from __future__ import annotations
@@ -105,10 +105,9 @@ def audit_refcounts(machine: Machine, strict: bool = False) -> List[str]:
     # quiesce deferred reclamation, then spill the deferred RC cache
     machine.drain()
     store = machine.mem.store
-    reclaimer = store.reclaimer
-    if reclaimer is not None and reclaimer.pending():
+    if store.reclaimer.pending():
         return ["reclaim: %d deferred lines survived quiesce"
-                % reclaimer.pending()]
+                % store.reclaimer.pending()]
     internal: Dict[int, int] = {}
     for line in store._lines.values():
         for child in line_child_plids(line):

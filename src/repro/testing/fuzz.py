@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.machine import Machine
 from repro.net.server import MemcachedServer
-from repro.params import SERVING_MEMORY, MachineConfig, MemoryConfig
+from repro.params import MachineConfig, MemoryConfig
 from repro.testing.auditors import audit_machine
 from repro.testing.faults import CONN_RESET, FaultInjector, FaultPlan
 from repro.testing.history import (
@@ -70,14 +70,13 @@ class EpisodeConfig:
     #: alternative backend factory for the server under test (the
     #: ``expiry`` profile runs against ManagedMemcached); None = plain
     backend: Optional[Callable] = None
-    #: memory profile of the machine under test, passed whole (the
-    #: serving profile by default, so the harness audits what serves):
-    #: a small store spills buckets so the cuckoo index is consulted
-    #: and resizes online *during* the episode. Episodes quiesce the
+    #: memory geometry of the machine under test, passed whole: a small
+    #: store spills buckets so the cuckoo index is consulted and
+    #: resizes online *during* the episode. Episodes quiesce the
     #: reclaimer before the machine auditors run (via the router drain
     #: and ``audit_refcounts``'s machine drain), and trace content is
     #: independent of every field by construction.
-    memory: MemoryConfig = SERVING_MEMORY
+    memory: MemoryConfig = MemoryConfig()
 
 
 # ----------------------------------------------------------------------

@@ -27,8 +27,10 @@ partition argument the linearizability checker rests on):
   ``put_steps`` and committed in a *different* seeded order, so later
   commits lose their CAS and are absorbed by merge-update (§3.4);
 
-and every odd schedule runs with the structural memo enabled, so the
-memoized hot paths are differentially pinned to the plain ones. After
+and every odd schedule runs with the structural memo enabled and the
+store held (releases only queue until the observation point drains
+them), so the memoized hot paths are differentially pinned to the
+plain ones and deferred frees to immediate ones. After
 each schedule the machine is drained, fingerprinted, audited
 (:func:`~repro.testing.auditors.audit_machine` in strict mode), then
 the structure is dropped and the footprint must return to the
@@ -47,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.machine import Machine
-from repro.params import SERVING_MEMORY, MachineConfig, MemoryConfig
+from repro.params import MachineConfig, MemoryConfig
 from repro.segments.segment_map import SegmentFlags
 from repro.structures.hmap import HMap
 from repro.structures.hmap_sharded import ShardedHMap
@@ -77,13 +79,13 @@ class HIConfig:
     delete_ratio: float = 0.25
     shard_bits: int = 2             # ShardedHMap fan-out
     matrix_size: int = 32           # QuadTreeMatrix dimension (pow 2)
-    #: memory profile of the machines the schedules run on, passed
-    #: whole (the serving profile by default). Every observation point
-    #: drains the machine first, which quiesces the reclaimer, so
-    #: fingerprints/footprints must be identical under either reclaim
-    #: kind and any geometry; a small store makes buckets spill into
-    #: the cuckoo index and resize it during the schedules.
-    memory: MemoryConfig = SERVING_MEMORY
+    #: memory geometry of the machines the schedules run on, passed
+    #: whole. Every observation point drains the machine first, which
+    #: quiesces the reclaimer, so fingerprints/footprints must be
+    #: identical whether or not the store is held and under any
+    #: geometry; a small store makes buckets spill into the cuckoo
+    #: index and resize it during the schedules.
+    memory: MemoryConfig = MemoryConfig()
 
 
 # ----------------------------------------------------------------------
@@ -236,11 +238,13 @@ def _apply_map(target, schedule, mode: str, rng) -> None:
 
 
 def _execute(structure: str, schedule: Sequence[Tuple], mode: str,
-             memo: bool, rng_seed: int, cfg: HIConfig) -> Observation:
-    """One schedule on a fresh machine; returns its observation."""
+             odd: bool, rng_seed: int, cfg: HIConfig) -> Observation:
+    """One schedule on a fresh machine; returns its observation. An
+    ``odd`` schedule runs with the memo on and the store held."""
     machine = Machine(MachineConfig(memory=cfg.memory))
-    if memo:
+    if odd:
         machine.mem.memo.enable()
+        machine.mem.store.hold_reclaim()
     baseline = (machine.footprint_lines(), machine.footprint_bytes())
     rng = random.Random(rng_seed)
     obs = Observation()
@@ -316,8 +320,7 @@ def _run_schedule(seed: int, structure: str, ops: Sequence[Tuple],
                   index: int, cfg: HIConfig) -> Observation:
     schedule = interleave(ops, seed, index)
     mode = _schedule_mode(structure, index)
-    memo = index % 2 == 1
-    return _execute(structure, schedule, mode, memo,
+    return _execute(structure, schedule, mode, index % 2 == 1,
                     derive(seed, "exec/%s/%d" % (structure, index)), cfg)
 
 

@@ -111,11 +111,11 @@ class TestCheckpointCommand:
         assert main(["checkpoint", "load", path]) == 0
         out = capsys.readouterr().out
         assert "audit ok" in out
-        # the fresh machine it fell back to is a serving machine
+        # the fresh machine it fell back to has the default geometry
         from repro.core.persistence import load_machine_file
-        from repro.params import SERVING_MEMORY
+        from repro.params import MemoryConfig
         machine, _extra = load_machine_file(path)
-        assert machine.config.memory == SERVING_MEMORY
+        assert machine.config.memory == MemoryConfig()
 
     def test_save_copies_a_source_checkpoint(self, tmp_path, capsys):
         from repro import Machine
@@ -249,14 +249,16 @@ class TestFuzzProfiles:
             build_parser().parse_args([command, "--commit-mode", "bulk"])
 
     def test_index_kind_flag_is_gone_and_reclaim_defaults_to_serving(self):
-        from repro.params import SERVING_MEMORY
+        from repro.params import MemoryConfig
+        from repro.testing.fuzz import EpisodeConfig
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["fuzz", "--index-kind", "cuckoo"])
-        assert parser.parse_args(["fuzz"]).reclaim_kind \
-            == SERVING_MEMORY.reclaim_kind == "epoch"
-        args = parser.parse_args(["fuzz", "--reclaim-kind", "immediate"])
-        assert args.reclaim_kind == "immediate"
+        # no machine-kind flag is left, for the index or reclamation
+        args = parser.parse_args(["fuzz"])
+        assert [name for name in vars(args) if name.endswith("_kind")] == []
+        # the machine under test has the default geometry
+        assert EpisodeConfig().memory == MemoryConfig()
 
     def test_replication_profile_runs_an_episode(self, capsys):
         assert main(["fuzz", "--profile", "replication", "--episodes", "1",

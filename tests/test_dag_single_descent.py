@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro import Machine, MachineConfig, MemoryConfig
 from repro.errors import MergeConflictError, SegmentRangeError
 from repro.memory.line import Inline, PlidRef
-from repro.params import SERVING_MEMORY, CacheGeometry
+from repro.params import CacheGeometry
 from repro.segments import dag, merge
 from repro.segments.merge import MergeStats
 from repro.structures.hmap import HMap
@@ -38,17 +38,17 @@ WIDE = 1 << 120
 
 
 def make_machine(line_bytes, profile):
-    """A small machine in the paper profile (immediate reclamation,
-    memo off) or the serving one (what ``ShardRouter`` builds: epoch
-    reclamation, memo on)."""
-    kinds = {} if profile == "paper" else {"reclaim_kind": "epoch"}
+    """A small machine as the paper runners use it (frees at once, memo
+    off) or as ``ShardRouter`` does (store held, so frees wait for a
+    drain; memo on)."""
     machine = Machine(MachineConfig(
         memory=MemoryConfig(line_bytes=line_bytes, num_buckets=1 << 8,
-                            data_ways=12, overflow_lines=1 << 14, **kinds),
+                            data_ways=12, overflow_lines=1 << 14),
         cache=CacheGeometry(size_bytes=8 * 1024, ways=4,
                             line_bytes=line_bytes)))
     if profile == "serving":
         machine.mem.memo.enable()
+        machine.mem.store.hold_reclaim()
     return machine
 
 
@@ -509,16 +509,18 @@ def test_random_merges_match_oracle(setup, mine, theirs, line_bytes, profile):
 # host cost: a guard that does not read a clock
 
 #: Python calls (cProfile, builtins included) per single-key put into a
-#: 1 000-key serving-profile map: 6 586 with the level-at-a-time rebuild,
-#: 3 204 with the single descent (CPython 3.11). The ceiling sits ~15 %
+#: 1 000-key map on a held, memo-on store (as a shard router has it):
+#: 6 586 with the level-at-a-time rebuild, 3 204 with the single
+#: descent (CPython 3.11). The ceiling sits ~15 %
 #: above the latter and well under 0.65 x the former, so one more
 #: function call per DAG level (~60 here) fails it.
 PUT_CALL_CEILING = 3700
 
 
 def test_put_call_budget():
-    machine = Machine(MachineConfig(memory=SERVING_MEMORY))
+    machine = Machine()
     machine.mem.memo.enable()
+    machine.mem.store.hold_reclaim()
     hmap = HMap.create(machine)
     rng = random.Random(2012)
     items = [(b"key:%06d:%08x" % (i, rng.getrandbits(32)), rng.randbytes(64))

@@ -21,12 +21,22 @@ from repro.memory.index import CuckooIndexStats
 from repro.memory.line import encode_line, make_leaf
 from repro.memory.stats import DramStats, RowBuffer
 from repro.memory.system import MemorySystem
-from repro.params import SERVING_MEMORY, MachineConfig, MemoryConfig
+from repro.params import MachineConfig, MemoryConfig
 from tests.dedup_model import ModelledStore
 from tests.dedup_model import indexed_plids as _indexed
 
-RECLAIM_KINDS = ("immediate", "epoch")
+#: an unheld store frees at once; a held one (as a shard router holds
+#: it) frees in epochs, when a drain runs
+HELD = pytest.mark.parametrize("held", [False, True],
+                               ids=["immediate", "epoch"])
 SMALL = dict(num_buckets=4, data_ways=2, index_buckets=8)
+
+
+def _store(held: bool, **geometry) -> DedupStore:
+    store = DedupStore(MemoryConfig(**geometry))
+    if held:
+        store.hold_reclaim()
+    return store
 
 
 def _leaf(i: int):
@@ -57,13 +67,13 @@ def _release(store: DedupStore, plid: int) -> None:
 #: store replaced (recorded from its last commit, 2f10719): the
 #: Figure-2 charge list, pinned by number.
 FIGURE2_CHARGES = {
-    "immediate": (
+    False: (
         DramStats(lookups=6486, dealloc=2399),
         RowBuffer(last_row=30669, hits=3270, misses=5615),
         StoreCounters(lookups=3241, lookup_hits=429, allocations=2812,
                       deallocations=2399, signature_false_positives=4,
                       false_positive_scans=4)),
-    "epoch": (
+    True: (
         DramStats(lookups=6505, dealloc=1192),
         RowBuffer(last_row=41422, hits=3267, misses=4430),
         StoreCounters(lookups=3241, lookup_hits=1184, allocations=2057,
@@ -72,23 +82,23 @@ FIGURE2_CHARGES = {
 }
 
 
-@pytest.mark.parametrize("reclaim_kind", RECLAIM_KINDS)
-def test_default_geometry_is_charge_for_charge_legacy(reclaim_kind):
-    store = DedupStore(MemoryConfig(reclaim_kind=reclaim_kind))
+@HELD
+def test_default_geometry_is_charge_for_charge_legacy(held):
+    store = _store(held)
     modelled = ModelledStore(store)
     rng = random.Random(2012)
-    held = []
+    owned = []
     for step in range(6000):
         roll = rng.random()
-        if roll < 0.55 or not held:
+        if roll < 0.55 or not owned:
             # small pool -> dedup hits and epoch resurrections
             plid, _created = modelled.lookup(_leaf(rng.randrange(1500)))
-            held.append(plid)
+            owned.append(plid)
         else:
-            modelled.decref(held.pop(rng.randrange(len(held))))
+            modelled.decref(owned.pop(rng.randrange(len(owned))))
         if step % 40 == 0:
             modelled.advance(8)
-    stats, rows, counters = FIGURE2_CHARGES[reclaim_kind]
+    stats, rows, counters = FIGURE2_CHARGES[held]
     assert store.stats == stats
     assert store.rows == rows  # open row, hits and misses
     assert store.counters == counters
@@ -96,7 +106,7 @@ def test_default_geometry_is_charge_for_charge_legacy(reclaim_kind):
     assert len(store.index) == 0
     assert store.index.stats == CuckooIndexStats()
     assert store.index_snapshot()["indexed_buckets"] == 0
-    modelled.release_all(held)
+    modelled.release_all(owned)
 
 
 def _lookup_miss_calls(memory: MemoryConfig) -> int:
@@ -124,16 +134,16 @@ def test_serving_lookup_miss_call_ceiling():
     """Indexing every line again (a key hash, two index probes and a
     placement per miss: 92 calls against 55 before the hand-over rule,
     38 after) cannot return unnoticed."""
-    assert _lookup_miss_calls(SERVING_MEMORY) <= 40
+    assert _lookup_miss_calls(MemoryConfig()) <= 40
 
 
 # ----------------------------------------------------------------------
 # (b) a bucket enters the index whole and leaves it whole
 
 
-@pytest.mark.parametrize("reclaim_kind", RECLAIM_KINDS)
-def test_bucket_enters_and_leaves_index_whole(reclaim_kind):
-    store = DedupStore(MemoryConfig(reclaim_kind=reclaim_kind, **SMALL))
+@HELD
+def test_bucket_enters_and_leaves_index_whole(held):
+    store = _store(held, **SMALL)
     a = _leaves_in_bucket(0, 4)
     b = _leaves_in_bucket(1, 2)
 
@@ -178,7 +188,7 @@ def test_bucket_enters_and_leaves_index_whole(reclaim_kind):
 
     # freeing the last overflow line hands the bucket back
     store.decref(a2)
-    if reclaim_kind == "epoch":
+    if held:
         # deferred-dead: still resident, still indexed, resurrectable
         assert store.refcount(a2) == 0
         assert _indexed(store) == {a1, a2, a3}
@@ -206,9 +216,9 @@ def test_bucket_enters_and_leaves_index_whole(reclaim_kind):
 # (c) the worst case: one bucket flapping across the boundary
 
 
-@pytest.mark.parametrize("reclaim_kind", RECLAIM_KINDS)
-def test_flapping_costs_at_most_one_bucket_per_flip(reclaim_kind):
-    store = DedupStore(MemoryConfig(reclaim_kind=reclaim_kind, **SMALL))
+@HELD
+def test_flapping_costs_at_most_one_bucket_per_flip(held):
+    store = _store(held, **SMALL)
     ways = store.config.data_ways
     lines = _leaves_in_bucket(2, ways + 1)
     for line in lines[:ways]:
@@ -226,6 +236,27 @@ def test_flapping_costs_at_most_one_bucket_per_flip(reclaim_kind):
         assert stats.removes - removes <= ways + 1
         assert stats.inserts == inserts
         assert store.index_failures() == []
+
+
+def test_pressure_drain_hands_a_bucket_back_before_it_spills():
+    """A held store whose spilled bucket is full of dead lines drains
+    them before it spills. The drain frees the last overflow line and
+    so hands the bucket back, and the new line takes a freed way
+    without entering the index."""
+    store = _store(True, **SMALL)
+    a = _leaves_in_bucket(0, 4)
+    a0, a1 = store.lookup(a[0])[0], store.lookup(a[1])[0]
+    a2 = store.lookup(a[2])[0]  # first spill
+    assert _indexed(store) == {a0, a1, a2}
+    store.decref(a2)
+    store.decref(a0)
+    assert store.reclaimer.pending() == 2  # dead, still indexed
+    a3, created = store.lookup(a[3])
+    assert created and a3 == a0  # a0's way, freed by the drain
+    assert store.reclaimer.stats.pressure_drains == 1
+    assert store.reclaimer.pending() == 0
+    assert _indexed(store) == set()
+    assert store.index_failures() == []
 
 
 # ----------------------------------------------------------------------

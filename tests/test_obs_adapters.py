@@ -146,9 +146,9 @@ def test_exposition_carries_labeled_server_series():
 
 def _churned_epoch_store():
     from repro.memory.dedup_store import DedupStore
-    from repro.params import MemoryConfig
 
-    store = DedupStore(MemoryConfig(reclaim_kind="epoch"))
+    store = DedupStore()
+    store.hold_reclaim()
     plids = [store.lookup((i + 1, i + 2))[0] for i in range(12)]
     for plid in plids[:8]:
         store.decref(plid)
@@ -163,7 +163,6 @@ def test_reclaim_registration_mirrors_snapshot():
     adapters.register_reclaim(registry, store)
     parsed = parse_exposition(registry.exposition())
     snap = store.reclaim_snapshot()
-    assert sample(parsed, "repro_reclaim_kind_info", kind="epoch") == 1
     assert sample(parsed, "repro_reclaim_pending_lines") \
         == snap["pending_lines"] == store.reclaimer.pending()
     assert sample(parsed, "repro_reclaim_epoch") == snap["epoch"]
@@ -173,6 +172,8 @@ def test_reclaim_registration_mirrors_snapshot():
     assert sample(parsed, "repro_reclaim_deferred_total") \
         == snap["deferred_total"] == 8
     assert sample(parsed, "repro_reclaim_free_slots") == snap["free_slots"]
+    assert sample(parsed, "repro_reclaim_pressure_drains_total") \
+        == snap["pressure_drains"]
     # the registry is a live view, not a copy
     store.reclaim_quiesce()
     parsed = parse_exposition(registry.exposition())
@@ -182,24 +183,24 @@ def test_reclaim_registration_mirrors_snapshot():
 
 def test_reclaim_schema_is_kind_independent():
     from repro.memory.dedup_store import DedupStore
-    from repro.params import MemoryConfig
 
     expositions = {}
-    for kind in ("immediate", "epoch"):
+    for held in (False, True):
+        store = DedupStore()
+        if held:
+            store.hold_reclaim()
         registry = MetricsRegistry()
-        adapters.register_reclaim(
-            registry, DedupStore(MemoryConfig(reclaim_kind=kind)))
+        adapters.register_reclaim(registry, store)
         parsed = parse_exposition(registry.exposition())
-        expositions[kind] = parsed
-        # stats-json consumers see every series under either kind
-        assert sample(parsed, "repro_reclaim_kind_info", kind=kind) == 1
+        expositions[held] = parsed
+        # stats-json consumers see every series, held or not
         assert sample(parsed, "repro_reclaim_pending_lines") == 0
+        assert sample(parsed, "repro_reclaim_pressure_drains_total") == 0
         for reason in adapters.RECLAIM_DRAIN_REASONS:
             assert sample(parsed, "repro_reclaim_drained_total",
                           reason=reason) == 0
-    # identical metric families (label *values* differ only on kind_info)
-    assert {name for name, _ in expositions["immediate"]} \
-        == {name for name, _ in expositions["epoch"]}
+    # identical series, label values included
+    assert expositions[False] == expositions[True]
 
 
 def eviction_from_registry(registry, shard=0):

@@ -106,7 +106,7 @@ class TestRoundtrip:
 
     def test_malformed_image_rejected(self):
         with pytest.raises(PersistenceError, match="malformed"):
-            restore_machine({"format": 2, "config": {}})
+            restore_machine({"format": 3, "config": {}})
 
     def test_version_1_image_refused(self, populated):
         image = machine_image(populated[0])
@@ -115,27 +115,37 @@ class TestRoundtrip:
                            match="unsupported image format 1"):
             restore_machine(image)
 
+    def test_version_2_image_refused(self, populated):
+        # version 2 also carried the reclamation kind
+        image = machine_image(populated[0])
+        image["format"] = 2
+        with pytest.raises(PersistenceError,
+                           match="unsupported image format 2"):
+            restore_machine(image)
+
     @pytest.mark.parametrize(
         "field", [f.name for f in dataclasses.fields(MemoryConfig)])
     def test_every_memory_field_is_carried_and_required(self, populated,
                                                         field):
         image = machine_image(populated[0])
-        assert image["format"] == 2
+        assert image["format"] == 3
         del image["config"][field]
         with pytest.raises(PersistenceError, match="malformed.*" + field):
             restore_machine(image)
 
-    def test_spilled_store_roundtrips_index_and_reclaim_kind(self):
-        machine = Machine(MachineConfig(memory=dataclasses.replace(
-            SPILLED, reclaim_kind="epoch")))
-        vsid = machine.create_segment([(i * 31 + 5) for i in range(200)])
+    def test_spilled_held_store_roundtrips_index(self):
+        machine = Machine(MachineConfig(memory=SPILLED))
         store = machine.mem.store
+        store.hold_reclaim()
+        vsid = machine.create_segment([(i * 31 + 5) for i in range(200)])
+        machine.drop_segment(machine.create_segment([9] * 64))
         assert store.counters.overflow_allocations > 0
+        assert store.reclaimer.pending() > 0
 
         restored = restore_machine(machine_image(machine))
         rstore = restored.mem.store
         assert restored.config.memory == machine.config.memory
-        assert rstore.reclaimer is not None
+        assert store.reclaimer.pending() == 0  # imaging quiesced
         assert indexed_plids(rstore) == indexed_plids(store) != set()
         assert len(rstore.index) == rstore.footprint_lines()
         assert rstore.index_failures() == []
@@ -151,7 +161,7 @@ class TestRoundtrip:
             assert extra == {}
         # the .gz file really is gzip-compressed JSON
         with gzip.open(str(tmp_path / "image.json.gz"), "rb") as f:
-            assert json.loads(f.read())["format"] == 2
+            assert json.loads(f.read())["format"] == 3
 
     def test_save_machine_file_extra_metadata(self, populated, tmp_path):
         machine, *_ = populated

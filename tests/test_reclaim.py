@@ -1,28 +1,36 @@
-"""Epoch-deferred reclamation: allocator, deferral, drain, quiesce,
-resurrection, and resize-aware RC-cache coverage
-(repro.memory.reclaim + MemoryConfig.reclaim_kind)."""
+"""The one free path: allocator, queue, drain, quiesce, resurrection,
+the capacity contract, and resize-aware RC-cache coverage
+(repro.memory.reclaim and DedupStore.hold_reclaim)."""
+
+import dataclasses
+import random
+from collections import deque
 
 import pytest
 
+from repro.apps.memcached.server import HicampMemcached
 from repro.core.machine import Machine
-from repro.errors import BadPlidError
+from repro.errors import BadPlidError, MemoryExhaustedError
 from repro.memory.dedup_store import DedupStore
-from repro.memory.reclaim import EpochReclaimer, SlotAllocator
+from repro.memory.reclaim import SlotAllocator
 from repro.params import MachineConfig, MemoryConfig, WORD_MASK
 from repro.structures import HMap
 
 
-def small_store(reclaim_kind="immediate", num_buckets=256, data_ways=4,
+def small_store(held=False, num_buckets=256, data_ways=4,
                 overflow=1024, **kwargs):
-    return DedupStore(MemoryConfig(num_buckets=num_buckets,
-                                   data_ways=data_ways,
-                                   overflow_lines=overflow,
-                                   reclaim_kind=reclaim_kind), **kwargs)
+    store = DedupStore(MemoryConfig(num_buckets=num_buckets,
+                                    data_ways=data_ways,
+                                    overflow_lines=overflow), **kwargs)
+    if held:
+        store.hold_reclaim()
+    return store
 
 
-def epoch_machine(**mem_kwargs):
-    return Machine(MachineConfig(
-        memory=MemoryConfig(reclaim_kind="epoch", **mem_kwargs)))
+def held_machine(**mem_kwargs):
+    machine = Machine(MachineConfig(memory=MemoryConfig(**mem_kwargs)))
+    machine.mem.store.hold_reclaim()
+    return machine
 
 
 def _segment_words(tag, count):
@@ -91,40 +99,51 @@ class TestSlotAllocator:
 
 
 # ----------------------------------------------------------------------
-# immediate kind: byte-identical legacy behaviour, schema-safe snapshot
+# unheld store: the paper's immediate free, through the same queue
 
 
 class TestImmediateKind:
-    def test_no_reclaimer_and_inline_free(self):
-        store = small_store()
-        assert store.reclaimer is None
+    def test_queue_empty_after_every_outermost_decref(self):
+        machine = Machine()
+        store = machine.mem.store
+        baseline = machine.footprint_lines()
         plid, _ = store.lookup((1, 2))
         store.decref(plid)
-        assert store.footprint_lines() == 0
-        assert store.counters.deallocations == 1
+        assert store.reclaimer.pending() == 0
+        assert store.footprint_lines() == baseline
+        for tag in range(1, 4):
+            vsid = machine.create_segment(_segment_words(tag, 300))
+            assert store.reclaimer.pending() == 0
+            machine.drop_segment(vsid)
+            # the whole subtree went through the queue and is gone
+            assert store.reclaimer.pending() == 0
+            assert machine.footprint_lines() == baseline
+        stats = store.reclaimer.stats
+        assert stats.drained_freed == store.counters.deallocations > 3 * 150
+        assert stats.deferred_total == stats.drained_freed
 
     def test_advance_and_quiesce_are_noops(self):
         store = small_store()
+        plid, _ = store.lookup((1, 2))
+        store.decref(plid)
         assert store.reclaim_advance(16) == 0
         assert store.reclaim_quiesce() == 0
 
     def test_snapshot_schema_matches_epoch_kind(self):
-        immediate = small_store().reclaim_snapshot()
-        epoch = small_store(reclaim_kind="epoch").reclaim_snapshot()
-        assert immediate["kind"] == "immediate"
-        assert epoch["kind"] == "epoch"
-        # stats-json consumers must never see a kind-dependent schema
-        assert set(immediate) == set(epoch)
-        assert set(immediate["allocator"]) == set(epoch["allocator"])
+        unheld = small_store().reclaim_snapshot()
+        held = small_store(held=True).reclaim_snapshot()
+        # stats-json consumers never see a hold-dependent schema
+        assert set(unheld) == set(held)
+        assert set(unheld["allocator"]) == set(held["allocator"])
 
 
 # ----------------------------------------------------------------------
-# epoch kind: O(1) defer, resurrection, stale entries, underflow
+# held store: O(1) defer, resurrection, stale entries, underflow
 
 
 class TestEpochDefer:
     def test_release_to_zero_defers_instead_of_freeing(self):
-        store = small_store(reclaim_kind="epoch")
+        store = small_store(held=True)
         plid, _ = store.lookup((1, 2))
         store.decref(plid)
         assert store.refcount(plid) == 0
@@ -134,7 +153,7 @@ class TestEpochDefer:
         assert store.footprint_lines() == 1  # not reclaimed yet
 
     def test_content_lookup_resurrects_deferred_line(self):
-        store = small_store(reclaim_kind="epoch")
+        store = small_store(held=True)
         plid, _ = store.lookup((1, 2))
         store.decref(plid)
         again, created = store.lookup((1, 2))
@@ -146,7 +165,7 @@ class TestEpochDefer:
         assert plid in store._lines
 
     def test_stale_queue_entry_after_refree(self):
-        store = small_store(reclaim_kind="epoch")
+        store = small_store(held=True)
         plid, _ = store.lookup((1, 2))
         store.decref(plid)          # entry 1
         store.lookup((1, 2))        # resurrect
@@ -159,14 +178,14 @@ class TestEpochDefer:
         assert plid not in store._lines
 
     def test_decref_of_deferred_line_underflows(self):
-        store = small_store(reclaim_kind="epoch")
+        store = small_store(held=True)
         plid, _ = store.lookup((1, 2))
         store.decref(plid)
         with pytest.raises(BadPlidError):
             store.decref(plid)
 
     def test_epoch_counter_advances(self):
-        store = small_store(reclaim_kind="epoch")
+        store = small_store(held=True)
         before = store.reclaimer.epoch
         store.reclaim_advance(8)
         store.reclaim_advance(8)
@@ -176,7 +195,7 @@ class TestEpochDefer:
 
 class TestEpochDrain:
     def test_big_root_drop_is_one_deferral(self):
-        machine = epoch_machine()
+        machine = held_machine()
         store = machine.mem.store
         vsid = machine.create_segment(_segment_words(1, 512))
         deallocs_before = store.counters.deallocations
@@ -186,7 +205,7 @@ class TestEpochDrain:
         assert store.counters.deallocations == deallocs_before
 
     def test_bounded_drain_progresses_incrementally(self):
-        machine = epoch_machine()
+        machine = held_machine()
         store = machine.mem.store
         baseline = machine.footprint_lines()
         vsid = machine.create_segment(_segment_words(1, 512))
@@ -204,7 +223,7 @@ class TestEpochDrain:
         assert machine.footprint_lines() == baseline
 
     def test_quiesce_restores_baseline_footprint(self):
-        machine = epoch_machine()
+        machine = held_machine()
         store = machine.mem.store
         baseline = machine.footprint_lines()
         for tag in range(1, 4):
@@ -217,7 +236,7 @@ class TestEpochDrain:
         assert machine.footprint_lines() == baseline
 
     def test_dealloc_listeners_fire_at_drain_not_release(self):
-        machine = epoch_machine()
+        machine = held_machine()
         store = machine.mem.store
         vsid = machine.create_segment(_segment_words(1, 64))
         seen = []
@@ -228,7 +247,7 @@ class TestEpochDrain:
         assert len(seen) == freed  # every actual free announced
 
     def test_memory_system_drain_quiesces(self):
-        machine = epoch_machine()
+        machine = held_machine()
         store = machine.mem.store
         vsid = machine.create_segment(_segment_words(1, 128))
         machine.drop_segment(vsid)
@@ -237,29 +256,33 @@ class TestEpochDrain:
         assert store.reclaimer.pending() == 0
 
     def test_plid_space_stays_bounded_under_churn(self):
-        # a tiny bucket array forces overflow allocation; without the
-        # free list every churn round would grow _next_overflow forever
-        store = small_store(reclaim_kind="epoch", num_buckets=4,
+        # a tiny bucket array keeps about half of a 16-line live window
+        # in overflow; without the free list every churn round would
+        # grow _next_overflow forever
+        store = small_store(held=True, num_buckets=4,
                             data_ways=2, overflow=1 << 16)
-        for i in range(64):
-            plid, _ = store.lookup((i + 1, (i * 2654435761) & WORD_MASK))
-            store.decref(plid)
-            if i % 8 == 7:
-                store.reclaim_advance(64)
+        live = deque()
+
+        def churn(first, last):
+            for i in range(first, last):
+                line = (i + 1, (i * 2654435761) & WORD_MASK)
+                live.append(store.lookup(line)[0])
+                if len(live) > 16:
+                    store.decref(live.popleft())
+                if i % 8 == 7:
+                    store.reclaim_advance(64)
+
+        churn(0, 64)
         store.reclaim_quiesce()
         high_water = store._next_overflow
-        for i in range(64, 256):
-            plid, _ = store.lookup((i + 1, (i * 2654435761) & WORD_MASK))
-            store.decref(plid)
-            if i % 8 == 7:
-                store.reclaim_advance(64)
+        churn(64, 256)
         # dozens of these allocations land in overflow; without the
         # free list the space would grow by that much. A couple slots
         # of slack covers peak-occupancy jitter between drain points.
         assert store._next_overflow - high_water <= 2
         stats = store.slots.stats
         assert stats.ways_reused + stats.overflow_reused > 200
-        assert stats.overflow_reused > 0
+        assert stats.overflow_reused > 50
 
 
 # ----------------------------------------------------------------------
@@ -316,22 +339,59 @@ class TestRcCacheResize:
 
 
 # ----------------------------------------------------------------------
-# config validation
+# capacity contract: dead lines never cost capacity
+
+
+def sets_until_exhausted(held):
+    """The probe: 64 B random values into 64 buckets x 4 ways + 256
+    overflow lines, counting sets until the store refuses one."""
+    machine = Machine(MachineConfig(memory=MemoryConfig(
+        num_buckets=64, data_ways=4, overflow_lines=256)))
+    if held:
+        machine.mem.store.hold_reclaim()
+    server = HicampMemcached(machine)
+    rng = random.Random(0)
+    sets = 0
+    with pytest.raises(MemoryExhaustedError):
+        while True:
+            server.set(b"k%d" % sets, rng.randbytes(64))
+            sets += 1
+    return sets, machine.mem.store.reclaimer.stats
+
+
+class TestCapacity:
+    def test_held_store_takes_as_many_sets_as_an_unheld_one(self):
+        unheld, unheld_stats = sets_until_exhausted(held=False)
+        # never advanced: only full buckets drain the held store
+        held, stats = sets_until_exhausted(held=True)
+        assert held == unheld == 56
+        assert stats.pressure_drains > 0
+        assert stats.epochs_advanced == 0
+        # an unheld store's queue is empty whenever a bucket fills
+        assert unheld_stats.pressure_drains == 0
+
+
+# ----------------------------------------------------------------------
+# config
 
 
 class TestConfig:
-    def test_unknown_reclaim_kind_rejected(self):
-        with pytest.raises(ValueError):
-            MemoryConfig(reclaim_kind="deferred")
+    def test_memory_config_has_seven_fields(self):
+        assert [f.name for f in dataclasses.fields(MemoryConfig)] == [
+            "line_bytes", "num_buckets", "data_ways", "overflow_lines",
+            "plid_bytes", "verify_reads", "index_buckets"]
 
     def test_router_serving_stack_defaults_to_epoch(self):
         from repro.net.router import ShardRouter
         router = ShardRouter(shard_count=2)
         store = router.machine.mem.store
-        assert isinstance(store.reclaimer, EpochReclaimer)
+        assert store.reclaimer.holds == 1
+        plid, _ = store.lookup((1, 2))
+        store.decref(plid)
+        assert store.reclaimer.pending() == 1  # the workers drain it
 
     def test_hmap_workload_quiesces_clean(self):
-        machine = epoch_machine()
+        machine = held_machine()
         kvp = HMap.create(machine)
         for i in range(64):
             kvp.put(b"k%02d" % (i % 8), b"v%04d" % i)

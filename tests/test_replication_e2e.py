@@ -11,7 +11,7 @@ import asyncio
 
 from repro.core.persistence import load_machine_file, save_machine_file
 from repro.net.server import MemcachedServer
-from repro.params import SERVING_MEMORY
+from repro.params import MemoryConfig
 from repro.replication import (
     FollowerRouter,
     ReplicationFollower,
@@ -129,9 +129,9 @@ class TestConvergence:
             return stack.follower.machine
 
         machine = asyncio.run(go())
-        # a fresh follower builds a serving machine: it may be promoted
-        assert machine.config.memory == SERVING_MEMORY
-        assert machine.mem.store.reclaim_snapshot()["kind"] == "epoch"
+        # a fresh follower builds its own machine and holds its store
+        assert machine.config.memory == MemoryConfig()
+        assert machine.mem.store.reclaimer.holds == 1
         audit_machine(machine, strict=True).raise_if_failed()
 
     def test_overwrites_and_deletes_keep_converging(self):

@@ -25,7 +25,6 @@ from repro.core.machine import Machine
 from repro.net.framing import FrameDecoder
 from repro.net.router import ConnectionState, ShardRouter
 from repro.obs.trace import StepClock, TraceRecorder
-from repro.params import SERVING_MEMORY, MachineConfig
 from repro.testing.auditors import audit_machine
 
 SHARDS = 3
@@ -139,7 +138,7 @@ async def _through_router(chunks):
 
 def _through_handler(chunks, shard_index):
     """The per-op reference: no router, no queue, no batching."""
-    machine = Machine(MachineConfig(memory=SERVING_MEMORY))
+    machine = Machine()
     servers = [HicampMemcached(machine) for _ in range(SHARDS)]
     handlers = [ProtocolHandler(server) for server in servers]
     frames = [f for chunk in chunks for f in FrameDecoder().feed(chunk)]
