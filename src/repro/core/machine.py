@@ -39,7 +39,6 @@ class Processor:
     footnotes 2/7 — transient lines are per-core and never coherent)."""
 
     def __init__(self, machine: "Machine", pid: int) -> None:
-        self.machine = machine
         self.pid = pid
         self.transient = TransientRegion(
             line_bytes=machine.config.memory.line_bytes)

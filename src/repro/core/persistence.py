@@ -22,8 +22,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.core.machine import Machine
 from repro.errors import PersistenceError
-from repro.memory import hashing
-from repro.memory.line import Inline, Line, PlidRef, encode_line
+from repro.memory.line import Inline, Line, PlidRef
 from repro.params import CacheGeometry, MachineConfig, MemoryConfig
 from repro.segments.segment_map import MapEntry, SegmentFlags
 
@@ -144,31 +143,13 @@ def restore_machine(image: Dict[str, Any]) -> Machine:
             n_processors=cfg["n_processors"],
         ))
         store = machine.mem.store
-        num_buckets = store.config.num_buckets
 
-        # restore lines at their exact PLIDs, rebuilding the bucket indexes
+        # restore lines at their exact PLIDs
         for plid_str, words in image["lines"].items():
-            plid = int(plid_str)
             line: Line = tuple(_word_from_json(w) for w in words)
-            enc = encode_line(line)
-            bucket_idx = (int(image["overflow_bucket"].get(plid_str,
-                                                           plid % num_buckets))
-                          if plid >= store._overflow_base
-                          else plid % num_buckets)
-            bucket = store._buckets.get(bucket_idx)
-            if bucket is None:
-                from repro.memory.dedup_store import _Bucket
-                bucket = _Bucket(signatures=[0] * (store.config.data_ways + 1))
-                store._buckets[bucket_idx] = bucket
-            if plid >= store._overflow_base:
-                bucket.overflow.append(plid)
-                store._overflow_bucket[plid] = bucket_idx
-            else:
-                way = plid // num_buckets
-                bucket.signatures[way] = hashing.signature(enc)
-            bucket.by_encoding[enc] = plid
-            store._lines[plid] = line
-            store._refcounts[plid] = image["refcounts"][plid_str]
+            store.restore_line(int(plid_str), line,
+                               image["refcounts"][plid_str],
+                               image["overflow_bucket"].get(plid_str))
         store._next_overflow = image["next_overflow"]
         store.slots.free_overflow[:] = [int(p) for p
                                         in image["free_overflow"]]

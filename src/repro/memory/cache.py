@@ -29,12 +29,26 @@ line is evicted (or never, if it was deallocated first).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.memory.dedup_store import DedupStore
 from repro.memory.line import Line, ZERO_PLID, is_zero_line
 from repro.memory.stats import TrafficCounter
 from repro.params import CacheGeometry
+
+
+def _invalidator(sets: "List[OrderedDict[int, Line]]",
+                 by_content: Dict[Line, int], num_sets: int,
+                 bucket_of: Callable[[int], int]) -> Callable[[int], None]:
+    """The dealloc listener that drops a freed line from a cache's
+    tables."""
+
+    def invalidate(plid: int) -> None:
+        line = sets[bucket_of(plid) % num_sets].pop(plid, None)
+        if line is not None:
+            by_content.pop(line, None)
+
+    return invalidate
 
 
 class HicampCache:
@@ -65,7 +79,10 @@ class HicampCache:
         # pop(line, None) because a line corrupted in DRAM for a test can
         # be resident beside the line it now duplicates.
         self._by_content: Dict[Line, int] = {}
-        store.dealloc_listeners.append(self.invalidate)
+        # the hook holds the tables, not the cache (which holds the
+        # store): a bound method would make every machine a cycle
+        store.dealloc_listeners.append(_invalidator(
+            self._sets, self._by_content, self._num_sets, store.bucket_of))
 
     # ------------------------------------------------------------------
 
@@ -132,12 +149,6 @@ class HicampCache:
         plid, _created = self.store.lookup(line)
         self._insert(self._ways_of(plid), plid, line)
         return plid
-
-    def invalidate(self, plid: int) -> None:
-        """Drop a (deallocated) line from the cache."""
-        line = self._ways_of(plid).pop(plid, None)
-        if line is not None:
-            self._by_content.pop(line, None)
 
     def flush(self) -> None:
         """Evict everything, charging deferred allocation writes."""

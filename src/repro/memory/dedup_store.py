@@ -32,17 +32,23 @@ A line reaching zero is queued on the store's
 :class:`repro.memory.reclaim.EpochReclaimer`, and a drain of that queue
 is the only place a line is freed. An unheld store drains at the end of
 every outermost :meth:`DedupStore.decref`; a held one
-(:meth:`DedupStore.hold_reclaim`) leaves the drains to its owner. Slot
-reuse goes through a :class:`repro.memory.reclaim.SlotAllocator` free
-list that reproduces the legacy lowest-free-way / LIFO-overflow
-placement exactly.
+(:meth:`DedupStore.hold_reclaim`) leaves the drains to its owner.
+
+A bucket is a row of flat data, not an object: byte ``bucket *
+(data_ways + 1) + way`` of one store-wide ``bytearray`` is a way's
+signature (0 = free; byte 0 of a row is the signature line's own), so a
+new line takes the lowest free way with one ``find``. One ``content ->
+PLID`` dict covers every live line, and a sparse ``bucket -> overflow
+PLIDs`` dict holds only the buckets that have spilled. Nothing the
+store owns points back at it, so a dropped machine is freed by
+reference counting, not by the cyclic collector.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Set, Tuple
 from zlib import crc32
 
 from repro.errors import BadPlidError, IntegrityError, MemoryExhaustedError
@@ -63,13 +69,27 @@ from repro.memory.stats import DramStats, RowBuffer
 from repro.params import MemoryConfig
 
 
-@dataclass
-class _Bucket:
-    """One hash bucket (DRAM row): signatures plus resident way → PLID."""
+def _plid_maps(num_buckets: int, overflow_base: int,
+               overflow_bucket: Dict[int, int]
+               ) -> Tuple[Callable[[int], int], Callable[[int], int]]:
+    """A store's ``row_of`` and ``bucket_of``: closures over its
+    geometry and its overflow PLID -> bucket map, not bound methods, so
+    the RC cache and the HICAMP cache can keep them without a path back
+    to the store."""
 
-    signatures: List[int]
-    by_encoding: Dict[bytes, int] = field(default_factory=dict)
-    overflow: List[int] = field(default_factory=list)
+    def row_of(plid: int) -> int:
+        """DRAM row of a line: its hash bucket, or an overflow-area row."""
+        if plid >= overflow_base:
+            return num_buckets + (plid - overflow_base) // 64
+        return plid % num_buckets
+
+    def bucket_of(plid: int) -> int:
+        """Hash-bucket index of a PLID (the cache indexes on these bits)."""
+        if plid >= overflow_base:
+            return overflow_bucket.get(plid, plid % num_buckets)
+        return plid % num_buckets
+
+    return row_of, bucket_of
 
 
 @dataclass
@@ -96,8 +116,8 @@ class _RcCache:
     """
 
     def __init__(self, capacity: int, stats: DramStats, rows: RowBuffer,
-                 row_of) -> None:
-        self._capacity = max(1, capacity)
+                 row_of: Callable[[int], int]) -> None:
+        self._base = self._capacity = max(1, capacity)
         self._stats = stats
         self._rows = rows
         self._row_of = row_of
@@ -133,14 +153,15 @@ class _RcCache:
                 self._rows.access(self._row_of(victim))
                 self.spills += 1
 
-    def resize(self, capacity: int) -> None:
-        """Change capacity, spilling LRU overflow when shrinking.
+    def resize(self, entries: int) -> None:
+        """Cover ``entries`` RC entries, never fewer than the startup
+        capacity, spilling LRU overflow when shrinking.
 
-        The store scales the RC cache with the cuckoo index's bucket
-        count after an online resize (the resident-line population the
-        index grew to hold is the RC working set too).
+        The store registers this with its cuckoo index, which calls it
+        with its slot count after an online resize (the resident-line
+        population the index grew to hold is the RC working set too).
         """
-        self._capacity = max(1, capacity)
+        self._capacity = max(self._base, entries)
         while len(self._entries) > self._capacity:
             victim, dirty = self._entries.popitem(last=False)
             if dirty:
@@ -172,20 +193,30 @@ class DedupStore:
         self.stats = DramStats()
         self.counters = StoreCounters()
         self._num_buckets = self.config.num_buckets
-        self._data_ways = self.config.data_ways
-        self._overflow_base = (self._data_ways + 1) * self._num_buckets
+        #: bytes per bucket row: the signature line's slot, then the ways
+        self._row_len = self.config.data_ways + 1
+        self._overflow_base = self._row_len * self._num_buckets
         self._next_overflow = self._overflow_base
-        #: free-list allocator over bucket ways and overflow slots;
-        #: placement decisions are byte-identical to the original scans
-        self._slots = SlotAllocator(self._data_ways)
-        self._buckets: Dict[int, _Bucket] = {}
+        #: the overflow area's free list (LIFO reuse)
+        self._slots = SlotAllocator()
+        #: every bucket's signature line, one row per bucket (module
+        #: docstring); a zero byte is a free way
+        self._sigs = bytearray(self._row_len * self._num_buckets)
+        #: each way's tick on its row's 8-bit allocation clock (byte 0)
+        self._ticks = bytearray(len(self._sigs))
+        #: content -> PLID of every live line
+        self._plid_by_enc: Dict[bytes, int] = {}
+        #: bucket -> its overflow PLIDs, for the buckets that have spilled
+        self._overflow: Dict[int, List[int]] = {}
+        #: overflow PLID -> the bucket it spilled from
+        self._overflow_bucket: Dict[int, int] = {}
         self._lines: Dict[int, Line] = {}
         self._refcounts: Dict[int, int] = {}
         self._pending_write: Set[int] = set()
-        self._overflow_bucket: Dict[int, int] = {}
+        self._row_of, self.bucket_of = _plid_maps(
+            self._num_buckets, self._overflow_base, self._overflow_bucket)
         #: open-row DRAM model (hash bucket == DRAM row, section 3.1)
         self.rows = RowBuffer()
-        self._rc_base_entries = rc_cache_entries
         self._rc_cache = _RcCache(rc_cache_entries, self.stats, self.rows,
                                   self._row_of)
         self._zero = zero_line(self.config.words_per_line)
@@ -208,7 +239,7 @@ class DedupStore:
         self._index = self._new_index(self.stats, self.rows)
         #: the queue every released-to-zero line is freed through
         #: (reclaim.py)
-        self._reclaimer = EpochReclaimer(self)
+        self._reclaimer = EpochReclaimer()
 
     def _new_index(self, stats: Optional[DramStats],
                    rows: Optional[RowBuffer]) -> CuckooIndex:
@@ -217,13 +248,8 @@ class DedupStore:
         # resize-aware RC-cache sizing: an online index resize means
         # the resident-line population outgrew the startup estimate,
         # so the RC working set did too
-        index.resize_listeners.append(self._on_index_resize)
+        index.resize_listeners.append(self._rc_cache.resize)
         return index
-
-    def _on_index_resize(self, num_buckets: int) -> None:
-        """Scale the RC cache with the index's post-resize capacity."""
-        self._rc_cache.resize(
-            max(self._rc_base_entries, num_buckets * self._index.slots))
 
     # ------------------------------------------------------------------
     # geometry helpers
@@ -233,17 +259,30 @@ class DedupStore:
         """Words per line (DAG fan-out)."""
         return self.config.words_per_line
 
-    def _row_of(self, plid: int) -> int:
-        """DRAM row of a line: its hash bucket, or an overflow-area row."""
-        if plid >= self._overflow_base:
-            return self._num_buckets + (plid - self._overflow_base) // 64
-        return plid % self._num_buckets
+    def _bucket_lines(self, bucket_idx: int) -> List[int]:
+        """A bucket's lines oldest first, the order it is handed to the
+        cuckoo index and back in: ways by tick, then overflow lines
+        (exact where it is called: a first spill's one overflow line is
+        the newest, and a hand-back has none)."""
+        row = bucket_idx * self._row_len
+        return ([(slot - row) * self._num_buckets + bucket_idx
+                 for slot in self._ways_by_tick(row)]
+                + self._overflow.get(bucket_idx, []))
 
-    def bucket_of(self, plid: int) -> int:
-        """Hash-bucket index of a PLID (the cache indexes on these bits)."""
-        if plid >= self._overflow_base:
-            return self._overflow_bucket.get(plid, plid % self._num_buckets)
-        return plid % self._num_buckets
+    def _ways_by_tick(self, row: int) -> List[int]:
+        """The occupied way slots of a row, oldest first."""
+        sigs = self._sigs
+        return sorted((slot for slot in range(row + 1, row + self._row_len)
+                       if sigs[slot]), key=self._ticks.__getitem__)
+
+    def _renumber(self, row: int) -> int:
+        """Restart a row's clock when its byte would overflow: tick the
+        row's live ways 1..n, oldest first, and return n + 1 (the tick
+        of the way being claimed, whose signature is not set yet)."""
+        live = self._ways_by_tick(row)
+        for tick, slot in enumerate(live, 1):
+            self._ticks[slot] = tick
+        return len(live) + 1
 
     def is_allocated(self, plid: int) -> bool:
         """True when ``plid`` names a live line (the zero line is always live)."""
@@ -370,21 +409,18 @@ class DedupStore:
             enc = encode_line(line)
         # hashing.bucket_hash and hashing.signature, in line
         bucket_idx = crc32(enc, hashing.BUCKET_SEED) % self._num_buckets
-        bucket = self._buckets.get(bucket_idx)
-        if bucket is None:
-            bucket = _Bucket(signatures=[0] * (self._data_ways + 1))
-            self._buckets[bucket_idx] = bucket
-        if bucket.overflow:
+        if bucket_idx in self._overflow:
             # a spilled bucket belongs to the cuckoo index
-            return self._lookup_cuckoo(line, enc, bucket_idx, bucket)
+            return self._lookup_cuckoo(line, enc, bucket_idx)
         sig = crc32(enc, hashing.SIGNATURE_SEED) & 0xFF or 1
 
         self.counters.lookups += 1
         self.stats.lookups += 1  # signature line read
         self.rows.access(bucket_idx)
 
-        matches = bucket.signatures.count(sig)
-        existing = bucket.by_encoding.get(enc)
+        row = bucket_idx * self._row_len
+        matches = self._sigs.count(sig, row + 1, row + self._row_len)
+        existing = self._plid_by_enc.get(enc)
         if existing is not None:
             # Read each candidate data line with a matching signature —
             # all within the same DRAM row as the signature line.
@@ -405,10 +441,10 @@ class DedupStore:
             self.counters.signature_false_positives += matches
             self.counters.false_positive_scans += matches
 
-        return self._allocate(line, enc, bucket_idx, sig, bucket), True
+        return self._allocate(line, enc, bucket_idx, sig), True
 
-    def _lookup_cuckoo(self, line: Line, enc: bytes, bucket_idx: int,
-                       bucket: _Bucket) -> Tuple[int, bool]:
+    def _lookup_cuckoo(self, line: Line, enc: bytes,
+                       bucket_idx: int) -> Tuple[int, bool]:
         """Find-or-allocate in a bucket that has been handed to the index.
 
         The index narrows candidates by adaptive-width fingerprint; each
@@ -434,29 +470,32 @@ class DedupStore:
             self._rc_cache.touch(found)
             return found, False
         return self._allocate(line, enc, bucket_idx,
-                              hashing.signature(enc), bucket), True
+                              hashing.signature(enc)), True
 
-    def _allocate(self, line: Line, enc: bytes, bucket_idx: int, sig: int,
-                  bucket: _Bucket) -> int:
-        """Claim a way (or an overflow slot) for new content.
+    def _allocate(self, line: Line, enc: bytes, bucket_idx: int,
+                  sig: int) -> int:
+        """Claim the lowest free way (or an overflow slot) for new content.
 
-        Slot choice goes through the :class:`SlotAllocator` free lists;
-        the claimed way/overflow PLID — and all DRAM charging — are
-        byte-identical to the original inline scans. Dead lines never
-        cost capacity: a full bucket drains the reclaimer's queue before
-        it spills (the contract in reclaim.py). The new line is indexed
-        here too, whole-bucket on a first spill, because that drain can
-        hand a spilled bucket back to the in-place path.
+        Dead lines never cost capacity: a full bucket drains the
+        reclaimer's queue before it spills (the contract in reclaim.py).
+        The new line is indexed here too, whole-bucket on a first spill,
+        because that drain can hand a spilled bucket back to the
+        in-place path.
         """
-        way = self._slots.claim_way(bucket_idx, bucket.signatures)
-        if way is None and self._reclaimer.pending():
+        sigs = self._sigs
+        row = bucket_idx * self._row_len
+        slot = sigs.find(0, row + 1, row + self._row_len)
+        if slot < 0 and self._reclaimer.pending():
             self._reclaimer.stats.pressure_drains += 1
-            self._reclaimer.drain()
-            way = self._slots.claim_way(bucket_idx, bucket.signatures)
-        indexed = bool(bucket.overflow)
-        if way is not None:
-            plid = way * self._num_buckets + bucket_idx
-            bucket.signatures[way] = sig
+            self._reclaimer.drain(self)
+            slot = sigs.find(0, row + 1, row + self._row_len)
+        spilled = self._overflow.get(bucket_idx)
+        if slot >= 0:
+            plid = (slot - row) * self._num_buckets + bucket_idx
+            ticks = self._ticks
+            ticks[row] = ticks[slot] = (ticks[row] + 1 if ticks[row] < 0xFF
+                                        else self._renumber(row))
+            sigs[slot] = sig
             self.stats.lookups += 1  # signature line written back
             self.rows.access(bucket_idx)
         else:
@@ -469,12 +508,15 @@ class DedupStore:
                         % self.config.overflow_lines
                     )
                 self._next_overflow += 1
-            bucket.overflow.append(plid)
+            if spilled is None:
+                self._overflow[bucket_idx] = [plid]
+            else:
+                spilled.append(plid)
             self._overflow_bucket[plid] = bucket_idx
             self.counters.overflow_allocations += 1
             self.stats.lookups += 1  # overflow pointer update
             self.rows.access(bucket_idx)
-        bucket.by_encoding[enc] = plid
+        self._plid_by_enc[enc] = plid
         self._lines[plid] = line
         self._enc_by_plid[plid] = enc
         self._refcounts[plid] = 1
@@ -487,13 +529,14 @@ class DedupStore:
             if isinstance(word, PlidRef) and word.plid != ZERO_PLID:
                 self._refcounts[word.plid] += 1
                 self._rc_cache.touch(word.plid)
-        if indexed:
+        if spilled is not None:
             self._index.insert(CuckooIndex.key_of(enc), plid)
-        elif bucket.overflow:
+        elif slot < 0:
             # first spill: hand the whole bucket over to the index
-            for resident_enc, resident in bucket.by_encoding.items():
-                self._index.insert(CuckooIndex.key_of(resident_enc),
-                                   resident)
+            for resident in self._bucket_lines(bucket_idx):
+                self._index.insert(
+                    CuckooIndex.key_of(self._enc_by_plid[resident]),
+                    resident)
         return plid
 
     def writeback(self, plid: int) -> None:
@@ -544,7 +587,7 @@ class DedupStore:
         # content lookup) until a drain frees it; the free drops its RC
         # entry uncharged, so reaching zero touches no RC entry
         self._refcounts[plid] = 0
-        self._reclaimer.on_zero(plid)
+        self._reclaimer.on_zero(self, plid)
 
     def hold_reclaim(self) -> None:
         """Take a counted hold: releases to zero only queue, and the
@@ -565,33 +608,32 @@ class DedupStore:
         self._deallocate(plid)
 
     def _deallocate(self, plid: int) -> None:
-        """Free a line: zero its signature and release its way."""
+        """Free a line: zero its signature or release its overflow slot."""
         for listener in self.dealloc_listeners:
             listener(plid)
-        line = self._lines.pop(plid)
-        enc = self._enc_by_plid.pop(plid, None)
-        if enc is None:
-            enc = encode_line(line)
+        del self._lines[plid]
+        enc = self._enc_by_plid.pop(plid)
         bucket_idx = self.bucket_of(plid)
-        bucket = self._buckets[bucket_idx]
-        if bucket.overflow:
+        spilled = self._overflow.get(bucket_idx)
+        if spilled is not None:
             # keyed off the *stored* encoding, so a silently corrupted
             # line still unindexes cleanly (the audit flags it instead)
             self._index.remove(CuckooIndex.key_of(enc), plid)
-        bucket.by_encoding.pop(enc, None)
+        self._plid_by_enc.pop(enc, None)
         if plid >= self._overflow_base:
-            bucket.overflow.remove(plid)
+            spilled.remove(plid)
             self._overflow_bucket.pop(plid, None)
             self._slots.release_overflow(plid)
-            if not bucket.overflow:
+            if not spilled:
                 # last spilled line gone: hand the bucket back
-                for resident_enc, resident in bucket.by_encoding.items():
-                    self._index.remove(CuckooIndex.key_of(resident_enc),
-                                       resident)
+                del self._overflow[bucket_idx]
+                for resident in self._bucket_lines(bucket_idx):
+                    self._index.remove(
+                        CuckooIndex.key_of(self._enc_by_plid[resident]),
+                        resident)
         else:
-            way = plid // self._num_buckets
-            bucket.signatures[way] = 0
-            self._slots.release_way(bucket_idx, way)
+            self._sigs[bucket_idx * self._row_len
+                       + plid // self._num_buckets] = 0
         del self._refcounts[plid]
         self._pending_write.discard(plid)
         self._rc_cache.drop(plid)
@@ -661,19 +703,28 @@ class DedupStore:
         """Advance the reclamation epoch and drain up to ``budget``
         queued lines. A held store's owner calls this between
         batches."""
-        return self._reclaimer.advance(budget)
+        return self._reclaimer.advance(self, budget)
 
     def reclaim_quiesce(self) -> int:
         """Synchronously drain the whole queue. After this a held store
         holds exactly the lines an unheld store that ran the same
         workload holds — the contract audits, persistence images and
         fingerprint observers rely on."""
-        return self._reclaimer.quiesce()
+        return self._reclaimer.quiesce(self)
+
+    def free_slots(self) -> int:
+        """Free line slots: data ways with a zero signature byte, in
+        every bucket, plus recycled overflow slots."""
+        return (self._sigs.count(0) - self._num_buckets
+                + len(self._slots.free_overflow))
 
     def reclaim_snapshot(self) -> Dict:
         """JSON-safe view of reclamation state (stats json)."""
-        return {"free_slots": self._slots.free_slots(),
-                "allocator": self._slots.snapshot(),
+        free_slots = self.free_slots()
+        free_ways = free_slots - len(self._slots.free_overflow)
+        return {"free_slots": free_slots,
+                "allocator": {"free_ways": free_ways,
+                              **self._slots.snapshot()},
                 **self._reclaimer.snapshot()}
 
     # ------------------------------------------------------------------
@@ -698,26 +749,45 @@ class DedupStore:
     def indexed_buckets(self) -> int:
         """Buckets served by the cuckoo index: those with a non-empty
         overflow list."""
-        return len(set(self._overflow_bucket.values()))
+        return len(self._overflow)
+
+    def restore_line(self, plid: int, line: Line, refcount: int,
+                     bucket: Optional[int] = None) -> None:
+        """Install a line from a machine image at its exact PLID.
+
+        ``bucket`` is the image's record of the bucket an overflow line
+        spilled from; a way's PLID names its own. Lines go in in image
+        order, which is the order their buckets saw them allocated.
+        Charges no DRAM (restore is out-of-band, like replication's
+        export path); call :meth:`reindex` once every line is in.
+        """
+        enc = encode_line(line)
+        if plid >= self._overflow_base:
+            if bucket is None:
+                bucket = plid % self._num_buckets
+            self._overflow.setdefault(bucket, []).append(plid)
+            self._overflow_bucket[plid] = bucket
+        else:
+            row = plid % self._num_buckets * self._row_len
+            slot = row + plid // self._num_buckets
+            ticks = self._ticks
+            ticks[row] = ticks[slot] = (ticks[row] + 1 if ticks[row] < 0xFF
+                                        else self._renumber(row))
+            self._sigs[slot] = hashing.signature(enc)
+        self._plid_by_enc[enc] = plid
+        self._enc_by_plid[plid] = enc
+        self._lines[plid] = line
+        self._refcounts[plid] = refcount
 
     def reindex(self) -> None:
-        """Rebuild derived lookup state from the stored lines.
-
-        Used after :func:`repro.core.persistence.restore_machine`
-        repopulates ``_lines``/``_buckets`` directly: recaptures the
-        canonical encoding of every live line and rebuilds the index
-        table from scratch over the lines of buckets that have
-        overflowed (the hand-over rule of :meth:`lookup`). Charges no
-        DRAM (restore is out-of-band, like replication's export path).
-        """
+        """Rebuild the index table from scratch over the lines of
+        buckets that have overflowed (the hand-over rule of
+        :meth:`lookup`), uncharged: the last step of a restore."""
         self._index = self._new_index(None, None)
-        for plid, line in self._lines.items():
-            enc = self._enc_by_plid.get(plid)
-            if enc is None:
-                enc = encode_line(line)
-                self._enc_by_plid[plid] = enc
-            if self._buckets[self.bucket_of(plid)].overflow:
-                self._index.insert(CuckooIndex.key_of(enc), plid)
+        for plid in self._lines:
+            if self.bucket_of(plid) in self._overflow:
+                self._index.insert(
+                    CuckooIndex.key_of(self._enc_by_plid[plid]), plid)
         # rebuilt uncharged; live operation from here on is charged
         self._index._dram = self.stats
         self._index._rows = self.rows
@@ -734,22 +804,17 @@ class DedupStore:
         failures: List[str] = self._index.audit({
             plid: CuckooIndex.key_of(encode_line(line))
             for plid, line in self._lines.items()
-            if self._buckets[self.bucket_of(plid)].overflow
+            if self.bucket_of(plid) in self._overflow
         })
         # Un-spilled buckets are resolved in place (and _allocate dedups
-        # through them everywhere): the per-bucket by_encoding maps must
-        # exactly cover the live lines, each reachable under its current
-        # content hash.
-        total = sum(len(b.by_encoding) for b in self._buckets.values())
-        if total != len(self._lines):
+        # through them everywhere): the content map must exactly cover
+        # the live lines, each under its current content.
+        if len(self._plid_by_enc) != len(self._lines):
             failures.append(
-                "index: %d by_encoding entries for %d live lines"
-                % (total, len(self._lines)))
+                "index: %d content entries for %d live lines"
+                % (len(self._plid_by_enc), len(self._lines)))
         for plid, line in self._lines.items():
-            enc = encode_line(line)
-            bucket = self._buckets.get(
-                hashing.bucket_hash(enc, self._num_buckets))
-            if bucket is None or bucket.by_encoding.get(enc) != plid:
+            if self._plid_by_enc.get(encode_line(line)) != plid:
                 failures.append(
                     "index: live PLID %d is not reachable by its content"
                     % plid)

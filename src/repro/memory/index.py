@@ -220,8 +220,8 @@ class CuckooIndex:
         #: populated when a placement fails mid-resize, drained when the
         #: resize completes
         self._stash: List[Tuple[int, int]] = []
-        #: callbacks fired with the new bucket count when an online
-        #: resize completes (the store scales its RC cache here)
+        #: callbacks fired with the new slot count (buckets x slots) when
+        #: an online resize completes (the store scales its RC cache here)
         self.resize_listeners: List = []
 
     # ------------------------------------------------------------------
@@ -507,7 +507,7 @@ class CuckooIndex:
             if self.occupancy() > self.max_load:
                 self._start_resize()
             for listener in self.resize_listeners:
-                listener(self._active.num_buckets)
+                listener(self._active.num_buckets * self.slots)
 
     def _drain_stash(self) -> None:
         if not self._stash:

@@ -34,7 +34,7 @@ ZERO_PLID = 0
 DataWord = int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlidRef:
     """A tagged reference word pointing at line ``plid``.
 
@@ -57,8 +57,8 @@ class PlidRef:
         return "PlidRef(%d)" % self.plid
 
 
-@dataclass(frozen=True)
-class Inline(object):
+@dataclass(frozen=True, slots=True)
+class Inline:
     """Data-compaction word: ``values`` packed at ``width`` bytes each.
 
     ``span`` records how many logical leaf words the packed values replace

@@ -33,13 +33,15 @@ slots can differ only after a lookup resurrects a dead line that an
 unheld store had already freed: the resurrected line keeps its old
 slot. Between drains the queue grows by one entry per release to zero.
 
-:class:`SlotAllocator` is a free-list over line slots (per-bucket way
-bitmasks plus the overflow-area stack), so
+:class:`SlotAllocator` is the overflow area's free list, a LIFO stack
+of recycled overflow PLIDs, so
 :meth:`~repro.memory.dedup_store.DedupStore._allocate` reuses freed
-slots in O(1) instead of growing the PLID space under churn. Way
-selection stays *lowest-free-way* and overflow reuse stays LIFO,
-byte-identical to the legacy scan, so PLID assignment — and therefore
-machine images and modeled paper statistics — does not depend on it.
+overflow slots instead of growing the PLID space under churn. A
+bucket's free ways need no list: a way is free exactly when its byte in
+the store's signature array is zero, and the lowest free way is one
+``bytearray.find`` over the bucket's row. PLID assignment — and
+therefore machine images and modeled paper statistics — is the lowest
+free way, then the most recently freed overflow slot.
 
 Two consequences of deferral in a held store are deliberate:
 
@@ -67,75 +69,22 @@ from typing import Deque, Dict, List, Optional
 RECLAIM_BUDGET = 512
 
 
-@dataclass
-class SlotAllocatorStats:
-    """Free-list maintenance counters (diagnostics)."""
-
-    ways_reused: int = 0        # bucket ways claimed off a free mask
-    overflow_reused: int = 0    # overflow slots claimed off the stack
-    mask_builds: int = 0        # lazy mask constructions from signatures
-
-
 class SlotAllocator:
-    """Free-list over line slots: bucket ways and overflow PLIDs.
+    """The overflow area's free list: recycled overflow PLIDs, reused
+    LIFO exactly as the store always has. (A bucket's free ways need no
+    list: they are its zero signature bytes.)"""
 
-    Per-bucket free ways are tracked as a bitmask (bit ``w`` set = way
-    ``w`` free), built lazily from the bucket's signature line the
-    first time the bucket allocates and kept in sync on every release —
-    claiming the lowest set bit reproduces the legacy lowest-free-way
-    scan exactly, in O(1). The overflow free list is a LIFO stack,
-    identical to the store's original behaviour.
-    """
-
-    def __init__(self, data_ways: int) -> None:
-        self.data_ways = data_ways
-        #: the mask of a bucket with every data way free (way 0 is the
-        #: signature line's own slot)
-        self._all_free = (1 << (data_ways + 1)) - 2
-        self.stats = SlotAllocatorStats()
-        self._way_masks: Dict[int, int] = {}
+    def __init__(self) -> None:
+        #: overflow slots claimed off the stack
+        self.overflow_reused = 0
         #: recycled overflow-area PLIDs (LIFO); persistence serializes
         #: this list verbatim under the image's ``free_overflow`` key
         self.free_overflow: List[int] = []
 
-    # ------------------------------------------------------------------
-    # bucket ways
-
-    def claim_way(self, bucket_idx: int, signatures: List[int]
-                  ) -> Optional[int]:
-        """Lowest free way of a bucket, or None when the bucket is full."""
-        mask = self._way_masks.get(bucket_idx)
-        if mask is None:
-            if any(signatures):
-                mask = 0
-                for w in range(1, self.data_ways + 1):
-                    if signatures[w] == 0:
-                        mask |= 1 << w
-            else:
-                mask = self._all_free  # untouched: nothing to scan for
-            self.stats.mask_builds += 1
-        if not mask:
-            self._way_masks[bucket_idx] = 0
-            return None
-        low = mask & -mask
-        self._way_masks[bucket_idx] = mask ^ low
-        self.stats.ways_reused += 1
-        return low.bit_length() - 1
-
-    def release_way(self, bucket_idx: int, way: int) -> None:
-        """Return a way to its bucket's free mask (if one is built)."""
-        mask = self._way_masks.get(bucket_idx)
-        if mask is not None:
-            self._way_masks[bucket_idx] = mask | (1 << way)
-        # no mask yet: the lazy build will see the zeroed signature
-
-    # ------------------------------------------------------------------
-    # overflow slots
-
     def claim_overflow(self) -> Optional[int]:
         """Pop a recycled overflow PLID, or None when the stack is empty."""
         if self.free_overflow:
-            self.stats.overflow_reused += 1
+            self.overflow_reused += 1
             return self.free_overflow.pop()
         return None
 
@@ -143,25 +92,10 @@ class SlotAllocator:
         """Push a freed overflow PLID for reuse."""
         self.free_overflow.append(plid)
 
-    # ------------------------------------------------------------------
-    # accounting
-
-    def free_slots(self) -> int:
-        """Tracked free-list occupancy: free ways in built masks plus
-        recycled overflow slots (the obs free-list gauge)."""
-        ways = sum(bin(mask).count("1")
-                   for mask in self._way_masks.values())
-        return ways + len(self.free_overflow)
-
     def snapshot(self) -> Dict:
-        """JSON-safe free-list state and maintenance counters."""
-        return {
-            "free_ways": self.free_slots() - len(self.free_overflow),
-            "free_overflow": len(self.free_overflow),
-            "ways_reused": self.stats.ways_reused,
-            "overflow_reused": self.stats.overflow_reused,
-            "mask_builds": self.stats.mask_builds,
-        }
+        """JSON-safe free-list state."""
+        return {"free_overflow": len(self.free_overflow),
+                "overflow_reused": self.overflow_reused}
 
 
 @dataclass
@@ -184,11 +118,12 @@ class EpochReclaimer:
     Owned by every :class:`~repro.memory.dedup_store.DedupStore`; the
     store routes every release-to-zero through :meth:`on_zero` and
     performs the actual per-line free when the drain calls back into
-    ``DedupStore._reclaim_one``.
+    ``DedupStore._reclaim_one``. Each method that may free takes that
+    store as its argument rather than keeping it: a reclaimer pointing
+    back at its owner would make every machine a reference cycle.
     """
 
-    def __init__(self, store) -> None:
-        self._store = store
+    def __init__(self) -> None:
         #: PLIDs in deferral order; children freed by the drain
         #: re-defer to the tail, keeping any single drain step
         #: O(fanout)
@@ -202,7 +137,7 @@ class EpochReclaimer:
     # ------------------------------------------------------------------
     # hot path
 
-    def on_zero(self, plid: int) -> None:
+    def on_zero(self, store, plid: int) -> None:
         """Queue a released-to-zero line — O(1), no subtree walk — and,
         unless the store is held, drain the queue to empty."""
         pending = self._pending
@@ -211,7 +146,7 @@ class EpochReclaimer:
         if len(pending) > self.stats.max_pending:
             self.stats.max_pending = len(pending)
         if not self.holds:
-            self.drain()
+            self.drain(store)
 
     # ------------------------------------------------------------------
     # drains
@@ -220,7 +155,7 @@ class EpochReclaimer:
         """Deferred lines awaiting reclamation."""
         return len(self._pending)
 
-    def drain(self, budget: Optional[int] = None) -> int:
+    def drain(self, store, budget: Optional[int] = None) -> int:
         """Free up to ``budget`` deferred lines (all of them if None).
 
         Children-first in effect: freeing a line decrements its
@@ -232,7 +167,6 @@ class EpochReclaimer:
         it runs, so the decrements it makes only queue. Returns the
         lines freed.
         """
-        store = self._store
         freed = 0
         self.holds += 1
         try:
@@ -254,7 +188,7 @@ class EpochReclaimer:
             self.holds -= 1
         return freed
 
-    def advance(self, budget: Optional[int] = None) -> int:
+    def advance(self, store, budget: Optional[int] = None) -> int:
         """Seal the current epoch and drain up to ``budget`` lines.
 
         A held store's owner calls this between commit batches: frees
@@ -263,9 +197,9 @@ class EpochReclaimer:
         """
         self.epoch += 1
         self.stats.epochs_advanced += 1
-        return self.drain(budget)
+        return self.drain(store, budget)
 
-    def quiesce(self) -> int:
+    def quiesce(self, store) -> int:
         """Drain *everything* synchronously; returns the lines freed.
 
         The contract point for every observer of exact state: machine
@@ -278,7 +212,7 @@ class EpochReclaimer:
         self.stats.quiesces += 1
         self.epoch += 1
         self.stats.epochs_advanced += 1
-        return self.drain(None)
+        return self.drain(store)
 
     # ------------------------------------------------------------------
     # accounting

@@ -302,8 +302,9 @@ def register_reclaim(registry: MetricsRegistry, store,
                      "full drains forced by a full bucket before a spill",
                      fn=lambda: stats.pressure_drains)
     registry.gauge(prefix + "free_slots",
-                   "free-list occupancy: recyclable ways + overflow slots",
-                   fn=lambda: store.slots.free_slots())
+                   "free line slots: zero-signature ways + recycled "
+                   "overflow slots",
+                   fn=store.free_slots)
     registry.gauge(prefix + "free_overflow_slots",
                    "recycled overflow-area PLIDs awaiting reuse",
                    fn=lambda: len(store.slots.free_overflow))

@@ -351,41 +351,45 @@ def gather_words(mem: MemorySystem, entry: Entry, level: int,
     stop = start + count
     if stop > entry_capacity(mem, level):
         raise SegmentRangeError("range [%d, %d) beyond capacity" % (start, stop))
-    spans = mem.spans
-
-    def visit(entry: Entry, level: int, base: int) -> None:
-        while entry != 0:
-            if isinstance(entry, Inline):
-                for k, v in enumerate(entry.values):
-                    pos = base + k
-                    if start <= pos < stop and v:
-                        out[pos - start] = v
-                return
-            for p in entry.path:
-                level -= 1
-                base += p * spans[level]
-                if base >= stop or base + spans[level] <= start:
-                    return
-            line = mem.read(entry.plid)
-            first, last = start - base, stop - 1 - base
-            if level == 0:
-                for k in range(first if first > 0 else 0,
-                               last + 1 if last < len(line) else len(line)):
-                    word = line[k]
-                    if word != 0:
-                        out[base + k - start] = word
-                return
-            level -= 1
-            span = spans[level]
-            first = first // span if first > 0 else 0
-            last = last // span if last < span * len(line) else len(line) - 1
-            for j in range(first, last):  # all but the last touched child
-                visit(line[j], level, base + j * span)
-            entry = line[last]  # ... which this frame descends itself
-            base += last * span
-
-    visit(entry, level, 0)
+    _gather(mem, out, start, stop, entry, level, 0)
     return out
+
+
+def _gather(mem: MemorySystem, out: List, start: int, stop: int,
+            entry: Entry, level: int, base: int) -> None:
+    """Fill ``out`` with the words of ``[start, stop)`` under ``entry``,
+    a subtree at ``level`` starting at word ``base``. Not a closure: a
+    recursive closure is a reference cycle, left for the collector."""
+    spans = mem.spans
+    while entry != 0:
+        if isinstance(entry, Inline):
+            for k, v in enumerate(entry.values):
+                pos = base + k
+                if start <= pos < stop and v:
+                    out[pos - start] = v
+            return
+        for p in entry.path:
+            level -= 1
+            base += p * spans[level]
+            if base >= stop or base + spans[level] <= start:
+                return
+        line = mem.read(entry.plid)
+        first, last = start - base, stop - 1 - base
+        if level == 0:
+            for k in range(first if first > 0 else 0,
+                           last + 1 if last < len(line) else len(line)):
+                word = line[k]
+                if word != 0:
+                    out[base + k - start] = word
+            return
+        level -= 1
+        span = spans[level]
+        first = first // span if first > 0 else 0
+        last = last // span if last < span * len(line) else len(line) - 1
+        for j in range(first, last):  # all but the last touched child
+            _gather(mem, out, start, stop, line[j], level, base + j * span)
+        entry = line[last]  # ... which this frame descends itself
+        base += last * span
 
 
 def iter_nonzero(mem: MemorySystem, entry: Entry, level: int,

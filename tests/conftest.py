@@ -1,5 +1,7 @@
 """Shared fixtures: small machine configurations that keep tests fast."""
 
+import gc
+
 import pytest
 
 from repro import Machine, MachineConfig, MemoryConfig
@@ -36,3 +38,16 @@ def machine_all_lines(request):
 def mem(machine):
     """The memory system of the small machine."""
     return machine.mem
+
+
+@pytest.fixture
+def gc_disabled():
+    """The cyclic collector off for the test: only reference counting
+    frees, so cyclic garbage stays until an explicit ``gc.collect()``."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()

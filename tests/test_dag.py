@@ -1,5 +1,7 @@
 """Unit tests for canonical segment DAGs, including compaction."""
 
+import gc
+
 import pytest
 
 from repro.errors import SegmentRangeError
@@ -163,6 +165,17 @@ class TestIterNonzero:
 
     def test_zero_segment_yields_nothing(self, mem):
         assert list(dag.iter_nonzero(mem, 0, 3)) == []
+
+
+class TestGatherWords:
+    def test_leaves_no_cyclic_garbage(self, mem, gc_disabled):
+        words = list(range(1000, 1200))
+        root, height = build(mem, words)
+        gc.collect()
+        for start in range(0, 160, 7):
+            assert dag.gather_words(mem, root, height, start, 40) \
+                == words[start:start + 40]
+        assert gc.collect() == 0
 
 
 class TestRefcountHygiene:

@@ -1,5 +1,7 @@
 """Unit tests for the deduplicating content-addressable store."""
 
+import gc
+
 import pytest
 
 from repro.errors import BadPlidError, MemoryExhaustedError
@@ -247,3 +249,16 @@ class TestInvariantChecker:
         store._refcounts[a] = 0  # corrupt: below the parent's reference
         with pytest.raises(AssertionError):
             store.check_refcounts()
+
+
+class TestHostFootprint:
+    def test_fresh_lookups_create_no_tracked_objects(self):
+        # a bucket is bytes in the store's row arrays, never an object
+        # the cyclic collector has to walk
+        store = DedupStore()
+        gc.collect()
+        before = len(gc.get_objects())
+        for i in range(10_000):
+            store.lookup((i + 1, i + 2))
+        gc.collect()
+        assert len(gc.get_objects()) - before < 100

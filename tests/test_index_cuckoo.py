@@ -254,7 +254,7 @@ class TestStoreIntegration:
         if lost_from == "cuckoo":
             assert store.index.remove(CuckooIndex.key_of(enc), victim)
         else:
-            store._buckets[store.bucket_of(victim)].by_encoding.pop(enc)
+            store._plid_by_enc.pop(enc)
         failures = audit_index(machine)
         assert any("not" in f and str(victim) in f for f in failures)
         assert not audit_machine(machine).ok

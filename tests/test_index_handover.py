@@ -212,6 +212,35 @@ def test_bucket_enters_and_leaves_index_whole(held):
     assert store.footprint_lines() == 0
 
 
+def test_bucket_enters_and_leaves_index_oldest_line_first():
+    """The hand-over and the hand-back walk a bucket's lines in the
+    order they were allocated, not in way order (index placement, and so
+    its charges, depend on it), also once the row's 8-bit allocation
+    clock has wrapped."""
+    store = _store(False, num_buckets=1, data_ways=2)
+    leaves = (_leaf(i) for i in range(1000))
+    latest = store.lookup(next(leaves))[0]  # way 1
+    kept = store.lookup(next(leaves))[0]  # way 2
+    for _ in range(200):  # way 2 now holds the row's newest line ...
+        store.decref(kept)
+        kept = store.lookup(next(leaves))[0]
+    for _ in range(60):  # ... until way 1 churns past the clock's wrap
+        store.decref(latest)
+        latest = store.lookup(next(leaves))[0]
+    assert latest < kept
+    calls = []
+    index = store.index
+    insert, remove = index.insert, index.remove
+    index.insert = lambda key, plid: calls.append(("in", plid)) \
+        or insert(key, plid)
+    index.remove = lambda key, plid: calls.append(("out", plid)) \
+        or remove(key, plid)
+    spilled = store.lookup(next(leaves))[0]
+    store.decref(spilled)
+    assert calls == [("in", kept), ("in", latest), ("in", spilled),
+                     ("out", spilled), ("out", kept), ("out", latest)]
+
+
 # ----------------------------------------------------------------------
 # (c) the worst case: one bucket flapping across the boundary
 
@@ -270,7 +299,8 @@ def test_restore_reindexes_exactly_the_spilled_buckets():
     store = machine.mem.store
     indexed = _indexed(store)
     # a mixed store: some buckets spilled, some still served in place
-    assert 0 < store.index_snapshot()["indexed_buckets"] < len(store._buckets)
+    holding = {store.bucket_of(plid) for plid in store.live_plids()}
+    assert 0 < store.index_snapshot()["indexed_buckets"] < len(holding)
     assert 0 < len(indexed) < store.footprint_lines()
 
     restored = restore_machine(machine_image(machine)).mem.store

@@ -1,9 +1,12 @@
 """Unit tests for the Machine facade."""
 
+import weakref
+
 import pytest
 
 from repro import Machine, IteratorStateError
 from repro.errors import ReadOnlyError
+from repro.structures import HMap
 
 
 class TestSegments:
@@ -135,3 +138,23 @@ class TestAtomicUpdate:
 
         machine.atomic_update(vsid, bump)
         assert machine.read_segment(vsid) == [11, 99]
+
+
+class TestLifetime:
+    def test_dropped_machine_is_freed_by_reference_counting(
+            self, gc_disabled):
+        machine = Machine()
+        machine.mem.store.hold_reclaim()
+        kvp = HMap.create(machine)
+        for i in range(40):
+            kvp.put(b"k%d" % (i % 8), b"value-%d" % i)
+        for i in range(8):
+            assert kvp.get(b"k%d" % i) is not None
+        for i in range(4):
+            kvp.delete(b"k%d" % i)
+        assert machine.mem.store.reclaim_quiesce() > 0
+        alive = weakref.ref(machine)
+        del kvp, machine
+        # no reference cycle runs through the machine: it is gone
+        # without a gc.collect()
+        assert alive() is None

@@ -172,6 +172,13 @@ def test_reclaim_registration_mirrors_snapshot():
     assert sample(parsed, "repro_reclaim_deferred_total") \
         == snap["deferred_total"] == 8
     assert sample(parsed, "repro_reclaim_free_slots") == snap["free_slots"]
+    # free ways are the zero signature bytes of every bucket; nothing
+    # spilled, so each resident line holds one way
+    config = store.config
+    assert snap["free_slots"] == snap["allocator"]["free_ways"] \
+        == config.num_buckets * config.data_ways - store.footprint_lines()
+    assert sorted(snap["allocator"]) == ["free_overflow", "free_ways",
+                                         "overflow_reused"]
     assert sample(parsed, "repro_reclaim_pressure_drains_total") \
         == snap["pressure_drains"]
     # the registry is a live view, not a copy

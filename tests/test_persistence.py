@@ -3,6 +3,7 @@
 import dataclasses
 import gzip
 import json
+import os
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.core.persistence import (
 )
 from repro.errors import PersistenceError
 from repro.structures import HMap
+from repro.testing.auditors import audit_machine
 from tests.conftest import small_config
 from tests.dedup_model import SPILLED, indexed_plids
 from repro import Machine, MachineConfig, MemoryConfig
@@ -150,6 +152,22 @@ class TestRoundtrip:
         assert len(rstore.index) == rstore.footprint_lines()
         assert rstore.index_failures() == []
         assert restored.read_segment(vsid) == machine.read_segment(vsid)
+
+    def test_image_from_the_per_bucket_store_restores(self):
+        # written before the store's buckets became flat rows, under the
+        # same format version: 2 buckets x 2 ways, both spilled, with a
+        # recycled overflow slot
+        path = os.path.join(os.path.dirname(__file__), "data",
+                            "machine_image_v3.json")
+        with open(path) as f:
+            image = json.load(f)
+        restored = load_machine(path)
+        assert machine_image(restored) == image  # every PLID in place
+        assert restored.mem.store.index_failures() == []
+        assert restored.read_segment(2) == [1000 * w for w in range(1, 9)]
+        kvp = HMap(restored, 3)
+        assert (kvp.get(b"alpha"), kvp.get(b"beta")) == (b"one", b"two")
+        assert audit_machine(restored, strict=True).ok
 
     def test_save_machine_file_plain_and_gzip(self, populated, tmp_path):
         machine, a, *_ = populated
