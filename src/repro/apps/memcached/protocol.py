@@ -133,15 +133,11 @@ class ProtocolHandler:
                 payload: Optional[bytes]) -> bytes:
         """Process one request that is already parsed (a decoded
         :class:`repro.net.framing.Frame`); returns the wire response."""
-        try:
-            name = command.decode("ascii")
-        except UnicodeDecodeError:
-            return b"ERROR\r\n"
-        handler = getattr(self, "_cmd_%s" % name, None)
+        handler = self.COMMANDS.get(command)
         if handler is None:
             return b"ERROR\r\n"
         try:
-            return handler(args, payload)
+            return handler(self, args, payload)
         except ProtocolError as exc:
             return b"CLIENT_ERROR %s\r\n" % str(exc).encode()
 
@@ -271,3 +267,10 @@ class ProtocolHandler:
             return b"ERROR\r\n"
         flush()
         return b"OK\r\n"
+
+
+#: command bytes → its ``_cmd_*`` method, found without decoding bytes
+ProtocolHandler.COMMANDS = {
+    name[len("_cmd_"):].encode(): method
+    for name, method in vars(ProtocolHandler).items()
+    if name.startswith("_cmd_")}

@@ -34,13 +34,13 @@ path: zero lines reshipped.
 
 from __future__ import annotations
 
-from typing import Awaitable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.apps.memcached.server import HicampMemcached
 from repro.core.machine import Machine
 from repro.net.framing import Frame
 from repro.net.router import (ConnectionState, ShardRouter,
-                              WRITE_COMMANDS, _completed, cluster_response)
+                              WRITE_COMMANDS, cluster_response)
 from repro.net.server import MemcachedServer
 from repro.replication.follower import FollowerRouter, ReplicationFollower
 from repro.replication.leader import ReplicationLeader
@@ -114,10 +114,10 @@ class ClusterRouter(ShardRouter):
         self.topology: Optional[ClusterTopology] = None
         self.moved_responses = 0
 
-    async def dispatch(self, frame: Frame, conn: ConnectionState,
-                       parent: Optional[int] = None) -> Awaitable[bytes]:
+    def answer(self, frame: Frame,
+               conn: ConnectionState) -> Optional[bytes]:
         if frame.command == b"cluster":
-            return _completed(cluster_response(frame.args, self.topology))
+            return cluster_response(frame.args, self.topology)
         topology = self.topology
         if (topology is not None and frame.error is None
                 and frame.command in WRITE_COMMANDS
@@ -126,10 +126,10 @@ class ClusterRouter(ShardRouter):
             if owner != self.node_id:
                 self.moved_responses += 1
                 info = topology.node(owner)
-                return _completed(b"MOVED %d %s %s:%d\r\n" % (
+                return b"MOVED %d %s %s:%d\r\n" % (
                     topology.epoch, owner.encode(),
-                    info.host.encode(), info.port))
-        return await super().dispatch(frame, conn, parent)
+                    info.host.encode(), info.port)
+        return super().answer(frame, conn)
 
 
 class LeaderNode:

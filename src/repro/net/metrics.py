@@ -34,7 +34,6 @@ class ServerMetrics:
     clock: Callable[[], float] = time.monotonic
 
     ops_total: int = 0
-    ops_by_command: Counter = field(default_factory=Counter)
     bytes_in: int = 0
     bytes_out: int = 0
 
@@ -61,11 +60,14 @@ class ServerMetrics:
     commits_by_vsid: Counter = field(default_factory=Counter)
 
     _started: float = -1.0
-    _latencies: Deque[float] = field(default_factory=deque)
+    #: requests by wire command bytes; :attr:`ops_by_command` decodes
+    _by_command: Counter = field(default_factory=Counter)
+    _latencies: Deque[float] = field(init=False)
 
     def __post_init__(self) -> None:
         if self._started < 0:
             self._started = self.clock()
+        self._latencies = deque(maxlen=self.reservoir_size)
 
     def now(self) -> float:
         """The metrics time source (the server timestamps through it)."""
@@ -85,11 +87,9 @@ class ServerMetrics:
                         response_bytes: int) -> None:
         """Account one completed request."""
         self.ops_total += 1
-        self.ops_by_command[command.decode("ascii", "replace")] += 1
+        self._by_command[command] += 1
         self.bytes_out += response_bytes
         self._latencies.append(latency_s)
-        while len(self._latencies) > self.reservoir_size:
-            self._latencies.popleft()
 
     def observe_queue_depth(self, depth: int) -> None:
         self.queue_high_watermark = max(self.queue_high_watermark, depth)
@@ -99,6 +99,14 @@ class ServerMetrics:
         self.commits_by_vsid[vsid] += 1
 
     # ------------------------------------------------------------------
+
+    @property
+    def ops_by_command(self) -> Counter:
+        """Requests by command name (``str`` keys)."""
+        names: Counter = Counter()
+        for command, count in self._by_command.items():
+            names[command.decode("ascii", "replace")] += count
+        return names
 
     @property
     def uptime_seconds(self) -> float:

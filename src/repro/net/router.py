@@ -8,9 +8,10 @@ one shared :class:`~repro.core.machine.Machine` (so deduplication still
 spans the whole cache). Each shard owns an asyncio commit queue and a
 worker coroutine:
 
-* **reads** (``get``/``gets``/``stats``/``version``) execute inline —
-  they are snapshot reads and need no synchronization, the paper's
-  headline memcached property;
+* **reads** (``get``/``gets``/``stats``/``version``) are answered by
+  :meth:`ShardRouter.answer`, with no queue and no future — they are
+  snapshot reads and need no synchronization, the paper's headline
+  memcached property — unless they wait on their connection's writes;
 * **writes** are enqueued to the owning shard, giving natural
   backpressure (bounded queue);
 * a worker drains its queue in *batches* and has one way to land one,
@@ -44,7 +45,7 @@ import asyncio
 import json
 import zlib
 from dataclasses import fields as dataclass_fields
-from typing import Awaitable, Callable, Dict, List, Optional
+from typing import Awaitable, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.apps.memcached.protocol import CRLF, ProtocolHandler
 from repro.apps.memcached.server import HicampMemcached
@@ -222,10 +223,41 @@ class ShardRouter:
         """Owning shard for ``key`` (stable across the server's life)."""
         return zlib.crc32(key) % len(self.servers)
 
+    def answer(self, frame: Frame, conn: ConnectionState) -> Optional[bytes]:
+        """The response to a frame that needs no queue, else ``None``:
+        writes, ``flush_all`` and reads of a shard holding a pending
+        write from ``conn`` go through :meth:`dispatch`."""
+        if frame.error is not None:
+            self.metrics.protocol_errors += 1
+            return b"CLIENT_ERROR %s\r\n" % frame.error.encode()
+        command = frame.command
+        if command in READ_COMMANDS and frame.args:
+            if len(frame.args) == 1:
+                shard = self.shard_index(frame.key)
+                if conn.depends_on(shard) is not None:
+                    return None
+                return self._execute(shard, frame)
+            if any(conn.depends_on(self.shard_index(key)) is not None
+                   for key in frame.args):
+                return None
+            return self._read_keys(frame)
+        if command == b"stats":
+            if any(conn.depends_on(shard) is not None
+                   for shard in range(len(self.servers))):
+                return None
+            return self.stats_response(frame.args)
+        if command in WRITE_COMMANDS and frame.key is not None \
+                or command == b"flush_all":
+            return None
+        # version, unknown commands, malformed writes: any handler can
+        # answer these without touching shard state
+        return self._execute(0, frame)
+
     async def dispatch(self, frame: Frame, conn: ConnectionState,
                        parent: Optional[int] = None) -> Awaitable[bytes]:
         """Route one frame; returns an awaitable yielding the response.
 
+        What :meth:`answer` answers comes back as a completed future.
         Writes are *enqueued* before this returns (waiting for queue
         space is the backpressure), but their response awaitable resolves
         only when the shard worker commits them — so a connection can
@@ -233,34 +265,39 @@ class ShardRouter:
         ``parent`` is the request's trace span id (propagated into the
         commit-queue batch span when tracing is enabled).
         """
-        if frame.error is not None:
-            self.metrics.protocol_errors += 1
-            return _completed(b"CLIENT_ERROR %s\r\n" % frame.error.encode())
+        response = self.answer(frame, conn)
+        if response is not None:
+            return _completed(response)
         command = frame.command
-        if command in WRITE_COMMANDS and frame.key is not None:
-            return await self._enqueue_write(frame, conn, parent)
-        if command in READ_COMMANDS and len(frame.args) > 1:
-            return await self._multi_get(frame, conn)
-        if command in READ_COMMANDS and frame.key is not None:
-            shard = self.shard_index(frame.key)
-            if conn.depends_on(shard) is not None:
-                fence = await self._enqueue_fence(shard, (frame.key,))
-                return asyncio.ensure_future(
-                    self._read_after((fence,), shard, frame))
-            return _completed(self._execute(shard, frame))
-        if command == b"stats":
-            return await self._stats_after_writes(frame, conn)
         if command == b"flush_all":
             return await self._broadcast(frame, conn, parent)
-        # version, unknown commands, malformed writes: any handler can
-        # answer these without touching shard state
-        return _completed(self._execute(0, frame))
+        if command == b"stats":
+            # stats pipelined behind this connection's writes counts them
+            return await self._fenced_read(
+                conn, dict.fromkeys(range(len(self.servers)), ()),
+                lambda: self.stats_response(frame.args))
+        if command in READ_COMMANDS:
+            keys: Dict[int, List[bytes]] = {}
+            for key in frame.args:
+                keys.setdefault(self.shard_index(key), []).append(key)
+            return await self._fenced_read(
+                conn, keys, lambda: self._read_keys(frame))
+        return await self._enqueue_write(frame, conn, parent)
 
     def _execute(self, shard: int, frame: Frame) -> bytes:
         """Answer a decoded frame from ``shard``'s backend: the decoder
         parsed it, so the handler is entered past its parser."""
         return self.handlers[shard].execute(frame.command, frame.args,
                                             frame.payload)
+
+    def _read_keys(self, frame: Frame) -> bytes:
+        """A ``get``/``gets`` of one or more keys, each read from its
+        own shard."""
+        with_token = frame.command == b"gets"
+        out = [self.handlers[self.shard_index(key)].value_block(
+                   key, with_token) for key in frame.args]
+        out.append(b"END\r\n")
+        return b"".join(out)
 
     async def _enqueue_write(self, frame: Frame, conn: ConnectionState,
                              parent: Optional[int] = None
@@ -285,22 +322,14 @@ class ShardRouter:
             (Frame(raw=b"", command=FENCE, args=list(keys)), future, None))
         return future
 
-    async def _read_after(self, deps, shard: int, frame: Frame) -> bytes:
-        for dep in deps:
-            try:
-                await dep
-            except Exception:
-                pass  # the write's own response reports its failure
-        return self._execute(shard, frame)
-
-    async def _multi_get(self, frame: Frame,
-                         conn: ConnectionState) -> Awaitable[bytes]:
-        by_shard: Dict[int, List[bytes]] = {}
-        for key in frame.args:
-            shard = self.shard_index(key)
-            by_shard.setdefault(shard, []).append(key)
-        deps = [await self._enqueue_fence(shard, keys)
-                for shard, keys in by_shard.items()
+    async def _fenced_read(self, conn: ConnectionState,
+                           keys: Mapping[int, Sequence[bytes]],
+                           read: Callable[[], bytes]) -> Awaitable[bytes]:
+        """``read()`` once a fence has passed on every shard in ``keys``
+        holding a write from ``conn`` (``keys[shard]`` are the keys it
+        reads there; none for ``stats``, which reads them all)."""
+        deps = [await self._enqueue_fence(shard, shard_keys)
+                for shard, shard_keys in keys.items()
                 if conn.depends_on(shard) is not None]
 
         async def fetch() -> bytes:
@@ -308,28 +337,8 @@ class ShardRouter:
                 try:
                     await dep
                 except Exception:
-                    pass
-            with_token = frame.command == b"gets"
-            out = [self.handlers[self.shard_index(key)].value_block(
-                       key, with_token) for key in frame.args]
-            out.append(b"END\r\n")
-            return b"".join(out)
-
-        return asyncio.ensure_future(fetch())
-
-    async def _stats_after_writes(self, frame: Frame,
-                                  conn: ConnectionState) -> Awaitable[bytes]:
-        # stats pipelined behind this connection's writes must count them
-        deps = [await self._enqueue_fence(shard)
-                for shard in range(len(self.servers))
-                if conn.depends_on(shard) is not None]
-        if not deps:
-            return _completed(self.stats_response(frame.args))
-
-        async def fetch() -> bytes:
-            for dep in deps:
-                await dep
-            return self.stats_response(frame.args)
+                    pass  # the write's own response reports its failure
+            return read()
 
         return asyncio.ensure_future(fetch())
 

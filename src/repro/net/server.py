@@ -48,10 +48,14 @@ READ_CHUNK = 1 << 16
 class MemcachedServer:
     """Asyncio TCP server speaking the memcached ASCII protocol.
 
-    A router is anything with ``dispatch``, ``metrics``, ``recorder``,
-    ``injector`` and the ``start``/``drain``/``pending_commits``/
-    ``stop``/``abort`` lifecycle; without one the server builds a
-    :class:`~repro.net.router.ShardRouter` from the remaining arguments.
+    A router is anything with ``answer``, ``dispatch``, ``metrics``,
+    ``recorder``, ``injector`` and the ``start``/``drain``/
+    ``pending_commits``/``stop``/``abort`` lifecycle; without one the
+    server builds a :class:`~repro.net.router.ShardRouter` from the
+    remaining arguments. ``answer(frame, conn)`` returns the response
+    bytes of a frame that needs no queue, else ``None``, and only then
+    is ``await dispatch(frame, conn, span)`` called: an awaitable of the
+    response.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -158,14 +162,15 @@ class MemcachedServer:
                                 writer: asyncio.StreamWriter) -> None:
         task = asyncio.current_task()
         self._conn_tasks.add(task)
-        self.metrics.connections_opened += 1
-        conn_id = self.metrics.connections_opened
+        metrics, router = self.metrics, self.router
+        metrics.connections_opened += 1
+        conn_id = metrics.connections_opened
         recorder = self.recorder
         injector = self.injector
         scope = injector.next_connection() if injector is not None else -1
         decoder = FrameDecoder()
         conn = ConnectionState()
-        inflight = []  # (dispatch time, command, awaitable, span), FIFO
+        inflight = []  # (decode time, command, bytes or awaitable, span)
         try:
             while not self._closing:
                 data = b""
@@ -182,7 +187,10 @@ class MemcachedServer:
                     if injector is not None:
                         data = injector.on_read(scope, data)
                 frames = decoder.feed(data)
-                self.metrics.observe_read(len(data), len(frames))
+                metrics.observe_read(len(data), len(frames))
+                # a request's latency runs from here, its bytes decoded,
+                # to its reply being ready to write (read in _flush)
+                decoded = metrics.now()
                 quit_seen = False
                 for frame in frames:
                     if frame.command == b"quit":
@@ -196,11 +204,10 @@ class MemcachedServer:
                             "request", conn=conn_id,
                             command=frame.command.decode("ascii",
                                                          "replace"))
-                    response = await self.router.dispatch(frame, conn,
-                                                          span)
-                    inflight.append(
-                        (self.metrics.now(), frame.command, response,
-                         span))
+                    response = router.answer(frame, conn)
+                    if response is None:
+                        response = await router.dispatch(frame, conn, span)
+                    inflight.append((decoded, frame.command, response, span))
                     if injector is not None \
                             and frame.command in WRITE_COMMANDS:
                         # may raise InjectedReset: the commit is already
@@ -230,24 +237,30 @@ class MemcachedServer:
 
     async def _flush(self, inflight, writer: asyncio.StreamWriter,
                      scope: int = -1) -> None:
-        """Resolve outstanding responses in order and write them out.
+        """Write outstanding responses (bytes, or awaitables of queued
+        ones) in request order.
 
-        Consecutive already-resolved responses leave as one write; what
-        is held is written *before* suspending on an unresolved one, so
-        no reply waits on a later request's commit.
+        Consecutive ready responses leave as one write; what is held is
+        written *before* suspending on an unresolved one, so no reply
+        waits on a later request's commit. A reply is ready to write at
+        the flush's start, or after the suspension that resolved it.
         """
         injector = self.injector
         if injector is not None and inflight:
             await injector.before_flush(scope)
+        metrics = self.metrics
+        ready = metrics.now()
         held = []
-        while inflight:
-            started, command, awaitable, span = inflight.pop(0)
-            if held and not awaitable.done():
-                writer.write(b"".join(held))
-                held.clear()
-            response = await awaitable
-            self.metrics.observe_request(
-                command, self.metrics.now() - started, len(response))
+        for started, command, response, span in inflight:
+            if not isinstance(response, bytes):
+                suspends = not response.done()
+                if suspends and held:
+                    writer.write(b"".join(held))
+                    held.clear()
+                response = await response
+                if suspends:
+                    ready = metrics.now()
+            metrics.observe_request(command, ready - started, len(response))
             if span is not None:
                 self.recorder.end(span, response_bytes=len(response))
             if injector is not None:
@@ -256,6 +269,7 @@ class MemcachedServer:
                     await writer.drain()
             else:
                 held.append(response)
+        inflight.clear()
         if held:
             writer.write(b"".join(held))
         await writer.drain()

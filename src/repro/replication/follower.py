@@ -31,10 +31,11 @@ visible only after its delta arrives (eventual read-your-writes).
 from __future__ import annotations
 
 import asyncio
+import json
 import zlib
 from typing import Dict, Optional
 
-from repro.apps.memcached.protocol import ProtocolHandler
+from repro.apps.memcached.protocol import CRLF, ProtocolHandler
 from repro.apps.memcached.server import ServerStats, cas_token
 from repro.core.machine import Machine
 from repro.errors import ReplicationError
@@ -42,6 +43,8 @@ from repro.memory.line import PlidRef
 from repro.memory.reclaim import RECLAIM_BUDGET
 from repro.net.metrics import ServerMetrics
 from repro.net.router import WRITE_COMMANDS, _completed, cluster_response
+from repro.obs import adapters
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_RECORDER
 from repro.replication import wire
 from repro.replication.delta import translate_line
@@ -419,8 +422,10 @@ class FollowerRouter:
     upstream link, kept in order by a lock around write plus
     ``readline()`` (every write reply is one line): concurrent forwards
     from several connections queue behind each other. Everything else is
-    :class:`ProtocolHandler` over :class:`FollowerReadBackend`, plus the
-    cluster tier's ``cluster`` verb.
+    answered synchronously by :meth:`answer`: :class:`ProtocolHandler`
+    over :class:`FollowerReadBackend`, the cluster tier's ``cluster``
+    verb, and ``stats json`` / ``stats prom`` over the front's own
+    metrics.
     """
 
     def __init__(self, follower: ReplicationFollower,
@@ -429,6 +434,12 @@ class FollowerRouter:
         self.upstream_port = upstream_port
         self.handler = ProtocolHandler(FollowerReadBackend(follower))
         self.metrics = ServerMetrics()
+        #: what ``stats prom`` exposes: the front's serving metrics and
+        #: the replica's replication counters
+        self.registry = MetricsRegistry()
+        adapters.register_server_metrics(self.registry, self.metrics)
+        adapters.register_replication_metrics(self.registry,
+                                              follower.metrics)
         self.recorder = follower.recorder
         self.injector = None
         #: the committed cluster topology ``cluster topology`` answers
@@ -444,17 +455,32 @@ class FollowerRouter:
         self.upstream_host = host
         self.upstream_port = port
 
-    async def dispatch(self, frame, conn, parent: Optional[int] = None):
+    def answer(self, frame, conn) -> Optional[bytes]:
+        """Any frame but a write or ``flush_all`` (``None``: those are
+        forwarded by :meth:`dispatch`), answered from the replica."""
         if frame.error is not None:
             self.metrics.protocol_errors += 1
-            return _completed(b"CLIENT_ERROR %s\r\n" % frame.error.encode())
+            return b"CLIENT_ERROR %s\r\n" % frame.error.encode()
         command = frame.command
         if command in WRITE_COMMANDS or command == b"flush_all":
-            return _completed(await self._forward(frame.raw))
+            return None
         if command == b"cluster":
-            return _completed(cluster_response(frame.args, self.topology))
-        return _completed(self.handler.execute(command, frame.args,
-                                               frame.payload))
+            return cluster_response(frame.args, self.topology)
+        if command == b"stats" and frame.args[:1] == [b"json"]:
+            # the front's serving metrics plus the replica's counters
+            doc = self.metrics.snapshot(
+                extra=self.handler.server.extra_stats())
+            return json.dumps(doc, sort_keys=True).encode() + CRLF \
+                + b"END\r\n"
+        if command == b"stats" and frame.args[:1] == [b"prom"]:
+            return self.registry.exposition().encode() + b"END\r\n"
+        return self.handler.execute(command, frame.args, frame.payload)
+
+    async def dispatch(self, frame, conn, parent: Optional[int] = None):
+        response = self.answer(frame, conn)
+        if response is None:
+            response = await self._forward(frame.raw)
+        return _completed(response)
 
     async def _forward(self, raw: bytes) -> bytes:
         """Relay one write to the leader; returns its one-line reply."""

@@ -69,6 +69,8 @@ class FollowerSession:
         self.dirty: Set[int] = set()
         self.needs_resync = False
         self.wake = asyncio.Event()
+        #: set by the session's teardown before it cancels the sender
+        self.closed = False
 
     def mark_dirty(self, stream: int) -> None:
         self.dirty.add(stream)
@@ -234,6 +236,7 @@ class ReplicationLeader:
                 ConnectionError, OSError):
             pass
         finally:
+            session.closed = True
             if sender is not None:
                 sender.cancel()
                 try:
@@ -394,7 +397,10 @@ class ReplicationLeader:
     async def _sender(self, session: FollowerSession) -> None:
         """Ship deltas when streams go dirty; heartbeat when idle."""
         try:
-            while True:
+            # runs until the session closes, not until cancelled: before
+            # Python 3.12, asyncio.wait_for swallows a cancel that lands
+            # as ``wake`` fires, and a sender left running hangs stop()
+            while not session.closed:
                 try:
                     if self.heartbeat_interval is None:
                         await session.wake.wait()

@@ -139,18 +139,27 @@ class TestCheckpointCommand:
 
 
 class TestMetricsCommand:
-    def _server(self):
+    def _server(self, follower=False):
+        """A serving front on a thread: a one-shard leader, or (with
+        ``follower``) a follower's front with no leader to reach."""
         import asyncio
         import threading
 
         from repro.net.server import MemcachedServer
+        from repro.replication import FollowerRouter, ReplicationFollower
 
         started = threading.Event()
         box = {}
 
         def run():
             async def go():
-                server = MemcachedServer(port=0, shard_count=1)
+                if follower:
+                    replica = ReplicationFollower("127.0.0.1", 1,
+                                                  reconnect_delay=5.0)
+                    server = MemcachedServer(router=FollowerRouter(
+                        replica, "127.0.0.1", 1))
+                else:
+                    server = MemcachedServer(port=0, shard_count=1)
                 await server.start()
                 box["port"] = server.port
                 box["stop"] = asyncio.Event()
@@ -158,6 +167,8 @@ class TestMetricsCommand:
                 started.set()
                 await box["stop"].wait()
                 await server.shutdown()
+                if follower:
+                    await replica.stop()
 
             asyncio.run(go())
 
@@ -190,6 +201,29 @@ class TestMetricsCommand:
                          "--format", "json"]) == 0
             snap = json.loads(capsys.readouterr().out)
             assert snap["shards"] == 1
+        finally:
+            box["loop"].call_soon_threadsafe(box["stop"].set)
+            thread.join(5)
+
+    def test_follower_front_serves_both_formats(self, capsys):
+        import json
+
+        from repro.obs.registry import parse_exposition, sample
+
+        box, thread = self._server(follower=True)
+        try:
+            assert main(["metrics", "--port", str(box["port"])]) == 0
+            parsed = parse_exposition(capsys.readouterr().out)
+            # the scrape itself is the front's first connection
+            assert sample(parsed, "repro_server_connections_opened") == 1
+            assert sample(parsed, "repro_replication_root_advances") == 0
+            assert main(["metrics", "--port", str(box["port"]),
+                         "--format", "json"]) == 0
+            snap = json.loads(capsys.readouterr().out)
+            assert snap["connections_opened"] == 2
+            assert snap["ops_by_command"] == {"stats": 1}
+            assert snap["replication_root_advances"] == 0
+            assert "latency" in snap and "footprint_bytes" in snap
         finally:
             box["loop"].call_soon_threadsafe(box["stop"].set)
             thread.join(5)

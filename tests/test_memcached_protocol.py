@@ -101,6 +101,41 @@ class TestCommands:
     def test_unknown_command(self, handler):
         assert handler.handle(b"flushish\r\n") == b"ERROR\r\n"
 
+    def test_execute_reaches_every_command_method(self, handler):
+        methods = {name[len("_cmd_"):].encode()
+                   for name in dir(ProtocolHandler)
+                   if name.startswith("_cmd_")}
+        assert set(ProtocolHandler.COMMANDS) == methods
+        for command, method in ProtocolHandler.COMMANDS.items():
+            assert method is getattr(ProtocolHandler,
+                                     "_cmd_" + command.decode())
+        handler.execute(b"set", [b"n", b"0", b"0", b"1"], b"5")
+        token = handler.execute(b"gets", [b"n"], None).split()[4]
+        requests = {
+            b"get": ([b"n"], None, b"VALUE n 0 1\r\n5\r\nEND\r\n"),
+            b"gets": ([b"n"], None, b"VALUE n 0 1 %s\r\n5\r\nEND\r\n"
+                      % token),
+            b"set": ([b"n", b"0", b"0", b"1"], b"6", b"STORED\r\n"),
+            b"add": ([b"m", b"0", b"0", b"1"], b"1", b"STORED\r\n"),
+            b"replace": ([b"m", b"0", b"0", b"1"], b"2", b"STORED\r\n"),
+            b"cas": ([b"m", b"0", b"0", b"1", b"0"], b"3", b"EXISTS\r\n"),
+            b"incr": ([b"n", b"4"], None, b"10\r\n"),
+            b"decr": ([b"n", b"3"], None, b"7\r\n"),
+            b"delete": ([b"m"], None, b"DELETED\r\n"),
+            b"version": ([], None, b"VERSION repro-hicamp/1.0\r\n"),
+            b"flush_all": ([], None, b"OK\r\n"),
+        }
+        assert set(requests) | {b"stats"} == methods
+        for command, (args, payload, expected) in requests.items():
+            assert handler.execute(command, args, payload) == expected, \
+                command
+        assert handler.execute(b"stats", [], None).startswith(b"STAT ")
+
+    def test_non_command_names_are_errors(self, handler):
+        for command in (b"bogus", b"\xff", b"handle", b"value_block",
+                        b"execute", b"_cmd_get", b"GET", b""):
+            assert handler.execute(command, [b"k"], None) == b"ERROR\r\n"
+
     def test_malformed_returns_client_error(self, handler):
         assert handler.handle(b"set k 0 0\r\n").startswith(b"CLIENT_ERROR")
         assert handler.handle(b"incr n xyz\r\n").startswith(b"CLIENT_ERROR")

@@ -13,6 +13,7 @@ import asyncio
 
 from repro.net.server import MemcachedServer
 from repro.replication import ReplicationFollower, ReplicationLeader
+from repro.replication import leader as leader_module
 
 
 async def wait_until(predicate, timeout=5.0):
@@ -120,5 +121,60 @@ class TestSessionChurn:
             assert len(stack.dealloc_listeners) == base
             await follower.stop()
             await stack.server.shutdown()
+
+        asyncio.run(go())
+
+
+class _Python311WaitFor:
+    """``asyncio`` as the leader module sees it, except that
+    ``wait_for`` swallows a cancel that lands while the session's
+    ``wake`` is set. Before Python 3.12 ``asyncio.wait_for`` does that
+    when the cancel and the awaited event land in the same loop turn;
+    this makes the race happen on every version, every time."""
+
+    def __init__(self, sessions):
+        self._sessions = sessions
+
+    def __getattr__(self, name):
+        return getattr(asyncio, name)
+
+    async def wait_for(self, awaitable, timeout):
+        try:
+            return await asyncio.wait_for(awaitable, timeout)
+        except asyncio.CancelledError:
+            if not any(s.wake.is_set() for s in self._sessions):
+                raise
+            return True
+
+
+class TestSenderStops:
+    def test_stop_returns_when_the_cancel_lands_as_wake_fires(
+            self, monkeypatch):
+        sessions = []
+        monkeypatch.setattr(leader_module, "asyncio",
+                            _Python311WaitFor(sessions))
+
+        async def go():
+            server = MemcachedServer(port=0, shard_count=2)
+            await server.start()
+            # a heartbeat wait long enough that only the cancel ends it
+            leader = ReplicationLeader(server.router,
+                                       heartbeat_interval=60.0)
+            await leader.start()
+            follower = ReplicationFollower(
+                "127.0.0.1", leader.port, reconnect_delay=0.01)
+            await follower.start()
+            try:
+                # both streams synced: the sender is parked in its wait
+                assert await wait_until(
+                    lambda: len(follower.applied_seq) == 2)
+                await asyncio.sleep(0.05)
+                sessions.extend(leader._sessions)
+                sessions[0].wake.set()
+                await asyncio.wait_for(leader.stop(), 2.0)
+                assert not leader._sessions
+            finally:
+                await follower.stop()
+                await server.shutdown()
 
         asyncio.run(go())
