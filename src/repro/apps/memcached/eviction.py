@@ -42,10 +42,6 @@ class EvictionStats:
 class ManagedMemcached(HicampMemcached):
     """Memcached with TTL expiry and a byte quota with LRU eviction."""
 
-    #: Every store rewrites the payload (expiry header), so the router
-    #: must not coalesce runs through the header-less bulk path.
-    BULK_SAFE = False
-
     def __init__(self, machine: Machine,
                  quota_bytes: Optional[int] = None) -> None:
         super().__init__(machine)
@@ -135,16 +131,19 @@ class ManagedMemcached(HicampMemcached):
         return True
 
     def set_many(self, items) -> None:
-        """Bulk store (no TTL): each value gets a never-expires header.
+        """Bulk store of ``(key, value, exptime)`` items in one commit.
 
-        Correct for direct callers; the router still never routes its
-        batched runs here (``BULK_SAFE`` is False) because the wire
-        frames' per-item exptimes would be lost.
+        Item *i* gets the deadline the *i*-th of as many sequential
+        :meth:`set` calls would give it (the clock advances once per
+        item); the quota is enforced once, after the whole run lands.
         """
-        self.tick(len(items))
-        header = _HEADER.pack(_NEVER)
-        super().set_many([(key, header + value) for key, value in items])
-        for key, _ in items:
+        staged = []
+        for key, value, exptime in items:
+            self.tick()
+            deadline = self.clock + exptime if exptime else _NEVER
+            staged.append((key, _HEADER.pack(deadline) + value, exptime))
+        super().set_many(staged)
+        for key, _, _ in items:
             self._touch(key)
         self._enforce_quota()
 

@@ -101,6 +101,14 @@ def parse_frame(data: bytes, start: int = 0
     return command, args, None, body - start
 
 
+def parse_exptime(args: List[bytes]) -> int:
+    """A storage command's wire TTL (``args[2]``), floored at zero."""
+    try:
+        return max(0, int(args[2]))
+    except (ValueError, IndexError):
+        raise ProtocolError("bad exptime %r" % args[2:3])
+
+
 def parse_request(data: bytes) -> Tuple[bytes, List[bytes], Optional[bytes]]:
     """Split a raw request into (command, arguments, payload).
 
@@ -172,14 +180,8 @@ class ProtocolHandler:
     # ------------------------------------------------------------------
     # storage
 
-    def _exptime(self, args) -> int:
-        try:
-            return max(0, int(args[2]))
-        except (ValueError, IndexError):
-            raise ProtocolError("bad exptime %r" % args[2:3])
-
     def _store(self, method, args, payload) -> bool:
-        return method(args[0], payload, exptime=self._exptime(args))
+        return method(args[0], payload, exptime=parse_exptime(args))
 
     def _cmd_set(self, args, payload) -> bytes:
         self._store(self.server.set, args, payload)
@@ -197,7 +199,7 @@ class ProtocolHandler:
     def _cmd_cas(self, args, payload) -> bytes:
         if len(args) < 5:
             raise ProtocolError("cas needs a token")
-        exptime = self._exptime(args)
+        exptime = parse_exptime(args)
         got = self.server.gets(args[0])
         if got is None:
             return b"NOT_FOUND\r\n"

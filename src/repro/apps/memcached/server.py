@@ -55,11 +55,6 @@ class ServerStats:
 class HicampMemcached:
     """A memcached server running directly on a HICAMP machine."""
 
-    #: Whether the router may coalesce a run of sets into one
-    #: :meth:`set_many` bulk commit. Subclasses that rewrite payloads
-    #: per-store (TTL headers) must opt out.
-    BULK_SAFE = True
-
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
         self.kvp = HMap.create(machine)
@@ -88,14 +83,17 @@ class HicampMemcached:
         return True
 
     def set_many(self, items) -> None:
-        """Store a batch of pairs in one atomic commit (bulk ingest).
+        """Store a batch of ``(key, value, exptime)`` items in one atomic
+        commit (bulk ingest); ``exptime`` is ignored, as by :meth:`set`.
 
         The whole batch is one tree rebuild and one root swap
         (:meth:`HMap.put_many`): how the router's queue worker lands
-        a run of sets. A repeated key is staged once with its last value (what sequential sets
-        would leave) but counts once per occurrence in ``sets``.
+        a run of sets. A repeated key is staged once with its last value
+        (what sequential sets would leave) but counts once per
+        occurrence in ``sets``.
         """
-        self.kvp.put_many(list(dict(items).items()))
+        self.kvp.put_many(list({key: value
+                                for key, value, _ in items}.items()))
         self.stats.sets += len(items)
 
     def delete(self, key: bytes) -> bool:

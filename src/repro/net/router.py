@@ -47,7 +47,8 @@ import zlib
 from dataclasses import fields as dataclass_fields
 from typing import Awaitable, Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.apps.memcached.protocol import CRLF, ProtocolHandler
+from repro.apps.memcached.protocol import (
+    CRLF, ProtocolError, ProtocolHandler, parse_exptime)
 from repro.apps.memcached.server import HicampMemcached
 from repro.core.machine import Machine
 from repro.memory.reclaim import RECLAIM_BUDGET
@@ -140,10 +141,11 @@ class ShardRouter:
         adapters.register_router(self.registry, self)
         adapters.register_index(self.registry, self.machine.mem.store)
         adapters.register_reclaim(self.registry, self.machine.mem.store)
-        # the structural memo (PLID-keyed build/merge/fingerprint caches)
-        # is off by default machine-wide so modeled-DRAM experiments stay
-        # exact; the serving stack opts in — hits bypass modeled lookup
-        # traffic but stay refcount-exact (docs/performance.md)
+        # the structural memo (a repeated value's bytes -> its root, and
+        # PLID -> fingerprint) is off by default machine-wide so
+        # modeled-DRAM experiments stay exact; the serving stack opts in
+        # — a hit skips a value's rebuild and its modeled lookups but
+        # stays refcount-exact (docs/performance.md)
         self.machine.mem.memo.enable()
         adapters.register_memo(self.registry, self.machine.mem.memo)
         # the eviction accounting ManagedMemcached adds reads through
@@ -151,11 +153,6 @@ class ShardRouter:
         if all(hasattr(s, "eviction") for s in self.servers):
             adapters.register_eviction(
                 self.registry, [s.eviction for s in self.servers])
-        # group commits go through set_many, which a BULK_SAFE backend
-        # supports; a TTL backend rewrites the payload per set, so its
-        # sets land one by one
-        self._bulk_safe = all(getattr(type(s), "BULK_SAFE", False)
-                              for s in self.servers)
         self.queues: List["asyncio.Queue"] = []
         self._workers: List["asyncio.Task"] = []
         #: callbacks fired as ``listener(shard, vsid, commits)`` after a
@@ -404,13 +401,18 @@ class ShardRouter:
         pending = list(batch)
         while pending:
             run, keys = [], set()
-            while pending and self._bulk_safe:
+            while pending:
                 frame, future, _ = pending[0]
                 if frame.command == b"set" and frame.payload is not None:
+                    try:
+                        exptime = parse_exptime(frame.args)
+                    except ProtocolError:
+                        break  # unstaged: _apply_one answers CLIENT_ERROR
                     # set_many's documented last-wins handling of a
                     # repeated key lets the run absorb hot-key repeats
                     keys.add(frame.key)
-                    run.append(pending.pop(0))
+                    pending.pop(0)
+                    run.append((frame, future, exptime))
                     continue
                 if not run:
                     break
@@ -465,10 +467,12 @@ class ShardRouter:
 
     def _commit_bulk_sets(self, shard: int, run,
                           batch_span: Optional[int] = None) -> None:
-        """Land a run of sets as one group commit.
+        """Land a run of sets — ``(frame, future, exptime)`` each — as
+        one group commit.
 
         The entire run lands through :meth:`HicampMemcached.set_many` —
-        one bottom-up tree rebuild and one root CAS for N sets.
+        one bottom-up tree rebuild and one root CAS for N sets, each
+        with its own wire exptime.
         ``set_many`` coalesces repeated keys to their last occurrence
         before staging (FIFO last-wins, exactly what N sequential sets
         would leave), so hot-key bursts cost one staged write per
@@ -478,10 +482,11 @@ class ShardRouter:
         fail.
         """
         recorder = self.recorder
-        items = [(frame.key, frame.payload) for frame, _, _ in run]
+        items = [(frame.key, frame.payload, exptime)
+                 for frame, _, exptime in run]
         bulk_span = None
         if recorder.enabled:
-            staged = len(dict(items))
+            staged = len({key for key, _, _ in items})
             bulk_span = recorder.begin("bulk_commit", parent=batch_span,
                                        shard=shard, staged=staged,
                                        coalesced=len(run) - staged)

@@ -131,27 +131,6 @@ def entry_key(entry: Entry) -> bytes:
 # ----------------------------------------------------------------------
 # building
 
-def _interned_lookup(mem: MemorySystem, line: Line) -> int:
-    """Find-or-allocate a line, consulting the structural memo first.
-
-    A memo hit performs exactly the reference bump the dedup-hit path
-    would (the PLID's count goes up by one either way), so reference
-    counting stays exact; what it skips is the host-side encode/hash/
-    bucket walk — and the modeled lookup charge, which is why the memo
-    is off by default (see :mod:`repro.memory.memo`).
-    """
-    memo = mem.memo
-    if not memo.enabled:
-        return mem.lookup(line)
-    plid = memo.get_line(line)
-    if plid is not None:
-        mem.incref(plid)
-        return plid
-    plid = mem.lookup(line)
-    memo.put_line(line, plid)
-    return plid
-
-
 def _leaf_entry(mem: MemorySystem, words: Sequence) -> Entry:
     """Canonical entry for one leaf-line span of words."""
     vals = _trim(words)
@@ -162,7 +141,7 @@ def _leaf_entry(mem: MemorySystem, words: Sequence) -> Entry:
         if inline is not None:
             return inline
     line: Line = tuple(words) + (0,) * (mem.words_per_line - len(words))
-    return PlidRef(_interned_lookup(mem, line))
+    return PlidRef(mem.lookup(line))
 
 
 def _canonical_interior(mem: MemorySystem, children: List[Entry], level: int) -> Entry:
@@ -204,7 +183,7 @@ def _canonical_interior(mem: MemorySystem, children: List[Entry], level: int) ->
             and isinstance(children[last], PlidRef)):
         return PlidRef(children[last].plid, (last,) + children[last].path)
     # Materialize the interior line.
-    plid = _interned_lookup(mem, tuple(children))
+    plid = mem.lookup(tuple(children))
     for child in children:
         if isinstance(child, PlidRef):
             mem.decref(child.plid)
@@ -674,10 +653,9 @@ def content_fingerprint(store, entry: Entry,
     """
     tracker = None
     if memo is None:
-        smemo = getattr(store, "memo", None)
-        if smemo is not None and smemo.enabled:
-            memo = smemo.digests
-            tracker = smemo
+        if store.memo.enabled:
+            tracker = store.memo
+            memo = tracker.digests
         else:
             memo = {}
 

@@ -24,7 +24,6 @@ from typing import List, Tuple
 
 from repro.errors import MergeConflictError
 from repro.memory.line import PlidRef
-from repro.memory.memo import MISS
 from repro.memory.system import MemorySystem
 from repro.params import WORD_MASK
 from repro.segments import dag
@@ -91,47 +90,24 @@ def _shared_run(mem: MemorySystem, entries: Tuple[Entry, ...],
 
 
 def _merge_run(mem: MemorySystem, triple: Tuple[Entry, Entry, Entry],
-               keys: Tuple[bytes, bytes, bytes], level: int,
-               run: Tuple[int, ...], stats: MergeStats) -> Entry:
+               level: int, run: Tuple[int, ...],
+               stats: MergeStats) -> Entry:
     """Merge three entries that elide the same ``run`` of levels below
     ``level``: one descent to the bottom of the run, one re-emission.
 
     Accounts for every elided level what a level-at-a-time merge does
-    there — one level descended, ``fanout - 1`` all-zero sibling triples
-    skipped and, with the structural memo on, one probe on the way down
-    and one record on the way up (``level`` itself is the caller's).
+    there — one level descended and ``fanout - 1`` all-zero sibling
+    triples skipped (``level`` itself is the caller's).
     """
-    depth, cached, memo = len(run), MISS, mem.memo
-    below_keys = []  # memo keys of levels level-1, level-2, ...
-    if memo.enabled:
-        # a reference's key ends in its path and sheds leading positions
-        # as it peels; a zero or packed entry keeps its key all the way
-        (b, b_path), (m, m_path), (t, t_path) = (
-            (k[:9], k[9:]) if k[:1] == b"P" else (k, b"") for k in keys)
-        for i in range(1, depth):
-            key = (b + b_path[i:], m + m_path[i:], t + t_path[i:], level - i)
-            cached = memo.get_merge(key)
-            if cached is not MISS:
-                depth = i
-                break
-            below_keys.append(key)
-    left = sum(run[:depth])  # sibling triples merged before the descent
+    depth = len(run)
+    left = sum(run)  # sibling triples merged before the descent
     stats.levels_descended += depth
     stats.subtrees_skipped += left
-    if cached is not MISS:
-        stats.subtrees_skipped += 1
-        merged = dag.retain_entry(mem, cached)
-    else:
-        peeled = (PlidRef(e.plid, e.path[depth:]) if isinstance(e, PlidRef)
-                  else e for e in triple)
-        merged = merge_entries(mem, *peeled, level - depth, stats)
+    peeled = (PlidRef(e.plid, e.path[depth:]) if isinstance(e, PlidRef)
+              else e for e in triple)
+    merged = merge_entries(mem, *peeled, level - depth, stats)
     stats.subtrees_skipped += depth * (mem.fanout - 1) - left
-    if not below_keys:
-        return dag._wrap_run(mem, merged, level - depth, run[:depth])
-    for i in range(depth - 1, 0, -1):
-        merged = dag._wrap_run(mem, merged, level - i - 1, run[i:i + 1])
-        memo.put_merge(below_keys[i - 1], merged, triple + (merged,))
-    return dag._wrap_run(mem, merged, level - 1, run[:1])
+    return dag._wrap_run(mem, merged, level - depth, run)
 
 
 def merge_entries(mem: MemorySystem, base: Entry, mine: Entry, theirs: Entry,
@@ -150,52 +126,34 @@ def merge_entries(mem: MemorySystem, base: Entry, mine: Entry, theirs: Entry,
     # one-side-unchanged cases; two sides that made the *same-looking*
     # change must still merge word-by-word, or two identical counter
     # increments would collapse into one. (For the same reason there is
-    # deliberately no ``mine == theirs`` short-circuit here — the memo
-    # below covers *repeated identical triples* soundly instead, since a
-    # merge is a pure function of its three contents.)
+    # deliberately no ``mine == theirs`` short-circuit here.)
     if k_mine == k_base:
         stats.subtrees_skipped += 1
         return dag.retain_entry(mem, theirs)
     if k_theirs == k_base:
         stats.subtrees_skipped += 1
         return dag.retain_entry(mem, mine)
-    memo = mem.memo
-    memo_key = None
-    if memo.enabled:
-        memo_key = (k_base, k_mine, k_theirs, level)
-        cached = memo.get_merge(memo_key)
-        if cached is not MISS:
-            # content-unique entries make the key a full content triple;
-            # retaining the cached result is refcount-identical to
-            # re-deriving it (intermediate lookup hits cancel out)
-            stats.subtrees_skipped += 1
-            return dag.retain_entry(mem, cached)
     triple = (base, mine, theirs)
     if level == 0:
         stats.leaf_merges += 1
         b, m, t = (dag._expand(mem, e, 0, owned=False) for e in triple)
         words = [three_way_merge_word(b[i], m[i], t[i])
                  for i in range(mem.words_per_line)]
-        merged = dag._leaf_entry(mem, words)
-    elif run := _shared_run(mem, triple, level):
-        merged = _merge_run(mem, triple, (k_base, k_mine, k_theirs), level,
-                            run, stats)
-    else:
-        stats.levels_descended += 1
-        bc, mc, tc = (dag._expand(mem, e, level, owned=False) for e in triple)
-        children: List[Entry] = []
-        try:
-            for j in range(mem.fanout):
-                children.append(merge_entries(mem, bc[j], mc[j], tc[j],
-                                              level - 1, stats))
-        except MergeConflictError:
-            for c in children:
-                dag.release_entry(mem, c)
-            raise
-        merged = dag._canonical_interior(mem, children, level)
-    if memo_key is not None:
-        memo.put_merge(memo_key, merged, triple + (merged,))
-    return merged
+        return dag._leaf_entry(mem, words)
+    if run := _shared_run(mem, triple, level):
+        return _merge_run(mem, triple, level, run, stats)
+    stats.levels_descended += 1
+    bc, mc, tc = (dag._expand(mem, e, level, owned=False) for e in triple)
+    children: List[Entry] = []
+    try:
+        for j in range(mem.fanout):
+            children.append(merge_entries(mem, bc[j], mc[j], tc[j],
+                                          level - 1, stats))
+    except MergeConflictError:
+        for c in children:
+            dag.release_entry(mem, c)
+        raise
+    return dag._canonical_interior(mem, children, level)
 
 
 def merge_roots(mem: MemorySystem,

@@ -18,7 +18,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import MergeConflictError, SegmentRangeError
 from repro.memory.line import Inline, Line, PlidRef
-from repro.memory.memo import MISS
 from repro.memory.system import MemorySystem
 from repro.segments.dag import Entry, entry_key, release_entry, retain_entry
 from repro.segments.merge import MergeStats, three_way_merge_word
@@ -70,27 +69,6 @@ def _inline_for(words: Sequence) -> Optional[Inline]:
 # ----------------------------------------------------------------------
 # building
 
-def _interned_lookup(mem: MemorySystem, line: Line) -> int:
-    """Find-or-allocate a line, consulting the structural memo first.
-
-    A memo hit performs exactly the reference bump the dedup-hit path
-    would (the PLID's count goes up by one either way), so reference
-    counting stays exact; what it skips is the host-side encode/hash/
-    bucket walk — and the modeled lookup charge, which is why the memo
-    is off by default (see :mod:`repro.memory.memo`).
-    """
-    memo = mem.memo
-    if not memo.enabled:
-        return mem.lookup(line)
-    plid = memo.get_line(line)
-    if plid is not None:
-        mem.incref(plid)
-        return plid
-    plid = mem.lookup(line)
-    memo.put_line(line, plid)
-    return plid
-
-
 def _leaf_entry(mem: MemorySystem, words: Sequence) -> Entry:
     """Canonical entry for one leaf-line span of words."""
     vals = _trim(words)
@@ -102,7 +80,7 @@ def _leaf_entry(mem: MemorySystem, words: Sequence) -> Entry:
             return inline
     w = mem.words_per_line
     line: Line = tuple(words) + (0,) * (w - len(words))
-    plid = _interned_lookup(mem, line)
+    plid = mem.lookup(line)
     return PlidRef(plid)
 
 
@@ -143,7 +121,7 @@ def _canonical_interior(mem: MemorySystem, children: List[Entry], level: int) ->
         return PlidRef(child.plid, (idx,) + child.path)
     # Materialize the interior line.
     line: Line = tuple(children)
-    plid = _interned_lookup(mem, line)
+    plid = mem.lookup(line)
     for _, c in nonzero:
         if isinstance(c, PlidRef):
             mem.decref(c.plid)
@@ -483,26 +461,13 @@ def merge_entries(mem: MemorySystem, base: Entry, mine: Entry, theirs: Entry,
     # one-side-unchanged cases; two sides that made the *same-looking*
     # change must still merge word-by-word, or two identical counter
     # increments would collapse into one. (For the same reason there is
-    # deliberately no ``mine == theirs`` short-circuit here — the memo
-    # below covers *repeated identical triples* soundly instead, since a
-    # merge is a pure function of its three contents.)
+    # deliberately no ``mine == theirs`` short-circuit here.)
     if k_mine == k_base:
         stats.subtrees_skipped += 1
         return retain_entry(mem, theirs)
     if k_theirs == k_base:
         stats.subtrees_skipped += 1
         return retain_entry(mem, mine)
-    memo = mem.memo
-    memo_key = None
-    if memo.enabled:
-        memo_key = (k_base, k_mine, k_theirs, level)
-        cached = memo.get_merge(memo_key)
-        if cached is not MISS:
-            # content-unique entries make the key a full content triple;
-            # retaining the cached result is refcount-identical to
-            # re-deriving it (intermediate lookup hits cancel out)
-            stats.subtrees_skipped += 1
-            return retain_entry(mem, cached)
     if level == 0:
         stats.leaf_merges += 1
         b, m, t = (_leaf_view(mem, e) for e in (base, mine, theirs))
@@ -524,8 +489,6 @@ def merge_entries(mem: MemorySystem, base: Entry, mine: Entry, theirs: Entry,
                 release_entry(mem, c)
             raise
         merged = _canonical_interior(mem, children, level)
-    if memo_key is not None:
-        memo.put_merge(memo_key, merged, (base, mine, theirs, merged))
     return merged
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from repro import Machine
 from repro.memory.line import PlidRef
-from repro.memory.memo import MISS, StructuralMemo
+from repro.memory.memo import StructuralMemo
 from repro.obs import adapters
 from repro.obs.registry import MetricsRegistry
 from repro.segments import dag
@@ -57,8 +57,7 @@ class TestDifferentialBuild:
         assert plain.footprint_lines() == 0
         assert memoized.footprint_lines() == 0
         # and deallocation invalidated the now-stale memo entries
-        assert memoized.mem.memo.sizes() == {
-            "line": 0, "segment": 0, "merge": 0, "digest": 0}
+        assert memoized.mem.memo.sizes() == {"segment": 0, "digest": 0}
 
     def test_contents_roundtrip_through_memo_hits(self):
         _, memoized = _pair()
@@ -72,6 +71,36 @@ class TestDifferentialBuild:
             seg.release()
 
 
+class TestNoLineTable:
+    """Lookup-by-content is the store's own intern operation (§3.1), so
+    the memo puts no ``line → PLID`` table in front of it."""
+
+    def test_only_a_whole_repeated_payload_short_circuits(self, monkeypatch):
+        # every leaf line repeats inside the payload; the payload itself
+        # has never been seen whole
+        data = b"0123456789abcdef" * 40
+        machines = _pair()
+        calls = [0, 0]
+        for side, machine in enumerate(machines):
+            lookup = machine.mem.lookup
+
+            def counted(line, side=side, lookup=lookup):
+                calls[side] += 1
+                return lookup(line)
+            monkeypatch.setattr(machine.mem, "lookup", counted)
+        plain, memoized = machines
+        segs = [AnonSegment.from_bytes(m.mem, data) for m in machines]
+        built = calls[0]
+        assert built > 0 and calls == [built, built]
+        assert plain.mem.dram.as_dict() == memoized.mem.dram.as_dict()
+        # the same bytes again: the segment memo answers without a lookup
+        segs += [AnonSegment.from_bytes(m.mem, data) for m in machines]
+        assert calls == [2 * built, built]
+        assert memoized.mem.memo.stats["segment"].hits == 1
+        for seg in segs:
+            seg.release()
+
+
 class TestDifferentialMerge:
     def _merge_twice(self, machine):
         mem = machine.mem
@@ -81,10 +110,7 @@ class TestDifferentialMerge:
         theirs = dag.write_words_bulk(mem, dag.retain_entry(mem, base), h,
                                       {30: 202, 38: 203})
         outs, roots = [], []
-        # pin each result until the end: releasing a result deallocs its
-        # lines, which (correctly) invalidates the memo entry — the
-        # serving path keeps committed results alive via the segment map
-        for _ in range(2):  # the second fold hits the merge memo
+        for _ in range(2):  # the same divergence folded twice
             root, height = merge_roots(mem, (base, h), (mine, h),
                                        (theirs, h))
             outs.append(dag.gather_words(mem, root, height, 0, 39))
@@ -99,14 +125,13 @@ class TestDifferentialMerge:
         memo_outs = self._merge_twice(memoized)
         assert plain_outs == memo_outs
         assert plain_outs[0] == plain_outs[1]
-        assert memoized.mem.memo.stats["merge"].hits > 0
         assert audit_machine(memoized).ok
 
     def test_map_merge_commits_audit_clean_with_memo(self):
         _, memoized = _pair()
         kvp = HMap.create(memoized)
         # repeated interleaved rounds over the same key pairs: the same
-        # divergence is folded again and again, exercising memo hits
+        # divergence is folded again and again
         for round_ in range(4):
             for a, b in ((b"k0", b"k1"), (b"k2", b"k3"), (b"k0", b"k2")):
                 left = kvp.put_steps(a, b"round-%d" % round_)
@@ -167,30 +192,12 @@ class TestInvalidationAndRebuild:
 class TestBoundsStandalone:
     """LRU caps and reverse-map hygiene on a bare StructuralMemo."""
 
-    def test_line_table_bounded_with_evictions(self):
-        memo = StructuralMemo(max_lines=4).enable()
-        for i in range(7):
-            memo.put_line(("line", i), 100 + i)
-        assert memo.sizes()["line"] == 4
-        assert memo.stats["line"].evictions == 3
-        assert memo.get_line(("line", 0)) is None  # evicted
-        assert memo.get_line(("line", 6)) == 106
-
     def test_segment_table_bounded(self):
         memo = StructuralMemo(max_segments=2).enable()
         for i in range(5):
             memo.put_segment(b"data-%d" % i, PlidRef(50 + i), 1, 4)
         assert memo.sizes()["segment"] == 2
         assert memo.stats["segment"].evictions == 3
-
-    def test_merge_dealloc_cleans_all_dep_entries(self):
-        memo = StructuralMemo().enable()
-        deps = (PlidRef(1), PlidRef(2), PlidRef(3), PlidRef(4))
-        memo.put_merge(("a", "b", "c", 0), deps[3], deps)
-        memo.on_dealloc(2)  # any dep's reuse kills the entry
-        assert memo.get_merge(("a", "b", "c", 0)) is MISS
-        assert memo.stats["merge"].invalidations == 1
-        assert memo._merge_rev == {}  # no dangling reverse entries
 
     def test_digest_cache_trims_wholesale(self):
         memo = StructuralMemo(max_digests=8).enable()
@@ -200,27 +207,20 @@ class TestBoundsStandalone:
         assert memo.digests == {}
         assert memo.stats["digest"].evictions == 10
 
-    def test_disable_drops_state(self):
-        memo = StructuralMemo().enable()
-        memo.put_line(("x",), 9)
-        memo.disable()
-        assert not memo.enabled
-        assert memo.sizes()["line"] == 0
-
 
 class TestObsIntegration:
     def test_register_memo_exposes_ops_and_sizes(self):
         registry = MetricsRegistry()
         memo = StructuralMemo().enable()
         adapters.register_memo(registry, memo)
-        memo.put_line(("a",), 7)
-        assert memo.get_line(("a",)) == 7
-        assert memo.get_line(("b",)) is None
+        memo.put_segment(b"a", PlidRef(7), 0, 1)
+        assert memo.get_segment(b"a") == (PlidRef(7), 0, 1)
+        assert memo.get_segment(b"b") is None
         ops = dict(registry.get("repro_memo_ops_total").snapshot_value())
-        assert ops["line,hit"] == 1
-        assert ops["line,miss"] == 1
+        assert ops["segment,hit"] == 1
+        assert ops["segment,miss"] == 1
         sizes = dict(registry.get("repro_memo_entries").snapshot_value())
-        assert sizes["line"] == 1
+        assert sizes == {"segment": 1, "digest": 0}
         assert registry.get("repro_memo_enabled").snapshot_value() == 1
 
     def test_router_registers_memo_metrics(self):

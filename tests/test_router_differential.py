@@ -19,6 +19,7 @@ import binascii
 import hashlib
 import random
 
+from repro.apps.memcached.eviction import ManagedMemcached
 from repro.apps.memcached.protocol import ProtocolHandler
 from repro.apps.memcached.server import HicampMemcached
 from repro.core.machine import Machine
@@ -174,9 +175,10 @@ class TestRouterMatchesHandler:
 # the staging rule, case by case (one shard, one pipelined burst)
 
 
-def _burst(raw, preload=b""):
+def _burst(raw, preload=b"", backend=HicampMemcached):
     rec = TraceRecorder(clock=StepClock())
-    router = ShardRouter(shard_count=1, recorder=rec)
+    router = ShardRouter(shard_count=1, recorder=rec,
+                         backend_factory=backend)
 
     async def go():
         await router.start()
@@ -232,3 +234,27 @@ class TestStagingRule:
                              b"VALUE k 0 3\r\n100\r\nEND\r\n"]
         assert staged == [2]  # {a, k}: the incr hopped, the get split
         assert router.servers[0].get(b"k") == b"100"
+
+    def test_ttl_run_is_one_group_commit_with_per_set_deadlines(self):
+        keys = [b"t%d" % i for i in range(6)]
+        raw = b"".join(b"set %s 0 %d 1\r\nx\r\n" % (key, 3 + i)
+                       for i, key in enumerate(keys))
+        responses, staged, router = _burst(raw, backend=ManagedMemcached)
+        assert responses == [b"STORED\r\n"] * len(keys)
+        assert staged == [len(keys)]
+        assert router.metrics.commit_batches == 1
+        reference = ManagedMemcached(Machine())
+        handler = ProtocolHandler(reference)
+        for frame in FrameDecoder().feed(raw):
+            handler.handle(frame.raw)
+
+        def expiry_ticks(server):
+            ticks = {}
+            while len(ticks) < len(keys):
+                for key in keys:
+                    if key not in ticks and server.get(key) is None:
+                        ticks[key] = server.clock
+            return ticks
+        ticks = expiry_ticks(router.servers[0])
+        assert ticks == expiry_ticks(reference)
+        assert len(set(ticks.values())) == len(keys)
