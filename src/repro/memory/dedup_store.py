@@ -112,7 +112,10 @@ class _RcCache:
 
     A newly allocated line's RC is created directly in the cache and
     propagated to DRAM only on eviction; RC updates for uncached lines
-    first fill from DRAM. Only fills and dirty evictions are charged.
+    first fill from DRAM. Only fills and evictions are charged. Every
+    entry is dirty (an entry exists only because its count was just
+    updated), so an eviction always writes back and an entry is just
+    its PLID's place in LRU order.
     """
 
     def __init__(self, capacity: int, stats: DramStats, rows: RowBuffer,
@@ -121,10 +124,11 @@ class _RcCache:
         self._stats = stats
         self._rows = rows
         self._row_of = row_of
-        self._entries: "OrderedDict[int, bool]" = OrderedDict()  # plid -> dirty
+        #: cached PLIDs, least recently touched first (values unused)
+        self._entries: "OrderedDict[int, None]" = OrderedDict()
         self.hits = 0    # touches that found a cached RC entry
         self.fills = 0   # charged fills from DRAM
-        self.spills = 0  # charged dirty evictions to DRAM
+        self.spills = 0  # charged evictions to DRAM
 
     @property
     def capacity(self) -> int:
@@ -136,22 +140,25 @@ class _RcCache:
 
     def touch(self, plid: int, creating: bool = False) -> None:
         """Record an RC update to ``plid``, charging DRAM on fill/spill."""
-        if plid in self._entries:
+        entries = self._entries
+        if plid in entries:
             self.hits += 1
-            self._entries.move_to_end(plid)
-            self._entries[plid] = True
+            entries.move_to_end(plid)
             return
         if not creating:
             self._stats.refcount += 1  # fill the RC entry from DRAM
             self._rows.access(self._row_of(plid))
             self.fills += 1
-        self._entries[plid] = True
-        if len(self._entries) > self._capacity:
-            victim, dirty = self._entries.popitem(last=False)
-            if dirty:
-                self._stats.refcount += 1  # spill dirty RC entry to DRAM
-                self._rows.access(self._row_of(victim))
-                self.spills += 1
+        entries[plid] = None
+        if len(entries) > self._capacity:
+            self._spill()
+
+    def _spill(self) -> None:
+        """Evict the least recently touched entry, writing it back."""
+        victim, _ = self._entries.popitem(last=False)
+        self._stats.refcount += 1
+        self._rows.access(self._row_of(victim))
+        self.spills += 1
 
     def resize(self, entries: int) -> None:
         """Cover ``entries`` RC entries, never fewer than the startup
@@ -163,21 +170,15 @@ class _RcCache:
         """
         self._capacity = max(self._base, entries)
         while len(self._entries) > self._capacity:
-            victim, dirty = self._entries.popitem(last=False)
-            if dirty:
-                self._stats.refcount += 1
-                self._rows.access(self._row_of(victim))
-                self.spills += 1
+            self._spill()
 
     def drop(self, plid: int) -> None:
         """Discard the entry for a deallocated line (no writeback)."""
         self._entries.pop(plid, None)
 
     def flush(self) -> None:
-        """Write back every dirty entry (end-of-run accounting)."""
-        for _, dirty in self._entries.items():
-            if dirty:
-                self._stats.refcount += 1
+        """Write back every entry (end-of-run accounting)."""
+        self._stats.refcount += len(self._entries)
         self._entries.clear()
 
 

@@ -187,5 +187,4 @@ def pack_words(data: bytes) -> Tuple[int, ...]:
 
 def unpack_words(words: Sequence[int], length: int) -> bytes:
     """Inverse of :func:`pack_words`: recover ``length`` bytes."""
-    raw = b"".join(_U64.pack(w) for w in words)
-    return raw[:length]
+    return struct.pack(">%dQ" % len(words), *words)[:length]

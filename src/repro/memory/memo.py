@@ -5,11 +5,15 @@ its content: any pure function of line content can be memoized with no
 invalidation logic beyond deallocation. Two tables stay, each because it
 pays on traffic the system serves:
 
-* **segment memo** — raw bytes → ``(root, height, length)``, so
+* **segment memo** — raw bytes ↔ ``(root, height, length)``, answered
+  in both directions. Forwards,
   :meth:`repro.structures.anon.AnonSegment.from_bytes` of a repeated
-  payload is one dict probe instead of a full bottom-up build. Measured
-  on ``tcp-mixed-zipf`` (values drawn from a small pool): with the
-  whole memo off, CPU per op rose 22 % and p90 latency 21 %;
+  payload is one dict probe instead of a full bottom-up build (on
+  ``tcp-mixed-zipf``, values drawn from a small pool, the whole memo off
+  cost 22 % more CPU per op and 21 % more p90 latency). Backwards,
+  :func:`repro.structures.anon.read_ref_slot` returns the bytes a live
+  root was built from instead of walking its DAG and repacking it (on
+  the same workload, 32 % less CPU per op over ten pairs);
 * **digest cache** — PLID → content fingerprint, promoting the per-call
   ``memo`` of :func:`repro.segments.dag.content_fingerprint` to machine
   level (replication delta pruning, fingerprint convergence checks).
@@ -31,7 +35,8 @@ memoized structure suffices.
 Modeled-stats transparency: the memo is **disabled by default**. The
 figure/table experiments construct plain machines and never see it, so
 their DRAM/cache statistics are untouched; the serving stack opts in
-explicitly (a documented ``DramStats``-bypassing fast path — see
+explicitly (a documented ``DramStats``-bypassing fast path: a forward
+hit skips a build's lookups, a backward hit a read's line reads — see
 ``docs/performance.md``).
 Reference counts stay *exact* either way: a segment-memo hit takes the
 one reference a rebuild would have netted, so the refcount auditors hold
@@ -97,7 +102,8 @@ class StructuralMemo:
     # segment memo
 
     def get_segment(self, data: bytes) -> Optional[tuple]:
-        """Memoized ``(root, height, length)`` for raw bytes, or None."""
+        """Memoized ``(root, height, length)`` for raw bytes, or None:
+        the write side, which turns a repeated payload into its root."""
         triple = self._segments.get(data)
         if triple is None:
             self.stats["segment"].misses += 1
@@ -106,9 +112,29 @@ class StructuralMemo:
         self.stats["segment"].hits += 1
         return triple
 
+    def get_payload(self, root, height: int, length: int,
+                    byte_length: int) -> Optional[bytes]:
+        """The bytes a live ``(root, height, length)`` was built from, or
+        None: the read side, the same table looked up backwards.
+
+        ``byte_length`` is part of the match because packing zero-pads:
+        payloads that differ only in trailing zero bytes share a triple.
+        Path compaction lets distinct roots share a PLID, so the whole
+        stored entry (path included) must equal ``root``.
+        """
+        triple = (root, height, length)
+        for data in self._seg_rev.get(root.plid, ()):
+            if len(data) == byte_length and self._segments[data] == triple:
+                self._segments.move_to_end(data)
+                self.stats["segment"].hits += 1
+                return data
+        self.stats["segment"].misses += 1
+        return None
+
     def put_segment(self, data: bytes, root, height: int,
                     length: int) -> None:
-        """Record a completed canonical build of ``data``."""
+        """Record a completed canonical build of ``data``; both
+        :meth:`get_segment` and :meth:`get_payload` answer from it."""
         self._segments[data] = (root, height, length)
         plid = getattr(root, "plid", None)
         if plid is not None:

@@ -355,11 +355,9 @@ def _gather(mem: MemorySystem, out: List, start: int, stop: int,
         line = mem.read(entry.plid)
         first, last = start - base, stop - 1 - base
         if level == 0:
-            for k in range(first if first > 0 else 0,
-                           last + 1 if last < len(line) else len(line)):
-                word = line[k]
-                if word != 0:
-                    out[base + k - start] = word
+            lo = first if first > 0 else 0
+            hi = last + 1 if last < len(line) else len(line)
+            out[base + lo - start:base + hi - start] = line[lo:hi]
             return
         level -= 1
         span = spans[level]

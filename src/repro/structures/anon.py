@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro.memory.line import pack_words, unpack_words
+from repro.memory.line import PlidRef, pack_words, unpack_words
 from repro.memory.system import MemorySystem
 from repro.segments import dag
 from repro.segments.dag import Entry
@@ -125,13 +125,27 @@ def unpack_meta(meta: int) -> Tuple[int, int, int]:
 def read_ref_slot(mem: MemorySystem, entry, meta: int) -> bytes:
     """Materialize the bytes referenced by an ``(entry, meta)`` slot pair.
 
-    The common convention of HMap, HQueue, HOrderedCollection and the
-    database views: a slot stores a sub-object as its root entry word
-    plus a :func:`pack_meta` shape word. The caller must hold the slot's
-    containing version alive (e.g. via a snapshot) while reading.
+    The common convention of HMap, HQueue, HSortedMap,
+    HOrderedCollection and the database views: a slot stores a
+    sub-object as its root entry word plus a :func:`pack_meta` shape
+    word. The caller must hold the slot's containing version alive (e.g.
+    via a snapshot) while reading; that pin is also what keeps the
+    root's PLID from being reused.
+
+    With the structural memo enabled, a root line the segment memo
+    built from bytes is answered with those bytes
+    (:meth:`~repro.memory.memo.StructuralMemo.get_payload`): content
+    uniqueness makes them a function of the root, so the DAG walk and
+    its line reads are skipped. A store that verifies reads (section
+    3.1) always walks, so every line is read and rehashed.
     """
     height, word_len, byte_len = unpack_meta(meta)
     if word_len == 0:
         return b""
+    memo = mem.memo
+    if memo.enabled and type(entry) is PlidRef and not mem.store.verify_reads:
+        data = memo.get_payload(entry, height, word_len, byte_len)
+        if data is not None:
+            return data
     words = dag.gather_words(mem, entry, height, 0, word_len)
     return unpack_words(words, byte_len)

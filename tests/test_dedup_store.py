@@ -231,7 +231,12 @@ class TestDramAccounting:
         plids = [store.lookup((i, 0))[0] for i in range(1, 8)]
         for plid in plids:
             store.incref(plid)
-        assert store.stats.refcount > 0
+        cache = store._rc_cache
+        # every eviction writes back: 7 fills + 12 spills, then the two
+        # resident entries at the flush
+        assert (store.stats.refcount, cache.fills, cache.spills) == (19, 7, 12)
+        store.flush_rc_cache()
+        assert store.stats.refcount == 21
 
 
 class TestInvariantChecker:

@@ -6,16 +6,21 @@ memo-enabled machine against an identically-configured plain one, or
 proves the refcount books still balance with memo hits in the mix.
 """
 
+import dataclasses
+
 import pytest
 
-from repro import Machine
-from repro.memory.line import PlidRef
+from repro import Machine, MachineConfig, MemoryConfig
+from repro.memory.line import PlidRef, pack_words, unpack_words
 from repro.memory.memo import StructuralMemo
+from repro.memory.system import MemorySystem
 from repro.obs import adapters
 from repro.obs.registry import MetricsRegistry
+from repro.params import CacheGeometry
 from repro.segments import dag
 from repro.segments.merge import merge_roots
-from repro.structures.anon import AnonSegment
+from repro.structures.anon import (AnonSegment, pack_meta, read_ref_slot,
+                                   unpack_meta)
 from repro.structures.hmap import HMap
 from repro.testing.auditors import audit_machine
 from tests.conftest import small_config
@@ -99,6 +104,174 @@ class TestNoLineTable:
         assert memoized.mem.memo.stats["segment"].hits == 1
         for seg in segs:
             seg.release()
+
+
+def _slot(mem, data):
+    """Build ``data`` as a map value would be: its handle and meta word."""
+    seg = AnonSegment.from_bytes(mem, data)
+    return seg, pack_meta(seg.height, seg.length, len(data))
+
+
+def _walk(mem, entry, meta):
+    """The DAG walk: what ``read_ref_slot`` returns when the table
+    cannot answer."""
+    height, word_len, byte_len = unpack_meta(meta)
+    if not word_len:
+        return b""
+    return unpack_words(dag.gather_words(mem, entry, height, 0, word_len),
+                        byte_len)
+
+
+@pytest.fixture
+def line_reads(monkeypatch):
+    """``MemorySystem.read`` calls per memory system, counted on the
+    class as the ledger counts them."""
+    counts = {}
+    read = MemorySystem.read
+
+    def counted(mem, plid):
+        counts[mem] = counts.get(mem, 0) + 1
+        return read(mem, plid)
+
+    monkeypatch.setattr(MemorySystem, "read", counted)
+    return counts
+
+
+def _reads_of(counts, mem, fn, *args):
+    before = counts.get(mem, 0)
+    result = fn(*args)
+    return result, counts.get(mem, 0) - before
+
+
+class TestPayloadRead:
+    """The segment table read backwards: a live root answers with the
+    bytes it was built from, and only then."""
+
+    #: 16-byte lines (2-word leaves, fan-out 4); every value is read
+    #: both ways
+    PAYLOADS = [
+        b"abc", b"abc\0",                      # Inline roots: walked
+        b"abc" * 10, b"abc" * 10 + b"\0",      # one root, two payloads
+        b"abc" * 10 + b"\0\0",
+        bytes(16) + b"\xff" * 16,              # root with a path ...
+        b"\xff" * 16 + bytes(16),              # ... its mirror: only the
+        b"\xff" * 16,                          # path differs; this one's PLID
+        b"\x01\x02", b"", bytes(24),           # Inline, empty, zero root
+        b"payload-" * 40,
+    ]
+
+    def test_every_read_equals_the_walk(self, line_reads):
+        _, memoized = _pair()
+        mem = memoized.mem
+        slots = [_slot(mem, data) for data in self.PAYLOADS]
+        roots = {data: seg.root for data, (seg, _) in zip(self.PAYLOADS,
+                                                          slots)}
+        # the shapes the payloads were chosen for
+        assert roots[b"abc" * 10] == roots[b"abc" * 10 + b"\0"]
+        shared = roots[b"\xff" * 16].plid
+        assert roots[bytes(16) + b"\xff" * 16] == PlidRef(shared, (1,))
+        assert roots[b"\xff" * 16 + bytes(16)] == PlidRef(shared, (0,))
+        tabled = [data for data in self.PAYLOADS
+                  if isinstance(roots[data], PlidRef)]
+        assert len(tabled) == 7
+        hits = mem.memo.stats["segment"].hits
+        for data, (seg, meta) in zip(self.PAYLOADS, slots):
+            got, reads = _reads_of(line_reads, mem, read_ref_slot, mem,
+                                   seg.root, meta)
+            assert got == _walk(mem, seg.root, meta) == data
+            assert reads == 0 or data not in tabled
+        assert mem.memo.stats["segment"].hits == hits + len(tabled)
+        for seg, _ in slots:
+            seg.release()
+
+    def test_a_reused_plid_is_never_answered_stale(self):
+        mem = MemorySystem(MachineConfig(
+            memory=MemoryConfig(line_bytes=16, num_buckets=1, data_ways=8,
+                                overflow_lines=64),
+            cache=CacheGeometry(size_bytes=16 * 64, ways=4, line_bytes=16)))
+        mem.memo.enable()
+        mem.store.hold_reclaim()
+        old, new = b"A" * 16, b"B" * 16
+        seg, meta = _slot(mem, old)
+        root = seg.root
+        assert read_ref_slot(mem, root, meta) == old
+        seg.release()
+        mem.store.reclaim_quiesce()
+        assert mem.memo.stats["segment"].invalidations == 1
+        # rebuilt without the table, then through it: the one free way
+        # takes the freed root's PLID both times
+        for build in ("words", "bytes"):
+            if build == "words":
+                entry, _ = dag.build_segment(mem, pack_words(new))
+            else:
+                entry = AnonSegment.from_bytes(mem, new).root
+            assert entry == root
+            assert read_ref_slot(mem, root, meta) == _walk(mem, root, meta) \
+                == new
+            dag.release_entry(mem, entry)
+            mem.store.reclaim_quiesce()
+
+    def _walks(self, mem, line_reads, seg, meta, data):
+        walked, walk_reads = _reads_of(line_reads, mem, _walk, mem,
+                                       seg.root, meta)
+        got, reads = _reads_of(line_reads, mem, read_ref_slot, mem,
+                               seg.root, meta)
+        assert got == walked == data
+        assert reads == walk_reads > 0
+
+    def test_evicted_entry_walks(self, line_reads):
+        _, memoized = _pair()
+        mem = memoized.mem
+        mem.memo._max_segments = 1
+        first, second = b"first-value-" * 5, b"second-value-" * 5
+        kept = [_slot(mem, first), _slot(mem, second)]  # evicts ``first``
+        assert mem.memo.stats["segment"].evictions == 1
+        self._walks(mem, line_reads, *kept[0], first)
+        seg, meta = kept[1]
+        assert _reads_of(line_reads, mem, read_ref_slot, mem,
+                         seg.root, meta) == (second, 0)
+
+    def test_memo_off_walks(self, line_reads):
+        plain, _ = _pair()
+        data = b"plain-value-" * 5
+        self._walks(plain.mem, line_reads, *_slot(plain.mem, data), data)
+
+    def test_verifying_store_walks(self, line_reads):
+        config = small_config()
+        config = dataclasses.replace(config, memory=dataclasses.replace(
+            config.memory, verify_reads=True))
+        machine = Machine(config)
+        mem = machine.mem
+        mem.memo.enable()
+        data = b"verified-value-" * 5
+        seg, meta = _slot(mem, data)
+        assert mem.memo.get_segment(data) == (seg.root, seg.height,
+                                              seg.length)  # tabled
+        self._walks(mem, line_reads, seg, meta, data)
+
+    def test_served_get_skips_the_value_lines(self, line_reads):
+        machines = _pair()
+        maps = []
+        for machine in machines:
+            machine.mem.store.hold_reclaim()  # as ShardRouter does
+            kvp = HMap.create(machine)
+            for i in range(40):
+                kvp.put(b"key-%03d" % i, b"value-%03d-" % i * 3)
+            maps.append(kvp)
+        plain, memoized = (m.mem for m in machines)
+        value = b"value-011-" * 3
+        got, plain_reads = _reads_of(line_reads, plain, maps[0].get,
+                                     b"key-011")
+        assert got == value
+        value_seg, meta = _slot(plain, value)
+        _, value_lines = _reads_of(line_reads, plain, _walk, plain,
+                                   value_seg.root, meta)
+        value_seg.release()
+        got, reads = _reads_of(line_reads, memoized, maps[1].get,
+                               b"key-011")
+        assert got == value
+        assert value_lines > 0
+        assert reads == plain_reads - value_lines
 
 
 class TestDifferentialMerge:

@@ -21,6 +21,7 @@ from repro.params import CacheGeometry
 from repro.segments import dag
 from repro.segments.hicamp_map import HicampSegmentMap
 from repro.structures.hmap import HMap
+from tests import reference_dag
 from tests.conftest import small_config
 
 
@@ -109,6 +110,43 @@ def test_read_word_count_equals_single_reads(line_bytes, compaction):
     # the segments held what they were built to hold
     assert {int, PlidRef} <= kinds
     assert (Inline in kinds) == compaction
+
+
+@pytest.mark.parametrize("compaction", [True, False])
+@pytest.mark.parametrize("line_bytes", [16, 24, 32, 64])
+def test_gather_reads_the_lines_the_oracle_reads(line_bytes, compaction,
+                                                 monkeypatch):
+    """``gather_words`` returns the oracle's words after reading the same
+    PLIDs in the same order, over compacted paths, Inline packs and zero
+    subtrees (the leaf copy is a slice; only branch points recurse)."""
+    mem = memory_system(line_bytes, compaction)
+    rng = random.Random(line_bytes)
+    built = list(segments(mem, rng))
+    plids = []
+    read = MemorySystem.read
+
+    def recorded(mem, plid):
+        plids.append(plid)
+        return read(mem, plid)
+
+    monkeypatch.setattr(MemorySystem, "read", recorded)
+    ranges = 0
+    for root, height in built:
+        capacity = dag.entry_capacity(mem, height)
+        starts = [0, 1, 5, 14, 62, 63, 186, 16 + 4 * (1 << 30) - 3,
+                  (1 << 39) - 2]
+        for start in starts:
+            for count in (1, 2, 5, 17, 90, 250):
+                if start + count > capacity:
+                    continue
+                sequences = []
+                for impl in (dag, reference_dag):
+                    del plids[:]
+                    words = impl.gather_words(mem, root, height, start, count)
+                    sequences.append((words, list(plids)))
+                assert sequences[0] == sequences[1]
+                ranges += bool(sequences[0][1])
+    assert ranges > 50  # most ranges read lines
 
 
 #: too wide to pack inline: every level of their segment is a line
