@@ -251,7 +251,7 @@ class Database:
                             key_seg = AnonSegment.from_bytes(machine.mem, key)
                             handles.append(key_seg)
                             base = SLOT_BASE + 4 * _index_for_key(
-                                key_seg, len(key))
+                                key_seg.root, key_seg.height, len(key))
                             was_new = it.get(base + 3) == 0
                             if row is None:
                                 if not was_new:

@@ -10,7 +10,12 @@ pays on traffic the system serves:
   :meth:`repro.structures.anon.AnonSegment.from_bytes` of a repeated
   payload is one dict probe instead of a full bottom-up build (on
   ``tcp-mixed-zipf``, values drawn from a small pool, the whole memo off
-  cost 22 % more CPU per op and 21 % more p90 latency). Backwards,
+  cost 22 % more CPU per op and 21 % more p90 latency), and the same
+  probe addresses reads: :meth:`repro.structures.hmap.HMap.get` and
+  ``contains`` compute a known key's slot from its root, building no
+  key segment and taking no reference (on ``tcp-read-hot``, with the
+  one-step path check in :func:`repro.segments.dag.read_word`, about
+  18 % less CPU per op). Backwards,
   :func:`repro.structures.anon.read_ref_slot` returns the bytes a live
   root was built from instead of walking its DAG and repacking it (on
   the same workload, 32 % less CPU per op over ten pairs);
@@ -39,8 +44,9 @@ explicitly (a documented ``DramStats``-bypassing fast path: a forward
 hit skips a build's lookups, a backward hit a read's line reads — see
 ``docs/performance.md``).
 Reference counts stay *exact* either way: a segment-memo hit takes the
-one reference a rebuild would have netted, so the refcount auditors hold
-with the memo on.
+one reference a rebuild would have netted, and a hit that only
+addresses a read takes none and drops none, so the refcount auditors
+hold with the memo on.
 """
 
 from __future__ import annotations

@@ -276,6 +276,24 @@ def grow_entry(mem: MemorySystem, entry: Entry, height: int, new_height: int) ->
 # ----------------------------------------------------------------------
 # reading
 
+#: byte ``d`` -> the ASCII digit ``d`` in bases up to 36, so a path's
+#: digits become the text ``int()`` parses in one call
+_DIGITS = bytes.maketrans(bytes(range(36)),
+                          b"0123456789abcdefghijklmnopqrstuvwxyz")
+
+
+def _path_value(path: Tuple[int, ...], fan: int) -> int:
+    """A compacted path's digits read as one base-``fan`` number, most
+    significant first: the child index, among the ``fan**len(path)``
+    subtrees ``len(path)`` levels down, of the line the path leads to."""
+    if fan <= 36:
+        return int(bytes(path).translate(_DIGITS), fan)
+    value = 0
+    for digit in path:
+        value = value * fan + digit
+    return value
+
+
 def read_word(mem: MemorySystem, entry: Entry, level: int, index: int,
               count: int = 1):
     """Read the word at ``index`` within a subtree at ``level``.
@@ -288,6 +306,14 @@ def read_word(mem: MemorySystem, entry: Entry, level: int, index: int,
     from ``index``. Words that share a leaf line cost one descent — the
     path an iterator register keeps to its current leaf (section 3.3);
     words that straddle a leaf boundary go to :func:`gather_words`.
+
+    A compacted path is checked in one step, as the hardware checks it
+    (Figure 4a): ``index`` lies under the path's line exactly when its
+    quotient by the span ``len(path)`` levels down equals the path read
+    as one number (:func:`_path_value`), because that quotient's
+    base-``fanout`` digits are the child positions a level-at-a-time
+    walk would compare. So the cost is the lines read, not the levels
+    elided, and the same lines are read in the same order.
     """
     last = index + count - 1
     if last >= entry_capacity(mem, level):
@@ -296,11 +322,11 @@ def read_word(mem: MemorySystem, entry: Entry, level: int, index: int,
     if count > 1 and index // spans[0] != last // spans[0]:
         return gather_words(mem, entry, level, index, count)
     while type(entry) is PlidRef:
-        # follow the compacted path, then the line
-        for p in entry.path:
-            level -= 1
+        path = entry.path
+        if path:  # the compacted path, then the line
+            level -= len(path)
             j, index = divmod(index, spans[level])
-            if j != p:
+            if j != _path_value(path, mem.fanout):
                 return 0 if count == 1 else [0] * count
         line = mem.read(entry.plid)
         if level == 0:
@@ -338,7 +364,12 @@ def _gather(mem: MemorySystem, out: List, start: int, stop: int,
             entry: Entry, level: int, base: int) -> None:
     """Fill ``out`` with the words of ``[start, stop)`` under ``entry``,
     a subtree at ``level`` starting at word ``base``. Not a closure: a
-    recursive closure is a reference cycle, left for the collector."""
+    recursive closure is a reference cycle, left for the collector.
+
+    A compacted path is crossed in one step: one multiply-add moves
+    ``base`` to the path's line, and only that deepest interval is
+    tested against the range — the intervals of the levels it elides
+    contain it, so it overlaps the range exactly when they all do."""
     spans = mem.spans
     while entry != 0:
         if isinstance(entry, Inline):
@@ -347,9 +378,10 @@ def _gather(mem: MemorySystem, out: List, start: int, stop: int,
                 if start <= pos < stop and v:
                     out[pos - start] = v
             return
-        for p in entry.path:
-            level -= 1
-            base += p * spans[level]
+        path = entry.path
+        if path:
+            level -= len(path)
+            base += _path_value(path, mem.fanout) * spans[level]
             if base >= stop or base + spans[level] <= start:
                 return
         line = mem.read(entry.plid)
@@ -375,11 +407,12 @@ def iter_nonzero(mem: MemorySystem, entry: Entry, level: int,
 
     This is the hardware behaviour behind iterator-register increment:
     moving directly to the next non-null element, skipping zero subtrees
-    without touching memory (section 3.3).
+    without touching memory (section 3.3). A compacted path is crossed
+    in one step, as in :func:`_gather`.
     """
     cap = entry_capacity(mem, level)
     limit = cap if stop is None else stop
-    spans = mem.spans
+    spans, fan = mem.spans, mem.fanout
 
     def visit(entry: Entry, level: int, base: int) -> Iterator[Tuple[int, object]]:
         if isinstance(entry, Inline):
@@ -388,9 +421,10 @@ def iter_nonzero(mem: MemorySystem, entry: Entry, level: int,
                 if v and start <= pos < limit:
                     yield pos, v
             return
-        for p in entry.path:
-            level -= 1
-            base += p * spans[level]
+        path = entry.path
+        if path:
+            level -= len(path)
+            base += _path_value(path, fan) * spans[level]
             if base >= limit or base + spans[level] <= start:
                 return
         line = mem.read(entry.plid)

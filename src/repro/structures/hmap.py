@@ -45,18 +45,19 @@ COUNT_OFFSET = 0
 _WIDE_SPACE = 1 << 120  # index space for compacted (non-PLID) key roots
 
 
-def _index_for_key(key: AnonSegment, byte_length: int) -> int:
-    """Collision-free slot index from a key segment's identity.
+def _index_for_key(root, height: int, byte_length: int) -> int:
+    """Collision-free slot index from a key segment's identity: its root
+    entry and height, as a build returns them or the segment memo
+    records them, and the key's byte length.
 
     A key whose root is a plain line reference indexes by
     ``(PLID, height, byte length)`` — the content-uniqueness of segments
     makes this exact. Compacted roots (tiny keys) fall back to the full
     canonical encoding, placed in a disjoint, higher index space.
     """
-    root = key.root
-    if isinstance(root, PlidRef) and not root.path:
-        return ((root.plid << 8 | key.height) << 36) | byte_length
-    raw = dag.entry_key(root) + bytes((key.height,)) + byte_length.to_bytes(5, "big")
+    if type(root) is PlidRef and not root.path:
+        return ((root.plid << 8 | height) << 36) | byte_length
+    raw = dag.entry_key(root) + bytes((height,)) + byte_length.to_bytes(5, "big")
     return _WIDE_SPACE + int.from_bytes(raw, "big")
 
 
@@ -80,8 +81,26 @@ class HMap:
     def _key_segment(self, key: bytes) -> Tuple[AnonSegment, int]:
         """Build/find the key's segment; returns (handle, slot base)."""
         seg = AnonSegment.from_bytes(self.machine.mem, key)
-        index = _index_for_key(seg, len(key))
+        index = _index_for_key(seg.root, seg.height, len(key))
         return seg, SLOT_BASE + 4 * index
+
+    def _known_slot(self, key: bytes) -> Optional[int]:
+        """Slot base of a key the segment memo names, or None.
+
+        Taken without a reference: the memo's root *is* the root a build
+        would return (equal contents have one representation), and
+        :meth:`~repro.memory.memo.StructuralMemo.on_dealloc` drops the
+        entry before its PLID can be reused, so the slot it names holds
+        this key or nothing. A read needs no more, because the caller's
+        snapshot pins the map and with it every key the map holds.
+        """
+        memo = self.machine.mem.memo
+        if not (memo.enabled and key):
+            return None
+        known = memo.get_segment(key)
+        if known is None:
+            return None
+        return SLOT_BASE + 4 * _index_for_key(known[0], known[1], len(key))
 
     def _read_slot(self, snap, base: int) -> Optional[Tuple[object, int]]:
         """(value entry, value meta) at a slot, or None when absent."""
@@ -97,8 +116,17 @@ class HMap:
     def get(self, key: bytes) -> Optional[bytes]:
         """Value for ``key``, or None. Reads a private snapshot of the
         map, so it needs no synchronization with concurrent updates
-        (section 4.4)."""
-        key_seg, base = self._key_segment(key)
+        (section 4.4).
+
+        A key the segment memo knows is addressed from the memo's root
+        (:meth:`_known_slot`): no key segment is built and no reference
+        taken, so the get costs the slot's lines and the snapshot's
+        pin. Any other key — every key with the memo off — is built,
+        and its handle released once the slot is read.
+        """
+        base, key_seg = self._known_slot(key), None
+        if base is None:
+            key_seg, base = self._key_segment(key)
         try:
             with self.machine.snapshot(self.vsid) as snap:
                 slot = self._read_slot(snap, base)
@@ -107,7 +135,8 @@ class HMap:
                 value_entry, meta = slot
                 return read_ref_slot(self.machine.mem, value_entry, meta)
         finally:
-            key_seg.release()
+            if key_seg is not None:
+                key_seg.release()
 
     @staticmethod
     def _stage_put(it, base: int, key_seg: AnonSegment, key_len: int,
@@ -249,13 +278,17 @@ class HMap:
         return removed[0]
 
     def contains(self, key: bytes) -> bool:
-        """Membership test."""
-        key_seg, base = self._key_segment(key)
+        """Membership test; a key the segment memo knows is addressed
+        without a reference, as in :meth:`get`."""
+        base, key_seg = self._known_slot(key), None
+        if base is None:
+            key_seg, base = self._key_segment(key)
         try:
             with self.machine.snapshot(self.vsid) as snap:
                 return snap.read(base + 3) != 0
         finally:
-            key_seg.release()
+            if key_seg is not None:
+                key_seg.release()
 
     def __len__(self) -> int:
         return self.machine.read_word(self.vsid, COUNT_OFFSET)

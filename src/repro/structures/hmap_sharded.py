@@ -54,7 +54,7 @@ class ShardedHMap:
             seg.release()
 
     def _selector(self, seg: AnonSegment, key_len: int) -> int:
-        index = _index_for_key(seg, key_len)
+        index = _index_for_key(seg.root, seg.height, key_len)
         # "indexed by several bits of the key PLID": fold the
         # content-unique identity so the selector bits vary for both
         # line-referenced and inline-compacted key roots

@@ -7,10 +7,12 @@ proves the refcount books still balance with memo hits in the mix.
 """
 
 import dataclasses
+import random
 
 import pytest
 
 from repro import Machine, MachineConfig, MemoryConfig
+from repro.apps.memcached.server import HicampMemcached
 from repro.memory.line import PlidRef, pack_words, unpack_words
 from repro.memory.memo import StructuralMemo
 from repro.memory.system import MemorySystem
@@ -272,6 +274,144 @@ class TestPayloadRead:
         assert got == value
         assert value_lines > 0
         assert reads == plain_reads - value_lines
+
+
+class TestKeyAddressedRead:
+    """A get or membership test of a key the segment memo knows computes
+    the slot from the memo's root: no key segment, no reference."""
+
+    #: tiny keys (Inline roots), keys whose root carries a path, one-line
+    #: and many-line keys: every kind of root a slot index is taken from
+    KEYS = [b"k", b"key-%d" % 7, bytes(16) + b"\xff" * 16,
+            b"\xff" * 16 + bytes(16), b"Q" * 16, b"long-key-" * 12] \
+        + [b"key:%03d" % i for i in range(10)]
+    VALUES = [b"", b"v", b"value-" * 11, b"\x00" * 9, b"other-value"]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("memo_cap", [4, 1 << 13])
+    def test_memo_on_answers_as_memo_off(self, seed, memo_cap):
+        """Seeded set/delete/get/add/replace on a memo-on machine (held
+        store, as a shard router has it) and a memo-off twin; a small
+        memo cap mixes evicted keys in."""
+        plain, memoized = _pair()
+        memoized.mem.store.hold_reclaim()
+        memoized.mem.memo._max_segments = memo_cap
+        servers = [HicampMemcached(plain), HicampMemcached(memoized)]
+        rng = random.Random(seed)
+        for step in range(400):
+            verb = rng.choice(("set", "delete", "get", "get", "add",
+                               "replace", "contains"))
+            key = rng.choice(self.KEYS)
+            value = rng.choice(self.VALUES)
+            if verb in ("set", "add", "replace"):
+                results = [getattr(server, verb)(key, value)
+                           for server in servers]
+            elif verb == "contains":
+                results = [server.kvp.contains(key) for server in servers]
+            else:
+                results = [getattr(server, verb)(key) for server in servers]
+            assert results[0] == results[1], (step, verb, key)
+            if rng.random() < 0.1:
+                memoized.mem.store.reclaim_quiesce()
+        assert dict(servers[0].kvp.items()) == dict(servers[1].kvp.items())
+        assert memoized.mem.memo.stats["segment"].hits > 0
+        memoized.mem.store.reclaim_quiesce()
+        assert audit_machine(memoized, strict=True).ok
+
+    def test_a_freed_key_root_reused_by_another_key_reads_nothing(self):
+        """Key A is deleted and its root line freed; key B, as long as A,
+        takes the freed PLID. A stale ``A -> root`` entry would address
+        B's slot; the dealloc listener drops it, so A is built afresh."""
+        machine = Machine(MachineConfig(
+            memory=MemoryConfig(line_bytes=16, num_buckets=1, data_ways=64,
+                                overflow_lines=64),
+            cache=CacheGeometry(size_bytes=16 * 64, ways=4, line_bytes=16)))
+        mem = machine.mem
+        mem.memo.enable()
+        mem.store.hold_reclaim()
+        kvp = HMap.create(machine)
+        first, second = b"A" * 16, b"B" * 16
+        kvp.put(first, b"first-value")
+        root = mem.memo.get_segment(first)[0]
+        assert type(root) is PlidRef and not root.path
+        assert kvp.delete(first)
+        mem.store.reclaim_quiesce()
+        assert not mem.store.is_allocated(root.plid)
+        kvp.put(second, b"second-value")
+        assert mem.memo.get_segment(second)[0] == root  # the reused PLID
+        assert kvp.get(first) is None
+        assert not kvp.contains(first)
+        assert kvp.get(second) == b"second-value"
+        mem.store.reclaim_quiesce()
+        assert audit_machine(machine, strict=True).ok
+
+    @staticmethod
+    def _served(count=40):
+        machine = Machine(small_config())
+        machine.mem.memo.enable()
+        machine.mem.store.hold_reclaim()
+        kvp = HMap.create(machine)
+        for i in range(count):
+            kvp.put(b"served-key-%03d-" % i, b"value-%03d-" % i * 3)
+        machine.mem.store.reclaim_quiesce()
+        return machine, kvp
+
+    @staticmethod
+    def _refcounts(mem):
+        store = mem.store
+        return {plid: store.refcount(plid) for plid in store.live_plids()}
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        calls = []
+        real = getattr(MemorySystem, name)
+
+        def spied(mem, plid, *args):
+            calls.append(plid)
+            return real(mem, plid, *args)
+
+        monkeypatch.setattr(MemorySystem, name, spied)
+        return calls
+
+    def test_a_known_key_takes_no_reference(self, monkeypatch):
+        machine, kvp = self._served()
+        mem = machine.mem
+        key = b"served-key-011-"
+        key_root = mem.memo.get_segment(key)[0]
+        assert type(key_root) is PlidRef  # a line, not a packed word
+        map_root = machine.segmap.entry(kvp.vsid).root
+        before = self._refcounts(mem)
+        increfs = self._spy(monkeypatch, "incref")
+        decrefs = self._spy(monkeypatch, "decref")
+        lookups = self._spy(monkeypatch, "lookup")
+        assert kvp.get(key) == b"value-011-" * 3
+        assert kvp.contains(key)
+        # the snapshot's pin on the map root, once per operation
+        assert increfs == decrefs == [map_root.plid] * 2
+        assert key_root.plid not in increfs
+        assert lookups == []
+        assert self._refcounts(mem) == before
+
+    def test_an_evicted_or_unknown_key_is_built_and_freed(self,
+                                                          monkeypatch):
+        machine, kvp = self._served()
+        mem = machine.mem
+        mem.memo._max_segments = 1
+        for i in range(mem.memo.sizes()["segment"]):  # evict every entry
+            mem.memo.put_segment(b"filler-%d" % i, 0, 0, 0)
+        assert mem.memo.get_segment(b"served-key-011-") is None
+        before = self._refcounts(mem)
+        lookups = self._spy(monkeypatch, "lookup")
+        assert kvp.get(b"served-key-011-") == b"value-011-" * 3  # evicted
+        assert kvp.contains(b"served-key-011-")
+        built = len(lookups)
+        assert built > 0
+        assert kvp.get(b"never-seen-key-0123") is None  # never built
+        assert not kvp.contains(b"never-seen-key-4567")
+        assert len(lookups) > built
+        mem.store.reclaim_quiesce()
+        assert self._refcounts(mem) == before
+        assert audit_machine(machine, strict=True).ok
 
 
 class TestDifferentialMerge:

@@ -25,12 +25,14 @@ from tests import reference_dag
 from tests.conftest import small_config
 
 
-def memory_system(line_bytes: int, compaction: bool = True) -> MemorySystem:
+def memory_system(line_bytes: int, compaction: bool = True,
+                  plid_bytes: int = 4) -> MemorySystem:
     """A bare memory system: 24-byte lines (3-word leaves, where a slot
     pair can straddle two of them) have no :class:`Machine`."""
     return MemorySystem(MachineConfig(
         memory=MemoryConfig(line_bytes=line_bytes, num_buckets=1 << 10,
-                            data_ways=12, overflow_lines=1 << 12),
+                            data_ways=12, overflow_lines=1 << 12,
+                            plid_bytes=plid_bytes),
         cache=CacheGeometry(size_bytes=line_bytes * 8 * 64, ways=8,
                             line_bytes=line_bytes),
         path_compaction=compaction, data_compaction=compaction))
@@ -147,6 +149,139 @@ def test_gather_reads_the_lines_the_oracle_reads(line_bytes, compaction,
                 assert sequences[0] == sequences[1]
                 ranges += bool(sequences[0][1])
     assert ranges > 50  # most ranges read lines
+
+
+# ----------------------------------------------------------------------
+# compacted paths crossed in one step
+
+#: ``(line_bytes, plid_bytes)``: fan-outs 2, 3, 4, 6, 8 and 16, and one
+#: (160-byte lines, fan-out 40) past the 36 digits ``int()`` parses
+GEOMETRIES = [(line, plid) for line in (16, 24, 32, 64) for plid in (4, 8)] \
+    + [(160, 4)]
+
+
+def test_path_value_reads_the_digits_as_one_number():
+    rng = random.Random(4)
+    for fan in range(2, 41):
+        for length in (1, 2, 5, 13):
+            path = tuple(rng.randrange(fan) for _ in range(length))
+            value = 0
+            for digit in path:
+                value = value * fan + digit
+            assert dag._path_value(path, fan) == value
+
+
+def compacted_paths(mem, entry, level, base=0):
+    """``(level, base, path)`` of every path-carrying reference under
+    ``entry`` (a subtree at ``level`` whose first word is ``base``),
+    found without a charged read."""
+    if type(entry) is not PlidRef:
+        return
+    if entry.path:
+        yield level, base, entry.path
+        for digit in entry.path:
+            level -= 1
+            base += digit * mem.spans[level]
+    if level:
+        span = mem.spans[level - 1]
+        for j, child in enumerate(mem.store.peek(entry.plid)):
+            yield from compacted_paths(mem, child, level - 1, base + j * span)
+
+
+def path_probes(mem, level, base, path):
+    """Indexes that leave ``path`` (a reference at ``level`` whose
+    subtree starts at ``base``) at its first, a middle and its last
+    digit, the two ends of the line it leads to, and the words just
+    outside those ends."""
+    fan, inner = mem.fanout, level - len(path)
+    span = mem.spans[inner]
+    first = base + dag._path_value(path, fan) * span
+    probes = {first, first + span - 1, first - 1, first + span}
+    for at in {0, len(path) // 2, len(path) - 1}:
+        for step in (1, fan - 1):
+            digits = list(path)
+            digits[at] = (digits[at] + step) % fan
+            probes.add(base + dag._path_value(tuple(digits), fan) * span)
+    return probes
+
+
+def tall_sparse_segments(mem, rng):
+    """``(root, height)`` of tall segments whose few words sit far apart,
+    so nearly every level is elided into some compacted path."""
+    height = dag.height_for(mem, 1 << 44)
+    cap = dag.entry_capacity(mem, height)
+    wide = [(1 << 40) + k for k in range(mem.words_per_line)]
+    # one leaf line: the root itself is the only path
+    yield dag.write_words_bulk(mem, 0, height, {
+        cap // 3 + k: word for k, word in enumerate(wide)}), height
+    # leaf lines, packed words and a reference word, scattered
+    updates = {}
+    for _ in range(6):
+        start = rng.randrange(cap - 8)
+        for k in range(rng.choice((1, 2, mem.words_per_line))):
+            updates[start + k] = rng.randrange(1, 1 << 62)
+    updates[rng.randrange(cap)] = PlidRef(0, (1,))
+    updates[cap - 1] = 5
+    yield dag.write_words_bulk(mem, 0, height, updates), height
+
+
+@pytest.mark.parametrize("line_bytes,plid_bytes", GEOMETRIES)
+def test_walkers_cross_paths_as_the_oracle_does(line_bytes, plid_bytes,
+                                                monkeypatch):
+    """``read_word`` (one word and two), ``gather_words`` and
+    ``iter_nonzero`` return the level-at-a-time oracle's words after
+    passing the same PLIDs to ``MemorySystem.read`` in the same order,
+    at every way of leaving or entering a compacted path."""
+    mem = memory_system(line_bytes, plid_bytes=plid_bytes)
+    built = list(tall_sparse_segments(mem, random.Random(line_bytes)))
+    plids = []
+    read = MemorySystem.read
+
+    def recorded(mem, plid):
+        plids.append(plid)
+        return read(mem, plid)
+
+    def run(fn, *args):
+        del plids[:]
+        return fn(*args), list(plids)
+
+    monkeypatch.setattr(MemorySystem, "read", recorded)
+    paths = probes = 0
+    for root, height in built:
+        cap = dag.entry_capacity(mem, height)
+        found = list(compacted_paths(mem, root, height))
+        assert any(len(path) > 2 for _, _, path in found)
+        paths += len(found)
+        indexes = set()
+        for where in found:
+            indexes |= path_probes(mem, *where)
+        for index in sorted(i for i in indexes if 0 <= i < cap):
+            probes += 1
+            assert run(dag.read_word, mem, root, height, index) \
+                == run(reference_dag.read_word, mem, root, height, index)
+            if index + 1 < cap:
+                pair, pair_reads = run(dag.read_word, mem, root, height,
+                                       index, 2)
+                oracle = run(reference_dag.gather_words, mem, root, height,
+                             index, 2)
+                if index // mem.spans[0] == (index + 1) // mem.spans[0]:
+                    # one leaf: the one descent a single read makes
+                    oracle = (oracle[0], run(reference_dag.read_word, mem,
+                                             root, height, index)[1])
+                assert (pair, pair_reads) == oracle
+            lo, hi = max(0, index - 2), min(cap, index + 3)
+            assert run(dag.gather_words, mem, root, height, lo, hi - lo) \
+                == run(reference_dag.gather_words, mem, root, height,
+                       lo, hi - lo)
+            window = (max(0, index - line_bytes), min(cap, index + line_bytes))
+            assert run(lambda: list(dag.iter_nonzero(mem, root, height,
+                                                     *window))) \
+                == run(lambda: list(reference_dag.iter_nonzero(
+                    mem, root, height, *window)))
+        assert run(lambda: list(dag.iter_nonzero(mem, root, height))) \
+            == run(lambda: list(reference_dag.iter_nonzero(mem, root,
+                                                           height)))
+    assert paths >= 4 and probes > 20
 
 
 #: too wide to pack inline: every level of their segment is a line
