@@ -36,10 +36,11 @@ def figure2_only(monkeypatch):
 
     The paper finds a line inside its bucket (Figure 2) and chains
     through the overflow pointer past it; this repo resolves a spilled
-    bucket through a cuckoo index instead. Every tracked number is a
-    Figure-2 number only while no bucket spills, so a ``REPRO_SCALE``
-    (or a geometry) that spills one says so here instead of quietly
-    charging index probes in a paper figure.
+    bucket by comparing 8-bit fingerprints over its ways and overflow
+    list instead. Every tracked number is a Figure-2 number only while
+    no bucket spills, so a ``REPRO_SCALE`` (or a geometry) that spills
+    one says so here instead of quietly charging fingerprint compares
+    in a paper figure.
 
     Yields the ``StoreCounters`` of every store built so far, one per
     ``DedupStore``, so a bench that asks for the fixture by name can

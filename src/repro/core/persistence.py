@@ -153,9 +153,6 @@ def restore_machine(image: Dict[str, Any]) -> Machine:
         store._next_overflow = image["next_overflow"]
         store.slots.free_overflow[:] = [int(p) for p
                                         in image["free_overflow"]]
-        # recapture canonical encodings and rebuild the cuckoo table
-        # over the buckets that were spilled when the image was saved
-        store.reindex()
 
         # restore the segment map
         for vsid_str, rec in image["segmap"].items():

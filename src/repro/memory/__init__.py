@@ -22,7 +22,6 @@ from repro.memory.line import (
 )
 from repro.memory.stats import DramStats, TrafficCounter
 from repro.memory.dedup_store import DedupStore
-from repro.memory.index import CuckooIndex, CuckooIndexStats, compute_fp_bits
 from repro.memory.reclaim import EpochReclaimer, ReclaimStats, SlotAllocator
 from repro.memory.cache import HicampCache
 from repro.memory.system import MemorySystem
@@ -42,9 +41,6 @@ __all__ = [
     "DramStats",
     "TrafficCounter",
     "DedupStore",
-    "CuckooIndex",
-    "CuckooIndexStats",
-    "compute_fp_bits",
     "EpochReclaimer",
     "ReclaimStats",
     "SlotAllocator",

@@ -7,9 +7,10 @@ bucket selected by the hash of its content; its PLID is the concatenation
 of its way number and its bucket number. When a bucket is full, lines
 spill into a shared overflow area. The paper reaches a spilled line by
 chaining through the bucket's overflow pointer; here a bucket with
-overflow lines is resolved by a :class:`repro.memory.index.CuckooIndex`
-instead (no experiment spills a bucket, so every paper number is a
-Figure-2 number; see :meth:`DedupStore.lookup`).
+overflow lines compares an 8-bit fingerprint per line over its ways and
+its overflow list instead of the signatures (no experiment spills a
+bucket, so every paper number is a Figure-2 number; see
+:meth:`DedupStore.lookup`).
 
 The two fundamental operations are:
 
@@ -37,11 +38,13 @@ every outermost :meth:`DedupStore.decref`; a held one
 A bucket is a row of flat data, not an object: byte ``bucket *
 (data_ways + 1) + way`` of one store-wide ``bytearray`` is a way's
 signature (0 = free; byte 0 of a row is the signature line's own), so a
-new line takes the lowest free way with one ``find``. One ``content ->
-PLID`` dict covers every live line, and a sparse ``bucket -> overflow
-PLIDs`` dict holds only the buckets that have spilled. Nothing the
-store owns points back at it, so a dropped machine is freed by
-reference counting, not by the cyclic collector.
+new line takes the lowest free way with one ``find``. A second
+``bytearray`` of the same shape holds each way's fingerprint. One
+``content -> PLID`` dict covers every live line, and a sparse ``bucket
+-> overflow PLIDs`` dict, with a fingerprint ``bytearray`` parallel to
+each list, holds only the buckets that have spilled. Nothing the store
+owns points back at it, so a dropped machine is freed by reference
+counting, not by the cyclic collector.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from zlib import crc32
 
 from repro.errors import BadPlidError, IntegrityError, MemoryExhaustedError
 from repro.memory import hashing
-from repro.memory.index import CuckooIndex
 from repro.memory.line import (
     Line,
     PlidRef,
@@ -103,7 +105,7 @@ class StoreCounters:
     overflow_allocations: int = 0
     signature_false_positives: int = 0
     #: full-line compares performed against non-matching content
-    #: (in-bucket signature collisions + index fingerprint collisions)
+    #: (signature collisions + a spilled bucket's fingerprint collisions)
     false_positive_scans: int = 0
 
 
@@ -120,7 +122,7 @@ class _RcCache:
 
     def __init__(self, capacity: int, stats: DramStats, rows: RowBuffer,
                  row_of: Callable[[int], int]) -> None:
-        self._base = self._capacity = max(1, capacity)
+        self._capacity = max(1, capacity)
         self._stats = stats
         self._rows = rows
         self._row_of = row_of
@@ -129,11 +131,6 @@ class _RcCache:
         self.hits = 0    # touches that found a cached RC entry
         self.fills = 0   # charged fills from DRAM
         self.spills = 0  # charged evictions to DRAM
-
-    @property
-    def capacity(self) -> int:
-        """Current entry capacity (resize-aware, see :meth:`resize`)."""
-        return self._capacity
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -159,18 +156,6 @@ class _RcCache:
         self._stats.refcount += 1
         self._rows.access(self._row_of(victim))
         self.spills += 1
-
-    def resize(self, entries: int) -> None:
-        """Cover ``entries`` RC entries, never fewer than the startup
-        capacity, spilling LRU overflow when shrinking.
-
-        The store registers this with its cuckoo index, which calls it
-        with its slot count after an online resize (the resident-line
-        population the index grew to hold is the RC working set too).
-        """
-        self._capacity = max(self._base, entries)
-        while len(self._entries) > self._capacity:
-            self._spill()
 
     def drop(self, plid: int) -> None:
         """Discard the entry for a deallocated line (no writeback)."""
@@ -203,12 +188,15 @@ class DedupStore:
         #: every bucket's signature line, one row per bucket (module
         #: docstring); a zero byte is a free way
         self._sigs = bytearray(self._row_len * self._num_buckets)
-        #: each way's tick on its row's 8-bit allocation clock (byte 0)
-        self._ticks = bytearray(len(self._sigs))
+        #: each way's fingerprint (:meth:`lookup`), 0 beside a free way
+        self._fps = bytearray(len(self._sigs))
         #: content -> PLID of every live line
         self._plid_by_enc: Dict[bytes, int] = {}
         #: bucket -> its overflow PLIDs, for the buckets that have spilled
         self._overflow: Dict[int, List[int]] = {}
+        #: bucket -> its overflow lines' fingerprints, parallel to
+        #: ``_overflow``
+        self._overflow_fps: Dict[int, bytearray] = {}
         #: overflow PLID -> the bucket it spilled from
         self._overflow_bucket: Dict[int, int] = {}
         self._lines: Dict[int, Line] = {}
@@ -222,8 +210,7 @@ class DedupStore:
                                   self._row_of)
         self._zero = zero_line(self.config.words_per_line)
         #: canonical encoding of each live line, captured at allocation so
-        #: deallocation (and dealloc-time index maintenance) never has to
-        #: re-derive it
+        #: deallocation never has to re-derive it
         self._enc_by_plid: Dict[int, bytes] = {}
         #: callbacks invoked with a PLID just before it is deallocated
         #: (the cache registers here to invalidate its copy).
@@ -232,25 +219,9 @@ class DedupStore:
         #: stack enables it — see memo.py)
         self.memo = StructuralMemo()
         self.dealloc_listeners.append(self.memo.on_dealloc)
-        #: lookup-by-content index (index.py) over the lines of buckets
-        #: that have overflowed, empty until one does (see
-        #: :meth:`lookup`). It only changes how a lookup *finds*
-        #: resident content; physical placement (_allocate), and so
-        #: PLIDs, refcounts and fingerprints, never depend on it.
-        self._index = self._new_index(self.stats, self.rows)
         #: the queue every released-to-zero line is freed through
         #: (reclaim.py)
         self._reclaimer = EpochReclaimer()
-
-    def _new_index(self, stats: Optional[DramStats],
-                   rows: Optional[RowBuffer]) -> CuckooIndex:
-        index = CuckooIndex(initial_buckets=self.config.index_buckets,
-                            stats=stats, rows=rows)
-        # resize-aware RC-cache sizing: an online index resize means
-        # the resident-line population outgrew the startup estimate,
-        # so the RC working set did too
-        index.resize_listeners.append(self._rc_cache.resize)
-        return index
 
     # ------------------------------------------------------------------
     # geometry helpers
@@ -260,30 +231,10 @@ class DedupStore:
         """Words per line (DAG fan-out)."""
         return self.config.words_per_line
 
-    def _bucket_lines(self, bucket_idx: int) -> List[int]:
-        """A bucket's lines oldest first, the order it is handed to the
-        cuckoo index and back in: ways by tick, then overflow lines
-        (exact where it is called: a first spill's one overflow line is
-        the newest, and a hand-back has none)."""
-        row = bucket_idx * self._row_len
-        return ([(slot - row) * self._num_buckets + bucket_idx
-                 for slot in self._ways_by_tick(row)]
-                + self._overflow.get(bucket_idx, []))
-
-    def _ways_by_tick(self, row: int) -> List[int]:
-        """The occupied way slots of a row, oldest first."""
-        sigs = self._sigs
-        return sorted((slot for slot in range(row + 1, row + self._row_len)
-                       if sigs[slot]), key=self._ticks.__getitem__)
-
-    def _renumber(self, row: int) -> int:
-        """Restart a row's clock when its byte would overflow: tick the
-        row's live ways 1..n, oldest first, and return n + 1 (the tick
-        of the way being claimed, whose signature is not set yet)."""
-        live = self._ways_by_tick(row)
-        for tick, slot in enumerate(live, 1):
-            self._ticks[slot] = tick
-        return len(live) + 1
+    def _slot_of(self, plid: int) -> int:
+        """Byte of a way-resident line in ``_sigs`` and ``_fps``."""
+        return (plid % self._num_buckets * self._row_len
+                + plid // self._num_buckets)
 
     def is_allocated(self, plid: int) -> bool:
         """True when ``plid`` names a live line (the zero line is always live)."""
@@ -397,91 +348,74 @@ class DedupStore:
         extra reads); on allocation, one signature-line write. The data
         line itself is written back later by the cache.
 
-        That in-bucket resolution serves every bucket whose overflow
-        list is empty. A bucket is handed to the :class:`CuckooIndex` by
-        the allocation that first spills it (all its lines are indexed)
-        and handed back by the deallocation that empties its overflow
-        list, so which path serves a bucket is a function of its live
-        lines, never of its history or of a setting.
+        That signature compare serves every bucket whose overflow list
+        is empty. A bucket that has spilled compares each line's 8-bit
+        fingerprint instead, over its ways and its overflow list
+        together, and is charged the same way: its fingerprints are read
+        with its signature line, in the same DRAM row, and each match
+        costs one candidate read. The fingerprint is the bucket CRC's
+        bits above the bucket index, so unlike the signature it does not
+        depend on the bucket. Which compare serves a bucket is a
+        function of its live lines, never of its history or of a
+        setting, and the answer is exact either way: it comes from the
+        ``content -> PLID`` dict.
         """
         if is_zero_line(line):
             return ZERO_PLID, False
         if enc is None:
             enc = encode_line(line)
-        # hashing.bucket_hash and hashing.signature, in line
-        bucket_idx = crc32(enc, hashing.BUCKET_SEED) % self._num_buckets
-        if bucket_idx in self._overflow:
-            # a spilled bucket belongs to the cuckoo index
-            return self._lookup_cuckoo(line, enc, bucket_idx)
+        # hashing.bucket_hash, hashing.signature and hashing.fingerprint,
+        # in line
+        crc = crc32(enc, hashing.BUCKET_SEED)
+        bucket_idx = crc % self._num_buckets
         sig = crc32(enc, hashing.SIGNATURE_SEED) & 0xFF or 1
+        fp = crc // self._num_buckets & 0xFF or 1
 
         self.counters.lookups += 1
         self.stats.lookups += 1  # signature line read
         self.rows.access(bucket_idx)
 
         row = bucket_idx * self._row_len
-        matches = self._sigs.count(sig, row + 1, row + self._row_len)
+        spilled = self._overflow_fps.get(bucket_idx)
+        if spilled is None:
+            matches = self._sigs.count(sig, row + 1, row + self._row_len)
+        else:
+            matches = (self._fps.count(fp, row + 1, row + self._row_len)
+                       + spilled.count(fp))
         existing = self._plid_by_enc.get(enc)
         if existing is not None:
-            # Read each candidate data line with a matching signature —
-            # all within the same DRAM row as the signature line.
+            # Read each candidate data line with a matching signature
+            # (or fingerprint) — all within the same DRAM row as the
+            # signature line.
             self.stats.lookups += max(1, matches)
             for _ in range(max(1, matches)):
                 self.rows.access(bucket_idx)
-            self.counters.signature_false_positives += max(0, matches - 1)
+            if spilled is None:
+                self.counters.signature_false_positives += max(0, matches - 1)
             self.counters.false_positive_scans += max(0, matches - 1)
             self.counters.lookup_hits += 1
             self._refcounts[existing] += 1
             self._rc_cache.touch(existing)
             return existing, False
         if matches:
-            # Signature collisions with different content: candidate reads.
+            # Collisions with different content: candidate reads.
             self.stats.lookups += matches
             for _ in range(matches):
                 self.rows.access(bucket_idx)
-            self.counters.signature_false_positives += matches
+            if spilled is None:
+                self.counters.signature_false_positives += matches
             self.counters.false_positive_scans += matches
 
-        return self._allocate(line, enc, bucket_idx, sig), True
-
-    def _lookup_cuckoo(self, line: Line, enc: bytes,
-                       bucket_idx: int) -> Tuple[int, bool]:
-        """Find-or-allocate in a bucket that has been handed to the index.
-
-        The index narrows candidates by adaptive-width fingerprint; each
-        surviving candidate costs one charged data-line read for the
-        full content compare (a mismatch is a false-positive scan). No
-        signature read. Physical allocation is the same
-        :meth:`_allocate` the in-bucket path uses.
-        """
-        self.counters.lookups += 1
-
-        def match(plid: int) -> bool:
-            self.stats.lookups += 1  # candidate data-line read
-            self.rows.access(self._row_of(plid))
-            if self._enc_by_plid.get(plid) == enc:
-                return True
-            self.counters.false_positive_scans += 1
-            return False
-
-        found = self._index.get(CuckooIndex.key_of(enc), match)
-        if found is not None:
-            self.counters.lookup_hits += 1
-            self._refcounts[found] += 1
-            self._rc_cache.touch(found)
-            return found, False
-        return self._allocate(line, enc, bucket_idx,
-                              hashing.signature(enc)), True
+        return self._allocate(line, enc, bucket_idx, sig, fp), True
 
     def _allocate(self, line: Line, enc: bytes, bucket_idx: int,
-                  sig: int) -> int:
+                  sig: int, fp: int) -> int:
         """Claim the lowest free way (or an overflow slot) for new content.
 
         Dead lines never cost capacity: a full bucket drains the
         reclaimer's queue before it spills (the contract in reclaim.py).
-        The new line is indexed here too, whole-bucket on a first spill,
-        because that drain can hand a spilled bucket back to the
-        in-place path.
+        The line's fingerprint is stored beside it either way, so a
+        bucket that spills later already holds its ways' fingerprints.
         """
         sigs = self._sigs
         row = bucket_idx * self._row_len
@@ -490,13 +424,10 @@ class DedupStore:
             self._reclaimer.stats.pressure_drains += 1
             self._reclaimer.drain(self)
             slot = sigs.find(0, row + 1, row + self._row_len)
-        spilled = self._overflow.get(bucket_idx)
         if slot >= 0:
             plid = (slot - row) * self._num_buckets + bucket_idx
-            ticks = self._ticks
-            ticks[row] = ticks[slot] = (ticks[row] + 1 if ticks[row] < 0xFF
-                                        else self._renumber(row))
             sigs[slot] = sig
+            self._fps[slot] = fp
             self.stats.lookups += 1  # signature line written back
             self.rows.access(bucket_idx)
         else:
@@ -509,10 +440,8 @@ class DedupStore:
                         % self.config.overflow_lines
                     )
                 self._next_overflow += 1
-            if spilled is None:
-                self._overflow[bucket_idx] = [plid]
-            else:
-                spilled.append(plid)
+            self._overflow.setdefault(bucket_idx, []).append(plid)
+            self._overflow_fps.setdefault(bucket_idx, bytearray()).append(fp)
             self._overflow_bucket[plid] = bucket_idx
             self.counters.overflow_allocations += 1
             self.stats.lookups += 1  # overflow pointer update
@@ -530,14 +459,6 @@ class DedupStore:
             if isinstance(word, PlidRef) and word.plid != ZERO_PLID:
                 self._refcounts[word.plid] += 1
                 self._rc_cache.touch(word.plid)
-        if spilled is not None:
-            self._index.insert(CuckooIndex.key_of(enc), plid)
-        elif slot < 0:
-            # first spill: hand the whole bucket over to the index
-            for resident in self._bucket_lines(bucket_idx):
-                self._index.insert(
-                    CuckooIndex.key_of(self._enc_by_plid[resident]),
-                    resident)
         return plid
 
     def writeback(self, plid: int) -> None:
@@ -603,38 +524,34 @@ class DedupStore:
         through the normal decref path, and the running drain holds the
         store, so a child reaching zero is queued rather than freed
         inline — one call does O(fanout) work. Only then is the line
-        deallocated (listeners, index removal, slot release)."""
+        deallocated (listeners, content-map removal, slot release)."""
         for child in line_child_plids(self._lines[plid]):
             self.decref(child, 1)
         self._deallocate(plid)
 
     def _deallocate(self, plid: int) -> None:
-        """Free a line: zero its signature or release its overflow slot."""
+        """Free a line: zero its signature and fingerprint, or release
+        its overflow slot and drop its fingerprint from the list."""
         for listener in self.dealloc_listeners:
             listener(plid)
         del self._lines[plid]
-        enc = self._enc_by_plid.pop(plid)
-        bucket_idx = self.bucket_of(plid)
-        spilled = self._overflow.get(bucket_idx)
-        if spilled is not None:
-            # keyed off the *stored* encoding, so a silently corrupted
-            # line still unindexes cleanly (the audit flags it instead)
-            self._index.remove(CuckooIndex.key_of(enc), plid)
-        self._plid_by_enc.pop(enc, None)
+        # keyed off the *stored* encoding, so a silently corrupted line
+        # still frees cleanly (the audit flags it instead)
+        self._plid_by_enc.pop(self._enc_by_plid.pop(plid), None)
         if plid >= self._overflow_base:
-            spilled.remove(plid)
-            self._overflow_bucket.pop(plid, None)
-            self._slots.release_overflow(plid)
+            bucket_idx = self._overflow_bucket.pop(plid)
+            spilled = self._overflow[bucket_idx]
+            at = spilled.index(plid)
+            del spilled[at]
+            del self._overflow_fps[bucket_idx][at]
             if not spilled:
-                # last spilled line gone: hand the bucket back
+                # last spilled line gone: back to the signature compare
                 del self._overflow[bucket_idx]
-                for resident in self._bucket_lines(bucket_idx):
-                    self._index.remove(
-                        CuckooIndex.key_of(self._enc_by_plid[resident]),
-                        resident)
+                del self._overflow_fps[bucket_idx]
+            self._slots.release_overflow(plid)
         else:
-            self._sigs[bucket_idx * self._row_len
-                       + plid // self._num_buckets] = 0
+            slot = self._slot_of(plid)
+            self._sigs[slot] = self._fps[slot] = 0
         del self._refcounts[plid]
         self._pending_write.discard(plid)
         self._rc_cache.drop(plid)
@@ -729,13 +646,7 @@ class DedupStore:
                 **self._reclaimer.snapshot()}
 
     # ------------------------------------------------------------------
-    # lookup-by-content index
-
-    @property
-    def index(self) -> CuckooIndex:
-        """The cuckoo index over overflowed buckets (empty until one
-        spills)."""
-        return self._index
+    # lookup-by-content
 
     def index_snapshot(self) -> Dict:
         """JSON-safe view of the lookup-by-content path (stats json)."""
@@ -744,11 +655,10 @@ class DedupStore:
             "signature_false_positives":
                 self.counters.signature_false_positives,
             "indexed_buckets": self.indexed_buckets(),
-            "cuckoo": self._index.snapshot(),
         }
 
     def indexed_buckets(self) -> int:
-        """Buckets served by the cuckoo index: those with a non-empty
+        """Buckets resolved by fingerprint: those with a non-empty
         overflow list."""
         return len(self._overflow)
 
@@ -759,64 +669,62 @@ class DedupStore:
         ``bucket`` is the image's record of the bucket an overflow line
         spilled from; a way's PLID names its own. Lines go in in image
         order, which is the order their buckets saw them allocated.
-        Charges no DRAM (restore is out-of-band, like replication's
-        export path); call :meth:`reindex` once every line is in.
+        Signature and fingerprint are derived from the content, so an
+        image carries neither. Charges no DRAM (restore is out-of-band,
+        like replication's export path).
         """
         enc = encode_line(line)
+        fp = hashing.fingerprint(enc, self._num_buckets)
         if plid >= self._overflow_base:
             if bucket is None:
                 bucket = plid % self._num_buckets
             self._overflow.setdefault(bucket, []).append(plid)
+            self._overflow_fps.setdefault(bucket, bytearray()).append(fp)
             self._overflow_bucket[plid] = bucket
         else:
-            row = plid % self._num_buckets * self._row_len
-            slot = row + plid // self._num_buckets
-            ticks = self._ticks
-            ticks[row] = ticks[slot] = (ticks[row] + 1 if ticks[row] < 0xFF
-                                        else self._renumber(row))
+            slot = self._slot_of(plid)
             self._sigs[slot] = hashing.signature(enc)
+            self._fps[slot] = fp
         self._plid_by_enc[enc] = plid
         self._enc_by_plid[plid] = enc
         self._lines[plid] = line
         self._refcounts[plid] = refcount
 
-    def reindex(self) -> None:
-        """Rebuild the index table from scratch over the lines of
-        buckets that have overflowed (the hand-over rule of
-        :meth:`lookup`), uncharged: the last step of a restore."""
-        self._index = self._new_index(None, None)
-        for plid in self._lines:
-            if self.bucket_of(plid) in self._overflow:
-                self._index.insert(
-                    CuckooIndex.key_of(self._enc_by_plid[plid]), plid)
-        # rebuilt uncharged; live operation from here on is charged
-        self._index._dram = self.stats
-        self._index._rows = self.rows
-
     def index_failures(self) -> List[str]:
-        """Prove the index is exactly reconstructible from live lines.
+        """Prove the lookup structures are exactly reconstructible from
+        the live lines.
 
-        Keys are derived from each line's *actual stored content* (not
-        the captured allocation-time encoding), so a silently corrupted
-        line surfaces as an index mismatch here as well as in the
-        canonical-form audit. Returns failure strings; empty = clean.
+        Content keys and fingerprints are derived from each line's
+        *actual stored content* (not the captured allocation-time
+        encoding), so a silently corrupted line surfaces here as well as
+        in the canonical-form audit. Returns failure strings; empty =
+        clean.
         """
-        # the index holds exactly the lines of overflowed buckets
-        failures: List[str] = self._index.audit({
-            plid: CuckooIndex.key_of(encode_line(line))
-            for plid, line in self._lines.items()
-            if self.bucket_of(plid) in self._overflow
-        })
-        # Un-spilled buckets are resolved in place (and _allocate dedups
-        # through them everywhere): the content map must exactly cover
-        # the live lines, each under its current content.
+        failures: List[str] = []
+        # the content map must exactly cover the live lines, each under
+        # its current content
         if len(self._plid_by_enc) != len(self._lines):
             failures.append(
                 "index: %d content entries for %d live lines"
                 % (len(self._plid_by_enc), len(self._lines)))
+        spilled_fp: Dict[int, int] = {}
+        for bucket, plids in self._overflow.items():
+            fps = self._overflow_fps.get(bucket, b"")
+            if len(fps) != len(plids):
+                failures.append(
+                    "index: bucket %d has %d overflow lines and %d "
+                    "fingerprints" % (bucket, len(plids), len(fps)))
+            spilled_fp.update(zip(plids, fps))
         for plid, line in self._lines.items():
-            if self._plid_by_enc.get(encode_line(line)) != plid:
+            enc = encode_line(line)
+            if self._plid_by_enc.get(enc) != plid:
                 failures.append(
                     "index: live PLID %d is not reachable by its content"
                     % plid)
+            stored = (spilled_fp.get(plid) if plid >= self._overflow_base
+                      else self._fps[self._slot_of(plid)])
+            if stored != hashing.fingerprint(enc, self._num_buckets):
+                failures.append(
+                    "index: live PLID %d has fingerprint %s, not its "
+                    "content's" % (plid, stored))
         return failures

@@ -8,9 +8,13 @@ The store needs two independent hashes of a line's canonical encoding
 * the **signature**, an 8-bit digest stored in the bucket's signature line
   and used to filter candidate ways before full content compares.
 
-Both must be deterministic across processes (benchmarks compare footprints
-between runs), so Python's randomized ``hash()`` is not used. CRC32 (a C
-primitive) keeps the simulator fast.
+A third, the **fingerprint**, filters the candidates of a bucket that
+has spilled into the overflow area; it is the bucket hash's bits above
+the bucket index, so it costs no second CRC.
+
+All three must be deterministic across processes (benchmarks compare
+footprints between runs), so Python's randomized ``hash()`` is not used.
+CRC32 (a C primitive) keeps the simulator fast.
 """
 
 from __future__ import annotations
@@ -38,6 +42,13 @@ def signature(encoded: bytes) -> int:
     """
     h = zlib.crc32(encoded, SIGNATURE_SEED) & 0xFF
     return h if h != 0 else 1
+
+
+def fingerprint(encoded: bytes, num_buckets: int) -> int:
+    """8-bit fingerprint of a line's canonical encoding: the bucket
+    CRC's bits above the bucket index, folded onto 1..255 like the
+    signature (zero marks a free slot)."""
+    return zlib.crc32(encoded, BUCKET_SEED) // num_buckets & 0xFF or 1
 
 
 def line_hashes(line: Line, num_buckets: int) -> "tuple[int, int, bytes]":

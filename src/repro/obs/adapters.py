@@ -207,24 +207,15 @@ INDEX_STORE_FIELDS = (
     "signature_false_positives", "overflow_allocations",
 )
 
-# Scalar CuckooIndexStats counters exposed as one event-labeled counter.
-INDEX_CUCKOO_EVENTS = (
-    "lookups", "hits", "inserts", "removes", "false_positive_scans",
-    "displacements", "fp_growth_events", "resizes_started",
-    "resizes_completed", "migrated_entries", "stash_inserts",
-)
-
 
 def register_index(registry: MetricsRegistry, store,
                    prefix: str = INDEX_PREFIX) -> None:
     """Expose a :class:`DedupStore`'s lookup-by-content path.
 
-    Same callback idiom as the other silos: `StoreCounters` /
-    `CuckooIndexStats` stay plain inline-bumped dataclasses; the
-    registry reads them live. ``indexed_buckets`` counts the buckets
-    currently handed to the cuckoo index (0 until one overflows); the
-    index's displacement-depth histogram, per-width bucket counts,
-    occupancy and resize progress follow.
+    Same callback idiom as the other silos: `StoreCounters` stays a
+    plain inline-bumped dataclass; the registry reads it live.
+    ``indexed_buckets`` counts the buckets resolved by fingerprint
+    because they have overflow lines (0 until one spills).
     """
     registry.counter(
         prefix + "store_ops_total",
@@ -233,37 +224,8 @@ def register_index(registry: MetricsRegistry, store,
         fn=lambda: {name: getattr(store.counters, name)
                     for name in INDEX_STORE_FIELDS})
     registry.gauge(prefix + "indexed_buckets",
-                   "hash buckets handed to the cuckoo index (overflowed)",
+                   "hash buckets resolved by fingerprint (overflowed)",
                    fn=store.indexed_buckets)
-    index = store.index
-    stats = index.stats
-    registry.counter(
-        prefix + "cuckoo_events_total", "cuckoo index events",
-        labels=("event",),
-        fn=lambda: {name: getattr(stats, name)
-                    for name in INDEX_CUCKOO_EVENTS})
-    registry.counter(
-        prefix + "displacement_depth_total",
-        "inserts by displacement path length (0 = direct)",
-        labels=("depth",),
-        fn=lambda: {str(d): n
-                    for d, n in sorted(stats.depth_hist.items())})
-    registry.gauge(
-        prefix + "buckets_by_fp_bits",
-        "active-table buckets per adaptive fingerprint width",
-        labels=("bits",),
-        fn=lambda: {str(w): n for w, n in
-                    sorted(index.bucket_width_counts().items())})
-    registry.gauge(prefix + "entries", "entries indexed",
-                   fn=lambda: len(index))
-    registry.gauge(prefix + "buckets", "active-table buckets",
-                   fn=lambda: index.num_buckets)
-    registry.gauge(prefix + "occupancy",
-                   "active-table slot occupancy fraction",
-                   fn=lambda: round(index.occupancy(), 4))
-    registry.gauge(prefix + "resizing",
-                   "1 while an incremental resize is draining",
-                   fn=lambda: int(index.resizing))
 
 
 RECLAIM_PREFIX = "repro_reclaim_"

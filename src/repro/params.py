@@ -65,13 +65,6 @@ class MemoryConfig:
             DAG space overhead of 1/(fanout-1); set 8 to model 64-bit
             PLIDs (the footnote-6 worst case of 2x overhead at 16-byte
             lines).
-        index_buckets: initial buckets (power of two; the table doubles
-            online as it fills) of the
-            :class:`repro.memory.index.CuckooIndex` that resolves
-            lookup-by-content for hash buckets that have overflowed.
-            A bucket with no overflow lines is resolved in place, the
-            paper's Figure-2 signature compare, so at the default
-            geometry the index stays empty.
     """
 
     line_bytes: int = 16
@@ -80,7 +73,6 @@ class MemoryConfig:
     overflow_lines: int = 1 << 20
     plid_bytes: int = 4
     verify_reads: bool = False
-    index_buckets: int = 1 << 10
 
     def __post_init__(self) -> None:
         if self.line_bytes % WORD_BYTES:
@@ -89,8 +81,6 @@ class MemoryConfig:
             raise ValueError("a line must hold at least two words to form a DAG")
         if self.plid_bytes not in (4, 8):
             raise ValueError("plid_bytes must be 4 or 8")
-        if self.index_buckets < 2 or self.index_buckets & (self.index_buckets - 1):
-            raise ValueError("index_buckets must be a power of two >= 2")
 
     @property
     def words_per_line(self) -> int:

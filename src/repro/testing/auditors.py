@@ -21,12 +21,13 @@ bundles them into one :class:`AuditReport`.
   readable end to end; and each root is the **canonical form** of its
   own content (rebuilding the segment's words reproduces the root,
   bit for bit).
-* :func:`audit_index` — the lookup-by-content index (the bucket maps
-  and the cuckoo table) is exactly reconstructible from the live lines:
-  every live line is reachable under its *current* content, no stale or
-  duplicate entries exist, and cuckoo entries sit in one of their two
-  candidate buckets. The canonical-form audit stays the oracle; this
-  proves the index adds no state of its own.
+* :func:`audit_index` — the lookup-by-content structures (the
+  ``content -> PLID`` map and every line's stored fingerprint) are
+  exactly reconstructible from the live lines: every live line is
+  reachable under its *current* content, no stale or duplicate entries
+  exist, and each fingerprint byte is the one its current content
+  derives. The canonical-form audit stays the oracle; this proves the
+  lookup path adds no state of its own.
 
 Auditors are read-mostly: the canonical-form rebuild allocates through
 the dedup store and releases everything it allocated, leaving the
@@ -226,13 +227,13 @@ def audit_segment_map(machine: Machine) -> List[str]:
 
 
 def audit_index(machine: Machine) -> List[str]:
-    """Check the lookup-by-content index against the live lines.
+    """Check the lookup-by-content structures against the live lines.
 
     Delegates to :meth:`repro.memory.dedup_store.DedupStore.
-    index_failures`, which derives the expected index from each line's
-    actual stored content — so the index is proven reconstructible, and
-    a silently corrupted line shows up here as well as in
-    :func:`audit_dedup`.
+    index_failures`, which derives the expected content keys and
+    fingerprints from each line's actual stored content — so they are
+    proven reconstructible, and a silently corrupted line shows up here
+    as well as in :func:`audit_dedup`.
     """
     return machine.mem.store.index_failures()
 

@@ -71,8 +71,8 @@ class EpisodeConfig:
     #: ``expiry`` profile runs against ManagedMemcached); None = plain
     backend: Optional[Callable] = None
     #: memory geometry of the machine under test, passed whole: a small
-    #: store spills buckets so the cuckoo index is consulted and
-    #: resizes online *during* the episode. Episodes quiesce the
+    #: store spills buckets so lookups in them compare fingerprints
+    #: *during* the episode. Episodes quiesce the
     #: reclaimer before the machine auditors run (via the router drain
     #: and ``audit_refcounts``'s machine drain), and trace content is
     #: independent of every field by construction.
@@ -320,8 +320,7 @@ class EpisodeResult:
     #: points need not be — this is debug data, never part of ``trace``)
     fired: Dict[str, int] = field(default_factory=dict)
     #: end-of-episode DedupStore.index_snapshot() — like ``fired``,
-    #: debug data outside the seed-deterministic ``trace`` (resize and
-    #: migration progress depend on operation timing)
+    #: debug data outside the seed-deterministic ``trace``
     index: Dict = field(default_factory=dict)
     #: end-of-episode DedupStore.reclaim_snapshot() — debug data too
     #: (drain timing depends on batch boundaries, never on the trace)

@@ -83,8 +83,8 @@ class HIConfig:
     #: whole. Every observation point drains the machine first, which
     #: quiesces the reclaimer, so fingerprints/footprints must be
     #: identical whether or not the store is held and under any
-    #: geometry; a small store makes buckets spill into the cuckoo
-    #: index and resize it during the schedules.
+    #: geometry; a small store makes buckets spill, so lookups in them
+    #: compare fingerprints during the schedules.
     memory: MemoryConfig = MemoryConfig()
 
 

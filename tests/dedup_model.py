@@ -12,20 +12,15 @@ resurrectable) until a drain frees it.
 from repro.memory.dedup_store import DedupStore
 from repro.params import MemoryConfig
 
-#: 4 buckets x 2 ways: every bucket spills at once, so the store serves
-#: through its cuckoo index, and 8 index buckets x 4 slots resize fast
-SPILLED = MemoryConfig(num_buckets=4, data_ways=2, index_buckets=8)
+#: 4 buckets x 2 ways: every bucket spills at once, so the store
+#: resolves lookups by fingerprint over ways and overflow lines
+SPILLED = MemoryConfig(num_buckets=4, data_ways=2)
 
 
 def indexed_plids(store: DedupStore) -> set:
-    """PLIDs currently held by the store's cuckoo index."""
-    index = store.index
-    plids = {plid for _key, plid in index._stash}
-    for table in index._tables():
-        for bucket in table.buckets.values():
-            plids.update(plid for _key, plid in bucket.entries)
-    assert len(plids) == len(index)
-    return plids
+    """PLIDs of the buckets that have spilled (resolved by fingerprint)."""
+    return {plid for plid in store.live_plids()
+            if store.bucket_of(plid) in store._overflow}
 
 
 class ModelledStore:
@@ -79,10 +74,10 @@ class ModelledStore:
 
     def release_all(self, held) -> None:
         """Drop every held reference; the store must return to where it
-        started, index empty."""
+        started, no bucket spilled."""
         for plid in held:
             self.decref(plid)
         self.advance()
         assert self.refs == {} and self.plid_of == {}
         assert self.store.footprint_lines() == self.baseline
-        assert len(self.store.index) == 0
+        assert self.store.indexed_buckets() == 0

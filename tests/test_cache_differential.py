@@ -9,7 +9,7 @@ operation both must have returned the same value and hold the same
 traffic counters, ``DramStats``, row-buffer state, store counters and
 per-set resident lines *in LRU order* — on caches small enough (8 lines,
 2 ways) that every set evicts, and on a store small enough that lines
-land in the overflow area and buckets are handed to the cuckoo index.
+land in the overflow area and buckets are resolved by fingerprint.
 """
 
 import dataclasses
@@ -163,7 +163,7 @@ def test_content_index_matches_the_way_scan(store, line_bytes, held, seed):
     assert prod.store.counters.deallocations > 0
     if store == "spilled":
         assert prod.store.counters.overflow_allocations > 0
-        assert len(prod.store.index) > 0
+        assert prod.store.indexed_buckets() > 0
     else:
         assert prod.store.counters.overflow_allocations == 0
     twins.release_all()

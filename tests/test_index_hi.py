@@ -1,8 +1,7 @@
 """The lookup-by-content index is a pure implementation detail. Seeded
 churn through a store whose every bucket is spilled agrees with a dict
 model operation by operation, and the history-independence harness
-produces the fingerprints the overflow-chain store produced — including
-while the cuckoo table resizes online mid-schedule."""
+produces the fingerprints the overflow-chain store produced."""
 
 import random
 
@@ -40,8 +39,7 @@ def test_seeded_churn_identical_store_state_across_kinds(seed):
     held = _churn(modelled, seed)
     assert store.footprint_bytes() \
         == len(set(held)) * store.config.line_bytes
-    # the tiny initial table must have resized under this much churn
-    assert store.index.stats.resizes_completed >= 1
+    assert store.counters.overflow_allocations > 0
     modelled.release_all(held)
 
 
@@ -57,8 +55,8 @@ HI_FINGERPRINTS = {
 @pytest.mark.parametrize("structure", ["hmap", "hsorted"])
 def test_hi_fingerprints_identical_across_index_kinds(structure):
     """The HI harness observes canonical roots/fingerprints only, so
-    they are the recorded ones, with the machines resizing their index
-    online from a deliberately tiny table during the schedules."""
+    they are the recorded ones, with every bucket of the machines
+    spilled during the schedules."""
     verdict = verify_structure(
         20260808, structure,
         HIConfig(memory=SPILLED, schedules=6, keys=10, ops=28))

@@ -149,7 +149,7 @@ class TestRoundtrip:
         assert restored.config.memory == machine.config.memory
         assert store.reclaimer.pending() == 0  # imaging quiesced
         assert indexed_plids(rstore) == indexed_plids(store) != set()
-        assert len(rstore.index) == rstore.footprint_lines()
+        assert rstore.indexed_buckets() == store.indexed_buckets()
         assert rstore.index_failures() == []
         assert restored.read_segment(vsid) == machine.read_segment(vsid)
 
@@ -162,7 +162,10 @@ class TestRoundtrip:
         with open(path) as f:
             image = json.load(f)
         restored = load_machine(path)
-        assert machine_image(restored) == image  # every PLID in place
+        # every PLID in place; the image's config also names the
+        # deleted index_buckets field, which restore never read
+        del image["config"]["index_buckets"]
+        assert machine_image(restored) == image
         assert restored.mem.store.index_failures() == []
         assert restored.read_segment(2) == [1000 * w for w in range(1, 9)]
         kvp = HMap(restored, 3)

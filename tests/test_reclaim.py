@@ -1,6 +1,6 @@
-"""The one free path: placement, queue, drain, quiesce, resurrection,
-the capacity contract, and resize-aware RC-cache coverage
-(repro.memory.reclaim and DedupStore.hold_reclaim)."""
+"""The one free path: placement, queue, drain, quiesce, resurrection
+and the capacity contract (repro.memory.reclaim and
+DedupStore.hold_reclaim)."""
 
 import dataclasses
 import hashlib
@@ -45,13 +45,12 @@ def _segment_words(tag, count):
 
 
 def _placement_churn():
-    """Seeded allocate/free churn on 4 buckets x 2 ways, a 2-bucket
-    index and a 4-entry RC cache: hundreds of spills, hand-backs,
-    overflow-slot reuses and row-clock wraps, and two index resizes.
-    Returns every PLID the lookups handed out, and the store."""
+    """Seeded allocate/free churn on 4 buckets x 2 ways and a 4-entry
+    RC cache: hundreds of spills, returns to the signature compare and
+    overflow-slot reuses. Returns every PLID the lookups handed out,
+    and the store."""
     store = DedupStore(MemoryConfig(num_buckets=4, data_ways=2,
-                                    overflow_lines=1 << 12,
-                                    index_buckets=2),
+                                    overflow_lines=1 << 12),
                        rc_cache_entries=4)
     store.hold_reclaim()
     rng = random.Random(27)
@@ -92,28 +91,28 @@ class TestSlotAllocator:
         assert store.lookup((11, 7))[0] == 3
 
     def test_churn_places_and_charges_as_recorded(self):
-        # recorded from the per-bucket-object store this flat layout
-        # replaced: the PLID sequence, and every charge the cuckoo
-        # hand-overs and hand-backs made on the way
+        # the PLID sequence and free list were recorded from the
+        # per-bucket-object store this flat layout replaced, and held
+        # through the cuckoo index's retirement: placement never
+        # depended on how a lookup finds content
         plids, store = _placement_churn()
         assert len(plids) == 2008
         digest = hashlib.sha256(repr(plids).encode()).hexdigest()
         assert digest[:16] == "df537c1ff363184a"
-        assert store.stats == DramStats(lookups=10459, dealloc=1974,
-                                        refcount=28)
-        # the open-row hits move if a hand-over walks a bucket's lines
-        # in way order instead of the order they were allocated in
-        assert store.rows == RowBuffer(last_row=("cidx", 2, 6),
-                                       hits=3067, misses=9394)
+        assert store.slots.free_overflow == [22, 15]
+        # the charges are the fingerprint compare's: a spilled bucket's
+        # fingerprints are read with its signature line, and the RC
+        # cache keeps its 4 entries
+        assert store.stats == DramStats(lookups=4051, dealloc=1974,
+                                        refcount=1316)
+        assert store.rows == RowBuffer(last_row=4, hits=2481,
+                                       misses=4860)
+        # signature_false_positives counts Figure-2 signature
+        # collisions only; false_positive_scans adds the fingerprint ones
         assert store.counters == StoreCounters(
             lookups=2008, lookup_hits=17, allocations=1991,
             deallocations=1974, overflow_allocations=819,
-            signature_false_positives=20, false_positive_scans=31)
-        index = store.index.stats
-        assert (index.lookups, index.inserts, index.removes,
-                index.displacements, index.migrated_entries) \
-            == (1175, 1728, 1711, 4, 21)
-        assert store.slots.free_overflow == [22, 15]
+            signature_false_positives=20, false_positive_scans=35)
 
     def test_overflow_lifo_reuse(self):
         alloc = SlotAllocator()
@@ -325,57 +324,6 @@ class TestEpochDrain:
 
 
 # ----------------------------------------------------------------------
-# satellite: resize-aware RC-cache sizing
-
-
-class TestRcCacheResize:
-    def _resized_store(self):
-        # 4 buckets x 2 ways: all spilled, so every line is indexed
-        store = DedupStore(
-            MemoryConfig(num_buckets=4, data_ways=2, index_buckets=8),
-            rc_cache_entries=32)
-        plids = []
-        for i in range(400):
-            plid, _ = store.lookup((i + 1, (i * 2654435761) & WORD_MASK))
-            plids.append(plid)
-        assert store.index.stats.resizes_completed >= 1
-        return store, plids
-
-    def test_capacity_tracks_index_buckets(self):
-        store, _ = self._resized_store()
-        expected = max(32, store.index.num_buckets * store.index.slots)
-        assert store._rc_cache.capacity == expected
-        assert store._rc_cache.capacity > 32  # actually grew
-
-    def test_post_resize_hit_rate(self):
-        store, plids = self._resized_store()
-        # warm once, then measure: with capacity scaled past the live
-        # population every touch must hit; the un-resized 32-entry
-        # cache would thrash at ~8% hits on this working set
-        for plid in plids:
-            store.incref(plid)
-        cache = store._rc_cache
-        hits_before, touches = cache.hits, 0
-        for plid in plids:
-            store.incref(plid)
-            store.decref(plid)
-            touches += 2
-        hit_rate = (cache.hits - hits_before) / touches
-        assert hit_rate > 0.95, hit_rate
-
-    def test_reindex_reregisters_resize_listener(self):
-        store, _ = self._resized_store()
-        before = store._rc_cache.capacity
-        store.reindex()
-        # grow the population until the rebuilt index resizes again
-        for i in range(1000, 3000):
-            store.lookup((i + 1, (i * 40503) & WORD_MASK))
-            if store._rc_cache.capacity > before:
-                break
-        assert store._rc_cache.capacity > before
-
-
-# ----------------------------------------------------------------------
 # capacity contract: dead lines never cost capacity
 
 
@@ -413,10 +361,10 @@ class TestCapacity:
 
 
 class TestConfig:
-    def test_memory_config_has_seven_fields(self):
+    def test_memory_config_has_six_fields(self):
         assert [f.name for f in dataclasses.fields(MemoryConfig)] == [
             "line_bytes", "num_buckets", "data_ways", "overflow_lines",
-            "plid_bytes", "verify_reads", "index_buckets"]
+            "plid_bytes", "verify_reads"]
 
     def test_router_serving_stack_defaults_to_epoch(self):
         from repro.net.router import ShardRouter

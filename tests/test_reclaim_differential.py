@@ -98,8 +98,8 @@ class TestFuzzTraceIndependence:
         # the router drains its held store RECLAIM_BUDGET lines per
         # batch; starved to one, dead lines pile up and a tiny store
         # drains them under pressure instead
-        tiny = EpisodeConfig(memory=MemoryConfig(
-            num_buckets=4, data_ways=2, index_buckets=8))
+        tiny = EpisodeConfig(memory=MemoryConfig(num_buckets=4,
+                                                 data_ways=2))
         for seed in (3, 44):
             prompt = run_episode(seed, tiny)
             with monkeypatch.context() as patch:
