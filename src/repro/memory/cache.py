@@ -12,13 +12,16 @@ Like the main memory, the cache supports both fundamental operations:
 
 That single-set search is the *model*: one set, all ways compared at
 once, LRU within the set. The host does not walk the ways. Content is
-unique, so "which resident line has this content" is a function of the
-content alone, and every resident line sits in the set of its content's
-hash bucket however it entered (a PLID names that bucket, an overflow
-PLID through the store's overflow map). A ``content -> PLID`` map over
-the resident lines therefore returns exactly what the way scan returns,
-and the hit's set is recovered from the PLID; only a miss encodes and
-hashes the line, in the store.
+unique, so at most one live PLID holds a given content, and the store's
+``content -> PLID`` map already names it; a line is resident only in
+the set of its PLID's hash bucket (an overflow PLID's through the
+store's overflow map). So a lookup encodes the line once, asks the
+store's map for the PLID, and is a hit exactly when that PLID's set
+holds it under an *equal tuple* — the way scan's compare (a word wider
+than 64 bits encodes like its residue but is a different tuple, and
+misses as the scan does). The cache keeps no content table of its own:
+residency changes in three places only — :meth:`HicampCache._insert`
+(with its eviction), the store's dealloc listener and :meth:`flush`.
 
 Data lines are immutable, so there is no coherence problem and no dirty
 state in the conventional sense; the only writeback is the *deferred
@@ -29,24 +32,21 @@ line is evicted (or never, if it was deallocated first).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.memory.dedup_store import DedupStore
-from repro.memory.line import Line, ZERO_PLID, is_zero_line
+from repro.memory.line import Line, ZERO_PLID, encode_line
 from repro.memory.stats import TrafficCounter
 from repro.params import CacheGeometry
 
 
-def _invalidator(sets: "List[OrderedDict[int, Line]]",
-                 by_content: Dict[Line, int], num_sets: int,
+def _invalidator(sets: "List[OrderedDict[int, Line]]", num_sets: int,
                  bucket_of: Callable[[int], int]) -> Callable[[int], None]:
     """The dealloc listener that drops a freed line from a cache's
-    tables."""
+    sets."""
 
     def invalidate(plid: int) -> None:
-        line = sets[bucket_of(plid) % num_sets].pop(plid, None)
-        if line is not None:
-            by_content.pop(line, None)
+        sets[bucket_of(plid) % num_sets].pop(plid, None)
 
     return invalidate
 
@@ -74,15 +74,10 @@ class HicampCache:
         self._sets: "list[OrderedDict[int, Line]]" = [
             OrderedDict() for _ in range(self._num_sets)
         ]
-        # Content -> PLID over every resident line: the host's form of
-        # the single-set search (module docstring). Entries leave through
-        # pop(line, None) because a line corrupted in DRAM for a test can
-        # be resident beside the line it now duplicates.
-        self._by_content: Dict[Line, int] = {}
-        # the hook holds the tables, not the cache (which holds the
+        # the hook holds the sets, not the cache (which holds the
         # store): a bound method would make every machine a cycle
         store.dealloc_listeners.append(_invalidator(
-            self._sets, self._by_content, self._num_sets, store.bucket_of))
+            self._sets, self._num_sets, store.bucket_of))
 
     # ------------------------------------------------------------------
 
@@ -98,13 +93,10 @@ class HicampCache:
         if plid in ways:
             # resident under an unequal tuple of the same encoding (a
             # word outside 64 bits): replaced, and most recently used
-            self._by_content.pop(ways[plid], None)
             ways.move_to_end(plid)
         ways[plid] = line
-        self._by_content[line] = plid
         if len(ways) > self._ways:
-            victim, evicted = ways.popitem(last=False)
-            self._by_content.pop(evicted, None)
+            victim, _ = ways.popitem(last=False)
             self.traffic.evictions += 1
             # Deferred allocation write of a never-written line.
             self.store.writeback(victim)
@@ -130,24 +122,38 @@ class HicampCache:
         self._insert(ways, plid, line)
         return line
 
-    def lookup(self, line: Line) -> int:
+    def lookup(self, line: Line, consume: bool = False) -> int:
         """Find-or-allocate by content through the cache.
 
         A cache hit recomposes the PLID without any DRAM access (the
         reference count is still bumped, in the RC cache); a miss performs
         the full DRAM lookup of section 3.1 and installs the line.
+        ``consume`` hands the caller's references on the line's children
+        to the line (:meth:`DedupStore.intern`).
         """
-        if is_zero_line(line):
+        if not any(line):  # is_zero_line, in line
             return ZERO_PLID
-        plid = self._by_content.get(line)
+        store = self.store
+        enc = encode_line(line)
+        plid = store._plid_by_enc.get(enc)
         if plid is not None:
-            self._ways_of(plid).move_to_end(plid)
-            self.traffic.lookup_hits += 1
-            self.store.incref(plid)
-            return plid
+            ways = self._ways_of(plid)
+            if ways.get(plid) == line:
+                ways.move_to_end(plid)
+                self.traffic.lookup_hits += 1
+                store.incref(plid)
+                if consume:
+                    store.settle_children(line, False)
+                return plid
         self.traffic.lookup_misses += 1
-        plid, _created = self.store.lookup(line)
-        self._insert(self._ways_of(plid), plid, line)
+        plid, created = store.intern(line, enc, plid, consume)
+        if created:  # _ways_of, in line: most lookups of a fresh set
+            ways = (self._sets[plid % self._num_buckets % self._num_sets]
+                    if plid < self._overflow_base else self._ways_of(plid))
+        # else the store found the line the map named: its set is ways
+        self._insert(ways, plid, line)
+        if consume:
+            store.settle_children(line, created)
         return plid
 
     def flush(self) -> None:
@@ -156,8 +162,7 @@ class HicampCache:
             for plid in ways:
                 self.store.writeback(plid)
             ways.clear()
-        self._by_content.clear()
 
     def resident_lines(self) -> int:
         """Number of lines currently cached (diagnostics)."""
-        return len(self._by_content)
+        return sum(map(len, self._sets))

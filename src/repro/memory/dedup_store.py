@@ -128,7 +128,6 @@ class _RcCache:
         self._row_of = row_of
         #: cached PLIDs, least recently touched first (values unused)
         self._entries: "OrderedDict[int, None]" = OrderedDict()
-        self.hits = 0    # touches that found a cached RC entry
         self.fills = 0   # charged fills from DRAM
         self.spills = 0  # charged evictions to DRAM
 
@@ -139,7 +138,6 @@ class _RcCache:
         """Record an RC update to ``plid``, charging DRAM on fill/spill."""
         entries = self._entries
         if plid in entries:
-            self.hits += 1
             entries.move_to_end(plid)
             return
         if not creating:
@@ -364,6 +362,15 @@ class DedupStore:
             return ZERO_PLID, False
         if enc is None:
             enc = encode_line(line)
+        return self.intern(line, enc, self._plid_by_enc.get(enc))
+
+    def intern(self, line: Line, enc: bytes, existing: Optional[int],
+               consume: bool = False) -> Tuple[int, bool]:
+        """:meth:`lookup` of a non-zero line whose encoding ``enc`` and
+        content-map entry ``existing`` (a PLID or None) the cache
+        derived. ``consume``: the caller hands over a reference on each
+        child; a created line keeps them instead of taking new ones, and
+        on a hit :meth:`settle_children` releases them."""
         # hashing.bucket_hash, hashing.signature and hashing.fingerprint,
         # in line
         crc = crc32(enc, hashing.BUCKET_SEED)
@@ -382,7 +389,6 @@ class DedupStore:
         else:
             matches = (self._fps.count(fp, row + 1, row + self._row_len)
                        + spilled.count(fp))
-        existing = self._plid_by_enc.get(enc)
         if existing is not None:
             # Read each candidate data line with a matching signature
             # (or fingerprint) — all within the same DRAM row as the
@@ -406,10 +412,10 @@ class DedupStore:
                 self.counters.signature_false_positives += matches
             self.counters.false_positive_scans += matches
 
-        return self._allocate(line, enc, bucket_idx, sig, fp), True
+        return self._allocate(line, enc, bucket_idx, sig, fp, consume), True
 
     def _allocate(self, line: Line, enc: bytes, bucket_idx: int,
-                  sig: int, fp: int) -> int:
+                  sig: int, fp: int, consume: bool) -> int:
         """Claim the lowest free way (or an overflow slot) for new content.
 
         Dead lines never cost capacity: a full bucket drains the
@@ -454,12 +460,27 @@ class DedupStore:
         self._rc_cache.touch(plid, creating=True)
         self.counters.allocations += 1
         # A new line takes one reference on each child PLID it stores
-        # (hardware tracks sharing through the per-word tags).
+        # (hardware tracks sharing through the per-word tags), or keeps
+        # the one its caller hands over (:meth:`intern`).
         for word in line:
-            if isinstance(word, PlidRef) and word.plid != ZERO_PLID:
-                self._refcounts[word.plid] += 1
+            if type(word) is PlidRef and word.plid != ZERO_PLID:
+                if not consume:
+                    self._refcounts[word.plid] += 1
                 self._rc_cache.touch(word.plid)
         return plid
+
+    def settle_children(self, line: Line, created: bool) -> None:
+        """Finish a consuming lookup once the cache has placed ``line``:
+        on a hit, release the caller's child references; on creation,
+        touch each child's RC entry again, as the released reference
+        did when a new line took its own, so the RC cache's order,
+        fills and spills stay exactly what they were."""
+        for word in line:
+            if type(word) is PlidRef and word.plid != ZERO_PLID:
+                if created:
+                    self._rc_cache.touch(word.plid)
+                else:
+                    self.decref(word.plid)
 
     def writeback(self, plid: int) -> None:
         """Charge the deferred DRAM write of a newly created line.

@@ -174,8 +174,12 @@ def encode_line(line: Line) -> bytes:
             return (_DATA_LINE_PACKERS.get(n) or _data_line_packer(n))(*line)
         except struct.error:
             pass  # a tagged word further in, or one outside 64 bits
+    # a reference word is b"P", its PLID and its path: encode_word's
+    # bytes in one struct call
     return b"".join([_DATA_WORD(b"D", w & WORD_MASK) if type(w) is int
-                     else encode_word(w) for w in line])
+                     else _DATA_WORD(b"P", w.plid) + bytes(w.path)
+                     if type(w) is PlidRef else encode_word(w)
+                     for w in line])
 
 
 def pack_words(data: bytes) -> Tuple[int, ...]:

@@ -74,9 +74,12 @@ class MemorySystem:
         """Read a line by PLID through the cache."""
         return self.cache.read(plid)
 
-    def lookup(self, line: Line) -> int:
-        """Find-or-allocate a line by content; the reference is counted."""
-        return self.cache.lookup(line)
+    def lookup(self, line: Line, consume: bool = False) -> int:
+        """Find-or-allocate a line by content; the reference is counted.
+
+        ``consume`` hands the caller's references on the line's child
+        PLIDs to the line (:meth:`HicampCache.lookup`)."""
+        return self.cache.lookup(line, consume)
 
     def incref(self, plid: int, count: int = 1) -> None:
         """Add references to a line (a PLID value was copied/stored)."""

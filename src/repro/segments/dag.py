@@ -182,12 +182,9 @@ def _canonical_interior(mem: MemorySystem, children: List[Entry], level: int) ->
     if (count == 1 and config.path_compaction
             and isinstance(children[last], PlidRef)):
         return PlidRef(children[last].plid, (last,) + children[last].path)
-    # Materialize the interior line.
-    plid = mem.lookup(tuple(children))
-    for child in children:
-        if isinstance(child, PlidRef):
-            mem.decref(child.plid)
-    return PlidRef(plid)
+    # Materialize the interior line; it consumes the caller's references
+    # on its children (the second argument)
+    return PlidRef(mem.lookup(tuple(children), True))
 
 
 def _wrap_run(mem: MemorySystem, entry: Entry, level: int,

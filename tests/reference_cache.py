@@ -1,11 +1,13 @@
 """Test-only oracle: the HICAMP cache that *scans* a set.
 
 This is :class:`repro.memory.cache.HicampCache` as it stood before a
-content hit became one probe of a ``content -> PLID`` map, moved here
-verbatim: ``lookup`` encodes and hashes every line to pick its set and
-then walks the set's ways comparing content, ``read`` reaches its set
-index through ``_set_index_for_plid`` -> ``DedupStore.bucket_of``, and
-``_where`` remembers each resident PLID's set for ``invalidate``. It
+content hit was answered from a ``content -> PLID`` map (today the
+store's own, plus a check that the named PLID is resident under an
+equal tuple), moved here verbatim: ``lookup`` encodes and hashes every
+line to pick its set and then walks the set's ways comparing content,
+``read`` reaches its set index through ``_set_index_for_plid`` ->
+``DedupStore.bucket_of``, and ``_where`` remembers each resident PLID's
+set for ``invalidate``. It
 defines what "one set, all ways searched, LRU" returns and charges —
 ``tests/test_cache_differential.py`` drives it beside the production
 cache on twin stores and requires equal return values, traffic

@@ -16,22 +16,22 @@ def make(cache_lines=64, ways=4, line_bytes=16):
 
 
 def assert_residency(cache):
-    """What answering a content hit from a map rests on: every resident
-    line sits in the set of its *content's* hash bucket — which its PLID
-    names — however it entered, and the content map holds exactly the
-    resident lines."""
+    """What answering a content hit from the store's content map rests
+    on: every resident line sits in the set of its *content's* hash
+    bucket — which its PLID names — however it entered, and the store's
+    map names that PLID for its content."""
     store = cache.store
-    resident = {}
+    resident = set()
     for index, ways in enumerate(cache._sets):
         assert len(ways) <= cache.geometry.ways
         for plid, line in ways.items():
-            bucket = hashing.bucket_hash(encode_line(line),
-                                         store.config.num_buckets)
+            enc = encode_line(line)
+            bucket = hashing.bucket_hash(enc, store.config.num_buckets)
             assert store.bucket_of(plid) == bucket
             assert index == bucket % cache.geometry.num_sets
+            assert store._plid_by_enc[enc] == plid
             assert line not in resident
-            resident[line] = plid
-    assert cache._by_content == resident
+            resident.add(line)
 
 
 class TestRead:

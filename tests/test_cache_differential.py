@@ -170,7 +170,6 @@ def test_content_index_matches_the_way_scan(store, line_bytes, held, seed):
     for cache in twins.caches:
         assert cache.store.footprint_lines() == 0
         assert cache.resident_lines() == 0
-    assert prod._by_content == {}
 
 
 def test_overflow_plid_is_read_and_found_in_its_buckets_set():
@@ -189,3 +188,22 @@ def test_overflow_plid_is_read_and_found_in_its_buckets_set():
         hits = prod.traffic.lookup_hits
         assert twins.both(lambda cache: cache.lookup(line)) == plid
         assert prod.traffic.lookup_hits == hits + 1
+
+
+def test_a_corrupted_line_is_not_a_content_hit_for_its_new_bytes():
+    """A line corrupted in DRAM and read back is resident under bytes
+    that hash to another set. A lookup of those bytes searches that
+    other set, so the way scan misses and allocates; the cache must not
+    answer it from the resident tuple."""
+    outcomes = []
+    for cls in (HicampCache, reference_cache.HicampCache):
+        store = DedupStore(ROOMY)
+        cache = cls(store, CacheGeometry(size_bytes=64 * 16, ways=4,
+                                         line_bytes=16))
+        plid = cache.lookup((1, 2))
+        store.corrupt_line_for_test(plid, (3, 4))
+        cache.read(plid)
+        found = cache.lookup((3, 4))
+        assert found != plid
+        outcomes.append((plid, found, store.stats, cache.traffic))
+    assert outcomes[0] == outcomes[1]

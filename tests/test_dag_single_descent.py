@@ -37,15 +37,17 @@ PROFILES = ("paper", "serving")
 WIDE = 1 << 120
 
 
-def make_machine(line_bytes, profile):
+def make_machine(line_bytes, profile, rc_entries=None):
     """A small machine as the paper runners use it (frees at once, memo
     off) or as ``ShardRouter`` does (store held, so frees wait for a
-    drain; memo on)."""
+    drain; memo on). ``rc_entries`` shrinks the RC cache."""
     machine = Machine(MachineConfig(
         memory=MemoryConfig(line_bytes=line_bytes, num_buckets=1 << 8,
                             data_ways=12, overflow_lines=1 << 14),
         cache=CacheGeometry(size_bytes=8 * 1024, ways=4,
                             line_bytes=line_bytes)))
+    if rc_entries is not None:
+        machine.mem.store._rc_cache._capacity = rc_entries
     if profile == "serving":
         machine.mem.memo.enable()
         machine.mem.store.hold_reclaim()
@@ -61,6 +63,10 @@ def observables(machine):
         "dram": mem.dram.as_dict(),
         "cache": dataclasses.asdict(mem.cache.traffic),
         "memo": mem.memo.snapshot(),
+        # the open DRAM row and the RC cache's LRU order: a touch moved,
+        # dropped or added shows here before it shows in the counters
+        "rows": dataclasses.asdict(store.rows),
+        "rc_lru": list(store._rc_cache._entries),
     }
 
 
@@ -69,10 +75,11 @@ class Twins:
     on ``new`` every rebuild goes through :mod:`repro.segments.dag`, on
     ``old`` through the oracle."""
 
-    def __init__(self, line_bytes=16, profile="paper"):
-        self.sides = ((make_machine(line_bytes, profile), dag, merge),
-                      (make_machine(line_bytes, profile), reference_dag,
-                       reference_dag))
+    def __init__(self, line_bytes=16, profile="paper", rc_entries=None):
+        self.sides = ((make_machine(line_bytes, profile, rc_entries), dag,
+                       merge),
+                      (make_machine(line_bytes, profile, rc_entries),
+                       reference_dag, reference_dag))
         self.new, self.old = self.sides[0][0], self.sides[1][0]
         self.vsid = self._both(lambda m, impl, _: m.segmap.create(0, 0, 0))
         self.refs = []
@@ -303,6 +310,26 @@ def test_seeded_merges_match_oracle(line_bytes, profile):
             twins.merge({0: 1 + round_, work.offset(): 7},
                         {0: 2 + round_, work.offset(): 9})
     assert merged > 20
+    twins.release()
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_an_rc_cache_smaller_than_the_fanout_sees_the_same_touches(profile):
+    """A built interior keeps its builder's child references, where the
+    oracle takes new ones and drops the old: both touch each child's RC
+    entry twice, in the same order. With 2 RC entries under a fan-out
+    of 4 every touch decides a fill or a spill, so a touch dropped or
+    moved changes the counters, not only the LRU order."""
+    twins = Twins(16, profile, rc_entries=2)
+    assert twins.new.mem.fanout > 2
+    work = Workload(5 + len(profile), twins)
+    add_refs(twins, work.rng)
+    for _ in range(30):
+        twins.write(work.updates())
+    for _ in range(8):
+        twins.merge(work.updates(4), work.updates(4))
+    rc = twins.new.mem.store._rc_cache
+    assert rc.fills > 0 and rc.spills > 0
     twins.release()
 
 

@@ -20,12 +20,13 @@ from repro.core.machine import Machine
 from repro.core.persistence import machine_image, restore_machine
 from repro.memory import hashing
 from repro.memory.dedup_store import DedupStore, StoreCounters
-from repro.memory.line import encode_line, make_leaf
+from repro.memory.line import PlidRef, encode_line, make_leaf
 from repro.memory.stats import DramStats, RowBuffer
 from repro.memory.system import MemorySystem
 from repro.obs import adapters
 from repro.obs.registry import MetricsRegistry
 from repro.params import WORD_MASK, MachineConfig, MemoryConfig
+from repro.segments import dag
 from repro.testing.auditors import audit_index, audit_machine
 from tests.dedup_model import ModelledStore
 from tests.dedup_model import indexed_plids as _spilled
@@ -117,11 +118,8 @@ def test_default_geometry_is_charge_for_charge_legacy(held):
     modelled.release_all(owned)
 
 
-def _lookup_miss_calls(memory: MemoryConfig) -> int:
-    """Python + C calls made by one ``mem.lookup`` miss (no clock)."""
-    mem = MemorySystem(MachineConfig(memory=memory))
-    for i in range(64):
-        mem.lookup(_leaf(i))
+def _calls(fn, *args) -> int:
+    """Python + C calls made by ``fn(*args)`` (no clock)."""
     calls = 0
 
     def count(_frame, event, _arg):
@@ -129,20 +127,49 @@ def _lookup_miss_calls(memory: MemoryConfig) -> int:
         if event in ("call", "c_call"):
             calls += 1
 
-    line = _leaf(10_000)
     sys.setprofile(count)
     try:
-        mem.lookup(line)
+        fn(*args)
     finally:
         sys.setprofile(None)
     return calls
 
 
+def _warm_memory() -> MemorySystem:
+    """A default-geometry memory holding 64 leaves."""
+    mem = MemorySystem(MachineConfig())
+    for i in range(64):
+        mem.lookup(_leaf(i))
+    return mem
+
+
 def test_serving_lookup_miss_call_ceiling():
     """Indexing every line again (a key hash, two index probes and a
     placement per miss: 92 calls against 55 before lookups were resolved
-    in the bucket, 38 after) cannot return unnoticed."""
-    assert _lookup_miss_calls(MemoryConfig()) <= 40
+    in the bucket, 38 after), or a second content table in the cache
+    (31 calls with one, 24 after), cannot return unnoticed."""
+    assert _calls(_warm_memory().lookup, _leaf(10_000)) <= 28
+
+
+def test_interior_line_miss_call_ceiling():
+    """A built interior line keeps its builder's references on its
+    children: taking new ones and dropping the old (98 calls with four
+    children, 50 after) cannot return unnoticed."""
+    mem = _warm_memory()
+    children = [PlidRef(mem.lookup(_leaf(20_000 + i)))
+                for i in range(mem.fanout)]
+    assert mem.fanout == 4
+    assert _calls(dag._canonical_interior, mem, children, 1) <= 60
+
+
+def test_build_segment_call_ceiling():
+    """32 distinct words: 16 leaf misses and 5 interior misses (1 168
+    calls before a line was interned once, 816 after)."""
+    rng = random.Random(5)
+    words = [rng.getrandbits(64) | 1 for _ in range(32)]
+    assert len(set(words)) == 32
+    mem = _warm_memory()
+    assert _calls(dag.build_segment, mem, words) <= 900
 
 
 # ----------------------------------------------------------------------

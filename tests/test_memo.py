@@ -91,9 +91,9 @@ class TestNoLineTable:
         for side, machine in enumerate(machines):
             lookup = machine.mem.lookup
 
-            def counted(line, side=side, lookup=lookup):
+            def counted(*args, side=side, lookup=lookup):
                 calls[side] += 1
-                return lookup(line)
+                return lookup(*args)
             monkeypatch.setattr(machine.mem, "lookup", counted)
         plain, memoized = machines
         segs = [AnonSegment.from_bytes(m.mem, data) for m in machines]
