@@ -38,15 +38,19 @@ ROOT = Path(__file__).resolve().parents[1]
 RUN = [sys.executable, "benchmarks/ledger/run.py", "--workload"]
 
 #: line reads per get went 19.4 -> 12.2 when a slot pair became one
-#: descent, and 12.2 -> 7.2 when the segment memo began answering a
-#: value read with the bytes it was built from (the 64-byte value's
-#: five lines are no longer read); read_word per get was 2 before the
-#: one descent; lookups per insert have stood since the single-descent
-#: rebuild; lookups per overwrite went 12.1925 -> 13.1925 when the
-#: memo's line table, which answered one lookup per overwrite, went
+#: descent, 12.2 -> 7.2 when the segment memo began answering a value
+#: read with the bytes it was built from (the 64-byte value's five
+#: lines are no longer read), and 7.2 -> 2.2875 when the memo's read
+#: table began answering a get of a key the map's committed version
+#: already answered (only first gets of a version read the map);
+#: read_word per get was 2 before the one descent and went 1.0 ->
+#: 0.3175 with the read table; lookups per insert have stood since the
+#: single-descent rebuild; lookups per overwrite went 12.1925 -> 13.1925
+#: when the memo's line table, which answered one lookup per
+#: overwrite, went
 EXACT = {
-    "memory.read.calls_per_get": 7.2,
-    "segments.dag.read_word.calls_per_get": 1.0,
+    "memory.read.calls_per_get": 2.2875,
+    "segments.dag.read_word.calls_per_get": 0.3175,
     "memory.lookup.calls_per_insert": 13.075,
     "memory.lookup.calls_per_overwrite": 13.1925,
 }

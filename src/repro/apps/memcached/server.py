@@ -145,7 +145,7 @@ class HicampMemcached:
         value = self.get(key)
         if value is None:
             return None
-        return value, self._token(key)
+        return value, cas_token(value)
 
     def cas(self, key: bytes, value: bytes, token: bytes,
             exptime: int = 0) -> bool:

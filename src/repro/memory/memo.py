@@ -2,8 +2,8 @@
 
 HICAMP's content-uniqueness invariant (section 3.1) means a PLID *is*
 its content: any pure function of line content can be memoized with no
-invalidation logic beyond deallocation. Two tables stay, each because it
-pays on traffic the system serves:
+invalidation logic beyond deallocation. Three tables stay, each because
+it pays on traffic the system serves:
 
 * **segment memo** — raw bytes ↔ ``(root, height, length)``, answered
   in both directions. Forwards,
@@ -19,6 +19,9 @@ pays on traffic the system serves:
   :func:`repro.structures.anon.read_ref_slot` returns the bytes a live
   root was built from instead of walking its DAG and repacking it (on
   the same workload, 32 % less CPU per op over ten pairs);
+* **read table** — per map VSID, the committed version it answers for
+  and ``key → value bytes or None``: a repeated :meth:`HMap.get
+  <repro.structures.hmap.HMap.get>` of an unchanged map is one probe;
 * **digest cache** — PLID → content fingerprint, promoting the per-call
   ``memo`` of :func:`repro.segments.dag.content_fingerprint` to machine
   level (replication delta pruning, fingerprint convergence checks).
@@ -37,12 +40,19 @@ children cannot be deallocated while the line itself is alive (the line
 holds counted references on them), so depending on the *top* PLID of a
 memoized structure suffices.
 
+The read table is the exception: its answers are bytes, and a committed
+version is a value (section 2.2). Every root swap adds one to
+``MapEntry.version`` and VSIDs are never reused, so answers recorded at
+the current version are current; a commit runs without yielding, so a
+rise of exactly one across an ``HMap`` mutator's own commit is that
+commit alone.
+
 Modeled-stats transparency: the memo is **disabled by default**. The
 figure/table experiments construct plain machines and never see it, so
 their DRAM/cache statistics are untouched; the serving stack opts in
 explicitly (a documented ``DramStats``-bypassing fast path: a forward
-hit skips a build's lookups, a backward hit a read's line reads — see
-``docs/performance.md``).
+hit skips a build's lookups, a backward hit or a read-table hit a
+read's line reads — see ``docs/performance.md``).
 Reference counts stay *exact* either way: a segment-memo hit takes the
 one reference a rebuild would have netted, and a hit that only
 addresses a read takes none and drops none, so the refcount auditors
@@ -53,10 +63,15 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 #: table names, in the order reported by :meth:`StructuralMemo.snapshot`
-TABLES = ("segment", "digest")
+TABLES = ("segment", "digest", "read")
+
+#: answers the read table holds across all maps (the segment bound)
+MAX_READS = 1 << 13
+#: :meth:`StructuralMemo.get_read`'s "no answer recorded"
+MISS = object()
 
 
 @dataclass
@@ -70,9 +85,9 @@ class TableStats:
 
 
 class StructuralMemo:
-    """Bounded, dealloc-invalidated memo tables over one line store.
+    """Bounded memo tables over one line store.
 
-    Both tables are size-capped *and* invalidated through
+    The PLID-keyed tables are size-capped *and* invalidated through
     :meth:`on_dealloc`; either bound alone would suffice for safety
     (dealloc) or for memory (caps) — together they keep the memo both
     correct under PLID reuse and bounded under churn.
@@ -91,6 +106,9 @@ class StructuralMemo:
         # different paths), so the reverse map holds key *sets*.
         self._segments: "OrderedDict[bytes, tuple]" = OrderedDict()
         self._seg_rev: Dict[int, Set[bytes]] = {}
+        # read table: VSID -> [version, {key: answer}]; one LRU order
+        self._read_maps: Dict[int, list] = {}
+        self._read_lru: "OrderedDict[tuple, None]" = OrderedDict()
         #: digest cache, used *directly* as the ``memo`` dict of
         #: :func:`repro.segments.dag.content_fingerprint` (the key is the
         #: PLID itself, so invalidation is a plain pop)
@@ -156,6 +174,54 @@ class StructuralMemo:
             self.stats["segment"].evictions += 1
 
     # ------------------------------------------------------------------
+    # read table
+
+    def get_read(self, vsid: int, version: int, key: bytes):
+        """Map ``vsid``'s answer for ``key`` at ``version``, else MISS."""
+        stats = self.stats["read"]
+        if vsid in self._read_maps:
+            held, answers = self._read_maps[vsid]
+            if held != version:  # the map moved: forget its answers
+                del self._read_maps[vsid]
+                for stale in answers:
+                    del self._read_lru[(vsid, stale)]
+                stats.invalidations += len(answers)
+            elif key in answers:
+                self._read_lru.move_to_end((vsid, key))
+                stats.hits += 1
+                return answers[key]
+        stats.misses += 1
+        return MISS
+
+    def put_read(self, vsid: int, version: int, key: bytes,
+                 answer: Optional[bytes]) -> None:
+        """Record map ``vsid``'s answer for ``key`` after a miss."""
+        if vsid not in self._read_maps:
+            self._read_maps[vsid] = [version, {}]
+        self._read_maps[vsid][1][key] = answer
+        lru = self._read_lru
+        lru[(vsid, key)] = None
+        if len(lru) > MAX_READS:
+            (vvsid, vkey), _ = lru.popitem(last=False)
+            answers = self._read_maps[vvsid][1]
+            del answers[vkey]
+            if not answers:
+                del self._read_maps[vvsid]
+            self.stats["read"].evictions += 1
+
+    def carry_reads(self, vsid: int, before: int, after: int,
+                    staged: Iterable[bytes]) -> None:
+        """Carry map ``vsid``'s answers across its own commit (a version
+        rise of one), forgetting the ``staged`` keys."""
+        held = self._read_maps.get(vsid)
+        if held is not None and held[0] == before == after - 1:
+            for key in staged:
+                if held[1].pop(key, MISS) is not MISS:
+                    del self._read_lru[(vsid, key)]
+                    self.stats["read"].invalidations += 1
+            held[0] = after
+
+    # ------------------------------------------------------------------
     # digest cache
 
     def note_digest(self, hit: bool) -> None:
@@ -194,7 +260,8 @@ class StructuralMemo:
 
     def sizes(self) -> Dict[str, int]:
         """Resident entries per table."""
-        return {"segment": len(self._segments), "digest": len(self.digests)}
+        return {"segment": len(self._segments), "digest": len(self.digests),
+                "read": len(self._read_lru)}
 
     def ops(self) -> Dict[Tuple[str, str], int]:
         """``{(table, outcome): count}`` for the labeled obs counter."""

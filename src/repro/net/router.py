@@ -141,8 +141,8 @@ class ShardRouter:
         adapters.register_router(self.registry, self)
         adapters.register_index(self.registry, self.machine.mem.store)
         adapters.register_reclaim(self.registry, self.machine.mem.store)
-        # the structural memo (a repeated value's bytes -> its root, and
-        # PLID -> fingerprint) is off by default machine-wide so
+        # the structural memo (a repeated value's bytes -> its root, a
+        # map version's gets, PLID -> fingerprint) is off by default so
         # modeled-DRAM experiments stay exact; the serving stack opts in
         # — a hit skips a value's rebuild and its modeled lookups but
         # stays refcount-exact (docs/performance.md)
@@ -535,6 +535,7 @@ class ShardRouter:
             "server": self.aggregate_server_stats(),
             "index": self.machine.mem.store.index_snapshot(),
             "reclaim": self.machine.mem.store.reclaim_snapshot(),
+            "memo": self.machine.mem.memo.snapshot(),
         })
 
     def stats_response(self, args: List[bytes]) -> bytes:

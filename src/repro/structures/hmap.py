@@ -29,6 +29,7 @@ from repro.core.machine import Machine
 from repro.core.transactions import atomic_update
 from repro.errors import MergeConflictError
 from repro.memory.line import PlidRef
+from repro.memory.memo import MISS
 from repro.segments import dag
 from repro.segments.segment_map import SegmentFlags
 from repro.structures.anon import (
@@ -122,21 +123,39 @@ class HMap:
         (:meth:`_known_slot`): no key segment is built and no reference
         taken, so the get costs the slot's lines and the snapshot's
         pin. Any other key — every key with the memo off — is built,
-        and its handle released once the slot is read.
+        and its handle released once the slot is read. With the memo
+        on, a key this map version already answered is not read again.
         """
+        mem, version = self.machine.mem, None
+        memo = mem.memo
+        if memo.enabled and not mem.store.verify_reads:
+            version = self.machine.segmap.entry(self.vsid).version
+            answer = memo.get_read(self.vsid, version, key)
+            if answer is not MISS:
+                return answer
         base, key_seg = self._known_slot(key), None
         if base is None:
             key_seg, base = self._key_segment(key)
         try:
             with self.machine.snapshot(self.vsid) as snap:
                 slot = self._read_slot(snap, base)
-                if slot is None:
-                    return None
-                value_entry, meta = slot
-                return read_ref_slot(self.machine.mem, value_entry, meta)
+                answer = None if slot is None else read_ref_slot(mem, *slot)
         finally:
             if key_seg is not None:
                 key_seg.release()
+        if version is not None:
+            memo.put_read(self.vsid, version, key, answer)
+        return answer
+
+    def _commit(self, update, staged) -> None:
+        """``atomic_update``; with the memo on, carry its read table
+        across the commit, forgetting the ``staged`` keys."""
+        memo, entry = self.machine.mem.memo, self.machine.segmap.entry
+        before = entry(self.vsid).version if memo.enabled else None
+        self.machine.atomic_update(self.vsid, update)
+        if before is not None:
+            memo.carry_reads(self.vsid, before, entry(self.vsid).version,
+                             staged)
 
     @staticmethod
     def _stage_put(it, base: int, key_seg: AnonSegment, key_len: int,
@@ -171,7 +190,7 @@ class HMap:
                                            value_seg, len(value)))
 
         try:
-            self.machine.atomic_update(self.vsid, update)
+            self._commit(update, (key,))
         finally:
             key_seg.release()
             value_seg.release()
@@ -208,7 +227,7 @@ class HMap:
                     results[i] = self._stage_put(it, base, kseg, klen,
                                                  vseg, vlen)
 
-            self.machine.atomic_update(self.vsid, update)
+            self._commit(update, (key for key, _ in items))
         finally:
             for _, key_seg, _, value_seg, _ in staged:
                 key_seg.release()
@@ -272,23 +291,22 @@ class HMap:
                    offset=COUNT_OFFSET)
 
         try:
-            self.machine.atomic_update(self.vsid, update)
+            self._commit(update, (key,))
         finally:
             key_seg.release()
         return removed[0]
 
     def contains(self, key: bytes) -> bool:
-        """Membership test; a key the segment memo knows is addressed
-        without a reference, as in :meth:`get`."""
-        base, key_seg = self._known_slot(key), None
-        if base is None:
-            key_seg, base = self._key_segment(key)
+        """Membership test: with the memo on, whether :meth:`get` (and
+        so the read table) answers a value; otherwise one slot read."""
+        if self.machine.mem.memo.enabled:
+            return self.get(key) is not None
+        key_seg, base = self._key_segment(key)
         try:
             with self.machine.snapshot(self.vsid) as snap:
                 return snap.read(base + 3) != 0
         finally:
-            if key_seg is not None:
-                key_seg.release()
+            key_seg.release()
 
     def __len__(self) -> int:
         return self.machine.read_word(self.vsid, COUNT_OFFSET)

@@ -530,9 +530,11 @@ def test_put_call_budget():
 #: from the same 1 000-key map, memo on, CPython 3.11: 123.0 crossing a
 #: compacted path one level at a time (a ``divmod`` per elided level)
 #: and building the key's segment for its reference; 86.7 crossing each
-#: path in one step and addressing the slot from the memo's root. The
-#: ceiling sits ~10 % above the last, so putting back either the
-#: per-digit walk or the key's reference pair fails it.
+#: path in one step and addressing the slot from the memo's root; 91.7
+#: once a get also records its answer in the memo's read table (these
+#: are first gets: a repeated one is answered from the table in 5.0,
+#: ``tests/test_hmap_read_table.py``). Putting back either the
+#: per-digit walk or the key's reference pair fails the ceiling.
 GET_CALL_CEILING = 95
 
 

@@ -64,7 +64,8 @@ class TestDifferentialBuild:
         assert plain.footprint_lines() == 0
         assert memoized.footprint_lines() == 0
         # and deallocation invalidated the now-stale memo entries
-        assert memoized.mem.memo.sizes() == {"segment": 0, "digest": 0}
+        assert memoized.mem.memo.sizes() == {"segment": 0, "digest": 0,
+                                             "read": 0}
 
     def test_contents_roundtrip_through_memo_hits(self):
         _, memoized = _pair()
@@ -385,9 +386,9 @@ class TestKeyAddressedRead:
         decrefs = self._spy(monkeypatch, "decref")
         lookups = self._spy(monkeypatch, "lookup")
         assert kvp.get(key) == b"value-011-" * 3
-        assert kvp.contains(key)
-        # the snapshot's pin on the map root, once per operation
-        assert increfs == decrefs == [map_root.plid] * 2
+        assert kvp.contains(key)  # the read table's answer: no snapshot
+        # the snapshot's pin on the map root, once: the get read the map
+        assert increfs == decrefs == [map_root.plid]
         assert key_root.plid not in increfs
         assert lookups == []
         assert self._refcounts(mem) == before
@@ -533,7 +534,7 @@ class TestObsIntegration:
         assert ops["segment,hit"] == 1
         assert ops["segment,miss"] == 1
         sizes = dict(registry.get("repro_memo_entries").snapshot_value())
-        assert sizes == {"segment": 1, "digest": 0}
+        assert sizes == {"segment": 1, "digest": 0, "read": 0}
         assert registry.get("repro_memo_enabled").snapshot_value() == 1
 
     def test_router_registers_memo_metrics(self):

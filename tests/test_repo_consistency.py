@@ -110,3 +110,20 @@ def test_both_files_run_every_paper_bench():
     for name in SOURCES:
         named = set(re.findall(r"\btest_bench_\w+\.py\b", read(name)))
         assert named - {NOT_A_PAPER_BENCH} == paper, name
+
+
+def _serving_suites():
+    """The test files CI's ``-X dev`` serving step runs, per pattern."""
+    step = re.search(r"python -X dev -m pytest(.*?)\n\s*(?:#|- name:)",
+                     read(".github/workflows/ci.yml"), re.S).group(1)
+    return {pattern: sorted(p.name for p in ROOT.glob(pattern))
+            for pattern in re.findall(r"\btests/[\w*.-]+\.py\b", step)}
+
+
+def test_serving_step_names_suites_that_exist():
+    suites = _serving_suites()
+    assert [p for p, files in sorted(suites.items()) if not files] == []
+    named = {name for files in suites.values() for name in files}
+    # the live-server suites whose asyncio warnings must be errors
+    assert {"test_net_server.py", "test_obs_e2e.py",
+            "test_hmap_read_table.py"} <= named
