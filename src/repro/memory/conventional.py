@@ -51,8 +51,7 @@ class CacheLevel:
             self.traffic.hits += 1
             return False, None
         self.traffic.misses += 1
-        ways[line_addr] = is_write
-        ways.move_to_end(line_addr)
+        ways[line_addr] = is_write  # a new key lands most recently used
         writeback = None
         if len(ways) > self._ways:
             victim, dirty = ways.popitem(last=False)
@@ -87,35 +86,99 @@ class ConventionalMemory:
         self.l2 = CacheLevel(self.config.l2, "L2")
         self._line = self.config.line_bytes
 
-    def _access_line(self, line_addr: int, is_write: bool) -> None:
-        missed, wb1 = self.l1.access(line_addr, is_write)
-        if wb1 is not None:
-            # L1 dirty victim lands in L2 (write-back hierarchy).
-            m2, wb2 = self.l2.access(wb1, True)
-            if m2:
-                self.dram.reads += 1  # allocate-on-writeback fill
-                self.rows.access(wb1 // self.ROW_BYTES)
-            if wb2 is not None:
-                self.dram.writes += 1
-                self.rows.access(wb2 // self.ROW_BYTES)
-        if missed:
-            m2, wb2 = self.l2.access(line_addr, False)
-            if m2:
-                self.dram.reads += 1
-                self.rows.access(line_addr // self.ROW_BYTES)
-            if wb2 is not None:
-                self.dram.writes += 1
-                self.rows.access(wb2 // self.ROW_BYTES)
-
     def access(self, addr: int, size: int, is_write: bool) -> None:
-        """Access ``size`` bytes at ``addr``, touching each spanned line."""
+        """Access ``size`` bytes at ``addr``, touching each spanned line.
+
+        One loop over the spanned lines and both levels, with the sets,
+        traffic counters and open row in locals written back once. Per
+        line the modeled steps are those of two :meth:`CacheLevel.access`
+        calls, in their order: the L1 probe (a hit refreshes LRU and
+        dirties on a write); on a miss the L1 insert and LRU victim, then
+        the dirty victim's write-allocate into L2, then the L2 fill. Each
+        L2 miss reads DRAM and each dirty L2 victim writes it, touching
+        the open row in that order. A one-line access that hits L1
+        returns before the rest is bound.
+        """
         if size <= 0:
             return
-        first = addr - (addr % self._line)
+        line = self._line
+        first = addr - addr % line
         last = addr + size - 1
-        last -= last % self._line
-        for line_addr in range(first, last + 1, self._line):
-            self._access_line(line_addr, is_write)
+        last -= last % line
+        l1 = self.l1
+        sets1, nsets1 = l1._sets, l1._num_sets
+        if first == last:
+            ways = sets1[first // line % nsets1]
+            if first in ways:
+                ways.move_to_end(first)
+                if is_write:
+                    ways[first] = True
+                l1.traffic.hits += 1
+                return
+        l2 = self.l2
+        sets2, nsets2 = l2._sets, l2._num_sets
+        max1, max2 = l1._ways, l2._ways
+        row_bytes = self.ROW_BYTES
+        rows = self.rows
+        open_row, row_hits, row_misses = rows.last_row, rows.hits, rows.misses
+        hits1 = misses1 = evictions1 = writebacks1 = 0
+        hits2 = misses2 = evictions2 = writebacks2 = 0
+        for line_addr in range(first, last + line, line):
+            ways = sets1[line_addr // line % nsets1]
+            if line_addr in ways:
+                ways.move_to_end(line_addr)
+                if is_write:
+                    ways[line_addr] = True
+                hits1 += 1
+                continue
+            misses1 += 1
+            ways[line_addr] = is_write
+            below = ((line_addr, False),)
+            if len(ways) > max1:
+                victim, dirty = ways.popitem(last=False)
+                evictions1 += 1
+                if dirty:  # it lands in L2 (write-allocate) before the fill
+                    writebacks1 += 1
+                    below = ((victim, True), (line_addr, False))
+            for addr2, dirty2 in below:
+                ways = sets2[addr2 // line % nsets2]
+                if addr2 in ways:
+                    ways.move_to_end(addr2)
+                    if dirty2:
+                        ways[addr2] = True
+                    hits2 += 1
+                    continue
+                misses2 += 1
+                ways[addr2] = dirty2
+                row = addr2 // row_bytes  # the DRAM read that fills it
+                if row == open_row:
+                    row_hits += 1
+                else:
+                    open_row = row
+                    row_misses += 1
+                if len(ways) > max2:
+                    victim, dirty = ways.popitem(last=False)
+                    evictions2 += 1
+                    if dirty:  # the DRAM write of the L2 victim
+                        writebacks2 += 1
+                        row = victim // row_bytes
+                        if row == open_row:
+                            row_hits += 1
+                        else:
+                            open_row = row
+                            row_misses += 1
+        t1, t2, dram = l1.traffic, l2.traffic, self.dram
+        t1.hits += hits1
+        t1.misses += misses1
+        t1.evictions += evictions1
+        t1.writebacks += writebacks1
+        t2.hits += hits2
+        t2.misses += misses2
+        t2.evictions += evictions2
+        t2.writebacks += writebacks2
+        dram.reads += misses2
+        dram.writes += writebacks2
+        rows.last_row, rows.hits, rows.misses = open_row, row_hits, row_misses
 
     def load(self, addr: int, size: int = 8) -> None:
         """Record a load of ``size`` bytes at ``addr``."""

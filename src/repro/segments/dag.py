@@ -43,6 +43,12 @@ Entry = object  # 0 | Inline | PlidRef
 
 _INLINE_WIDTHS = (1, 2, 4, 8)
 
+#: ``_PACK_BOUND[n]``: the least word ``n`` words cannot pack at, the
+#: widest width that fits ``n`` of them in one 8-byte slot
+_PACK_BOUND = (0,) + tuple(
+    1 << 8 * max(w for w in _INLINE_WIDTHS if n * w <= 8)
+    for n in range(1, 9))
+
 
 def entry_capacity(mem: MemorySystem, level: int) -> int:
     """Words addressable by a subtree entry at ``level``.
@@ -69,7 +75,7 @@ def height_for(mem: MemorySystem, length: int) -> int:
 def _trim(words: Sequence) -> Tuple:
     """Drop trailing zero words (canonical form for inline packing)."""
     n = len(words)
-    while n and words[n - 1] == 0:
+    while n and not words[n - 1]:
         n -= 1
     return tuple(words[:n])
 
@@ -84,18 +90,16 @@ def _pack(vals: Tuple) -> Optional[Inline]:
     n = len(vals)
     if not 0 < n <= 8:
         return None
+    bound = _PACK_BOUND[n]
     biggest = 0
     for v in vals:
-        if not isinstance(v, int):
+        if not isinstance(v, int) or v >= bound:
             return None
         if v > biggest:
             biggest = v
-    for width in _INLINE_WIDTHS:
-        if n * width > 8:
-            break
+    for width in _INLINE_WIDTHS:  # the bound guarantees one fits
         if biggest < (1 << (8 * width)):
             return Inline(width=width, values=vals, span=n)
-    return None
 
 
 def _inline_for(words: Sequence) -> Optional[Inline]:
@@ -123,7 +127,7 @@ def entry_key(entry: Entry) -> bytes:
     This is what hardware compares when it compares two root PLIDs; the
     byte form also covers compacted (Inline / path-carrying) roots.
     """
-    if entry == 0:
+    if not entry:
         return b"Z"
     return encode_word(entry)
 
@@ -152,7 +156,7 @@ def _canonical_interior(mem: MemorySystem, children: List[Entry], level: int) ->
     """
     count, last, packed = 0, -1, True
     for i, child in enumerate(children):
-        if child != 0:
+        if child:
             count += 1
             last = i
             packed = packed and isinstance(child, Inline)
@@ -169,7 +173,7 @@ def _canonical_interior(mem: MemorySystem, children: List[Entry], level: int) ->
             # the pre-filter guarantees the expanded prefix stays tiny.
             combined: List[int] = []
             for c in children[:last]:
-                if c == 0:
+                if not c:
                     combined.extend([0] * child_span)
                 else:
                     combined.extend(c.values)
@@ -201,7 +205,7 @@ def _wrap_run(mem: MemorySystem, entry: Entry, level: int,
     """
     config = mem.config
     n = len(digits)
-    while n and entry != 0:
+    while n and entry:
         if isinstance(entry, PlidRef):
             if config.path_compaction:
                 return PlidRef(entry.plid, digits[:n] + entry.path)
@@ -366,9 +370,12 @@ def _gather(mem: MemorySystem, out: List, start: int, stop: int,
     A compacted path is crossed in one step: one multiply-add moves
     ``base`` to the path's line, and only that deepest interval is
     tested against the range — the intervals of the levels it elides
-    contain it, so it overlaps the range exactly when they all do."""
+    contain it, so it overlaps the range exactly when they all do.
+
+    Leaf lines under one interior line are read in this frame, in
+    order; only an interior child or a packed leaf recurses."""
     spans = mem.spans
-    while entry != 0:
+    while entry:
         if isinstance(entry, Inline):
             for k, v in enumerate(entry.values):
                 pos = base + k
@@ -393,7 +400,16 @@ def _gather(mem: MemorySystem, out: List, start: int, stop: int,
         first = first // span if first > 0 else 0
         last = last // span if last < span * len(line) else len(line) - 1
         for j in range(first, last):  # all but the last touched child
-            _gather(mem, out, start, stop, line[j], level, base + j * span)
+            child = line[j]
+            if level or type(child) is not PlidRef:
+                if child:
+                    _gather(mem, out, start, stop, child, level,
+                            base + j * span)
+                continue
+            pos = base + j * span  # a leaf line: only the first may be cut
+            leaf = mem.read(child.plid)
+            lo = start - pos if start > pos else 0
+            out[pos + lo - start:pos + span - start] = leaf[lo:]
         entry = line[last]  # ... which this frame descends itself
         base += last * span
 
@@ -427,16 +443,16 @@ def iter_nonzero(mem: MemorySystem, entry: Entry, level: int,
         line = mem.read(entry.plid)
         if level == 0:
             for k, word in enumerate(line):
-                if word != 0 and start <= base + k < limit:
+                if word and start <= base + k < limit:
                     yield base + k, word
             return
         span = spans[level - 1]
         for j in range(max((start - base) // span, 0),
                        min((limit - 1 - base) // span + 1, len(line))):
-            if line[j] != 0:
+            if line[j]:
                 yield from visit(line[j], level - 1, base + j * span)
 
-    if entry == 0 or start >= cap or limit <= 0:
+    if not entry or start >= cap or limit <= 0:
         return iter(())
     return visit(entry, level, 0)
 
@@ -457,7 +473,7 @@ def _expand(mem: MemorySystem, entry: Entry, level: int,
     no count changes (merge-update, matrix algebra).
     """
     width = mem.fanout if level else mem.words_per_line
-    if entry == 0:
+    if not entry:
         return [0] * width
     if isinstance(entry, Inline):
         vals = entry.values  # trailing zeros are implicit
@@ -540,7 +556,7 @@ def _rebuild(mem: MemorySystem, entry: Entry, level: int, base: int,
     trail: List[tuple] = []
     while level:
         below = level
-        if entry == 0:
+        if not entry:
             below = 0
             while (lo - base) // spans[below] != (hi - base) // spans[below]:
                 below += 1
@@ -712,7 +728,7 @@ def content_fingerprint(store, entry: Entry,
                                           digest_size=16).digest()
         return memo[plid]
 
-    if entry == 0:
+    if not entry:
         return hashlib.blake2b(b"Z", digest_size=16).digest()
     material = word_material(entry)
     if tracker is not None:

@@ -57,50 +57,71 @@ def pad_dimension(n: int) -> int:
     return size
 
 
+def _sz_level(row_bit: int, col_bit: int, transposed: int) -> Tuple[int, int]:
+    """One level of the symmetric Z-order: the quadrant (0 A11, 1 A22,
+    2 A12, 3 A21ᵀ) of a point whose coordinate bits at this level are
+    ``row_bit``/``col_bit``, and whether the levels below read them
+    swapped. ``transposed`` says whether this level does: each A21ᵀ step
+    swaps the coordinates for everything under it."""
+    if transposed:
+        row_bit, col_bit = col_bit, row_bit
+    quad = (0, 2, 3, 1)[row_bit << 1 | col_bit]
+    return quad, transposed ^ (quad == 3)
+
+
+def _sz_tables() -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Four levels at a time, per transpose state ``t`` (512 entries):
+    ``index[t << 8 | row4 << 4 | col4]`` is ``quads8 << 1 | t_below`` and
+    ``coords[t << 8 | quads8]`` is ``row4 << 5 | col4 << 1 | t_below``,
+    where ``row4``/``col4`` are four coordinate bits and ``quads8`` the
+    four base-4 quadrant digits, most significant level first."""
+    index, coords = [0] * 512, [0] * 512
+    for t in (0, 1):
+        for row4 in range(16):
+            for col4 in range(16):
+                below, quads = t, 0
+                for shift in (3, 2, 1, 0):
+                    quad, below = _sz_level(row4 >> shift & 1,
+                                            col4 >> shift & 1, below)
+                    quads = quads << 2 | quad
+                index[t << 8 | row4 << 4 | col4] = quads << 1 | below
+                coords[t << 8 | quads] = row4 << 5 | col4 << 1 | below
+    return tuple(index), tuple(coords)
+
+
+_SZ_INDEX, _SZ_COORDS = _sz_tables()
+
+
 def sz_index(row: int, col: int, size: int) -> int:
     """Symmetric-Z-order flat index of element ``(row, col)``.
 
     ``size`` must be a power of two and the coordinates within it.
     Quadrant order per level: A11, A22, A12, A21ᵀ (A21 in transposed
-    coordinates, the QTS layout).
+    coordinates, the QTS layout). The levels are read four at a time
+    from :data:`_SZ_INDEX`; a size that is not a power of 16 reads
+    leading zero bits, which add only A11 steps.
     """
-    offset = 0
-    while size > 1:
-        half = size // 2
-        quad = half * half
-        if row < half and col < half:
-            pass  # A11 -> q0
-        elif row >= half and col >= half:
-            offset += quad  # A22 -> q1
-            row -= half
-            col -= half
-        elif row < half:
-            offset += 2 * quad  # A12 -> q2
-            col -= half
-        else:
-            offset += 3 * quad  # A21 stored transposed -> q3
-            row, col = col, row - half
-        size = half
+    shift = (size.bit_length() + 2) & ~3  # 4 * ceil(levels / 4)
+    offset = t = 0
+    while shift:
+        shift -= 4
+        step = _SZ_INDEX[t << 8 | (row >> shift & 15) << 4
+                         | (col >> shift & 15)]
+        offset = offset << 8 | step >> 1
+        t = step & 1
     return offset
 
 
 def sz_coords(index: int, size: int) -> Tuple[int, int]:
-    """Inverse of :func:`sz_index`."""
-    levels: List[Tuple[int, int]] = []
-    while size > 1:
-        half = size // 2
-        quad = half * half
-        levels.append((index // quad, half))
-        index %= quad
-        size = half
-    row = col = 0
-    for q, half in reversed(levels):
-        if q == 1:
-            row, col = row + half, col + half
-        elif q == 2:
-            col += half
-        elif q == 3:
-            row, col = col + half, row  # undo the stored transpose
+    """Inverse of :func:`sz_index`, four levels per :data:`_SZ_COORDS` read."""
+    shift = (size.bit_length() + 2) & ~3  # 4 * ceil(levels / 4)
+    row = col = t = 0
+    while shift:
+        shift -= 4
+        step = _SZ_COORDS[t << 8 | (index >> 2 * shift & 255)]
+        row = row << 4 | step >> 5
+        col = col << 4 | (step >> 1 & 15)
+        t = step & 1
     return row, col
 
 
@@ -250,12 +271,13 @@ class NzdMatrix:
                 self.machine.snapshot(self.values_vsid) as values:
             ordinal = 0
             for word_idx, mask in pattern.iter_nonzero():
-                for bit in range(64):
-                    if mask & (1 << (63 - bit)):
-                        index = word_idx * 64 + bit
-                        row, col = sz_coords(index, self.size)
-                        yield row, col, word_to_float(values.read(ordinal))
-                        ordinal += 1
+                last = word_idx * 64 + 63  # element of the word's bit 0
+                while mask:  # set bits only, most significant first
+                    bit = mask.bit_length() - 1
+                    mask ^= 1 << bit
+                    row, col = sz_coords(last - bit, self.size)
+                    yield row, col, word_to_float(values.read(ordinal))
+                    ordinal += 1
 
     def spmv(self, x: "np.ndarray") -> "np.ndarray":
         """``y = A @ x`` via the pattern walk + dense value stream."""

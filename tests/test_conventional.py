@@ -2,6 +2,7 @@
 
 from repro.memory.conventional import Arena, CacheLevel, ConventionalMemory
 from repro.params import CacheGeometry, ConventionalConfig
+from tests.test_dedup_spill import _calls
 
 
 def small_config(line_bytes=16):
@@ -88,6 +89,29 @@ class TestConventionalMemory:
         mem = ConventionalMemory(small_config())
         mem.load(0, 0)
         assert mem.dram.reads == 0
+
+
+class TestCallCeilings:
+    """Clockless ``sys.setprofile`` counts of one ``access`` at the
+    default geometry: one loop over both levels costs a C call or two per
+    line, not three Python frames (514 / 194 / 5 calls when each line
+    went through ``_access_line`` and ``CacheLevel.access``)."""
+
+    LINES = 64
+
+    def test_cold_multi_line_store(self):
+        mem = ConventionalMemory()
+        assert _calls(mem.access, 0x10000, self.LINES * mem._line, True) <= 250
+
+    def test_warm_multi_line_load(self):
+        mem = ConventionalMemory()
+        mem.store(0x10000, self.LINES * mem._line)
+        assert _calls(mem.access, 0x10000, self.LINES * mem._line, False) <= 100
+
+    def test_one_line_l1_hit(self):
+        mem = ConventionalMemory()
+        mem.load(0x10000)
+        assert _calls(mem.access, 0x10004, 4, False) <= 4
 
 
 class TestArena:

@@ -13,6 +13,7 @@ from repro.structures.hmatrix import (
     sz_index,
     word_to_float,
 )
+from tests import reference_sz_order
 
 
 class TestFloatWords:
@@ -60,6 +61,43 @@ class TestSzOrder:
                 a12 = sz_index(r, c, size)
                 a21 = sz_index(c, r, size)
                 assert a12 - 2 * quad == a21 - 3 * quad
+
+
+class TestSzTables:
+    """The four-levels-per-lookup tables against the per-level loops."""
+
+    def test_every_point_up_to_256(self):
+        for k in range(9):
+            size = 1 << k
+            for r in range(size):
+                for c in range(size):
+                    idx = reference_sz_order.sz_index(r, c, size)
+                    assert sz_index(r, c, size) == idx, (r, c, size)
+                    assert sz_coords(idx, size) == (r, c), (idx, size)
+
+    def test_seeded_points_up_to_2_to_the_21(self):
+        rng = random.Random(38)
+        for _ in range(20_000):
+            size = 1 << rng.randrange(9, 22)
+            r, c = rng.randrange(size), rng.randrange(size)
+            idx = reference_sz_order.sz_index(r, c, size)
+            assert sz_index(r, c, size) == idx, (r, c, size)
+            assert sz_coords(idx, size) == (r, c) \
+                == reference_sz_order.sz_coords(idx, size)
+
+    def test_nzd_walks_set_bits_in_the_bit_loop_order(self, machine):
+        # word 0 full; word 1 bits 63 and 0; word 2 bit 63; word 3 bit 0
+        cells = list(range(64)) + [64, 127, 128, 255]
+        entries = [reference_sz_order.sz_coords(i, 16) + (float(i + 1),)
+                   for i in cells]
+        random.Random(1).shuffle(entries)
+        nz = NzdMatrix.from_coo(machine, 16, 16, entries)
+        with machine.snapshot(nz.pattern_vsid) as pattern:
+            assert list(pattern.iter_nonzero()) == [
+                (0, (1 << 64) - 1), (1, 1 << 63 | 1), (2, 1 << 63), (3, 1)]
+        walked = list(nz.iter_nonzero())
+        assert walked == list(reference_sz_order.nzd_iter_nonzero(nz))
+        assert [value for _, _, value in walked] == [i + 1.0 for i in cells]
 
 
 class TestQuadTreeMatrix:

@@ -127,3 +127,23 @@ def test_serving_step_names_suites_that_exist():
     # the live-server suites whose asyncio warnings must be errors
     assert {"test_net_server.py", "test_obs_e2e.py",
             "test_hmap_read_table.py"} <= named
+
+
+#: ``from tests.x import ...``, ``import tests.x``, ``from tests import x, y``
+_TEST_IMPORT = re.compile(r"^[ \t]*(?:from tests\.(\w+) import|import tests\.(\w+)"
+                          r"|from tests import (?:\(([\w,\s]+)\)|([\w, ]+)))",
+                          re.M)
+
+
+def test_every_reference_is_imported_by_a_test():
+    """A ``tests/reference_*.py`` oracle is kept only to hold production
+    code to it; one that no test module imports checks nothing."""
+    tests = ROOT / "tests"
+    references = {p.stem for p in tests.glob("reference_*.py")}
+    assert {"reference_cache", "reference_conventional"} <= references
+    imported = set()
+    for path in tests.glob("test_*.py"):
+        for dotted, plain, *listed in _TEST_IMPORT.findall(path.read_text()):
+            imported |= {dotted, plain} | {
+                name.strip() for name in ",".join(listed).split(",")}
+    assert sorted(references - imported) == []
