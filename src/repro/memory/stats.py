@@ -63,14 +63,6 @@ class DramStats:
         for name in CATEGORIES:
             setattr(self, name, 0)
 
-    def estimated_time_ns(self, dram_latency_ns: float) -> float:
-        """Crude serial-latency estimate: every access pays full latency.
-
-        Used only by the analytical model of section 5.1.1; the paper's
-        headline metric is the access *count*.
-        """
-        return self.total() * dram_latency_ns
-
 
 @dataclass
 class RowBuffer:

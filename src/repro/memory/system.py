@@ -54,22 +54,6 @@ class MemorySystem:
         """Off-chip DRAM access counters (the paper's headline metric)."""
         return self.store.stats
 
-    def dram_probe(self):
-        """Context manager capturing the DRAM-access delta of a block.
-
-        The observability layer's attribution primitive::
-
-            with mem.dram_probe() as probe:
-                kvp.put(key, value)
-            probe.delta  # a DramStats of just this operation's traffic
-
-        Deferred traffic (cache writebacks, RC evictions) lands when it
-        reaches DRAM, not necessarily inside the probed block — call
-        :meth:`drain` first for exact per-operation attribution.
-        """
-        from repro.obs.trace import DramProbe
-        return DramProbe(self.dram)
-
     def read(self, plid: int) -> Line:
         """Read a line by PLID through the cache."""
         return self.cache.read(plid)

@@ -63,9 +63,9 @@ def _field_reader(obj, name):
     return lambda: getattr(obj, name)
 
 
-def register_server_metrics(registry: MetricsRegistry, metrics,
-                            prefix: str = SERVER_PREFIX) -> None:
+def register_server_metrics(registry: MetricsRegistry, metrics) -> None:
     """Expose a live :class:`ServerMetrics` through ``registry``."""
+    prefix = SERVER_PREFIX
     for name in SERVER_COUNTER_FIELDS:
         registry.counter(prefix + name, "server %s" % name,
                          fn=_field_reader(metrics, name))
@@ -90,10 +90,10 @@ def register_server_metrics(registry: MetricsRegistry, metrics,
                    fn=lambda: latency_summary(metrics.latency_ms()))
 
 
-def register_replication_metrics(registry: MetricsRegistry, metrics,
-                                 prefix: str = REPLICATION_PREFIX
-                                 ) -> None:
+def register_replication_metrics(registry: MetricsRegistry,
+                                 metrics) -> None:
     """Expose a live :class:`ReplicationMetrics` through ``registry``."""
+    prefix = REPLICATION_PREFIX
     for name in REPLICATION_COUNTER_FIELDS:
         registry.counter(prefix + name, "replication %s" % name,
                          fn=_field_reader(metrics, name))
@@ -110,21 +110,20 @@ def register_replication_metrics(registry: MetricsRegistry, metrics,
                                in metrics.lag_by_stream.items()})
 
 
-def register_dram_stats(registry: MetricsRegistry, dram,
-                        name: str = DRAM_METRIC) -> None:
+def register_dram_stats(registry: MetricsRegistry, dram) -> None:
     """Expose a live :class:`DramStats` as one labeled counter —
     Figure 6's categories, straight off the store."""
-    registry.counter(name, "off-chip DRAM accesses by category",
+    registry.counter(DRAM_METRIC, "off-chip DRAM accesses by category",
                      labels=("category",), fn=dram.as_dict)
 
 
-def register_memo(registry: MetricsRegistry, memo,
-                  prefix: str = "repro_memo_") -> None:
+def register_memo(registry: MetricsRegistry, memo) -> None:
     """Expose a live :class:`~repro.memory.memo.StructuralMemo`.
 
     One labeled counter covers every table's hit/miss/eviction/
     invalidation flow; a gauge tracks the live (bounded) table sizes.
     """
+    prefix = "repro_memo_"
     registry.counter(prefix + "ops_total",
                      "structural memo probes and maintenance by table",
                      labels=("table", "outcome"), fn=memo.ops)
@@ -142,8 +141,7 @@ CLUSTER_COUNTER_FIELDS = (
 CLUSTER_PREFIX = "repro_cluster_"
 
 
-def register_cluster(registry: MetricsRegistry, cluster,
-                     prefix: str = CLUSTER_PREFIX) -> None:
+def register_cluster(registry: MetricsRegistry, cluster) -> None:
     """Expose a live :class:`~repro.cluster.cluster.Cluster` (via its
     :class:`~repro.cluster.metrics.ClusterMetrics`) through ``registry``.
 
@@ -151,6 +149,7 @@ def register_cluster(registry: MetricsRegistry, cluster,
     dataclass stays the single source of truth the harness and topology
     manager bump inline; the registry reads it live at collection time.
     """
+    prefix = CLUSTER_PREFIX
     metrics = cluster.metrics
     registry.gauge(prefix + "epoch", "committed topology epoch",
                    fn=lambda: metrics.epoch)
@@ -182,8 +181,7 @@ EVICTION_COUNTER_FIELDS = ("expired", "evicted", "eviction_passes")
 EVICTION_PREFIX = "repro_eviction_"
 
 
-def register_eviction(registry: MetricsRegistry, stats,
-                      prefix: str = EVICTION_PREFIX) -> None:
+def register_eviction(registry: MetricsRegistry, stats) -> None:
     """Expose live :class:`~repro.apps.memcached.eviction.EvictionStats`.
 
     ``stats`` is one silo or a per-shard list; each field becomes one
@@ -193,7 +191,7 @@ def register_eviction(registry: MetricsRegistry, stats,
     silos = list(stats) if isinstance(stats, (list, tuple)) else [stats]
     for name in EVICTION_COUNTER_FIELDS:
         registry.counter(
-            prefix + name + "_total", "eviction %s" % name,
+            EVICTION_PREFIX + name + "_total", "eviction %s" % name,
             labels=("shard",),
             fn=lambda silos=silos, name=name: {
                 str(i): getattr(s, name) for i, s in enumerate(silos)})
@@ -208,8 +206,7 @@ INDEX_STORE_FIELDS = (
 )
 
 
-def register_index(registry: MetricsRegistry, store,
-                   prefix: str = INDEX_PREFIX) -> None:
+def register_index(registry: MetricsRegistry, store) -> None:
     """Expose a :class:`DedupStore`'s lookup-by-content path.
 
     Same callback idiom as the other silos: `StoreCounters` stays a
@@ -217,6 +214,7 @@ def register_index(registry: MetricsRegistry, store,
     ``indexed_buckets`` counts the buckets resolved by fingerprint
     because they have overflow lines (0 until one spills).
     """
+    prefix = INDEX_PREFIX
     registry.counter(
         prefix + "store_ops_total",
         "store-level lookup path events",
@@ -235,9 +233,9 @@ RECLAIM_PREFIX = "repro_reclaim_"
 RECLAIM_DRAIN_REASONS = ("freed", "resurrected", "stale")
 
 
-def register_reclaim(registry: MetricsRegistry, store,
-                     prefix: str = RECLAIM_PREFIX) -> None:
+def register_reclaim(registry: MetricsRegistry, store) -> None:
     """Expose a :class:`DedupStore`'s reclamation state."""
+    prefix = RECLAIM_PREFIX
     reclaimer = store.reclaimer
     stats = reclaimer.stats
     registry.gauge(prefix + "pending_lines",

@@ -18,13 +18,14 @@ hot paths skip even building attribute dicts::
     if span is not None:
         rec.end(span, writes=writes)
 
-**DRAM attribution** rides on spans: pass a
-:class:`~repro.memory.stats.DramStats` block to :meth:`TraceRecorder.span`
-(or use :class:`DramProbe` directly) and the per-category access deltas
-accumulated inside the span are attached as ``dram_reads``,
-``dram_lookups``, … attributes — one trace then answers *which memcached
-command caused these lookup/refcount accesses* (the Figure 6 categories,
-attributed per operation).
+**DRAM attribution** rides on spans: wrap the span's work in a
+:class:`DramProbe` over the store's
+:class:`~repro.memory.stats.DramStats` and close the span with
+``rec.end(span, **probe.attrs())``; the per-category access deltas
+accumulated inside it are attached as ``dram_reads``, ``dram_lookups``,
+… attributes — one trace then answers *which memcached command caused
+these lookup/refcount accesses* (the Figure 6 categories, attributed
+per operation).
 
 Export formats: JSONL (one span per line, stable field order) and the
 Chrome ``trace_event`` format (load the file at ``chrome://tracing`` or
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -98,7 +98,11 @@ class DramProbe:
     """Context manager capturing a DRAM-access delta around a block.
 
     ``probe.delta`` (a :class:`~repro.memory.stats.DramStats`) is valid
-    after exit; :meth:`attrs` renders it as span attributes.
+    after exit; :meth:`attrs` renders it as span attributes. Deferred
+    traffic (cache writebacks, RC evictions) lands when it reaches DRAM,
+    not necessarily inside the probed block — call
+    :meth:`~repro.memory.system.MemorySystem.drain` first for exact
+    per-operation attribution.
     """
 
     def __init__(self, dram) -> None:
@@ -122,17 +126,6 @@ class DramProbe:
                 for name, count in self.delta.as_dict().items()}
 
 
-class _NullSpanContext:
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info) -> bool:
-        return False
-
-
-_NULL_CTX = _NullSpanContext()
-
-
 class NullRecorder:
     """The no-op recorder: every operation returns immediately.
 
@@ -152,10 +145,6 @@ class NullRecorder:
 
     def attach(self, span_id, **attrs) -> None:
         pass
-
-    def span(self, name: str, parent: Optional[int] = None,
-             dram=None, **attrs) -> _NullSpanContext:
-        return _NULL_CTX
 
 
 #: The process-wide default recorder — tracing off, zero overhead.
@@ -205,23 +194,6 @@ class TraceRecorder:
         if span is not None:
             span.attrs.update(attrs)
 
-    @contextmanager
-    def span(self, name: str, parent: Optional[int] = None,
-             dram=None, **attrs):
-        """Span context; with ``dram`` set, attaches per-category
-        access deltas accumulated inside the block."""
-        span_id = self.begin(name, parent=parent, **attrs)
-        before = dram.snapshot() if dram is not None else None
-        try:
-            yield span_id
-        finally:
-            extra = {}
-            if before is not None:
-                delta = dram.delta(before)
-                extra = {"dram_" + k: v
-                         for k, v in delta.as_dict().items()}
-            self.end(span_id, **extra)
-
     # -- queries -------------------------------------------------------
 
     def find(self, name: str) -> List[Span]:
@@ -243,9 +215,6 @@ class TraceRecorder:
     def write_jsonl(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(self.export_jsonl())
-
-    def to_chrome(self) -> Dict:
-        return to_chrome_trace([span.to_dict() for span in self.spans])
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,7 @@ from repro.net.metrics import ServerMetrics
 from repro.net.router import WRITE_COMMANDS, _completed, cluster_response
 from repro.obs import adapters
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import NULL_RECORDER
+from repro.obs.trace import NULL_RECORDER, DramProbe
 from repro.replication import wire
 from repro.replication.delta import translate_line
 from repro.replication.metrics import ReplicationMetrics
@@ -287,12 +287,18 @@ class ReplicationFollower:
 
     def _handle_advance(self, writer, payload: bytes) -> None:
         recorder = self.recorder
-        if recorder.enabled:
-            with recorder.span("advance_apply",
-                               dram=self.machine.mem.dram) as span:
-                self._apply_advance(writer, payload, span)
-        else:
+        if not recorder.enabled:
             self._apply_advance(writer, payload, None)
+            return
+        # the span carries the DRAM-access delta of the apply, and
+        # closes even when the apply raises
+        span = recorder.begin("advance_apply")
+        probe = DramProbe(self.machine.mem.dram)
+        try:
+            with probe:
+                self._apply_advance(writer, payload, span)
+        finally:
+            recorder.end(span, **probe.attrs())
 
     def _apply_advance(self, writer, payload: bytes,
                        span: Optional[int]) -> None:

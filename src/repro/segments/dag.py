@@ -670,15 +670,6 @@ def walk_lines(store, entry: Entry,
                 stack.append([child, False])
 
 
-def reachable_plids(store, entries: Iterable[Entry]) -> set:
-    """The set of PLIDs reachable from the given root entries."""
-    out = set()
-    for entry in entries:
-        for plid, _ in walk_lines(store, entry, skip=out):
-            out.add(plid)
-    return out
-
-
 def content_fingerprint(store, entry: Entry,
                         memo: Optional[Dict[int, bytes]] = None) -> bytes:
     """Machine-independent digest of a subtree: equal iff the canonical

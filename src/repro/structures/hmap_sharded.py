@@ -137,8 +137,3 @@ class ShardedHMap:
         """Release every shard."""
         for shard in self.shards:
             shard.drop()
-
-
-def measure_conflicts(machine: Machine) -> Tuple[int, int]:
-    """(CAS attempts, CAS failures) observed by the machine's map."""
-    return machine.segmap.cas_attempts, machine.segmap.cas_failures

@@ -16,6 +16,7 @@ from repro.cluster import (
     ClusterConfig,
     ClusterTopology,
 )
+from repro.obs.registry import parse_exposition, sample
 
 CRLF = b"\r\n"
 
@@ -115,13 +116,13 @@ class TestClusterServing:
                 assert "repro_cluster_epoch" in registry
                 assert "repro_cluster_promotions_total" in registry
                 assert "repro_cluster_node_lag" in registry
-                assert registry.get(
-                    "repro_cluster_epoch").snapshot_value() == 1
                 cluster.sample_lags()
-                lag = registry.get(
-                    "repro_cluster_node_lag").snapshot_value()
-                assert set(lag) == {"lead-0-f0"}
                 exposition = registry.exposition()
+                parsed = parse_exposition(exposition)
+                assert sample(parsed, "repro_cluster_epoch") == 1
+                lag = {labels for name, labels in parsed
+                       if name == "repro_cluster_node_lag"}
+                assert lag == {(("node", "lead-0-f0"),)}
                 assert "repro_cluster_epoch 1" in exposition
 
         asyncio.run(go())

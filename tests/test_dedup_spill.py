@@ -24,7 +24,7 @@ from repro.memory.line import PlidRef, encode_line, make_leaf
 from repro.memory.stats import DramStats, RowBuffer
 from repro.memory.system import MemorySystem
 from repro.obs import adapters
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, parse_exposition, sample
 from repro.params import WORD_MASK, MachineConfig, MemoryConfig
 from repro.segments import dag
 from repro.testing.auditors import audit_index, audit_machine
@@ -551,13 +551,14 @@ def test_register_index_exposes_store_metrics():
     text = registry.exposition()
     assert "repro_index_store_ops_total" in text
     assert "repro_index_cuckoo" not in text
-    store_ops = registry.get("repro_index_store_ops_total") \
-        .snapshot_value()
-    assert store_ops["lookups"] == store.counters.lookups == 201
-    assert store_ops["lookup_hits"] == 1
+    parsed = parse_exposition(text)
+    ops = "repro_index_store_ops_total"
+    assert sample(parsed, ops, event="lookups") \
+        == store.counters.lookups == 201
+    assert sample(parsed, ops, event="lookup_hits") == 1
     # 200 lines into 8 x 2 ways: every bucket has spilled
-    assert registry.get("repro_index_indexed_buckets") \
-        .snapshot_value() == store.index_snapshot()["indexed_buckets"] == 8
+    assert sample(parsed, "repro_index_indexed_buckets") \
+        == store.index_snapshot()["indexed_buckets"] == 8
 
 
 def test_router_snapshots_index():

@@ -17,7 +17,7 @@ from repro.memory.line import PlidRef, pack_words, unpack_words
 from repro.memory.memo import StructuralMemo
 from repro.memory.system import MemorySystem
 from repro.obs import adapters
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, parse_exposition, sample
 from repro.params import CacheGeometry
 from repro.segments import dag
 from repro.segments.merge import merge_roots
@@ -530,16 +530,19 @@ class TestObsIntegration:
         memo.put_segment(b"a", PlidRef(7), 0, 1)
         assert memo.get_segment(b"a") == (PlidRef(7), 0, 1)
         assert memo.get_segment(b"b") is None
-        ops = dict(registry.get("repro_memo_ops_total").snapshot_value())
-        assert ops["segment,hit"] == 1
-        assert ops["segment,miss"] == 1
-        sizes = dict(registry.get("repro_memo_entries").snapshot_value())
-        assert sizes == {"segment": 1, "digest": 0, "read": 0}
-        assert registry.get("repro_memo_enabled").snapshot_value() == 1
+        parsed = parse_exposition(registry.exposition())
+        ops = "repro_memo_ops_total"
+        assert sample(parsed, ops, table="segment", outcome="hit") == 1
+        assert sample(parsed, ops, table="segment", outcome="miss") == 1
+        sizes = {labels: n for (name, labels), n in parsed.items()
+                 if name == "repro_memo_entries"}
+        assert sizes == {(("table", t),): n for t, n
+                         in (("segment", 1), ("digest", 0), ("read", 0))}
+        assert sample(parsed, "repro_memo_enabled") == 1
 
     def test_router_registers_memo_metrics(self):
         from repro.net.router import ShardRouter
 
         router = ShardRouter(shard_count=1)
         assert router.machine.mem.memo.enabled
-        assert router.registry.get("repro_memo_enabled") is not None
+        assert "repro_memo_enabled" in router.registry

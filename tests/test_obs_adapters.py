@@ -19,29 +19,33 @@ from repro.obs.registry import MetricsRegistry, parse_exposition, sample
 from repro.replication.metrics import ReplicationMetrics
 
 
-def _read(registry, name):
-    return registry.get(name).snapshot_value()
+def _by_label(parsed, name):
+    """A one-label metric's samples as ``{label value: value}``."""
+    return {labels[0][1]: value
+            for (metric, labels), value in parsed.items() if metric == name}
 
 
 def server_from_registry(registry):
     """``ServerMetrics.snapshot()`` rebuilt from registry reads."""
+    parsed = parse_exposition(registry.exposition())
     prefix = adapters.SERVER_PREFIX
-    snap = {name: _read(registry, prefix + name)
+    snap = {name: sample(parsed, prefix + name)
             for name in adapters.SERVER_COUNTER_FIELDS
             + adapters.SERVER_GAUGE_FIELDS
             + ("uptime_seconds", "ops_per_second")}
     for name in ("ops_by_command", "commits_by_vsid"):
-        snap[name] = dict(_read(registry, prefix + name))
-    snap["latency"] = dict(_read(registry, prefix + "latency_ms"))
+        snap[name] = _by_label(parsed, prefix + name)
+    snap["latency"] = _by_label(parsed, prefix + "latency_ms")
     return snap
 
 
 def replication_from_registry(registry):
     """``ReplicationMetrics.snapshot()`` rebuilt from registry reads."""
+    parsed = parse_exposition(registry.exposition())
     prefix = adapters.REPLICATION_PREFIX
-    snap = {name: _read(registry, prefix + name)
+    snap = {name: sample(parsed, prefix + name)
             for name in adapters.REPLICATION_COUNTER_FIELDS + ("max_lag",)}
-    snap["lag_by_stream"] = dict(_read(registry, prefix + "lag_by_stream"))
+    snap["lag_by_stream"] = _by_label(parsed, prefix + "lag_by_stream")
     return snap
 
 
@@ -124,7 +128,8 @@ def test_dram_round_trip_and_exposition():
     dram = DramStats(reads=5, lookups=11, refcount=2)
     registry = MetricsRegistry()
     adapters.register_dram_stats(registry, dram)
-    assert dict(_read(registry, adapters.DRAM_METRIC)) == dram.as_dict()
+    assert _by_label(parse_exposition(registry.exposition()),
+                     adapters.DRAM_METRIC) == dram.as_dict()
     dram.writes += 4  # live view
     parsed = parse_exposition(registry.exposition())
     assert sample(parsed, adapters.DRAM_METRIC, category="writes") == 4
@@ -213,8 +218,9 @@ def test_reclaim_schema_is_kind_independent():
 def eviction_from_registry(registry, shard=0):
     """One shard's ``dataclasses.asdict(EvictionStats)`` rebuilt from
     registry reads."""
-    return {name: registry.get(adapters.EVICTION_PREFIX + name + "_total")
-            .snapshot_value()[str(shard)]
+    parsed = parse_exposition(registry.exposition())
+    return {name: sample(parsed, adapters.EVICTION_PREFIX + name + "_total",
+                         shard=shard)
             for name in adapters.EVICTION_COUNTER_FIELDS}
 
 
@@ -228,8 +234,9 @@ class TestEvictionAdapter:
             server.set(b"key-%d" % i, b"x" * 64, exptime=1)
         server.tick(100)
         server.get(b"key-0")          # lazy-expires
-        assert registry.get("repro_eviction_expired_total") \
-            .snapshot_value()["0"] == server.eviction.expired
+        assert sample(parse_exposition(registry.exposition()),
+                      "repro_eviction_expired_total", shard=0) \
+            == server.eviction.expired
         assert eviction_from_registry(registry) \
             == dataclasses.asdict(server.eviction)
 
@@ -242,8 +249,8 @@ class TestEvictionAdapter:
                                    [s.eviction for s in shards])
         for i in range(8):
             shards[1].set(b"key-%d" % i, b"y" * 64)
-        snapshot = registry.get("repro_eviction_evicted_total") \
-            .snapshot_value()
+        snapshot = _by_label(parse_exposition(registry.exposition()),
+                             "repro_eviction_evicted_total")
         assert set(snapshot) == {"0", "1"}
         assert snapshot["1"] == shards[1].eviction.evicted > 0
         assert eviction_from_registry(registry, shard=1) \

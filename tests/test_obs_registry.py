@@ -1,6 +1,6 @@
-"""Metrics registry: instruments, exposition formats, edge cases."""
+"""Metrics registry: callback-backed instruments, the exposition, and
+its reference parser."""
 
-import json
 import math
 from dataclasses import fields as dataclass_fields
 
@@ -8,136 +8,68 @@ import pytest
 
 from repro.analysis.reporting import latency_summary, percentile
 from repro.memory.stats import CATEGORIES, DramStats
-from repro.obs.registry import (
-    Histogram,
-    MetricsRegistry,
-    parse_exposition,
-    sample,
-)
+from repro.obs.registry import MetricsRegistry, parse_exposition, sample
+
+
+def _read(reg):
+    return parse_exposition(reg.exposition())
 
 
 # ----------------------------------------------------------------------
 # instruments
 
 
-def test_counter_inc_and_value():
-    reg = MetricsRegistry()
-    c = reg.counter("requests_total", "requests")
-    assert c.value() == 0
-    c.inc()
-    c.inc(5)
-    assert c.value() == 6
-
-
 def test_labeled_counter_tracks_series_independently():
     reg = MetricsRegistry()
-    c = reg.counter("ops", labels=("command",))
-    c.inc(1, "get")
-    c.inc(2, "set")
-    c.inc(1, "get")
-    assert c.value("get") == 2
-    assert c.value("set") == 2
-    assert c.value("delete") == 0
-
-
-def test_label_arity_enforced():
-    reg = MetricsRegistry()
-    c = reg.counter("ops", labels=("command",))
-    with pytest.raises(ValueError):
-        c.inc(1)
-    with pytest.raises(ValueError):
-        c.inc(1, "get", "extra")
+    reg.counter("ops", labels=("command",),
+                fn=lambda: {"get": 2, "set": 2})
+    parsed = _read(reg)
+    assert sample(parsed, "ops", command="get") == 2
+    assert sample(parsed, "ops", command="set") == 2
+    assert ("ops", (("command", "delete"),)) not in parsed
 
 
 def test_gauge_goes_up_and_down():
     reg = MetricsRegistry()
-    g = reg.gauge("depth")
-    g.set(7)
-    assert g.value() == 7
-    g.set(3)
-    assert g.value() == 3
+    state = {"depth": 7}
+    reg.gauge("depth", fn=lambda: state["depth"])
+    assert sample(_read(reg), "depth") == 7
+    state["depth"] = 3
+    assert sample(_read(reg), "depth") == 3
 
 
 def test_callback_backed_instruments_read_live_values():
     reg = MetricsRegistry()
     state = {"n": 0}
     reg.counter("live_total", fn=lambda: state["n"])
-    assert reg.get("live_total").snapshot_value() == 0
+    assert sample(_read(reg), "live_total") == 0
     state["n"] = 42
-    assert reg.get("live_total").snapshot_value() == 42
+    assert sample(_read(reg), "live_total") == 42
 
 
 def test_duplicate_registration_raises():
     reg = MetricsRegistry()
-    reg.counter("x_total")
+    reg.counter("x_total", fn=lambda: 0)
     with pytest.raises(ValueError):
-        reg.gauge("x_total")
+        reg.gauge("x_total", fn=lambda: 0)
 
 
 def test_bad_metric_and_label_names_rejected():
     reg = MetricsRegistry()
     with pytest.raises(ValueError):
-        reg.counter("bad name")
+        reg.counter("bad name", fn=lambda: 0)
     with pytest.raises(ValueError):
-        reg.counter("ok_name", labels=("bad-label",))
+        reg.counter("ok_name", labels=("bad-label",), fn=lambda: {})
 
 
 # ----------------------------------------------------------------------
-# histograms
-
-
-def test_histogram_requires_strictly_increasing_buckets():
-    with pytest.raises(ValueError):
-        Histogram("h", buckets=())
-    with pytest.raises(ValueError):
-        Histogram("h", buckets=(1.0, 1.0, 2.0))
-    with pytest.raises(ValueError):
-        Histogram("h", buckets=(2.0, 1.0))
-
-
-def test_histogram_boundary_value_lands_in_its_bucket():
-    """Prometheus ``le`` semantics: value == bound is *in* the bucket."""
-    reg = MetricsRegistry()
-    h = reg.histogram("lat", buckets=(1.0, 5.0, 10.0))
-    h.observe(1.0)   # exactly on the first bound -> le=1.0 bucket
-    h.observe(5.0)   # exactly on the second bound -> le=5.0 bucket
-    h.observe(10.0)  # exactly on the last finite bound
-    h.observe(10.000001)  # just over -> +Inf only
-    ((_, cumulative, total, count),) = h.series()
-    # cumulative counts: le=1 has 1, le=5 has 2, le=10 has 3, +Inf all 4
-    assert cumulative == [1, 2, 3, 4]
-    assert count == 4
-    assert total == pytest.approx(26.000001)
-
-
-def test_histogram_exposition_is_cumulative_and_parseable():
-    reg = MetricsRegistry()
-    h = reg.histogram("lat", "latency", buckets=(0.5, 2.0))
-    for v in (0.1, 0.5, 1.0, 99.0):
-        h.observe(v)
-    parsed = parse_exposition(reg.exposition())
-    assert sample(parsed, "lat_bucket", le="0.5") == 2
-    assert sample(parsed, "lat_bucket", le="2.0") == 3
-    assert sample(parsed, "lat_bucket", le="+Inf") == 4
-    assert sample(parsed, "lat_count") == 4
-    assert sample(parsed, "lat_sum") == pytest.approx(100.6)
-
-
-def test_empty_histogram_snapshot_shape():
-    reg = MetricsRegistry()
-    reg.histogram("lat", buckets=(1.0,))
-    assert reg.get("lat").snapshot_value() == \
-        {"count": 0, "sum": 0.0, "buckets": {}}
-
-
-# ----------------------------------------------------------------------
-# exposition / snapshot
+# exposition
 
 
 def test_exposition_has_help_and_type_lines():
     reg = MetricsRegistry()
-    reg.counter("a_total", "things counted")
-    reg.gauge("b", "a level")
+    reg.counter("a_total", "things counted", fn=lambda: 1)
+    reg.gauge("b", "a level", fn=lambda: 2)
     text = reg.exposition()
     assert "# HELP a_total things counted" in text
     assert "# TYPE a_total counter" in text
@@ -147,10 +79,25 @@ def test_exposition_has_help_and_type_lines():
 
 def test_exposition_escapes_label_values():
     reg = MetricsRegistry()
-    c = reg.counter("q", labels=("key",))
-    c.inc(1, 'she said "hi"\n')
-    parsed = parse_exposition(reg.exposition())
+    reg.counter("q", labels=("key",), fn=lambda: {'she said "hi"\n': 1})
+    parsed = _read(reg)
     assert sample(parsed, "q", key='she said "hi"\n') == 1
+
+
+def test_label_values_round_trip_through_the_parser():
+    """Backslash, quote, newline, and a literal backslash followed by
+    ``n`` each parse back to the value that was exposed."""
+    values = ["back\\slash", 'quo"te', "new\nline", "a\\nb", "\\\\n",
+              'mix \\" \n \\n\\']
+    reg = MetricsRegistry()
+    reg.gauge("g", labels=("key",),
+              fn=lambda: {v: i for i, v in enumerate(values)})
+    text = reg.exposition()
+    assert 'g{key="a\\\\nb"} 3' in text
+    parsed = parse_exposition(text)
+    for i, value in enumerate(values):
+        assert sample(parsed, "g", key=value) == i
+    assert len(parsed) == len(values)
 
 
 def test_exposition_integer_values_have_no_decimal_point():
@@ -161,20 +108,24 @@ def test_exposition_integer_values_have_no_decimal_point():
     assert line == "n_total 3"
 
 
-def test_snapshot_is_json_safe_and_sorted():
+def test_exposition_is_sorted_by_name_and_label_value():
     reg = MetricsRegistry()
-    reg.counter("b_total").inc(2)
-    reg.counter("a_total").inc(1)
-    g = reg.gauge("lag", labels=("stream",))
-    g.set(4, "0")
-    snap = json.loads(reg.snapshot_json())
-    assert list(snap) == sorted(snap)
-    assert snap["a_total"] == 1
-    assert snap["lag"] == {"0": 4}
+    reg.counter("b_total", fn=lambda: 2)
+    reg.gauge("lag", labels=("stream",), fn=lambda: {"1": 5, "0": 4})
+    reg.counter("a_total", fn=lambda: 1)
+    samples = [l for l in reg.exposition().splitlines()
+               if not l.startswith("#")]
+    assert samples == ["a_total 1", "b_total 2",
+                       'lag{stream="0"} 4', 'lag{stream="1"} 5']
 
 
 def test_parse_exposition_handles_inf():
-    parsed = parse_exposition("up_bound +Inf\ndown_bound -Inf\n")
+    reg = MetricsRegistry()
+    reg.gauge("up_bound", fn=lambda: math.inf)
+    reg.gauge("down_bound", fn=lambda: -math.inf)
+    text = reg.exposition()
+    assert "up_bound +Inf" in text.splitlines()
+    parsed = parse_exposition(text)
     assert parsed[("up_bound", ())] == math.inf
     assert parsed[("down_bound", ())] == -math.inf
 

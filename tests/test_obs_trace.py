@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from repro.errors import ReplicationError
 from repro.memory.stats import CATEGORIES, DramStats
 from repro.obs.trace import (
     NULL_RECORDER,
@@ -13,6 +16,8 @@ from repro.obs.trace import (
     render_spans,
     to_chrome_trace,
 )
+from repro.replication import wire
+from repro.replication.follower import ReplicationFollower
 
 
 # ----------------------------------------------------------------------
@@ -71,14 +76,18 @@ def test_attach_adds_attrs_without_closing():
     rec.attach(None)  # no-op
 
 
-def test_span_context_manager_closes_on_exception():
+def test_advance_apply_span_closes_on_exception():
+    """A follower's ``advance_apply`` span closes, with its DRAM
+    delta attached, when applying the root advance raises."""
     rec = TraceRecorder(clock=StepClock())
-    try:
-        with rec.span("op"):
-            raise RuntimeError("boom")
-    except RuntimeError:
-        pass
-    assert rec.spans[0].end is not None
+    follower = ReplicationFollower("127.0.0.1", 0, recorder=rec)
+    payload = wire.encode_advance_payload(0, 1, 1, 0, 0, 0)
+    with pytest.raises(ReplicationError):
+        follower._handle_advance(None, payload[:5])
+    (span,) = rec.find("advance_apply")
+    assert span.end is not None
+    assert {k: v for k, v in span.attrs.items() if k.startswith("dram_")} \
+        == {"dram_" + c: 0 for c in CATEGORIES}
 
 
 # ----------------------------------------------------------------------
@@ -91,8 +100,6 @@ def test_null_recorder_is_disabled_and_inert():
     assert NULL_RECORDER.begin("x", conn=1) is None
     NULL_RECORDER.end(None)
     NULL_RECORDER.attach(None, a=1)
-    with NULL_RECORDER.span("x") as sid:
-        assert sid is None
 
 
 # ----------------------------------------------------------------------
@@ -113,8 +120,10 @@ def test_dram_probe_captures_delta():
 def test_span_with_dram_attaches_categories():
     rec = TraceRecorder(clock=StepClock())
     dram = DramStats()
-    with rec.span("commit", dram=dram):
+    span = rec.begin("commit")
+    with DramProbe(dram) as probe:
         dram.writes += 3
+    rec.end(span, **probe.attrs())
     assert rec.spans[0].attrs["dram_writes"] == 3
     assert rec.spans[0].attrs["dram_reads"] == 0
 
@@ -151,7 +160,7 @@ def test_jsonl_round_trip(tmp_path):
 
 def test_chrome_export_shape(tmp_path):
     rec = _small_trace()
-    doc = rec.to_chrome()
+    doc = to_chrome_trace([s.to_dict() for s in rec.spans])
     assert doc["displayTimeUnit"] == "ms"
     events = doc["traceEvents"]
     assert len(events) == 2

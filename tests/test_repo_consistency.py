@@ -13,6 +13,7 @@ import re
 
 import pytest
 
+import repro.obs
 from repro.cli.main import build_parser
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -147,3 +148,13 @@ def test_every_reference_is_imported_by_a_test():
             imported |= {dotted, plain} | {
                 name.strip() for name in ",".join(listed).split(",")}
     assert sorted(references - imported) == []
+
+
+def test_the_obs_exports_are_the_documented_ones():
+    """``docs/api.md``'s ``repro.obs`` table names exactly what the
+    package exports: a deleted name cannot stay documented, and an
+    export cannot go undocumented."""
+    section = re.search(r"^## `repro\.obs`\n(.*?)^## ", read("docs/api.md"),
+                        re.S | re.M).group(1)
+    documented = set(re.findall(r"^\| `([A-Za-z_][\w.]*)", section, re.M))
+    assert documented - {"repro.obs.adapters"} == set(repro.obs.__all__)
