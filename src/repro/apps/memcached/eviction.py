@@ -126,6 +126,7 @@ class ManagedMemcached(HicampMemcached):
             return False
         deadline = self.clock + exptime if exptime else _NEVER
         self.kvp.put(key, _HEADER.pack(deadline) + value)
+        self.stats.sets += 1
         self._touch(key)
         self._enforce_quota()
         return True

@@ -155,6 +155,7 @@ class HicampMemcached:
             self.stats.cas_failures += 1
             return False
         self.kvp.put(key, value)
+        self.stats.sets += 1
         return True
 
     def _token(self, key: bytes) -> Optional[bytes]:

@@ -59,6 +59,7 @@ class IteratorRegister:
         self._height = 0
         self._length = 0
         self._read_only = True
+        self._version = 0
         self._offset = 0
         # Transient-line overlay: uncommitted stores, offset -> word.
         self._transient: Dict[int, object] = {}
@@ -80,7 +81,7 @@ class IteratorRegister:
         self._height = entry.height
         self._length = entry.length
         self._read_only = bool(entry.flags & SegmentFlags.READ_ONLY)
-        self._loaded_version = entry.version
+        self._version = entry.version
         self._offset = offset
         return self
 
@@ -128,6 +129,12 @@ class IteratorRegister:
     def height(self) -> int:
         """Snapshot height."""
         return self._height
+
+    @property
+    def version(self) -> int:
+        """The map entry's version of the snapshot: its version at load
+        time, plus one per commit through this register."""
+        return self._version
 
     # ------------------------------------------------------------------
     # reading
@@ -302,6 +309,7 @@ class IteratorRegister:
         dag.release_entry(self.mem, self._root)
         self._root = new_root
         self._height = new_height
+        self._version += 1  # cas_root's rise for exactly this swap
         self._transient.clear()
         self._leaf_base = -1
         self._leaf_words = None

@@ -103,6 +103,15 @@ class HMap:
             return None
         return SLOT_BASE + 4 * _index_for_key(known[0], known[1], len(key))
 
+    def _read_table(self):
+        """The memo when its read table serves this map (on, and reads
+        not verified), else None. :meth:`get`, the hot path, inlines
+        the same test."""
+        mem = self.machine.mem
+        if mem.memo.enabled and not mem.store.verify_reads:
+            return mem.memo
+        return None
+
     def _read_slot(self, snap, base: int) -> Optional[Tuple[object, int]]:
         """(value entry, value meta) at a slot, or None when absent."""
         # the two words share a leaf line: one descent (section 3.3)
@@ -147,25 +156,39 @@ class HMap:
             memo.put_read(self.vsid, version, key, answer)
         return answer
 
-    def _commit(self, update, staged) -> None:
+    def _commit(self, update, answers) -> None:
         """``atomic_update``; with the memo on, carry its read table
-        across the commit, forgetting the ``staged`` keys."""
+        across the commit, recording ``answers`` — each staged key's
+        ``(key, value bytes or None)`` in the committed version."""
         memo, entry = self.machine.mem.memo, self.machine.segmap.entry
         before = entry(self.vsid).version if memo.enabled else None
         self.machine.atomic_update(self.vsid, update)
         if before is not None:
             memo.carry_reads(self.vsid, before, entry(self.vsid).version,
-                             staged)
+                             answers)
 
     @staticmethod
     def _stage_put(it, base: int, key_seg: AnonSegment, key_len: int,
-                   value_seg: AnonSegment, value_len: int) -> bool:
+                   value_seg: AnonSegment, value_len: int,
+                   known=MISS) -> bool:
         """Stage one insert/update into an iterator register's transient
-        buffer; returns True when the key was absent."""
-        was_new = it.get(base + 3) == 0
-        it.put(key_seg.root, offset=base)
-        it.put(pack_meta(key_seg.height, key_seg.length, key_len),
-               offset=base + 1)
+        buffer; returns True when the key was absent.
+
+        ``known`` is the read table's answer for the key at the
+        register's snapshot version, or MISS. An answer stands in for
+        the slot descent, and a key answered present already holds this
+        key's words in its slot (the slot index *is* the key's identity),
+        so only the value words are staged: the committed map is the
+        same either way (section 2.2), minus the key leaf's rebuild.
+        """
+        if known is MISS:
+            was_new = it.get(base + 3) == 0
+        else:
+            was_new = known is None
+        if known is MISS or was_new:
+            it.put(key_seg.root, offset=base)
+            it.put(pack_meta(key_seg.height, key_seg.length, key_len),
+                   offset=base + 1)
         it.put(value_seg.root, offset=base + 2)
         it.put(pack_meta(value_seg.height, value_seg.length, value_len),
                offset=base + 3)
@@ -178,19 +201,24 @@ class HMap:
         """Insert or update; returns True when the key was new.
 
         Runs as an atomic update with merge, so concurrent puts/deletes
-        of *different* keys never abort each other (section 4.3).
+        of *different* keys never abort each other (section 4.3). With
+        the memo on, the read table's answer for ``key`` stands in for
+        the slot descent (:meth:`_stage_put`), and the commit leaves the
+        new value there for the next get.
         """
         key_seg, base = self._key_segment(key)
         value_seg = AnonSegment.from_bytes(self.machine.mem, value)
-        created = []
+        memo, created = self._read_table(), []
 
         def update(it):
+            known = MISS if memo is None else \
+                memo.get_read(self.vsid, it.version, key)
             created.clear()
             created.append(self._stage_put(it, base, key_seg, len(key),
-                                           value_seg, len(value)))
+                                           value_seg, len(value), known))
 
         try:
-            self._commit(update, (key,))
+            self._commit(update, ((key, value),))
         finally:
             key_seg.release()
             value_seg.release()
@@ -210,26 +238,33 @@ class HMap:
         if not items:
             return []
         results = [False] * len(items)
-        staged: List[Tuple[int, AnonSegment, int, AnonSegment, int]] = []
+        staged: List[Tuple[bytes, int, AnonSegment, AnonSegment, int]] = []
+        memo = self._read_table()
         try:
             for key, value in items:
                 key_seg, base = self._key_segment(key)
                 value_seg = AnonSegment.from_bytes(self.machine.mem, value)
-                staged.append((base, key_seg, len(key),
-                               value_seg, len(value)))
+                staged.append((key, base, key_seg, value_seg, len(value)))
 
             def update(it):
                 # atomic_update may re-run this on a lost CAS: start the
                 # accumulator from scratch each attempt
                 for i in range(len(results)):
                     results[i] = False
-                for i, (base, kseg, klen, vseg, vlen) in enumerate(staged):
-                    results[i] = self._stage_put(it, base, kseg, klen,
-                                                 vseg, vlen)
+                # a key's later stages see its earlier ones, which no
+                # answer at the snapshot version knows of
+                seen = set()
+                for i, (key, base, kseg, vseg, vlen) in enumerate(staged):
+                    known = MISS
+                    if memo is not None and key not in seen:
+                        seen.add(key)
+                        known = memo.get_read(self.vsid, it.version, key)
+                    results[i] = self._stage_put(it, base, kseg, len(key),
+                                                 vseg, vlen, known)
 
-            self._commit(update, (key for key, _ in items))
+            self._commit(update, dict(items).items())
         finally:
-            for _, key_seg, _, value_seg, _ in staged:
+            for _, _, key_seg, value_seg, _ in staged:
                 key_seg.release()
                 value_seg.release()
         return results
@@ -275,13 +310,18 @@ class HMap:
             value_seg.release()
 
     def delete(self, key: bytes) -> bool:
-        """Remove ``key``; returns False when it was absent."""
+        """Remove ``key``; returns False when it was absent (with the
+        memo on, as the read table answers, if it holds the key)."""
         key_seg, base = self._key_segment(key)
-        removed = []
+        memo, removed = self._read_table(), []
 
         def update(it):
+            known = MISS if memo is None else \
+                memo.get_read(self.vsid, it.version, key)
             removed.clear()
-            if it.get(base + 3) == 0:
+            present = it.get(base + 3) != 0 if known is MISS \
+                else known is not None
+            if not present:
                 removed.append(False)
                 return
             removed.append(True)
@@ -291,7 +331,7 @@ class HMap:
                    offset=COUNT_OFFSET)
 
         try:
-            self._commit(update, (key,))
+            self._commit(update, ((key, None),))
         finally:
             key_seg.release()
         return removed[0]

@@ -5,8 +5,10 @@ Every differential test drives twin machines — memo on, memo off —
 through the same seeded script of map operations and every way a map's
 root can be swapped from outside ``HMap``'s own mutators, and requires
 every answer to be equal. A table that skipped its version check, or
-kept a staged key's answer across its own commit, answers a get with a
-value the map no longer holds and fails them.
+recorded a staged key's answer other than the one its own commit left,
+answers a get with a value the map no longer holds and fails them. A
+write that takes a key's presence from the table must leave the same
+map as one that descends to the slot: the twins' fingerprints match.
 """
 
 import asyncio
@@ -26,6 +28,7 @@ from repro.core.persistence import machine_image, restore_machine
 from repro.errors import IntegrityError
 from repro.memory import memo as memo_module
 from repro.memory.memo import MAX_READS, MISS, StructuralMemo
+from repro.memory.system import MemorySystem
 from repro.net.server import MemcachedServer
 from repro.segments import dag
 from repro.structures.hmap import COUNT_OFFSET, HMap
@@ -38,16 +41,24 @@ VALUES = [b"v%d" % i for i in range(4)] \
     + [b"a-value-from-the-pool-%d-" % i * 3 for i in range(4)]
 
 
+#: decimal values, so ``incr`` finds counters
+COUNTERS = [b"0", b"7", b"41", b"9000"]
+
+
 class Twin:
     """A memcached map on one machine; ``memo`` selects the read
-    table (the serving stack's setting) or a plain machine."""
+    table (the serving stack's setting) or a plain machine, ``backend``
+    the memcached front whose commands write through the map."""
 
-    def __init__(self, memo: bool, held: bool) -> None:
+    def __init__(self, memo: bool, held: bool,
+                 backend=HicampMemcached) -> None:
         self.memo, self.held = memo, held
         #: the memo of every machine this twin served from
         self.memos = []
         self.machine = self._start(Machine(small_config()))
-        self.mc = HicampMemcached(self.machine)
+        self.mc = backend(self.machine)
+        # a managed front reads an expiry header before every value
+        self.header = bytes(8) if backend is ManagedMemcached else b""
 
     def _start(self, machine):
         self.memos.append(machine.mem.memo)
@@ -64,7 +75,7 @@ class Twin:
     # -- root swaps from outside this handle's put/put_many/delete
 
     def second_handle_put(self, key, value):
-        return HMap(self.machine, self.kvp.vsid).put(key, value)
+        return HMap(self.machine, self.kvp.vsid).put(key, self.header + value)
 
     def merged_steps(self, seed, pairs):
         scheduler = Scheduler(seed=seed)
@@ -104,18 +115,41 @@ class Twin:
         self.mc.machine = self.machine
         self.mc.kvp = HMap(self.machine, vsid)
 
+    # -- memcached commands, each writing through the map's mutators
+
+    def cas(self, key, value, stale):
+        """``gets`` then ``cas``, presenting the live token unless
+        ``stale``."""
+        got = self.mc.gets(key)
+        token = cas_token(b"absent") if got is None else got[1]
+        if stale:
+            token = cas_token(token)
+        return got, self.mc.cas(key, value, token)
+
+    def incr(self, key, delta):
+        try:
+            return self.mc.incr(key, delta)
+        except ValueError:  # not a counter: equally so on both twins
+            return "not a counter"
+
     def step(self, op, args):
         kvp = self.kvp
         if op == "get":
             return kvp.get(*args)
+        if op == "read":
+            return self.mc.get(*args)
         if op == "contains":
             return kvp.contains(*args)
         if op == "put":
-            return kvp.put(*args)
+            key, value = args
+            return kvp.put(key, self.header + value)
         if op == "put_many":
-            return kvp.put_many(*args)
+            return kvp.put_many([(key, self.header + value)
+                                 for key, value in args[0]])
         if op == "delete":
             return kvp.delete(*args)
+        if op in ("add", "replace"):
+            return getattr(self.mc, op)(*args)
         if op == "flush_all":
             return self.mc.flush_all()
         if op == "round_trip":
@@ -158,15 +192,23 @@ def _script(seed, steps):
             yield "round_trip", ()
 
 
+def _settle(plain, served):
+    """The twins hold the same map, and the served machine is sound."""
+    assert sorted(served.kvp.items()) == sorted(plain.kvp.items())
+    assert len(served.kvp) == len(plain.kvp)
+    for twin in (plain, served):
+        twin.machine.drain()
+    assert served.machine.segment_fingerprint(served.kvp.vsid) \
+        == plain.machine.segment_fingerprint(plain.kvp.vsid)
+    assert audit_machine(served.machine, strict=True).ok
+
+
 def _run_twins(seed, steps=240, held=False):
     plain, served = Twin(False, held), Twin(True, held)
     for i, (op, args) in enumerate(_script(seed, steps)):
         want, got = plain.step(op, args), served.step(op, args)
         assert got == want, "step %d: %s%r" % (i, op, args)
-    assert sorted(served.kvp.items()) == sorted(plain.kvp.items())
-    assert len(served.kvp) == len(plain.kvp)
-    served.machine.mem.store.reclaim_quiesce()
-    assert audit_machine(served.machine, strict=True).ok
+    _settle(plain, served)
     return [memo.stats["read"] for memo in served.memos]
 
 
@@ -176,6 +218,67 @@ def test_served_answers_equal_the_plain_machines(seed):
     # the table answered, and foreign swaps and staged keys reset it
     assert sum(s.hits for s in stats) > 0
     assert sum(s.invalidations for s in stats) > 0
+
+
+WRITES = ("put", "put_many", "delete", "add", "replace", "cas", "incr")
+
+
+def _writes_after_gets(seed, steps):
+    """A seeded stream in which every write follows a read of its key,
+    so the read table answers it — unless a foreign swap lands in
+    between, moving the map to a version the answer was not read at."""
+    rng = random.Random(seed)
+    keys, pool = KEYS[:6], VALUES[:4] + COUNTERS
+    for _ in range(steps):
+        key, value = rng.choice(keys), rng.choice(pool)
+        yield "read", (key,)
+        roll = rng.random()
+        if roll < 0.1:
+            yield "second_handle_put", (key, rng.choice(pool))
+        elif roll < 0.2:
+            yield "raw_remove", (key,)
+        op = rng.choice(WRITES)
+        if op == "put_many":
+            # the key twice, the last value winning; a key not read
+            yield op, ([(key, value), (rng.choice(KEYS), value),
+                        (key, rng.choice(pool))],)
+        elif op == "delete":
+            yield op, (key,)
+        elif op == "cas":
+            yield op, (key, value, rng.random() < 0.3)
+        elif op == "incr":
+            yield op, (key, rng.randrange(1, 50))
+        else:
+            yield op, (key, value)
+
+
+@pytest.mark.parametrize("backend", [HicampMemcached, ManagedMemcached])
+@pytest.mark.parametrize("seed", range(3))
+def test_writes_after_gets_equal_the_plain_machines(backend, seed,
+                                                    monkeypatch):
+    plain = Twin(False, bool(seed % 2), backend)
+    served = Twin(True, bool(seed % 2), backend)
+    knowns = []
+    real = HMap._stage_put
+
+    def spied(it, base, key_seg, key_len, value_seg, value_len, known=MISS):
+        if it.mem.memo.enabled:
+            knowns.append(known)
+        return real(it, base, key_seg, key_len, value_seg, value_len, known)
+
+    monkeypatch.setattr(HMap, "_stage_put", staticmethod(spied))
+    for i, (op, args) in enumerate(_writes_after_gets(seed, 200)):
+        want, got = plain.step(op, args), served.step(op, args)
+        assert got == want, "step %d: %s%r" % (i, op, args)
+        assert len(served.kvp) == len(plain.kvp), "step %d" % i
+    for key in KEYS:
+        assert served.mc.get(key) == plain.mc.get(key)
+    _settle(plain, served)
+    # the served twin took presence from the table, both ways, and
+    # descended for the stages the table did not answer
+    assert any(k is None for k in knowns)
+    assert any(isinstance(k, bytes) for k in knowns)
+    assert any(k is MISS for k in knowns)
 
 
 @pytest.mark.parametrize("foreign", [
@@ -201,21 +304,28 @@ def test_every_foreign_swap_is_seen(foreign):
         assert served.kvp.contains(key) == plain.kvp.contains(key)
 
 
-def test_own_commits_carry_the_table_and_drop_only_staged_keys():
+def test_own_commits_carry_the_table_and_record_staged_keys():
     served = Twin(True, False)
     kvp, stats = served.kvp, served.machine.mem.memo.stats["read"]
     kvp.put_many([(KEYS[0], b"a"), (KEYS[1], b"b"), (KEYS[2], b"c")])
     for key in KEYS[:4]:
         kvp.get(key)
-    assert (stats.hits, stats.misses) == (0, 4)
+    # the put_many's three probes found an empty table, then four gets
+    assert (stats.hits, stats.misses) == (0, 7)
+    assert served.machine.mem.memo.sizes()["read"] == 4
     kvp.put(KEYS[0], b"a2")
     kvp.put_many([(KEYS[1], b"b2"), (KEYS[1], b"b3")])
     assert kvp.delete(KEYS[2])
-    assert not kvp.delete(KEYS[5])  # absent: no staged slot, no swap
-    assert stats.invalidations == 3
+    assert not kvp.delete(KEYS[5])  # absent, and not yet in the table
+    # each write took its key's presence from the table (three hits, a
+    # miss for KEYS[5]) and recorded what its commit left: none dropped
+    assert stats.invalidations == 0
+    assert (stats.hits, stats.misses) == (3, 8)
     assert [kvp.get(k) for k in KEYS[:4]] == [b"a2", b"b3", None, None]
-    # KEYS[3] was carried across all three commits
-    assert (stats.hits, stats.misses) == (1, 7)
+    assert kvp.get(KEYS[5]) is None
+    # every get was answered: KEYS[3] carried across all four commits
+    assert (stats.hits, stats.misses) == (8, 8)
+    assert served.machine.mem.memo.sizes()["read"] == 5
 
 
 def test_a_failed_commit_keeps_no_carry():
@@ -308,6 +418,82 @@ def test_a_small_bound_serves_the_same_answers(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# what an answered overwrite saves, counted without a clock
+
+#: ``MemorySystem.read``/``lookup`` calls of one overwrite in the
+#: fixture's 64-key map (line size 16, held store, memo on), the value
+#: already interned: of a key the read table answers present, and of
+#: one it does not hold. The difference is the slot descent a presence
+#: check pays (8 reads down the compacted path) plus the key-words
+#: leaf the rebuild re-reads and re-interns (1 read, 1 lookup).
+ANSWERED_OVERWRITE = {"read": 8, "lookup": 8}
+UNANSWERED_OVERWRITE = {"read": 17, "lookup": 9}
+PRESENCE_DESCENT = {"read": 8, "lookup": 0}
+KEY_WORDS_LEAF = {"read": 1, "lookup": 1}
+
+
+def _memory_calls(fn):
+    """``MemorySystem.read``/``lookup`` calls made by ``fn()``."""
+    calls = dict.fromkeys(("read", "lookup"), 0)
+    real = {name: getattr(MemorySystem, name) for name in calls}
+
+    def counting(name):
+        def wrapper(self, *args, **kwargs):
+            calls[name] += 1
+            return real[name](self, *args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        setattr(MemorySystem, name, counting(name))
+    try:
+        fn()
+    finally:
+        for name in calls:
+            setattr(MemorySystem, name, real[name])
+    return calls
+
+
+@pytest.fixture
+def served_map():
+    """A held, memo-on 64-key map, and its items."""
+    machine = Machine(small_config())
+    machine.mem.memo.enable()
+    machine.mem.store.hold_reclaim()
+    kvp = HMap.create(machine)
+    rng = random.Random(5)
+    items = [(b"key:%04d" % i, rng.randbytes(48)) for i in range(64)]
+    kvp.put_many(items)
+    return machine, kvp, items
+
+
+def test_an_answered_overwrite_skips_the_descent_and_the_key_leaf(
+        served_map):
+    machine, kvp, items = served_map
+    answered, unanswered = items[3][0], items[40][0]
+    assert kvp.get(answered) == items[3][1]
+    assert _memory_calls(lambda: kvp.put(answered, items[10][1])) \
+        == ANSWERED_OVERWRITE
+    assert _memory_calls(lambda: kvp.put(unanswered, items[11][1])) \
+        == UNANSWERED_OVERWRITE
+    key_seg, base = kvp._key_segment(unanswered)
+    key_seg.release()
+
+    def slot_word(offset):
+        it = machine.iterator(kvp.vsid)
+        try:
+            it.get(offset)
+        finally:
+            machine.release_iterator(it)
+
+    assert _memory_calls(lambda: slot_word(base + 3)) == PRESENCE_DESCENT
+    for name in ANSWERED_OVERWRITE:
+        assert UNANSWERED_OVERWRITE[name] - ANSWERED_OVERWRITE[name] \
+            == PRESENCE_DESCENT[name] + KEY_WORDS_LEAF[name]
+    assert [kvp.get(k) for k in (answered, unanswered)] \
+        == [items[10][1], items[11][1]]
+
+
+# ----------------------------------------------------------------------
 # gets reads the map once
 
 
@@ -360,7 +546,7 @@ def _read_ops(prom):
         prom)}
 
 
-def test_served_gets_report_their_hits_and_a_set_its_invalidation():
+def test_served_gets_report_their_hits_and_a_set_keeps_its_answer():
     gets = 6
 
     async def scenario():
@@ -376,6 +562,8 @@ def test_served_gets_report_their_hits_and_a_set_its_invalidation():
                 port, b"stats json\r\n", 1)).split(b"\r\n")[0])["memo"]
             await _exchange(port, b"set hot 0 0 5\r\nother\r\n", 1)
             await server.router.drain()
+            out = await _exchange(port, b"get hot\r\n", 1)
+            assert out == b"VALUE hot 0 5\r\nother\r\nEND\r\n"
             raw = await _exchange(port, b"stats prom\r\nstats json\r\n", 2)
             prom, rest = raw.split(b"END\r\n", 1)
             after_set = json.loads(rest.split(b"\r\n")[0])["memo"]
@@ -385,9 +573,12 @@ def test_served_gets_report_their_hits_and_a_set_its_invalidation():
     delta = {k: after_gets["read"][k] - base["read"][k]
              for k in ("hits", "misses", "invalidations")}
     assert delta == {"hits": gets - 1, "misses": 1, "invalidations": 0}
-    assert after_set["read"]["invalidations"] \
-        - after_gets["read"]["invalidations"] == 1
-    assert after_set["read"]["entries"] == after_gets["read"]["entries"] - 1
+    # the set took the key's presence from the table (a hit) and left
+    # its own answer there, so the get after it hit too
+    delta = {k: after_set["read"][k] - after_gets["read"][k]
+             for k in ("hits", "misses", "invalidations")}
+    assert delta == {"hits": 2, "misses": 0, "invalidations": 0}
+    assert after_set["read"]["entries"] == after_gets["read"]["entries"]
     ops = _read_ops(prom)
     assert set(ops) == {"hit", "miss", "eviction", "invalidation"}
     assert ops["hit"] == after_set["read"]["hits"]

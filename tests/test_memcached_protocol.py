@@ -1,8 +1,11 @@
 """Tests for the memcached ASCII protocol layer."""
 
+import re
+
 import pytest
 
 from repro.apps.memcached import HicampMemcached
+from repro.apps.memcached.eviction import ManagedMemcached
 from repro.apps.memcached.protocol import (
     ProtocolError,
     ProtocolHandler,
@@ -173,6 +176,25 @@ class TestAdminCommands:
         assert b"STAT cas_failures 0" in response
         assert b"STAT flushes 1" in response
         assert b"STAT footprint_bytes" in response
+
+    @pytest.mark.parametrize("backend", [HicampMemcached, ManagedMemcached])
+    def test_a_stored_cas_counts_as_one_set(self, machine, backend):
+        handler = ProtocolHandler(backend(machine))
+
+        def sets():
+            stats = handler.handle(b"stats\r\n")
+            return int(re.search(rb"STAT sets (\d+)", stats).group(1))
+
+        handler.handle(b"set k 0 0 2\r\nv1\r\n")
+        token = handler.handle(b"gets k\r\n").split(b"\r\n")[0].split()[-1]
+        before = sets()
+        assert handler.handle(
+            b"cas k 0 0 2 %s\r\nv2\r\n" % token) == b"STORED\r\n"
+        assert handler.handle(
+            b"cas k 0 0 2 %s\r\nv3\r\n" % token) == b"EXISTS\r\n"
+        # ``sets`` counts STORED replies: the hit, not the stale miss
+        assert sets() == before + 1
+        assert b"VALUE k 0 2\r\nv2" in handler.handle(b"get k\r\n")
 
     def test_managed_flush_all_clears_lru(self, machine):
         from repro.apps.memcached.eviction import ManagedMemcached

@@ -164,9 +164,9 @@ class TestRouterMatchesHandler:
                          (b"get", b"gets"))
             assert batches < writes // 2, (seed, batches, writes)
             # the storm chunk repeats keys inside one drained run, and
-            # every STORED reply to a set still counts once
+            # every STORED reply to a set or a cas still counts once
             stored_sets = sum(
-                f.command == b"set" and r == b"STORED\r\n"
+                f.command in (b"set", b"cas") and r == b"STORED\r\n"
                 for f, r in zip(frames, responses))
             assert observed["sets"] == stored_sets > observed["items"]
 
