@@ -12,7 +12,5 @@ what the paper's Figure 6 baseline measured through VMware tracing.
 
 from repro.apps.memcached.server import HicampMemcached
 from repro.apps.memcached.conventional import ConventionalMemcached
-from repro.apps.memcached.compaction import measure_compaction
 
-__all__ = ["HicampMemcached", "ConventionalMemcached",
-           "measure_compaction"]
+__all__ = ["HicampMemcached", "ConventionalMemcached"]

@@ -16,10 +16,10 @@ import pathlib
 import sys
 from typing import List, Optional
 
-from repro.analysis.experiments import RUNNERS, headline_metrics
-
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import RUNNERS, headline_metrics
+
     names = list(RUNNERS) if args.all or not args.names else args.names
     unknown = [n for n in names if n not in RUNNERS]
     if unknown:
@@ -56,6 +56,8 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments_list(_args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import RUNNERS
+
     for name, runner in RUNNERS.items():
         doc = (runner.__doc__ or "").strip().splitlines()[0]
         print("%-16s %s" % (name, doc))

@@ -15,9 +15,9 @@ import asyncio
 import json
 from typing import Dict, List, Optional, Tuple
 
-from repro.net.loadgen import read_value_response, set_request
 from repro.cluster.node import parse_moved
 from repro.cluster.placement import ClusterTopology
+from repro.net.framing import read_value_response, set_request
 
 __all__ = ["ClusterClient", "ClusterUnavailableError"]
 

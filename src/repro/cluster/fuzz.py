@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.net.loadgen import read_value_response
+from repro.net.framing import read_value_response
 from repro.testing.auditors import audit_machine
 from repro.testing.fuzz import FuzzReport, derive, run_episodes, script_digest
 from repro.cluster.client import ClusterClient, ClusterUnavailableError

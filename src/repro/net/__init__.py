@@ -13,24 +13,19 @@ package provides that load path end to end:
 * :mod:`repro.net.metrics` — ops/s, latency percentiles, pipeline depth,
   commit-batch counters (``stats`` / ``stats json``);
 * :mod:`repro.net.loadgen` — a pipelining multi-client load generator
-  with a built-in sequential-oracle consistency check.
+  with a built-in sequential-oracle consistency check. It is a client,
+  so the package does not import it: a serving process never loads it.
 """
 
 from repro.net.framing import Frame, FrameDecoder
-from repro.net.loadgen import LoadgenClient, LoadgenReport, run_loadgen
-from repro.net.metrics import ServerMetrics, latency_summary, percentile
+from repro.net.metrics import ServerMetrics
 from repro.net.router import ConnectionState, ShardRouter
 from repro.net.server import MemcachedServer, serve
 
 __all__ = [
     "Frame",
     "FrameDecoder",
-    "LoadgenClient",
-    "LoadgenReport",
-    "run_loadgen",
     "ServerMetrics",
-    "latency_summary",
-    "percentile",
     "ConnectionState",
     "ShardRouter",
     "MemcachedServer",

@@ -20,9 +20,10 @@ alive — exactly what real memcached does.
 
 from __future__ import annotations
 
+import asyncio
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.apps.memcached.protocol import (
     CRLF,
@@ -106,6 +107,47 @@ class FrameDecoder:
             pos += consumed
         self._buf = buf[pos:]
         return frames
+
+
+# ----------------------------------------------------------------------
+# the client side: requests out, replies in
+
+
+def set_request(key: bytes, value: bytes) -> bytes:
+    """A ``set`` of ``key`` to ``value`` as wire bytes."""
+    return b"set %s 0 0 %d\r\n%s\r\n" % (key, len(value), value)
+
+
+async def read_line(reader: asyncio.StreamReader) -> bytes:
+    """One reply line; EOF before its CRLF is a reset."""
+    line = await reader.readline()
+    if not line.endswith(CRLF):
+        raise ConnectionResetError("EOF mid-response")
+    return line
+
+
+async def read_value_response(
+        reader: asyncio.StreamReader
+) -> Dict[bytes, Tuple[bytes, bytes]]:
+    """A get/gets reply: key -> (value, cas token or b"").
+
+    A reply cut anywhere raises :class:`ConnectionResetError` (inside a
+    line) or :class:`asyncio.IncompleteReadError` (inside a data block),
+    so a client tells a dropped connection from a malformed reply
+    (:class:`ValueError`).
+    """
+    values: Dict[bytes, Tuple[bytes, bytes]] = {}
+    while True:
+        line = await read_line(reader)
+        if line == b"END" + CRLF:
+            return values
+        if not line.startswith(b"VALUE "):
+            raise ValueError("unexpected line in value response: %r" % line)
+        parts = line.split()
+        key, nbytes = parts[1], int(parts[3])
+        token = parts[4] if len(parts) > 4 else b""
+        block = await reader.readexactly(nbytes + len(CRLF))
+        values[key] = (block[:-len(CRLF)], token)
 
 
 class FrameTooLargeError(Exception):

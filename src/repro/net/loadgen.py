@@ -27,7 +27,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Set, Tuple
 
-from repro.net.metrics import latency_summary
+from repro.net.framing import read_value_response, set_request
+from repro.obs.latency import latency_summary
 
 CRLF = b"\r\n"
 
@@ -91,28 +92,6 @@ class LoadgenReport:
 async def read_line_response(reader: asyncio.StreamReader) -> bytes:
     """One single-line response (STORED, DELETED, counters, errors)."""
     return await reader.readline()
-
-
-async def read_value_response(
-        reader: asyncio.StreamReader
-) -> Dict[bytes, Tuple[bytes, bytes]]:
-    """A get/gets response: key → (value, cas token or b"")."""
-    values: Dict[bytes, Tuple[bytes, bytes]] = {}
-    while True:
-        line = await reader.readline()
-        if line == b"END" + CRLF:
-            return values
-        if not line.startswith(b"VALUE "):
-            raise ValueError("unexpected line in value response: %r" % line)
-        parts = line.split()
-        key, nbytes = parts[1], int(parts[3])
-        token = parts[4] if len(parts) > 4 else b""
-        block = await reader.readexactly(nbytes + len(CRLF))
-        values[key] = (block[:-len(CRLF)], token)
-
-
-def set_request(key: bytes, value: bytes) -> bytes:
-    return b"set %s 0 0 %d\r\n%s\r\n" % (key, len(value), value)
 
 
 # ----------------------------------------------------------------------

@@ -14,11 +14,9 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional
 
-# shared with benchmark reporting so the stats command and rendered
-# benchmark tables agree on percentile definitions
-from repro.analysis.reporting import latency_summary, percentile
+from repro.obs.latency import latency_summary
 
-__all__ = ["ServerMetrics", "latency_summary", "percentile"]
+__all__ = ["ServerMetrics"]
 
 
 @dataclass

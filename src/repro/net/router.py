@@ -81,6 +81,12 @@ READ_COMMANDS = frozenset((b"get", b"gets"))
 FENCE = b"\x00fence"
 
 
+def shard_of(key: bytes, shards: int) -> int:
+    """Owning shard of ``key`` among ``shards``: the one key → shard
+    function, so a leader's router and a follower's reads agree."""
+    return zlib.crc32(key) % shards
+
+
 class ConnectionState:
     """Per-connection ordering state: last write enqueued per shard."""
 
@@ -218,7 +224,7 @@ class ShardRouter:
 
     def shard_index(self, key: bytes) -> int:
         """Owning shard for ``key`` (stable across the server's life)."""
-        return zlib.crc32(key) % len(self.servers)
+        return shard_of(key, len(self.servers))
 
     def answer(self, frame: Frame, conn: ConnectionState) -> Optional[bytes]:
         """The response to a frame that needs no queue, else ``None``:
@@ -230,11 +236,12 @@ class ShardRouter:
         command = frame.command
         if command in READ_COMMANDS and frame.args:
             if len(frame.args) == 1:
-                shard = self.shard_index(frame.key)
+                shard = shard_of(frame.key, len(self.servers))
                 if conn.depends_on(shard) is not None:
                     return None
                 return self._execute(shard, frame)
-            if any(conn.depends_on(self.shard_index(key)) is not None
+            shards = len(self.servers)
+            if any(conn.depends_on(shard_of(key, shards)) is not None
                    for key in frame.args):
                 return None
             return self._read_keys(frame)
@@ -275,8 +282,9 @@ class ShardRouter:
                 lambda: self.stats_response(frame.args))
         if command in READ_COMMANDS:
             keys: Dict[int, List[bytes]] = {}
+            shards = len(self.servers)
             for key in frame.args:
-                keys.setdefault(self.shard_index(key), []).append(key)
+                keys.setdefault(shard_of(key, shards), []).append(key)
             return await self._fenced_read(
                 conn, keys, lambda: self._read_keys(frame))
         return await self._enqueue_write(frame, conn, parent)
@@ -291,15 +299,17 @@ class ShardRouter:
         """A ``get``/``gets`` of one or more keys, each read from its
         own shard."""
         with_token = frame.command == b"gets"
-        out = [self.handlers[self.shard_index(key)].value_block(
-                   key, with_token) for key in frame.args]
+        handlers = self.handlers
+        shards = len(handlers)
+        out = [handlers[shard_of(key, shards)].value_block(key, with_token)
+               for key in frame.args]
         out.append(b"END\r\n")
         return b"".join(out)
 
     async def _enqueue_write(self, frame: Frame, conn: ConnectionState,
                              parent: Optional[int] = None
                              ) -> "asyncio.Future[bytes]":
-        shard = self.shard_index(frame.key)
+        shard = shard_of(frame.key, len(self.servers))
         future: "asyncio.Future[bytes]" = \
             asyncio.get_running_loop().create_future()
         await self.queues[shard].put((frame, future, parent))

@@ -17,7 +17,7 @@ added without its registry registration fails loudly.
 
 from __future__ import annotations
 
-from repro.analysis.reporting import latency_summary
+from repro.obs.latency import latency_summary
 from repro.obs.registry import MetricsRegistry
 
 __all__ = [

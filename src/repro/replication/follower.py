@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import zlib
 from typing import Dict, Optional
 
 from repro.apps.memcached.protocol import CRLF, ProtocolHandler
@@ -42,7 +41,12 @@ from repro.errors import ReplicationError
 from repro.memory.line import PlidRef
 from repro.memory.reclaim import RECLAIM_BUDGET
 from repro.net.metrics import ServerMetrics
-from repro.net.router import WRITE_COMMANDS, _completed, cluster_response
+from repro.net.router import (
+    WRITE_COMMANDS,
+    _completed,
+    cluster_response,
+    shard_of,
+)
 from repro.obs import adapters
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_RECORDER, DramProbe
@@ -50,6 +54,7 @@ from repro.replication import wire
 from repro.replication.delta import translate_line
 from repro.replication.metrics import ReplicationMetrics
 from repro.segments import dag
+from repro.structures.hmap import HMap
 
 READ_CHUNK = 1 << 16
 
@@ -359,12 +364,10 @@ class FollowerReadBackend:
         self.stats = ServerStats()
 
     def _map_for(self, key: bytes):
-        from repro.structures.hmap import HMap
         streams = self.follower.streams
         if not streams:
             return None
-        shard = zlib.crc32(key) % len(streams)
-        vsid = streams.get(shard)
+        vsid = streams.get(shard_of(key, len(streams)))
         if vsid is None:
             return None
         return HMap(self.follower.machine, vsid)
@@ -385,7 +388,6 @@ class FollowerReadBackend:
         return value, cas_token(value)
 
     def item_count(self) -> int:
-        from repro.structures.hmap import HMap
         return sum(len(HMap(self.follower.machine, vsid))
                    for vsid in self.follower.streams.values())
 

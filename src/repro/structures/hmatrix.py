@@ -28,13 +28,14 @@ zero word, so zero elements vanish into zero subtrees).
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterable, Iterator, List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Tuple
 
 from repro.core.machine import Machine
 from repro.segments import dag
 from repro.segments.segment_map import SegmentFlags
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _F64 = struct.Struct(">d")
 
@@ -163,6 +164,7 @@ class QuadTreeMatrix:
     @classmethod
     def from_dense(cls, machine: Machine, dense: "np.ndarray") -> "QuadTreeMatrix":
         """Build from a dense numpy array (zeros are elided)."""
+        import numpy as np
         rows, cols = np.nonzero(dense)
         entries = [(int(r), int(c), float(dense[r, c])) for r, c in zip(rows, cols)]
         return cls.from_coo(machine, dense.shape[0], dense.shape[1], entries)
@@ -183,6 +185,7 @@ class QuadTreeMatrix:
 
     def to_dense(self) -> "np.ndarray":
         """Materialize as a dense numpy array (tests / small matrices)."""
+        import numpy as np
         out = np.zeros((self.n_rows, self.n_cols))
         for row, col, value in self.iter_nonzero():
             if row < self.n_rows and col < self.n_cols:
@@ -197,6 +200,7 @@ class QuadTreeMatrix:
         off-chip traffic reduction comes from. The result vector is
         accumulated in transient (per-processor) memory.
         """
+        import numpy as np
         y = np.zeros(self.n_rows)
         for row, col, value in self.iter_nonzero():
             if row < self.n_rows and col < self.n_cols:
@@ -281,6 +285,7 @@ class NzdMatrix:
 
     def spmv(self, x: "np.ndarray") -> "np.ndarray":
         """``y = A @ x`` via the pattern walk + dense value stream."""
+        import numpy as np
         y = np.zeros(self.n_rows)
         for row, col, value in self.iter_nonzero():
             if row < self.n_rows and col < self.n_cols:
@@ -289,6 +294,7 @@ class NzdMatrix:
 
     def to_dense(self) -> "np.ndarray":
         """Materialize as a dense numpy array."""
+        import numpy as np
         out = np.zeros((self.n_rows, self.n_cols))
         for row, col, value in self.iter_nonzero():
             if row < self.n_rows and col < self.n_cols:

@@ -31,14 +31,21 @@ points in :class:`~repro.net.server.MemcachedServer` and
 
 Scopes are small integers: the accept-order connection index for the
 connection points, the shard index for ``commit.stall``.
+
+Below the network, :func:`refuse_allocation` makes one store refuse its
+Nth line allocation, the way a full store refuses it.
 """
 
 from __future__ import annotations
 
 import asyncio
 import hashlib
+import itertools
 from collections import Counter
-from typing import Dict, List, Optional
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional
+
+from repro.errors import MemoryExhaustedError
 
 CONN_RESET = "conn.reset"
 READ_SPLIT = "read.split"
@@ -218,3 +225,31 @@ class FaultInjector:
             self._record(COMMIT_STALL, shard, seq, "turns=%d" % turns)
             for _ in range(turns):
                 await asyncio.sleep(0)
+
+
+# ----------------------------------------------------------------------
+# allocation refusal (the store)
+
+
+@contextmanager
+def refuse_allocation(store, n: int) -> Iterator[None]:
+    """Inside the block, ``store``'s ``n``-th line allocation (1-based)
+    raises :class:`~repro.errors.MemoryExhaustedError`.
+
+    An instance attribute shadows ``DedupStore._allocate`` for the block
+    only, so no other store, and this one outside the block, runs
+    anything but the plain method.
+    """
+    allocate = store._allocate
+    calls = itertools.count(1)
+
+    def refusing(*args):
+        if next(calls) == n:
+            raise MemoryExhaustedError("allocation %d refused" % n)
+        return allocate(*args)
+
+    store._allocate = refusing
+    try:
+        yield
+    finally:
+        del store._allocate

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.machine import Machine
+from repro.net.framing import read_line, read_value_response
 from repro.net.server import MemcachedServer
 from repro.params import MachineConfig, MemoryConfig
 from repro.testing.auditors import audit_machine
@@ -126,38 +127,6 @@ def _build_script(seed: int, cid: int,
             for i in range(0, len(ops), cfg.pipeline_depth)]
 
 
-async def _read_line(reader: asyncio.StreamReader) -> bytes:
-    """One response line; an injected reset can cut it anywhere."""
-    line = await reader.readline()
-    if not line.endswith(CRLF):
-        raise ConnectionResetError("EOF mid-response")
-    return line
-
-
-async def _read_values(
-        reader: asyncio.StreamReader
-) -> Dict[bytes, Tuple[bytes, bytes]]:
-    """A get/gets response: key -> (value, wire token or b"").
-
-    Unlike the loadgen helper, EOF at any point raises
-    :class:`ConnectionResetError` — under fault injection a reset can
-    land mid-response, and the interrupted ops must stay *pending*
-    rather than crash the episode.
-    """
-    values: Dict[bytes, Tuple[bytes, bytes]] = {}
-    while True:
-        line = await _read_line(reader)
-        if line == b"END" + CRLF:
-            return values
-        if not line.startswith(b"VALUE "):
-            raise ValueError("unexpected line in value response: %r" % line)
-        parts = line.split()
-        key, nbytes = parts[1], int(parts[3])
-        token = parts[4] if len(parts) > 4 else b""
-        block = await reader.readexactly(nbytes + len(CRLF))
-        values[key] = (block[:-len(CRLF)], token)
-
-
 def script_digest(ops) -> str:
     """Digest of a planned script: ``(kind, *bytes fields)`` ops."""
     material = b";".join(b" ".join((op[0].encode(),) + tuple(op[1:]))
@@ -214,7 +183,7 @@ class RecordingClient:
         """Read and record one op's response; raises on disconnect."""
         assert self.reader is not None
         if op.kind in ("get", "gets"):
-            values = await _read_values(self.reader)
+            values = await read_value_response(self.reader)
             if op.key in values:
                 value, token = values[op.key]
                 if op.kind == "gets":
@@ -223,7 +192,7 @@ class RecordingClient:
             else:
                 self.recorder.complete(op, ("miss",))
             return
-        line = await _read_line(self.reader)
+        line = await read_line(self.reader)
         mapped = {b"STORED" + CRLF: ("stored",),
                   b"NOT_STORED" + CRLF: ("not_stored",),
                   b"EXISTS" + CRLF: ("exists",),
@@ -290,7 +259,7 @@ async def _final_readback(host: str, port: int, cfg: EpisodeConfig,
         writer.write(b"".join(parts))
         await writer.drain()
         for op in ops:
-            values = await _read_values(reader)
+            values = await read_value_response(reader)
             if op.key in values:
                 recorder.complete(op, ("value", values[op.key][0]))
             else:

@@ -1,5 +1,7 @@
 """Tests for the streaming frame decoder (split and pipelined frames)."""
 
+import asyncio
+
 import pytest
 
 from repro.apps.memcached.protocol import (
@@ -8,7 +10,12 @@ from repro.apps.memcached.protocol import (
     parse_frame,
     parse_request,
 )
-from repro.net.framing import MAX_LINE_BYTES, Frame, FrameDecoder
+from repro.net.framing import (
+    MAX_LINE_BYTES,
+    Frame,
+    FrameDecoder,
+    read_value_response,
+)
 
 
 class TestParseFrameRegression:
@@ -230,3 +237,45 @@ class TestParseAtAnOffset:
             parse_frame(b"get a\r\nset k 0 0 5\r\nhel", len(b"get a\r\n"))
         with pytest.raises(IncompleteRequestError):
             parse_frame(b"get a\r\nget b", len(b"get a\r\n"))
+
+
+class TestReadValueResponse:
+    """The clients' one reply reader: a cut reply is a reset."""
+
+    REPLY = (b"VALUE alpha 0 3 7\r\nabc\r\n"
+             b"VALUE beta 0 5\r\nhello\r\n"
+             b"END\r\n")
+
+    @staticmethod
+    def outcomes(replies):
+        """What reading each of ``replies`` then EOF returns or raises."""
+
+        async def go():
+            out = []
+            for data in replies:
+                reader = asyncio.StreamReader()
+                reader.feed_data(data)
+                reader.feed_eof()
+                try:
+                    out.append(await read_value_response(reader))
+                except Exception as exc:
+                    out.append(exc)
+            return out
+
+        return asyncio.run(go())
+
+    def test_whole_reply(self):
+        assert self.outcomes([self.REPLY]) == [
+            {b"alpha": (b"abc", b"7"), b"beta": (b"hello", b"")}]
+
+    def test_every_cut_raises_a_reset_never_a_value_error(self):
+        cuts = [self.REPLY[:cut] for cut in range(len(self.REPLY))]
+        for cut, outcome in zip(cuts, self.outcomes(cuts)):
+            assert isinstance(outcome, (ConnectionResetError,
+                                        asyncio.IncompleteReadError)), \
+                (cut, outcome)
+
+    def test_malformed_reply_is_a_value_error(self):
+        [outcome] = self.outcomes([b"STORED\r\n"])
+        assert isinstance(outcome, ValueError)
+

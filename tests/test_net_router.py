@@ -2,10 +2,15 @@
 
 import asyncio
 import json
+import random
+from types import SimpleNamespace
+
+import pytest
 
 from repro.net.framing import FrameDecoder
 from repro.net.router import ConnectionState, ShardRouter
 from repro.obs.trace import StepClock, TraceRecorder
+from repro.replication.follower import FollowerReadBackend
 
 
 def frames_of(raw: bytes):
@@ -34,6 +39,19 @@ class TestRouting:
         first = [router.shard_index(k) for k in keys]
         assert first == [router.shard_index(k) for k in keys]
         assert len(set(first)) > 1
+
+    @pytest.mark.parametrize("shards", range(1, 9))
+    def test_leader_and_follower_pick_the_same_shard(self, shards):
+        router = ShardRouter(shard_count=shards)
+        streams = {shard: server.kvp.vsid
+                   for shard, server in enumerate(router.servers)}
+        backend = FollowerReadBackend(
+            SimpleNamespace(machine=router.machine, streams=streams))
+        rng = random.Random(0)
+        for _ in range(200):
+            key = b"key-%d" % rng.getrandbits(32)
+            assert backend._map_for(key).vsid \
+                == streams[router.shard_index(key)]
 
     def test_set_get_roundtrip_across_shards(self):
         router = ShardRouter(shard_count=4)

@@ -6,7 +6,7 @@ from dataclasses import fields as dataclass_fields
 
 import pytest
 
-from repro.analysis.reporting import latency_summary, percentile
+from repro.obs.latency import latency_summary, percentile
 from repro.memory.stats import CATEGORIES, DramStats
 from repro.obs.registry import MetricsRegistry, parse_exposition, sample
 
