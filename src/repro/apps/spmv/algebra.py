@@ -24,9 +24,7 @@ Implemented here:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.machine import Machine
 from repro.segments import dag
@@ -150,8 +148,8 @@ def qts_transpose(machine: Machine, a: QuadTreeMatrix) -> QuadTreeMatrix:
 
 
 def parallel_spmv(machine: Machine, matrix: QuadTreeMatrix,
-                  x: "np.ndarray", n_workers: int = 4,
-                  seed: int = 0) -> "np.ndarray":
+                  x: Sequence[float], n_workers: int = 4,
+                  seed: int = 0) -> List[float]:
     """Concurrent SpMV: K tasks over one snapshot, merged results.
 
     Each worker reads the matrix through the shared snapshot (snapshot
@@ -192,7 +190,7 @@ def parallel_spmv(machine: Machine, matrix: QuadTreeMatrix,
         sched.spawn("spmv-%d" % wid, worker(wid))
     sched.run()
 
-    y = np.zeros(n)
+    y = [0.0] * n
     with machine.snapshot(result_vsid) as snap:
         for idx, word in snap.iter_nonzero():
             y[idx] = word_to_float(word)

@@ -13,9 +13,7 @@ and, for the symmetric kernel, scattered updates on ``y`` as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 from repro.memory.conventional import Arena, ConventionalMemory
 from repro.memory.stats import DramStats
@@ -63,9 +61,9 @@ class CsrMatrix:
         """Array bytes: 4B row_ptr entries + 4B col_idx + 8B values."""
         return 4 * len(self.row_ptr) + 4 * len(self.col_idx) + 8 * len(self.vals)
 
-    def multiply(self, x: "np.ndarray") -> "np.ndarray":
+    def multiply(self, x: Sequence[float]) -> List[float]:
         """Functional SpMV (for correctness cross-checks)."""
-        y = np.zeros(self.n_rows)
+        y = [0.0] * self.n_rows
         for r in range(self.n_rows):
             for k in range(self.row_ptr[r], self.row_ptr[r + 1]):
                 c = self.col_idx[k]

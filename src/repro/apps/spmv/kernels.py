@@ -18,9 +18,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.machine import Machine
 from repro.params import CacheGeometry, ConventionalConfig, MachineConfig, MemoryConfig
@@ -66,6 +64,46 @@ class SpmvResult:
     footprint_bytes: int
     dram_accesses: int
     y_checksum: float
+
+
+def pairwise_sum(values: Sequence[float]) -> float:
+    """``values``' sum in numpy's pairwise order, bit for bit.
+
+    The checksums were recorded as ``numpy.sum``, whose rounding differs
+    from a left-to-right ``sum`` in the last bits. Below 8 terms it adds
+    in order; up to 128 it keeps eight running sums, combines them as a
+    balanced tree and adds the remainder in order; above that it splits
+    at half the length rounded down to a multiple of 8.
+    """
+    return 0.0 + _pairwise(values, 0, len(values))
+
+
+def _pairwise(values: Sequence[float], start: int, n: int) -> float:
+    if n < 8:
+        total = 0.0
+        for i in range(start, start + n):
+            total += values[i]
+        return total
+    if n <= 128:
+        r = list(values[start:start + 8])
+        end = start + n - n % 8
+        for i in range(start + 8, end, 8):
+            for j in range(8):
+                r[j] += values[i + j]
+        total = (((r[0] + r[1]) + (r[2] + r[3]))
+                 + ((r[4] + r[5]) + (r[6] + r[7])))
+        for i in range(end, start + n):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return (_pairwise(values, start, half)
+            + _pairwise(values, start + half, n - half))
+
+
+def _x_vector(m: int) -> List[float]:
+    """The ``x`` every SpMV pass multiplies by."""
+    return [1.0 + (i % 7) * 0.25 for i in range(m)]
 
 
 _FORMATS = {"qts": QuadTreeMatrix, "nzd": NzdMatrix}
@@ -121,13 +159,13 @@ def _spmv_pass(spec: MatrixSpec, fmt: str, matrix,
                footprint: int) -> SpmvResult:
     """The traffic of one ``y = A @ x`` over a built matrix."""
     machine = matrix.machine
-    x = np.array([1.0 + (i % 7) * 0.25 for i in range(spec.m)])
+    x = _x_vector(spec.m)
     x_vsid = machine.create_segment([float_to_word(v) for v in x])
     # measure only the multiply pass (the paper's off-chip access counts
     # are per-SpMV; the build is amortized across iterations)
     machine.drain()
     before = machine.dram.snapshot()
-    y = np.zeros(spec.n)
+    y = [0.0] * spec.n
     x_entry = machine.segmap.entry(x_vsid)
     for row, col, value in matrix.iter_nonzero():
         if row < spec.n and col < spec.m:
@@ -139,7 +177,7 @@ def _spmv_pass(spec: MatrixSpec, fmt: str, matrix,
     machine.drain()
     delta = machine.dram.delta(before)
     return SpmvResult(spec.name, spec.category, fmt, spec.nnz,
-                      footprint, delta.total(), float(y.sum()))
+                      footprint, delta.total(), pairwise_sum(y))
 
 
 def hicamp_spmv_traffic(spec: MatrixSpec, line_bytes: int = 32,
@@ -152,11 +190,11 @@ def csr_result(spec: MatrixSpec, line_bytes: int = 32) -> SpmvResult:
     """The conventional side: CSR (symmetric variant when applicable)."""
     csr = CsrMatrix.from_spec(spec)
     dram = csr_spmv_traffic(csr, spmv_conventional_config(line_bytes))
-    x = np.array([1.0 + (i % 7) * 0.25 for i in range(spec.m)])
-    y = csr.multiply(x)
+    y = csr.multiply(_x_vector(spec.m))
     return SpmvResult(spec.name, spec.category,
                       "csr-sym" if csr.symmetric else "csr",
-                      spec.nnz, spec.csr_bytes(), dram.total(), float(y.sum()))
+                      spec.nnz, spec.csr_bytes(), dram.total(),
+                      pairwise_sum(y))
 
 
 def best_hicamp_footprint(spec: MatrixSpec,

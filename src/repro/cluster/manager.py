@@ -35,6 +35,7 @@ from __future__ import annotations
 import asyncio
 from typing import Dict, List, Optional
 
+from repro.net.server import wait_within
 from repro.obs.trace import NULL_RECORDER
 from repro.cluster.cluster import Cluster
 from repro.cluster.placement import ClusterTopology
@@ -84,9 +85,11 @@ class TopologyManager:
                 pass
 
     async def _loop(self) -> None:
-        # runs while it is the manager's task, not until cancelled: before
-        # Python 3.12, asyncio.wait_for swallows a cancel that lands as the
-        # probe's reply arrives, and a loop left running hangs stop()
+        # runs while it is the manager's task, not until cancelled: a
+        # repair's promote awaits ReplicationFollower.stop(), which
+        # cancels the follower's task and catches its CancelledError, so
+        # a cancel of this loop that lands there is swallowed, and a
+        # loop left running hangs stop()
         task = asyncio.current_task()
         while self._task is task:
             await self.tick()
@@ -96,35 +99,35 @@ class TopologyManager:
     # detect
 
     async def probe(self, leader_id: str) -> bool:
-        """One in-band liveness check against a leader's serving port."""
+        """One in-band liveness check against a leader's serving port: a
+        ``version`` request answered within ``probe_timeout``."""
         info = self.cluster.topology.node(leader_id)
         if info is None:
             return False
         self.cluster.metrics.probes += 1
         try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(info.host, info.port),
-                self.probe_timeout)
-        except (ConnectionError, OSError, asyncio.TimeoutError):
+            ok = await wait_within(self._version(info), self.probe_timeout)
+        except (ConnectionError, OSError):
+            ok = False
+        if not ok:
             self.cluster.metrics.probe_failures += 1
-            return False
+        return ok
+
+    @staticmethod
+    async def _version(info) -> bool:
+        # the connection opens and closes in here, so a timeout or a
+        # cancel that unwinds this coroutine also closes it
+        reader, writer = await asyncio.open_connection(info.host, info.port)
         try:
             writer.write(b"version\r\n")
             await writer.drain()
-            line = await asyncio.wait_for(reader.readline(),
-                                          self.probe_timeout)
-            ok = line.startswith(b"VERSION")
-        except (ConnectionError, OSError, asyncio.TimeoutError):
-            ok = False
+            return (await reader.readline()).startswith(b"VERSION")
         finally:
             writer.close()
             try:
                 await writer.wait_closed()
             except Exception:
                 pass
-        if not ok:
-            self.cluster.metrics.probe_failures += 1
-        return ok
 
     async def tick(self) -> None:
         """One manager cycle: lag sampling, probes, repair if due."""

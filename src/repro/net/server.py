@@ -177,9 +177,8 @@ class MemcachedServer:
                 if injector is not None:
                     data = injector.held_bytes(scope)
                 if not data:
-                    try:
-                        data = await self._read(reader)
-                    except asyncio.TimeoutError:
+                    data = await self._read(reader)
+                    if data is False:
                         self.metrics.read_timeouts += 1
                         break
                     if not data:
@@ -229,11 +228,12 @@ class MemcachedServer:
             except Exception:
                 pass
 
-    async def _read(self, reader: asyncio.StreamReader) -> bytes:
+    async def _read(self, reader: asyncio.StreamReader):
+        """The next chunk: ``b""`` at EOF, ``False`` once ``read_timeout``
+        passes with nothing read."""
         if self.read_timeout is None:
             return await reader.read(READ_CHUNK)
-        return await asyncio.wait_for(reader.read(READ_CHUNK),
-                                      self.read_timeout)
+        return await wait_within(reader.read(READ_CHUNK), self.read_timeout)
 
     async def _flush(self, inflight, writer: asyncio.StreamWriter,
                      scope: int = -1) -> None:
@@ -273,6 +273,43 @@ class MemcachedServer:
         if held:
             writer.write(b"".join(held))
         await writer.drain()
+
+
+async def _wait_in_scope(awaitable, timeout: float):
+    # Python 3.11+: awaited in the caller's own task under
+    # asyncio.timeout, as 3.12's wait_for does, so a wait makes no task
+    # and a cancel reaches ``awaitable`` like any other
+    try:
+        async with asyncio.timeout(timeout):
+            return await awaitable
+    except TimeoutError:
+        return False
+
+
+async def _wait_in_task(awaitable, timeout: float):
+    # Python 3.10 has no asyncio.timeout: ``awaitable`` runs as a task
+    task = asyncio.ensure_future(awaitable)
+    try:
+        await asyncio.wait((task,), timeout=timeout)
+        if not task.done():
+            task.cancel()
+            await asyncio.wait((task,))
+    except asyncio.CancelledError:
+        # the caller's cancel outranks the task's outcome; cancel() on a
+        # finished task also marks its exception retrieved
+        task.cancel()
+        raise
+    return False if task.cancelled() else task.result()
+
+
+#: ``await wait_within(awaitable, timeout)``: ``awaitable``'s result, or
+#: ``False`` if ``timeout`` seconds pass first (``awaitable`` is then
+#: cancelled and unwound). The one timed wait for a loop that stops by
+#: being cancelled: before Python 3.12, ``asyncio.wait_for`` returns the
+#: inner result when a cancel lands in the loop turn that completes it,
+#: and the loop runs on; here that cancel is raised.
+wait_within = _wait_in_scope if hasattr(asyncio, "timeout") \
+    else _wait_in_task
 
 
 async def serve(host: str = "127.0.0.1", port: int = 11211,

@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.errors import ReplicationError
 from repro.net.router import ShardRouter
+from repro.net.server import wait_within
 from repro.replication import wire
 from repro.replication.delta import compute_delta
 from repro.replication.metrics import ReplicationMetrics
@@ -69,8 +70,6 @@ class FollowerSession:
         self.dirty: Set[int] = set()
         self.needs_resync = False
         self.wake = asyncio.Event()
-        #: set by the session's teardown before it cancels the sender
-        self.closed = False
 
     def mark_dirty(self, stream: int) -> None:
         self.dirty.add(stream)
@@ -236,7 +235,6 @@ class ReplicationLeader:
                 ConnectionError, OSError):
             pass
         finally:
-            session.closed = True
             if sender is not None:
                 sender.cancel()
                 try:
@@ -397,17 +395,11 @@ class ReplicationLeader:
     async def _sender(self, session: FollowerSession) -> None:
         """Ship deltas when streams go dirty; heartbeat when idle."""
         try:
-            # runs until the session closes, not until cancelled: before
-            # Python 3.12, asyncio.wait_for swallows a cancel that lands
-            # as ``wake`` fires, and a sender left running hangs stop()
-            while not session.closed:
-                try:
-                    if self.heartbeat_interval is None:
-                        await session.wake.wait()
-                    else:
-                        await asyncio.wait_for(session.wake.wait(),
-                                               self.heartbeat_interval)
-                except asyncio.TimeoutError:
+            while True:
+                if self.heartbeat_interval is None:
+                    await session.wake.wait()
+                elif not await wait_within(session.wake.wait(),
+                                           self.heartbeat_interval):
                     self._send(session, wire.HEARTBEAT,
                                wire.encode_json_payload(
                                    {"t": self.metrics.heartbeats}))

@@ -28,14 +28,11 @@ zero word, so zero elements vanish into zero subtrees).
 from __future__ import annotations
 
 import struct
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.core.machine import Machine
 from repro.segments import dag
 from repro.segments.segment_map import SegmentFlags
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _F64 = struct.Struct(">d")
 
@@ -162,12 +159,14 @@ class QuadTreeMatrix:
         return cls(machine, vsid, n_rows, n_cols, size, len(updates))
 
     @classmethod
-    def from_dense(cls, machine: Machine, dense: "np.ndarray") -> "QuadTreeMatrix":
-        """Build from a dense numpy array (zeros are elided)."""
-        import numpy as np
-        rows, cols = np.nonzero(dense)
-        entries = [(int(r), int(c), float(dense[r, c])) for r, c in zip(rows, cols)]
-        return cls.from_coo(machine, dense.shape[0], dense.shape[1], entries)
+    def from_dense(cls, machine: Machine,
+                   dense: Sequence[Sequence[float]]) -> "QuadTreeMatrix":
+        """Build from rows of values (zeros are elided), cells visited in
+        row-major order."""
+        entries = [(r, c, float(value)) for r, row in enumerate(dense)
+                   for c, value in enumerate(row) if value != 0]
+        n_cols = len(dense[0]) if len(dense) else 0
+        return cls.from_coo(machine, len(dense), n_cols, entries)
 
     # ------------------------------------------------------------------
 
@@ -183,16 +182,15 @@ class QuadTreeMatrix:
                 row, col = sz_coords(index, self.size)
                 yield row, col, word_to_float(word)
 
-    def to_dense(self) -> "np.ndarray":
-        """Materialize as a dense numpy array (tests / small matrices)."""
-        import numpy as np
-        out = np.zeros((self.n_rows, self.n_cols))
+    def to_dense(self) -> List[List[float]]:
+        """Materialize as a list of rows (tests / small matrices)."""
+        out = [[0.0] * self.n_cols for _ in range(self.n_rows)]
         for row, col, value in self.iter_nonzero():
             if row < self.n_rows and col < self.n_cols:
-                out[row, col] = value
+                out[row][col] = value
         return out
 
-    def spmv(self, x: "np.ndarray") -> "np.ndarray":
+    def spmv(self, x: Sequence[float]) -> List[float]:
         """Sparse matrix - dense vector multiply ``y = A @ x``.
 
         Traverses the quad-tree once; shared (duplicate or symmetric)
@@ -200,8 +198,7 @@ class QuadTreeMatrix:
         off-chip traffic reduction comes from. The result vector is
         accumulated in transient (per-processor) memory.
         """
-        import numpy as np
-        y = np.zeros(self.n_rows)
+        y = [0.0] * self.n_rows
         for row, col, value in self.iter_nonzero():
             if row < self.n_rows and col < self.n_cols:
                 y[row] += value * x[col]
@@ -283,22 +280,20 @@ class NzdMatrix:
                     yield row, col, word_to_float(values.read(ordinal))
                     ordinal += 1
 
-    def spmv(self, x: "np.ndarray") -> "np.ndarray":
+    def spmv(self, x: Sequence[float]) -> List[float]:
         """``y = A @ x`` via the pattern walk + dense value stream."""
-        import numpy as np
-        y = np.zeros(self.n_rows)
+        y = [0.0] * self.n_rows
         for row, col, value in self.iter_nonzero():
             if row < self.n_rows and col < self.n_cols:
                 y[row] += value * x[col]
         return y
 
-    def to_dense(self) -> "np.ndarray":
-        """Materialize as a dense numpy array."""
-        import numpy as np
-        out = np.zeros((self.n_rows, self.n_cols))
+    def to_dense(self) -> List[List[float]]:
+        """Materialize as a list of rows."""
+        out = [[0.0] * self.n_cols for _ in range(self.n_rows)]
         for row, col, value in self.iter_nonzero():
             if row < self.n_rows and col < self.n_cols:
-                out[row, col] = value
+                out[row][col] = value
         return out
 
     def footprint_lines(self) -> int:

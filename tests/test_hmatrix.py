@@ -2,7 +2,6 @@
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.structures import NzdMatrix, QuadTreeMatrix
@@ -14,6 +13,12 @@ from repro.structures.hmatrix import (
     word_to_float,
 )
 from tests import reference_sz_order
+from tests.reference_dense import (
+    allclose,
+    matvec,
+    nonzero_entries,
+    random_dense,
+)
 
 
 class TestFloatWords:
@@ -102,27 +107,26 @@ class TestSzTables:
 
 class TestQuadTreeMatrix:
     def test_roundtrip_dense(self, machine):
-        rng = np.random.RandomState(5)
-        dense = np.round(rng.rand(7, 9) * (rng.rand(7, 9) > 0.6), 3)
+        dense = random_dense(random.Random(5), 7, 9, 0.4)
         qt = QuadTreeMatrix.from_dense(machine, dense)
-        assert np.allclose(qt.to_dense(), dense)
+        assert allclose(qt.to_dense(), dense)
 
     def test_get_element(self, machine):
         qt = QuadTreeMatrix.from_coo(machine, 5, 5, [(1, 2, 3.5)])
         assert qt.get(1, 2) == 3.5
         assert qt.get(2, 1) == 0.0
 
-    def test_spmv_matches_numpy(self, machine):
-        rng = np.random.RandomState(6)
-        dense = np.round(rng.rand(12, 12) * (rng.rand(12, 12) > 0.7), 3)
+    def test_spmv_matches_dense(self, machine):
+        rng = random.Random(6)
+        dense = random_dense(rng, 12, 12, 0.3)
         qt = QuadTreeMatrix.from_dense(machine, dense)
-        x = rng.rand(12)
-        assert np.allclose(qt.spmv(x), dense @ x)
+        x = [rng.random() for _ in range(12)]
+        assert allclose(qt.spmv(x), matvec(dense, x))
 
     def test_zero_matrix_is_free(self, machine):
         qt = QuadTreeMatrix.from_coo(machine, 64, 64, [])
         assert qt.footprint_lines() == 0
-        assert np.allclose(qt.spmv(np.ones(64)), 0)
+        assert allclose(qt.spmv([1.0] * 64), [0.0] * 64)
 
     def test_structural_equality(self, machine):
         entries = [(0, 0, 1.0), (3, 2, -2.0)]
@@ -169,23 +173,16 @@ class TestQuadTreeMatrix:
 
 class TestNzdMatrix:
     def test_roundtrip(self, machine):
-        rng = np.random.RandomState(7)
-        dense = np.round(rng.rand(10, 10) * (rng.rand(10, 10) > 0.5), 3)
-        nz = NzdMatrix.from_coo(
-            machine, 10, 10,
-            [(int(r), int(c), float(dense[r, c]))
-             for r, c in zip(*np.nonzero(dense))])
-        assert np.allclose(nz.to_dense(), dense)
+        dense = random_dense(random.Random(7), 10, 10, 0.5)
+        nz = NzdMatrix.from_coo(machine, 10, 10, nonzero_entries(dense))
+        assert allclose(nz.to_dense(), dense)
 
-    def test_spmv_matches_numpy(self, machine):
-        rng = np.random.RandomState(8)
-        dense = np.round(rng.rand(9, 9) * (rng.rand(9, 9) > 0.6), 3)
-        nz = NzdMatrix.from_coo(
-            machine, 9, 9,
-            [(int(r), int(c), float(dense[r, c]))
-             for r, c in zip(*np.nonzero(dense))])
-        x = rng.rand(9)
-        assert np.allclose(nz.spmv(x), dense @ x)
+    def test_spmv_matches_dense(self, machine):
+        rng = random.Random(8)
+        dense = random_dense(rng, 9, 9, 0.4)
+        nz = NzdMatrix.from_coo(machine, 9, 9, nonzero_entries(dense))
+        x = [rng.random() for _ in range(9)]
+        assert allclose(nz.spmv(x), matvec(dense, x))
 
     def test_pattern_dedup_beats_qts_for_unique_values(self):
         # same pattern, unique values: NZD's pattern tree dedups while

@@ -1,6 +1,7 @@
 """Tests for tree-recursive matrix algebra and the parallel SpMV."""
 
-import numpy as np
+import random
+
 import pytest
 
 from repro.apps.spmv.algebra import (
@@ -12,34 +13,43 @@ from repro.apps.spmv.algebra import (
 )
 from repro.structures import QuadTreeMatrix
 from repro.workloads.matrices import fem_2d, patterned_block
+from tests.reference_dense import (
+    add,
+    allclose,
+    dense_from_coo,
+    linspace,
+    matvec,
+    random_dense,
+    scale,
+    transpose,
+)
 
 
 def random_matrix(machine, n, density, seed):
-    rng = np.random.RandomState(seed)
-    dense = np.round(rng.rand(n, n) * (rng.rand(n, n) < density), 3)
+    dense = random_dense(random.Random(seed), n, n, density)
     return QuadTreeMatrix.from_dense(machine, dense), dense
 
 
 class TestAdd:
-    def test_matches_numpy(self, machine):
+    def test_matches_dense(self, machine):
         a, da = random_matrix(machine, 12, 0.3, 1)
         b, db = random_matrix(machine, 12, 0.3, 2)
         c = qts_add(machine, a, b)
-        assert np.allclose(c.to_dense(), da + db)
+        assert allclose(c.to_dense(), add(da, db))
 
     def test_zero_shortcut(self, machine):
         a, da = random_matrix(machine, 8, 0.3, 3)
         zero = QuadTreeMatrix.from_coo(machine, 8, 8, [])
         stats = _OpStats()
         c = qts_add(machine, a, zero, stats)
-        assert np.allclose(c.to_dense(), da)
+        assert allclose(c.to_dense(), da)
         assert stats.zero_shortcuts > 0
         assert stats.leaf_ops == 0  # nothing actually summed
 
     def test_add_with_self_is_doubling(self, machine):
         a, da = random_matrix(machine, 10, 0.4, 4)
         c = qts_add(machine, a, a)
-        assert np.allclose(c.to_dense(), 2 * da)
+        assert allclose(c.to_dense(), scale(2, da))
 
     def test_duplicate_blocks_summed_once(self, machine):
         spec = patterned_block(128, "p", seed=5, tile=16)
@@ -50,10 +60,8 @@ class TestAdd:
         # (sub-block, sub-block) pair only once
         assert stats.memo_hits > 0
         assert stats.leaf_ops < spec.nnz / 4
-        ref = np.zeros((spec.n, spec.m))
-        for r, col, v in spec.entries:
-            ref[r, col] = v
-        assert np.allclose(c.to_dense(), 2 * ref)
+        ref = dense_from_coo(spec.n, spec.m, spec.entries)
+        assert allclose(c.to_dense(), scale(2, ref))
 
     def test_shape_mismatch_rejected(self, machine):
         a, _ = random_matrix(machine, 8, 0.3, 1)
@@ -63,10 +71,10 @@ class TestAdd:
 
 
 class TestScale:
-    def test_matches_numpy(self, machine):
+    def test_matches_dense(self, machine):
         a, da = random_matrix(machine, 12, 0.4, 6)
         c = qts_scale(machine, a, -2.5)
-        assert np.allclose(c.to_dense(), -2.5 * da)
+        assert allclose(c.to_dense(), scale(-2.5, da))
 
     def test_memoized_over_duplicates(self, machine):
         spec = patterned_block(128, "p", seed=7, tile=16)
@@ -82,10 +90,10 @@ class TestScale:
 
 
 class TestTranspose:
-    def test_matches_numpy(self, machine):
+    def test_matches_dense(self, machine):
         a, da = random_matrix(machine, 9, 0.4, 9)
         t = qts_transpose(machine, a)
-        assert np.allclose(t.to_dense(), da.T)
+        assert allclose(t.to_dense(), transpose(da))
 
     def test_symmetric_transposes_to_same_root(self, machine):
         spec = fem_2d(8, "sym")
@@ -97,17 +105,18 @@ class TestTranspose:
 class TestParallelSpmv:
     def test_matches_serial(self, machine):
         a, da = random_matrix(machine, 24, 0.3, 10)
-        x = np.linspace(0.5, 1.5, 24)
+        x = linspace(0.5, 1.5, 24)
         y = parallel_spmv(machine, a, x, n_workers=4, seed=3)
-        assert np.allclose(y, da @ x)
+        assert allclose(y, matvec(da, x))
 
     def test_single_worker(self, machine):
         a, da = random_matrix(machine, 8, 0.5, 11)
-        x = np.ones(8)
-        assert np.allclose(parallel_spmv(machine, a, x, n_workers=1), da @ x)
+        x = [1.0] * 8
+        assert allclose(parallel_spmv(machine, a, x, n_workers=1),
+                        matvec(da, x))
 
     def test_result_segment_reclaimed(self, machine):
         a, da = random_matrix(machine, 8, 0.5, 12)
         before = len(machine.segmap)
-        parallel_spmv(machine, a, np.ones(8), n_workers=2)
+        parallel_spmv(machine, a, [1.0] * 8, n_workers=2)
         assert len(machine.segmap) == before

@@ -13,7 +13,6 @@ import asyncio
 
 from repro.net.server import MemcachedServer
 from repro.replication import ReplicationFollower, ReplicationLeader
-from repro.replication import leader as leader_module
 
 
 async def wait_until(predicate, timeout=5.0):
@@ -125,35 +124,11 @@ class TestSessionChurn:
         asyncio.run(go())
 
 
-class _Python311WaitFor:
-    """``asyncio`` as the leader module sees it, except that
-    ``wait_for`` swallows a cancel that lands while the session's
-    ``wake`` is set. Before Python 3.12 ``asyncio.wait_for`` does that
-    when the cancel and the awaited event land in the same loop turn;
-    this makes the race happen on every version, every time."""
-
-    def __init__(self, sessions):
-        self._sessions = sessions
-
-    def __getattr__(self, name):
-        return getattr(asyncio, name)
-
-    async def wait_for(self, awaitable, timeout):
-        try:
-            return await asyncio.wait_for(awaitable, timeout)
-        except asyncio.CancelledError:
-            if not any(s.wake.is_set() for s in self._sessions):
-                raise
-            return True
-
-
 class TestSenderStops:
-    def test_stop_returns_when_the_cancel_lands_as_wake_fires(
-            self, monkeypatch):
-        sessions = []
-        monkeypatch.setattr(leader_module, "asyncio",
-                            _Python311WaitFor(sessions))
-
+    def test_stop_returns_when_the_cancel_lands_as_wake_fires(self):
+        # the sender's timed wait is repro.net.server.wait_within;
+        # tests/test_net_timed_wait.py cancels it in the very turn that
+        # ``wake`` fires, here stop() races the wake
         async def go():
             server = MemcachedServer(port=0, shard_count=2)
             await server.start()
@@ -169,8 +144,7 @@ class TestSenderStops:
                 assert await wait_until(
                     lambda: len(follower.applied_seq) == 2)
                 await asyncio.sleep(0.05)
-                sessions.extend(leader._sessions)
-                sessions[0].wake.set()
+                leader._sessions[0].wake.set()
                 await asyncio.wait_for(leader.stop(), 2.0)
                 assert not leader._sessions
             finally:

@@ -1,6 +1,5 @@
 """Unit and integration tests for the SpMV study."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.experiments import run_figure7, run_table2_figure8
@@ -9,6 +8,7 @@ from repro.apps.spmv.kernels import (
     best_hicamp_footprint,
     csr_result,
     hicamp_spmv_traffic,
+    pairwise_sum,
     spmv_conventional_config,
 )
 from repro.structures.hmatrix import NzdMatrix, QuadTreeMatrix
@@ -19,21 +19,16 @@ from repro.workloads.matrices import (
     patterned_block,
     random_sparse,
 )
-
-
-def to_dense(spec):
-    dense = np.zeros((spec.n, spec.m))
-    for r, c, v in spec.entries:
-        dense[r, c] = v
-    return dense
+from tests.reference_dense import allclose, dense_from_coo, linspace, matvec
 
 
 class TestCsr:
-    def test_multiply_matches_numpy(self):
+    def test_multiply_matches_dense(self):
         spec = lp_block(32, 24, "t", seed=1)
         csr = CsrMatrix.from_spec(spec)
-        x = np.linspace(1, 2, spec.m)
-        assert np.allclose(csr.multiply(x), to_dense(spec) @ x)
+        x = linspace(1, 2, spec.m)
+        dense = dense_from_coo(spec.n, spec.m, spec.entries)
+        assert allclose(csr.multiply(x), matvec(dense, x))
 
     def test_symmetric_storage_halves_offdiag(self):
         spec = fem_2d(8, "t")
@@ -45,8 +40,8 @@ class TestCsr:
         spec = fem_2d(8, "t")
         full = CsrMatrix.from_spec(spec, use_symmetric=False)
         half = CsrMatrix.from_spec(spec, use_symmetric=True)
-        x = np.arange(spec.m, dtype=float) + 0.5
-        assert np.allclose(half.multiply(x), full.multiply(x))
+        x = [i + 0.5 for i in range(spec.m)]
+        assert allclose(half.multiply(x), full.multiply(x))
 
     def test_traffic_positive_and_scales(self):
         small = CsrMatrix.from_spec(random_sparse(64, 512, "s", seed=2))
@@ -60,6 +55,29 @@ class TestCsr:
         spec = random_sparse(64, 512, "s", seed=3)
         csr = CsrMatrix.from_spec(spec)
         assert csr.storage_bytes() == (4 * (spec.n + 1) + 12 * spec.nnz)
+
+
+class TestPairwiseSum:
+    """The checksum adds in numpy's pairwise order, so the recorded
+    checksums hold bit for bit."""
+
+    def test_short_runs_add_in_order(self):
+        values = [0.1 * i for i in range(7)]
+        assert pairwise_sum(values) == sum(values)
+
+    def test_eight_running_sums_then_the_remainder(self):
+        values = [0.1 * i for i in range(19)]
+        r = [values[j] + values[j + 8] for j in range(8)]
+        tree = (((r[0] + r[1]) + (r[2] + r[3]))
+                + ((r[4] + r[5]) + (r[6] + r[7])))
+        rest = values[16:]
+        assert pairwise_sum(values) == tree + rest[0] + rest[1] + rest[2]
+
+    def test_long_runs_split_at_a_multiple_of_eight(self):
+        values = [1.0 / (i + 1) for i in range(300)]  # 150 rounds down to 144
+        assert pairwise_sum(values) == (pairwise_sum(values[:144])
+                                        + pairwise_sum(values[144:]))
+        assert pairwise_sum(values) != sum(values)
 
 
 class TestHicampKernels:
