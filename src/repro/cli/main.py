@@ -243,36 +243,18 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         cfg = HIConfig(schedules=args.schedules, keys=args.keys,
                        ops=args.ops)
         report = run_hi(episodes=args.episodes, seed=args.seed, cfg=cfg)
-    elif args.profile == "expiry":
-        from repro.testing.fuzz import expiry_config, run_fuzz
-
-        cfg = expiry_config(clients=args.clients,
-                            ops_per_client=args.ops,
-                            pipeline_depth=args.pipeline,
-                            key_space=args.keys, shards=args.shards)
-        report = run_fuzz(episodes=args.episodes, seed=args.seed, cfg=cfg)
-    elif args.profile == "cluster":
-        from repro.cluster.fuzz import ClusterEpisodeConfig, run_fuzz
-
-        cfg = ClusterEpisodeConfig(ops=args.ops, key_space=args.keys,
-                                   shards=args.shards)
-        report = run_fuzz(episodes=args.episodes, seed=args.seed, cfg=cfg)
-    elif args.profile == "replication":
-        from repro.replication.fuzz import (
-            ReplicationEpisodeConfig,
-            run_fuzz,
-        )
-
-        cfg = ReplicationEpisodeConfig(ops=args.ops, key_space=args.keys,
-                                       shards=args.shards)
-        report = run_fuzz(episodes=args.episodes, seed=args.seed, cfg=cfg)
     else:
-        from repro.testing.fuzz import EpisodeConfig, run_fuzz
+        from repro.testing import fuzz
 
-        cfg = EpisodeConfig(clients=args.clients, ops_per_client=args.ops,
-                            pipeline_depth=args.pipeline,
-                            key_space=args.keys, shards=args.shards)
-        report = run_fuzz(episodes=args.episodes, seed=args.seed, cfg=cfg)
+        make = {"serving": fuzz.EpisodeConfig,
+                "expiry": fuzz.expiry_config,
+                "replication": fuzz.replication_config,
+                "cluster": fuzz.cluster_config}[args.profile]
+        cfg = make(clients=args.clients, ops_per_client=args.ops,
+                   pipeline_depth=args.pipeline, key_space=args.keys,
+                   shards=args.shards)
+        report = fuzz.run_fuzz(episodes=args.episodes, seed=args.seed,
+                               cfg=cfg)
     print(report.render(verbose=args.verbose))
     return 0 if report.ok else 1
 
@@ -658,13 +640,17 @@ def build_parser() -> argparse.ArgumentParser:
                                "expiry", "hi"),
                       default="serving",
                       help="serving: faulty clients against one server; "
-                           "replication: a faulty replication link that "
-                           "must converge after healing; cluster: a "
-                           "seeded mid-script leader kill the topology "
-                           "manager must repair; expiry: TTL'd sets "
-                           "under commit stalls (expired keys must not "
-                           "resurrect); hi: differential history "
-                           "independence over permuted schedules")
+                           "replication: the same clients against a "
+                           "leader whose faulty replication link must "
+                           "converge after healing; cluster: the same "
+                           "clients against two leaders, one killed "
+                           "mid-script, that the topology manager must "
+                           "repair; expiry: TTL'd sets under commit "
+                           "stalls (expired keys must not resurrect); "
+                           "every one of these four checks the history "
+                           "for linearizability; hi: differential "
+                           "history independence over permuted "
+                           "schedules")
     p_fz.add_argument("--episodes", type=int, default=10,
                       help="number of seeded episodes (default 10)")
     p_fz.add_argument("--seed", type=int, default=0,

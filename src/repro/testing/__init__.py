@@ -18,7 +18,8 @@ package is that checker, in three layers:
   content-uniqueness, segment-map root validity.
 
 :mod:`repro.testing.fuzz` composes them into seeded adversarial
-episodes (the ``repro fuzz`` CLI subcommand),
+episodes against one server, a replicated leader or a whole cluster
+(the ``repro fuzz`` CLI subcommand),
 :mod:`repro.testing.hi` verifies **history independence**
 differentially — permuted/batched/merge-staged schedules of one seeded
 workload must produce byte-identical canonical roots, fingerprints and
@@ -48,8 +49,10 @@ from repro.testing.fuzz import (
     EpisodeConfig,
     EpisodeResult,
     FuzzReport,
+    cluster_config,
     episode_seed,
     expiry_config,
+    replication_config,
     run_episode,
     run_fuzz,
 )
@@ -75,7 +78,8 @@ __all__ = [
     "COMMIT_STALL", "CONN_RESET", "FLUSH_DELAY", "READ_SPLIT",
     "WRITE_SPLIT", "FaultInjector", "FaultPlan", "InjectedReset",
     "EpisodeConfig", "EpisodeResult", "FuzzReport", "episode_seed",
-    "expiry_config", "run_episode", "run_fuzz",
+    "expiry_config", "replication_config", "cluster_config",
+    "run_episode", "run_fuzz",
     "HIConfig", "HIEpisodeResult", "generate_workload",
     "run_hi", "run_hi_episode", "verify_structure",
     "UNMATCHABLE", "HistoryRecorder", "LinearizabilityReport",

@@ -300,6 +300,16 @@ class TestFuzzProfiles:
         out = capsys.readouterr().out
         assert "replication fuzz episodes=1 ok=1 failed=0" in out
 
+    def test_clients_flag_reaches_the_cluster_profile(self, capsys):
+        headers = []
+        for clients in ("1", "4"):
+            assert main(["fuzz", "--profile", "cluster", "--episodes", "1",
+                         "--seed", "0", "--ops", "8",
+                         "--clients", clients]) == 0
+            headers.append(capsys.readouterr().out.splitlines()[0])
+        assert headers[0].startswith("cluster episode seed=0 clients=1 ")
+        assert headers[1].startswith("cluster episode seed=0 clients=4 ")
+
 
 class TestHiAndScaleCli:
     def test_parser_accepts_new_profiles_and_target(self):

@@ -95,13 +95,32 @@ def test_named_commands_and_flags_are_the_parsers(name):
 
 
 def test_the_flag_check_sees_the_commands_it_should():
-    assert ("fuzz", " --profile replication --episodes 5 --seed 0") \
+    assert ("fuzz", " --profile replication --episodes 5 --seed 0 --verbose") \
         in _invocations(".github/workflows/ci.yml")
     assert any(sub == "loadgen" and "--pipeline" in rest
                for sub, rest in _invocations("docs/api.md"))
     assert _subparser(build_parser(), ["cluster", "serve", "--leaders"]) \
         ._option_string_actions.keys() >= {"--leaders", "--followers"}
     assert _subparser(build_parser(), ["import", "Machine"]) is None
+
+
+def test_every_fuzz_run_in_ci_is_diffed_against_its_tracked_output():
+    """CI tees each ``repro fuzz`` run into ``tests/fuzz_out/<profile>.txt``
+    and fails on any byte of difference, so every tracked file belongs
+    to exactly one run and every run to one file."""
+    ci = read(".github/workflows/ci.yml")
+    runs = re.findall(r"repro\.cli fuzz\b([^|]*)\| tee (\S+)\n", ci)
+    assert len(runs) == len(re.findall(r"repro\.cli fuzz\b", ci)) == 5
+    teed = []
+    for flags, path in runs:
+        profile = re.search(r"--profile (\w+)", flags)
+        assert path == "tests/fuzz_out/%s.txt" % (
+            profile.group(1) if profile else "serving")
+        teed.append(path)
+    tracked = sorted("tests/fuzz_out/" + p.name
+                     for p in (ROOT / "tests/fuzz_out").iterdir())
+    assert sorted(teed) == tracked
+    assert "run: git diff --exit-code tests/fuzz_out/\n" in ci
 
 
 def test_both_files_run_every_paper_bench():

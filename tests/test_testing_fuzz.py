@@ -2,12 +2,17 @@
 
 from unittest import mock
 
+import pytest
+
 from repro.cli.main import main
-from repro.net.router import ConnectionState
+from repro.net.router import ConnectionState, ShardRouter
+from repro.structures.hmap import HMap
 from repro.testing.faults import COMMIT_STALL, CONN_RESET, FLUSH_DELAY
 from repro.testing.fuzz import (
     EpisodeConfig,
+    cluster_config,
     episode_seed,
+    replication_config,
     run_episode,
     run_fuzz,
 )
@@ -60,6 +65,48 @@ class TestCheckerSensitivity:
         assert not broken.ok
         assert any("linearizability violation" in f
                    for f in broken.failures)
+
+    @pytest.mark.parametrize("config, seed", [
+        (replication_config, 0), (cluster_config, 1)])
+    def test_a_set_replayed_onto_another_key_is_caught(
+            self, monkeypatch, config, seed):
+        """The first ``HMap.put`` that finds another key present also
+        writes its value there: the checker must name that key on the
+        replicated and the cluster topology alike."""
+        put = HMap.put
+        replayed = []
+
+        def replaying_put(self, key, value):
+            created = put(self, key, value)
+            others = [k for k in self.keys() if k != key]
+            if not replayed and others:
+                replayed.append(others[0])
+                put(self, others[0], value)
+            return created
+
+        monkeypatch.setattr(HMap, "put", replaying_put)
+        result = run_episode(seed, config())
+        assert replayed and not result.ok
+        assert "linearizable=NO" in result.trace
+        assert any(f.startswith("linearizability violation on key %r"
+                                % replayed[0])
+                   for f in result.failures), result.failures
+
+    def test_a_stray_key_fails_the_state_check_alone(self, monkeypatch):
+        """A key no client wrote, put into one shard after the drain, is
+        invisible to the read-back — only the state check sees it."""
+        drain = ShardRouter.drain
+
+        async def drain_then_stray(self):
+            await drain(self)
+            self.servers[0].kvp.put(b"zz", b"stray")
+
+        monkeypatch.setattr(ShardRouter, "drain", drain_then_stray)
+        result = run_episode(2, EpisodeConfig())
+        assert "linearizable=yes" in result.trace
+        assert "state=FAILED" in result.trace
+        assert not result.ok
+        assert any("(b'zz', b'stray')" in f for f in result.failures)
 
     def test_stalled_commits_pass_with_working_fence(self):
         # forcing every batch to stall must not fail a correct server
