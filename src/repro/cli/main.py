@@ -253,8 +253,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         cfg = make(clients=args.clients, ops_per_client=args.ops,
                    pipeline_depth=args.pipeline, key_space=args.keys,
                    shards=args.shards)
-        report = fuzz.run_fuzz(episodes=args.episodes, seed=args.seed,
-                               cfg=cfg)
+        report = fuzz.run_fuzz(
+            episodes=args.episodes, seed=args.seed, cfg=cfg,
+            profile=None if args.profile == "serving" else args.profile)
     print(report.render(verbose=args.verbose))
     return 0 if report.ok else 1
 

@@ -85,13 +85,7 @@ class TopologyManager:
                 pass
 
     async def _loop(self) -> None:
-        # runs while it is the manager's task, not until cancelled: a
-        # repair's promote awaits ReplicationFollower.stop(), which
-        # cancels the follower's task and catches its CancelledError, so
-        # a cancel of this loop that lands there is swallowed, and a
-        # loop left running hangs stop()
-        task = asyncio.current_task()
-        while self._task is task:
+        while True:
             await self.tick()
             await asyncio.sleep(self.probe_interval)
 

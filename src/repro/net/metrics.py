@@ -32,6 +32,9 @@ class ServerMetrics:
     clock: Callable[[], float] = time.monotonic
 
     ops_total: int = 0
+    #: requests answered in the read callback, with no task and no
+    #: future (the rest of ``ops_total`` took the ordered path)
+    inline_requests: int = 0
     bytes_in: int = 0
     bytes_out: int = 0
 
@@ -89,6 +92,16 @@ class ServerMetrics:
         self.bytes_out += response_bytes
         self._latencies.append(latency_s)
 
+    def observe_inline(self, commands: List[bytes], latency_s: float,
+                       response_bytes: int) -> None:
+        """Account requests answered inline, all ready at once."""
+        count = len(commands)
+        self.ops_total += count
+        self.inline_requests += count
+        self._by_command.update(commands)
+        self.bytes_out += response_bytes
+        self._latencies.extend([latency_s] * count)
+
     def observe_queue_depth(self, depth: int) -> None:
         self.queue_high_watermark = max(self.queue_high_watermark, depth)
 
@@ -123,6 +136,7 @@ class ServerMetrics:
             "uptime_seconds": round(self.uptime_seconds, 3),
             "ops_total": self.ops_total,
             "ops_per_second": round(self.ops_per_second, 1),
+            "inline_requests": self.inline_requests,
             "ops_by_command": dict(self.ops_by_command),
             "bytes_in": self.bytes_in,
             "bytes_out": self.bytes_out,

@@ -1,24 +1,45 @@
 """The asyncio TCP front end: HICAMP memcached on a real socket.
 
-``MemcachedServer`` accepts connections, feeds each socket's bytes
-through a :class:`~repro.net.framing.FrameDecoder` (partial reads and
-pipelined requests both work), and routes every complete frame through a
-router: a leader's :class:`~repro.net.router.ShardRouter`, or a
-follower's :class:`~repro.replication.follower.FollowerRouter` (reads
-from the replica, writes forwarded to the leader). Responses are written
+``MemcachedServer`` accepts connections and gives each one a
+:class:`_Connection`, an :class:`asyncio.Protocol` that feeds the
+socket's bytes through a :class:`~repro.net.framing.FrameDecoder`
+(partial reads and pipelined requests both work) and routes every
+complete frame through a router: a leader's
+:class:`~repro.net.router.ShardRouter`, or a follower's
+:class:`~repro.replication.follower.FollowerRouter` (reads from the
+replica, writes forwarded to the leader). Responses are written
 strictly in request order per connection — the memcached contract —
 while commits proceed asynchronously on the shard workers, so a
 pipelining client overlaps its requests with the server's commit work.
 
 Connection lifecycle:
 
-* per-connection **read timeout** (idle clients are dropped);
-* **bounded in-flight** pipelining: at most ``max_inflight`` responses
-  outstanding per connection before the reader stops dispatching, on top
-  of the bounded per-shard commit queues (the write-side backpressure);
-* ``quit`` and EOF both drain outstanding responses before closing;
-* **graceful shutdown**: stop accepting, unblock reads, flush every
-  commit queue, then stop the workers — no commit is ever dropped.
+* **inline path**: the read callback answers every frame of a chunk
+  that the router's ``answer`` resolves (a snapshot read, ``version``,
+  a malformed frame) and writes the chunk's replies with one
+  ``transport.write``. A hot get is answered in the loop turn its bytes
+  arrive, with no task, no future and no extra turn (PAPER §2.2: a read
+  of a committed version never waits on a writer);
+* **ordered path**: the first frame that needs the router's
+  ``dispatch`` (a write, a read fenced behind this connection's writes,
+  ``flush_all``), and every chunk of a fault-injected connection, hands
+  the rest of its chunk to the connection's one ordered task. Bytes
+  that arrive while it runs wait in a backlog (reading pauses once
+  ``BACKLOG_LIMIT`` bytes wait). Once the task has written every reply
+  it owes, it takes the backlog as one chunk the same way, inline up to
+  its first frame that needs ``dispatch``, and ends when nothing is
+  owed;
+* **bounded in-flight** pipelining: at most ``max_inflight`` replies
+  are held before they are written, on top of the bounded per-shard
+  commit queues; a transport whose write buffer passes its high-water
+  mark pauses reading until it drains (the write-side backpressure);
+* an **idle timer** per connection (``read_timeout``) drops a client
+  that sends nothing for that long; it never fires while the server
+  still owes the connection replies;
+* ``quit`` and EOF both flush outstanding replies before closing;
+* **graceful shutdown**: stop accepting, close every connection, flush
+  every commit queue, then stop the workers — no commit is ever
+  dropped.
 
 Example::
 
@@ -41,8 +62,9 @@ from repro.net.framing import FrameDecoder
 from repro.net.metrics import ServerMetrics
 from repro.net.router import WRITE_COMMANDS, ConnectionState, ShardRouter
 
-#: Largest chunk requested from a socket per read.
-READ_CHUNK = 1 << 16
+#: Bytes a connection queues for its ordered task before it stops
+#: reading (a ``StreamReader`` pauses at twice its 64 KiB limit).
+BACKLOG_LIMIT = 1 << 17
 
 
 class MemcachedServer:
@@ -88,7 +110,7 @@ class MemcachedServer:
         self.recorder = self.router.recorder
         self.metrics: ServerMetrics = self.router.metrics
         self._server: Optional[asyncio.AbstractServer] = None
-        self._conn_tasks: set = set()
+        self._connections: set = set()
         self._closing = False
 
     # ------------------------------------------------------------------
@@ -97,8 +119,8 @@ class MemcachedServer:
     async def start(self) -> None:
         """Start the shard workers and begin accepting connections."""
         await self.router.start()
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def serve_forever(self) -> None:
@@ -112,22 +134,10 @@ class MemcachedServer:
         ``metrics.pending_at_shutdown`` records the (always zero) count
         of commits still queued when the workers stopped.
         """
-        self._closing = True
-        if self._server is not None:
-            self._server.close()
-        # unblock connection readers stuck in read(); already-enqueued
-        # commits still land — the queues drain below. Cancel before
-        # wait_closed(): on 3.12+ wait_closed waits for these handlers.
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        if self._server is not None:
-            await self._server.wait_closed()
+        await self._close_connections(abort=False)
         await self.router.drain()
         self.metrics.pending_at_shutdown = self.router.pending_commits()
         await self.router.stop()
-        self._server = None
 
     async def abort(self) -> None:
         """Crash-stop: drop connections and queued commits on the floor.
@@ -136,17 +146,39 @@ class MemcachedServer:
         nothing flushes. Used by the cluster harness to kill a leader the
         way a power cut would.
         """
+        await self._close_connections(abort=True)
+        await self.router.abort()
+
+    async def _close_connections(self, abort: bool) -> None:
+        # stop accepting, cancel the ordered tasks (commits already
+        # enqueued still land: the queues drain after this), then close
+        # every transport. A graceful close first reads on: what a
+        # client sent is dropped unanswered, not left unread for the
+        # close to answer with a reset. That takes two turns, as a
+        # turn runs this task before the read callbacks its own poll
+        # found. Close before wait_closed(): on 3.12+ it waits for
+        # every connection to be lost.
         self._closing = True
         if self._server is not None:
             self._server.close()
-        for task in list(self._conn_tasks):
+        connections = list(self._connections)
+        tasks = [c.task for c in connections if c.task is not None]
+        for task in tasks:
             task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        if not abort:
+            for connection in connections:
+                connection.transport.resume_reading()
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)
+        await asyncio.gather(*tasks, return_exceptions=True)
+        for connection in connections:
+            if abort:
+                connection.transport.abort()
+            else:
+                connection.transport.close()
         if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        await self.router.abort()
 
     async def __aenter__(self) -> "MemcachedServer":
         await self.start()
@@ -156,89 +188,12 @@ class MemcachedServer:
         await self.shutdown()
 
     # ------------------------------------------------------------------
-    # per-connection protocol loop
+    # the ordered path's writer
 
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        metrics, router = self.metrics, self.router
-        metrics.connections_opened += 1
-        conn_id = metrics.connections_opened
-        recorder = self.recorder
-        injector = self.injector
-        scope = injector.next_connection() if injector is not None else -1
-        decoder = FrameDecoder()
-        conn = ConnectionState()
-        inflight = []  # (decode time, command, bytes or awaitable, span)
-        try:
-            while not self._closing:
-                data = b""
-                if injector is not None:
-                    data = injector.held_bytes(scope)
-                if not data:
-                    data = await self._read(reader)
-                    if data is False:
-                        self.metrics.read_timeouts += 1
-                        break
-                    if not data:
-                        break
-                    if injector is not None:
-                        data = injector.on_read(scope, data)
-                frames = decoder.feed(data)
-                metrics.observe_read(len(data), len(frames))
-                # a request's latency runs from here, its bytes decoded,
-                # to its reply being ready to write (read in _flush)
-                decoded = metrics.now()
-                quit_seen = False
-                for frame in frames:
-                    if frame.command == b"quit":
-                        quit_seen = True
-                        break
-                    if len(inflight) >= self.max_inflight:
-                        await self._flush(inflight, writer, scope)
-                    span = None
-                    if recorder.enabled:
-                        span = recorder.begin(
-                            "request", conn=conn_id,
-                            command=frame.command.decode("ascii",
-                                                         "replace"))
-                    response = router.answer(frame, conn)
-                    if response is None:
-                        response = await router.dispatch(frame, conn, span)
-                    inflight.append((decoded, frame.command, response, span))
-                    if injector is not None \
-                            and frame.command in WRITE_COMMANDS:
-                        # may raise InjectedReset: the commit is already
-                        # enqueued, the response is never flushed — the
-                        # "connection reset mid-commit" scenario
-                        injector.after_dispatch(scope, frame.command)
-                await self._flush(inflight, writer, scope)
-                if quit_seen:
-                    break
-        except (asyncio.CancelledError, ConnectionResetError,
-                BrokenPipeError):
-            pass
-        finally:
-            self.metrics.connections_closed += 1
-            self._conn_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except Exception:
-                pass
-
-    async def _read(self, reader: asyncio.StreamReader):
-        """The next chunk: ``b""`` at EOF, ``False`` once ``read_timeout``
-        passes with nothing read."""
-        if self.read_timeout is None:
-            return await reader.read(READ_CHUNK)
-        return await wait_within(reader.read(READ_CHUNK), self.read_timeout)
-
-    async def _flush(self, inflight, writer: asyncio.StreamWriter,
-                     scope: int = -1) -> None:
+    async def _flush(self, inflight, writer, scope: int = -1) -> None:
         """Write outstanding responses (bytes, or awaitables of queued
-        ones) in request order.
+        ones) in request order through ``writer`` (``write``/``drain``:
+        a :class:`_Connection`).
 
         Consecutive ready responses leave as one write; what is held is
         written *before* suspending on an unresolved one, so no reply
@@ -273,6 +228,279 @@ class MemcachedServer:
         if held:
             writer.write(b"".join(held))
         await writer.drain()
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection of a :class:`MemcachedServer`.
+
+    ``data_received`` answers inline what the router can answer; the
+    first frame it cannot hands the rest of the chunk to :meth:`_serve`,
+    the connection's one ordered task, and what arrives while that task
+    runs waits in ``backlog`` until the replies it owes are written.
+    """
+
+    def __init__(self, server: MemcachedServer) -> None:
+        self.server = server
+        self.metrics = server.metrics
+        self.recorder = server.recorder
+        self.injector = server.injector
+        self.answer = server.router.answer
+        self.max_inflight = server.max_inflight
+        self.timeout = server.read_timeout
+        self.decoder = FrameDecoder()
+        self.conn = ConnectionState()
+        self.loop = asyncio.get_running_loop()
+        self.transport: Optional[asyncio.Transport] = None
+        #: the ordered task while one runs; bytes read meanwhile queue
+        #: for it in ``backlog``, and EOF read meanwhile sets ``eof``
+        self.task: Optional[asyncio.Task] = None
+        self.backlog: list = []
+        self.backlog_bytes = 0
+        self.eof = False
+        #: resolved when a write buffer past its high-water mark drains
+        self._drained: Optional[asyncio.Future] = None
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self.idle_since = 0.0
+        self.id = self.scope = -1
+
+    # ------------------------------------------------------------------
+    # transport callbacks
+
+    def connection_made(self, transport) -> None:
+        server, metrics = self.server, self.metrics
+        self.transport = transport
+        server._connections.add(self)
+        metrics.connections_opened += 1
+        self.id = metrics.connections_opened
+        if self.injector is not None:
+            self.scope = self.injector.next_connection()
+        if server._closing:
+            transport.close()
+        elif self.timeout is not None:
+            self.idle_since = self.loop.time()
+            self._timer = self.loop.call_at(self.idle_since + self.timeout,
+                                            self._idle)
+
+    def data_received(self, data: bytes) -> None:
+        if self.server._closing:
+            return  # a stopping server answers nothing more
+        if self.timeout is not None:
+            self.idle_since = self.loop.time()
+        if self.task is not None:
+            # the ordered task owes replies: it takes these after them
+            self.backlog.append(data)
+            self.backlog_bytes += len(data)
+            if self.backlog_bytes > BACKLOG_LIMIT:
+                self.transport.pause_reading()
+            return
+        rest = self._take(data)
+        if rest is not None:
+            self.task = self.loop.create_task(self._serve(*rest))
+
+    def eof_received(self) -> bool:
+        # with no task, every reply is written: False closes (the
+        # transport sends what it holds first); else the task closes
+        self.eof = self.task is not None
+        return self.eof
+
+    def pause_writing(self) -> None:
+        self._drained = self.loop.create_future()
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        drained, self._drained = self._drained, None
+        if not drained.done():
+            drained.set_result(None)
+        self._resume()
+
+    def connection_lost(self, exc) -> None:
+        self.metrics.connections_closed += 1
+        self.server._connections.discard(self)
+        if self._timer is not None:
+            self._timer.cancel()
+        if self._drained is not None:
+            self.resume_writing()  # a task waiting on drain() wakes
+
+    # ------------------------------------------------------------------
+    # the inline path
+
+    def _take(self, data: bytes):
+        """Decode ``data`` and answer inline every frame the router can,
+        up to the first it cannot: ``None`` when none is left, else
+        ``(frames, decoded, span)`` for the ordered path (``span`` is
+        the first frame's request span, if open)."""
+        injector = self.injector
+        if injector is not None:
+            data = injector.on_read(self.scope, data)
+        frames = self.decoder.feed(data)
+        metrics = self.metrics
+        metrics.observe_read(len(data), len(frames))
+        if injector is not None:
+            # its hooks await: every chunk (and the held-back rest of a
+            # split read) takes the ordered path
+            return frames, metrics.now(), None
+        if not frames:
+            return None
+        # a request's latency runs from here, its bytes decoded, to its
+        # reply being ready to write
+        decoded = metrics.now()
+        answer, conn, recorder = self.answer, self.conn, self.recorder
+        commands, replies, spans = [], [], []
+        # every frame before ``index`` is answered: ``replies`` holds
+        # those since the last write, and ``max_inflight`` is a write
+        write_at = self.max_inflight
+        for index, frame in enumerate(frames):
+            command = frame.command
+            if command == b"quit":
+                self._write_inline(commands, replies, spans, decoded)
+                self.transport.close()
+                return None
+            if index == write_at:
+                write_at += self.max_inflight
+                self._write_inline(commands, replies, spans, decoded)
+                commands, replies, spans = [], [], []
+                if self._drained is not None:
+                    # the write buffer is full: the rest waits for drain
+                    return frames[index:], decoded, None
+            span = None
+            if recorder.enabled:
+                span = recorder.begin(
+                    "request", conn=self.id,
+                    command=command.decode("ascii", "replace"))
+            response = answer(frame, conn)
+            if response is None:
+                self._write_inline(commands, replies, spans, decoded)
+                return frames[index:], decoded, span
+            commands.append(command)
+            replies.append(response)
+            if span is not None:
+                spans.append((span, len(response)))
+        self._write_inline(commands, replies, spans, decoded)
+        return None
+
+    def _write_inline(self, commands, replies, spans,
+                      decoded: float) -> None:
+        """Write the replies answered inline, all ready now."""
+        if not replies:
+            return
+        metrics = self.metrics
+        data = b"".join(replies)
+        metrics.observe_inline(commands, metrics.now() - decoded, len(data))
+        for span, size in spans:
+            self.recorder.end(span, response_bytes=size)
+        self.transport.write(data)
+
+    # ------------------------------------------------------------------
+    # the ordered path
+
+    async def _serve(self, frames, decoded: float, span) -> None:
+        """The ordered task: dispatch ``frames`` in order (the first
+        one's request span is ``span`` if already open), then any bytes
+        a split read held back, then the backlog through :meth:`_take`,
+        until nothing is owed; close after ``quit``, EOF or a reset."""
+        injector, metrics = self.injector, self.metrics
+        reading = False
+        try:
+            while await self._dispatch(frames, decoded, span):
+                data = b"" if injector is None \
+                    else injector.held_bytes(self.scope)
+                if data:
+                    frames = self.decoder.feed(data)
+                    metrics.observe_read(len(data), len(frames))
+                    decoded, span = metrics.now(), None
+                    continue
+                if not self.backlog:
+                    reading = True
+                    break
+                # every reply owed is written: the backlog is read now,
+                # inline up to its first frame that needs dispatch
+                data = b"".join(self.backlog)
+                self.backlog.clear()
+                self.backlog_bytes = 0
+                self._resume()
+                rest = self._take(data)
+                if rest is None:
+                    reading = not self.transport.is_closing()
+                    break
+                frames, decoded, span = rest
+        except (ConnectionResetError, BrokenPipeError):
+            pass  # a reset, injected or not, ends the connection
+        finally:
+            self.task = None
+            if not reading:  # also on a cancel or an unexpected error
+                self.transport.close()
+        if reading:
+            if self.eof:
+                self.transport.close()
+            elif self.timeout is not None:
+                # idle time starts once the replies owed are out
+                self.idle_since = self.loop.time()
+
+    async def _dispatch(self, frames, decoded: float, span) -> bool:
+        """One chunk's frames through ``answer``, else ``dispatch``, and
+        their replies flushed in order; False once ``quit`` is seen."""
+        server, conn, scope = self.server, self.conn, self.scope
+        router, recorder, injector = server.router, self.recorder, \
+            self.injector
+        await self.drain()  # the inline path stopped on a full buffer
+        inflight = []  # (decode time, command, bytes or awaitable, span)
+        for frame in frames:
+            command = frame.command
+            if command == b"quit":
+                await server._flush(inflight, self, scope)
+                return False
+            if len(inflight) >= self.max_inflight:
+                await server._flush(inflight, self, scope)
+            if span is None and recorder.enabled:
+                span = recorder.begin(
+                    "request", conn=self.id,
+                    command=command.decode("ascii", "replace"))
+            response = router.answer(frame, conn)
+            if response is None:
+                response = await router.dispatch(frame, conn, span)
+            inflight.append((decoded, command, response, span))
+            span = None
+            if injector is not None and command in WRITE_COMMANDS:
+                # may raise InjectedReset: the commit is already
+                # enqueued, the response is never flushed — the
+                # "connection reset mid-commit" scenario
+                injector.after_dispatch(scope, command)
+        await server._flush(inflight, self, scope)
+        return True
+
+    # the writer ``MemcachedServer._flush`` writes through
+
+    def write(self, data: bytes) -> None:
+        if not self.transport.is_closing():
+            self.transport.write(data)
+
+    async def drain(self) -> None:
+        if self._drained is not None:
+            await self._drained
+        if self.transport.is_closing():
+            raise ConnectionResetError("connection closed")
+
+    # ------------------------------------------------------------------
+    # reading on and off
+
+    def _resume(self) -> None:
+        """Read again unless the write buffer or the backlog is full."""
+        if self._drained is None and self.backlog_bytes <= BACKLOG_LIMIT:
+            self.transport.resume_reading()
+
+    def _idle(self) -> None:
+        loop = self.loop
+        if self.task is not None or self._drained is not None:
+            # replies still owed: the idle time starts when they are out
+            self._timer = loop.call_later(self.timeout, self._idle)
+            return
+        deadline = self.idle_since + self.timeout
+        if loop.time() < deadline:
+            self._timer = loop.call_at(deadline, self._idle)
+            return
+        self._timer = None
+        self.metrics.read_timeouts += 1
+        self.transport.close()
 
 
 async def _wait_in_scope(awaitable, timeout: float):

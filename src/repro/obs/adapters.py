@@ -36,7 +36,7 @@ __all__ = [
 # with ServerMetrics.snapshot(); tests reconstruct that snapshot from
 # these lists and assert the round trip.
 SERVER_COUNTER_FIELDS = (
-    "ops_total", "bytes_in", "bytes_out",
+    "ops_total", "inline_requests", "bytes_in", "bytes_out",
     "connections_opened", "connections_closed", "read_timeouts",
     "frames_decoded", "pipelined_requests",
     "protocol_errors", "server_errors",

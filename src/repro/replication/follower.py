@@ -108,14 +108,17 @@ class ReplicationFollower:
         checkpointed, or promoted after the link is gone.
         """
         self._closing = True
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
-        self._release_translations()
+        task, self._task = self._task, None
+        try:
+            if task is not None:
+                # waited on, not awaited: the task's own CancelledError
+                # stays in it, and a cancel of the caller is raised
+                task.cancel()
+                await asyncio.wait((task,))
+                if not task.cancelled():
+                    task.result()
+        finally:
+            self._release_translations()
 
     def fingerprints(self) -> Dict[int, bytes]:
         """Per-stream content digests (convergence checks, HELLO).

@@ -810,14 +810,16 @@ def run_episode(seed: int, cfg: Optional[EpisodeConfig] = None,
 
 
 def run_fuzz(episodes: int = 10, seed: int = 0,
-             cfg: Optional[EpisodeConfig] = None) -> FuzzReport:
+             cfg: Optional[EpisodeConfig] = None,
+             profile: Optional[str] = None) -> FuzzReport:
     """Run ``episodes`` seeded adversarial episodes; the topology names
-    the seed label, the summary heading and the reproduce line's
-    ``--profile``."""
+    the seed label, the summary heading and, unless ``profile`` (the
+    ``repro fuzz --profile`` that built ``cfg``) does, the reproduce
+    line's ``--profile``."""
     topology = TOPOLOGIES[(cfg or EpisodeConfig()).topology]
     return run_episodes(lambda s: run_episode(s, cfg), episodes, seed,
                         label=topology.label, heading=topology.heading,
-                        profile=topology.profile)
+                        profile=profile or topology.profile)
 
 
 def expiry_config(**overrides) -> EpisodeConfig:

@@ -173,6 +173,46 @@ class TestRepairLoop:
 
         asyncio.run(go())
 
+    def test_stop_landing_in_a_repairs_promote_returns(self):
+        """The loop runs until cancelled: a cancel that lands while a
+        promote awaits ``ReplicationFollower.stop()`` is raised there and
+        ends the loop, so ``stop()`` returns."""
+        async def go():
+            cluster = Cluster(ClusterConfig(leaders=1, followers=1,
+                                            shards=2))
+            manager = TopologyManager(cluster, probe_interval=0.02,
+                                      failure_threshold=1)
+            stopping = []
+            async with cluster:
+                loop = asyncio.get_running_loop()
+                deadline = loop.time() + 10.0
+                # the leader's replication session is up before the kill
+                while not all(len(node.follower.applied_seq) == 2
+                              for node in cluster.followers.values()):
+                    assert loop.time() < deadline, "follower never synced"
+                    await asyncio.sleep(0.01)
+                for node in cluster.followers.values():
+                    real_stop = node.follower.stop
+
+                    async def stop_during_promote(real_stop=real_stop):
+                        if not stopping:
+                            stopping.append(
+                                asyncio.ensure_future(manager.stop()))
+                        await real_stop()
+
+                    node.follower.stop = stop_during_promote
+                await manager.start()
+                await cluster.kill("lead-0")
+                deadline = loop.time() + 10.0
+                while not stopping:
+                    assert loop.time() < deadline, "no repair started"
+                    await asyncio.sleep(0.01)
+                done, _ = await asyncio.wait(stopping, timeout=2.0)
+                assert done, "stop() hung on a cancel inside promote"
+                assert cluster.metrics.promotions == 0
+
+        asyncio.run(go())
+
     def test_lag_tie_breaks_by_node_id(self):
         async def go():
             cluster = Cluster(ClusterConfig(

@@ -10,7 +10,8 @@ legal, but any later read observing the dead value again has no valid
 linearization and must be flagged.
 """
 
-from repro.testing import COMMIT_STALL, expiry_config, run_fuzz
+from repro.cli.main import main
+from repro.testing import COMMIT_STALL, expiry_config, fuzz, run_fuzz
 from repro.testing.history import Operation, check_history
 
 
@@ -118,3 +119,23 @@ class TestExpiryProfile:
     def test_seeded_episodes_pass_the_ttl_checker(self):
         report = run_fuzz(episodes=2, seed=7, cfg=expiry_config())
         assert report.ok, report.render(verbose=True)
+
+    def test_a_failing_run_reproduces_under_its_profile(
+            self, monkeypatch, capsys):
+        async def failed(seed, cfg, trace_recorder=None):
+            assert cfg.ttl_rate > 0  # the expiry profile's config
+            return fuzz.EpisodeResult(
+                seed=seed, ok=False,
+                trace=["episode seed=%d" % seed, "result=FAILED"],
+                failures=["expired key resurrected"])
+
+        monkeypatch.setattr(fuzz, "_run_episode", failed)
+        code = main(["fuzz", "--profile", "expiry", "--episodes", "1",
+                     "--seed", "23"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1
+        # the summary heading is the serving topology's, as
+        # tests/fuzz_out/expiry.txt pins it; the reproduce line is not
+        assert "fuzz episodes=1 ok=0 failed=1" in out
+        assert out[-1] == \
+            "reproduce: repro fuzz --profile expiry --episodes 1 --seed 23"

@@ -109,22 +109,27 @@ class TestCancelledLoopsStop:
             await server.start()
             reader, writer = await asyncio.open_connection("127.0.0.1",
                                                            server.port)
+            stop = None
             try:
-                await wait_until(lambda: server._conn_tasks)
-                (task,) = server._conn_tasks
-                await asyncio.sleep(0.05)  # parked in its timed read
+                await wait_until(lambda: server._connections)
+                (connection,) = server._connections
+                await asyncio.sleep(0.05)  # idle, its timer armed
                 await idle_turns(seed)
-                server_reader = task.get_coro().cr_frame.f_locals["reader"]
-                server_reader.feed_data(b"version\r\n")
-                task.cancel()
-                done, _ = await asyncio.wait((task,), timeout=2.0)
-                assert done, "the connection ran on after its cancel"
-                # the cancel won: the request that arrived with it is
-                # never answered
+                # the request and the stop land in one step: the stop
+                # runs in the server's next turn, before the read
+                writer.write(b"version\r\n")
+                stop = asyncio.ensure_future(server.shutdown())
+                done, _ = await asyncio.wait((stop,), timeout=2.0)
+                assert done, "the connection held the stop up"
+                stop.result()
+                # the stop won: the request that arrived with it is
+                # never answered, and the idle timer went with it
                 assert await reader.read() == b""
+                assert connection._timer.cancelled()
             finally:
                 writer.close()
-                await asyncio.wait_for(server.shutdown(), 2.0)
+                if stop is None:
+                    await asyncio.wait_for(server.shutdown(), 2.0)
 
         asyncio.run(go())
 

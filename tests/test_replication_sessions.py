@@ -152,3 +152,33 @@ class TestSenderStops:
                 await server.shutdown()
 
         asyncio.run(go())
+
+
+class TestFollowerStop:
+    def test_a_cancel_of_the_caller_is_raised_and_pins_released(self):
+        """``stop()`` cancels the link task and waits on it; a cancel of
+        the task awaiting ``stop()`` must end that task cancelled, not
+        be taken for the link's own CancelledError."""
+        async def go():
+            async with LeaderStack() as stack:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", stack.server.port)
+                writer.write(b"set k 0 0 5\r\nvalue\r\n")
+                assert await reader.readline() == b"STORED\r\n"
+                writer.close()
+                await writer.wait_closed()
+                follower = ReplicationFollower(
+                    "127.0.0.1", stack.leader.port, reconnect_delay=0.01)
+                await follower.start()
+                assert await wait_until(
+                    lambda: sum(follower.applied_seq.values()) == 1)
+                assert follower.plid_map
+                stopper = asyncio.ensure_future(follower.stop())
+                await asyncio.sleep(0)  # stop() waits on the link task
+                stopper.cancel()
+                await asyncio.wait((stopper,), timeout=2.0)
+                assert stopper.cancelled()
+                # the translation map's pins go either way
+                assert not follower.plid_map
+
+        asyncio.run(go())
