@@ -53,11 +53,14 @@ class ServerStats:
 
 
 class HicampMemcached:
-    """A memcached server running directly on a HICAMP machine."""
+    """A memcached server running directly on a HICAMP machine, over a
+    new empty map or an existing map ``segment`` (a replica's stream)."""
 
-    def __init__(self, machine: Machine) -> None:
+    def __init__(self, machine: Machine,
+                 segment: Optional[int] = None) -> None:
         self.machine = machine
-        self.kvp = HMap.create(machine)
+        self.kvp = HMap.create(machine) if segment is None \
+            else HMap(machine, segment)
         self.stats = ServerStats()
 
     # ------------------------------------------------------------------

@@ -78,11 +78,12 @@ class TopologyManager:
     async def stop(self) -> None:
         task, self._task = self._task, None
         if task is not None:
+            # waited on, not awaited: the loop's own CancelledError stays
+            # in it, and a cancel of the caller is raised
             task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
+            await asyncio.wait((task,))
+            if not task.cancelled():
+                task.result()
 
     async def _loop(self) -> None:
         while True:

@@ -24,17 +24,17 @@ followers through one function,
 
 Promotion is where the paper's economics show up: a follower's machine
 already holds the dead leader's committed state as canonical segments,
-so :meth:`FollowerNode.promote` just *adopts* those segments as the
-backends of a fresh leader stack (:class:`AdoptedMemcached` wraps an
-existing VSID instead of creating one). No data copies, no log replay —
-the DAG is the checkpoint. Surviving siblings then reparent to the new
-leader and its HELLO fingerprints match, so they re-sync via the SEED
-path: zero lines reshipped.
+so :meth:`FollowerNode.promote` hands the follower's own backends — a
+plain :class:`~repro.apps.memcached.server.HicampMemcached` over each
+replicated segment — to a fresh leader stack. No data copies, no log
+replay — the DAG is the checkpoint. Surviving siblings then reparent to
+the new leader and its HELLO fingerprints match, so they re-sync via
+the SEED path: zero lines reshipped.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.apps.memcached.server import HicampMemcached
 from repro.core.machine import Machine
@@ -46,45 +46,7 @@ from repro.replication.follower import FollowerRouter, ReplicationFollower
 from repro.replication.leader import ReplicationLeader
 from repro.cluster.placement import ClusterTopology, NodeInfo
 
-__all__ = ["AdoptedMemcached", "ClusterRouter", "LeaderNode",
-           "FollowerNode", "adopting_backend_factory", "parse_moved"]
-
-
-class AdoptedMemcached(HicampMemcached):
-    """A memcached backend over an *existing* segment.
-
-    The promotion path: the follower replicated the dead leader's
-    per-shard maps into its own machine; wrapping those VSIDs (instead of
-    ``HMap.create``) turns replicated state into served state with zero
-    copying.
-    """
-
-    def __init__(self, machine: Machine, vsid: int) -> None:
-        from repro.structures.hmap import HMap
-        self.machine = machine
-        self.kvp = HMap(machine, vsid)
-        from repro.apps.memcached.server import ServerStats
-        self.stats = ServerStats()
-
-
-def adopting_backend_factory(streams: Dict[int, int]):
-    """Backend factory adopting ``shard index → vsid`` where present.
-
-    The router instantiates backends in shard order, so a simple counter
-    pairs each call with its shard index; shards with no replicated
-    stream (never written on the old leader) start empty.
-    """
-    state = {"next": 0}
-
-    def factory(machine: Machine) -> HicampMemcached:
-        shard = state["next"]
-        state["next"] += 1
-        vsid = streams.get(shard)
-        if vsid is None:
-            return HicampMemcached(machine)
-        return AdoptedMemcached(machine, vsid)
-
-    return factory
+__all__ = ["ClusterRouter", "LeaderNode", "FollowerNode", "parse_moved"]
 
 
 def parse_moved(line: bytes):
@@ -272,22 +234,26 @@ class FollowerNode:
         """Turn this follower into a leader over its replicated state.
 
         Stops the follower stack (releasing the translation map's pins;
-        the segments stay), then adopts its per-stream segments as the
-        shard backends of a fresh leader stack listening on the same
+        the segments stay), then hands its per-stream backends, in
+        stream order, to a fresh leader stack listening on the same
         serving port — clients that cached this node's address keep
         working. ``shards`` must be the dead leader's shard count so
         stream indices keep meaning the same thing to re-syncing
-        siblings.
+        siblings; a shard with no replicated stream (the follower never
+        heard of it) starts empty.
         """
         port = self.front.port
-        streams = dict(self.follower.streams)
         await self.front.shutdown()
         await self.follower.stop()
+        backends = iter(self.follower.servers[:shards])
         node = LeaderNode(
             self.node_id, machine=self.follower.machine, shards=shards,
             host=self.host, port=port, lag_window=lag_window,
             heartbeat_interval=heartbeat_interval,
-            backend_factory=adopting_backend_factory(streams),
+            # the router builds its shards in order: each takes the
+            # next replicated backend while there is one
+            backend_factory=lambda machine: next(
+                backends, None) or HicampMemcached(machine),
             recorder=recorder)
         await node.start()
         return node

@@ -85,6 +85,14 @@ class Machine:
             Processor(self, pid) for pid in range(self.config.n_processors)
         ]
 
+    def configure_serving(self) -> "Machine":
+        """Hold the store (the owner drains reclamation between its
+        batches) and turn the structural memo on: how a shard router and
+        a replication follower run a machine. Returns the machine."""
+        self.mem.store.hold_reclaim()
+        self.mem.memo.enable()
+        return self
+
     @property
     def transient(self) -> TransientRegion:
         """Processor 0's transient region (single-processor shorthand)."""

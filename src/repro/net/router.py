@@ -117,20 +117,33 @@ class ShardRouter:
                  memory: Optional[MemoryConfig] = None) -> None:
         if shard_count < 1:
             raise ValueError("need at least one shard")
-        #: optional :class:`repro.testing.faults.FaultInjector`; its
-        #: ``before_commit`` hook stalls a shard worker between draining
-        #: a batch and applying it (adversarial testing only).
-        self.injector = injector
         # ``memory`` only applies when the router owns its machine — a
         # caller-supplied machine keeps its own config
         if machine is None:
             machine = Machine(MachineConfig(memory=memory or MemoryConfig()))
+        # the workers drain reclamation between commit batches, and a
+        # memo hit skips a value's rebuild and its modeled lookups but
+        # stays refcount-exact (docs/performance.md)
+        machine.configure_serving()
+        servers = [backend_factory(machine) for _ in range(shard_count)]
+        self._front(machine, servers, [ProtocolHandler(s) for s in servers],
+                    queue_depth, batch_limit, metrics, injector, recorder,
+                    registry)
+
+    def _front(self, machine: Machine, servers: List[HicampMemcached],
+               handlers: List[ProtocolHandler], queue_depth=256,
+               batch_limit=16, metrics=None, injector=None, recorder=None,
+               registry=None) -> None:
+        """Front ``servers``, one per shard on a serving ``machine``,
+        through ``handlers`` (a follower's router passes its replica's
+        lists, which grow as streams arrive)."""
+        #: optional :class:`repro.testing.faults.FaultInjector`; its
+        #: ``before_commit`` hook stalls a shard worker between draining
+        #: a batch and applying it (adversarial testing only).
+        self.injector = injector
         self.machine = machine
-        # the shard workers drain reclamation between commit batches
-        self.machine.mem.store.hold_reclaim()
-        self.servers = [backend_factory(self.machine)
-                        for _ in range(shard_count)]
-        self.handlers = [ProtocolHandler(server) for server in self.servers]
+        self.servers = servers
+        self.handlers = handlers
         self.queue_depth = queue_depth
         self.batch_limit = max(1, batch_limit)
         self.metrics = metrics if metrics is not None else ServerMetrics()
@@ -143,22 +156,16 @@ class ShardRouter:
         self.registry = registry if registry is not None \
             else MetricsRegistry()
         adapters.register_server_metrics(self.registry, self.metrics)
-        adapters.register_dram_stats(self.registry, self.machine.mem.dram)
+        adapters.register_dram_stats(self.registry, machine.mem.dram)
         adapters.register_router(self.registry, self)
-        adapters.register_index(self.registry, self.machine.mem.store)
-        adapters.register_reclaim(self.registry, self.machine.mem.store)
-        # the structural memo (a repeated value's bytes -> its root, a
-        # map version's gets, PLID -> fingerprint) is off by default so
-        # modeled-DRAM experiments stay exact; the serving stack opts in
-        # — a hit skips a value's rebuild and its modeled lookups but
-        # stays refcount-exact (docs/performance.md)
-        self.machine.mem.memo.enable()
-        adapters.register_memo(self.registry, self.machine.mem.memo)
+        adapters.register_index(self.registry, machine.mem.store)
+        adapters.register_reclaim(self.registry, machine.mem.store)
+        adapters.register_memo(self.registry, machine.mem.memo)
         # the eviction accounting ManagedMemcached adds reads through
         # the registry like every other silo
-        if all(hasattr(s, "eviction") for s in self.servers):
+        if servers and all(hasattr(s, "eviction") for s in servers):
             adapters.register_eviction(
-                self.registry, [s.eviction for s in self.servers])
+                self.registry, [s.eviction for s in servers])
         self.queues: List["asyncio.Queue"] = []
         self._workers: List["asyncio.Task"] = []
         #: callbacks fired as ``listener(shard, vsid, commits)`` after a
@@ -206,14 +213,16 @@ class ShardRouter:
         queued state part ways, and replication convergence is judged on
         what actually committed).
         """
-        for worker in self._workers:
+        workers, self._workers = self._workers, []
+        for worker in workers:
             worker.cancel()
-        for worker in self._workers:
-            try:
-                await worker
-            except asyncio.CancelledError:
-                pass
-        self._workers = []
+        if workers:
+            # waited on, not awaited: the workers' own CancelledError
+            # stays in them, and a cancel of the caller is raised
+            await asyncio.wait(workers)
+        for worker in workers:
+            if not worker.cancelled():
+                worker.result()
 
     def pending_commits(self) -> int:
         """Writes enqueued but not yet applied, across all shards."""
@@ -546,7 +555,13 @@ class ShardRouter:
             "index": self.machine.mem.store.index_snapshot(),
             "reclaim": self.machine.mem.store.reclaim_snapshot(),
             "memo": self.machine.mem.memo.snapshot(),
+            **self.extra_stats(),
         })
+
+    def extra_stats(self) -> Dict:
+        """Keys a router adds to ``stats`` and ``stats json`` beyond the
+        cache-wide state (a follower's replication counters); none."""
+        return {}
 
     def stats_response(self, args: List[bytes]) -> bytes:
         """The ``stats`` command: STAT lines, one JSON document, or
@@ -562,6 +577,8 @@ class ShardRouter:
         lines.append(b"STAT shards %d\r\n" % len(self.servers))
         lines.append(b"STAT pending_commits %d\r\n" % self.pending_commits())
         lines.extend(self.metrics.stats_lines())
+        lines.extend(b"STAT %s %s\r\n" % (name.encode(), str(value).encode())
+                     for name, value in sorted(self.extra_stats().items()))
         lines.append(b"END\r\n")
         return b"".join(lines)
 

@@ -19,13 +19,13 @@ Public surface:
   local segment roots.
 * :class:`~repro.replication.follower.FollowerRouter` — the router a
   follower's :class:`~repro.net.server.MemcachedServer` serves through:
-  snapshot GETs answered locally, writes forwarded to the leader.
+  the leader's shard router over the replica, snapshot GETs answered
+  locally, writes forwarded to the leader.
 * :class:`~repro.replication.metrics.ReplicationMetrics` — wire/dedup/lag
   accounting for either endpoint.
 """
 
 from repro.replication.follower import (
-    FollowerReadBackend,
     FollowerRouter,
     ReplicationFollower,
 )
@@ -33,7 +33,6 @@ from repro.replication.leader import ReplicationLeader
 from repro.replication.metrics import ReplicationMetrics
 
 __all__ = [
-    "FollowerReadBackend",
     "FollowerRouter",
     "ReplicationFollower",
     "ReplicationLeader",

@@ -18,43 +18,43 @@ subtree. The root is committed with the architecture's CAS primitive and
 acknowledged back to the leader; a missing translation raises a NACK
 instead, and the leader falls back to a full sync.
 
-Serving: a follower speaks memcached through the leader's own front, a
-:class:`~repro.net.server.MemcachedServer`, over a
-:class:`FollowerRouter` — **snapshot GETs execute locally** against the
-replicated segments (the paper's synchronization-free read path, now on
-a second machine), while write commands are forwarded verbatim to the
-leader's memcached port. Reads are snapshot-consistent but may lag the
-leader by the replication delay; a client's own write becomes locally
-visible only after its delta arrives (eventual read-your-writes).
+Serving: each stream is a plain
+:class:`~repro.apps.memcached.server.HicampMemcached` over its replicated
+segment, and a follower speaks memcached through the leader's own
+front, a :class:`~repro.net.server.MemcachedServer`, over a
+:class:`FollowerRouter` — the leader's shard router over those backends.
+**Snapshot GETs execute locally** (the paper's synchronization-free read
+path, now on a second machine), while write commands are forwarded
+verbatim to the leader's memcached port. Reads are snapshot-consistent
+but may lag the leader by the replication delay; a client's own write
+becomes locally visible only after its delta arrives (eventual
+read-your-writes).
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
-from repro.apps.memcached.protocol import CRLF, ProtocolHandler
-from repro.apps.memcached.server import ServerStats, cas_token
+from repro.apps.memcached.protocol import ProtocolHandler
+from repro.apps.memcached.server import HicampMemcached
 from repro.core.machine import Machine
 from repro.errors import ReplicationError
 from repro.memory.line import PlidRef
 from repro.memory.reclaim import RECLAIM_BUDGET
-from repro.net.metrics import ServerMetrics
 from repro.net.router import (
+    READ_COMMANDS,
     WRITE_COMMANDS,
+    ShardRouter,
     _completed,
     cluster_response,
-    shard_of,
 )
 from repro.obs import adapters
-from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_RECORDER, DramProbe
 from repro.replication import wire
 from repro.replication.delta import translate_line
 from repro.replication.metrics import ReplicationMetrics
 from repro.segments import dag
-from repro.structures.hmap import HMap
 
 READ_CHUNK = 1 << 16
 
@@ -70,16 +70,23 @@ class ReplicationFollower:
                  recorder=None) -> None:
         self.host = host
         self.port = port
-        self.machine = machine if machine is not None else Machine()
-        # reclamation drains between applied root advances
-        self.machine.mem.store.hold_reclaim()
+        # served or not, a replica runs as its leader's machine does:
+        # reclamation drains between applied root advances, and the
+        # memo answers reads and every HELLO's fingerprints
+        self.machine = (machine if machine is not None
+                        else Machine()).configure_serving()
         #: trace recorder (no-op default); root advances record spans
         #: with the DRAM traffic their installs caused on this machine
         self.recorder = recorder if recorder is not None \
             else NULL_RECORDER
-        #: stream index → local VSID (warm-started from a checkpoint, or
-        #: created empty when the WELCOME announces a new stream)
-        self.streams: Dict[int, int] = dict(streams or {})
+        #: a plain memcached backend over each stream's segment, in
+        #: stream order (warm-started from a checkpoint, or created empty
+        #: when the WELCOME announces a stream), and a protocol handler
+        #: over each: what a front serves and a promotion keeps
+        self.servers: List[HicampMemcached] = []
+        self.handlers: List[ProtocolHandler] = []
+        for stream, vsid in sorted((streams or {}).items()):
+            self._add_stream(stream, vsid)
         self.leader_vsids: Dict[int, int] = {}
         self.metrics = metrics if metrics is not None \
             else ReplicationMetrics()
@@ -130,6 +137,12 @@ class ReplicationFollower:
         return {stream: dag.segment_fingerprint(self.machine, vsid)
                 for stream, vsid in self.streams.items()}
 
+    @property
+    def streams(self) -> Dict[int, int]:
+        """Stream index → local VSID."""
+        return {stream: server.kvp.vsid
+                for stream, server in enumerate(self.servers)}
+
     def reparent(self, host: str, port: int) -> None:
         """Point this follower at a different leader.
 
@@ -143,6 +156,19 @@ class ReplicationFollower:
         writer = self._writer
         if writer is not None and writer.transport is not None:
             writer.transport.abort()
+
+    def _add_stream(self, stream: int, vsid: Optional[int] = None) -> None:
+        """Serve ``stream`` from segment ``vsid`` (a new empty segment by
+        default). A leader's streams are its shard indices, announced
+        together and in order."""
+        if stream != len(self.servers):
+            raise ReplicationError("stream %d arrived before stream %d"
+                                   % (stream, len(self.servers)))
+        if vsid is None:
+            vsid = self.machine.create_segment([])
+        backend = HicampMemcached(self.machine, vsid)
+        self.servers.append(backend)
+        self.handlers.append(ProtocolHandler(backend))
 
     def _release_translations(self) -> None:
         for local in self.plid_map.values():
@@ -248,11 +274,11 @@ class ReplicationFollower:
         doc = wire.decode_json_payload(payload)
         mem = self.machine.mem
         wire.check_handshake(doc, mem.line_bytes, mem.fanout)
-        for stream_str, vsid in doc.get("streams", {}).items():
-            stream = int(stream_str)
+        for stream, vsid in sorted((int(s), vsid) for s, vsid
+                                   in doc.get("streams", {}).items()):
             self.leader_vsids[stream] = vsid
-            if stream not in self.streams:
-                self.streams[stream] = self.machine.create_segment([])
+            if stream >= len(self.servers):
+                self._add_stream(stream)
 
     def _handle_line(self, writer, payload: bytes) -> None:
         plid, line = wire.decode_line_payload(payload)
@@ -314,8 +340,8 @@ class ReplicationFollower:
             wire.decode_advance_payload(payload)
         if span is not None:
             self.recorder.attach(span, stream=stream, seq=seq)
-        if stream not in self.streams:
-            self.streams[stream] = self.machine.create_segment([])
+        if stream >= len(self.servers):
+            self._add_stream(stream)
         self.leader_vsids[stream] = leader_vsid
         if isinstance(root, PlidRef):
             local_plid = self.plid_map.get(root.plid)
@@ -325,7 +351,7 @@ class ReplicationFollower:
             new_root = PlidRef(local_plid, root.path)
         else:
             new_root = root
-        vsid = self.streams[stream]
+        vsid = self.servers[stream].kvp.vsid
         entry = self.machine.segmap.entry(vsid)
         # the map entry takes over this reference on CAS success
         dag.retain_entry(self.machine.mem, new_root)
@@ -354,105 +380,29 @@ class ReplicationFollower:
 # serving
 
 
-class FollowerReadBackend:
-    """Duck-typed server object for :class:`ProtocolHandler`.
-
-    Reads execute as snapshot reads over the replicated segments with
-    the same key → shard routing the leader's router uses; writes never
-    reach this object (:class:`FollowerRouter` forwards them upstream).
-    """
-
-    def __init__(self, follower: ReplicationFollower) -> None:
-        self.follower = follower
-        self.stats = ServerStats()
-
-    def _map_for(self, key: bytes):
-        streams = self.follower.streams
-        if not streams:
-            return None
-        vsid = streams.get(shard_of(key, len(streams)))
-        if vsid is None:
-            return None
-        return HMap(self.follower.machine, vsid)
-
-    def get(self, key: bytes):
-        self.stats.gets += 1
-        kvp = self._map_for(key)
-        value = kvp.get(key) if kvp is not None else None
-        if value is not None:
-            self.stats.get_hits += 1
-        return value
-
-    def gets(self, key: bytes):
-        value = self.get(key)
-        if value is None:
-            return None
-        # the leader's token function: leader and follower tokens agree
-        return value, cas_token(value)
-
-    def item_count(self) -> int:
-        return sum(len(HMap(self.follower.machine, vsid))
-                   for vsid in self.follower.streams.values())
-
-    def version(self) -> bytes:
-        return b"repro-hicamp-follower/1.0"
-
-    def extra_stats(self) -> dict:
-        """Every replication counter, over the wire via ``stats``.
-
-        The full :meth:`ReplicationMetrics.snapshot` is exposed under a
-        ``replication_`` prefix (the per-stream lag map flattened to one
-        key per stream), so follower lag and dedup ratio are visible to
-        any memcached client. The original four summary keys and
-        ``footprint_bytes`` keep their exact names.
-        """
-        snap = self.follower.metrics.snapshot()
-        lag_by_stream = snap.pop("lag_by_stream")
-        out = {
-            "replication_dedup_on_arrival":
-                snap["lines_deduped_on_arrival"],
-            "replication_dedup_ratio":
-                round(self.follower.metrics.dedup_ratio, 6),
-            "footprint_bytes": self.follower.machine.footprint_bytes(),
-        }
-        for name, value in snap.items():
-            out["replication_" + name] = value
-        for stream, lag in lag_by_stream.items():
-            out["replication_lag_stream_%s" % stream] = lag
-        for stream, seq in sorted(self.follower.applied_seq.items()):
-            out["replication_applied_seq_stream_%d" % stream] = seq
-        return out
-
-
-class FollowerRouter:
+class FollowerRouter(ShardRouter):
     """The router a follower's :class:`~repro.net.server.MemcachedServer`
-    serves through: reads from the replica, writes relayed to the leader.
-
-    Writes and ``flush_all`` are forwarded verbatim and awaited inline,
-    so a connection's replies stay in request order. A front has one
-    upstream link, kept in order by a lock around write plus
-    ``readline()`` (every write reply is one line): concurrent forwards
-    from several connections queue behind each other. Everything else is
-    answered synchronously by :meth:`answer`: :class:`ProtocolHandler`
-    over :class:`FollowerReadBackend`, the cluster tier's ``cluster``
-    verb, and ``stats json`` / ``stats prom`` over the front's own
-    metrics.
+    serves through: a :class:`~repro.net.router.ShardRouter` over the
+    replica's machine and per-stream backends, so reads, ``stats`` and
+    protocol errors are the leader's own code (before any stream, every
+    read misses). It adds the ``cluster`` verb, its ``version``, the
+    replication counters in ``stats``, and forwarding: writes and
+    ``flush_all`` are relayed verbatim and awaited inline, so replies
+    stay in request order, over one upstream link kept in order by a
+    lock around write plus ``readline()`` (every write reply is one
+    line).
     """
 
     def __init__(self, follower: ReplicationFollower,
                  upstream_host: str, upstream_port: int) -> None:
-        self.upstream_host = upstream_host
-        self.upstream_port = upstream_port
-        self.handler = ProtocolHandler(FollowerReadBackend(follower))
-        self.metrics = ServerMetrics()
-        #: what ``stats prom`` exposes: the front's serving metrics and
-        #: the replica's replication counters
-        self.registry = MetricsRegistry()
-        adapters.register_server_metrics(self.registry, self.metrics)
+        # the replica's machine serves already; its lists grow with it
+        self._front(follower.machine, follower.servers, follower.handlers,
+                    recorder=follower.recorder)
         adapters.register_replication_metrics(self.registry,
                                               follower.metrics)
-        self.recorder = follower.recorder
-        self.injector = None
+        self.follower = follower
+        self.upstream_host = upstream_host
+        self.upstream_port = upstream_port
         #: the committed cluster topology ``cluster topology`` answers
         #: with (set by the cluster tier; ``None`` outside a cluster)
         self.topology = None
@@ -467,31 +417,54 @@ class FollowerRouter:
         self.upstream_port = port
 
     def answer(self, frame, conn) -> Optional[bytes]:
-        """Any frame but a write or ``flush_all`` (``None``: those are
-        forwarded by :meth:`dispatch`), answered from the replica."""
-        if frame.error is not None:
-            self.metrics.protocol_errors += 1
-            return b"CLIENT_ERROR %s\r\n" % frame.error.encode()
-        command = frame.command
-        if command in WRITE_COMMANDS or command == b"flush_all":
-            return None
-        if command == b"cluster":
-            return cluster_response(frame.args, self.topology)
-        if command == b"stats" and frame.args[:1] == [b"json"]:
-            # the front's serving metrics plus the replica's counters
-            doc = self.metrics.snapshot(
-                extra=self.handler.server.extra_stats())
-            return json.dumps(doc, sort_keys=True).encode() + CRLF \
-                + b"END\r\n"
-        if command == b"stats" and frame.args[:1] == [b"prom"]:
-            return self.registry.exposition().encode() + b"END\r\n"
-        return self.handler.execute(command, frame.args, frame.payload)
+        """:meth:`ShardRouter.answer` over the replica; ``None`` for a
+        write or ``flush_all``, which :meth:`dispatch` forwards."""
+        if frame.error is None:
+            command = frame.command
+            if command in WRITE_COMMANDS or command == b"flush_all":
+                return None
+            if command == b"cluster":
+                return cluster_response(frame.args, self.topology)
+            if command == b"version":
+                return b"VERSION repro-hicamp-follower/1.0\r\n"
+            if not self.servers and command != b"stats":
+                # nothing replicated yet: an empty cache
+                return b"END\r\n" if command in READ_COMMANDS \
+                    else b"ERROR\r\n"
+        return super().answer(frame, conn)
 
     async def dispatch(self, frame, conn, parent: Optional[int] = None):
         response = self.answer(frame, conn)
         if response is None:
             response = await self._forward(frame.raw)
         return _completed(response)
+
+    def extra_stats(self) -> dict:
+        """Every replication counter, over the wire via ``stats``.
+
+        The full :meth:`ReplicationMetrics.snapshot` is exposed under a
+        ``replication_`` prefix (the per-stream lag map flattened to one
+        key per stream), so follower lag and dedup ratio are visible to
+        any memcached client. The original four summary keys and
+        ``footprint_bytes`` keep their exact names.
+        """
+        follower = self.follower
+        snap = follower.metrics.snapshot()
+        lag_by_stream = snap.pop("lag_by_stream")
+        out = {
+            "replication_dedup_on_arrival":
+                snap["lines_deduped_on_arrival"],
+            "replication_dedup_ratio":
+                round(follower.metrics.dedup_ratio, 6),
+            "footprint_bytes": self.machine.footprint_bytes(),
+        }
+        for name, value in snap.items():
+            out["replication_" + name] = value
+        for stream, lag in lag_by_stream.items():
+            out["replication_lag_stream_%s" % stream] = lag
+        for stream, seq in sorted(follower.applied_seq.items()):
+            out["replication_applied_seq_stream_%d" % stream] = seq
+        return out
 
     async def _forward(self, raw: bytes) -> bytes:
         """Relay one write to the leader; returns its one-line reply."""
@@ -520,19 +493,10 @@ class FollowerRouter:
             self._upstream[2].close()
             self._upstream = None
 
-    # the lifecycle MemcachedServer drives: there is no commit queue to
-    # run, drain or drop, only the upstream link to close
-
-    async def start(self) -> None:
-        pass
-
-    async def drain(self) -> None:
-        pass
-
-    def pending_commits(self) -> int:
-        return 0
-
-    async def stop(self) -> None:
-        self._close_upstream()
-
-    abort = stop
+    async def abort(self) -> None:
+        """:meth:`ShardRouter.abort`, then close the upstream link (a
+        graceful :meth:`~ShardRouter.stop` ends here too)."""
+        try:
+            await super().abort()
+        finally:
+            self._close_upstream()

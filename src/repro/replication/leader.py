@@ -131,6 +131,9 @@ class ReplicationLeader:
         self._sessions: List[FollowerSession] = []
         self._server: Optional[asyncio.AbstractServer] = None
         self._session_tasks: set = set()
+        #: set by :meth:`stop`: a connection accepted from then on is
+        #: refused (asyncio hands one over turns after the accept)
+        self._closing = False
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -154,20 +157,24 @@ class ReplicationLeader:
         of reconnecting followers cannot accumulate dead callbacks on
         the store's hot dealloc path.
         """
+        self._closing = False
         self.router.commit_listeners.append(self._on_commit)
         self._server = await asyncio.start_server(
-            self._serve_follower, self.host, self.port)
+            self._accept, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        """Close follower connections and unhook the router/store."""
+        """Close follower connections and unhook the router/store. Every
+        session ends first: a started one is cancelled and waited on, a
+        later one is refused by :meth:`_accept`."""
+        self._closing = True
         if self._server is not None:
             self._server.close()
-        for task in list(self._session_tasks):
+        tasks = list(self._session_tasks)
+        for task in tasks:
             task.cancel()
-        if self._session_tasks:
-            await asyncio.gather(*self._session_tasks,
-                                 return_exceptions=True)
+        if tasks:
+            await asyncio.wait(tasks)
         if self._server is not None:
             await self._server.wait_closed()
             self._server = None
@@ -199,10 +206,25 @@ class ReplicationLeader:
     # ------------------------------------------------------------------
     # follower connections
 
+    def _accept(self, reader: asyncio.StreamReader,
+                writer: asyncio.StreamWriter) -> None:
+        """Start a connected follower's session task, tracked from now
+        on, or close the connection once :meth:`stop` has begun."""
+        if self._closing:
+            writer.close()
+            return
+        task = asyncio.ensure_future(self._serve_follower(reader, writer))
+        self._session_tasks.add(task)
+
+        def done(task: asyncio.Task) -> None:
+            self._session_tasks.discard(task)
+            # also when a stop cancelled the task before its first step
+            writer.close()
+
+        task.add_done_callback(done)
+
     async def _serve_follower(self, reader: asyncio.StreamReader,
                               writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        self._session_tasks.add(task)
         injector = self.injector
         scope = injector.next_connection() if injector is not None else -1
         session = FollowerSession(self, writer, scope)
@@ -242,7 +264,6 @@ class ReplicationLeader:
                 except (asyncio.CancelledError, ConnectionError, OSError):
                     pass
             self._detach_session(session)
-            self._session_tasks.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()

@@ -452,11 +452,9 @@ class _Replicated(_Single):
         await super().stop()
 
     def replicas(self) -> List[Replica]:
-        machine = self.follower.machine
         return super().replicas() + [(
-            "follower", machine,
-            [HMap(machine, vsid) for vsid in self.follower.streams.values()],
-            None)]
+            "follower", self.follower.machine,
+            [backend.kvp for backend in self.follower.servers], None)]
 
 
 def kill_plan(seed: int, cfg: EpisodeConfig) -> Tuple[str, int]:
@@ -601,8 +599,7 @@ class _Cluster:
                         owned_by(node_id)))
         for node_id, node in sorted(self.cluster.followers.items()):
             out.append((node_id, node.machine,
-                        [HMap(node.machine, vsid)
-                         for vsid in node.follower.streams.values()],
+                        [backend.kvp for backend in node.follower.servers],
                         owned_by(node.leader_id)))
         return out
 

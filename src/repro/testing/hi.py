@@ -243,8 +243,7 @@ def _execute(structure: str, schedule: Sequence[Tuple], mode: str,
     ``odd`` schedule runs with the memo on and the store held."""
     machine = Machine(MachineConfig(memory=cfg.memory))
     if odd:
-        machine.mem.memo.enable()
-        machine.mem.store.hold_reclaim()
+        machine.configure_serving()
     baseline = (machine.footprint_lines(), machine.footprint_bytes())
     rng = random.Random(rng_seed)
     obs = Observation()

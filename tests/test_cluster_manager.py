@@ -213,6 +213,27 @@ class TestRepairLoop:
 
         asyncio.run(go())
 
+    def test_a_cancel_of_the_caller_of_stop_is_raised(self):
+        """``stop()`` cancels the loop task and waits on it; a cancel of
+        the task awaiting ``stop()`` must end that task cancelled, not be
+        taken for the loop's own CancelledError."""
+        async def go():
+            cluster = Cluster(ClusterConfig(leaders=1, followers=1,
+                                            shards=1))
+            manager = TopologyManager(cluster, probe_interval=0.02)
+            async with cluster:
+                await manager.start()
+                await asyncio.sleep(0.05)
+                stopper = asyncio.ensure_future(manager.stop())
+                await asyncio.sleep(0)  # stop() waits on the loop task
+                stopper.cancel()
+                await asyncio.wait((stopper,), timeout=2.0)
+            return stopper, manager
+
+        stopper, manager = asyncio.run(go())
+        assert stopper.cancelled()
+        assert manager._task is None
+
     def test_lag_tie_breaks_by_node_id(self):
         async def go():
             cluster = Cluster(ClusterConfig(

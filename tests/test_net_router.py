@@ -3,14 +3,13 @@
 import asyncio
 import json
 import random
-from types import SimpleNamespace
 
 import pytest
 
 from repro.net.framing import FrameDecoder
 from repro.net.router import ConnectionState, ShardRouter
 from repro.obs.trace import StepClock, TraceRecorder
-from repro.replication.follower import FollowerReadBackend
+from repro.replication.follower import FollowerRouter, ReplicationFollower
 
 
 def frames_of(raw: bytes):
@@ -42,16 +41,23 @@ class TestRouting:
 
     @pytest.mark.parametrize("shards", range(1, 9))
     def test_leader_and_follower_pick_the_same_shard(self, shards):
+        # a follower's front over the leader's own segments: a key set
+        # on its leader shard alone is found through the follower's read
+        # path only if the follower picks that shard too
         router = ShardRouter(shard_count=shards)
         streams = {shard: server.kvp.vsid
                    for shard, server in enumerate(router.servers)}
-        backend = FollowerReadBackend(
-            SimpleNamespace(machine=router.machine, streams=streams))
+        front = FollowerRouter(ReplicationFollower(
+            "127.0.0.1", 1, machine=router.machine, streams=streams),
+            "127.0.0.1", 1)
+        conn = ConnectionState()
         rng = random.Random(0)
         for _ in range(200):
             key = b"key-%d" % rng.getrandbits(32)
-            assert backend._map_for(key).vsid \
-                == streams[router.shard_index(key)]
+            router.servers[router.shard_index(key)].set(key, b"v")
+            [frame] = frames_of(b"get %s\r\n" % key)
+            assert front.answer(frame, conn) \
+                == b"VALUE %s 0 1\r\nv\r\nEND\r\n" % key
 
     def test_set_get_roundtrip_across_shards(self):
         router = ShardRouter(shard_count=4)
@@ -171,3 +177,22 @@ class TestRouting:
             router, b"cas k 0 0 2 %s\r\nv2\r\n" % token + b"get k\r\n")
         assert responses[0] == b"STORED\r\n"
         assert b"v2" in responses[1]
+
+
+class TestAbort:
+    def test_a_cancel_of_the_caller_is_raised(self):
+        """``abort()`` cancels the workers and waits on them; a cancel
+        of the task awaiting ``abort()`` must end that task cancelled,
+        not be taken for a worker's own CancelledError."""
+        async def go():
+            router = ShardRouter(shard_count=2)
+            await router.start()
+            aborting = asyncio.ensure_future(router.abort())
+            await asyncio.sleep(0)  # abort() waits on the workers
+            aborting.cancel()
+            await asyncio.wait((aborting,), timeout=2.0)
+            return aborting, router
+
+        aborting, router = asyncio.run(go())
+        assert aborting.cancelled()
+        assert not router._workers

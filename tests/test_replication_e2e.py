@@ -365,7 +365,7 @@ class FrameSink:
 class TestNackPath:
     def test_advance_with_unknown_root_nacks(self):
         follower = ReplicationFollower("127.0.0.1", 1)
-        follower.streams[0] = follower.machine.create_segment([])
+        follower._add_stream(0)  # an empty stream 0
         sink = FrameSink()
         payload = wire.encode_advance_payload(
             0, 7, 1, wire.PlidRef(999_999), 3, 64)

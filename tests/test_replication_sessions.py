@@ -182,3 +182,45 @@ class TestFollowerStop:
                 assert not follower.plid_map
 
         asyncio.run(go())
+
+
+class TestLeaderStop:
+    def test_a_session_accepted_as_stop_begins_ends_with_it(self):
+        """A follower connects in the turn ``stop()`` begins: asyncio
+        hands the connection over, and ``stop()`` starts before the
+        session task's first step. That session must end with the
+        leader and leave no dealloc listener behind."""
+        async def go():
+            server = MemcachedServer(port=0, shard_count=2)
+            await server.start()
+            leader = ReplicationLeader(server.router,
+                                       heartbeat_interval=None)
+            dealloc = leader.machine.mem.store.dealloc_listeners
+            base = len(dealloc)
+            serve, stopping = leader._serve_follower, []
+
+            def stop_as_the_session_starts(reader, writer):
+                stopping.append(asyncio.ensure_future(leader.stop()))
+                return serve(reader, writer)
+
+            leader._serve_follower = stop_as_the_session_starts
+            await leader.start()
+            follower = ReplicationFollower(
+                "127.0.0.1", leader.port, reconnect_delay=5.0)
+            await follower.start()
+            try:
+                assert await wait_until(lambda: stopping)
+                done, _ = await asyncio.wait(stopping, timeout=2.0)
+                assert done, "stop() hung on a late session"
+                # time for a session that outlived stop() to attach
+                await asyncio.sleep(0.1)
+                sessions = [task for task in asyncio.all_tasks()
+                            if task.get_coro().__qualname__
+                            == "ReplicationLeader._serve_follower"]
+                assert not sessions and not leader._session_tasks
+                assert len(dealloc) == base
+            finally:
+                await follower.stop()
+                await server.shutdown()
+
+        asyncio.run(go())

@@ -14,6 +14,7 @@ import re
 import pytest
 
 import repro.obs
+import repro.replication
 from repro.cli.main import build_parser
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -169,11 +170,23 @@ def test_every_reference_is_imported_by_a_test():
     assert sorted(references - imported) == []
 
 
+def _documented(package: str):
+    """The names the first column of ``docs/api.md``'s table under
+    ``## `package``` starts with."""
+    section = re.search(r"^## `%s`\n(.*?)^## " % re.escape(package),
+                        read("docs/api.md"), re.S | re.M).group(1)
+    return set(re.findall(r"^\| `([A-Za-z_][\w.]*)", section, re.M))
+
+
 def test_the_obs_exports_are_the_documented_ones():
     """``docs/api.md``'s ``repro.obs`` table names exactly what the
     package exports: a deleted name cannot stay documented, and an
     export cannot go undocumented."""
-    section = re.search(r"^## `repro\.obs`\n(.*?)^## ", read("docs/api.md"),
-                        re.S | re.M).group(1)
-    documented = set(re.findall(r"^\| `([A-Za-z_][\w.]*)", section, re.M))
-    assert documented - {"repro.obs.adapters"} == set(repro.obs.__all__)
+    assert _documented("repro.obs") - {"repro.obs.adapters"} \
+        == set(repro.obs.__all__)
+
+
+def test_the_replication_exports_are_the_documented_ones():
+    """The same for ``repro.replication``'s table."""
+    assert _documented("repro.replication") \
+        == set(repro.replication.__all__)
