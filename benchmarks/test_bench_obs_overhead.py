@@ -1,9 +1,10 @@
 """Observability overhead: tracing must be (near) free when off.
 
-Runs the same loadgen workload against an in-process server three ways —
-no-op recorder (the default), a live :class:`TraceRecorder`, and the
-no-op recorder again interleaved for fairness — and reports the ops/s
-ratio. The acceptance bar: a live recorder costs at most a modest
+Runs the same seeded recording-client workload (:mod:`repro.testing.fuzz`)
+against an in-process server, alternating the no-op recorder (the
+default) with a live :class:`TraceRecorder` so drift hits both, and
+reports the ops/s ratio. Only the clients' ``gather`` is timed; their
+history is checked for linearizability outside that window. The acceptance bar: a live recorder costs at most a modest
 fraction of throughput, and the no-op recorder is indistinguishable
 from the pre-observability server (it is the pre-observability server:
 every hot path guards on ``recorder.enabled``).
@@ -11,28 +12,38 @@ every hot path guards on ``recorder.enabled``).
 
 import asyncio
 import json
+import time
 
 from conftest import emit
 
 from repro.analysis.reporting import format_table
-from repro.net.loadgen import run_loadgen
 from repro.net.server import MemcachedServer
 from repro.obs.trace import TraceRecorder
+from repro.testing.fuzz import EpisodeConfig, RecordingClient, build_script
+from repro.testing.history import HistoryRecorder, check_history
 
 
 async def _run_once(recorder, scale: int) -> dict:
+    cfg = EpisodeConfig(clients=4, ops_per_client=300 * scale,
+                        pipeline_depth=8)
+    history = HistoryRecorder()
+    clients = [RecordingClient(cid, build_script(9, cid, cfg), history)
+               for cid in range(cfg.clients)]
     server = MemcachedServer(port=0, shard_count=4, recorder=recorder)
     await server.start()
     try:
-        report = await run_loadgen(
-            "127.0.0.1", server.port, clients=4,
-            ops_per_client=300 * scale, pipeline_depth=8, seed=9)
-        assert report.consistent and report.errors == 0
-        spans = len(recorder.spans) if recorder is not None else 0
-        return {"ops_per_second": report.ops_per_second,
-                "ops": report.ops, "spans": spans}
+        for client in clients:
+            await client.connect(server.port)
+        started = time.perf_counter()
+        await asyncio.gather(*(client.run() for client in clients))
+        wall = time.perf_counter() - started
     finally:
         await server.shutdown()
+    assert [c.protocol_errors for c in clients] == [[]] * cfg.clients
+    assert check_history(history.operations()).ok
+    spans = len(recorder.spans) if recorder is not None else 0
+    ops = len(history.ops)
+    return {"ops_per_second": ops / wall, "ops": ops, "spans": spans}
 
 
 def _measure(scale: int) -> dict:
@@ -62,7 +73,8 @@ def test_obs_overhead(benchmark, report_dir, scale):
          ["ops/s, recorder enabled", data["enabled_ops_per_second"]],
          ["enabled/disabled ratio", data["overhead_ratio"]],
          ["spans recorded per run", data["spans_per_run"]]],
-        title="tracing overhead (loadgen against an in-process server)")
+        title="tracing overhead (recorded clients against an in-process "
+              "server)")
     emit(report_dir, "obs_overhead", text)
     (report_dir / "obs_overhead.json").write_text(
         json.dumps(data, indent=2, sort_keys=True) + "\n")

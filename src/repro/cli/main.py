@@ -118,14 +118,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             backend_factory=backend_factory,
             queue_depth=args.queue_depth, batch_limit=args.batch_limit)
         await server.start()
-        print("# repro serve: HICAMP memcached on %s:%d "
+        leader = None
+        replication = ""
+        if args.replicate_port is not None:
+            from repro.replication import ReplicationLeader
+            leader = ReplicationLeader(server.router, host=args.host,
+                                       port=args.replicate_port)
+            await leader.start()
+            replication = ", replication on %s:%d" % (args.host, leader.port)
+        print("# repro serve: HICAMP memcached on %s:%d%s "
               "(%d shards; `stats json` for metrics; Ctrl-C to stop)"
-              % (args.host, server.port, args.shards), file=sys.stderr)
+              % (args.host, server.port, replication, args.shards),
+              file=sys.stderr)
         try:
             await server.serve_forever()
         except asyncio.CancelledError:
             pass
         finally:
+            if leader is not None:
+                await leader.stop()
             await server.shutdown()
             snapshot = server.router.snapshot()
             if args.metrics_json:
@@ -136,56 +147,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                   % (snapshot["ops_total"], snapshot["ops_per_second"],
                      snapshot["commit_batches"],
                      snapshot["pending_at_shutdown"]), file=sys.stderr)
+            if leader is not None:
+                print("# replication: %s"
+                      % json.dumps(leader.metrics.snapshot(),
+                                   sort_keys=True), file=sys.stderr)
 
     try:
         asyncio.run(go())
     except KeyboardInterrupt:
         pass
     except OSError as exc:
-        print("repro serve: cannot listen on %s:%d: %s"
-              % (args.host, args.port, exc), file=sys.stderr)
+        # the message names the address: the memcached or the
+        # replication port
+        print("repro serve: cannot listen: %s" % exc, file=sys.stderr)
         return 1
     return 0
-
-
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    import asyncio
-    import json
-
-    from repro.net.loadgen import run_loadgen
-
-    try:
-        report = asyncio.run(run_loadgen(
-            args.host, args.port, clients=args.clients,
-            ops_per_client=args.ops, pipeline_depth=args.pipeline,
-            get_ratio=args.get_ratio, key_space=args.keys,
-            value_bytes=args.value_bytes, seed=args.seed))
-    except OSError as exc:
-        print("repro loadgen: cannot reach %s:%d: %s"
-              % (args.host, args.port, exc), file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-    else:
-        from repro.analysis.reporting import format_table
-        latency = report.latency()
-        print(format_table(
-            ["metric", "value"],
-            [["clients", report.clients],
-             ["ops", report.ops],
-             ["ops/s", round(report.ops_per_second, 1)],
-             ["stored", report.stored],
-             ["get hits", report.get_hits],
-             ["get misses", report.get_misses],
-             ["cas stored", report.cas_stored],
-             ["cas conflicts", report.cas_conflicts],
-             ["errors", report.errors],
-             ["oracle mismatches", report.oracle_mismatches],
-             ["shared mismatches", report.shared_mismatches],
-             ["batch RTT p50 (ms)", latency["p50_ms"]],
-             ["batch RTT p99 (ms)", latency["p99_ms"]]],
-            title="loadgen against %s:%d" % (args.host, args.port)))
-    return 0 if report.consistent and report.errors == 0 else 1
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
@@ -258,47 +234,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             profile=None if args.profile == "serving" else args.profile)
     print(report.render(verbose=args.verbose))
     return 0 if report.ok else 1
-
-
-def _cmd_replicate_leader(args: argparse.Namespace) -> int:
-    import asyncio
-    import json
-
-    from repro.net.server import MemcachedServer
-    from repro.replication import ReplicationLeader
-
-    async def go() -> None:
-        server = MemcachedServer(
-            host=args.host, port=args.port, shard_count=args.shards,
-            queue_depth=args.queue_depth, batch_limit=args.batch_limit)
-        await server.start()
-        leader = ReplicationLeader(
-            server.router, host=args.repl_host, port=args.repl_port,
-            lag_window=args.lag_window)
-        await leader.start()
-        print("# repro replicate-leader: memcached on %s:%d, "
-              "replication on %s:%d (%d shards, lag window %d)"
-              % (args.host, server.port, args.repl_host, leader.port,
-                 args.shards, args.lag_window), file=sys.stderr)
-        try:
-            await server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await leader.stop()
-            await server.shutdown()
-            print("# replication: %s"
-                  % json.dumps(leader.metrics.snapshot(), sort_keys=True),
-                  file=sys.stderr)
-
-    try:
-        asyncio.run(go())
-    except KeyboardInterrupt:
-        pass
-    except OSError as exc:
-        print("repro replicate-leader: %s" % exc, file=sys.stderr)
-        return 1
-    return 0
 
 
 def _cmd_replicate_follower(args: argparse.Namespace) -> int:
@@ -540,26 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-machine byte quota (enables LRU eviction)")
     p_srv.add_argument("--metrics-json", default=None,
                        help="write a metrics snapshot here on shutdown")
+    p_srv.add_argument("--replicate-port", type=int, default=None,
+                       help="also ship structural deltas to followers "
+                            "from this port on --host (0 picks an "
+                            "ephemeral port)")
     p_srv.set_defaults(func=_cmd_serve)
-
-    p_lg = sub.add_parser(
-        "loadgen",
-        help="pipelined multi-client load generator with oracle checks")
-    p_lg.add_argument("--host", default="127.0.0.1")
-    p_lg.add_argument("--port", type=int, default=11211)
-    p_lg.add_argument("--clients", type=int, default=4)
-    p_lg.add_argument("--ops", type=int, default=200,
-                      help="operations per client")
-    p_lg.add_argument("--pipeline", type=int, default=8,
-                      help="requests per pipelined batch")
-    p_lg.add_argument("--get-ratio", type=float, default=0.5)
-    p_lg.add_argument("--keys", type=int, default=16,
-                      help="keys per keyspace (private and shared)")
-    p_lg.add_argument("--value-bytes", type=int, default=32)
-    p_lg.add_argument("--seed", type=int, default=0)
-    p_lg.add_argument("--json", action="store_true",
-                      help="print the report as JSON")
-    p_lg.set_defaults(func=_cmd_loadgen)
 
     p_cl = sub.add_parser(
         "cluster",
@@ -583,24 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="consecutive probe failures before a leader "
                             "is declared dead")
     p_cls.set_defaults(func=_cmd_cluster)
-
-    p_rl = sub.add_parser(
-        "replicate-leader",
-        help="memcached server plus a replication leader shipping "
-             "structural deltas to followers")
-    p_rl.add_argument("--host", default="127.0.0.1")
-    p_rl.add_argument("--port", type=int, default=11211,
-                      help="memcached TCP port (0 picks ephemeral)")
-    p_rl.add_argument("--repl-host", default="127.0.0.1")
-    p_rl.add_argument("--repl-port", type=int, default=11311,
-                      help="replication TCP port (0 picks ephemeral)")
-    p_rl.add_argument("--shards", type=int, default=4)
-    p_rl.add_argument("--queue-depth", type=int, default=256)
-    p_rl.add_argument("--batch-limit", type=int, default=16)
-    p_rl.add_argument("--lag-window", type=int, default=256,
-                      help="commits a follower may lag before a forced "
-                           "full resync")
-    p_rl.set_defaults(func=_cmd_replicate_leader)
 
     p_rf = sub.add_parser(
         "replicate-follower",
@@ -708,6 +610,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "serve" \
+            and None not in (args.replicate_port, args.quota):
+        # a follower serves replicated maps through plain HicampMemcached,
+        # which would return ManagedMemcached's deadline header as value
+        parser.error("serve: --replicate-port cannot be combined with "
+                     "--quota: a follower would serve the quota backend's "
+                     "deadline header as value bytes")
     try:
         if args.command == "experiments" and args.list:
             return _cmd_experiments_list(args)

@@ -17,7 +17,11 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.node import parse_moved
 from repro.cluster.placement import ClusterTopology
-from repro.net.framing import read_value_response, set_request
+from repro.net.framing import (
+    close_writer,
+    read_value_response,
+    set_request,
+)
 
 __all__ = ["ClusterClient", "ClusterUnavailableError"]
 
@@ -62,11 +66,7 @@ class ClusterClient:
 
     async def close(self) -> None:
         for _, writer in self._conns.values():
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except Exception:
-                pass
+            await close_writer(writer)
         self._conns.clear()
 
     # ------------------------------------------------------------------

@@ -35,6 +35,7 @@ from __future__ import annotations
 import asyncio
 from typing import Dict, List, Optional
 
+from repro.net.framing import close_writer
 from repro.net.server import wait_within
 from repro.obs.trace import NULL_RECORDER
 from repro.cluster.cluster import Cluster
@@ -118,11 +119,7 @@ class TopologyManager:
             await writer.drain()
             return (await reader.readline()).startswith(b"VERSION")
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except Exception:
-                pass
+            await close_writer(writer)
 
     async def tick(self) -> None:
         """One manager cycle: lag sampling, probes, repair if due."""

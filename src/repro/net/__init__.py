@@ -11,10 +11,11 @@ package provides that load path end to end:
 * :mod:`repro.net.server` — the asyncio TCP server (timeouts,
   backpressure, graceful shutdown);
 * :mod:`repro.net.metrics` — ops/s, latency percentiles, pipeline depth,
-  commit-batch counters (``stats`` / ``stats json``);
-* :mod:`repro.net.loadgen` — a pipelining multi-client load generator
-  with a built-in sequential-oracle consistency check. It is a client,
-  so the package does not import it: a serving process never loads it.
+  commit-batch counters (``stats`` / ``stats json``).
+
+The load that drives it in tests is :mod:`repro.testing.fuzz`'s recorded
+clients, whose histories are checked for linearizability; a serving
+process never loads them.
 """
 
 from repro.net.framing import Frame, FrameDecoder

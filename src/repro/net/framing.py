@@ -126,6 +126,16 @@ async def read_line(reader: asyncio.StreamReader) -> bytes:
     return line
 
 
+async def close_writer(writer: asyncio.StreamWriter) -> None:
+    """Close ``writer`` and wait until it is closed; a peer that already
+    reset or abandoned the connection is not an error."""
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except OSError:
+        pass
+
+
 async def read_value_response(
         reader: asyncio.StreamReader
 ) -> Dict[bytes, Tuple[bytes, bytes]]:

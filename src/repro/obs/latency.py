@@ -1,9 +1,9 @@
 """Latency percentiles: the one definition every report uses.
 
-The ``stats`` command (:class:`~repro.net.metrics.ServerMetrics`), the
-``stats prom`` exposition (:mod:`repro.obs.adapters`) and the load
-generator's batch RTTs all summarize a latency population through
-:func:`latency_summary`, so their numbers agree on definitions.
+The ``stats`` command (:class:`~repro.net.metrics.ServerMetrics`) and
+the ``stats prom`` exposition (:mod:`repro.obs.adapters`) both
+summarize a latency population through :func:`latency_summary`, so
+their numbers agree on definitions.
 """
 
 from __future__ import annotations

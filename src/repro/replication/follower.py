@@ -42,6 +42,7 @@ from repro.core.machine import Machine
 from repro.errors import ReplicationError
 from repro.memory.line import PlidRef
 from repro.memory.reclaim import RECLAIM_BUDGET
+from repro.net.framing import close_writer
 from repro.net.router import (
     READ_COMMANDS,
     WRITE_COMMANDS,
@@ -210,11 +211,7 @@ class ReplicationFollower:
                     pass
             finally:
                 self._writer = None
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except Exception:
-                    pass
+                await close_writer(writer)
 
     async def _session(self, reader: asyncio.StreamReader,
                        writer: asyncio.StreamWriter) -> None:
@@ -409,6 +406,9 @@ class FollowerRouter(ShardRouter):
         #: ``((host, port), reader, writer)``, dialed on the first write
         self._upstream = None
         self._upstream_lock = asyncio.Lock()
+
+    async def start(self) -> None:
+        """No commit queues and no workers: every write is forwarded."""
 
     def set_upstream(self, host: str, port: int) -> None:
         """Re-point write forwarding (a follower re-parented mid-life);

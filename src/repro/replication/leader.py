@@ -41,6 +41,7 @@ import asyncio
 from typing import Dict, List, Optional, Set
 
 from repro.errors import ReplicationError
+from repro.net.framing import close_writer
 from repro.net.router import ShardRouter
 from repro.net.server import wait_within
 from repro.replication import wire
@@ -264,11 +265,7 @@ class ReplicationLeader:
                 except (asyncio.CancelledError, ConnectionError, OSError):
                     pass
             self._detach_session(session)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except Exception:
-                pass
+            await close_writer(writer)
 
     async def _read_hello(self, reader, decoder, scope) -> Dict:
         while True:

@@ -55,7 +55,11 @@ from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.manager import TopologyManager
 from repro.cluster.placement import HashRing
 from repro.core.machine import Machine
-from repro.net.framing import read_line, read_value_response
+from repro.net.framing import (
+    close_writer,
+    read_line,
+    read_value_response,
+)
 from repro.net.server import MemcachedServer
 from repro.params import MachineConfig, MemoryConfig
 from repro.replication.follower import ReplicationFollower
@@ -141,7 +145,7 @@ def _keyspace(cfg: EpisodeConfig) -> List[bytes]:
     return [b"k%02d" % j for j in range(cfg.key_space)]
 
 
-def _build_script(seed: int, cid: int, cfg: EpisodeConfig,
+def build_script(seed: int, cid: int, cfg: EpisodeConfig,
                   keys: Optional[List[bytes]] = None
                   ) -> List[List[Tuple[str, bytes]]]:
     """Plan one client's batches of (kind, key) before the episode runs.
@@ -296,11 +300,7 @@ class RecordingClient:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except Exception:
-                pass
+            await close_writer(writer)
 
     async def run(self) -> None:
         await self.play(self.script)
@@ -372,7 +372,7 @@ class _Single:
         return "batch_limit=%d" % self.cfg.batch_limit
 
     def scripts(self) -> Dict[int, List]:
-        return {cid: _build_script(self.seed, cid, self.cfg)
+        return {cid: build_script(self.seed, cid, self.cfg)
                 for cid in range(self.cfg.clients)}
 
     def port_of(self, key: bytes) -> int:
@@ -514,7 +514,7 @@ class _Cluster:
         owned: Dict[str, List[bytes]] = {}
         for key in _keyspace(self.cfg):
             owned.setdefault(self.ring.slot_for(key), []).append(key)
-        return {cid: _build_script(self.seed, cid, self.cfg,
+        return {cid: build_script(self.seed, cid, self.cfg,
                                    owned[self.slot(cid)])
                 for cid in range(self.cfg.clients)
                 if self.slot(cid) in owned}

@@ -1,9 +1,9 @@
 """Linearizability checking for memcached operation histories.
 
-The load generator (or the fuzz harness's recording clients) logs every
-operation with a **logical invocation/completion timestamp** drawn from
-one shared counter; this module decides whether the whole history is
-linearizable against the memcached sequential specification.
+The recording clients of :mod:`repro.testing.fuzz` log every operation
+with a **logical invocation/completion timestamp** drawn from one shared
+counter; this module decides whether the whole history is linearizable
+against the memcached sequential specification.
 
 The check is per key: operations on distinct keys commute, which is not
 an approximation here but the design itself — the router's batched

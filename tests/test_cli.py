@@ -362,7 +362,8 @@ class TestModuleEntryPoints:
 
 
 class TestReplicateCommands:
-    """``replicate-leader`` + ``replicate-follower`` as two processes."""
+    """``serve --replicate-port`` + ``replicate-follower`` as two
+    processes."""
 
     @staticmethod
     def _spawn(*args):
@@ -382,7 +383,8 @@ class TestReplicateCommands:
     def _ports(proc):
         """The ports named in the process's startup banner, in order."""
         banner = proc.stderr.readline()
-        assert banner.startswith("# repro replicate-"), banner
+        assert banner.startswith(("# repro serve:",
+                                  "# repro replicate-follower:")), banner
         return [int(port) for port in re.findall(r":(\d+)", banner)]
 
     @staticmethod
@@ -401,8 +403,8 @@ class TestReplicateCommands:
         return json.loads(line[len("# replication: "):])
 
     def test_write_through_the_follower_replicates_back(self):
-        leader = self._spawn("replicate-leader", "--port", "0",
-                             "--repl-port", "0", "--shards", "2")
+        leader = self._spawn("serve", "--port", "0",
+                             "--replicate-port", "0", "--shards", "2")
         procs = [leader]
         try:
             port, repl_port = self._ports(leader)
@@ -428,3 +430,11 @@ class TestReplicateCommands:
                     proc.communicate()
         assert follower_metrics["root_advances"] >= 1
         assert leader_metrics["acks"] == follower_metrics["root_advances"]
+
+    def test_a_replicating_leader_refuses_a_quota(self, capsys):
+        """A follower serves plain maps, so it would hand out
+        ``ManagedMemcached``'s deadline header as value bytes."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--replicate-port", "0", "--quota", "1000"])
+        assert exc.value.code == 2
+        assert "--replicate-port" in capsys.readouterr().err

@@ -109,10 +109,10 @@ class TestExpiryProfile:
         assert cfg.rates[COMMIT_STALL] > 0
 
     def test_profile_actually_plans_ttl_stores(self):
-        from repro.testing.fuzz import _build_script
+        from repro.testing.fuzz import build_script
 
         cfg = expiry_config()
-        batches = _build_script(7, 0, cfg)
+        batches = build_script(7, 0, cfg)
         kinds = [kind for batch in batches for kind, _ in batch]
         assert any(kind.startswith("setx") for kind in kinds)
 

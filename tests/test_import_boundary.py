@@ -3,7 +3,8 @@
 Each entry point is imported in a fresh interpreter, which prints every
 module it loaded. None of them may load numpy or the paper harness: the
 workload generators, the analysis and rendering code, the spmv kernels,
-Table 1's compaction harness, the load generator or the test harness.
+Table 1's compaction harness or the test harness (whose recording
+clients are the only load client).
 A last fresh interpreter blocks numpy outright, then imports every
 module of the package and runs the SpMV harness and the dense helpers.
 """
@@ -19,8 +20,7 @@ import pytest
 import repro
 
 FORBIDDEN = ("numpy", "repro.workloads", "repro.analysis", "repro.apps.spmv",
-             "repro.apps.memcached.compaction", "repro.net.loadgen",
-             "repro.testing")
+             "repro.apps.memcached.compaction", "repro.testing")
 
 
 def run_fresh(code: str) -> str:

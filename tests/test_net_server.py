@@ -1,9 +1,10 @@
 """End-to-end tests: the asyncio server on a real TCP socket.
 
 The acceptance test drives a live server with four concurrent pipelined
-loadgen clients and checks the three ISSUE criteria: oracle-consistent
-committed values, nonzero pipelined-request and merge-commit counters,
-and a graceful shutdown with no pending commits.
+recording clients (:mod:`repro.testing.fuzz`) and checks three
+criteria: a linearizable history with no protocol errors, nonzero
+pipelined-request and group-commit counters, and a graceful shutdown
+with no pending commits.
 """
 
 import asyncio
@@ -15,11 +16,7 @@ import pytest
 from repro.cluster.node import ClusterRouter
 from repro.cluster.placement import NodeInfo, initial_topology
 from repro.net import router as router_module
-from repro.net.loadgen import (
-    LoadgenClient,
-    read_line_response,
-    run_loadgen,
-)
+from repro.net.framing import read_line
 from repro.net.metrics import ServerMetrics
 from repro.net.router import ShardRouter
 from repro.net.server import MemcachedServer
@@ -29,6 +26,13 @@ from repro.replication import (
     ReplicationFollower,
     ReplicationLeader,
 )
+from repro.testing.fuzz import (
+    READBACK_CLIENT,
+    EpisodeConfig,
+    RecordingClient,
+    build_script,
+)
+from repro.testing.history import HistoryRecorder, check_history
 
 
 async def request(port, payload, terminators=(b"END\r\n",), lines=None):
@@ -53,25 +57,39 @@ async def request(port, payload, terminators=(b"END\r\n",), lines=None):
     return out
 
 
+async def play_recorded(port, seed, cfg):
+    """Play ``cfg.clients`` seeded scripts concurrently against ``port``,
+    then read every key back; returns the clients and their history."""
+    recorder = HistoryRecorder()
+    clients = [RecordingClient(cid, build_script(seed, cid, cfg), recorder)
+               for cid in range(cfg.clients)]
+    for client in clients:
+        await client.connect(port)
+    await asyncio.gather(*(client.run() for client in clients))
+    readback = RecordingClient(READBACK_CLIENT, [[
+        ("get", b"k%02d" % j) for j in range(cfg.key_space)]], recorder)
+    await readback.connect(port)
+    await readback.run()
+    return clients, recorder
+
+
 class TestServerEndToEnd:
     def test_acceptance_concurrent_pipelined_loadgen(self):
-        """The ISSUE acceptance test, over real TCP."""
+        """Four pipelined clients over real TCP, held to linearizability."""
+        cfg = EpisodeConfig(clients=4, ops_per_client=60, pipeline_depth=8)
 
         async def go():
             async with MemcachedServer(port=0, shard_count=4) as server:
-                report = await run_loadgen(
-                    "127.0.0.1", server.port, clients=4, ops_per_client=60,
-                    pipeline_depth=8, get_ratio=0.5, seed=1)
+                clients, recorder = await play_recorded(server.port, 1, cfg)
                 body = await request(server.port, b"stats json\r\n")
                 snapshot = json.loads(body.split(b"\r\n")[0])
-                return server, report, snapshot
+                return server, clients, recorder, snapshot
 
-        server, report, snapshot = asyncio.run(go())
-        # (1) every committed value consistent with the sequential oracle
-        assert report.errors == 0
-        assert report.oracle_checked > 0 and report.oracle_mismatches == 0
-        assert report.shared_checked > 0 and report.shared_mismatches == 0
-        assert report.consistent
+        server, clients, recorder, snapshot = asyncio.run(go())
+        # (1) the history, final read-back included, is linearizable
+        assert [client.protocol_errors for client in clients] == [[]] * 4
+        assert not any(op.pending for op in recorder.ops)
+        assert check_history(recorder.operations()).ok
         # (2) stats show pipelining and batched commits happened
         assert snapshot["pipelined_requests"] > 0
         assert 0 < snapshot["commit_batches"] \
@@ -141,7 +159,7 @@ class TestServerEndToEnd:
                 # same connection keeps working after the error
                 writer.write(b"set k 0 0 2\r\nok\r\nget k\r\n")
                 await writer.drain()
-                second = await read_line_response(reader)
+                second = await read_line(reader)
                 value = b""
                 while not value.endswith(b"END\r\n"):
                     value += await reader.readline()
@@ -213,19 +231,19 @@ class TestServerEndToEnd:
         assert sum(s.item_count() for s in server.router.servers) == 10
 
     def test_single_client_pipelined_cas_flow(self):
+        cfg = EpisodeConfig(clients=1, ops_per_client=40, pipeline_depth=6)
+
         async def go():
             async with MemcachedServer(port=0, shard_count=2) as server:
-                client = LoadgenClient(
-                    0, "127.0.0.1", server.port, ops=40,
-                    pipeline_depth=6, get_ratio=0.4, key_space=8,
-                    value_bytes=16, seed=9)
-                report = await client.run()
-                return report
+                return await play_recorded(server.port, 9, cfg)
 
-        report = asyncio.run(go())
-        assert report.ops >= 40
-        assert report.errors == 0
-        assert report.oracle_mismatches == 0
+        (client,), recorder = asyncio.run(go())
+        played = [op for op in recorder.ops if op.client == 0]
+        assert len(played) == 40
+        assert client.protocol_errors == []
+        # the script's gets-then-cas pairs store with the tokens read
+        assert ("cas", ("stored",)) in {(op.kind, op.result) for op in played}
+        assert check_history(recorder.operations()).ok
 
 
 # ----------------------------------------------------------------------

@@ -241,8 +241,9 @@ def test_bytes_behind_a_stalled_commit_queue_up_to_the_backlog_limit():
             (connection,) = server._connections
             writer.write(_put(b"k", b"v") + get * count)
             # the set's ordered task waits out the stall; the gets
-            # behind it queue, and reading stops past the limit
-            await asyncio.sleep(_SlowCommits.STALL_S / 2)
+            # behind it queue, and reading stops past the limit: sample
+            # the backlog once it has
+            await _until(lambda: not connection.transport.is_reading())
             queued = connection.backlog_bytes
             paused = not connection.transport.is_reading()
             out = await asyncio.wait_for(

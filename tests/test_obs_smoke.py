@@ -1,5 +1,6 @@
-"""Smoke test: live server + loadgen, then cross-check the registry's
-Prometheus exposition against the legacy ``stats json`` snapshot.
+"""Smoke test: live server + recorded clients, then cross-check the
+registry's Prometheus exposition against the legacy ``stats json``
+snapshot.
 
 ``stats prom\\r\\nstats json\\r\\n`` is pipelined in one write, so both
 documents are computed in the same dispatch window and must agree on
@@ -10,10 +11,13 @@ silos, not a parallel set of books.
 import asyncio
 import json
 
-from repro.net.loadgen import run_loadgen
+from repro.net.framing import close_writer
 from repro.net.server import MemcachedServer
 from repro.obs import adapters
 from repro.obs.registry import parse_exposition, sample
+from repro.testing.fuzz import EpisodeConfig
+from repro.testing.history import check_history
+from tests.test_net_server import play_recorded
 
 CRLF = b"\r\n"
 
@@ -36,6 +40,14 @@ STABLE_KEYS = {
 }
 
 
+async def _load(port: int, clients: int, ops: int, seed: int) -> None:
+    """Seeded pipelined clients whose history must be linearizable."""
+    fleet, recorder = await play_recorded(port, seed, EpisodeConfig(
+        clients=clients, ops_per_client=ops, pipeline_depth=6))
+    assert [client.protocol_errors for client in fleet] == [[]] * clients
+    assert check_history(recorder.operations()).ok
+
+
 async def _scrape_both(port: int):
     """One pipelined request for both stats documents."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -48,11 +60,7 @@ async def _scrape_both(port: int):
             break
         buf += chunk
     writer.write(b"quit\r\n")
-    writer.close()
-    try:
-        await writer.wait_closed()
-    except Exception:
-        pass
+    await close_writer(writer)
     prom_raw, rest = buf.split(b"END" + CRLF, 1)
     json_raw = rest.split(b"END" + CRLF, 1)[0]
     return prom_raw.decode(), json.loads(json_raw)
@@ -61,10 +69,7 @@ async def _scrape_both(port: int):
 def test_exposition_agrees_with_stats_json_under_load():
     async def scenario():
         async with MemcachedServer(port=0, shard_count=2) as server:
-            report = await run_loadgen(
-                "127.0.0.1", server.port, clients=3, ops_per_client=40,
-                pipeline_depth=6, seed=5)
-            assert report.consistent and report.errors == 0
+            await _load(server.port, clients=3, ops=40, seed=5)
             return await _scrape_both(server.port)
 
     prom_text, snap = asyncio.run(scenario())
@@ -105,8 +110,7 @@ def test_legacy_stats_json_keys_unchanged():
 
     async def scenario():
         async with MemcachedServer(port=0, shard_count=2) as server:
-            await run_loadgen("127.0.0.1", server.port, clients=1,
-                              ops_per_client=10, seed=1)
+            await _load(server.port, clients=1, ops=10, seed=1)
             _, snap = await _scrape_both(server.port)
             expected = server.router.snapshot()
             return snap, expected

@@ -348,6 +348,43 @@ class TestWarmStart:
         assert follower2.metrics.seed_lines == leader2.metrics.seed_lines
         audit_machine(follower2.machine, strict=True).raise_if_failed()
 
+    def test_a_front_over_a_warm_replica_starts_no_commit_workers(
+            self, tmp_path):
+        """The front forwards every write, so the warm-started streams
+        get no idle shard worker each."""
+        path = str(tmp_path / "follower.json.gz")
+
+        async def go():
+            async with ReplicatedStack() as stack:
+                await stack.fill(10)
+                assert await wait_converged(stack.leader, stack.follower)
+                save_machine_file(
+                    stack.follower.machine, path,
+                    extra={"replication_streams":
+                           {str(s): v
+                            for s, v in stack.follower.streams.items()}})
+                machine, extra = load_machine_file(path)
+                streams = {int(s): v for s, v in
+                           extra["replication_streams"].items()}
+                follower = ReplicationFollower(
+                    "127.0.0.1", stack.leader.port, machine=machine,
+                    streams=streams)
+                front = MemcachedServer(router=FollowerRouter(
+                    follower, "127.0.0.1", stack.server.port))
+                await front.start()
+                try:
+                    workers = list(front.router._workers)
+                    reply = await request(front.port,
+                                          b"set fresh 0 0 2\r\nok\r\n")
+                finally:
+                    await front.shutdown()
+            return streams, workers, reply
+
+        streams, workers, reply = asyncio.run(go())
+        assert len(streams) == 2
+        assert workers == []
+        assert reply == b"STORED\r\n"
+
 
 class FrameSink:
     """Captures frames the follower writes in unit-level handler tests."""

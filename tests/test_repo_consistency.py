@@ -98,7 +98,7 @@ def test_named_commands_and_flags_are_the_parsers(name):
 def test_the_flag_check_sees_the_commands_it_should():
     assert ("fuzz", " --profile replication --episodes 5 --seed 0 --verbose") \
         in _invocations(".github/workflows/ci.yml")
-    assert any(sub == "loadgen" and "--pipeline" in rest
+    assert any(sub == "serve" and "--replicate-port" in rest
                for sub, rest in _invocations("docs/api.md"))
     assert _subparser(build_parser(), ["cluster", "serve", "--leaders"]) \
         ._option_string_actions.keys() >= {"--leaders", "--followers"}
