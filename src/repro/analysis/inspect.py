@@ -16,17 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.memory.line import Inline, PlidRef, ZERO_PLID
+from repro.memory.line import Inline, ZERO_PLID, is_ref, ref_path, ref_plid
 from repro.memory.system import MemorySystem
 from repro.segments import dag
 from repro.segments.dag import Entry
 
 
 def _word_label(word) -> str:
-    if isinstance(word, PlidRef):
-        return "->%d%s" % (word.plid,
-                           ("@" + "".join(map(str, word.path)))
-                           if word.path else "")
+    if is_ref(word):
+        path = ref_path(word)
+        return "->%d%s" % (ref_plid(word),
+                           ("@" + "".join(map(str, path))) if path else "")
     if isinstance(word, Inline):
         return "inl%d%r" % (word.width, list(word.values))
     return hex(word) if word > 9 else str(word)
@@ -46,14 +46,15 @@ def dump_entry(mem: MemorySystem, entry: Entry, level: int,
             lines.append(pad + "inline w=%d values=%r"
                          % (entry.width, list(entry.values)))
             return
-        path = ("path=%s " % (entry.path,)) if entry.path else ""
+        digits = tuple(ref_path(entry))
+        path = ("path=%s " % (digits,)) if digits else ""
         lines.append(pad + "line %d %s(level %d)"
-                     % (entry.plid, path, level - len(entry.path)))
+                     % (ref_plid(entry), path, level - len(digits)))
         if indent >= max_depth:
             lines.append(pad + "  ...")
             return
-        actual_level = level - len(entry.path)
-        content = mem.store.peek(entry.plid)
+        actual_level = level - len(digits)
+        content = mem.store.peek(ref_plid(entry))
         if actual_level == 0:
             lines.append(pad + "  [%s]"
                          % " ".join(_word_label(w) for w in content))
@@ -103,18 +104,19 @@ def segment_report(machine, vsid: int) -> SegmentReport:
         if isinstance(entry, Inline):
             report.inline_entries += 1
             return
-        if entry.path:
+        path, plid = ref_path(entry), ref_plid(entry)
+        if path:
             report.compacted_paths += 1
-        actual_level = level - len(entry.path)
-        if entry.plid in seen:
+        actual_level = level - len(path)
+        if plid in seen:
             return
-        seen.add(entry.plid)
+        seen.add(plid)
         report.total_lines += 1
         if actual_level == 0:
             report.leaf_lines += 1
             return
         report.interior_lines += 1
-        for child in mem.store.peek(entry.plid):
+        for child in mem.store.peek(plid):
             visit(child, actual_level - 1)
 
     visit(entry.root, entry.height)
@@ -124,22 +126,9 @@ def segment_report(machine, vsid: int) -> SegmentReport:
 
 def sharing_matrix(machine, vsids: Sequence[int]) -> Dict[Tuple[int, int], int]:
     """Pairwise count of lines shared between segments' DAGs."""
-    line_sets: Dict[int, Set[int]] = {}
-    for vsid in vsids:
-        entry = machine.segmap.entry(vsid)
-        seen: Set[int] = set()
-
-        def visit(plid: int) -> None:
-            if plid == ZERO_PLID or plid in seen:
-                return
-            seen.add(plid)
-            for word in machine.mem.store.peek(plid):
-                if isinstance(word, PlidRef):
-                    visit(word.plid)
-
-        if isinstance(entry.root, PlidRef):
-            visit(entry.root.plid)
-        line_sets[vsid] = seen
+    line_sets = {vsid: {plid for plid, _ in dag.walk_lines(
+        machine.mem.store, machine.segmap.entry(vsid).root)}
+        for vsid in vsids}
     out: Dict[Tuple[int, int], int] = {}
     for i, a in enumerate(vsids):
         for b in vsids[i + 1:]:
@@ -170,17 +159,17 @@ def to_dot(machine, vsids: Sequence[int], max_lines: int = 400) -> str:
                      % (plid, plid, shape, label))
         if level > 0:
             for word in content:
-                if isinstance(word, PlidRef) and word.plid != ZERO_PLID:
-                    lines.append("  L%d -> L%d;" % (plid, word.plid))
-                    visit(word.plid, level - 1 - len(word.path))
+                if is_ref(word) and ref_plid(word) != ZERO_PLID:
+                    lines.append("  L%d -> L%d;" % (plid, ref_plid(word)))
+                    visit(ref_plid(word), level - 1 - len(ref_path(word)))
 
     for vsid in vsids:
         entry = machine.segmap.entry(vsid)
         lines.append('  V%d [shape=ellipse, label="VSID %d"];'
                      % (vsid, vsid))
         root = entry.root
-        if isinstance(root, PlidRef):
-            lines.append("  V%d -> L%d;" % (vsid, root.plid))
-            visit(root.plid, entry.height - len(root.path))
+        if is_ref(root):
+            lines.append("  V%d -> L%d;" % (vsid, ref_plid(root)))
+            visit(ref_plid(root), entry.height - len(ref_path(root)))
     lines.append("}")
     return "\n".join(lines)

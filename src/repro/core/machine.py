@@ -24,10 +24,11 @@ from typing import Callable, List, Optional, Sequence
 from repro.core.snapshot import Snapshot
 from repro.core.transactions import atomic_update
 from repro.errors import IteratorStateError
+from repro.memory.line import check_data_words, ref_plid
 from repro.memory.stats import DramStats
 from repro.memory.system import MemorySystem
 from repro.memory.transient import TransientRegion
-from repro.params import MachineConfig
+from repro.params import WORD_MASK, MachineConfig
 from repro.segments import dag
 from repro.segments.iterator import IteratorRegister
 from repro.segments.segment_map import SegmentFlags, SegmentMap
@@ -114,8 +115,9 @@ class Machine:
 
     def create_segment(self, words: Sequence = (),
                        flags: SegmentFlags = SegmentFlags.NONE) -> int:
-        """Create a segment holding ``words``; returns its VSID."""
+        """Create a segment holding data ``words``; returns its VSID."""
         if len(words):
+            check_data_words(words)
             root, height = dag.build_segment(self.mem, words)
         else:
             root, height = 0, 0
@@ -165,13 +167,20 @@ class Machine:
 
     def write_word(self, vsid: int, offset: int, value) -> None:
         """Copy-on-write update of one word (extends the segment if
-        written at or past the end)."""
+        written at or past the end); tagged, as :meth:`write_words`."""
         self.write_words(vsid, {offset: value})
 
     def write_words(self, vsid: int, updates: dict) -> None:
-        """Copy-on-write update of several words in one rebuild pass."""
+        """Copy-on-write update of several tagged words (the structures
+        store their slots' root entries here) in one rebuild pass; an int
+        that is neither data nor a live line's reference is refused."""
         if not updates:
             return
+        live = self.mem.store.is_allocated
+        if any(type(w) is int and not (0 <= w <= WORD_MASK or w < 0
+                                       and live(ref_plid(w)))
+               for w in updates.values()):
+            raise ValueError("not a data word or a live line's reference")
         entry = self.segmap.entry(vsid)
         length = max(entry.length, max(updates) + 1)
         root, height = entry.root, entry.height
@@ -184,7 +193,8 @@ class Machine:
         self.segmap.set_root(vsid, root, height, length)
 
     def append_words(self, vsid: int, words: Sequence) -> None:
-        """Append words — segments grow without reallocation (§4.1)."""
+        """Append data words — segments grow without reallocation (§4.1)."""
+        check_data_words(words)
         start = self.segmap.entry(vsid).length
         self.write_words(vsid, {start + i: w for i, w in enumerate(words)})
 
@@ -198,15 +208,7 @@ class Machine:
             self.release_iterator(it)
 
     # ------------------------------------------------------------------
-    # replication surface (line export/install for leader/follower)
-
-    def has_line(self, plid: int) -> bool:
-        """True when ``plid`` names a line allocated in this machine."""
-        return self.mem.has_line(plid)
-
-    def export_line(self, plid: int):
-        """A line's content, for shipping to a replica (uncharged read)."""
-        return self.mem.export_line(plid)
+    # replication surface (a sender walks ``dag.walk_lines``)
 
     def install_line(self, line) -> "tuple[int, bool]":
         """Install a line received from a replica; ``(plid, created)``.

@@ -22,7 +22,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.core.machine import Machine
 from repro.errors import PersistenceError
-from repro.memory.line import Inline, Line, PlidRef
+from repro.memory.line import Inline, Line, is_ref, ref, ref_path, ref_plid
 from repro.params import CacheGeometry, MachineConfig, MemoryConfig
 from repro.segments.segment_map import MapEntry, SegmentFlags
 
@@ -34,10 +34,10 @@ FORMAT_VERSION = 3
 
 
 def _word_to_json(word) -> Any:
+    if is_ref(word):
+        return {"t": "P", "p": ref_plid(word), "q": list(ref_path(word))}
     if isinstance(word, int):
         return word
-    if isinstance(word, PlidRef):
-        return {"t": "P", "p": word.plid, "q": list(word.path)}
     if isinstance(word, Inline):
         return {"t": "I", "w": word.width, "v": list(word.values),
                 "s": word.span}
@@ -48,18 +48,10 @@ def _word_from_json(obj) -> Any:
     if isinstance(obj, int):
         return obj
     if obj["t"] == "P":
-        return PlidRef(obj["p"], tuple(obj["q"]))
+        return ref(obj["p"], obj["q"])
     if obj["t"] == "I":
         return Inline(width=obj["w"], values=tuple(obj["v"]), span=obj["s"])
     raise ValueError("bad word record %r" % (obj,))
-
-
-def _entry_to_json(entry) -> Any:
-    return 0 if entry == 0 else _word_to_json(entry)
-
-
-def _entry_from_json(obj) -> Any:
-    return 0 if obj == 0 else _word_from_json(obj)
 
 
 def machine_image(machine: Machine) -> Dict[str, Any]:
@@ -79,7 +71,7 @@ def machine_image(machine: Machine) -> Dict[str, Any]:
                  for plid in store.live_plids()}
     segmap = {
         str(vsid): {
-            "root": _entry_to_json(entry.root),
+            "root": _word_to_json(entry.root),
             "height": entry.height,
             "length": entry.length,
             "flags": int(entry.flags),
@@ -157,7 +149,7 @@ def restore_machine(image: Dict[str, Any]) -> Machine:
         # restore the segment map
         for vsid_str, rec in image["segmap"].items():
             machine.segmap._entries[int(vsid_str)] = MapEntry(
-                root=_entry_from_json(rec["root"]),
+                root=_word_from_json(rec["root"]),
                 height=rec["height"],
                 length=rec["length"],
                 flags=SegmentFlags(rec["flags"]),

@@ -12,12 +12,15 @@ from repro.memory.line import (
     DataWord,
     Inline,
     Line,
-    PlidRef,
     ZERO_PLID,
     encode_line,
+    is_ref,
     is_zero_line,
     line_child_plids,
     make_leaf,
+    ref,
+    ref_path,
+    ref_plid,
     zero_line,
 )
 from repro.memory.stats import DramStats, TrafficCounter
@@ -31,12 +34,15 @@ __all__ = [
     "DataWord",
     "Inline",
     "Line",
-    "PlidRef",
     "ZERO_PLID",
     "encode_line",
+    "is_ref",
     "is_zero_line",
     "line_child_plids",
     "make_leaf",
+    "ref",
+    "ref_path",
+    "ref_plid",
     "zero_line",
     "DramStats",
     "TrafficCounter",

@@ -15,11 +15,12 @@ once, LRU within the set. The host does not walk the ways. Content is
 unique, so at most one live PLID holds a given content, and the store's
 ``content -> PLID`` map already names it; a line is resident only in
 the set of its PLID's hash bucket (an overflow PLID's through the
-store's overflow map). So a lookup encodes the line once, asks the
-store's map for the PLID, and is a hit exactly when that PLID's set
-holds it under an *equal tuple* — the way scan's compare (a word wider
-than 64 bits encodes like its residue but is a different tuple, and
-misses as the scan does). The cache keeps no content table of its own:
+store's overflow map). So a lookup asks the store's map, keyed by the
+line tuple itself, for the PLID, and is a hit exactly when that PLID's
+set holds it under an *equal tuple* — the way scan's compare (a line
+corrupted in place is indexed under its old content, and misses as the
+scan does). Only a miss encodes the line, for the store's bucket hash.
+The cache keeps no content table of its own:
 residency changes in three places only — :meth:`HicampCache._insert`
 (with its eviction), the store's dealloc listener and :meth:`flush`.
 
@@ -35,7 +36,7 @@ from collections import OrderedDict
 from typing import Callable, List, Optional
 
 from repro.memory.dedup_store import DedupStore
-from repro.memory.line import Line, ZERO_PLID, encode_line
+from repro.memory.line import Line, ZERO_PLID
 from repro.memory.stats import TrafficCounter
 from repro.params import CacheGeometry
 
@@ -91,8 +92,8 @@ class HicampCache:
     def _insert(self, ways: "OrderedDict[int, Line]", plid: int,
                 line: Line) -> None:
         if plid in ways:
-            # resident under an unequal tuple of the same encoding (a
-            # word outside 64 bits): replaced, and most recently used
+            # resident under an unequal tuple (a line corrupted in
+            # place): replaced, and most recently used
             ways.move_to_end(plid)
         ways[plid] = line
         if len(ways) > self._ways:
@@ -134,8 +135,7 @@ class HicampCache:
         if not any(line):  # is_zero_line, in line
             return ZERO_PLID
         store = self.store
-        enc = encode_line(line)
-        plid = store._plid_by_enc.get(enc)
+        plid = store._plid_by_line.get(line)
         if plid is not None:
             ways = self._ways_of(plid)
             if ways.get(plid) == line:
@@ -146,7 +146,7 @@ class HicampCache:
                     store.settle_children(line, False)
                 return plid
         self.traffic.lookup_misses += 1
-        plid, created = store.intern(line, enc, plid, consume)
+        plid, created = store.intern(line, plid, consume)
         if created:  # _ways_of, in line: most lookups of a fresh set
             ways = (self._sets[plid % self._num_buckets % self._num_sets]
                     if plid < self._overflow_base else self._ways_of(plid))

@@ -40,11 +40,12 @@ A bucket is a row of flat data, not an object: byte ``bucket *
 signature (0 = free; byte 0 of a row is the signature line's own), so a
 new line takes the lowest free way with one ``find``. A second
 ``bytearray`` of the same shape holds each way's fingerprint. One
-``content -> PLID`` dict covers every live line, and a sparse ``bucket
--> overflow PLIDs`` dict, with a fingerprint ``bytearray`` parallel to
-each list, holds only the buckets that have spilled. Nothing the store
-owns points back at it, so a dropped machine is freed by reference
-counting, not by the cyclic collector.
+``content -> PLID`` dict covers every live line, keyed by the very line
+tuples ``_lines`` holds, and a sparse ``bucket -> overflow PLIDs`` dict,
+with a fingerprint ``bytearray`` parallel to each list, holds only the
+buckets that have spilled. Nothing the store owns points back at it, so
+a dropped machine is freed by reference counting, not by the cyclic
+collector.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ from zlib import crc32
 from repro.errors import BadPlidError, IntegrityError, MemoryExhaustedError
 from repro.memory import hashing
 from repro.memory.line import (
+    PLID_MASK,
     Line,
-    PlidRef,
     ZERO_PLID,
     encode_line,
     is_zero_line,
@@ -188,8 +189,11 @@ class DedupStore:
         self._sigs = bytearray(self._row_len * self._num_buckets)
         #: each way's fingerprint (:meth:`lookup`), 0 beside a free way
         self._fps = bytearray(len(self._sigs))
-        #: content -> PLID of every live line
-        self._plid_by_enc: Dict[bytes, int] = {}
+        #: content -> PLID of every live line, keyed by its ``_lines`` tuple
+        self._plid_by_line: Dict[Line, int] = {}
+        #: PLID -> the content it is indexed under, for the lines
+        #: :meth:`corrupt_line_for_test` replaced
+        self._corrupted: Dict[int, Line] = {}
         #: bucket -> its overflow PLIDs, for the buckets that have spilled
         self._overflow: Dict[int, List[int]] = {}
         #: bucket -> its overflow lines' fingerprints, parallel to
@@ -207,9 +211,6 @@ class DedupStore:
         self._rc_cache = _RcCache(rc_cache_entries, self.stats, self.rows,
                                   self._row_of)
         self._zero = zero_line(self.config.words_per_line)
-        #: canonical encoding of each live line, captured at allocation so
-        #: deallocation never has to re-derive it
-        self._enc_by_plid: Dict[int, bytes] = {}
         #: callbacks invoked with a PLID just before it is deallocated
         #: (the cache registers here to invalidate its copy).
         self.dealloc_listeners: List = []
@@ -288,13 +289,15 @@ class DedupStore:
         """
         if plid not in self._lines:
             raise BadPlidError("cannot corrupt unallocated PLID %d" % plid)
+        self._corrupted.setdefault(plid, self._lines[plid])
         self._lines[plid] = line
         for listener in self.dealloc_listeners:
             listener(plid)  # drop any clean cached copy
 
     def peek(self, plid: int) -> Line:
-        """Read a line without charging DRAM traffic (used by the cache
-        after it has accounted the access itself, and by test assertions)."""
+        """Read a line without charging DRAM traffic: for the cache after
+        it has accounted the access itself, the replication sender (whose
+        wire has its own metrics) and test assertions."""
         if plid == ZERO_PLID:
             return self._zero
         try:
@@ -302,18 +305,7 @@ class DedupStore:
         except KeyError:
             raise BadPlidError("read of unallocated PLID %d" % plid)
 
-    def export_line(self, plid: int) -> Line:
-        """A line's content for shipping to another machine.
-
-        The replication sender walks a segment DAG and exports each line
-        once; like :meth:`peek` this charges no DRAM traffic (a real
-        controller would stream lines over a side channel, and the wire
-        accounting lives in the replication layer's own metrics).
-        """
-        return self.peek(plid)
-
-    def install_line(self, line: Line,
-                     enc: Optional[bytes] = None) -> Tuple[int, bool]:
+    def install_line(self, line: Line) -> Tuple[int, bool]:
         """Install a line received from another machine.
 
         Exactly :meth:`lookup` — lookup-by-content is what makes
@@ -328,18 +320,14 @@ class DedupStore:
             if child != ZERO_PLID and child not in self._lines:
                 raise BadPlidError(
                     "install references unallocated child PLID %d" % child)
-        return self.lookup(line, enc)
+        return self.lookup(line)
 
-    def lookup(self, line: Line,
-               enc: Optional[bytes] = None) -> Tuple[int, bool]:
+    def lookup(self, line: Line) -> Tuple[int, bool]:
         """Find-or-allocate ``line`` by content.
 
         Returns ``(plid, created)``. The returned reference is counted: a
         matching lookup increments the line's reference count; a fresh
         allocation starts it at one (section 3.1).
-
-        ``enc`` is the line's canonical encoding when the caller already
-        derived it; passing it avoids re-encoding.
 
         DRAM charging follows the paper's step list: one signature-line
         read; one data-line read per signature match (false positives cost
@@ -360,19 +348,18 @@ class DedupStore:
         """
         if is_zero_line(line):
             return ZERO_PLID, False
-        if enc is None:
-            enc = encode_line(line)
-        return self.intern(line, enc, self._plid_by_enc.get(enc))
+        return self.intern(line, self._plid_by_line.get(line))
 
-    def intern(self, line: Line, enc: bytes, existing: Optional[int],
+    def intern(self, line: Line, existing: Optional[int],
                consume: bool = False) -> Tuple[int, bool]:
-        """:meth:`lookup` of a non-zero line whose encoding ``enc`` and
-        content-map entry ``existing`` (a PLID or None) the cache
-        derived. ``consume``: the caller hands over a reference on each
-        child; a created line keeps them instead of taking new ones, and
-        on a hit :meth:`settle_children` releases them."""
+        """:meth:`lookup` of a non-zero line whose content-map entry
+        ``existing`` (a PLID or None) the cache looked up. ``consume``:
+        the caller hands over a reference on each child; a created line
+        keeps them instead of taking new ones, and on a hit
+        :meth:`settle_children` releases them."""
         # hashing.bucket_hash, hashing.signature and hashing.fingerprint,
         # in line
+        enc = encode_line(line)
         crc = crc32(enc, hashing.BUCKET_SEED)
         bucket_idx = crc % self._num_buckets
         sig = crc32(enc, hashing.SIGNATURE_SEED) & 0xFF or 1
@@ -412,9 +399,9 @@ class DedupStore:
                 self.counters.signature_false_positives += matches
             self.counters.false_positive_scans += matches
 
-        return self._allocate(line, enc, bucket_idx, sig, fp, consume), True
+        return self._allocate(line, bucket_idx, sig, fp, consume), True
 
-    def _allocate(self, line: Line, enc: bytes, bucket_idx: int,
+    def _allocate(self, line: Line, bucket_idx: int,
                   sig: int, fp: int, consume: bool) -> int:
         """Claim the lowest free way (or an overflow slot) for new content.
 
@@ -452,9 +439,8 @@ class DedupStore:
             self.counters.overflow_allocations += 1
             self.stats.lookups += 1  # overflow pointer update
             self.rows.access(bucket_idx)
-        self._plid_by_enc[enc] = plid
+        self._plid_by_line[line] = plid
         self._lines[plid] = line
-        self._enc_by_plid[plid] = enc
         self._refcounts[plid] = 1
         self._pending_write.add(plid)
         self._rc_cache.touch(plid, creating=True)
@@ -462,11 +448,11 @@ class DedupStore:
         # A new line takes one reference on each child PLID it stores
         # (hardware tracks sharing through the per-word tags), or keeps
         # the one its caller hands over (:meth:`intern`).
-        for word in line:
-            if type(word) is PlidRef and word.plid != ZERO_PLID:
+        for word in line:  # is_ref, in line; the zero line is not counted
+            if type(word) is int and word < 0 and (child := ~word & PLID_MASK):
                 if not consume:
-                    self._refcounts[word.plid] += 1
-                self._rc_cache.touch(word.plid)
+                    self._refcounts[child] += 1
+                self._rc_cache.touch(child)
         return plid
 
     def settle_children(self, line: Line, created: bool) -> None:
@@ -475,12 +461,12 @@ class DedupStore:
         touch each child's RC entry again, as the released reference
         did when a new line took its own, so the RC cache's order,
         fills and spills stay exactly what they were."""
-        for word in line:
-            if type(word) is PlidRef and word.plid != ZERO_PLID:
+        for word in line:  # is_ref, in line; the zero line is not counted
+            if type(word) is int and word < 0 and (child := ~word & PLID_MASK):
                 if created:
-                    self._rc_cache.touch(word.plid)
+                    self._rc_cache.touch(child)
                 else:
-                    self.decref(word.plid)
+                    self.decref(child)
 
     def writeback(self, plid: int) -> None:
         """Charge the deferred DRAM write of a newly created line.
@@ -555,10 +541,12 @@ class DedupStore:
         its overflow slot and drop its fingerprint from the list."""
         for listener in self.dealloc_listeners:
             listener(plid)
-        del self._lines[plid]
-        # keyed off the *stored* encoding, so a silently corrupted line
-        # still frees cleanly (the audit flags it instead)
-        self._plid_by_enc.pop(self._enc_by_plid.pop(plid), None)
+        line = self._lines.pop(plid)
+        # a silently corrupted line frees under the content it was
+        # indexed by (the audit flags it instead)
+        if self._corrupted:
+            line = self._corrupted.pop(plid, line)
+        self._plid_by_line.pop(line, None)
         if plid >= self._overflow_base:
             bucket_idx = self._overflow_bucket.pop(plid)
             spilled = self._overflow[bucket_idx]
@@ -706,8 +694,7 @@ class DedupStore:
             slot = self._slot_of(plid)
             self._sigs[slot] = hashing.signature(enc)
             self._fps[slot] = fp
-        self._plid_by_enc[enc] = plid
-        self._enc_by_plid[plid] = enc
+        self._plid_by_line[line] = plid
         self._lines[plid] = line
         self._refcounts[plid] = refcount
 
@@ -716,18 +703,18 @@ class DedupStore:
         the live lines.
 
         Content keys and fingerprints are derived from each line's
-        *actual stored content* (not the captured allocation-time
-        encoding), so a silently corrupted line surfaces here as well as
-        in the canonical-form audit. Returns failure strings; empty =
+        *actual stored content* (not the content it was indexed under),
+        so a silently corrupted line surfaces here as well as in the
+        canonical-form audit. Returns failure strings; empty =
         clean.
         """
         failures: List[str] = []
         # the content map must exactly cover the live lines, each under
         # its current content
-        if len(self._plid_by_enc) != len(self._lines):
+        if len(self._plid_by_line) != len(self._lines):
             failures.append(
                 "index: %d content entries for %d live lines"
-                % (len(self._plid_by_enc), len(self._lines)))
+                % (len(self._plid_by_line), len(self._lines)))
         spilled_fp: Dict[int, int] = {}
         for bucket, plids in self._overflow.items():
             fps = self._overflow_fps.get(bucket, b"")
@@ -737,14 +724,14 @@ class DedupStore:
                     "fingerprints" % (bucket, len(plids), len(fps)))
             spilled_fp.update(zip(plids, fps))
         for plid, line in self._lines.items():
-            enc = encode_line(line)
-            if self._plid_by_enc.get(enc) != plid:
+            if self._plid_by_line.get(line) != plid:
                 failures.append(
                     "index: live PLID %d is not reachable by its content"
                     % plid)
             stored = (spilled_fp.get(plid) if plid >= self._overflow_base
                       else self._fps[self._slot_of(plid)])
-            if stored != hashing.fingerprint(enc, self._num_buckets):
+            if stored != hashing.fingerprint(encode_line(line),
+                                             self._num_buckets):
                 failures.append(
                     "index: live PLID %d has fingerprint %s, not its "
                     "content's" % (plid, stored))

@@ -2,8 +2,8 @@
 
 A memory line holds ``line_bytes / 8`` words. Each word is one of:
 
-* a plain 64-bit **data word** (represented as a Python ``int``);
-* a **PLID reference** (:class:`PlidRef`) — a tagged pointer to another
+* a plain 64-bit **data word**: an ``int`` in ``[0, 2**64)``;
+* a **PLID reference**: a negative ``int`` — a tagged pointer to another
   line, optionally carrying a *path-compaction* suffix (Figure 4a): the
   sequence of intra-line positions that a chain of elided single-child
   interior nodes would have traversed;
@@ -11,9 +11,12 @@ A memory line holds ``line_bytes / 8`` words. Each word is one of:
   encoding (Figure 4b): several narrow values packed into one word slot
   together with their element width.
 
-The paper stores the tag distinguishing data from PLIDs in spare ECC bits;
-here the distinction is carried by the Python type. Content-uniqueness and
-hashing operate on a canonical byte encoding of the tagged words
+The paper stores the tag distinguishing data from PLIDs in spare ECC
+bits; here the tag is the sign, outside the data range. A reference is
+``~x`` for ``x = (digits << 16 | len(path)) << PLID_BITS | plid``
+(``digits``: the path read as big-endian bytes), never zero and never a
+data word, told apart by one test (:func:`is_ref`). Content-uniqueness
+and hashing operate on a canonical byte encoding of the tagged words
 (:func:`encode_line`), so two lines are duplicates exactly when their
 tagged contents are identical.
 """
@@ -24,7 +27,7 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Sequence, Tuple, Union
 
-from repro.params import WORD_MASK
+from repro.params import PLID_BITS, WORD_MASK
 
 #: The reserved PLID of the all-zero line. Reading it at any level yields
 #: zero content; looking up all-zero content returns it without allocation.
@@ -33,28 +36,35 @@ ZERO_PLID = 0
 #: A plain 64-bit data word.
 DataWord = int
 
+#: the PLID field of a reference word's complement
+PLID_MASK = (1 << PLID_BITS) - 1
 
-@dataclass(frozen=True, slots=True)
-class PlidRef:
-    """A tagged reference word pointing at line ``plid``.
 
-    Attributes:
-        plid: the referenced Physical Line ID.
-        path: path-compaction suffix — intra-line way positions of the
-            elided single-child interior nodes, ordered from the level just
-            below this word down toward the target. Empty when no path
-            compaction applies. The paper encodes this in unused high-order
-            PLID bits; we keep it symbolic and charge its encoded size in
-            :func:`encode_line`.
-    """
+def ref(plid: int, path: Sequence[int] = ()) -> int:
+    """The reference word to line ``plid`` with path-compaction suffix
+    ``path``: the way positions of the elided single-child interior
+    nodes, from the level just below this word down toward the target."""
+    if not 0 <= plid <= PLID_MASK or len(path) > 0xFFFF:
+        raise ValueError("PLID %d or a path of %d digits does not fit a "
+                         "reference word" % (plid, len(path)))
+    return ~((int.from_bytes(bytes(path), "big") << 16 | len(path))
+             << PLID_BITS | plid)
 
-    plid: int
-    path: Tuple[int, ...] = ()
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        if self.path:
-            return "PlidRef(%d, path=%r)" % (self.plid, self.path)
-        return "PlidRef(%d)" % self.plid
+def is_ref(word) -> bool:
+    """True when ``word`` is a reference word (the tag test)."""
+    return type(word) is int and word < 0
+
+
+def ref_plid(word: int) -> int:
+    """The PLID a reference word names."""
+    return ~word & PLID_MASK
+
+
+def ref_path(word: int) -> bytes:
+    """A reference word's path-compaction suffix, one digit per byte."""
+    tail = ~word >> PLID_BITS
+    return (tail >> 16).to_bytes(tail & 0xFFFF, "big")
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,7 +95,7 @@ class Inline:
         return tuple(out)
 
 
-Word = Union[DataWord, PlidRef, Inline]
+Word = Union[DataWord, Inline]  # a data or a reference int, or a pack
 
 #: A line is an immutable tuple of words.
 Line = Tuple[Word, ...]
@@ -104,13 +114,21 @@ def make_leaf(words: Sequence[int], words_per_line: int) -> Line:
     zero-padded on the right (canonical left-to-right fill, section 2.2)."""
     if len(words) > words_per_line:
         raise ValueError("too many words for one line")
-    padded = tuple(int(w) for w in words) + (0,) * (words_per_line - len(words))
-    return padded
+    return tuple(int(w) for w in words) + (0,) * (words_per_line - len(words))
+
+
+def check_data_words(words: Sequence) -> None:
+    """Refuse, with ``ValueError``, any word that is not a data word (an
+    int in ``[0, 2**64)``): one struct call, no loop per word."""
+    try:
+        struct.pack(">%dQ" % len(words), *words)
+    except struct.error:
+        raise ValueError("a data word is an int in [0, 2**64)") from None
 
 
 def is_zero_line(line: Line) -> bool:
     """True when every word of the line is a zero data word."""
-    # only a zero data word is falsy: PlidRef and Inline are plain objects
+    # only 0 is falsy: a reference is negative and an Inline is an object
     return not any(line)
 
 
@@ -122,20 +140,20 @@ def line_child_plids(line: Line) -> Iterator[int]:
     dropped (the recursive-deallocation state machine of section 3.1).
     """
     for w in line:
-        if isinstance(w, PlidRef) and w.plid != ZERO_PLID:
-            yield w.plid
+        if type(w) is int and w < 0 and ~w & PLID_MASK:
+            yield ~w & PLID_MASK
 
 
 def encode_word(word: Word) -> bytes:
     """Canonical byte encoding of one tagged word (for hashing)."""
-    if isinstance(word, PlidRef):
-        return b"P" + _U64.pack(word.plid) + bytes(word.path)
     if isinstance(word, Inline):
         return (
             b"I"
             + bytes((word.width, word.span, len(word.values)))
             + b"".join(_U64.pack(v) for v in word.values)
         )
+    if word < 0:
+        return _DATA_WORD(b"P", ~word & PLID_MASK) + ref_path(word)
     return b"D" + _U64.pack(word & WORD_MASK)
 
 
@@ -149,7 +167,7 @@ def _data_line_packer(n_words: int) -> Callable[..., bytes]:
     :func:`encode_word` gives. The tags are interleaved by the generated
     lambda's own signature, which is what saves a Python loop per line.
     A word struct will not take as an unsigned 64-bit integer (a tagged
-    word, a negative or wider int) raises ``struct.error``.
+    word, a wider int) raises ``struct.error``.
     """
     names = ["w%d" % i for i in range(n_words)]
     pack = _DATA_LINE_PACKERS[n_words] = eval(
@@ -168,17 +186,18 @@ def encode_line(line: Line) -> bytes:
     """
     # an interior line leads with a reference, so only a line that leads
     # with data is offered to the all-data packer
-    if line and type(line[0]) is int:
+    first = line[0] if line else None
+    if type(first) is int and first >= 0:
         n = len(line)
         try:
             return (_DATA_LINE_PACKERS.get(n) or _data_line_packer(n))(*line)
         except struct.error:
             pass  # a tagged word further in, or one outside 64 bits
-    # a reference word is b"P", its PLID and its path: encode_word's
-    # bytes in one struct call
-    return b"".join([_DATA_WORD(b"D", w & WORD_MASK) if type(w) is int
-                     else _DATA_WORD(b"P", w.plid) + bytes(w.path)
-                     if type(w) is PlidRef else encode_word(w)
+    # encode_word's bytes, a path-free reference's in one struct call
+    return b"".join([(_DATA_WORD(b"D", w & WORD_MASK) if w >= 0
+                      else _DATA_WORD(b"P", ~w) if ~w <= PLID_MASK
+                      else _DATA_WORD(b"P", ~w & PLID_MASK) + ref_path(w))
+                     if type(w) is int else encode_word(w)
                      for w in line])
 
 

@@ -75,6 +75,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Set, Tuple
 
+from repro.memory.line import is_ref, ref_plid
+
 #: table names, in the order reported by :meth:`StructuralMemo.snapshot`
 TABLES = ("segment", "digest", "read")
 
@@ -157,7 +159,7 @@ class StructuralMemo:
         stored entry (path included) must equal ``root``.
         """
         triple = (root, height, length)
-        for data in self._seg_rev.get(root.plid, ()):
+        for data in self._seg_rev.get(ref_plid(root), ()):
             if len(data) == byte_length and self._segments[data] == triple:
                 self._segments.move_to_end(data)
                 self.stats["segment"].hits += 1
@@ -170,12 +172,11 @@ class StructuralMemo:
         """Record a completed canonical build of ``data``; both
         :meth:`get_segment` and :meth:`get_payload` answer from it."""
         self._segments[data] = (root, height, length)
-        plid = getattr(root, "plid", None)
-        if plid is not None:
-            self._seg_rev.setdefault(plid, set()).add(data)
+        if is_ref(root):
+            self._seg_rev.setdefault(ref_plid(root), set()).add(data)
         if len(self._segments) > self._max_segments:
             victim, (vroot, _, _) = self._segments.popitem(last=False)
-            vplid = getattr(vroot, "plid", None)
+            vplid = ref_plid(vroot) if is_ref(vroot) else None
             keys = self._seg_rev.get(vplid)
             if keys is not None:
                 keys.discard(victim)

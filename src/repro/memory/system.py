@@ -84,14 +84,6 @@ class MemorySystem:
     # ------------------------------------------------------------------
     # replication surface
 
-    def has_line(self, plid: int) -> bool:
-        """True when ``plid`` names an allocated line (known-PLID test)."""
-        return self.store.is_allocated(plid)
-
-    def export_line(self, plid: int) -> Line:
-        """A line's content for shipping to another machine (uncharged)."""
-        return self.store.export_line(plid)
-
     def install_line(self, line: Line) -> "tuple[int, bool]":
         """Install a received line by content; returns ``(plid, created)``.
 

@@ -19,7 +19,7 @@ process never loads them.
 """
 
 from repro.net.framing import Frame, FrameDecoder
-from repro.net.metrics import ServerMetrics
+from repro.net.metrics import CollectorPauses, ServerMetrics
 from repro.net.router import ConnectionState, ShardRouter
 from repro.net.server import MemcachedServer, serve
 
@@ -27,6 +27,7 @@ __all__ = [
     "Frame",
     "FrameDecoder",
     "ServerMetrics",
+    "CollectorPauses",
     "ConnectionState",
     "ShardRouter",
     "MemcachedServer",

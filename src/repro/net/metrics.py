@@ -16,7 +16,43 @@ from typing import Callable, Deque, Dict, List, Optional
 
 from repro.obs.latency import latency_summary
 
-__all__ = ["ServerMetrics"]
+__all__ = ["CollectorPauses", "ServerMetrics"]
+
+
+class CollectorPauses:
+    """The cyclic garbage collector's pauses by generation, timed by a
+    ``gc.callbacks`` hook that :class:`~repro.net.server.MemcachedServer`
+    installs while it serves.
+
+    Process-wide: the collector is the interpreter's, so the hook counts
+    every collection in the process while it is installed, whichever
+    server, client or test allocated what it walked.
+    """
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.pause_us = [0, 0, 0]
+        self.max_pause_us = 0
+        self._began = 0.0
+
+    def __call__(self, phase: str, info: Dict) -> None:
+        if phase == "start":
+            self._began = time.perf_counter()
+            return
+        pause = int((time.perf_counter() - self._began) * 1e6)
+        self.collections[info["generation"]] += 1
+        self.pause_us[info["generation"]] += pause
+        self.max_pause_us = max(self.max_pause_us, pause)
+
+    def snapshot(self) -> Dict:
+        """JSON-safe counts (``stats json``'s ``collector``)."""
+        return {"collections": self.by_generation(self.collections),
+                "pause_us": self.by_generation(self.pause_us),
+                "max_pause_us": self.max_pause_us}
+
+    @staticmethod
+    def by_generation(counts: List[int]) -> Dict[str, int]:
+        return {str(gen): n for gen, n in enumerate(counts)}
 
 
 @dataclass

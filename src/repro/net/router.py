@@ -53,7 +53,7 @@ from repro.apps.memcached.server import HicampMemcached
 from repro.core.machine import Machine
 from repro.memory.reclaim import RECLAIM_BUDGET
 from repro.net.framing import Frame
-from repro.net.metrics import ServerMetrics
+from repro.net.metrics import CollectorPauses, ServerMetrics
 from repro.obs import adapters
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_RECORDER, DramProbe
@@ -161,6 +161,10 @@ class ShardRouter:
         adapters.register_index(self.registry, machine.mem.store)
         adapters.register_reclaim(self.registry, machine.mem.store)
         adapters.register_memo(self.registry, machine.mem.memo)
+        #: the collector's pauses, counted while a server serves this
+        #: router (:class:`~repro.net.metrics.CollectorPauses`)
+        self.collector = CollectorPauses()
+        adapters.register_collector(self.registry, self.collector)
         # the eviction accounting ManagedMemcached adds reads through
         # the registry like every other silo
         if servers and all(hasattr(s, "eviction") for s in servers):
@@ -555,6 +559,7 @@ class ShardRouter:
             "index": self.machine.mem.store.index_snapshot(),
             "reclaim": self.machine.mem.store.reclaim_snapshot(),
             "memo": self.machine.mem.memo.snapshot(),
+            "collector": self.collector.snapshot(),
             **self.extra_stats(),
         })
 

@@ -55,6 +55,7 @@ Example::
 from __future__ import annotations
 
 import asyncio
+import gc
 from typing import Optional
 
 from repro.core.machine import Machine
@@ -117,7 +118,9 @@ class MemcachedServer:
     # lifecycle
 
     async def start(self) -> None:
-        """Start the shard workers and begin accepting connections."""
+        """Start the shard workers and begin accepting connections; the
+        router's collector counter starts timing collections."""
+        gc.callbacks.append(self.router.collector)
         await self.router.start()
         self._server = await asyncio.get_running_loop().create_server(
             lambda: _Connection(self), self.host, self.port)
@@ -159,6 +162,8 @@ class MemcachedServer:
         # found. Close before wait_closed(): on 3.12+ it waits for
         # every connection to be lost.
         self._closing = True
+        if self.router.collector in gc.callbacks:
+            gc.callbacks.remove(self.router.collector)
         if self._server is not None:
             self._server.close()
         connections = list(self._connections)

@@ -30,6 +30,7 @@ __all__ = [
     "register_memo",
     "register_cluster",
     "register_eviction",
+    "register_collector",
 ]
 
 # ServerMetrics scalar fields, split by Prometheus kind. Keep in sync
@@ -290,3 +291,21 @@ def register_router(registry: MetricsRegistry, router) -> None:
     registry.gauge("repro_cache_curr_items", "items across all shards",
                    fn=lambda:
                    router.aggregate_server_stats()["curr_items"])
+
+
+def register_collector(registry: MetricsRegistry, pauses) -> None:
+    """Expose :class:`~repro.net.metrics.CollectorPauses`: collections
+    and pause microseconds by generation, and the longest pause. The
+    counts are process-wide (the collector is the interpreter's)."""
+    registry.counter("repro_gc_collections_total",
+                     "cyclic collections by generation (process-wide)",
+                     labels=("generation",),
+                     fn=lambda: pauses.by_generation(pauses.collections))
+    registry.counter("repro_gc_pause_us_total",
+                     "microseconds paused in the cyclic collector, by "
+                     "generation (process-wide)",
+                     labels=("generation",),
+                     fn=lambda: pauses.by_generation(pauses.pause_us))
+    registry.gauge("repro_gc_max_pause_us",
+                   "longest single collection pause (process-wide)",
+                   fn=lambda: pauses.max_pause_us)

@@ -15,6 +15,9 @@ WORD_BYTES = 8
 #: Mask for a 64-bit word value.
 WORD_MASK = (1 << 64) - 1
 
+#: Width of the PLID field of a reference word (:mod:`repro.memory.line`).
+PLID_BITS = 40
+
 
 @dataclass(frozen=True)
 class CacheGeometry:
@@ -81,6 +84,9 @@ class MemoryConfig:
             raise ValueError("a line must hold at least two words to form a DAG")
         if self.plid_bytes not in (4, 8):
             raise ValueError("plid_bytes must be 4 or 8")
+        if ((self.data_ways + 1) * self.num_buckets
+                + self.overflow_lines) >> PLID_BITS:
+            raise ValueError("PLIDs must fit %d bits" % PLID_BITS)
 
     @property
     def words_per_line(self) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, List, Set, Tuple
 
-from repro.memory.line import Line, PlidRef
+from repro.memory.line import Line, is_ref, ref, ref_path, ref_plid
 from repro.segments.dag import Entry, walk_lines
 
 
@@ -67,8 +67,7 @@ def translate_line(line: Line, plid_map) -> Line:
     Raises ``KeyError`` with the missing leader PLID when a child was
     never installed — the caller turns that into a NACK.
     """
-    if not any(isinstance(w, PlidRef) for w in line):
+    if not any(is_ref(w) for w in line):
         return line
-    return tuple(PlidRef(plid_map[w.plid], w.path)
-                 if isinstance(w, PlidRef) else w
+    return tuple(ref(plid_map[ref_plid(w)], ref_path(w)) if is_ref(w) else w
                  for w in line)

@@ -47,7 +47,7 @@ import struct
 from typing import Dict, List, Tuple
 
 from repro.errors import ReplicationError
-from repro.memory.line import Inline, Line, PlidRef
+from repro.memory.line import Inline, Line, is_ref, ref, ref_path, ref_plid
 
 # re-exported so replication callers need only this module
 from repro.net.framing import (  # noqa: F401
@@ -110,9 +110,9 @@ def _decode_length(payload: bytes, pos: int) -> Tuple[int, int]:
 
 def encode_wire_word(word) -> bytes:
     """Self-delimiting encoding of one tagged word."""
-    if isinstance(word, PlidRef):
-        return (b"P" + bytes((len(word.path),)) + _U64.pack(word.plid)
-                + bytes(word.path))
+    if is_ref(word):
+        path = ref_path(word)
+        return b"P" + bytes((len(path),)) + _U64.pack(ref_plid(word)) + path
     if isinstance(word, Inline):
         return (b"I" + bytes((word.width, word.span, len(word.values)))
                 + b"".join(_U64.pack(v) for v in word.values))
@@ -128,10 +128,10 @@ def decode_wire_word(payload: bytes, pos: int) -> Tuple[object, int]:
         if tag == b"P":
             path_len = payload[pos + 1]
             plid = _U64.unpack_from(payload, pos + 2)[0]
-            path = tuple(payload[pos + 10:pos + 10 + path_len])
+            path = payload[pos + 10:pos + 10 + path_len]
             if len(path) != path_len:
                 raise ReplicationError("truncated path in reference word")
-            return PlidRef(plid, path), pos + 10 + path_len
+            return ref(plid, path), pos + 10 + path_len
         if tag == b"I":
             width, span, count = payload[pos + 1:pos + 4]
             values = tuple(_U64.unpack_from(payload, pos + 4 + 8 * i)[0]
@@ -189,12 +189,12 @@ def encode_advance_payload(stream: int, seq: int, vsid: int, root,
                            height: int, length: int) -> bytes:
     """ROOT_ADVANCE: commit ``stream`` to a new version.
 
-    ``root`` is the leader-side root entry (0 / Inline / PlidRef with
-    leader PLIDs — the follower translates before applying).
+    ``root`` is the leader-side root entry (0 / Inline / a reference
+    word with a leader PLID — the follower translates before applying).
     """
     return (_ADVANCE_HEAD.pack(stream, seq, vsid, height)
             + _encode_length(length)
-            + encode_wire_word(0 if root == 0 else root))
+            + encode_wire_word(root))
 
 
 def decode_advance_payload(payload: bytes):

@@ -16,9 +16,9 @@ An *entry* denotes a subtree at a known level and is one of:
 * ``0`` — the all-zero subtree;
 * :class:`~repro.memory.line.Inline` — data compaction: the subtree's
   (trimmed) words packed into a single entry slot;
-* :class:`~repro.memory.line.PlidRef` — a reference to a line, whose
-  ``path`` carries the way positions of elided single-child interior
-  nodes (path compaction).
+* a reference word (:func:`~repro.memory.line.ref`, a negative int) —
+  a reference to a line, whose path carries the way positions of elided
+  single-child interior nodes (path compaction).
 
 At level ``L`` an entry spans ``leaf_words * fanout**L`` words; a segment
 of height ``h`` is the entry at level ``h``.
@@ -36,10 +36,13 @@ from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import SegmentRangeError
-from repro.memory.line import Inline, Line, PlidRef, ZERO_PLID, encode_word
+from repro.memory.line import (
+    PLID_MASK, Inline, Line, ZERO_PLID, encode_word, is_ref, ref, ref_path,
+    ref_plid)
 from repro.memory.system import MemorySystem
+from repro.params import PLID_BITS
 
-Entry = object  # 0 | Inline | PlidRef
+Entry = object  # 0 | Inline | a reference word
 
 _INLINE_WIDTHS = (1, 2, 4, 8)
 
@@ -93,7 +96,7 @@ def _pack(vals: Tuple) -> Optional[Inline]:
     bound = _PACK_BOUND[n]
     biggest = 0
     for v in vals:
-        if not isinstance(v, int) or v >= bound:
+        if not isinstance(v, int) or v >= bound or v < 0:
             return None
         if v > biggest:
             biggest = v
@@ -110,15 +113,15 @@ def _inline_for(words: Sequence) -> Optional[Inline]:
 
 def retain_entry(mem: MemorySystem, entry: Entry) -> Entry:
     """Take an extra caller reference on an entry (no-op for 0/Inline)."""
-    if isinstance(entry, PlidRef):
-        mem.incref(entry.plid)
+    if type(entry) is int and entry < 0:  # is_ref, in line
+        mem.incref(~entry & PLID_MASK)
     return entry
 
 
 def release_entry(mem: MemorySystem, entry: Entry) -> None:
     """Drop a caller reference on an entry (no-op for 0/Inline)."""
-    if isinstance(entry, PlidRef):
-        mem.decref(entry.plid)
+    if type(entry) is int and entry < 0:  # is_ref, in line
+        mem.decref(~entry & PLID_MASK)
 
 
 def entry_key(entry: Entry) -> bytes:
@@ -145,7 +148,7 @@ def _leaf_entry(mem: MemorySystem, words: Sequence) -> Entry:
         if inline is not None:
             return inline
     line: Line = tuple(words) + (0,) * (mem.words_per_line - len(words))
-    return PlidRef(mem.lookup(line))
+    return ~mem.lookup(line)  # ref(plid), in line
 
 
 def _canonical_interior(mem: MemorySystem, children: List[Entry], level: int) -> Entry:
@@ -183,16 +186,17 @@ def _canonical_interior(mem: MemorySystem, children: List[Entry], level: int) ->
             if inline is not None:
                 return inline
     # Path compaction: a single non-zero child that is a line reference.
-    if (count == 1 and config.path_compaction
-            and isinstance(children[last], PlidRef)):
-        return PlidRef(children[last].plid, (last,) + children[last].path)
+    child = children[last]
+    if (count == 1 and config.path_compaction and type(child) is int
+            and child < 0):
+        return ref(ref_plid(child), bytes((last,)) + ref_path(child))
     # Materialize the interior line; it consumes the caller's references
     # on its children (the second argument)
-    return PlidRef(mem.lookup(tuple(children), True))
+    return ~mem.lookup(tuple(children), True)
 
 
 def _wrap_run(mem: MemorySystem, entry: Entry, level: int,
-              digits: Tuple[int, ...]) -> Entry:
+              digits: Sequence[int]) -> Entry:
     """Re-emit a run of single-child interior levels above ``entry``.
 
     ``entry`` sits at ``level``; ``digits`` are the child positions of
@@ -206,9 +210,10 @@ def _wrap_run(mem: MemorySystem, entry: Entry, level: int,
     config = mem.config
     n = len(digits)
     while n and entry:
-        if isinstance(entry, PlidRef):
+        if type(entry) is int:  # a non-zero entry int is a reference
             if config.path_compaction:
-                return PlidRef(entry.plid, digits[:n] + entry.path)
+                return ref(ref_plid(entry),
+                           bytes(digits[:n]) + ref_path(entry))
         elif config.data_compaction:
             if not any(digits[:n]):
                 return entry
@@ -283,12 +288,12 @@ _DIGITS = bytes.maketrans(bytes(range(36)),
                           b"0123456789abcdefghijklmnopqrstuvwxyz")
 
 
-def _path_value(path: Tuple[int, ...], fan: int) -> int:
+def _path_value(path: bytes, fan: int) -> int:
     """A compacted path's digits read as one base-``fan`` number, most
     significant first: the child index, among the ``fan**len(path)``
     subtrees ``len(path)`` levels down, of the line the path leads to."""
     if fan <= 36:
-        return int(bytes(path).translate(_DIGITS), fan)
+        return int(path.translate(_DIGITS), fan)
     value = 0
     for digit in path:
         value = value * fan + digit
@@ -300,8 +305,8 @@ def read_word(mem: MemorySystem, entry: Entry, level: int, index: int,
     """Read the word at ``index`` within a subtree at ``level``.
 
     Returns a plain data ``int`` or, for segments that store references in
-    their leaves (e.g. a map of value-segment roots), a tagged
-    :class:`PlidRef` word.
+    their leaves (e.g. a map of value-segment roots), a reference word
+    (a negative ``int``) or an :class:`Inline` pack.
 
     With ``count > 1``, returns the list of ``count`` consecutive words
     from ``index``. Words that share a leaf line cost one descent — the
@@ -322,14 +327,17 @@ def read_word(mem: MemorySystem, entry: Entry, level: int, index: int,
     spans = mem.spans
     if count > 1 and index // spans[0] != last // spans[0]:
         return gather_words(mem, entry, level, index, count)
-    while type(entry) is PlidRef:
-        path = entry.path
-        if path:  # the compacted path, then the line
-            level -= len(path)
+    while type(entry) is int and entry < 0:  # is_ref, in line
+        x = ~entry
+        if x > PLID_MASK:  # the path (ref_path, in line), then the line
+            tail = x >> PLID_BITS
+            level -= tail & 0xFFFF
             j, index = divmod(index, spans[level])
-            if j != _path_value(path, mem.fanout):
+            if j != _path_value((tail >> 16).to_bytes(tail & 0xFFFF, "big"),
+                                mem.fanout):
                 return 0 if count == 1 else [0] * count
-        line = mem.read(entry.plid)
+            x &= PLID_MASK
+        line = mem.read(x)
         if level == 0:
             return line[index] if count == 1 \
                 else list(line[index:index + count])
@@ -382,13 +390,14 @@ def _gather(mem: MemorySystem, out: List, start: int, stop: int,
                 if start <= pos < stop and v:
                     out[pos - start] = v
             return
-        path = entry.path
-        if path:
+        x = ~entry
+        if x > PLID_MASK:
+            path = ref_path(entry)
             level -= len(path)
             base += _path_value(path, mem.fanout) * spans[level]
             if base >= stop or base + spans[level] <= start:
                 return
-        line = mem.read(entry.plid)
+        line = mem.read(x & PLID_MASK)
         first, last = start - base, stop - 1 - base
         if level == 0:
             lo = first if first > 0 else 0
@@ -401,13 +410,13 @@ def _gather(mem: MemorySystem, out: List, start: int, stop: int,
         last = last // span if last < span * len(line) else len(line) - 1
         for j in range(first, last):  # all but the last touched child
             child = line[j]
-            if level or type(child) is not PlidRef:
+            if level or type(child) is not int or child >= 0:
                 if child:
                     _gather(mem, out, start, stop, child, level,
                             base + j * span)
                 continue
             pos = base + j * span  # a leaf line: only the first may be cut
-            leaf = mem.read(child.plid)
+            leaf = mem.read(~child)  # a leaf's reference has no path
             lo = start - pos if start > pos else 0
             out[pos + lo - start:pos + span - start] = leaf[lo:]
         entry = line[last]  # ... which this frame descends itself
@@ -434,13 +443,14 @@ def iter_nonzero(mem: MemorySystem, entry: Entry, level: int,
                 if v and start <= pos < limit:
                     yield pos, v
             return
-        path = entry.path
-        if path:
+        x = ~entry
+        if x > PLID_MASK:
+            path = ref_path(entry)
             level -= len(path)
             base += _path_value(path, fan) * spans[level]
             if base >= limit or base + spans[level] <= start:
                 return
-        line = mem.read(entry.plid)
+        line = mem.read(x & PLID_MASK)
         if level == 0:
             for k, word in enumerate(line):
                 if word and start <= base + k < limit:
@@ -482,17 +492,19 @@ def _expand(mem: MemorySystem, entry: Entry, level: int,
         span = entry_capacity(mem, level - 1)
         return [_inline_for(vals[j * span:(j + 1) * span]) or 0
                 for j in range(width)]
-    if entry.path:
+    x = ~entry
+    if x > PLID_MASK:
         children: List[Entry] = [0] * width
+        path = ref_path(entry)
         # the peeled child inherits the caller's reference, if any
-        children[entry.path[0]] = PlidRef(entry.plid, entry.path[1:])
+        children[path[0]] = ref(x & PLID_MASK, path[1:])
         return children
-    words = list(mem.read(entry.plid))
+    words = list(mem.read(x))
     if owned:
         for word in words:
-            if isinstance(word, PlidRef):
-                mem.incref(word.plid)
-        mem.decref(entry.plid)
+            if type(word) is int and word < 0:  # is_ref, in line
+                mem.incref(~word & PLID_MASK)
+        mem.decref(x)
     return words
 
 
@@ -568,15 +580,16 @@ def _rebuild(mem: MemorySystem, entry: Entry, level: int, base: int,
                 spans, max(hi - base, len(entry.values) - 1), 0, level)
             digits = (0,) * (level - below)
         else:
-            for digit in entry.path:
+            path = ref_path(entry)
+            for digit in path:
                 first = base + digit * spans[below - 1]
                 if lo < first or hi >= first + spans[below - 1]:
                     break
                 base = first
                 below -= 1
-            digits = entry.path[:level - below]
+            digits = path[:level - below]
             if digits:
-                entry = PlidRef(entry.plid, entry.path[len(digits):])
+                entry = ref(ref_plid(entry), path[len(digits):])
         if digits:
             trail.append((below, None, digits))
             level = below
@@ -601,18 +614,19 @@ def _rebuild(mem: MemorySystem, entry: Entry, level: int, base: int,
             level -= 1
     else:
         words = _expand(mem, entry, 0)
-        owned = {i for i, word in enumerate(words) if isinstance(word, PlidRef)}
+        owned = {i for i, word in enumerate(words)
+                 if type(word) is int and word < 0}  # is_ref, in line
         for offset, value in items:
             i = offset - base
             if i in owned:
-                mem.decref(words[i].plid)
+                mem.decref(~words[i] & PLID_MASK)
                 owned.discard(i)
             words[i] = value
         entry = _leaf_entry(mem, words)
         # Release the expansion-owned references: the new leaf (if
         # materialized) took its own on creation.
         for i in owned:
-            mem.decref(words[i].plid)
+            mem.decref(~words[i] & PLID_MASK)
     for level, children, where in reversed(trail):
         if children is None:
             entry = _wrap_run(mem, entry, level, where)
@@ -645,11 +659,11 @@ def walk_lines(store, entry: Entry,
     """
     if skip is None:
         skip = set()
-    if not isinstance(entry, PlidRef) or entry.plid in skip:
+    if not is_ref(entry) or ref_plid(entry) in skip:
         return
     seen = set()
     # iterative postorder: (plid, children_expanded) frames
-    stack: List[List] = [[entry.plid, False]]
+    stack: List[List] = [[ref_plid(entry), False]]
     while stack:
         frame = stack[-1]
         plid, expanded = frame
@@ -664,7 +678,7 @@ def walk_lines(store, entry: Entry,
             continue
         frame[1] = True
         # push children in reverse word order so they pop in word order
-        children = [w.plid for w in line if isinstance(w, PlidRef)]
+        children = [ref_plid(w) for w in line if is_ref(w)]
         for child in reversed(children):
             if child != ZERO_PLID and child not in seen and child not in skip:
                 stack.append([child, False])
@@ -696,8 +710,8 @@ def content_fingerprint(store, entry: Entry,
             memo = {}
 
     def word_material(word) -> bytes:
-        if isinstance(word, PlidRef):
-            return b"P" + line_digest(word.plid) + bytes(word.path)
+        if is_ref(word):
+            return b"P" + line_digest(ref_plid(word)) + ref_path(word)
         return encode_word(word)
 
     def line_digest(plid: int) -> bytes:
@@ -711,7 +725,7 @@ def content_fingerprint(store, entry: Entry,
         # resolve children first, iteratively (DAGs can be deep). The
         # skip view is live: subtrees digested earlier in this very walk
         # are pruned too, not just ones memoized before the call.
-        for child, _ in walk_lines(store, PlidRef(plid),
+        for child, _ in walk_lines(store, ref(plid),
                                    skip=memo.keys()):
             material = b"".join(word_material(w)
                                 for w in store.peek(child))
@@ -747,20 +761,10 @@ def segment_fingerprint(machine, vsid: int) -> bytes:
 def count_unique_lines(mem: MemorySystem, entries: Iterable[Entry]) -> int:
     """Number of distinct lines reachable from the given root entries.
 
-    Walks the DAGs without charging DRAM traffic (uses the store's
-    ``peek``); used by footprint accounting.
+    Walks the DAGs without charging DRAM traffic (:func:`walk_lines`);
+    used by footprint accounting.
     """
-    seen = set()
-
-    def visit(plid: int) -> None:
-        if plid == ZERO_PLID or plid in seen:
-            return
-        seen.add(plid)
-        for word in mem.store.peek(plid):
-            if isinstance(word, PlidRef):
-                visit(word.plid)
-
+    seen: set = set()
     for entry in entries:
-        if isinstance(entry, PlidRef):
-            visit(entry.plid)
+        seen.update(plid for plid, _ in walk_lines(mem.store, entry, seen))
     return len(seen)

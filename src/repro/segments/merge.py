@@ -23,11 +23,11 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.errors import MergeConflictError
-from repro.memory.line import PlidRef
+from repro.memory.line import is_ref, ref, ref_path, ref_plid
 from repro.memory.system import MemorySystem
 from repro.params import WORD_MASK
 from repro.segments import dag
-from repro.segments.dag import Entry, entry_key
+from repro.segments.dag import Entry
 
 
 @dataclass
@@ -53,7 +53,7 @@ def three_way_merge_word(base, mine, theirs):
     if theirs == base:
         return mine
     if (isinstance(base, int) and isinstance(mine, int)
-            and isinstance(theirs, int)):
+            and isinstance(theirs, int) and min(base, mine, theirs) >= 0):
         return (theirs + mine - base) & WORD_MASK
     if mine == theirs:
         return mine  # identical reference stores coalesce
@@ -64,7 +64,7 @@ def three_way_merge_word(base, mine, theirs):
 
 
 def _shared_run(mem: MemorySystem, entries: Tuple[Entry, ...],
-                level: int) -> Tuple[int, ...]:
+                level: int) -> bytes:
     """Child positions, top-down, of the levels below ``level`` at which
     every one of ``entries`` has the same single non-zero child: a
     compacted path, the child-0 spine above a packed entry, or anything
@@ -73,10 +73,10 @@ def _shared_run(mem: MemorySystem, entries: Tuple[Entry, ...],
     for entry in entries:
         if entry == 0:
             continue
-        if isinstance(entry, PlidRef):
-            spine = entry.path
+        if is_ref(entry):
+            spine = ref_path(entry)
         else:
-            spine = (0,) * (level - dag.height_for(mem, len(entry.values)))
+            spine = bytes(level - dag.height_for(mem, len(entry.values)))
         if run is None:
             run = spine
         else:
@@ -90,7 +90,7 @@ def _shared_run(mem: MemorySystem, entries: Tuple[Entry, ...],
 
 
 def _merge_run(mem: MemorySystem, triple: Tuple[Entry, Entry, Entry],
-               level: int, run: Tuple[int, ...],
+               level: int, run: bytes,
                stats: MergeStats) -> Entry:
     """Merge three entries that elide the same ``run`` of levels below
     ``level``: one descent to the bottom of the run, one re-emission.
@@ -103,7 +103,7 @@ def _merge_run(mem: MemorySystem, triple: Tuple[Entry, Entry, Entry],
     left = sum(run)  # sibling triples merged before the descent
     stats.levels_descended += depth
     stats.subtrees_skipped += left
-    peeled = (PlidRef(e.plid, e.path[depth:]) if isinstance(e, PlidRef)
+    peeled = (ref(ref_plid(e), ref_path(e)[depth:]) if is_ref(e)
               else e for e in triple)
     merged = merge_entries(mem, *peeled, level - depth, stats)
     stats.subtrees_skipped += depth * (mem.fanout - 1) - left
@@ -120,17 +120,16 @@ def merge_entries(mem: MemorySystem, base: Entry, mine: Entry, theirs: Entry,
     """
     if stats is None:
         stats = MergeStats()
-    k_base, k_mine, k_theirs = entry_key(base), entry_key(mine), entry_key(theirs)
     # Uniqueness of segments lets unchanged sub-DAGs be skipped by a
     # single root compare (section 3.4). Note the sound skips are the
     # one-side-unchanged cases; two sides that made the *same-looking*
     # change must still merge word-by-word, or two identical counter
     # increments would collapse into one. (For the same reason there is
     # deliberately no ``mine == theirs`` short-circuit here.)
-    if k_mine == k_base:
+    if mine == base:  # equal entries are equal subtrees
         stats.subtrees_skipped += 1
         return dag.retain_entry(mem, theirs)
-    if k_theirs == k_base:
+    if theirs == base:
         stats.subtrees_skipped += 1
         return dag.retain_entry(mem, mine)
     triple = (base, mine, theirs)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro.memory.line import PlidRef, pack_words, unpack_words
+from repro.memory.line import check_data_words, pack_words, unpack_words
 from repro.memory.system import MemorySystem
 from repro.segments import dag
 from repro.segments.dag import Entry
@@ -34,9 +34,10 @@ class AnonSegment:
 
     @classmethod
     def from_words(cls, mem: MemorySystem, words: Sequence) -> "AnonSegment":
-        """Build (or find, via dedup) the canonical DAG for ``words``."""
+        """Build (or find, via dedup) the canonical DAG for data ``words``."""
         if len(words) == 0:
             return cls(mem, 0, 0, 0)
+        check_data_words(words)
         root, height = dag.build_segment(mem, words)
         return cls(mem, root, height, len(words))
 
@@ -143,7 +144,8 @@ def read_ref_slot(mem: MemorySystem, entry, meta: int) -> bytes:
     if word_len == 0:
         return b""
     memo = mem.memo
-    if memo.enabled and type(entry) is PlidRef and not mem.store.verify_reads:
+    if (memo.enabled and type(entry) is int and entry < 0  # is_ref, in line
+            and not mem.store.verify_reads):
         data = memo.get_payload(entry, height, word_len, byte_len)
         if data is not None:
             return data

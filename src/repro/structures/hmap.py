@@ -28,7 +28,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from repro.core.machine import Machine
 from repro.core.transactions import atomic_update
 from repro.errors import MergeConflictError
-from repro.memory.line import PlidRef
+from repro.memory.line import PLID_MASK
 from repro.memory.memo import MISS
 from repro.segments import dag
 from repro.segments.segment_map import SegmentFlags
@@ -56,8 +56,8 @@ def _index_for_key(root, height: int, byte_length: int) -> int:
     makes this exact. Compacted roots (tiny keys) fall back to the full
     canonical encoding, placed in a disjoint, higher index space.
     """
-    if type(root) is PlidRef and not root.path:
-        return ((root.plid << 8 | height) << 36) | byte_length
+    if type(root) is int and root < 0 and ~root <= PLID_MASK:  # no path
+        return ((~root << 8 | height) << 36) | byte_length
     raw = dag.entry_key(root) + bytes((height,)) + byte_length.to_bytes(5, "big")
     return _WIDE_SPACE + int.from_bytes(raw, "big")
 

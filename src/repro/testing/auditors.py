@@ -51,10 +51,11 @@ from typing import Dict, List
 from repro.core.machine import Machine
 from repro.errors import IntegrityError
 from repro.memory.line import (
-    PlidRef,
     encode_line,
+    is_ref,
     is_zero_line,
     line_child_plids,
+    ref_plid,
 )
 from repro.segments import dag
 
@@ -90,8 +91,8 @@ def _map_root_refs(machine: Machine) -> Dict[int, int]:
         if vsid in segmap._weak_target:
             continue
         root = segmap._entries[vsid].root
-        if isinstance(root, PlidRef):
-            refs[root.plid] = refs.get(root.plid, 0) + 1
+        if is_ref(root):
+            refs[ref_plid(root)] = refs.get(ref_plid(root), 0) + 1
     return refs
 
 
@@ -175,16 +176,17 @@ def audit_segment_map(machine: Machine) -> List[str]:
     for vsid in segmap.live_vsids():
         entry = segmap.entry(vsid)
         root = entry.root
-        if isinstance(root, PlidRef):
-            if root.plid not in live:
+        if is_ref(root):
+            plid = ref_plid(root)
+            if plid not in live:
                 failures.append(
                     "segmap: VSID %d root PLID %d is not a live line"
-                    % (vsid, root.plid))
+                    % (vsid, plid))
                 continue
-            if store.refcount(root.plid) < 1:
+            if store.refcount(plid) < 1:
                 failures.append(
                     "segmap: VSID %d root PLID %d has refcount %d"
-                    % (vsid, root.plid, store.refcount(root.plid)))
+                    % (vsid, plid, store.refcount(plid)))
         if entry.length > dag.entry_capacity(mem, entry.height):
             failures.append(
                 "segmap: VSID %d length %d exceeds height-%d capacity %d"

@@ -107,9 +107,7 @@ class HicampCache:
                 self.store.incref(plid)
                 return plid
         self.traffic.lookup_misses += 1
-        # thread the encoding through: the store would otherwise re-derive
-        # the same bytes for its bucket hash and signature
-        plid, _created = self.store.lookup(line, enc)
+        plid, _created = self.store.lookup(line)
         self._insert(set_idx, plid, line)
         return plid
 

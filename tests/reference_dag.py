@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import MergeConflictError, SegmentRangeError
-from repro.memory.line import Inline, Line, PlidRef
+from repro.memory.line import Inline, Line, is_ref, ref, ref_path, ref_plid
 from repro.memory.system import MemorySystem
 from repro.segments.dag import Entry, entry_key, release_entry, retain_entry
 from repro.segments.merge import MergeStats, three_way_merge_word
@@ -55,7 +55,7 @@ def _inline_for(words: Sequence) -> Optional[Inline]:
     vals = _trim(words)
     if not vals:
         return None
-    if any(not isinstance(v, int) for v in vals):
+    if any(not isinstance(v, int) or is_ref(v) for v in vals):
         return None
     biggest = max(vals)
     for width in _INLINE_WIDTHS:
@@ -81,7 +81,7 @@ def _leaf_entry(mem: MemorySystem, words: Sequence) -> Entry:
     w = mem.words_per_line
     line: Line = tuple(words) + (0,) * (w - len(words))
     plid = mem.lookup(line)
-    return PlidRef(plid)
+    return ref(plid)
 
 
 def _canonical_interior(mem: MemorySystem, children: List[Entry], level: int) -> Entry:
@@ -116,16 +116,16 @@ def _canonical_interior(mem: MemorySystem, children: List[Entry], level: int) ->
                 return inline
     # Path compaction: a single non-zero child that is a line reference.
     if (mem.config.path_compaction and len(nonzero) == 1
-            and isinstance(nonzero[0][1], PlidRef)):
+            and is_ref(nonzero[0][1])):
         idx, child = nonzero[0]
-        return PlidRef(child.plid, (idx,) + child.path)
+        return ref(ref_plid(child), bytes((idx,)) + ref_path(child))
     # Materialize the interior line.
     line: Line = tuple(children)
     plid = mem.lookup(line)
     for _, c in nonzero:
-        if isinstance(c, PlidRef):
-            mem.decref(c.plid)
-    return PlidRef(plid)
+        if is_ref(c):
+            mem.decref(ref_plid(c))
+    return ref(plid)
 
 
 def build_entry(mem: MemorySystem, words: Sequence, level: int) -> Entry:
@@ -171,7 +171,7 @@ def read_word(mem: MemorySystem, entry: Entry, level: int, index: int):
 
     Returns a plain data ``int`` or, for segments that store references in
     their leaves (e.g. a map of value-segment roots), a tagged
-    :class:`PlidRef` word.
+    reference word.
     """
     if index >= entry_capacity(mem, level):
         raise SegmentRangeError("index %d beyond height-%d capacity" % (index, level))
@@ -181,14 +181,14 @@ def read_word(mem: MemorySystem, entry: Entry, level: int, index: int):
             return 0
         if isinstance(entry, Inline):
             return entry.values[index] if index < len(entry.values) else 0
-        # PlidRef: follow the compacted path, then the line.
-        for p in entry.path:
+        # a reference: follow the compacted path, then the line.
+        for p in ref_path(entry):
             child_span = entry_capacity(mem, level - 1)
             if index // child_span != p:
                 return 0
             index %= child_span
             level -= 1
-        line = mem.read(entry.plid)
+        line = mem.read(ref_plid(entry))
         if level == 0:
             return line[index]
         child_span = entry_capacity(mem, level - 1)
@@ -224,14 +224,14 @@ def gather_words(mem: MemorySystem, entry: Entry, level: int,
                 if start <= pos < start + count and v:
                     out[pos - start] = v
             return
-        for p in entry.path:
+        for p in ref_path(entry):
             span = entry_capacity(mem, level - 1)
             base += p * span
             level -= 1
             lo, hi = max(start, base), min(start + count, base + span)
             if lo >= hi:
                 return
-        line = mem.read(entry.plid)
+        line = mem.read(ref_plid(entry))
         if level == 0:
             for k in range(mem.words_per_line):
                 pos = base + k
@@ -270,13 +270,13 @@ def iter_nonzero(mem: MemorySystem, entry: Entry, level: int,
                 if v and start <= pos < limit:
                     yield pos, v
             return
-        for p in entry.path:
+        for p in ref_path(entry):
             span = entry_capacity(mem, level - 1)
             base += p * span
             level -= 1
             if base + span <= start or base >= limit:
                 return
-        line = mem.read(entry.plid)
+        line = mem.read(ref_plid(entry))
         if level == 0:
             for k in range(mem.words_per_line):
                 word = line[k]
@@ -317,20 +317,20 @@ def _expand_children(mem: MemorySystem, entry: Entry, level: int) -> List[Entry]
             chunk = _trim(vals[lo:lo + child_span]) if lo < len(vals) else ()
             children.append(_inline_for(chunk) if chunk else 0)
         return children
-    if entry.path:
-        j = entry.path[0]
+    if ref_path(entry):
+        j = ref_path(entry)[0]
         children: List[Entry] = [0] * fan
-        child = PlidRef(entry.plid, entry.path[1:])
+        child = ref(ref_plid(entry), ref_path(entry)[1:])
         children[j] = child  # inherits the caller's reference
         return children
-    line = mem.read(entry.plid)
+    line = mem.read(ref_plid(entry))
     children = list(line)
     for c in children:
-        if isinstance(c, PlidRef):
-            mem.incref(c.plid)
+        if is_ref(c):
+            mem.incref(ref_plid(c))
     # The caller's reference on the expanded line itself is released: the
     # children references above stand in for it during rebuilding.
-    mem.decref(entry.plid)
+    mem.decref(ref_plid(entry))
     return children
 
 
@@ -347,12 +347,12 @@ def _expand_leaf(mem: MemorySystem, entry: Entry) -> List:
         return [0] * w
     if isinstance(entry, Inline):
         return list(entry.values) + [0] * (w - len(entry.values))
-    line = mem.read(entry.plid)
+    line = mem.read(ref_plid(entry))
     words = list(line)
     for word in words:
-        if isinstance(word, PlidRef):
-            mem.incref(word.plid)
-    mem.decref(entry.plid)
+        if is_ref(word):
+            mem.incref(ref_plid(word))
+    mem.decref(ref_plid(entry))
     return words
 
 
@@ -386,17 +386,17 @@ def write_words_bulk(mem: MemorySystem, entry: Entry, level: int,
     def apply(entry: Entry, level: int, updates: Dict[int, object]) -> Entry:
         if level == 0:
             words = _expand_leaf(mem, entry)
-            owned = {i for i, word in enumerate(words) if isinstance(word, PlidRef)}
+            owned = {i for i, word in enumerate(words) if is_ref(word)}
             for i, v in updates.items():
                 if i in owned:
-                    mem.decref(words[i].plid)
+                    mem.decref(ref_plid(words[i]))
                     owned.discard(i)
                 words[i] = v
             new_entry = _leaf_entry(mem, words)
             # Release the expansion-owned references: the new leaf (if
             # materialized) took its own on creation.
             for i in owned:
-                mem.decref(words[i].plid)
+                mem.decref(ref_plid(words[i]))
             return new_entry
         child_span = entry_capacity(mem, level - 1)
         by_child: Dict[int, Dict[int, object]] = {}
@@ -420,7 +420,7 @@ def _leaf_view(mem: MemorySystem, entry: Entry) -> List:
         return [0] * w
     if isinstance(entry, Inline):
         return list(entry.values) + [0] * (w - len(entry.values))
-    return list(mem.read(entry.plid))
+    return list(mem.read(ref_plid(entry)))
 
 
 def _children_view(mem: MemorySystem, entry: Entry, level: int) -> List[Entry]:
@@ -438,11 +438,11 @@ def _children_view(mem: MemorySystem, entry: Entry, level: int) -> List[Entry]:
             sub = _inline_for(chunk) if chunk else None
             out.append(sub if sub is not None else 0)
         return out
-    if entry.path:
+    if ref_path(entry):
         children: List[Entry] = [0] * fan
-        children[entry.path[0]] = PlidRef(entry.plid, entry.path[1:])
+        children[ref_path(entry)[0]] = ref(ref_plid(entry), ref_path(entry)[1:])
         return children
-    return list(mem.read(entry.plid))
+    return list(mem.read(ref_plid(entry)))
 
 
 def merge_entries(mem: MemorySystem, base: Entry, mine: Entry, theirs: Entry,

@@ -9,7 +9,7 @@ ShardedHMap ``put_many``, and the router's group commit.
 import asyncio
 
 from repro import Machine
-from repro.memory.line import Inline, PlidRef
+from repro.memory.line import Inline, is_ref, ref_path
 from repro.net.framing import FrameDecoder
 from repro.net.router import ConnectionState, ShardRouter
 from repro.segments import dag
@@ -37,14 +37,14 @@ class TestWriteWordsBulkEdges:
         height = 2
         # a single word at height 2 compacts to an inline (pathless) root
         sparse = dag.write_words_bulk(mem, 0, height, {0: 7})
-        assert not isinstance(sparse, PlidRef) or sparse.path
+        assert not is_ref(sparse) or ref_path(sparse)
         # bulk-fill full-width words (too wide to inline-compact) across
         # the whole capacity, so every child is real (no path compaction)
         big = 1 << 60
         fill = {i: big + i
                 for i in range(1, dag.entry_capacity(mem, height))}
         dense = dag.write_words_bulk(mem, sparse, height, fill)
-        assert isinstance(dense, PlidRef) and not dense.path
+        assert is_ref(dense) and not ref_path(dense)
         # bulk-zero everything back across the demotion boundary: the
         # canonical form must be identical to the original sparse entry
         again = dag.write_words_bulk(mem, dense, height,

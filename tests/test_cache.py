@@ -29,7 +29,7 @@ def assert_residency(cache):
             bucket = hashing.bucket_hash(enc, store.config.num_buckets)
             assert store.bucket_of(plid) == bucket
             assert index == bucket % cache.geometry.num_sets
-            assert store._plid_by_enc[enc] == plid
+            assert store._plid_by_line[line] == plid
             assert line not in resident
             resident.add(line)
 

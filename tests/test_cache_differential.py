@@ -20,7 +20,7 @@ import pytest
 from repro.errors import BadPlidError
 from repro.memory.cache import HicampCache
 from repro.memory.dedup_store import DedupStore
-from repro.memory.line import PlidRef
+from repro.memory.line import ref
 from repro.params import CacheGeometry, MemoryConfig
 from tests import reference_cache
 from tests.dedup_model import SPILLED
@@ -89,7 +89,7 @@ class Twins:
         for plid in self.rng.sample(sorted(self.held),
                                     min(len(self.held), 2)):
             path = self.rng.choice(((), (), (1,)))
-            entries[self.rng.randrange(len(entries))] = PlidRef(plid, path)
+            entries[self.rng.randrange(len(entries))] = ref(plid, path)
         return tuple(entries)
 
     def lookup(self) -> None:

@@ -5,7 +5,7 @@ import gc
 import pytest
 
 from repro.errors import SegmentRangeError
-from repro.memory.line import Inline, PlidRef
+from repro.memory.line import Inline, is_ref, ref_path
 from repro.segments import dag
 
 
@@ -101,8 +101,8 @@ class TestSharing:
 class TestPathCompaction:
     def test_single_value_deep_is_one_line(self, mem):
         root, height = build(mem, [0] * 4095 + [1 << 50])
-        assert isinstance(root, PlidRef)
-        assert root.path  # compacted path to the single leaf
+        assert is_ref(root)
+        assert ref_path(root)  # compacted path to the single leaf
         assert mem.footprint_lines() == 1
 
     def test_path_read_hits_and_misses(self, mem):
@@ -125,7 +125,7 @@ class TestDataCompaction:
 
     def test_wide_values_do_not_inline(self, mem):
         root, _ = build(mem, [1 << 40, 1 << 40])
-        assert isinstance(root, PlidRef)
+        assert is_ref(root)
 
     def test_inline_reads_back(self, mem):
         words = [9, 8, 7, 6, 5, 0, 0, 1]

@@ -21,6 +21,45 @@ from repro.errors import (
 )
 from repro.params import CacheGeometry, ConventionalConfig
 from repro.structures import HArray, HString
+from repro.structures.anon import AnonSegment
+from repro.testing.auditors import audit_machine
+
+
+class TestDataWordRange:
+    def test_one_segment_cannot_read_back_anothers_word(self, machine):
+        # -1 was once stored verbatim but encoded as 2**64 - 1, so the
+        # second segment deduped to its line and the first read back a
+        # word it never wrote; a data word is now refused outside 64 bits
+        with pytest.raises(ValueError):
+            machine.create_segment([-1, 1 << 63])
+        assert machine.footprint_lines() == 0
+        vsid = machine.create_segment([2 ** 64 - 1, 1 << 63])
+        assert machine.read_segment(vsid) == [2 ** 64 - 1, 1 << 63]
+
+    @pytest.mark.parametrize("words", [
+        [-1, 7], [7, -(1 << 70)], [1 << 64, 0], [0, (1 << 64) + 5],
+        [1.5], ["a"]])
+    def test_a_word_outside_the_data_range_is_refused(self, machine,
+                                                      words):
+        with pytest.raises(ValueError):
+            machine.create_segment(words)
+        vsid = machine.create_segment([1])
+        with pytest.raises(ValueError):
+            machine.append_words(vsid, words)
+        with pytest.raises(ValueError):
+            AnonSegment.from_words(machine.mem, words)
+        assert machine.read_segment(vsid) == [1]
+
+    @pytest.mark.parametrize("word", [1 << 64, -12345])
+    def test_write_words_refuses_what_is_neither_data_nor_a_reference(
+            self, machine, word):
+        # a negative int is a reference word: one naming no live line is
+        # refused before any line is built
+        vsid = machine.create_segment([1, 2])
+        with pytest.raises(ValueError):
+            machine.write_word(vsid, 1, word)
+        assert machine.read_segment(vsid) == [1, 2]
+        assert audit_machine(machine, strict=True).ok
 
 
 class TestErrorHierarchy:
@@ -175,11 +214,11 @@ class TestDoubleOperations:
 class TestMixedGeometrySafety:
     def test_same_value_different_tags_do_not_collide(self, machine):
         # data word 5 and a reference to PLID 5 must never dedup together
-        from repro.memory.line import PlidRef
+        from repro.memory.line import ref
         mem = machine.mem
         p1, _ = mem.store.lookup((5, 0))
-        p2, _ = mem.store.lookup((PlidRef(p1), 0))
-        assert mem.store.peek(p2)[0] == PlidRef(p1)
+        p2, _ = mem.store.lookup((ref(p1), 0))
+        assert mem.store.peek(p2)[0] == ref(p1)
         p3, _ = mem.store.lookup((p1, 0))  # the PLID *value* as data
         assert p3 != p2
 

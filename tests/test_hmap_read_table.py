@@ -27,6 +27,7 @@ from repro.concurrency.scheduler import Scheduler
 from repro.core.persistence import machine_image, restore_machine
 from repro.errors import IntegrityError
 from repro.memory import memo as memo_module
+from repro.memory.line import ref_plid
 from repro.memory.memo import MAX_READS, MISS, StructuralMemo
 from repro.memory.system import MemorySystem
 from repro.net.server import MemcachedServer
@@ -373,9 +374,9 @@ def test_a_verifying_store_still_reports_a_corrupted_value():
     with machine.snapshot(kvp.vsid) as snap:
         value_root = snap.read(base + 2)
     store = machine.mem.store
-    store.corrupt_line_for_test(value_root.plid,
+    store.corrupt_line_for_test(ref_plid(value_root),
                                 tuple(9 for _ in store.peek(
-                                    value_root.plid)))
+                                    ref_plid(value_root))))
     machine.mem.cache.flush()
     with pytest.raises(IntegrityError):
         kvp.get(b"key")

@@ -8,6 +8,7 @@ from repro.analysis.inspect import (
     sharing_matrix,
     to_dot,
 )
+from repro.memory.line import ref_plid
 
 
 class TestDump:
@@ -109,10 +110,10 @@ class TestDot:
         dot = to_dot(machine, [a, b])
         # both VSIDs point at the same root node
         entry = machine.segmap.entry(a)
-        root_decl = dot.count('L%d [' % entry.root.plid)
+        root_decl = dot.count('L%d [' % ref_plid(entry.root))
         assert root_decl == 1
-        assert "V%d -> L%d;" % (a, entry.root.plid) in dot
-        assert "V%d -> L%d;" % (b, entry.root.plid) in dot
+        assert "V%d -> L%d;" % (a, ref_plid(entry.root)) in dot
+        assert "V%d -> L%d;" % (b, ref_plid(entry.root)) in dot
 
     def test_max_lines_cap(self, machine):
         a = machine.create_segment(list(range(4000, 4512)))

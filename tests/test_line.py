@@ -6,13 +6,16 @@ import pytest
 
 from repro.memory.line import (
     Inline,
-    PlidRef,
     encode_line,
     encode_word,
+    is_ref,
     is_zero_line,
     line_child_plids,
     make_leaf,
     pack_words,
+    ref,
+    ref_path,
+    ref_plid,
     unpack_words,
     zero_line,
 )
@@ -26,9 +29,9 @@ class TestZeroLine:
     def test_is_zero_line(self):
         assert is_zero_line((0, 0))
         assert not is_zero_line((0, 1))
-        assert not is_zero_line((PlidRef(3), 0))
+        assert not is_zero_line((ref(3), 0))
         # a reference to the zero line and an empty pack are not zero words
-        assert not is_zero_line((PlidRef(0), 0))
+        assert not is_zero_line((ref(0), 0))
         assert not is_zero_line((Inline(width=1, values=(), span=1), 0))
         assert is_zero_line((0,) * 4) and is_zero_line((False, 0))
 
@@ -45,18 +48,39 @@ class TestMakeLeaf:
             make_leaf([1, 2, 3], 2)
 
 
-class TestPlidRef:
+class TestReferenceWord:
     def test_default_empty_path(self):
-        assert PlidRef(7).path == ()
+        assert ref_path(ref(7)) == b"" and ref_plid(ref(7)) == 7
 
     def test_hashable_and_equal(self):
-        assert PlidRef(7, (1,)) == PlidRef(7, (1,))
-        assert PlidRef(7, (1,)) != PlidRef(7, (2,))
-        assert hash(PlidRef(7)) == hash(PlidRef(7))
+        assert ref(7, (1,)) == ref(7, (1,))
+        assert ref(7, (1,)) != ref(7, (2,))
+        assert hash(ref(7)) == hash(ref(7))
 
     def test_not_equal_to_int(self):
-        assert PlidRef(7) != 7
-        assert not PlidRef(7) == 0
+        # the tag is outside the data range: no reference is a data word,
+        # and none is falsy
+        for word in (ref(0), ref(7), ref(0, (0,)), ref((1 << 40) - 1)):
+            assert is_ref(word) and word and not 0 <= word < 1 << 64
+        assert not any(is_ref(w) for w in (0, 7, (1 << 64) - 1, True))
+        assert not is_ref(Inline(width=1, values=(1,), span=1))
+
+    def test_fields_roundtrip(self):
+        for plid in (0, 1, 12345, (1 << 40) - 1):
+            for path in ((), (0,), (3, 0, 1), (0,) * 300, tuple(range(256))):
+                word = ref(plid, path)
+                assert ref_plid(word) == plid
+                assert tuple(ref_path(word)) == path
+                # a path-free reference is just the PLID's complement
+                assert (word == ~plid) == (not path)
+
+    def test_out_of_range_refused(self):
+        with pytest.raises(ValueError):
+            ref(1 << 40)
+        with pytest.raises(ValueError):
+            ref(-1)
+        with pytest.raises(ValueError):
+            ref(1, (256,))
 
 
 class TestInline:
@@ -82,7 +106,7 @@ class TestChildPlids:
         assert list(line_child_plids((1, 2, 3, 4))) == []
 
     def test_yields_refs_skipping_zero(self):
-        line = (PlidRef(3), 0, PlidRef(0), PlidRef(9, (1, 0)))
+        line = (ref(3), 0, ref(0), ref(9, (1, 0)))
         assert list(line_child_plids(line)) == [3, 9]
 
 
@@ -90,10 +114,10 @@ class TestEncoding:
     def test_data_vs_plid_distinct(self):
         # The same numeric value as data and as a reference must encode
         # differently (the tag is part of content identity).
-        assert encode_word(7) != encode_word(PlidRef(7))
+        assert encode_word(7) != encode_word(ref(7))
 
     def test_path_part_of_identity(self):
-        assert encode_word(PlidRef(7)) != encode_word(PlidRef(7, (0,)))
+        assert encode_word(ref(7)) != encode_word(ref(7, (0,)))
 
     def test_inline_identity_includes_width(self):
         a = Inline(width=1, values=(1,), span=1)
@@ -101,20 +125,22 @@ class TestEncoding:
         assert encode_word(a) != encode_word(b)
 
     def test_line_encoding_concatenates(self):
-        line = (1, PlidRef(2))
-        assert encode_line(line) == encode_word(1) + encode_word(PlidRef(2))
+        line = (1, ref(2))
+        assert encode_line(line) == encode_word(1) + encode_word(ref(2))
 
     def test_distinct_lines_distinct_encodings(self):
         assert encode_line((1, 2)) != encode_line((2, 1))
 
     @pytest.mark.parametrize("word", [
         0, 7, (1 << 64) - 1, -1, -(1 << 70), 1 << 64, (1 << 64) + 5,
-        True, False, PlidRef(0), PlidRef(7, (1, 0, 3)),
+        True, False, pytest.param(ref(0), id="word9"),
+        pytest.param(ref(7, (1, 0, 3)), id="word10"),
         Inline(width=2, values=(1, 2), span=4),
     ])
     def test_line_fast_path_equals_per_word_encoding(self, word):
         # encode_line packs data words in place; every word kind — and
-        # every int the mask folds — must still equal the per-word form
+        # every int the mask folds, and negative ints, which are
+        # references — must still equal the per-word form
         for line in ((word, 9), (9, word), (word,) * 4):
             assert encode_line(line) == b"".join(
                 encode_word(w) for w in line)
@@ -127,8 +153,8 @@ class TestEncoding:
         kinds = [
             lambda: rng.getrandbits(64), lambda: rng.getrandbits(64),
             lambda: rng.getrandbits(64), lambda: 0,
-            lambda: PlidRef(rng.getrandbits(32)),
-            lambda: PlidRef(rng.getrandbits(32), (rng.randrange(4), 1)),
+            lambda: ref(rng.getrandbits(32)),
+            lambda: ref(rng.getrandbits(32), (rng.randrange(4), 1)),
             lambda: Inline(width=2, values=(rng.getrandbits(16),), span=3),
             lambda: True, lambda: -1, lambda: 1 << 64,
         ]

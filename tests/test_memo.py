@@ -13,7 +13,8 @@ import pytest
 
 from repro import Machine, MachineConfig, MemoryConfig
 from repro.apps.memcached.server import HicampMemcached
-from repro.memory.line import PlidRef, pack_words, unpack_words
+from repro.memory.line import (
+    is_ref, pack_words, ref, ref_path, ref_plid, unpack_words)
 from repro.memory.memo import StructuralMemo
 from repro.memory.system import MemorySystem
 from repro.obs import adapters
@@ -171,11 +172,11 @@ class TestPayloadRead:
                                                           slots)}
         # the shapes the payloads were chosen for
         assert roots[b"abc" * 10] == roots[b"abc" * 10 + b"\0"]
-        shared = roots[b"\xff" * 16].plid
-        assert roots[bytes(16) + b"\xff" * 16] == PlidRef(shared, (1,))
-        assert roots[b"\xff" * 16 + bytes(16)] == PlidRef(shared, (0,))
+        shared = ref_plid(roots[b"\xff" * 16])
+        assert roots[bytes(16) + b"\xff" * 16] == ref(shared, (1,))
+        assert roots[b"\xff" * 16 + bytes(16)] == ref(shared, (0,))
         tabled = [data for data in self.PAYLOADS
-                  if isinstance(roots[data], PlidRef)]
+                  if is_ref(roots[data])]
         assert len(tabled) == 7
         hits = mem.memo.stats["segment"].hits
         for data, (seg, meta) in zip(self.PAYLOADS, slots):
@@ -334,10 +335,10 @@ class TestKeyAddressedRead:
         first, second = b"A" * 16, b"B" * 16
         kvp.put(first, b"first-value")
         root = mem.memo.get_segment(first)[0]
-        assert type(root) is PlidRef and not root.path
+        assert is_ref(root) and not ref_path(root)
         assert kvp.delete(first)
         mem.store.reclaim_quiesce()
-        assert not mem.store.is_allocated(root.plid)
+        assert not mem.store.is_allocated(ref_plid(root))
         kvp.put(second, b"second-value")
         assert mem.memo.get_segment(second)[0] == root  # the reused PLID
         assert kvp.get(first) is None
@@ -379,7 +380,7 @@ class TestKeyAddressedRead:
         mem = machine.mem
         key = b"served-key-011-"
         key_root = mem.memo.get_segment(key)[0]
-        assert type(key_root) is PlidRef  # a line, not a packed word
+        assert is_ref(key_root)  # a line, not a packed word
         map_root = machine.segmap.entry(kvp.vsid).root
         before = self._refcounts(mem)
         increfs = self._spy(monkeypatch, "incref")
@@ -388,8 +389,8 @@ class TestKeyAddressedRead:
         assert kvp.get(key) == b"value-011-" * 3
         assert kvp.contains(key)  # the read table's answer: no snapshot
         # the snapshot's pin on the map root, once: the get read the map
-        assert increfs == decrefs == [map_root.plid]
-        assert key_root.plid not in increfs
+        assert increfs == decrefs == [ref_plid(map_root)]
+        assert ref_plid(key_root) not in increfs
         assert lookups == []
         assert self._refcounts(mem) == before
 
@@ -509,7 +510,7 @@ class TestBoundsStandalone:
     def test_segment_table_bounded(self):
         memo = StructuralMemo(max_segments=2).enable()
         for i in range(5):
-            memo.put_segment(b"data-%d" % i, PlidRef(50 + i), 1, 4)
+            memo.put_segment(b"data-%d" % i, ref(50 + i), 1, 4)
         assert memo.sizes()["segment"] == 2
         assert memo.stats["segment"].evictions == 3
 
@@ -527,8 +528,8 @@ class TestObsIntegration:
         registry = MetricsRegistry()
         memo = StructuralMemo().enable()
         adapters.register_memo(registry, memo)
-        memo.put_segment(b"a", PlidRef(7), 0, 1)
-        assert memo.get_segment(b"a") == (PlidRef(7), 0, 1)
+        memo.put_segment(b"a", ref(7), 0, 1)
+        assert memo.get_segment(b"a") == (ref(7), 0, 1)
         assert memo.get_segment(b"b") is None
         parsed = parse_exposition(registry.exposition())
         ops = "repro_memo_ops_total"

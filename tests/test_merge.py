@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import MergeConflictError
-from repro.memory.line import PlidRef
+from repro.memory.line import ref
 from repro.segments import dag
 from repro.segments.merge import (
     MergeStats,
@@ -24,7 +24,7 @@ class TestWordRule:
         assert three_way_merge_word(1, 5, 5) == 9
 
     def test_identical_reference_updates_coalesce(self):
-        assert three_way_merge_word(0, PlidRef(3), PlidRef(3)) == PlidRef(3)
+        assert three_way_merge_word(0, ref(3), ref(3)) == ref(3)
 
     def test_counter_difference_sums(self):
         # base 10, mine +3, theirs +4 -> 17
@@ -36,15 +36,15 @@ class TestWordRule:
 
     def test_reference_conflict_raises(self):
         with pytest.raises(MergeConflictError):
-            three_way_merge_word(0, PlidRef(1), PlidRef(2))
+            three_way_merge_word(0, ref(1), ref(2))
 
     def test_reference_matching_side_ok(self):
-        assert three_way_merge_word(0, PlidRef(1), 0) == PlidRef(1)
-        assert three_way_merge_word(PlidRef(1), 0, PlidRef(1)) == 0
+        assert three_way_merge_word(0, ref(1), 0) == ref(1)
+        assert three_way_merge_word(ref(1), 0, ref(1)) == 0
 
     def test_mixed_tag_conflict_raises(self):
         with pytest.raises(MergeConflictError):
-            three_way_merge_word(0, PlidRef(1), 7)
+            three_way_merge_word(0, ref(1), 7)
 
 
 def merged_words(mem, base, mine, theirs):

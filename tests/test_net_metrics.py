@@ -1,8 +1,11 @@
 """Deterministic ServerMetrics via an injected monotonic clock."""
 
 import asyncio
+import gc
+import json
 
 from repro.net.metrics import ServerMetrics
+from repro.obs.registry import parse_exposition, sample
 from repro.net.router import ShardRouter
 from repro.net.server import MemcachedServer
 
@@ -147,3 +150,60 @@ class TestPerSegmentCommitCounters:
         # every counted vsid is a real shard segment
         shard_vsids = {s.kvp.vsid for s in router.servers}
         assert set(metrics.commits_by_vsid) <= shard_vsids
+
+
+class TestCollectorPauses:
+    def test_a_forced_collection_is_counted_and_shutdown_unhooks(self):
+        """The server times the cyclic collector through one
+        ``gc.callbacks`` hook: a ``gc.collect()`` between two ``stats``
+        requests adds one generation-2 collection (automatic collections
+        are off, so no other lands in between), ``stats prom`` says the
+        same, and shutdown takes the hook out."""
+
+        async def stats(reader, writer, verb):
+            writer.write(b"stats %s\r\n" % verb)
+            await writer.drain()
+            out = b""
+            while not out.endswith(b"END\r\n"):
+                out += await reader.read(1 << 16)
+            return out[:-len(b"END\r\n")]
+
+        async def go():
+            router = ShardRouter(shard_count=2)
+            server = MemcachedServer(port=0, router=router)
+            await server.start()
+            hooked = gc.callbacks.count(router.collector)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            before = json.loads(await stats(reader, writer, b"json"))
+            gc.collect()
+            after = json.loads(await stats(reader, writer, b"json"))
+            prom = parse_exposition(
+                (await stats(reader, writer, b"prom")).decode())
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError):
+                pass
+            await server.shutdown()
+            return router, hooked, before["collector"], \
+                after["collector"], prom
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            router, hooked, before, after, prom = asyncio.run(go())
+        finally:
+            if enabled:
+                gc.enable()
+        assert hooked == 1
+        assert after["collections"]["2"] == before["collections"]["2"] + 1
+        assert after["collections"]["0"] == before["collections"]["0"]
+        assert after["pause_us"]["2"] >= before["pause_us"]["2"]
+        assert after["max_pause_us"] >= before["max_pause_us"]
+        assert sample(prom, "repro_gc_collections_total",
+                      generation=2) == after["collections"]["2"]
+        assert sample(prom, "repro_gc_pause_us_total",
+                      generation=2) == after["pause_us"]["2"]
+        assert sample(prom, "repro_gc_max_pause_us") == after["max_pause_us"]
+        assert router.collector not in gc.callbacks

@@ -14,7 +14,7 @@ import pytest
 
 from repro import Machine, MachineConfig, MemoryConfig
 from repro.errors import BadVsidError, SegmentRangeError
-from repro.memory.line import Inline, PlidRef
+from repro.memory.line import Inline, is_ref, ref, ref_path, ref_plid
 from repro.memory.stats import DramStats
 from repro.memory.system import MemorySystem
 from repro.params import CacheGeometry
@@ -80,7 +80,7 @@ def segments(mem: MemorySystem, rng: random.Random):
     sparse = dag.write_words_bulk(mem, 0, height, {
         16 + 4 * (1 << 30) + k: rng.randrange(1, 1 << 60) for k in range(4)})
     sparse = dag.write_words_bulk(mem, sparse, height, {
-        (1 << 39) + 2: 9, (1 << 39) + 3: PlidRef(0, (1,)), 7: 1})
+        (1 << 39) + 2: 9, (1 << 39) + 3: ref(0, (1,)), 7: 1})
     yield sparse, height
     yield 0, 3
 
@@ -107,10 +107,11 @@ def test_read_word_count_equals_single_reads(line_bytes, compaction):
                        for k in range(count)]
             found = dag.read_word(mem, root, height, index, count)
             assert found == (singles[0] if count == 1 else singles)
-            kinds.update(type(word) for word in singles)
-        kinds.add(type(root))
+            kinds.update("ref" if is_ref(word) else type(word)
+                         for word in singles)
+        kinds.add("ref" if is_ref(root) else type(root))
     # the segments held what they were built to hold
-    assert {int, PlidRef} <= kinds
+    assert {int, "ref"} <= kinds
     assert (Inline in kinds) == compaction
 
 
@@ -168,23 +169,23 @@ def test_path_value_reads_the_digits_as_one_number():
             value = 0
             for digit in path:
                 value = value * fan + digit
-            assert dag._path_value(path, fan) == value
+            assert dag._path_value(bytes(path), fan) == value
 
 
 def compacted_paths(mem, entry, level, base=0):
     """``(level, base, path)`` of every path-carrying reference under
     ``entry`` (a subtree at ``level`` whose first word is ``base``),
     found without a charged read."""
-    if type(entry) is not PlidRef:
+    if not is_ref(entry):
         return
-    if entry.path:
-        yield level, base, entry.path
-        for digit in entry.path:
+    if ref_path(entry):
+        yield level, base, ref_path(entry)
+        for digit in ref_path(entry):
             level -= 1
             base += digit * mem.spans[level]
     if level:
         span = mem.spans[level - 1]
-        for j, child in enumerate(mem.store.peek(entry.plid)):
+        for j, child in enumerate(mem.store.peek(ref_plid(entry))):
             yield from compacted_paths(mem, child, level - 1, base + j * span)
 
 
@@ -201,7 +202,7 @@ def path_probes(mem, level, base, path):
         for step in (1, fan - 1):
             digits = list(path)
             digits[at] = (digits[at] + step) % fan
-            probes.add(base + dag._path_value(tuple(digits), fan) * span)
+            probes.add(base + dag._path_value(bytes(digits), fan) * span)
     return probes
 
 
@@ -220,7 +221,7 @@ def tall_sparse_segments(mem, rng):
         start = rng.randrange(cap - 8)
         for k in range(rng.choice((1, 2, mem.words_per_line))):
             updates[start + k] = rng.randrange(1, 1 << 62)
-    updates[rng.randrange(cap)] = PlidRef(0, (1,))
+    updates[rng.randrange(cap)] = ref(0, (1,))
     updates[cap - 1] = 5
     yield dag.write_words_bulk(mem, 0, height, updates), height
 

@@ -8,7 +8,7 @@ in for the paper's O(1) root compare across machines.
 """
 
 from repro import Machine
-from repro.memory.line import PlidRef
+from repro.memory.line import is_ref, ref, ref_path, ref_plid
 from repro.replication.delta import compute_delta, translate_line
 from repro.segments import dag
 
@@ -27,8 +27,8 @@ class TestWalkLines:
         for plid, line in dag.walk_lines(machine.mem.store,
                                          root):
             for word in line:
-                if isinstance(word, PlidRef):
-                    assert word.plid in seen, "parent before child"
+                if is_ref(word):
+                    assert ref_plid(word) in seen, "parent before child"
             assert plid not in seen, "line yielded twice"
             seen.add(plid)
         dag.release_entry(machine.mem, root)
@@ -77,9 +77,9 @@ class TestComputeDelta:
 
 class TestTranslateLine:
     def test_rewrites_references_only(self):
-        line = (PlidRef(10, (1,)), 5, 0, PlidRef(20))
+        line = (ref(10, (1,)), 5, 0, ref(20))
         out = translate_line(line, {10: 100, 20: 200})
-        assert out == (PlidRef(100, (1,)), 5, 0, PlidRef(200))
+        assert out == (ref(100, (1,)), 5, 0, ref(200))
 
     def test_data_only_line_passes_through_unchanged(self):
         line = (1, 2, 3, 4)
@@ -87,7 +87,7 @@ class TestTranslateLine:
 
     def test_missing_translation_raises_keyerror(self):
         with pytest.raises(KeyError):
-            translate_line((PlidRef(10),), {})
+            translate_line((ref(10),), {})
 
 
 class TestCrossMachineInstall:
@@ -100,8 +100,8 @@ class TestCrossMachineInstall:
         return plid_map
 
     def translated_root(self, plid_map, root):
-        if isinstance(root, PlidRef):
-            return PlidRef(plid_map[root.plid], root.path)
+        if is_ref(root):
+            return ref(plid_map[ref_plid(root)], ref_path(root))
         return root
 
     def release_map(self, dst, plid_map):

@@ -17,6 +17,7 @@ from repro.replication import (
     ReplicationFollower,
     ReplicationLeader,
 )
+from repro.memory.line import ref
 from repro.replication import wire
 from repro.segments import dag
 from repro.testing.auditors import audit_machine
@@ -405,7 +406,7 @@ class TestNackPath:
         follower._add_stream(0)  # an empty stream 0
         sink = FrameSink()
         payload = wire.encode_advance_payload(
-            0, 7, 1, wire.PlidRef(999_999), 3, 64)
+            0, 7, 1, ref(999_999), 3, 64)
         follower._handle(sink, wire.ROOT_ADVANCE, payload)
         frames = sink.frames()
         assert [f[0] for f in frames] == [wire.NACK]
@@ -418,7 +419,7 @@ class TestNackPath:
     def test_line_with_unknown_child_nacks(self):
         follower = ReplicationFollower("127.0.0.1", 1)
         sink = FrameSink()
-        payload = wire.encode_line_payload(5, (wire.PlidRef(424242), 0))
+        payload = wire.encode_line_payload(5, (ref(424242), 0))
         follower._handle(sink, wire.LINE, payload)
         assert [f[0] for f in sink.frames()] == [wire.NACK]
         assert follower.plid_map == {}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ReplicationError
-from repro.memory.line import Inline, PlidRef
+from repro.memory.line import Inline, ref, ref_path
 from repro.replication import wire
 
 
@@ -15,15 +15,15 @@ class TestWordCodec:
             assert word == value and pos == len(blob)
 
     def test_reference_word_roundtrip(self):
-        ref = PlidRef(12345, (1, 0, 3))
-        blob = wire.encode_wire_word(ref)
+        sent = ref(12345, (1, 0, 3))
+        blob = wire.encode_wire_word(sent)
         word, pos = wire.decode_wire_word(blob, 0)
-        assert word == ref and pos == len(blob)
+        assert word == sent and pos == len(blob)
 
     def test_pathless_reference_roundtrip(self):
-        blob = wire.encode_wire_word(PlidRef(7))
+        blob = wire.encode_wire_word(ref(7))
         word, _ = wire.decode_wire_word(blob, 0)
-        assert word == PlidRef(7) and word.path == ()
+        assert word == ref(7) and ref_path(word) == b""
 
     def test_inline_word_roundtrip(self):
         inline = Inline(width=2, values=(1, 2, 3), span=2)
@@ -32,7 +32,7 @@ class TestWordCodec:
         assert word == inline and pos == len(blob)
 
     def test_truncated_word_rejected(self):
-        blob = wire.encode_wire_word(PlidRef(9, (1, 2)))
+        blob = wire.encode_wire_word(ref(9, (1, 2)))
         with pytest.raises(ReplicationError):
             wire.decode_wire_word(blob[:-1], 0)
 
@@ -43,7 +43,7 @@ class TestWordCodec:
 
 class TestPayloads:
     def test_line_roundtrip(self):
-        line = (PlidRef(4), 0, Inline(width=8, values=(9,), span=1), 77)
+        line = (ref(4), 0, Inline(width=8, values=(9,), span=1), 77)
         payload = wire.encode_line_payload(31, line)
         plid, decoded = wire.decode_line_payload(payload)
         assert plid == 31 and decoded == line
@@ -59,13 +59,13 @@ class TestPayloads:
 
     def test_advance_roundtrip_plidref_root(self):
         payload = wire.encode_advance_payload(
-            2, 99, 7, PlidRef(55, (1,)), 4, 1 << 130)
+            2, 99, 7, ref(55, (1,)), 4, 1 << 130)
         stream, seq, vsid, height, length, root = \
             wire.decode_advance_payload(payload)
         assert (stream, seq, vsid, height) == (2, 99, 7, 4)
         # sparse segments legitimately index past 2**64
         assert length == 1 << 130
-        assert root == PlidRef(55, (1,))
+        assert root == ref(55, (1,))
 
     def test_advance_roundtrip_zero_root(self):
         payload = wire.encode_advance_payload(0, 0, 1, 0, 0, 0)
@@ -89,7 +89,7 @@ class TestFraming:
     def test_frames_reassemble_across_arbitrary_splits(self):
         stream = b"".join([
             wire.encode_frame(wire.LINE, wire.encode_line_payload(
-                1, (PlidRef(2), 0))),
+                1, (ref(2), 0))),
             wire.encode_frame(wire.HEARTBEAT,
                               wire.encode_json_payload({"t": 1})),
             wire.encode_frame(wire.ACK, wire.encode_ack_payload(0, 7)),

@@ -13,6 +13,7 @@ import re
 
 import pytest
 
+import repro.memory
 import repro.obs
 import repro.replication
 from repro.cli.main import build_parser
@@ -190,3 +191,8 @@ def test_the_replication_exports_are_the_documented_ones():
     """The same for ``repro.replication``'s table."""
     assert _documented("repro.replication") \
         == set(repro.replication.__all__)
+
+
+def test_the_memory_exports_are_the_documented_ones():
+    """The same for ``repro.memory``'s table, the word model with it."""
+    assert _documented("repro.memory") == set(repro.memory.__all__)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.memcached.server import HicampMemcached
-from repro.memory.line import PlidRef
+from repro.memory.line import ref
 from repro.testing.auditors import (
     audit_dedup,
     audit_machine,
@@ -98,7 +98,7 @@ class TestInjectedCorruption:
         segmap = machine.segmap
         vsid = server.kvp.vsid
         entry = segmap._entries[vsid]
-        entry.root = PlidRef(plid=1 << 40)  # no such line
+        entry.root = ref((1 << 40) - 1)  # no such line
         failures = audit_segment_map(machine)
         assert any("not a live line" in f for f in failures)
 
