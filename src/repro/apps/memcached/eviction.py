@@ -63,15 +63,6 @@ class ManagedMemcached(HicampMemcached):
     # ------------------------------------------------------------------
     # storage commands with expiry headers
 
-    def set(self, key: bytes, value: bytes, exptime: int = 0) -> bool:
-        """Store with an optional time-to-live (0 = never expires)."""
-        self.tick()
-        deadline = self.clock + exptime if exptime else _NEVER
-        super().set(key, _HEADER.pack(deadline) + value)
-        self._touch(key)
-        self._enforce_quota()
-        return True
-
     def get(self, key: bytes) -> Optional[bytes]:
         """Fetch, honouring expiry (lazily deletes a dead item)."""
         self.tick()
@@ -116,23 +107,16 @@ class ManagedMemcached(HicampMemcached):
 
     def cas(self, key: bytes, value: bytes, token: bytes,
             exptime: int = 0) -> bool:
-        """Conditional store, with the expiry header the plain path
-        omits — without it a later :meth:`get` would unpack the first
-        eight payload bytes as a deadline."""
-        self.tick()
-        self.stats.cas_ops += 1
-        if self._token(key) != token:
-            self.stats.cas_failures += 1
-            return False
-        deadline = self.clock + exptime if exptime else _NEVER
-        self.kvp.put(key, _HEADER.pack(deadline) + value)
-        self.stats.sets += 1
-        self._touch(key)
-        self._enforce_quota()
-        return True
+        """Conditional store; a stored one ticks in :meth:`set_many`,
+        a refused one here, so every request ticks once."""
+        stored = super().cas(key, value, token, exptime)
+        if not stored:
+            self.tick()
+        return stored
 
     def set_many(self, items) -> None:
-        """Bulk store of ``(key, value, exptime)`` items in one commit.
+        """Store ``(key, value, exptime)`` items in one commit, each with
+        an expiry header (0 = never expires); every store lands here.
 
         Item *i* gets the deadline the *i*-th of as many sequential
         :meth:`set` calls would give it (the clock advances once per

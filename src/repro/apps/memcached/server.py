@@ -75,25 +75,22 @@ class HicampMemcached:
         return value
 
     def set(self, key: bytes, value: bytes, exptime: int = 0) -> bool:
-        """Store a key-value pair unconditionally.
-
-        ``exptime`` is the wire TTL, ignored here and by ``add``,
-        ``replace`` and ``cas``: the plain backend has no clock
-        (:class:`~repro.apps.memcached.eviction.ManagedMemcached` does).
-        """
-        self.kvp.put(key, value)
-        self.stats.sets += 1  # on success: ``sets`` counts STORED replies
+        """Store a key-value pair unconditionally: :meth:`set_many` of
+        one item, as every store (``add``, ``replace``, ``cas``) is."""
+        self.set_many(((key, value, exptime),))
         return True
 
     def set_many(self, items) -> None:
         """Store a batch of ``(key, value, exptime)`` items in one atomic
-        commit (bulk ingest); ``exptime`` is ignored, as by :meth:`set`.
+        commit (bulk ingest). ``exptime`` is the wire TTL, ignored here:
+        the plain backend has no clock
+        (:class:`~repro.apps.memcached.eviction.ManagedMemcached` does).
 
         The whole batch is one tree rebuild and one root swap
         (:meth:`HMap.put_many`): how the router's queue worker lands
         a run of sets. A repeated key is staged once with its last value
         (what sequential sets would leave) but counts once per
-        occurrence in ``sets``.
+        occurrence in ``sets``, which counts STORED replies.
         """
         self.kvp.put_many(list({key: value
                                 for key, value, _ in items}.items()))
@@ -114,17 +111,13 @@ class HicampMemcached:
         """Store only if the key is absent (atomic via merge rules)."""
         if self.kvp.contains(key):
             return False
-        self.kvp.put(key, value)
-        self.stats.sets += 1
-        return True
+        return self.set(key, value, exptime)
 
     def replace(self, key: bytes, value: bytes, exptime: int = 0) -> bool:
         """Store only if the key is present."""
         if not self.kvp.contains(key):
             return False
-        self.kvp.put(key, value)
-        self.stats.sets += 1
-        return True
+        return self.set(key, value, exptime)
 
     def incr(self, key: bytes, delta: int = 1) -> Optional[int]:
         """Increment a decimal-ASCII counter value (memcached semantics)."""
@@ -157,9 +150,7 @@ class HicampMemcached:
         if self._token(key) != token:
             self.stats.cas_failures += 1
             return False
-        self.kvp.put(key, value)
-        self.stats.sets += 1
-        return True
+        return self.set(key, value, exptime)
 
     def _token(self, key: bytes) -> Optional[bytes]:
         current = self.kvp.get(key)

@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.machine import Machine
 from repro.core.transactions import MultiSegmentCommit
-from repro.structures.anon import AnonSegment, pack_meta, read_ref_slot
+from repro.structures.anon import read_ref_slot
 from repro.structures.hmap import HMap
 
 _LEN = struct.Struct(">I")
@@ -173,27 +173,15 @@ class Database:
         updates: Dict[int, object] = {}
         count = 0
         # iterate the table's snapshot; collect references, not copies
-        from repro.structures.hmap import SLOT_BASE
-        with machine.snapshot(table.kvp.vsid) as snap:
-            slots: Dict[int, Dict[int, object]] = {}
-            for offset, word in snap.iter_nonzero(start=SLOT_BASE):
-                slot_base = SLOT_BASE + ((offset - SLOT_BASE) // 4) * 4
-                slots.setdefault(slot_base, {})[offset - slot_base] = word
-            for slot_base in sorted(slots):
-                words = slots[slot_base]
-                if 3 not in words:
-                    continue
-                k_entry, k_meta = words.get(0, 0), words.get(1, 0)
-                v_entry, v_meta = words.get(2, 0), words[3]
+        with machine.snapshot(table.vsid) as snap:
+            for slot in table.kvp.slots(snap):
+                k_entry, k_meta, v_entry, v_meta = slot
                 key = read_ref_slot(machine.mem, k_entry, k_meta)
                 row = decode_row(table.schema,
                                  read_ref_slot(machine.mem, v_entry, v_meta))
                 if predicate(key, row):
-                    base = 4 * count
-                    updates[base] = k_entry
-                    updates[base + 1] = k_meta
-                    updates[base + 2] = v_entry
-                    updates[base + 3] = v_meta
+                    for off, word in enumerate(slot):
+                        updates[4 * count + off] = word
                     count += 1
             # build the view while the snapshot still pins the entries;
             # the view's own lines take references as they materialize
@@ -229,60 +217,23 @@ class Database:
             since the transaction began.
             """
             machine = self.db.machine
-            # build new versions of each touched table privately
-            by_table: Dict[Table, List[Tuple[bytes, Optional[Row]]]] = {}
+            by_table: Dict[Table, List[Tuple[bytes, Optional[bytes]]]] = {}
             for table, key, row in self._writes:
-                by_table.setdefault(table, []).append((key, row))
-            from repro.structures.hmap import (
-                COUNT_OFFSET,
-                SLOT_BASE,
-                _index_for_key,
-            )
-
-            # handles must outlive build_updated_root: the transient
-            # buffer holds bare reference words until the rebuild
-            # materializes lines that own them
-            handles: List[AnonSegment] = []
-            try:
-                for table, ops in by_table.items():
-                    it = machine.iterator(table.vsid)
-                    try:
-                        for key, row in ops:
-                            key_seg = AnonSegment.from_bytes(machine.mem, key)
-                            handles.append(key_seg)
-                            base = SLOT_BASE + 4 * _index_for_key(
-                                key_seg.root, key_seg.height, len(key))
-                            was_new = it.get(base + 3) == 0
-                            if row is None:
-                                if not was_new:
-                                    for off in range(4):
-                                        it.put(0, offset=base + off)
-                                    it.put(it.get(COUNT_OFFSET) - 1,
-                                           offset=COUNT_OFFSET)
-                                continue
-                            data = encode_row(table.schema, row)
-                            value_seg = AnonSegment.from_bytes(machine.mem,
-                                                               data)
-                            handles.append(value_seg)
-                            it.put(key_seg.root, offset=base)
-                            it.put(pack_meta(key_seg.height, key_seg.length,
-                                             len(key)), offset=base + 1)
-                            it.put(value_seg.root, offset=base + 2)
-                            it.put(pack_meta(value_seg.height,
-                                             value_seg.length, len(data)),
-                                   offset=base + 3)
-                            if was_new:
-                                it.put(it.get(COUNT_OFFSET) + 1,
-                                       offset=COUNT_OFFSET)
+                by_table.setdefault(table, []).append(
+                    (key, None if row is None
+                     else encode_row(table.schema, row)))
+            # build new versions of each touched table privately
+            for table, items in by_table.items():
+                it = machine.iterator(table.vsid)
+                try:
+                    with table.kvp.staging(items) as stage:
+                        stage(it)
                         new_root, new_height = it.build_updated_root()
-                        self._txn.stage(table.vsid, new_root, new_height,
-                                        it.length)
-                    finally:
-                        machine.release_iterator(it)
-                return self._txn.commit()
-            finally:
-                for handle in handles:
-                    handle.release()
+                    self._txn.stage(table.vsid, new_root, new_height,
+                                    it.length)
+                finally:
+                    machine.release_iterator(it)
+            return self._txn.commit()
 
         def abort(self) -> None:
             """Discard buffered writes."""

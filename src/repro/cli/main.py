@@ -240,7 +240,7 @@ def _cmd_replicate_follower(args: argparse.Namespace) -> int:
     import asyncio
     import json
 
-    from repro.core.persistence import load_machine_file, save_machine_file
+    from repro.core.persistence import load_machine, save_machine
     from repro.errors import PersistenceError
     from repro.net.server import MemcachedServer
     from repro.replication import FollowerRouter, ReplicationFollower
@@ -249,7 +249,7 @@ def _cmd_replicate_follower(args: argparse.Namespace) -> int:
     streams = None
     if args.checkpoint:
         try:
-            machine, extra = load_machine_file(args.checkpoint)
+            machine, extra = load_machine(args.checkpoint)
         except (FileNotFoundError, PersistenceError) as exc:
             print("repro replicate-follower: cannot load checkpoint: %s"
                   % exc, file=sys.stderr)
@@ -281,7 +281,7 @@ def _cmd_replicate_follower(args: argparse.Namespace) -> int:
             await front.shutdown()
             await follower.stop()
             if args.save_checkpoint:
-                save_machine_file(
+                save_machine(
                     follower.machine, args.save_checkpoint,
                     extra={"replication_streams":
                            {str(s): vsid
@@ -303,14 +303,14 @@ def _cmd_replicate_follower(args: argparse.Namespace) -> int:
 
 
 def _cmd_checkpoint(args: argparse.Namespace) -> int:
-    from repro.core.persistence import load_machine_file, save_machine_file
+    from repro.core.persistence import load_machine, save_machine
     from repro.errors import PersistenceError
     from repro.testing.auditors import audit_machine
 
     if args.action == "save":
         if args.source:
             try:
-                machine, extra = load_machine_file(args.source)
+                machine, extra = load_machine(args.source)
             except (FileNotFoundError, PersistenceError) as exc:
                 print("repro checkpoint: cannot load %s: %s"
                       % (args.source, exc), file=sys.stderr)
@@ -319,14 +319,14 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
             from repro import Machine
             machine = Machine()
             extra = {}
-        save_machine_file(machine, args.path, extra=extra or None)
+        save_machine(machine, args.path, extra=extra or None)
         print("saved %s: %d unique lines, %d bytes footprint"
               % (args.path, machine.footprint_lines(),
                  machine.footprint_bytes()))
         return 0
 
     try:
-        machine, extra = load_machine_file(args.path)
+        machine, extra = load_machine(args.path)
     except (FileNotFoundError, PersistenceError) as exc:
         print("repro checkpoint: cannot load %s: %s" % (args.path, exc),
               file=sys.stderr)

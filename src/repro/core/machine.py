@@ -24,11 +24,11 @@ from typing import Callable, List, Optional, Sequence
 from repro.core.snapshot import Snapshot
 from repro.core.transactions import atomic_update
 from repro.errors import IteratorStateError
-from repro.memory.line import check_data_words, ref_plid
+from repro.memory.line import check_data_words
 from repro.memory.stats import DramStats
 from repro.memory.system import MemorySystem
 from repro.memory.transient import TransientRegion
-from repro.params import WORD_MASK, MachineConfig
+from repro.params import MachineConfig
 from repro.segments import dag
 from repro.segments.iterator import IteratorRegister
 from repro.segments.segment_map import SegmentFlags, SegmentMap
@@ -176,20 +176,10 @@ class Machine:
         that is neither data nor a live line's reference is refused."""
         if not updates:
             return
-        live = self.mem.store.is_allocated
-        if any(type(w) is int and not (0 <= w <= WORD_MASK or w < 0
-                                       and live(ref_plid(w)))
-               for w in updates.values()):
-            raise ValueError("not a data word or a live line's reference")
         entry = self.segmap.entry(vsid)
         length = max(entry.length, max(updates) + 1)
-        root, height = entry.root, entry.height
-        dag.retain_entry(self.mem, root)
-        needed = dag.height_for(self.mem, max(1, length))
-        if needed > height:
-            root = dag.grow_entry(self.mem, root, height, needed)
-            height = needed
-        root = dag.write_words_bulk(self.mem, root, height, updates)
+        root, height = dag.new_version(self.mem, entry.root, entry.height,
+                                       length, updates)
         self.segmap.set_root(vsid, root, height, length)
 
     def append_words(self, vsid: int, words: Sequence) -> None:

@@ -4,7 +4,8 @@ A pure-Python simulator is slow, so long experiments want to build a
 state once (preload a cache, load VM images, assemble matrices) and
 reuse it. :func:`save_machine` serializes the deduplicated store — every
 line with its tagged words and exact PLID — plus the segment map, to a
-JSON document; :func:`load_machine` reconstructs a machine whose PLIDs,
+JSON document (gzipped when the path ends in ``.gz``, with optional
+caller metadata); :func:`load_machine` reconstructs a machine whose PLIDs,
 VSIDs, refcounts and dedup behaviour are identical to the original
 (content lookups after a restore find the pre-existing lines).
 
@@ -101,12 +102,6 @@ def machine_image(machine: Machine) -> Dict[str, Any]:
     }
 
 
-def save_machine(machine: Machine, path: str) -> None:
-    """Write a machine image to ``path``."""
-    with open(path, "w") as f:
-        json.dump(machine_image(machine), f)
-
-
 def restore_machine(image: Dict[str, Any]) -> Machine:
     """Reconstruct a machine from an image document.
 
@@ -161,17 +156,8 @@ def restore_machine(image: Dict[str, Any]) -> Machine:
     return machine
 
 
-def load_machine(path: str) -> Machine:
-    """Read a machine image from ``path``."""
-    with open(path) as f:
-        return restore_machine(json.load(f))
-
-
-# ----------------------------------------------------------------------
-# file images with metadata (operator checkpoints, follower warm start)
-
-def save_machine_file(machine: Machine, path: str,
-                      extra: Optional[Dict[str, Any]] = None) -> None:
+def save_machine(machine: Machine, path: str,
+                 extra: Optional[Dict[str, Any]] = None) -> None:
     """Write a machine image to ``path``, gzipped when it ends in ``.gz``.
 
     ``extra`` rides along in the document under ``"extra"`` — the
@@ -182,30 +168,20 @@ def save_machine_file(machine: Machine, path: str,
     image = machine_image(machine)
     if extra is not None:
         image["extra"] = extra
-    data = json.dumps(image).encode()
-    if path.endswith(".gz"):
-        with gzip.open(path, "wb") as f:
-            f.write(data)
-    else:
-        with open(path, "wb") as f:
-            f.write(data)
+    with (gzip.open if path.endswith(".gz") else open)(path, "wb") as f:
+        f.write(json.dumps(image).encode())
 
 
-def load_machine_file(path: str) -> Tuple[Machine, Dict[str, Any]]:
-    """Read an image written by :func:`save_machine_file`.
+def load_machine(path: str) -> Tuple[Machine, Dict[str, Any]]:
+    """Read an image written by :func:`save_machine`.
 
     Returns ``(machine, extra)``; ``extra`` is ``{}`` when the image
     carries no metadata. Transparently handles gzip by the ``.gz``
     suffix and raises :class:`PersistenceError` on undecodable files.
     """
     try:
-        if path.endswith(".gz"):
-            with gzip.open(path, "rb") as f:
-                data = f.read()
-        else:
-            with open(path, "rb") as f:
-                data = f.read()
-        image = json.loads(data)
+        with (gzip.open if path.endswith(".gz") else open)(path, "rb") as f:
+            image = json.loads(f.read())
     except FileNotFoundError:
         raise
     except (OSError, ValueError) as exc:

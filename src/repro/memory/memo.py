@@ -73,7 +73,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.memory.line import is_ref, ref_plid
 
@@ -115,9 +115,11 @@ class StructuralMemo:
         self.stats["line"] = TableStats()
         # segment memo: raw bytes -> (root entry, height, length). Path
         # compaction lets distinct contents share a root PLID (with
-        # different paths), so the reverse map holds key *sets*.
+        # different paths), so the reverse map holds a tuple of keys per
+        # PLID: a tuple of bytes is untracked by the cyclic collector
+        # once it has seen it, where a set per root would stay tracked.
         self._segments: "OrderedDict[bytes, tuple]" = OrderedDict()
-        self._seg_rev: Dict[int, Set[bytes]] = {}
+        self._seg_rev: Dict[int, Tuple[bytes, ...]] = {}
         # read table: VSID -> [version, {key: answer}]; one LRU order
         self._read_maps: Dict[int, list] = {}
         self._read_lru: "OrderedDict[tuple, None]" = OrderedDict()
@@ -173,14 +175,16 @@ class StructuralMemo:
         :meth:`get_segment` and :meth:`get_payload` answer from it."""
         self._segments[data] = (root, height, length)
         if is_ref(root):
-            self._seg_rev.setdefault(ref_plid(root), set()).add(data)
+            plid = ref_plid(root)
+            self._seg_rev[plid] = self._seg_rev.get(plid, ()) + (data,)
         if len(self._segments) > self._max_segments:
             victim, (vroot, _, _) = self._segments.popitem(last=False)
             vplid = ref_plid(vroot) if is_ref(vroot) else None
-            keys = self._seg_rev.get(vplid)
-            if keys is not None:
-                keys.discard(victim)
-                if not keys:
+            if vplid in self._seg_rev:
+                keys = tuple(k for k in self._seg_rev[vplid] if k != victim)
+                if keys:
+                    self._seg_rev[vplid] = keys
+                else:
                     del self._seg_rev[vplid]
             self.stats["segment"].evictions += 1
 

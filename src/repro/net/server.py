@@ -153,11 +153,12 @@ class MemcachedServer:
         await self.router.abort()
 
     async def _close_connections(self, abort: bool) -> None:
-        # stop accepting, cancel the ordered tasks (commits already
-        # enqueued still land: the queues drain after this), then close
-        # every transport. A graceful close first reads on: what a
-        # client sent is dropped unanswered, not left unread for the
-        # close to answer with a reset. That takes two turns, as a
+        # stop accepting (a connection accepted before that closes
+        # itself in connection_made), cancel the ordered tasks (commits
+        # already enqueued still land: the queues drain after this),
+        # then close every transport. A graceful close first reads on:
+        # what a client sent is dropped unanswered, not left unread for
+        # the close to answer with a reset. That takes two turns, as a
         # turn runs this task before the read callbacks its own poll
         # found. Close before wait_closed(): on 3.12+ it waits for
         # every connection to be lost.
@@ -165,7 +166,7 @@ class MemcachedServer:
         if self.router.collector in gc.callbacks:
             gc.callbacks.remove(self.router.collector)
         if self._server is not None:
-            self._server.close()
+            await stop_accepting(self._server)
         connections = list(self._connections)
         tasks = [c.task for c in connections if c.task is not None]
         for task in tasks:
@@ -543,6 +544,20 @@ async def _wait_in_task(awaitable, timeout: float):
 #: and the loop runs on; here that cancel is raised.
 wait_within = _wait_in_scope if hasattr(asyncio, "timeout") \
     else _wait_in_task
+
+
+async def stop_accepting(server: asyncio.AbstractServer) -> None:
+    """Close a listening ``server`` once the loop has made the
+    transports of connections it already accepted (a turn after each
+    accept); their protocols close them, their owner being marked as
+    stopping. Before Python 3.12 a transport made after ``close()``
+    fails an assertion in ``Server._attach``, and its socket is never
+    closed."""
+    loop = asyncio.get_running_loop()
+    for sock in server.sockets:
+        loop.remove_reader(sock.fileno())
+    await asyncio.sleep(0)
+    server.close()
 
 
 async def serve(host: str = "127.0.0.1", port: int = 11211,

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Set
 from repro.errors import ReplicationError
 from repro.net.framing import close_writer
 from repro.net.router import ShardRouter
-from repro.net.server import wait_within
+from repro.net.server import stop_accepting, wait_within
 from repro.replication import wire
 from repro.replication.delta import compute_delta
 from repro.replication.metrics import ReplicationMetrics
@@ -170,7 +170,7 @@ class ReplicationLeader:
         later one is refused by :meth:`_accept`."""
         self._closing = True
         if self._server is not None:
-            self._server.close()
+            await stop_accepting(self._server)
         tasks = list(self._session_tasks)
         for task in tasks:
             task.cancel()

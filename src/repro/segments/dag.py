@@ -40,7 +40,7 @@ from repro.memory.line import (
     PLID_MASK, Inline, Line, ZERO_PLID, encode_word, is_ref, ref, ref_path,
     ref_plid)
 from repro.memory.system import MemorySystem
-from repro.params import PLID_BITS
+from repro.params import PLID_BITS, WORD_MASK
 
 Entry = object  # 0 | Inline | a reference word
 
@@ -536,6 +536,28 @@ def write_words_bulk(mem: MemorySystem, entry: Entry, level: int,
         raise SegmentRangeError("write at %d beyond capacity %d"
                                 % (lo if lo < 0 else hi, cap))
     return _rebuild(mem, entry, level, 0, updates.items(), lo, hi)
+
+
+def new_version(mem: MemorySystem, root: Entry, height: int, length: int,
+                updates: Dict[int, object]) -> Tuple[Entry, int]:
+    """``(new_root, new_height)``: the segment ``(root, height)``, whose
+    reference stays the caller's, grown to ``length`` words with
+    ``updates`` (offset -> tagged word) stored; a caller reference on
+    ``new_root``. The rebuild of every commit. An int that is neither
+    data nor a live line's reference is refused (``ValueError``) before
+    any reference is taken: failing half-way would leak lines.
+    """
+    live = mem.store.is_allocated
+    for word in updates.values():
+        if type(word) is int and not (0 <= word <= WORD_MASK or word < 0
+                                      and live(~word & PLID_MASK)):
+            raise ValueError("not a data word or a live line's reference")
+    retain_entry(mem, root)
+    needed = height_for(mem, max(1, length))
+    if needed > height:
+        root = grow_entry(mem, root, height, needed)
+        height = needed
+    return write_words_bulk(mem, root, height, updates), height
 
 
 def _digits(number: int, fan: int, count: int) -> Tuple[int, ...]:

@@ -182,13 +182,9 @@ class MapTransaction:
         self._done = True
         length = max(self._base_length,
                      max(self._updates, default=0) + 1)
-        root, height = self._base_root, self._base_height
-        dag.retain_entry(self.mem, root)
-        needed = dag.height_for(self.mem, max(1, length))
-        if needed > height:
-            root = dag.grow_entry(self.mem, root, height, needed)
-            height = needed
-        new_root = dag.write_words_bulk(self.mem, root, height, self._updates)
+        new_root, height = dag.new_version(self.mem, self._base_root,
+                                           self._base_height, length,
+                                           self._updates)
         ok = mcas(self.mem, self._map.anchor, self._map.map_vsid,
                   (self._base_root, self._base_height),
                   (new_root, height), length)

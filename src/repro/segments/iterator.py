@@ -274,17 +274,13 @@ class IteratorRegister:
 
         Returns ``(new_root, new_height)`` with a caller-owned reference;
         this is the bottom-up conversion of transient lines to
-        content-unique lines that commit performs. Does not touch the map.
+        content-unique lines that commit performs (:func:`dag.new_version`,
+        which refuses a store that is neither data nor a live line's
+        reference). Does not touch the map.
         """
         self._require_loaded()
-        root, height = self._root, self._height
-        dag.retain_entry(self.mem, root)
-        needed = dag.height_for(self.mem, max(1, self._length))
-        if needed > height:
-            root = dag.grow_entry(self.mem, root, height, needed)
-            height = needed
-        root = dag.write_words_bulk(self.mem, root, height, self._transient)
-        return root, height
+        return dag.new_version(self.mem, self._root, self._height,
+                               self._length, self._transient)
 
     def try_commit(self) -> bool:
         """Commit transient stores: rebuild and CAS the root into the map.

@@ -7,7 +7,7 @@ guarantees any given key content has exactly one root, so the offset is a
 collision-free index — no hashing of the key, no chains, no rebalancing,
 and a worst-case bound a conventional hash table cannot give.
 
-Slot layout (``SLOT_BASE + 4 * index_of(key)``)::
+Slot layout (``SLOT_BASE + 4 * key_index(key)``)::
 
     +0  key root entry      (pins the key content, keeps its PLID stable)
     +1  key shape word      (height / word length / byte length)
@@ -19,17 +19,22 @@ word, concurrent inserts merge to the correct sum under merge-update.
 Inserting writes a zero slot and deleting zeroes a non-zero slot, so
 concurrent non-conflicting updates merge instead of aborting
 (section 4.3).
+
+Only this module knows the layout: every write is staged by
+:meth:`HMap._stage`, and :meth:`HMap.slots` hands out a snapshot's slot
+words.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.machine import Machine
-from repro.core.transactions import atomic_update
 from repro.errors import MergeConflictError
 from repro.memory.line import PLID_MASK
 from repro.memory.memo import MISS
+from repro.params import WORD_MASK
 from repro.segments import dag
 from repro.segments.segment_map import SegmentFlags
 from repro.structures.anon import (
@@ -46,7 +51,7 @@ COUNT_OFFSET = 0
 _WIDE_SPACE = 1 << 120  # index space for compacted (non-PLID) key roots
 
 
-def _index_for_key(root, height: int, byte_length: int) -> int:
+def key_index(root, height: int, byte_length: int) -> int:
     """Collision-free slot index from a key segment's identity: its root
     entry and height, as a build returns them or the segment memo
     records them, and the key's byte length.
@@ -82,7 +87,7 @@ class HMap:
     def _key_segment(self, key: bytes) -> Tuple[AnonSegment, int]:
         """Build/find the key's segment; returns (handle, slot base)."""
         seg = AnonSegment.from_bytes(self.machine.mem, key)
-        index = _index_for_key(seg.root, seg.height, len(key))
+        index = key_index(seg.root, seg.height, len(key))
         return seg, SLOT_BASE + 4 * index
 
     def _known_slot(self, key: bytes) -> Optional[int]:
@@ -101,16 +106,7 @@ class HMap:
         known = memo.get_segment(key)
         if known is None:
             return None
-        return SLOT_BASE + 4 * _index_for_key(known[0], known[1], len(key))
-
-    def _read_table(self):
-        """The memo when its read table serves this map (on, and reads
-        not verified), else None. :meth:`get`, the hot path, inlines
-        the same test."""
-        mem = self.machine.mem
-        if mem.memo.enabled and not mem.store.verify_reads:
-            return mem.memo
-        return None
+        return SLOT_BASE + 4 * key_index(known[0], known[1], len(key))
 
     def _read_slot(self, snap, base: int) -> Optional[Tuple[object, int]]:
         """(value entry, value meta) at a slot, or None when absent."""
@@ -156,118 +152,119 @@ class HMap:
             memo.put_read(self.vsid, version, key, answer)
         return answer
 
-    def _commit(self, update, answers) -> None:
-        """``atomic_update``; with the memo on, carry its read table
-        across the commit, recording ``answers`` — each staged key's
-        ``(key, value bytes or None)`` in the committed version."""
-        memo, entry = self.machine.mem.memo, self.machine.segmap.entry
-        before = entry(self.vsid).version if memo.enabled else None
-        self.machine.atomic_update(self.vsid, update)
-        if before is not None:
-            memo.carry_reads(self.vsid, before, entry(self.vsid).version,
-                             answers)
-
     @staticmethod
-    def _stage_put(it, base: int, key_seg: AnonSegment, key_len: int,
-                   value_seg: AnonSegment, value_len: int,
-                   known=MISS) -> bool:
-        """Stage one insert/update into an iterator register's transient
-        buffer; returns True when the key was absent.
+    def _stage(it, base: int, key_seg: AnonSegment, key_len: int,
+               value_seg: Optional[AnonSegment], value_len: int,
+               known=MISS) -> bool:
+        """Stage one write of a key into an iterator register: a put of
+        ``value_seg``, or a delete when it is None. True when the write
+        changes whether the key is present.
 
         ``known`` is the read table's answer for the key at the
         register's snapshot version, or MISS. An answer stands in for
-        the slot descent, and a key answered present already holds this
-        key's words in its slot (the slot index *is* the key's identity),
-        so only the value words are staged: the committed map is the
-        same either way (section 2.2), minus the key leaf's rebuild.
+        the slot descent, and a put of a key answered present stages
+        only the value words: its slot already holds this key's words
+        (the slot index *is* the key's identity), so the committed map
+        is the same either way (section 2.2), minus the key leaf's
+        rebuild.
         """
         if known is MISS:
-            was_new = it.get(base + 3) == 0
+            present = it.get(base + 3) != 0
         else:
-            was_new = known is None
-        if known is MISS or was_new:
+            present = known is not None
+        if value_seg is None:
+            if present:
+                for off in range(4):
+                    it.put(0, offset=base + off)
+                it.put((it.get(COUNT_OFFSET) - 1) & WORD_MASK,
+                       offset=COUNT_OFFSET)
+            return present
+        if known is MISS or not present:
             it.put(key_seg.root, offset=base)
             it.put(pack_meta(key_seg.height, key_seg.length, key_len),
                    offset=base + 1)
         it.put(value_seg.root, offset=base + 2)
         it.put(pack_meta(value_seg.height, value_seg.length, value_len),
                offset=base + 3)
-        if was_new:
-            it.put((it.get(COUNT_OFFSET) + 1) & ((1 << 64) - 1),
+        if not present:
+            it.put((it.get(COUNT_OFFSET) + 1) & WORD_MASK,
                    offset=COUNT_OFFSET)
-        return was_new
+        return not present
 
-    def put(self, key: bytes, value: bytes) -> bool:
-        """Insert or update; returns True when the key was new.
+    @contextmanager
+    def staging(self, items: Sequence[Tuple[bytes, Optional[bytes]]]):
+        """Build the segments of ``(key, value)`` pairs (a None value
+        deletes) and yield ``stage(it)``, which stages them in order into
+        a register loaded with this map: one :meth:`_stage` flag each.
 
-        Runs as an atomic update with merge, so concurrent puts/deletes
-        of *different* keys never abort each other (section 4.3). With
-        the memo on, the read table's answer for ``key`` stands in for
-        the slot descent (:meth:`_stage_put`), and the commit leaves the
-        new value there for the next get.
+        Stay inside until the register's rebuild: its buffer holds bare
+        reference words, which the segments pin until lines own them.
+        With the memo on and reads not verified, the read table answers
+        each key's first stage; a later one sees the earlier stages.
         """
-        key_seg, base = self._key_segment(key)
-        value_seg = AnonSegment.from_bytes(self.machine.mem, value)
-        memo, created = self._read_table(), []
-
-        def update(it):
-            known = MISS if memo is None else \
-                memo.get_read(self.vsid, it.version, key)
-            created.clear()
-            created.append(self._stage_put(it, base, key_seg, len(key),
-                                           value_seg, len(value), known))
-
-        try:
-            self._commit(update, ((key, value),))
-        finally:
-            key_seg.release()
-            value_seg.release()
-        return created[0]
-
-    def put_many(self, items: Sequence[Tuple[bytes, bytes]]) -> List[bool]:
-        """Insert/update many pairs in **one** atomic commit.
-
-        All stages land in a single iterator register, so the whole batch
-        is one bottom-up tree rebuild and one root CAS instead of one per
-        key — the bulk-ingest path the router's commit queue coalesces
-        into. Returns one was-new flag per item, in input order; a key
-        repeated within the batch counts as new at most once (later
-        stages observe the earlier transient store) and the last value
-        wins, exactly as sequential puts would behave.
-        """
-        if not items:
-            return []
-        results = [False] * len(items)
-        staged: List[Tuple[bytes, int, AnonSegment, AnonSegment, int]] = []
-        memo = self._read_table()
+        mem, staged = self.machine.mem, []
+        memo = mem.memo if mem.memo.enabled \
+            and not mem.store.verify_reads else None
         try:
             for key, value in items:
                 key_seg, base = self._key_segment(key)
-                value_seg = AnonSegment.from_bytes(self.machine.mem, value)
-                staged.append((key, base, key_seg, value_seg, len(value)))
+                value_seg = None if value is None \
+                    else AnonSegment.from_bytes(mem, value)
+                staged.append((key, base, key_seg, value_seg,
+                               0 if value is None else len(value)))
 
-            def update(it):
-                # atomic_update may re-run this on a lost CAS: start the
-                # accumulator from scratch each attempt
-                for i in range(len(results)):
-                    results[i] = False
-                # a key's later stages see its earlier ones, which no
-                # answer at the snapshot version knows of
-                seen = set()
-                for i, (key, base, kseg, vseg, vlen) in enumerate(staged):
+            def stage(it) -> List[bool]:
+                seen, flags = set(), []
+                for key, base, key_seg, value_seg, value_len in staged:
                     known = MISS
                     if memo is not None and key not in seen:
                         seen.add(key)
                         known = memo.get_read(self.vsid, it.version, key)
-                    results[i] = self._stage_put(it, base, kseg, len(key),
-                                                 vseg, vlen, known)
+                    flags.append(self._stage(it, base, key_seg, len(key),
+                                             value_seg, value_len, known))
+                return flags
 
-            self._commit(update, dict(items).items())
+            yield stage
         finally:
             for _, _, key_seg, value_seg, _ in staged:
                 key_seg.release()
-                value_seg.release()
-        return results
+                if value_seg is not None:
+                    value_seg.release()
+
+    def put(self, key: bytes, value: bytes) -> bool:
+        """Insert or update; True when the key was new."""
+        return self.put_many(((key, value),))[0]
+
+    def put_many(self, items: Sequence[Tuple[bytes, Optional[bytes]]]
+                 ) -> List[bool]:
+        """Write ``(key, value)`` pairs in **one** atomic commit, a None
+        value deleting its key: the map's one write routine.
+
+        The whole batch is one register, one bottom-up rebuild and one
+        root CAS — what the router's commit queue coalesces a run of
+        sets into. A merge-update map (the default) folds a lost CAS in,
+        so writes of *different* keys never abort each other (section
+        4.3). One flag per pair, in input order: True when it changed
+        whether its key is present. A repeated key's later writes see
+        its earlier ones, as sequential writes would. With the memo on,
+        the commit carries the read table to the new version, answering
+        each key's last write.
+        """
+        if not items:
+            return []
+        flags: List[bool] = []
+        memo, entry = self.machine.mem.memo, self.machine.segmap.entry
+        before = entry(self.vsid).version if memo.enabled else None
+        with self.staging(items) as stage:
+
+            def update(it):
+                flags[:] = stage(it)  # atomic_update may re-run it
+
+            self.machine.atomic_update(self.vsid, update)
+            if before is not None:
+                memo.carry_reads(self.vsid, before, entry(self.vsid).version,
+                                 dict(items).items())
+        return flags
 
     def put_steps(self, key: bytes, value: bytes, max_retries: int = 16):
         """Generator variant of :meth:`put` for concurrency simulation.
@@ -288,8 +285,8 @@ class HMap:
         true_conflicts = 0
         try:
             for _ in range(max_retries):
-                self._stage_put(it, base, key_seg, len(key), value_seg,
-                                len(value))
+                self._stage(it, base, key_seg, len(key), value_seg,
+                            len(value))
                 yield  # the update window: other clients may commit here
                 if it.try_commit():
                     return true_conflicts
@@ -310,31 +307,8 @@ class HMap:
             value_seg.release()
 
     def delete(self, key: bytes) -> bool:
-        """Remove ``key``; returns False when it was absent (with the
-        memo on, as the read table answers, if it holds the key)."""
-        key_seg, base = self._key_segment(key)
-        memo, removed = self._read_table(), []
-
-        def update(it):
-            known = MISS if memo is None else \
-                memo.get_read(self.vsid, it.version, key)
-            removed.clear()
-            present = it.get(base + 3) != 0 if known is MISS \
-                else known is not None
-            if not present:
-                removed.append(False)
-                return
-            removed.append(True)
-            for off in range(4):
-                it.put(0, offset=base + off)
-            it.put((it.get(COUNT_OFFSET) - 1) & ((1 << 64) - 1),
-                   offset=COUNT_OFFSET)
-
-        try:
-            self._commit(update, ((key, None),))
-        finally:
-            key_seg.release()
-        return removed[0]
+        """Remove ``key``; False when it was absent."""
+        return self.put_many(((key, None),))[0]
 
     def contains(self, key: bytes) -> bool:
         """Membership test: with the memo on, whether :meth:`get` (and
@@ -351,21 +325,28 @@ class HMap:
     def __len__(self) -> int:
         return self.machine.read_word(self.vsid, COUNT_OFFSET)
 
+    def slots(self, snap) -> Iterator[Tuple[object, int, object, int]]:
+        """The words of every present slot of ``snap``, a snapshot of
+        this map, in index order: ``(key entry, key shape, value entry,
+        value shape)``. The entries are borrowed; ``snap`` pins them."""
+        slots = {}
+        for offset, word in snap.iter_nonzero(start=SLOT_BASE):
+            slot_base = SLOT_BASE + ((offset - SLOT_BASE) // 4) * 4
+            slots.setdefault(slot_base, {})[offset - slot_base] = word
+        for slot_base in sorted(slots):
+            words = slots[slot_base]
+            if 3 in words:
+                yield (words.get(0, 0), words.get(1, 0), words.get(2, 0),
+                       words[3])
+
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
         """Iterate ``(key, value)`` over a stable snapshot of the map."""
+        mem = self.machine.mem
         with self.machine.snapshot(self.vsid) as snap:
-            slots = {}
-            for offset, word in snap.iter_nonzero(start=SLOT_BASE):
-                slot_base = SLOT_BASE + ((offset - SLOT_BASE) // 4) * 4
-                slots.setdefault(slot_base, {})[offset - slot_base] = word
-            for slot_base in sorted(slots):
-                words = slots[slot_base]
-                if 3 not in words:
-                    continue
-                yield (read_ref_slot(self.machine.mem, words.get(0, 0),
-                                     words.get(1, 0)),
-                       read_ref_slot(self.machine.mem, words.get(2, 0),
-                                     words[3]))
+            for key_entry, key_meta, value_entry, value_meta \
+                    in self.slots(snap):
+                yield (read_ref_slot(mem, key_entry, key_meta),
+                       read_ref_slot(mem, value_entry, value_meta))
 
     def keys(self) -> List[bytes]:
         """All keys (snapshot order = index order)."""

@@ -21,7 +21,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.machine import Machine
 from repro.structures.anon import AnonSegment
-from repro.structures.hmap import HMap, _index_for_key
+from repro.structures.hmap import HMap, key_index
 
 
 class ShardedHMap:
@@ -54,7 +54,7 @@ class ShardedHMap:
             seg.release()
 
     def _selector(self, seg: AnonSegment, key_len: int) -> int:
-        index = _index_for_key(seg.root, seg.height, key_len)
+        index = key_index(seg.root, seg.height, key_len)
         # "indexed by several bits of the key PLID": fold the
         # content-unique identity so the selector bits vary for both
         # line-referenced and inline-compacted key roots
@@ -74,13 +74,15 @@ class ShardedHMap:
         """Insert or update; returns True when new."""
         return self._with_shard(key, lambda shard: shard.put(key, value))
 
-    def put_many(self, items: Sequence[Tuple[bytes, bytes]]) -> List[bool]:
-        """Bulk insert/update: one atomic commit *per touched shard*.
+    def put_many(self, items: Sequence[Tuple[bytes, Optional[bytes]]]
+                 ) -> List[bool]:
+        """Bulk write (a None value deletes): one atomic commit *per
+        touched shard*.
 
         Items are grouped by owning shard and each group goes through
         :meth:`HMap.put_many`, so a batch of N keys costs at most
-        ``2**shard_bits`` tree rebuilds instead of N. Returns was-new
-        flags in input order.
+        ``2**shard_bits`` tree rebuilds instead of N. Returns its flags
+        in input order.
         """
         results = [False] * len(items)
         groups: Dict[int, List[Tuple[int, bytes, bytes]]] = {}

@@ -112,19 +112,19 @@ class TestCheckpointCommand:
         out = capsys.readouterr().out
         assert "audit ok" in out
         # the fresh machine it fell back to has the default geometry
-        from repro.core.persistence import load_machine_file
+        from repro.core.persistence import load_machine
         from repro.params import MemoryConfig
-        machine, _extra = load_machine_file(path)
+        machine, _extra = load_machine(path)
         assert machine.config.memory == MemoryConfig()
 
     def test_save_copies_a_source_checkpoint(self, tmp_path, capsys):
         from repro import Machine
-        from repro.core.persistence import save_machine_file
+        from repro.core.persistence import save_machine
         src = str(tmp_path / "src.json")
         dst = str(tmp_path / "dst.json.gz")
         machine = Machine()
         machine.create_segment(list(range(64)))
-        save_machine_file(machine, src,
+        save_machine(machine, src,
                           extra={"replication_streams": {"0": 1}})
         assert main(["checkpoint", "save", dst, "--source", src]) == 0
         capsys.readouterr()

@@ -281,14 +281,21 @@ class TestHostFootprint:
         server = HicampMemcached(machine)
         rng = random.Random(11)
         gc.collect()
-        before = len(gc.get_objects())
+        before = gc.get_objects()
+        sets_before = sum(type(o) is set for o in before)
         for i in range(2000):
             server.set(b"key-%06d" % i, rng.randbytes(256))
         store = machine.mem.store
         store.reclaim_quiesce()
         gc.collect()
-        added = len(gc.get_objects()) - before
+        after = gc.get_objects()
+        added = len(after) - len(before)
         assert added / store.footprint_lines() <= 0.1
+        # the memo's reverse map holds each root's payloads in a tuple of
+        # bytes, which the collector untracks: no set per memoized root
+        # (4 000 more when it held a set per root)
+        assert machine.mem.memo.sizes()["segment"] >= 2000
+        assert sum(type(o) is set for o in after) - sets_before < 20
         # a line of references, data and zeros is untracked once the
         # collector has seen it; only one holding an Inline pack (a slots
         # object) stays tracked

@@ -61,6 +61,24 @@ class TestDataWordRange:
         assert machine.read_segment(vsid) == [1, 2]
         assert audit_machine(machine, strict=True).ok
 
+    @pytest.mark.parametrize("word", [1 << 64, -12345])
+    def test_a_register_commit_refuses_it_too(self, machine, word):
+        # the register's stores reach the same rebuild: a bad one is
+        # refused before the commit takes a reference (it once raised
+        # KeyError half-way and leaked the line it had built)
+        vsid = machine.create_segment([1, 2, 3])
+        lines = machine.footprint_lines()
+        it = machine.iterator(vsid)
+        try:
+            it.put(word, offset=1)
+            with pytest.raises(ValueError, match="not a data word"):
+                it.try_commit()
+        finally:
+            machine.release_iterator(it)
+        assert machine.footprint_lines() == lines
+        assert machine.read_segment(vsid) == [1, 2, 3]
+        assert audit_machine(machine, strict=True).ok
+
 
 class TestErrorHierarchy:
     def test_all_derive_from_hicamp_error(self):

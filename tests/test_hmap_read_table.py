@@ -260,14 +260,14 @@ def test_writes_after_gets_equal_the_plain_machines(backend, seed,
     plain = Twin(False, bool(seed % 2), backend)
     served = Twin(True, bool(seed % 2), backend)
     knowns = []
-    real = HMap._stage_put
+    real = HMap._stage
 
     def spied(it, base, key_seg, key_len, value_seg, value_len, known=MISS):
         if it.mem.memo.enabled:
             knowns.append(known)
         return real(it, base, key_seg, key_len, value_seg, value_len, known)
 
-    monkeypatch.setattr(HMap, "_stage_put", staticmethod(spied))
+    monkeypatch.setattr(HMap, "_stage", staticmethod(spied))
     for i, (op, args) in enumerate(_writes_after_gets(seed, 200)):
         want, got = plain.step(op, args), served.step(op, args)
         assert got == want, "step %d: %s%r" % (i, op, args)
@@ -329,18 +329,19 @@ def test_own_commits_carry_the_table_and_record_staged_keys():
     assert served.machine.mem.memo.sizes()["read"] == 5
 
 
-def test_a_failed_commit_keeps_no_carry():
+def test_a_failed_commit_keeps_no_carry(monkeypatch):
     served = Twin(True, False)
     kvp = served.kvp
     kvp.put(KEYS[0], b"a")
     assert kvp.get(KEYS[0]) == b"a"
 
-    def update(it):
+    def failing_stage(it, *args):
         it.put(0, offset=COUNT_OFFSET)
         raise RuntimeError("update fails")
 
+    monkeypatch.setattr(HMap, "_stage", staticmethod(failing_stage))
     with pytest.raises(RuntimeError):
-        kvp._commit(update, ())
+        kvp.put(KEYS[1], b"b")
     assert kvp.get(KEYS[0]) == b"a"
     assert served.machine.mem.memo.stats["read"].hits == 1
 

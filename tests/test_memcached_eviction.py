@@ -66,6 +66,39 @@ class TestExpiry:
         assert server.incr(b"n") == 42
         assert server.get(b"n") == b"42"
 
+    @pytest.mark.parametrize("op, stored, ticks", [
+        ("set", True, 1),
+        ("add", True, 2), ("add_present", False, 1),
+        ("replace", True, 2), ("replace_absent", False, 1),
+        ("cas", True, 1), ("cas_stale", False, 1), ("cas_absent", False, 1),
+    ])
+    def test_a_store_ticks_the_clock_as_its_requests_do(
+            self, server, op, stored, ticks):
+        # a get ticks once and a store once, stored or refused; a
+        # stored item's deadline is the clock after its tick plus exptime
+        server.set(b"k", b"old")
+        token = server.gets(b"k")[1]
+        start = server.clock
+        key, call = {
+            "set": (b"k", lambda: server.set(b"k", b"v", 7)),
+            "add": (b"new", lambda: server.add(b"new", b"v", 7)),
+            "add_present": (b"k", lambda: server.add(b"k", b"v", 7)),
+            "replace": (b"k", lambda: server.replace(b"k", b"v", 7)),
+            "replace_absent": (b"new",
+                               lambda: server.replace(b"new", b"v", 7)),
+            "cas": (b"k", lambda: server.cas(b"k", b"v", token, 7)),
+            "cas_stale": (b"k", lambda: server.cas(b"k", b"v", b"x" * 8, 7)),
+            "cas_absent": (b"new",
+                           lambda: server.cas(b"new", b"v", token, 7)),
+        }[op]
+        assert call() is stored
+        assert server.clock == start + ticks
+        raw = server.kvp.get(key)
+        if stored:
+            assert raw == (server.clock + 7).to_bytes(8, "big") + b"v"
+        else:
+            assert raw is None or raw.endswith(b"old")
+
 
 def unique_blob(i, size=1024):
     """High-entropy per-item value: deduplication cannot share these,

@@ -6,6 +6,9 @@ ShardRouter read-after-write fence under forced commit-queue stalls.
 """
 
 import asyncio
+import gc
+import socket
+import warnings
 
 from repro.net.framing import FrameDecoder
 from repro.net.router import ConnectionState, ShardRouter
@@ -154,6 +157,39 @@ class TestGracefulDrain:
         server, eof, refused = asyncio.run(go())
         assert server.metrics.pending_at_shutdown == 0
         assert eof.endswith(b"") and refused
+
+    def test_a_connection_accepted_as_shutdown_begins_is_closed(self):
+        """A client connects, and shutdown begins in the turn after the
+        loop accepts it, before asyncio has made its transport. The
+        server must still take the connection and close it (asyncio
+        3.11's ``Server._attach`` asserted on a transport made after
+        ``close()``, and the socket was left to the collector)."""
+
+        async def go():
+            loop = asyncio.get_running_loop()
+            server = MemcachedServer(port=0, shard_count=1)
+            await server.start()
+            client = socket.create_connection(("127.0.0.1", server.port))
+            client.setblocking(False)
+            try:
+                # the loop's next poll accepts the connection and
+                # schedules its transport for the turn after
+                await asyncio.sleep(0)
+                await asyncio.wait_for(server.shutdown(), timeout=10)
+                eof = await asyncio.wait_for(loop.sock_recv(client, 1),
+                                             timeout=5)
+            finally:
+                client.close()
+            return server, eof
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            server, eof = asyncio.run(go())
+            gc.collect()
+        assert eof == b""
+        assert server.metrics.connections_opened == 1
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
 
     def test_shutdown_is_idempotent_after_quiet_run(self):
         async def go():

@@ -9,11 +9,9 @@ import pytest
 
 from repro.core.persistence import (
     load_machine,
-    load_machine_file,
     machine_image,
     restore_machine,
     save_machine,
-    save_machine_file,
 )
 from repro.errors import PersistenceError
 from repro.structures import HMap
@@ -39,7 +37,7 @@ class TestRoundtrip:
         machine, a, b, kvp = populated
         path = str(tmp_path / "image.json")
         save_machine(machine, path)
-        restored = load_machine(path)
+        restored, _ = load_machine(path)
         assert restored.read_segment(a) == [1, 2, 3]
         assert restored.read_word(b, 5) == 50
         assert restored.read_word(b, 40) == 9
@@ -49,7 +47,7 @@ class TestRoundtrip:
         machine, a, b, kvp = populated
         path = str(tmp_path / "image.json")
         save_machine(machine, path)
-        restored = load_machine(path)
+        restored, _ = load_machine(path)
         restored_map = HMap(restored, kvp.vsid)
         # gets rebuild key segments: dedup must find the restored lines
         assert restored_map.get(b"alpha") == b"value-1"
@@ -63,7 +61,7 @@ class TestRoundtrip:
         machine, *_ = populated
         path = str(tmp_path / "image.json")
         save_machine(machine, path)
-        restored = load_machine(path)
+        restored, _ = load_machine(path)
         assert restored.footprint_lines() == machine.footprint_lines()
         assert restored.footprint_bytes() == machine.footprint_bytes()
 
@@ -161,7 +159,7 @@ class TestRoundtrip:
                             "machine_image_v3.json")
         with open(path) as f:
             image = json.load(f)
-        restored = load_machine(path)
+        restored, _ = load_machine(path)
         # every PLID in place; the image's config also names the
         # deleted index_buckets field, which restore never read
         del image["config"]["index_buckets"]
@@ -176,8 +174,8 @@ class TestRoundtrip:
         machine, a, *_ = populated
         for name in ("image.json", "image.json.gz"):
             path = str(tmp_path / name)
-            save_machine_file(machine, path)
-            restored, extra = load_machine_file(path)
+            save_machine(machine, path)
+            restored, extra = load_machine(path)
             assert restored.read_segment(a) == [1, 2, 3]
             assert extra == {}
         # the .gz file really is gzip-compressed JSON
@@ -187,19 +185,19 @@ class TestRoundtrip:
     def test_save_machine_file_extra_metadata(self, populated, tmp_path):
         machine, *_ = populated
         path = str(tmp_path / "image.json")
-        save_machine_file(machine, path,
+        save_machine(machine, path,
                           extra={"replication_streams": {"0": 1}})
-        _, extra = load_machine_file(path)
+        _, extra = load_machine(path)
         assert extra == {"replication_streams": {"0": 1}}
 
     def test_load_machine_file_garbage_rejected(self, tmp_path):
         bad = tmp_path / "bad.gz"
         bad.write_bytes(b"this is not gzip")
         with pytest.raises(PersistenceError):
-            load_machine_file(str(bad))
+            load_machine(str(bad))
         missing = str(tmp_path / "missing.json")
         with pytest.raises(FileNotFoundError):
-            load_machine_file(missing)
+            load_machine(missing)
 
     def test_overflow_lines_roundtrip(self, tmp_path):
         from repro import MachineConfig, MemoryConfig

@@ -9,7 +9,7 @@ machine-independent segment fingerprints.
 
 import asyncio
 
-from repro.core.persistence import load_machine_file, save_machine_file
+from repro.core.persistence import load_machine, save_machine
 from repro.net.server import MemcachedServer
 from repro.params import MemoryConfig
 from repro.replication import (
@@ -307,7 +307,7 @@ class TestWarmStart:
             async with ReplicatedStack() as stack:
                 await stack.fill(25)
                 assert await wait_converged(stack.leader, stack.follower)
-            save_machine_file(
+            save_machine(
                 stack.follower.machine, path,
                 extra={"replication_streams":
                        {str(s): v
@@ -318,7 +318,7 @@ class TestWarmStart:
             leader = ReplicationLeader(server.router,
                                        heartbeat_interval=None)
             await leader.start()
-            machine, extra = load_machine_file(path)
+            machine, extra = load_machine(path)
             streams = {int(s): v for s, v in
                        extra["replication_streams"].items()}
             follower = ReplicationFollower("127.0.0.1", leader.port,
@@ -359,12 +359,12 @@ class TestWarmStart:
             async with ReplicatedStack() as stack:
                 await stack.fill(10)
                 assert await wait_converged(stack.leader, stack.follower)
-                save_machine_file(
+                save_machine(
                     stack.follower.machine, path,
                     extra={"replication_streams":
                            {str(s): v
                             for s, v in stack.follower.streams.items()}})
-                machine, extra = load_machine_file(path)
+                machine, extra = load_machine(path)
                 streams = {int(s): v for s, v in
                            extra["replication_streams"].items()}
                 follower = ReplicationFollower(

@@ -10,6 +10,9 @@ regression guard for the per-session deregistration in
 """
 
 import asyncio
+import gc
+import socket
+import warnings
 
 from repro.net.server import MemcachedServer
 from repro.replication import ReplicationFollower, ReplicationLeader
@@ -224,3 +227,31 @@ class TestLeaderStop:
                 await server.shutdown()
 
         asyncio.run(go())
+
+    def test_a_connection_accepted_as_stop_begins_is_closed(self):
+        """A raw client connects, and ``stop()`` begins in the turn
+        after the loop accepts it, before asyncio has made its
+        transport: the leader must still refuse and close it (asyncio
+        3.11's ``Server._attach`` asserted on a transport made after
+        ``close()``, and the socket was left to the collector)."""
+        async def go():
+            loop = asyncio.get_running_loop()
+            async with LeaderStack() as stack:
+                client = socket.create_connection(
+                    ("127.0.0.1", stack.leader.port))
+                client.setblocking(False)
+                try:
+                    await asyncio.sleep(0)  # the loop's poll accepts it
+                    await asyncio.wait_for(stack.leader.stop(), timeout=5)
+                    return await asyncio.wait_for(
+                        loop.sock_recv(client, 1), timeout=5)
+                finally:
+                    client.close()
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            eof = asyncio.run(go())
+            gc.collect()
+        assert eof == b""
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == []

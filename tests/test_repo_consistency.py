@@ -8,6 +8,7 @@ Plain regexes over the files: no YAML or Markdown dependency.
 """
 
 import argparse
+import ast
 import pathlib
 import re
 
@@ -196,3 +197,34 @@ def test_the_replication_exports_are_the_documented_ones():
 def test_the_memory_exports_are_the_documented_ones():
     """The same for ``repro.memory``'s table, the word model with it."""
     assert _documented("repro.memory") == set(repro.memory.__all__)
+
+
+#: the map's slot format: only ``repro.structures.hmap`` may use these
+SLOT_FORMAT = {"SLOT_BASE", "COUNT_OFFSET", "_stage"}
+
+
+def _slot_format_uses(path):
+    """Slot-format names ``path`` imports from ``repro.structures.hmap``
+    or reads as an attribute, with their line numbers."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) \
+                and node.module == "repro.structures.hmap":
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in SLOT_FORMAT]
+        elif isinstance(node, ast.Attribute) and node.attr in SLOT_FORMAT:
+            found.append((node.lineno, node.attr))
+    return found
+
+
+def test_only_the_map_knows_its_slot_format():
+    """Every write to a map slot is staged by ``HMap``, and every read of
+    the slots goes through it: no other module imports or reaches for
+    its layout constants or its staging routine."""
+    owner = ROOT / "src/repro/structures/hmap.py"
+    uses = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        found = _slot_format_uses(path) if path != owner else []
+        if found:
+            uses[str(path.relative_to(ROOT))] = found
+    assert uses == {}

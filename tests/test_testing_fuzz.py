@@ -70,21 +70,26 @@ class TestCheckerSensitivity:
         (replication_config, 0), (cluster_config, 1)])
     def test_a_set_replayed_onto_another_key_is_caught(
             self, monkeypatch, config, seed):
-        """The first ``HMap.put`` that finds another key present also
-        writes its value there: the checker must name that key on the
-        replicated and the cluster topology alike."""
-        put = HMap.put
+        """The first one-pair store through ``HMap.put_many`` that finds
+        another key present also writes its value there: the checker
+        must name that key on the replicated and the cluster topology
+        alike. Only a one-pair put is replayed; batches and deletes are
+        left alone."""
+        put_many = HMap.put_many
         replayed = []
 
-        def replaying_put(self, key, value):
-            created = put(self, key, value)
+        def replaying_put_many(self, items):
+            flags = put_many(self, items)
+            if len(items) != 1 or items[0][1] is None:
+                return flags
+            (key, value), = items
             others = [k for k in self.keys() if k != key]
             if not replayed and others:
                 replayed.append(others[0])
-                put(self, others[0], value)
-            return created
+                put_many(self, [(others[0], value)])
+            return flags
 
-        monkeypatch.setattr(HMap, "put", replaying_put)
+        monkeypatch.setattr(HMap, "put_many", replaying_put_many)
         result = run_episode(seed, config())
         assert replayed and not result.ok
         assert "linearizable=NO" in result.trace
