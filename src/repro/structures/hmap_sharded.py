@@ -87,8 +87,8 @@ class ShardedHMap:
         results = [False] * len(items)
         groups: Dict[int, List[Tuple[int, bytes, bytes]]] = {}
         # Pin every key segment until its group has committed: the shard
-        # selector is only stable while the key's lines stay allocated
-        # (afterwards the inserted map entry pins them).
+        # selector is only stable while the key's lines stay allocated,
+        # and after the commit nothing needs it.
         pins: List[AnonSegment] = []
         try:
             for idx, (key, value) in enumerate(items):

@@ -163,7 +163,11 @@ class TestGracefulDrain:
         loop accepts it, before asyncio has made its transport. The
         server must still take the connection and close it (asyncio
         3.11's ``Server._attach`` asserted on a transport made after
-        ``close()``, and the socket was left to the collector)."""
+        ``close()``, and the socket was left to the collector).
+
+        Shutdown runs as its own task so that it starts a turn later on
+        every Python: 3.12's ``wait_for`` would run it inline, before
+        the accept callback of the same turn, which would never run."""
 
         async def go():
             loop = asyncio.get_running_loop()
@@ -172,10 +176,12 @@ class TestGracefulDrain:
             client = socket.create_connection(("127.0.0.1", server.port))
             client.setblocking(False)
             try:
-                # the loop's next poll accepts the connection and
-                # schedules its transport for the turn after
+                # the loop's next poll queues the accept behind this
+                # task; the accept schedules the transport's making,
+                # and shutdown starts first, in the turn after
                 await asyncio.sleep(0)
-                await asyncio.wait_for(server.shutdown(), timeout=10)
+                stopping = asyncio.create_task(server.shutdown())
+                await asyncio.wait_for(stopping, timeout=10)
                 eof = await asyncio.wait_for(loop.sock_recv(client, 1),
                                              timeout=5)
             finally:

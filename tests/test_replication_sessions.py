@@ -233,7 +233,9 @@ class TestLeaderStop:
         after the loop accepts it, before asyncio has made its
         transport: the leader must still refuse and close it (asyncio
         3.11's ``Server._attach`` asserted on a transport made after
-        ``close()``, and the socket was left to the collector)."""
+        ``close()``, and the socket was left to the collector).
+        ``stop()`` runs as its own task so that it starts a turn later
+        on every Python, as 3.12's ``wait_for`` would run it inline."""
         async def go():
             loop = asyncio.get_running_loop()
             async with LeaderStack() as stack:
@@ -242,7 +244,8 @@ class TestLeaderStop:
                 client.setblocking(False)
                 try:
                     await asyncio.sleep(0)  # the loop's poll accepts it
-                    await asyncio.wait_for(stack.leader.stop(), timeout=5)
+                    stopping = asyncio.create_task(stack.leader.stop())
+                    await asyncio.wait_for(stopping, timeout=5)
                     return await asyncio.wait_for(
                         loop.sock_recv(client, 1), timeout=5)
                 finally:
