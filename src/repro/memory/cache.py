@@ -11,28 +11,30 @@ Like the main memory, the cache supports both fundamental operations:
   on a hit recompose the PLID from the matching way's tag.
 
 That single-set search is the *model*: one set, all ways compared at
-once, LRU within the set. The host does not walk the ways. Content is
-unique, so at most one live PLID holds a given content, and the store's
-``content -> PLID`` map already names it; a line is resident only in
-the set of its PLID's hash bucket (an overflow PLID's through the
-store's overflow map). So a lookup asks the store's map, keyed by the
-line tuple itself, for the PLID, and is a hit exactly when that PLID's
-set holds it under an *equal tuple* — the way scan's compare (a line
-corrupted in place is indexed under its old content, and misses as the
-scan does). Only a miss encodes the line, for the store's bucket hash.
-The cache keeps no content table of its own:
+once, LRU within the set. The host does not walk the ways, and it does
+not copy lines: a line is immutable and its content unique, so a cached
+copy always equals the line in DRAM (no coherence problem), and a set
+holds only its resident PLIDs, least recently used first, whose content
+is the store's line. A content lookup asks the store's ``content ->
+PLID`` map, keyed by the line tuple itself, for the PLID, and is a hit
+exactly when that PLID's set holds it and the store's line is an
+*equal tuple* — the way scan's compare (a line corrupted in place is
+indexed under its old content, and misses as the scan does). Content
+is unique, so at most one live PLID holds a given content; a line is
+resident only in the set of its PLID's hash bucket (an overflow PLID's
+through the store's overflow map). Only a miss encodes the line, for
+the store's bucket hash. The cache keeps no content table of its own:
 residency changes in three places only — :meth:`HicampCache._insert`
 (with its eviction), the store's dealloc listener and :meth:`flush`.
 
-Data lines are immutable, so there is no coherence problem and no dirty
-state in the conventional sense; the only writeback is the *deferred
-allocation write* of a newly created line, charged to the store when the
-line is evicted (or never, if it was deallocated first).
+There is no dirty state in the conventional sense; the only writeback
+is the *deferred allocation write* of a newly created line, charged to
+the store when the line is first evicted (or never, if it was
+deallocated first).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Callable, List, Optional
 
 from repro.memory.dedup_store import DedupStore
@@ -41,13 +43,15 @@ from repro.memory.stats import TrafficCounter
 from repro.params import CacheGeometry
 
 
-def _invalidator(sets: "List[OrderedDict[int, Line]]", num_sets: int,
+def _invalidator(sets: List[List[int]], num_sets: int,
                  bucket_of: Callable[[int], int]) -> Callable[[int], None]:
     """The dealloc listener that drops a freed line from a cache's
     sets."""
 
     def invalidate(plid: int) -> None:
-        sets[bucket_of(plid) % num_sets].pop(plid, None)
+        ways = sets[bucket_of(plid) % num_sets]
+        if plid in ways:
+            ways.remove(plid)
 
     return invalidate
 
@@ -71,10 +75,10 @@ class HicampCache:
         self._ways = geometry.ways
         self._num_buckets = store.config.num_buckets
         self._overflow_base = store._overflow_base
-        # Per set: PLID -> Line in LRU order.
-        self._sets: "list[OrderedDict[int, Line]]" = [
-            OrderedDict() for _ in range(self._num_sets)
-        ]
+        #: the store's PLID -> line dict: a resident line's content
+        self._lines = store._lines
+        # Per set: its resident PLIDs, least recently used first.
+        self._sets: List[List[int]] = [[] for _ in range(self._num_sets)]
         # the hook holds the sets, not the cache (which holds the
         # store): a bound method would make every machine a cycle
         store.dealloc_listeners.append(_invalidator(
@@ -82,24 +86,19 @@ class HicampCache:
 
     # ------------------------------------------------------------------
 
-    def _ways_of(self, plid: int) -> "OrderedDict[int, Line]":
+    def _ways_of(self, plid: int) -> List[int]:
         """The one set ``plid`` can be resident in: the cache indexes on
         the hash-bucket bits of the PLID."""
         if plid < self._overflow_base:
             return self._sets[plid % self._num_buckets % self._num_sets]
         return self._sets[self.store.bucket_of(plid) % self._num_sets]
 
-    def _insert(self, ways: "OrderedDict[int, Line]", plid: int,
-                line: Line) -> None:
-        if plid in ways:
-            # resident under an unequal tuple (a line corrupted in
-            # place): replaced, and most recently used
-            ways.move_to_end(plid)
-        ways[plid] = line
+    def _insert(self, ways: List[int], plid: int) -> None:
+        ways.append(plid)
         if len(ways) > self._ways:
-            victim, _ = ways.popitem(last=False)
+            victim = ways.pop(0)
             self.traffic.evictions += 1
-            # Deferred allocation write of a never-written line.
+            # the store charges a line's deferred allocation write once
             self.store.writeback(victim)
 
     # ------------------------------------------------------------------
@@ -113,14 +112,15 @@ class HicampCache:
             ways = self._sets[plid % self._num_buckets % self._num_sets]
         else:
             ways = self._sets[self.store.bucket_of(plid) % self._num_sets]
-        line = ways.get(plid)
-        if line is not None:
-            ways.move_to_end(plid)
+        if plid in ways:
+            if ways[-1] != plid:
+                ways.remove(plid)
+                ways.append(plid)
             self.traffic.hits += 1
-            return line
+            return self._lines[plid]
         self.traffic.misses += 1
         line = self.store.read_dram(plid)
-        self._insert(ways, plid, line)
+        self._insert(ways, plid)
         return line
 
     def lookup(self, line: Line, consume: bool = False) -> int:
@@ -138,20 +138,26 @@ class HicampCache:
         plid = store._plid_by_line.get(line)
         if plid is not None:
             ways = self._ways_of(plid)
-            if ways.get(plid) == line:
-                ways.move_to_end(plid)
-                self.traffic.lookup_hits += 1
-                store.incref(plid)
-                if consume:
-                    store.settle_children(line, False)
-                return plid
+            if plid in ways:
+                if self._lines[plid] == line:
+                    if ways[-1] != plid:
+                        ways.remove(plid)
+                        ways.append(plid)
+                    self.traffic.lookup_hits += 1
+                    store.incref(plid)
+                    if consume:
+                        store.settle_children(line, False)
+                    return plid
+                # resident, but corrupted in place since it came in: a
+                # miss, which installs it again as most recently used
+                ways.remove(plid)
         self.traffic.lookup_misses += 1
         plid, created = store.intern(line, plid, consume)
         if created:  # _ways_of, in line: most lookups of a fresh set
             ways = (self._sets[plid % self._num_buckets % self._num_sets]
                     if plid < self._overflow_base else self._ways_of(plid))
         # else the store found the line the map named: its set is ways
-        self._insert(ways, plid, line)
+        self._insert(ways, plid)
         if consume:
             store.settle_children(line, created)
         return plid

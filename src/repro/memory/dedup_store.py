@@ -203,7 +203,9 @@ class DedupStore:
         self._overflow_bucket: Dict[int, int] = {}
         self._lines: Dict[int, Line] = {}
         self._refcounts: Dict[int, int] = {}
-        self._pending_write: Set[int] = set()
+        #: live lines whose deferred data write has been charged
+        #: (:meth:`writeback`); a store that never evicts keeps it empty
+        self._written: Set[int] = set()
         self._row_of, self.bucket_of = _plid_maps(
             self._num_buckets, self._overflow_base, self._overflow_bucket)
         #: open-row DRAM model (hash bucket == DRAM row, section 3.1)
@@ -442,7 +444,6 @@ class DedupStore:
         self._plid_by_line[line] = plid
         self._lines[plid] = line
         self._refcounts[plid] = 1
-        self._pending_write.add(plid)
         self._rc_cache.touch(plid, creating=True)
         self.counters.allocations += 1
         # A new line takes one reference on each child PLID it stores
@@ -471,11 +472,13 @@ class DedupStore:
     def writeback(self, plid: int) -> None:
         """Charge the deferred DRAM write of a newly created line.
 
-        Called by the cache when a dirty (never-yet-written) line is
-        evicted. A line deallocated before eviction is never written.
+        Called by the cache for every line it evicts or flushes. A live
+        line is charged once, the first time, and then recorded in
+        ``_written``; a line deallocated before eviction is never
+        written, and a line an image restored is written already.
         """
-        if plid in self._pending_write and plid in self._lines:
-            self._pending_write.discard(plid)
+        if plid in self._lines and plid not in self._written:
+            self._written.add(plid)
             self.stats.writes += 1
             self.rows.access(self._row_of(plid))
 
@@ -562,7 +565,7 @@ class DedupStore:
             slot = self._slot_of(plid)
             self._sigs[slot] = self._fps[slot] = 0
         del self._refcounts[plid]
-        self._pending_write.discard(plid)
+        self._written.discard(plid)
         self._rc_cache.drop(plid)
         self.counters.deallocations += 1
         # Zeroing the signature is one DRAM access; a line deallocated
@@ -697,6 +700,7 @@ class DedupStore:
         self._plid_by_line[line] = plid
         self._lines[plid] = line
         self._refcounts[plid] = refcount
+        self._written.add(plid)
 
     def index_failures(self) -> List[str]:
         """Prove the lookup structures are exactly reconstructible from

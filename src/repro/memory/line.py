@@ -89,11 +89,6 @@ class Inline:
             if not 0 <= v < limit:
                 raise ValueError("value %d does not fit in %d bytes" % (v, self.width))
 
-    def expand(self) -> Tuple[int, ...]:
-        """Return the logical leaf words this pack represents."""
-        out = list(self.values) + [0] * (self.span - len(self.values))
-        return tuple(out)
-
 
 Word = Union[DataWord, Inline]  # a data or a reference int, or a pack
 

@@ -19,7 +19,7 @@ The conventional baseline uses only ``reads`` and ``writes``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 CATEGORIES = ("reads", "writes", "lookups", "dealloc", "refcount")
@@ -112,9 +112,3 @@ class TrafficCounter:
     lookup_misses: int = 0
     evictions: int = 0
     writebacks: int = 0
-    extra: Dict[str, int] = field(default_factory=dict)
-
-    def hit_rate(self) -> float:
-        """Read hit rate; 0.0 when no accesses were recorded."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

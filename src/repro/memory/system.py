@@ -110,8 +110,9 @@ class MemorySystem:
         the store is held), so every observer that drains before
         looking — machine auditors, HI fingerprints, persistence
         images — sees only live lines. The quiesce runs before
-        the cache flush so dealloc listeners can invalidate cached
-        copies of freed lines before they would be written back.
+        the cache flush so the lines it frees leave their cache sets
+        uncharged; the flush then charges each resident live line's
+        deferred write, once (:meth:`DedupStore.writeback`).
         """
         self.store.reclaim_quiesce()
         self.cache.flush()

@@ -8,11 +8,18 @@ line to pick its set and then walks the set's ways comparing content,
 ``read`` reaches its set index through ``_set_index_for_plid`` ->
 ``DedupStore.bucket_of``, and ``_where`` remembers each resident PLID's
 set for ``invalidate``. It
-defines what "one set, all ways searched, LRU" returns and charges —
+keeps a copy of each resident line, where the production cache keeps
+only the PLID and reads the content from the store. It defines what
+"one set, all ways searched, LRU" returns and charges —
 ``tests/test_cache_differential.py`` drives it beside the production
 cache on twin stores and requires equal return values, traffic
 counters, ``DramStats``, row-buffer state and per-set LRU order after
-every operation. Nothing under ``src/`` imports it.
+every operation, each of its (PLID, line) pairs equal to a production
+PLID and the store's line. The two part only under the test-only
+``DedupStore.corrupt_line_for_test``: a copy re-installed by its
+original bytes still reads and matches as those bytes
+(``tests/test_cache.py::TestCorruptedLine``). Nothing under ``src/``
+imports it.
 """
 
 from __future__ import annotations

@@ -19,12 +19,15 @@ def assert_residency(cache):
     """What answering a content hit from the store's content map rests
     on: every resident line sits in the set of its *content's* hash
     bucket — which its PLID names — however it entered, and the store's
-    map names that PLID for its content."""
+    map names that PLID for its content. A set holds PLIDs; a resident
+    line's content is the store's."""
     store = cache.store
     resident = set()
     for index, ways in enumerate(cache._sets):
         assert len(ways) <= cache.geometry.ways
-        for plid, line in ways.items():
+        assert len(set(ways)) == len(ways)
+        for plid in ways:
+            line = store.peek(plid)
             enc = encode_line(line)
             bucket = hashing.bucket_hash(enc, store.config.num_buckets)
             assert store.bucket_of(plid) == bucket
@@ -113,3 +116,26 @@ class TestEvictionAndWriteback:
         assert cache.resident_lines() == 0
         # And the freed line was never written back to DRAM.
         assert store.stats.writes == 0
+
+
+class TestCorruptedLine:
+    def test_a_resident_line_reads_as_dram_holds_it(self):
+        # a set holds PLIDs, not copies: after a line is corrupted in
+        # place, a lookup of its original bytes installs its PLID again,
+        # and a read answers the corrupted bytes DRAM holds (a cache that
+        # kept a copy answered the original bytes, with equal DramStats)
+        store, cache = make()
+        plid = cache.lookup((1, 2))
+        store.corrupt_line_for_test(plid, (3, 4))
+        assert cache.lookup((1, 2)) == plid
+        assert cache.read(plid) == (3, 4)
+        assert store.stats.reads == 0  # a hit
+        # and the original bytes no longer match the resident line, so
+        # the next lookup of them misses and re-installs it (a copy would
+        # have hit), as the lookup just after the corruption did
+        lookups = store.stats.lookups
+        assert cache.lookup((1, 2)) == plid
+        assert cache.traffic.lookup_misses == 3
+        assert store.stats.lookups > lookups
+        assert cache.resident_lines() == 1
+        assert store.refcount(plid) == 3

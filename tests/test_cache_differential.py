@@ -68,7 +68,10 @@ class Twins:
         assert prod.store.rows == ref.store.rows
         assert prod.store.counters == ref.store.counters
         assert prod.store._refcounts == ref.store._refcounts
-        assert [list(ways.items()) for ways in prod._sets] \
+        # a production set holds PLIDs in LRU order, and their content
+        # is the store's: the oracle's (PLID, cached line) pairs
+        assert [[(plid, prod.store.peek(plid)) for plid in ways]
+                for ways in prod._sets] \
             == [list(ways.items()) for ways in ref._sets]
         assert prod.resident_lines() == ref.resident_lines()
         assert_residency(prod)

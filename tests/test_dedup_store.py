@@ -2,12 +2,16 @@
 
 import gc
 import random
+import sys
+import tracemalloc
 
 import pytest
 
 from repro import Machine
 from repro.apps.memcached.server import HicampMemcached
 from repro.errors import BadPlidError, MemoryExhaustedError
+from repro.memory import cache as cache_module
+from repro.memory.cache import HicampCache
 from repro.memory.dedup_store import DedupStore
 from repro.memory.line import Inline, ZERO_PLID, make_leaf, ref
 from repro.params import MemoryConfig
@@ -270,6 +274,32 @@ class TestHostFootprint:
             store.lookup((i + 1, i + 2))
         gc.collect()
         assert len(gc.get_objects()) - before < 100
+
+    def test_a_resident_line_costs_the_cache_one_slot(self):
+        # a set holds its resident PLIDs, least recently used first, and
+        # a resident line's content is the store's line (a set that kept
+        # PLID -> line in an OrderedDict cost 106 B a line); the store
+        # records the deferred writes it has charged, so one that never
+        # evicts keeps no write bookkeeping (a set of the writes it still
+        # owed held every line, 42 B each)
+        store = DedupStore()
+        cache = HicampCache(store)
+        lines = [(i + 1, i + 2) for i in range(50_000)]
+        here = [tracemalloc.Filter(True, cache_module.__file__)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot().filter_traces(here)
+            for line in lines:
+                cache.lookup(line)
+            after = tracemalloc.take_snapshot().filter_traces(here)
+        finally:
+            tracemalloc.stop()
+        grown = sum(stat.size_diff
+                    for stat in after.compare_to(before, "filename"))
+        assert cache.resident_lines() == len(lines)
+        assert cache.traffic.evictions == 0
+        assert grown / len(lines) <= 24
+        assert sys.getsizeof(store._written) == sys.getsizeof(set())
 
     def test_a_serving_machine_gives_the_collector_nothing_per_line(self):
         # a reference word is an int and the content index is keyed by

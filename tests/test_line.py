@@ -84,10 +84,6 @@ class TestReferenceWord:
 
 
 class TestInline:
-    def test_expand_pads_span(self):
-        inline = Inline(width=1, values=(5, 6), span=4)
-        assert inline.expand() == (5, 6, 0, 0)
-
     def test_width_bounds(self):
         with pytest.raises(ValueError):
             Inline(width=3, values=(1,), span=1)
