@@ -18,7 +18,7 @@ from conftest import emit
 from repro import Machine, MachineConfig, MemoryConfig
 from repro.analysis.reporting import format_table
 from repro.params import CacheGeometry
-from repro.structures.anon import AnonSegment
+from repro.segments.anon import AnonSegment
 from repro.workloads.text import corpus_for_dataset
 
 

@@ -28,8 +28,7 @@ Public layers:
 """
 
 from repro.core.machine import Machine
-from repro.core.snapshot import Snapshot
-from repro.core.transactions import MultiSegmentCommit, atomic_update, mcas
+from repro.core.transactions import MultiSegmentCommit, atomic_update
 from repro.errors import (
     BadPlidError,
     BadVsidError,
@@ -47,13 +46,15 @@ from repro.params import (
     MachineConfig,
     MemoryConfig,
 )
+from repro.segments.anon import AnonSegment
+from repro.segments.merge import mcas
 from repro.segments.segment_map import SegmentFlags
 
 __version__ = "1.0.0"
 
 __all__ = [
     "Machine",
-    "Snapshot",
+    "AnonSegment",
     "MultiSegmentCommit",
     "atomic_update",
     "mcas",

@@ -15,7 +15,7 @@ from typing import List
 
 from repro.core.machine import Machine
 from repro.params import CacheGeometry, MachineConfig, MemoryConfig
-from repro.structures.anon import AnonSegment
+from repro.segments.anon import AnonSegment
 from repro.workloads.text import TextCorpus
 
 

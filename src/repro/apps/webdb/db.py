@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.machine import Machine
 from repro.core.transactions import MultiSegmentCommit
-from repro.structures.anon import read_ref_slot
+from repro.segments.anon import read_ref_slot
 from repro.structures.hmap import HMap
 
 _LEN = struct.Struct(">I")

@@ -1,21 +1,18 @@
-"""Core public API: the HICAMP machine facade, snapshots, non-blocking
-atomic-update / merge-update (mCAS) transactions, the protected-reference
-process model, and machine checkpointing.
+"""Core public API: the HICAMP machine facade, non-blocking atomic-update
+transactions, the protected-reference process model, and machine
+checkpointing.
 """
 
 from repro.core.machine import Machine, Processor
 from repro.core.persistence import load_machine, restore_machine, save_machine
 from repro.core.process import Process, ProtectionError
-from repro.core.snapshot import Snapshot
-from repro.core.transactions import MultiSegmentCommit, atomic_update, mcas
+from repro.core.transactions import MultiSegmentCommit, atomic_update
 
 __all__ = [
     "Machine",
     "Processor",
-    "Snapshot",
     "MultiSegmentCommit",
     "atomic_update",
-    "mcas",
     "Process",
     "ProtectionError",
     "save_machine",

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
-from repro.core.snapshot import Snapshot
 from repro.core.transactions import atomic_update
 from repro.errors import IteratorStateError
 from repro.memory.line import check_data_words
@@ -30,6 +29,7 @@ from repro.memory.system import MemorySystem
 from repro.memory.transient import TransientRegion
 from repro.params import MachineConfig
 from repro.segments import dag
+from repro.segments.anon import AnonSegment
 from repro.segments.iterator import IteratorRegister
 from repro.segments.segment_map import SegmentFlags, SegmentMap
 
@@ -143,11 +143,11 @@ class Machine:
         return (a.height == b.height
                 and dag.entry_key(a.root) == dag.entry_key(b.root))
 
-    def snapshot(self, vsid: int) -> Snapshot:
+    def snapshot(self, vsid: int) -> AnonSegment:
         """Pin the current version of a segment for stable reading."""
         entry = self.segmap.entry(vsid)
         dag.retain_entry(self.mem, entry.root)
-        return Snapshot(self.mem, entry.root, entry.height, entry.length)
+        return AnonSegment(self.mem, entry.root, entry.height, entry.length)
 
     # ------------------------------------------------------------------
     # word-level convenience (single-writer; contended updates should go
@@ -189,8 +189,11 @@ class Machine:
         self.write_words(vsid, {start + i: w for i, w in enumerate(words)})
 
     def atomic_update(self, vsid: int, update: Callable[[IteratorRegister], None],
-                      merge: bool = False, max_retries: int = 64) -> None:
-        """Snapshot → update → CAS loop on one segment (section 2.2)."""
+                      merge: Optional[bool] = None,
+                      max_retries: int = 64) -> None:
+        """Snapshot → update → CAS loop on one segment (section 2.2).
+        ``merge`` None follows the segment's MERGE_UPDATE flag; an
+        explicit True or False wins over it."""
         it = self.iterator(vsid)
         try:
             atomic_update(it, update, merge=merge, max_retries=max_retries)

@@ -16,11 +16,11 @@ read-only, or as a stable snapshot.
 
 from __future__ import annotations
 
-from typing import Callable, List, Set
+from typing import Callable, List, Optional, Set
 
 from repro.core.machine import Machine
-from repro.core.snapshot import Snapshot
 from repro.errors import HicampError
+from repro.segments.anon import AnonSegment
 from repro.segments.iterator import IteratorRegister
 from repro.segments.segment_map import SegmentFlags
 
@@ -97,7 +97,7 @@ class Process:
         the segment map itself)."""
         self.machine.write_word(self._check(vsid), offset, value)
 
-    def snapshot(self, vsid: int) -> Snapshot:
+    def snapshot(self, vsid: int) -> AnonSegment:
         """Checked snapshot."""
         return self.machine.snapshot(self._check(vsid))
 
@@ -107,6 +107,6 @@ class Process:
 
     def atomic_update(self, vsid: int,
                       update: Callable[[IteratorRegister], None],
-                      merge: bool = False) -> None:
+                      merge: Optional[bool] = None) -> None:
         """Checked non-blocking atomic update."""
         self.machine.atomic_update(self._check(vsid), update, merge=merge)

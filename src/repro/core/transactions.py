@@ -1,4 +1,4 @@
-"""Non-blocking atomic update and merge-update transactions.
+"""Non-blocking atomic update and multi-segment transactions.
 
 The architecture's update protocol (section 2.2):
 
@@ -7,11 +7,14 @@ The architecture's update protocol (section 2.2):
 3. CAS the new root over the original in the segment map, retrying on
    interference.
 
-:func:`atomic_update` packages that loop over an iterator register;
-:func:`mcas` is the paper's mCAS pseudocode (section 3.4), resolving CAS
-failures by merge-update until a true conflict appears.
-:class:`MultiSegmentCommit` models the atomic multi-segment commit
-obtained when the segment map itself is a HICAMP segment (section 2.3).
+:func:`atomic_update` packages that loop over an iterator register,
+whose :meth:`~repro.segments.iterator.IteratorRegister.try_commit` is
+the one build-CAS-mCAS step (mCAS itself lives beside the merge, in
+:mod:`repro.segments.merge`). :class:`MultiSegmentCommit` commits new
+versions of several segments together, iff none of them changed since
+the transaction enrolled it; the segment-backed map of section 2.3,
+where one CAS publishes them all, is
+:class:`repro.segments.hicamp_map.HicampSegmentMap`.
 """
 
 from __future__ import annotations
@@ -23,70 +26,29 @@ from repro.memory.system import MemorySystem
 from repro.segments import dag
 from repro.segments.dag import Entry
 from repro.segments.iterator import IteratorRegister
-from repro.segments.merge import MergeStats, merge_roots
-from repro.segments.segment_map import SegmentMap
-
-
-def mcas(mem: MemorySystem, segmap: SegmentMap, vsid: int,
-         old: Tuple[Entry, int], new: Tuple[Entry, int], new_length: int,
-         stats: Optional[MergeStats] = None) -> bool:
-    """The paper's ``mCAS(old, curAddr, new)`` on a segment-map entry.
-
-    ``old`` is the base version the update was computed from (borrowed);
-    ``new`` is the updated version (caller-owned reference, consumed
-    whether or not the operation succeeds). Returns False only on a true
-    merge conflict.
-    """
-    old_root, old_height = old
-    new_root, new_height = new
-    while True:
-        if segmap.cas_root(vsid, old_root, old_height,
-                           new_root, new_height, new_length):
-            return True
-        entry = segmap.entry(vsid)
-        cur = (entry.root, entry.height)
-        try:
-            merged_root, merged_height = merge_roots(
-                mem, (old_root, old_height), (new_root, new_height), cur,
-                stats=stats,
-            )
-        except MergeConflictError:
-            dag.release_entry(mem, new_root)
-            return False
-        dag.release_entry(mem, new_root)
-        new_root, new_height = merged_root, merged_height
-        old_root, old_height = cur
-        new_length = max(new_length, entry.length)
+from repro.segments.segment_map import SegmentFlags, SegmentMap
 
 
 def atomic_update(it: IteratorRegister, update: Callable[[IteratorRegister], None],
-                  merge: bool = False, max_retries: int = 64,
-                  merge_stats: Optional[MergeStats] = None) -> None:
+                  merge: Optional[bool] = None, max_retries: int = 64) -> None:
     """Run ``update(it)`` against a snapshot and commit atomically.
 
-    The register must already be loaded. On CAS failure the snapshot is
-    reloaded and ``update`` re-run — unless ``merge`` is set (or the
-    segment carries the MERGE_UPDATE flag), in which case merge-update
-    folds the changes in without re-running. Raises
+    The register must already be loaded. ``merge`` None follows the
+    segment's MERGE_UPDATE flag; an explicit True or False wins over
+    it. On a lost CAS a plain commit reloads the snapshot and re-runs
+    ``update``, while a merge commit folds its changes into the
+    winner's version without re-running. Raises
     :class:`CasFailedError` after ``max_retries`` lost races and
     :class:`MergeConflictError` on a true merge conflict.
     """
-    from repro.segments.segment_map import SegmentFlags
-
-    mem, segmap, vsid = it.mem, it.segmap, it.vsid
-    use_merge = merge or bool(segmap.entry(vsid).flags & SegmentFlags.MERGE_UPDATE)
+    vsid = it.vsid
+    if merge is None:
+        merge = bool(it.segmap.entry(vsid).flags & SegmentFlags.MERGE_UPDATE)
     for _ in range(max_retries):
         update(it)
-        if it.try_commit():
+        if it.try_commit(merge):
             return
-        if use_merge:
-            base = (it.snapshot_root, it.height)
-            new_root, new_height = it.build_updated_root()
-            length = it.length
-            if mcas(mem, segmap, vsid, base, (new_root, new_height), length,
-                    stats=merge_stats):
-                it.load(vsid, it.offset)
-                return
+        if merge:
             raise MergeConflictError(
                 "merge-update failed with a true conflict on VSID %d" % vsid
             )
@@ -98,11 +60,11 @@ def atomic_update(it: IteratorRegister, update: Callable[[IteratorRegister], Non
 class MultiSegmentCommit:
     """Atomic update of several segments at once.
 
-    When the segment map is itself a HICAMP segment, committing a revised
-    map publishes every revised segment in one CAS (section 2.3). This
-    class models that: it snapshots the version of each enrolled segment,
-    buffers new roots, and applies all of them only if no enrolled entry
-    changed in between.
+    It records the version of each enrolled segment, buffers new roots,
+    and applies all of them only if no enrolled entry changed in
+    between. (When the segment map is itself a HICAMP segment, one CAS
+    publishes every revised segment, section 2.3: that map is
+    :class:`repro.segments.hicamp_map.HicampSegmentMap`.)
     """
 
     def __init__(self, mem: MemorySystem, segmap: SegmentMap) -> None:

@@ -7,7 +7,7 @@ it pays on traffic the system serves:
 
 * **segment memo** — raw bytes ↔ ``(root, height, length)``, answered
   in both directions. Forwards,
-  :meth:`repro.structures.anon.AnonSegment.from_bytes` of a repeated
+  :meth:`repro.segments.anon.AnonSegment.from_bytes` of a repeated
   payload is one dict probe instead of a full bottom-up build (on
   ``tcp-mixed-zipf``, values drawn from a small pool, the whole memo off
   cost 22 % more CPU per op and 21 % more p90 latency), and the same
@@ -16,7 +16,7 @@ it pays on traffic the system serves:
   key segment and taking no reference (on ``tcp-read-hot``, with the
   one-step path check in :func:`repro.segments.dag.read_word`, about
   18 % less CPU per op). Backwards,
-  :func:`repro.structures.anon.read_ref_slot` returns the bytes a live
+  :func:`repro.segments.anon.read_ref_slot` returns the bytes a live
   root was built from instead of walking its DAG and repacking it (on
   the same workload, 32 % less CPU per op over ten pairs);
 * **read table** — per map VSID, the committed version it answers for

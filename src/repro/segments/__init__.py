@@ -1,8 +1,10 @@
 """Segments: canonical DAG representation of variable-size memory regions
 (section 2.2), the virtual segment map (section 2.3), iterator registers
-(section 3.3) and merge-update (section 3.4).
+(section 3.3), merge-update and mCAS (section 3.4), and the
+:class:`AnonSegment` handle on one segment version.
 """
 
+from repro.segments.anon import AnonSegment
 from repro.segments.dag import (
     build_entry,
     build_segment,
@@ -16,15 +18,20 @@ from repro.segments.dag import (
     read_word,
     release_entry,
     retain_entry,
-    write_word,
     write_words_bulk,
 )
 from repro.segments.segment_map import MapEntry, SegmentFlags, SegmentMap
 from repro.segments.hicamp_map import HicampSegmentMap, MapTransaction
 from repro.segments.iterator import IteratorRegister
-from repro.segments.merge import merge_entries, merge_roots, three_way_merge_word
+from repro.segments.merge import (
+    mcas,
+    merge_entries,
+    merge_roots,
+    three_way_merge_word,
+)
 
 __all__ = [
+    "AnonSegment",
     "build_entry",
     "build_segment",
     "count_unique_lines",
@@ -37,7 +44,6 @@ __all__ = [
     "read_word",
     "release_entry",
     "retain_entry",
-    "write_word",
     "write_words_bulk",
     "MapEntry",
     "SegmentFlags",
@@ -45,6 +51,7 @@ __all__ = [
     "HicampSegmentMap",
     "MapTransaction",
     "IteratorRegister",
+    "mcas",
     "merge_entries",
     "merge_roots",
     "three_way_merge_word",

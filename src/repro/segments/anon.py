@@ -1,4 +1,5 @@
-"""Anonymous segments: content-unique DAGs without a segment-map entry.
+"""Anonymous segments: content-unique DAGs without a segment-map entry,
+and the one handle that pins a segment version.
 
 Structures like :class:`repro.structures.hmap.HMap` embed sub-objects
 (keys, values) directly by their root entry word, as the paper's
@@ -9,13 +10,19 @@ root.
 
 :class:`AnonSegment` is the value-handle for such content: a
 ``(root entry, height, length)`` triple with an owned reference, plus the
-packing helpers used to move byte strings in and out of word form.
+packing helpers used to move byte strings in and out of word form. It is
+also what :meth:`repro.core.machine.Machine.snapshot` returns: passing a
+segment reference hands the receiver a stable snapshot at essentially no
+cost (section 2.2), because the handle pins the root it observed and
+copy-on-write means no later commit can disturb it. A snapshot is the
+unit of read-only sharing and of long-running read transactions (the
+paper's bank-audit example).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from repro.memory.line import check_data_words, pack_words, unpack_words
 from repro.memory.system import MemorySystem
@@ -25,7 +32,9 @@ from repro.segments.dag import Entry
 
 @dataclass
 class AnonSegment:
-    """A content-unique anonymous segment handle (owned root reference)."""
+    """An owned reference on one ``(root, height, length)`` segment
+    version. Use as a context manager (or call :meth:`release`) so the
+    pinned version can be reclaimed."""
 
     mem: MemorySystem
     root: Entry
@@ -65,35 +74,49 @@ class AnonSegment:
         memo.put_segment(data, seg.root, seg.height, seg.length)
         return seg
 
+    def read(self, offset: int, count: int = 1):
+        """Word at ``offset`` (zero beyond the written content).
+
+        ``count > 1`` reads that many consecutive words as a list, in one
+        descent when they share a leaf line (:func:`dag.read_word`)."""
+        if offset + count <= self.length:
+            return dag.read_word(self.mem, self.root, self.height,
+                                 offset, count)
+        if count == 1:
+            return 0
+        words = self.read_range(offset, count)
+        return words + [0] * (count - len(words))
+
+    def read_range(self, start: int, count: int) -> List:
+        """Up to ``count`` consecutive words starting at ``start``."""
+        count = max(0, min(count, self.length - start))
+        if count == 0:
+            return []
+        return dag.gather_words(self.mem, self.root, self.height, start,
+                                count)
+
     def words(self) -> List:
         """The full content as words."""
-        if self.length == 0:
-            return []
-        return dag.gather_words(self.mem, self.root, self.height, 0, self.length)
+        return self.read_range(0, self.length)
+
+    def iter_nonzero(self, start: int = 0) -> Iterator[Tuple[int, object]]:
+        """Iterate ``(offset, word)`` over non-null elements."""
+        return dag.iter_nonzero(self.mem, self.root, self.height,
+                                start=start, stop=self.length)
 
     def to_bytes(self, byte_length: int) -> bytes:
         """Recover ``byte_length`` bytes of packed content."""
         return unpack_words(self.words(), byte_length)
 
-    def read(self, offset: int):
-        """One word of content."""
-        if offset >= self.length:
-            return 0
-        return dag.read_word(self.mem, self.root, self.height, offset)
-
     def key(self) -> bytes:
-        """Canonical identity: equal iff contents (and lengths) are equal."""
+        """Canonical identity: equal iff contents (and lengths) are equal
+        (the single-instruction segment compare of section 2.2)."""
         return (dag.entry_key(self.root)
                 + bytes((self.height,))
                 + self.length.to_bytes(8, "big"))
 
-    def retain(self) -> "AnonSegment":
-        """Take an extra owned reference (for a second handle)."""
-        dag.retain_entry(self.mem, self.root)
-        return AnonSegment(self.mem, self.root, self.height, self.length)
-
     def release(self) -> None:
-        """Drop the handle's reference."""
+        """Drop the handle's reference (idempotent)."""
         dag.release_entry(self.mem, self.root)
         self.root = 0
 

@@ -508,17 +508,6 @@ def _expand(mem: MemorySystem, entry: Entry, level: int,
     return words
 
 
-def write_word(mem: MemorySystem, entry: Entry, level: int,
-               index: int, value) -> Entry:
-    """Functional update: new canonical entry with ``index`` set to ``value``.
-
-    Consumes the caller's reference on ``entry`` and returns the new entry
-    with one caller reference. Unchanged subtrees are shared between the
-    old and new DAG (copy-on-write, section 2.2).
-    """
-    return write_words_bulk(mem, entry, level, {index: value})
-
-
 def write_words_bulk(mem: MemorySystem, entry: Entry, level: int,
                      updates: Dict[int, object]) -> Entry:
     """Apply many word updates in one canonical rebuild pass.
@@ -527,6 +516,9 @@ def write_words_bulk(mem: MemorySystem, entry: Entry, level: int,
     accumulated and the affected paths are converted to content-unique
     lines bottom-up in a single sweep (section 3.3), amortizing the
     lookup-by-content cost over many writes. ``updates`` is only read.
+    Consumes the caller's reference on ``entry`` and returns the new
+    entry with one caller reference; unchanged subtrees are shared
+    between the old and new DAG (copy-on-write, section 2.2).
     """
     if not updates:
         return entry

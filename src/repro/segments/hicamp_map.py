@@ -31,6 +31,7 @@ from repro.errors import BadVsidError, MergeConflictError
 from repro.memory.system import MemorySystem
 from repro.segments import dag
 from repro.segments.dag import Entry
+from repro.segments.merge import mcas
 from repro.segments.segment_map import SegmentFlags, SegmentMap
 
 _SLOT_BASE = 8
@@ -175,8 +176,6 @@ class MapTransaction:
         Returns False on a true conflict (another transaction changed one
         of the same slots incompatibly); disjoint transactions merge.
         """
-        from repro.core.transactions import mcas
-
         if self._done:
             raise MergeConflictError("transaction already finished")
         self._done = True

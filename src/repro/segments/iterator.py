@@ -5,7 +5,10 @@ is loaded with a VSID and an offset, caches the DAG path to the current
 position, advances directly to the next non-null element, and buffers
 stores in *transient lines* — per-processor, non-deduplicated memory —
 until a commit converts them to content-unique lines bottom-up and
-compare-and-swaps the new root into the segment map.
+compare-and-swaps the new root into the segment map. :meth:`try_commit`
+is the one commit step of every register-based update: build the new
+version once, CAS it, and on a lost race of a merge-update commit hand
+that same version to mCAS (section 3.4).
 
 Loading a register takes a snapshot: the register holds its own reference
 on the root it observed, so the content it iterates is immune to
@@ -21,6 +24,7 @@ from repro.errors import IteratorStateError, ReadOnlyError, SegmentRangeError
 from repro.memory.system import MemorySystem
 from repro.segments import dag
 from repro.segments.dag import Entry
+from repro.segments.merge import mcas
 from repro.segments.segment_map import SegmentFlags, SegmentMap
 
 
@@ -42,13 +46,13 @@ class IteratorRegister:
     """One iterator register bound to a memory system and segment map."""
 
     def __init__(self, mem: MemorySystem, segmap: SegmentMap,
-                 prefetch: bool = True, transient_region=None) -> None:
+                 transient_region=None) -> None:
         self.mem = mem
         self.segmap = segmap
         #: DAG-aware prefetching (section 3.3): on a sequential leaf
         #: advance, the register fetches the next leaf's path ahead of
         #: demand, hiding its latency behind the current leaf's use.
-        self.prefetch = prefetch
+        self.prefetch = True
         #: per-processor conventional-mode area holding transient lines
         #: (section 3.3; optional — accounting only)
         self.transient_region = transient_region
@@ -119,16 +123,6 @@ class IteratorRegister:
     def length(self) -> int:
         """Logical segment length in words (grows on writes past the end)."""
         return self._length
-
-    @property
-    def snapshot_root(self) -> Entry:
-        """The root entry captured at load time (plus committed changes)."""
-        return self._root
-
-    @property
-    def height(self) -> int:
-        """Snapshot height."""
-        return self._height
 
     @property
     def version(self) -> int:
@@ -282,12 +276,18 @@ class IteratorRegister:
         return dag.new_version(self.mem, self._root, self._height,
                                self._length, self._transient)
 
-    def try_commit(self) -> bool:
-        """Commit transient stores: rebuild and CAS the root into the map.
+    def try_commit(self, merge: bool = False) -> bool:
+        """Commit transient stores: build the new version once and CAS
+        its root into the map.
 
-        Returns False when another thread committed first (the CAS saw a
-        different root); the register keeps its transient stores so the
-        caller can retry or merge. With no transient stores this still
+        When another thread committed first (the CAS saw a different
+        root), a plain commit returns False and the register keeps its
+        transient stores, so the caller can reload and retry. A
+        ``merge`` commit instead hands the version it built to
+        :func:`~repro.segments.merge.mcas`, which folds it into the
+        winner's (section 3.4); on success the register reloads at the
+        merged version, and on a true conflict it returns False with its
+        transient stores kept. With no transient stores this still
         validates the snapshot is current.
         """
         self._require_loaded()
@@ -298,8 +298,16 @@ class IteratorRegister:
             new_root=new_root, new_height=new_height, new_length=self._length,
         )
         if not ok:
-            dag.release_entry(self.mem, new_root)
-            return False
+            if not merge:
+                dag.release_entry(self.mem, new_root)
+                return False
+            if not mcas(self.mem, self.segmap, self._vsid,
+                        (self._root, self._height), (new_root, new_height),
+                        self._length):
+                return False
+            self.stats.commits += 1
+            self.load(self._vsid, self._offset)
+            return True
         # Move the register's snapshot to the committed version.
         dag.retain_entry(self.mem, new_root)
         dag.release_entry(self.mem, self._root)

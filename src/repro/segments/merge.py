@@ -15,6 +15,10 @@ instead of re-running the whole operation:
   root compare, so the expected work is a short path from the root down
   to the (usually single) diverging subtree — the geometric-series
   latency argument of section 5.1.1.
+
+:func:`mcas` is the paper's ``mCAS`` (section 3.4): a commit that lost
+its root CAS merges its version into the winner's and retries, until it
+lands or meets a true conflict.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from repro.memory.system import MemorySystem
 from repro.params import WORD_MASK
 from repro.segments import dag
 from repro.segments.dag import Entry
+from repro.segments.segment_map import SegmentMap
 
 
 @dataclass
@@ -175,3 +180,35 @@ def merge_roots(mem: MemorySystem,
         for g in grown:
             dag.release_entry(mem, g)
     return merged, height
+
+
+def mcas(mem: MemorySystem, segmap: SegmentMap, vsid: int,
+         old: Tuple[Entry, int], new: Tuple[Entry, int], new_length: int,
+         stats: MergeStats = None) -> bool:
+    """The paper's ``mCAS(old, curAddr, new)`` on a segment-map entry.
+
+    ``old`` is the base version the update was computed from (borrowed);
+    ``new`` is the updated version (caller-owned reference, consumed
+    whether or not the operation succeeds). Returns False only on a true
+    merge conflict.
+    """
+    old_root, old_height = old
+    new_root, new_height = new
+    while True:
+        if segmap.cas_root(vsid, old_root, old_height,
+                           new_root, new_height, new_length):
+            return True
+        entry = segmap.entry(vsid)
+        cur = (entry.root, entry.height)
+        try:
+            merged_root, merged_height = merge_roots(
+                mem, (old_root, old_height), (new_root, new_height), cur,
+                stats=stats,
+            )
+        except MergeConflictError:
+            dag.release_entry(mem, new_root)
+            return False
+        dag.release_entry(mem, new_root)
+        new_root, new_height = merged_root, merged_height
+        old_root, old_height = cur
+        new_length = max(new_length, entry.length)

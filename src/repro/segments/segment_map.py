@@ -17,7 +17,7 @@ Deviations from the paper, documented:
   embed a length header in the segment content itself.
 * the map is held in conventional memory (a dict); the paper also allows
   a map implemented as a HICAMP segment for atomic multi-segment commit,
-  which :class:`repro.core.transactions.MultiSegmentCommit` models.
+  which :class:`repro.segments.hicamp_map.HicampSegmentMap` implements.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ merge-update make these structures concurrency-safe without locks:
   (section 5.2).
 """
 
-from repro.structures.anon import AnonSegment
 from repro.structures.hstring import HString
 from repro.structures.harray import HArray
 from repro.structures.hmap import HMap
@@ -28,7 +27,6 @@ from repro.structures.hmap_sharded import ShardedHMap
 from repro.structures.hsorted import HSortedMap
 
 __all__ = [
-    "AnonSegment",
     "HString",
     "HArray",
     "HMap",

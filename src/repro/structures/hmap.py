@@ -36,13 +36,13 @@ from repro.memory.line import PLID_MASK
 from repro.memory.memo import MISS
 from repro.params import WORD_MASK
 from repro.segments import dag
-from repro.segments.segment_map import SegmentFlags
-from repro.structures.anon import (
+from repro.segments.anon import (
     AnonSegment,
     pack_meta,
     read_ref_slot,
     unpack_meta,
 )
+from repro.segments.segment_map import SegmentFlags
 
 #: Word offsets 0..15 are reserved for map metadata (0 = entry count).
 SLOT_BASE = 16
@@ -272,39 +272,30 @@ class HMap:
         Yields once between taking the snapshot (staging the update) and
         committing, so a deterministic scheduler can interleave other
         clients into the update window — the conflict the section 5.1.1
-        analysis prices. A lost CAS falls back to merge-update (mCAS); a
-        *true* conflict (another client stored a different value for the
-        same key in the window) re-executes at application level, as the
-        paper prescribes. Returns the number of true-conflict retries.
+        analysis prices. Stages through :meth:`staging`, as
+        :meth:`put_many` does. A lost CAS falls back to merge-update
+        (mCAS); a *true* conflict (another client stored a different
+        value for the same key in the window) re-executes at application
+        level, as the paper prescribes. Returns the number of
+        true-conflict retries.
         """
-        from repro.core.transactions import mcas
-
-        key_seg, base = self._key_segment(key)
-        value_seg = AnonSegment.from_bytes(self.machine.mem, value)
-        it = self.machine.iterator(self.vsid)
         true_conflicts = 0
-        try:
-            for _ in range(max_retries):
-                self._stage(it, base, key_seg, len(key), value_seg,
-                            len(value))
-                yield  # the update window: other clients may commit here
-                if it.try_commit():
-                    return true_conflicts
-                base_pair = (it.snapshot_root, it.height)
-                new_root, new_height = it.build_updated_root()
-                if mcas(self.machine.mem, self.machine.segmap, self.vsid,
-                        base_pair, (new_root, new_height), it.length):
-                    return true_conflicts
-                # logically conflicting update: application-level retry
-                true_conflicts += 1
-                it.load(self.vsid)
-            raise MergeConflictError(
-                "update of key %r starved after %d true conflicts"
-                % (key, max_retries))
-        finally:
-            self.machine.release_iterator(it)
-            key_seg.release()
-            value_seg.release()
+        with self.staging(((key, value),)) as stage:
+            it = self.machine.iterator(self.vsid)
+            try:
+                for _ in range(max_retries):
+                    stage(it)
+                    yield  # the update window: other clients may commit here
+                    if it.try_commit(merge=True):
+                        return true_conflicts
+                    # logically conflicting update: application-level retry
+                    true_conflicts += 1
+                    it.load(self.vsid)
+                raise MergeConflictError(
+                    "update of key %r starved after %d true conflicts"
+                    % (key, max_retries))
+            finally:
+                self.machine.release_iterator(it)
 
     def delete(self, key: bytes) -> bool:
         """Remove ``key``; False when it was absent."""

@@ -20,7 +20,7 @@ import zlib
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.machine import Machine
-from repro.structures.anon import AnonSegment
+from repro.segments.anon import AnonSegment
 from repro.structures.hmap import HMap, key_index
 
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Tuple
 
 from repro.core.machine import Machine
+from repro.segments.anon import AnonSegment, pack_meta, read_ref_slot
 from repro.segments.segment_map import SegmentFlags
-from repro.structures.anon import AnonSegment, pack_meta, read_ref_slot
 
 
 class HOrderedCollection:

@@ -19,8 +19,8 @@ from typing import Optional
 from repro.core.machine import Machine
 from repro.memory.line import unpack_words
 from repro.segments import dag
+from repro.segments.anon import AnonSegment, pack_meta, unpack_meta
 from repro.segments.segment_map import SegmentFlags
-from repro.structures.anon import AnonSegment, pack_meta, unpack_meta
 
 HEAD = 0
 TAIL = 1

@@ -19,7 +19,7 @@ import bisect
 from typing import Iterator, List, Optional, Tuple
 
 from repro.core.machine import Machine
-from repro.structures.anon import AnonSegment, pack_meta, read_ref_slot
+from repro.segments.anon import AnonSegment, pack_meta, read_ref_slot
 from repro.structures.hmap import HMap
 
 

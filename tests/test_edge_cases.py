@@ -20,8 +20,8 @@ from repro.errors import (
     ReadOnlyError,
 )
 from repro.params import CacheGeometry, ConventionalConfig
+from repro.segments.anon import AnonSegment
 from repro.structures import HArray, HString
-from repro.structures.anon import AnonSegment
 from repro.testing.auditors import audit_machine
 
 

@@ -188,7 +188,8 @@ class TestPrefetch:
     def test_prefetch_can_be_disabled(self, machine):
         words = list(range(1000, 1128))
         vsid = machine.create_segment(words)
-        it = IteratorRegister(machine.mem, machine.segmap, prefetch=False)
+        it = IteratorRegister(machine.mem, machine.segmap)
+        it.prefetch = False
         it.load(vsid)
         for offset in range(len(words)):
             it.get(offset)
@@ -201,8 +202,8 @@ class TestPrefetch:
         vsid = machine.create_segment(words)
 
         def scan(prefetch):
-            it = IteratorRegister(machine.mem, machine.segmap,
-                                  prefetch=prefetch)
+            it = IteratorRegister(machine.mem, machine.segmap)
+            it.prefetch = prefetch
             it.load(vsid)
             before = machine.dram.snapshot()
             for offset in range(len(words)):

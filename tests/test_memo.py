@@ -21,9 +21,9 @@ from repro.obs import adapters
 from repro.obs.registry import MetricsRegistry, parse_exposition, sample
 from repro.params import CacheGeometry
 from repro.segments import dag
+from repro.segments.anon import (AnonSegment, pack_meta, read_ref_slot,
+                                 unpack_meta)
 from repro.segments.merge import merge_roots
-from repro.structures.anon import (AnonSegment, pack_meta, read_ref_slot,
-                                   unpack_meta)
 from repro.structures.hmap import HMap
 from repro.testing.auditors import audit_machine
 from tests.conftest import small_config

@@ -193,6 +193,30 @@ class TestHQueue:
         q.dequeue()
         assert machine.footprint_lines() < lines_full
 
+    def test_racing_dequeues_serialize(self, machine):
+        # a second dequeue commits inside the first one's update window:
+        # the first must retry on a fresh snapshot, not merge, or both
+        # would pop item-0 and the merged HEAD would skip item-1
+        q = HQueue.create(machine)
+        for i in range(3):
+            q.enqueue(b"item-%d" % i)
+        inner = []
+        real = machine.atomic_update
+
+        def racing(vsid, update, **kwargs):
+            def update_then_race(it):
+                update(it)
+                if not inner:
+                    machine.atomic_update = real
+                    inner.append(q.dequeue())
+            real(vsid, update_then_race, **kwargs)
+
+        machine.atomic_update = racing
+        outer = q.dequeue()
+        assert sorted([inner[0], outer]) == [b"item-0", b"item-1"]
+        assert q.dequeue() == b"item-2"
+        assert q.dequeue() is None
+
 
 class TestHCounterArray:
     def test_add_and_get(self, machine):

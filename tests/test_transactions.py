@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.core.transactions import MultiSegmentCommit, atomic_update, mcas
+from repro.core.transactions import MultiSegmentCommit, atomic_update
 from repro.errors import MergeConflictError
 from repro.segments import dag
 from repro.segments.iterator import IteratorRegister
-from repro.segments.merge import MergeStats
+from repro.segments.merge import MergeStats, mcas
 
 
 class TestMcas:
@@ -174,6 +174,88 @@ class TestMergeUpdateFlag:
         machine.atomic_update(vsid, bump)
         assert len(calls) == 2          # re-ran from a fresh snapshot
         assert machine.read_word(vsid, 0) == 108
+
+
+class TestOneCommitStep:
+    """A commit builds its new version once per attempt: a lost CAS on a
+    merge-update segment hands the version it built to mCAS."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        real = dag.new_version
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dag, "new_version", counting)
+        return calls
+
+    def test_lost_merge_commit_through_atomic_update(self, machine, builds):
+        from repro.segments.segment_map import SegmentFlags
+        vsid = machine.create_segment([100, 0],
+                                      flags=SegmentFlags.MERGE_UPDATE)
+        segmap = machine.segmap
+
+        def bump(it):
+            if not getattr(bump, "poked", False):
+                bump.poked = True
+                machine.write_word(vsid, 1, 7)  # commits in the window
+                builds.clear()
+                bump.cas = (segmap.cas_attempts, segmap.cas_failures)
+            it.put(it.get(0) + 3, offset=0)
+
+        machine.atomic_update(vsid, bump)
+        assert len(builds) == 1
+        # the register's lost CAS, mCAS's retry of it, the merged CAS
+        assert (segmap.cas_attempts - bump.cas[0],
+                segmap.cas_failures - bump.cas[1]) == (3, 2)
+        assert machine.read_segment(vsid) == [103, 7]
+        machine.mem.store.check_refcounts()
+
+    def test_lost_merge_commit_through_put_steps(self, machine, builds):
+        from repro.structures import HMap
+        kvp = HMap.create(machine)
+        gen = kvp.put_steps(b"a", b"1")
+        next(gen)  # staged; the update window is open
+        kvp.put(b"b", b"2")
+        builds.clear()
+        with pytest.raises(StopIteration) as done:
+            next(gen)
+        assert done.value.value == 0  # no true conflict
+        assert len(builds) == 1
+        assert (kvp.get(b"a"), kvp.get(b"b"), len(kvp)) == (b"1", b"2", 2)
+        machine.mem.store.check_refcounts()
+
+    def test_put_steps_takes_presence_from_the_read_table(self, machine,
+                                                          monkeypatch):
+        from repro.structures import HMap
+        machine.mem.memo.enable()
+        kvp = HMap.create(machine)
+        kvp.put(b"k", b"old")
+        assert kvp.get(b"k") == b"old"  # the read table answers it now
+        memo = machine.mem.memo
+        asked, reads = [], []
+        real_get_read, real_get = memo.get_read, IteratorRegister.get
+
+        def get_read(vsid, version, key):
+            answer = real_get_read(vsid, version, key)
+            asked.append((key, answer))
+            return answer
+
+        def get(it, offset=None):
+            reads.append(offset)
+            return real_get(it, offset)
+
+        monkeypatch.setattr(memo, "get_read", get_read)
+        monkeypatch.setattr(IteratorRegister, "get", get)
+        for _ in kvp.put_steps(b"k", b"new"):
+            pass
+        assert asked == [(b"k", b"old")]
+        assert reads == []  # no slot descent for the key's presence
+        monkeypatch.undo()
+        assert (kvp.get(b"k"), len(kvp)) == (b"new", 1)
 
 
 class TestDrainIdempotence:
