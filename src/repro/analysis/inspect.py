@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.memory.line import Inline, ZERO_PLID, is_ref, ref_path, ref_plid
+from repro.memory.line import (
+    ZERO_PLID, is_pack, is_ref, pack_fields, ref_path, ref_plid)
 from repro.memory.system import MemorySystem
 from repro.segments import dag
 from repro.segments.dag import Entry
@@ -27,8 +28,9 @@ def _word_label(word) -> str:
         path = ref_path(word)
         return "->%d%s" % (ref_plid(word),
                            ("@" + "".join(map(str, path))) if path else "")
-    if isinstance(word, Inline):
-        return "inl%d%r" % (word.width, list(word.values))
+    if is_pack(word):
+        width, values, _ = pack_fields(word)
+        return "inl%d%r" % (width, list(values))
     return hex(word) if word > 9 else str(word)
 
 
@@ -42,9 +44,9 @@ def dump_entry(mem: MemorySystem, entry: Entry, level: int,
         if entry == 0:
             lines.append(pad + "(zero)")
             return
-        if isinstance(entry, Inline):
-            lines.append(pad + "inline w=%d values=%r"
-                         % (entry.width, list(entry.values)))
+        if is_pack(entry):
+            width, values, _ = pack_fields(entry)
+            lines.append(pad + "inline w=%d values=%r" % (width, list(values)))
             return
         digits = tuple(ref_path(entry))
         path = ("path=%s " % (digits,)) if digits else ""
@@ -101,7 +103,7 @@ def segment_report(machine, vsid: int) -> SegmentReport:
     def visit(entry: Entry, level: int) -> None:
         if entry == 0:
             return
-        if isinstance(entry, Inline):
+        if is_pack(entry):
             report.inline_entries += 1
             return
         path, plid = ref_path(entry), ref_plid(entry)

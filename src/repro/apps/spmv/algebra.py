@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.machine import Machine
 from repro.segments import dag
-from repro.segments.dag import Entry, entry_key
+from repro.segments.dag import Entry
 from repro.structures.hmatrix import (
     QuadTreeMatrix,
     float_to_word,
@@ -46,7 +46,7 @@ class _OpStats:
 
 
 def _add_entries(mem, a: Entry, b: Entry, level: int,
-                 memo: Dict[Tuple[bytes, bytes], Entry],
+                 memo: Dict[Tuple[Entry, Entry], Entry],
                  stats: _OpStats) -> Entry:
     if a == 0:
         stats.zero_shortcuts += 1
@@ -54,7 +54,7 @@ def _add_entries(mem, a: Entry, b: Entry, level: int,
     if b == 0:
         stats.zero_shortcuts += 1
         return dag.retain_entry(mem, a)
-    key = (entry_key(a), entry_key(b))
+    key = (a, b)
     hit = memo.get(key)
     if hit is not None:
         stats.memo_hits += 1
@@ -95,7 +95,7 @@ def qts_add(machine: Machine, a: QuadTreeMatrix, b: QuadTreeMatrix,
                         ea.height, height)
     rb = dag.grow_entry(mem, dag.retain_entry(mem, eb.root) and eb.root,
                         eb.height, height)
-    memo: Dict[Tuple[bytes, bytes], Entry] = {}
+    memo: Dict[Tuple[Entry, Entry], Entry] = {}
     root = _add_entries(mem, ra, rb, height, memo, stats)
     dag.release_entry(mem, ra)
     dag.release_entry(mem, rb)
@@ -105,12 +105,11 @@ def qts_add(machine: Machine, a: QuadTreeMatrix, b: QuadTreeMatrix,
 
 
 def _scale_entry(mem, entry: Entry, alpha: float, level: int,
-                 memo: Dict[bytes, Entry], stats: _OpStats) -> Entry:
+                 memo: Dict[Entry, Entry], stats: _OpStats) -> Entry:
     if entry == 0:
         stats.zero_shortcuts += 1
         return 0
-    key = entry_key(entry)
-    hit = memo.get(key)
+    hit = memo.get(entry)
     if hit is not None:
         stats.memo_hits += 1
         return dag.retain_entry(mem, hit)
@@ -124,7 +123,7 @@ def _scale_entry(mem, entry: Entry, alpha: float, level: int,
         kids = [_scale_entry(mem, c, alpha, level - 1, memo, stats)
                 for c in dag._expand(mem, entry, level, owned=False)]
         result = dag._canonical_interior(mem, kids, level)
-    memo[key] = result
+    memo[entry] = result
     return result
 
 
@@ -135,7 +134,7 @@ def qts_scale(machine: Machine, a: QuadTreeMatrix, alpha: float,
         stats = _OpStats()
     mem = machine.mem
     ea = machine.segmap.entry(a.vsid)
-    memo: Dict[bytes, Entry] = {}
+    memo: Dict[Entry, Entry] = {}
     root = _scale_entry(mem, ea.root, alpha, ea.height, memo, stats)
     vsid = machine.segmap.create(root, ea.height, ea.length)
     return QuadTreeMatrix(machine, vsid, a.n_rows, a.n_cols, a.size, a.nnz)

@@ -138,10 +138,7 @@ class Machine:
     def segments_equal(self, vsid_a: int, vsid_b: int) -> bool:
         """Content equality by root compare — O(1) regardless of size."""
         a, b = self.segmap.entry(vsid_a), self.segmap.entry(vsid_b)
-        if a.length != b.length:
-            return False
-        return (a.height == b.height
-                and dag.entry_key(a.root) == dag.entry_key(b.root))
+        return (a.root, a.height, a.length) == (b.root, b.height, b.length)
 
     def snapshot(self, vsid: int) -> AnonSegment:
         """Pin the current version of a segment for stable reading."""

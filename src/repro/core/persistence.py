@@ -3,7 +3,7 @@
 A pure-Python simulator is slow, so long experiments want to build a
 state once (preload a cache, load VM images, assemble matrices) and
 reuse it. :func:`save_machine` serializes the deduplicated store — every
-line with its tagged words and exact PLID — plus the segment map, to a
+line with its words (JSON ints) and exact PLID — plus the segment map, to a
 JSON document (gzipped when the path ends in ``.gz``, with optional
 caller metadata); :func:`load_machine` reconstructs a machine whose PLIDs,
 VSIDs, refcounts and dedup behaviour are identical to the original
@@ -23,36 +23,15 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.core.machine import Machine
 from repro.errors import PersistenceError
-from repro.memory.line import Inline, Line, is_ref, ref, ref_path, ref_plid
+from repro.memory.line import Line, is_word
 from repro.params import CacheGeometry, MachineConfig, MemoryConfig
 from repro.segments.segment_map import MapEntry, SegmentFlags
 
-#: Version 3: the image config carries every ``MemoryConfig`` field by
-#: name and all are required. Version 2 also carried the reclamation
-#: kind, which no machine has any more; version 1 had per-field
-#: defaults for images older than a field.
-FORMAT_VERSION = 3
-
-
-def _word_to_json(word) -> Any:
-    if is_ref(word):
-        return {"t": "P", "p": ref_plid(word), "q": list(ref_path(word))}
-    if isinstance(word, int):
-        return word
-    if isinstance(word, Inline):
-        return {"t": "I", "w": word.width, "v": list(word.values),
-                "s": word.span}
-    raise TypeError("unserializable word %r" % (word,))
-
-
-def _word_from_json(obj) -> Any:
-    if isinstance(obj, int):
-        return obj
-    if obj["t"] == "P":
-        return ref(obj["p"], obj["q"])
-    if obj["t"] == "I":
-        return Inline(width=obj["w"], values=tuple(obj["v"]), span=obj["s"])
-    raise ValueError("bad word record %r" % (obj,))
+#: Version 4: a word is its int (data, a negative reference, a pack above
+#: ``2**64``); version 3 tagged references and packs as JSON objects. The
+#: config carries every ``MemoryConfig`` field by name and all are
+#: required (since version 3).
+FORMAT_VERSION = 4
 
 
 def machine_image(machine: Machine) -> Dict[str, Any]:
@@ -66,13 +45,13 @@ def machine_image(machine: Machine) -> Dict[str, Any]:
     store = machine.mem.store
     store.reclaim_quiesce()
     mc = machine.config
-    lines = {str(plid): [_word_to_json(w) for w in store.peek(plid)]
+    lines = {str(plid): list(store.peek(plid))
              for plid in store.live_plids()}
     refcounts = {str(plid): store.refcount(plid)
                  for plid in store.live_plids()}
     segmap = {
         str(vsid): {
-            "root": _word_to_json(entry.root),
+            "root": entry.root,
             "height": entry.height,
             "length": entry.length,
             "flags": int(entry.flags),
@@ -130,10 +109,15 @@ def restore_machine(image: Dict[str, Any]) -> Machine:
             n_processors=cfg["n_processors"],
         ))
         store = machine.mem.store
+        words = [w for line in image["lines"].values() for w in line]
+        words += [rec["root"] for rec in image["segmap"].values()]
+        if not all(map(is_word, words)):
+            raise PersistenceError("a word in the image is not a data "
+                                   "word, reference or pack")
 
         # restore lines at their exact PLIDs
         for plid_str, words in image["lines"].items():
-            line: Line = tuple(_word_from_json(w) for w in words)
+            line: Line = tuple(words)
             store.restore_line(int(plid_str), line,
                                image["refcounts"][plid_str],
                                image["overflow_bucket"].get(plid_str))
@@ -144,7 +128,7 @@ def restore_machine(image: Dict[str, Any]) -> Machine:
         # restore the segment map
         for vsid_str, rec in image["segmap"].items():
             machine.segmap._entries[int(vsid_str)] = MapEntry(
-                root=_word_from_json(rec["root"]),
+                root=rec["root"],
                 height=rec["height"],
                 length=rec["length"],
                 flags=SegmentFlags(rec["flags"]),

@@ -9,15 +9,15 @@ content), plus hardware reference counting.
 """
 
 from repro.memory.line import (
-    DataWord,
-    Inline,
     Line,
     ZERO_PLID,
     encode_line,
+    is_pack,
     is_ref,
     is_zero_line,
     line_child_plids,
     make_leaf,
+    pack,
     ref,
     ref_path,
     ref_plid,
@@ -31,15 +31,15 @@ from repro.memory.system import MemorySystem
 from repro.memory.conventional import CacheLevel, ConventionalMemory
 
 __all__ = [
-    "DataWord",
-    "Inline",
     "Line",
     "ZERO_PLID",
     "encode_line",
+    "is_pack",
     "is_ref",
     "is_zero_line",
     "line_child_plids",
     "make_leaf",
+    "pack",
     "ref",
     "ref_path",
     "ref_plid",

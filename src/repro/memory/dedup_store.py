@@ -450,7 +450,7 @@ class DedupStore:
         # (hardware tracks sharing through the per-word tags), or keeps
         # the one its caller hands over (:meth:`intern`).
         for word in line:  # is_ref, in line; the zero line is not counted
-            if type(word) is int and word < 0 and (child := ~word & PLID_MASK):
+            if word < 0 and (child := ~word & PLID_MASK):
                 if not consume:
                     self._refcounts[child] += 1
                 self._rc_cache.touch(child)
@@ -463,7 +463,7 @@ class DedupStore:
         did when a new line took its own, so the RC cache's order,
         fills and spills stay exactly what they were."""
         for word in line:  # is_ref, in line; the zero line is not counted
-            if type(word) is int and word < 0 and (child := ~word & PLID_MASK):
+            if word < 0 and (child := ~word & PLID_MASK):
                 if created:
                     self._rc_cache.touch(child)
                 else:

@@ -40,7 +40,6 @@ from repro.apps.memcached.protocol import ProtocolHandler
 from repro.apps.memcached.server import HicampMemcached
 from repro.core.machine import Machine
 from repro.errors import ReplicationError
-from repro.memory.line import is_ref, ref, ref_path, ref_plid
 from repro.memory.reclaim import RECLAIM_BUDGET
 from repro.net.framing import close_writer
 from repro.net.router import (
@@ -340,14 +339,11 @@ class ReplicationFollower:
         if stream >= len(self.servers):
             self._add_stream(stream)
         self.leader_vsids[stream] = leader_vsid
-        if is_ref(root):
-            local_plid = self.plid_map.get(ref_plid(root))
-            if local_plid is None:
-                self._nack(writer, stream, ref_plid(root))
-                return
-            new_root = ref(local_plid, ref_path(root))
-        else:
-            new_root = root
+        try:
+            (new_root,) = translate_line((root,), self.plid_map)
+        except KeyError as exc:
+            self._nack(writer, stream, exc.args[0])
+            return
         vsid = self.servers[stream].kvp.vsid
         entry = self.machine.segmap.entry(vsid)
         # the map entry takes over this reference on CAS success

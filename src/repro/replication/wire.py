@@ -13,14 +13,13 @@ HELLO           F → L  JSON: protocol version, line geometry, per-stream
                        content fingerprints of the follower's local segments
 WELCOME         L → F  JSON: version echo, geometry, the stream table
                        (stream index → leader VSID)
-LINE            L → F  u64 leader PLID + tagged word codec — one shipped line
+LINE            L → F  u64 leader PLID + u16 word count + the words
 SEED            L → F  u16 stream + u64 PLID list, the leader's deterministic
                        walk of a root both sides already hold (warm start:
                        pairs the PLID spaces without re-shipping content)
 ROOT_ADVANCE    L → F  u16 stream + u64 seq + u64 leader VSID + u8 height +
-                       length (u8 byte count + big-endian bytes; sparse
-                       segments index past 2**64) + root entry word —
-                       commit a new version
+                       length (sparse segments index past 2**64) + root
+                       entry word — commit a new version
 FULL_SYNC       L → F  JSON: stream — the delta that follows assumes the
                        follower knows nothing about this stream
 RESET           L → F  JSON: reason — follower must drop its whole PLID
@@ -34,10 +33,11 @@ NACK            F → L  JSON: stream, missing PLID — a frame referenced a
 ERROR           both   JSON: message, then the connection closes
 ==============  =====  ==========================================================
 
-The word codec is self-delimiting (unlike the canonical hash encoding in
-:mod:`repro.memory.line`, which does not record path lengths): data
-``D`` + u64; reference ``P`` + u8 path length + u64 PLID + path bytes;
-inline ``I`` + width/span/count bytes + count u64 values.
+A word is an int (:mod:`repro.memory.line`: data, a negative reference,
+a pack above ``2**64``) and a segment length is one too, so both travel
+as one self-delimiting signed int: a u8 byte count, then the minimal
+two's-complement big-endian bytes. A decoded word that no machine could
+hold is refused.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import struct
 from typing import Dict, List, Tuple
 
 from repro.errors import ReplicationError
-from repro.memory.line import Inline, Line, is_ref, ref, ref_path, ref_plid
+from repro.memory.line import Line, is_word
 
 # re-exported so replication callers need only this module
 from repro.net.framing import (  # noqa: F401
@@ -56,7 +56,8 @@ from repro.net.framing import (  # noqa: F401
     encode_frame,
 )
 
-PROTOCOL_VERSION = 1
+#: version 2: a word is one signed int (version 1 tagged D/P/I words)
+PROTOCOL_VERSION = 2
 
 HELLO = 1
 WELCOME = 2
@@ -85,72 +86,32 @@ _ADVANCE_HEAD = struct.Struct("!HQQB")     # stream, seq, vsid, height
 _ACK_BODY = struct.Struct("!HQ")           # stream, seq
 
 
-def _encode_length(length: int) -> bytes:
-    """Segment lengths are unbounded (sparse segments index past 2**64):
-    u8 byte count + minimal big-endian bytes."""
-    raw = length.to_bytes(max(1, (length.bit_length() + 7) // 8), "big")
+def _encode_int(value: int) -> bytes:
+    """One int of any sign or size: a u8 byte count, then its minimal
+    two's-complement big-endian bytes."""
+    raw = value.to_bytes((value if value >= 0 else ~value).bit_length()
+                         // 8 + 1, "big", signed=True)
     if len(raw) > 255:
-        raise ReplicationError("absurd segment length (%d bytes)" % len(raw))
+        raise ReplicationError("absurd int field (%d bytes)" % len(raw))
     return bytes((len(raw),)) + raw
 
 
-def _decode_length(payload: bytes, pos: int) -> Tuple[int, int]:
-    try:
-        count = payload[pos]
-        raw = payload[pos + 1:pos + 1 + count]
-        if len(raw) != count:
-            raise ReplicationError("truncated length field")
-        return int.from_bytes(raw, "big"), pos + 1 + count
-    except IndexError as exc:
-        raise ReplicationError("truncated length field") from exc
-
-
-# ----------------------------------------------------------------------
-# tagged word codec
-
-def encode_wire_word(word) -> bytes:
-    """Self-delimiting encoding of one tagged word."""
-    if is_ref(word):
-        path = ref_path(word)
-        return b"P" + bytes((len(path),)) + _U64.pack(ref_plid(word)) + path
-    if isinstance(word, Inline):
-        return (b"I" + bytes((word.width, word.span, len(word.values)))
-                + b"".join(_U64.pack(v) for v in word.values))
-    return b"D" + _U64.pack(word & ((1 << 64) - 1))
-
-
-def decode_wire_word(payload: bytes, pos: int) -> Tuple[object, int]:
-    """Decode one word at ``pos``; returns ``(word, next_pos)``."""
-    try:
-        tag = payload[pos:pos + 1]
-        if tag == b"D":
-            return _U64.unpack_from(payload, pos + 1)[0], pos + 9
-        if tag == b"P":
-            path_len = payload[pos + 1]
-            plid = _U64.unpack_from(payload, pos + 2)[0]
-            path = payload[pos + 10:pos + 10 + path_len]
-            if len(path) != path_len:
-                raise ReplicationError("truncated path in reference word")
-            return ref(plid, path), pos + 10 + path_len
-        if tag == b"I":
-            width, span, count = payload[pos + 1:pos + 4]
-            values = tuple(_U64.unpack_from(payload, pos + 4 + 8 * i)[0]
-                           for i in range(count))
-            return Inline(width=width, values=values, span=span), \
-                pos + 4 + 8 * count
-        raise ReplicationError("unknown word tag %r at %d" % (tag, pos))
-    except (struct.error, IndexError, ValueError) as exc:
-        raise ReplicationError("undecodable word at %d: %s"
-                               % (pos, exc)) from exc
+def _decode_int(payload: bytes, pos: int) -> Tuple[int, int]:
+    """The int :func:`_encode_int` wrote at ``pos``, and the next
+    position."""
+    end = pos + 1 + (payload[pos] if pos < len(payload) else 0)
+    if end > len(payload):
+        raise ReplicationError("truncated int field at %d" % pos)
+    return int.from_bytes(payload[pos + 1:end], "big", signed=True), end
 
 
 # ----------------------------------------------------------------------
 # hot frames: LINE / SEED / ROOT_ADVANCE / ACK / FORGET
 
 def encode_line_payload(plid: int, line: Line) -> bytes:
-    """LINE: the leader's PLID plus the line's tagged words."""
+    """LINE: the leader's PLID plus the line's words."""
     return (_LINE_HEAD.pack(plid, len(line))
-            + b"".join(encode_wire_word(w) for w in line))
+            + b"".join([_encode_int(w) for w in line]))
 
 
 def decode_line_payload(payload: bytes) -> Tuple[int, Line]:
@@ -161,11 +122,13 @@ def decode_line_payload(payload: bytes) -> Tuple[int, Line]:
     pos = _LINE_HEAD.size
     words = []
     for _ in range(count):
-        word, pos = decode_wire_word(payload, pos)
+        word, pos = _decode_int(payload, pos)
         words.append(word)
     if pos != len(payload):
         raise ReplicationError("%d trailing bytes after LINE words"
                                % (len(payload) - pos))
+    if not all(map(is_word, words)):
+        raise ReplicationError("not a data word, reference or pack in LINE")
     return plid, tuple(words)
 
 
@@ -189,12 +152,11 @@ def encode_advance_payload(stream: int, seq: int, vsid: int, root,
                            height: int, length: int) -> bytes:
     """ROOT_ADVANCE: commit ``stream`` to a new version.
 
-    ``root`` is the leader-side root entry (0 / Inline / a reference
+    ``root`` is the leader-side root entry (0 / a pack / a reference
     word with a leader PLID — the follower translates before applying).
     """
     return (_ADVANCE_HEAD.pack(stream, seq, vsid, height)
-            + _encode_length(length)
-            + encode_wire_word(root))
+            + _encode_int(length) + _encode_int(root))
 
 
 def decode_advance_payload(payload: bytes):
@@ -203,10 +165,14 @@ def decode_advance_payload(payload: bytes):
         stream, seq, vsid, height = _ADVANCE_HEAD.unpack_from(payload)
     except struct.error as exc:
         raise ReplicationError("truncated ROOT_ADVANCE frame") from exc
-    length, pos = _decode_length(payload, _ADVANCE_HEAD.size)
-    word, pos = decode_wire_word(payload, pos)
+    length, pos = _decode_int(payload, _ADVANCE_HEAD.size)
+    if length < 0:
+        raise ReplicationError("negative segment length")
+    word, pos = _decode_int(payload, pos)
     if pos != len(payload):
         raise ReplicationError("trailing bytes after ROOT_ADVANCE root")
+    if not is_word(word):
+        raise ReplicationError("not a data word, reference or pack root")
     return stream, seq, vsid, height, length, word
 
 

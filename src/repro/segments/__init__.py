@@ -10,7 +10,6 @@ from repro.segments.dag import (
     build_segment,
     count_unique_lines,
     entry_capacity,
-    entry_key,
     gather_words,
     grow_entry,
     height_for,
@@ -36,7 +35,6 @@ __all__ = [
     "build_segment",
     "count_unique_lines",
     "entry_capacity",
-    "entry_key",
     "gather_words",
     "grow_entry",
     "height_for",

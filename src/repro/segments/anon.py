@@ -108,12 +108,10 @@ class AnonSegment:
         """Recover ``byte_length`` bytes of packed content."""
         return unpack_words(self.words(), byte_length)
 
-    def key(self) -> bytes:
+    def key(self) -> Tuple[int, int, int]:
         """Canonical identity: equal iff contents (and lengths) are equal
         (the single-instruction segment compare of section 2.2)."""
-        return (dag.entry_key(self.root)
-                + bytes((self.height,))
-                + self.length.to_bytes(8, "big"))
+        return self.root, self.height, self.length
 
     def release(self) -> None:
         """Drop the handle's reference (idempotent)."""
@@ -167,7 +165,7 @@ def read_ref_slot(mem: MemorySystem, entry, meta: int) -> bytes:
     if word_len == 0:
         return b""
     memo = mem.memo
-    if (memo.enabled and type(entry) is int and entry < 0  # is_ref, in line
+    if (memo.enabled and entry < 0  # is_ref, in line
             and not mem.store.verify_reads):
         data = memo.get_payload(entry, height, word_len, byte_len)
         if data is not None:

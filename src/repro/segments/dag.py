@@ -14,14 +14,17 @@ root-PLID comparison a full content compare).
 An *entry* denotes a subtree at a known level and is one of:
 
 * ``0`` — the all-zero subtree;
-* :class:`~repro.memory.line.Inline` — data compaction: the subtree's
-  (trimmed) words packed into a single entry slot;
+* a pack (:func:`~repro.memory.line.pack`, an int of ``2**64`` or more)
+  — data compaction: the subtree's (trimmed) words packed into a single
+  entry slot;
 * a reference word (:func:`~repro.memory.line.ref`, a negative int) —
   a reference to a line, whose path carries the way positions of elided
   single-child interior nodes (path compaction).
 
 At level ``L`` an entry spans ``leaf_words * fanout**L`` words; a segment
-of height ``h`` is the entry at level ``h``.
+of height ``h`` is the entry at level ``h``. Every entry is an int and
+canonical, so two subtrees at one level are equal exactly when their
+entries are — what hardware compares when it compares two root PLIDs.
 
 Reference-count contract: every function that *returns* an entry returns
 it with one caller-owned reference on its PLID (if any); every function
@@ -37,20 +40,12 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import SegmentRangeError
 from repro.memory.line import (
-    PLID_MASK, Inline, Line, ZERO_PLID, encode_word, is_ref, ref, ref_path,
-    ref_plid)
+    PLID_MASK, Line, ZERO_PLID, encode_word, is_ref, is_word, pack_for,
+    pack_values, ref, ref_path, ref_plid)
 from repro.memory.system import MemorySystem
 from repro.params import PLID_BITS, WORD_MASK
 
-Entry = object  # 0 | Inline | a reference word
-
-_INLINE_WIDTHS = (1, 2, 4, 8)
-
-#: ``_PACK_BOUND[n]``: the least word ``n`` words cannot pack at, the
-#: widest width that fits ``n`` of them in one 8-byte slot
-_PACK_BOUND = (0,) + tuple(
-    1 << 8 * max(w for w in _INLINE_WIDTHS if n * w <= 8)
-    for n in range(1, 9))
+Entry = int  # 0 | a pack | a reference word
 
 
 def entry_capacity(mem: MemorySystem, level: int) -> int:
@@ -75,64 +70,17 @@ def height_for(mem: MemorySystem, length: int) -> int:
     return bisect_left(spans, length)
 
 
-def _trim(words: Sequence) -> Tuple:
-    """Drop trailing zero words (canonical form for inline packing)."""
-    n = len(words)
-    while n and not words[n - 1]:
-        n -= 1
-    return tuple(words[:n])
-
-
-def _pack(vals: Tuple) -> Optional[Inline]:
-    """Pack already-trimmed words into one Inline entry (Figure 4b).
-
-    Qualifies when the words are all plain data and fit a common width
-    ``w`` with ``len * w <= 8`` bytes. Returns None when they do not
-    pack (tagged reference words are never inlined).
-    """
-    n = len(vals)
-    if not 0 < n <= 8:
-        return None
-    bound = _PACK_BOUND[n]
-    biggest = 0
-    for v in vals:
-        if not isinstance(v, int) or v >= bound or v < 0:
-            return None
-        if v > biggest:
-            biggest = v
-    for width in _INLINE_WIDTHS:  # the bound guarantees one fits
-        if biggest < (1 << (8 * width)):
-            return Inline(width=width, values=vals, span=n)
-
-
-def _inline_for(words: Sequence) -> Optional[Inline]:
-    """Try to pack a subtree's words into one Inline entry: trailing
-    zeros dropped, then :func:`_pack`."""
-    return _pack(_trim(words))
-
-
 def retain_entry(mem: MemorySystem, entry: Entry) -> Entry:
-    """Take an extra caller reference on an entry (no-op for 0/Inline)."""
-    if type(entry) is int and entry < 0:  # is_ref, in line
+    """Take an extra caller reference on an entry (no-op for 0/a pack)."""
+    if entry < 0:  # is_ref, in line
         mem.incref(~entry & PLID_MASK)
     return entry
 
 
 def release_entry(mem: MemorySystem, entry: Entry) -> None:
-    """Drop a caller reference on an entry (no-op for 0/Inline)."""
-    if type(entry) is int and entry < 0:  # is_ref, in line
+    """Drop a caller reference on an entry (no-op for 0/a pack)."""
+    if entry < 0:  # is_ref, in line
         mem.decref(~entry & PLID_MASK)
-
-
-def entry_key(entry: Entry) -> bytes:
-    """Canonical byte key of an entry — equal iff the subtrees are equal.
-
-    This is what hardware compares when it compares two root PLIDs; the
-    byte form also covers compacted (Inline / path-carrying) roots.
-    """
-    if not entry:
-        return b"Z"
-    return encode_word(entry)
 
 
 # ----------------------------------------------------------------------
@@ -140,13 +88,10 @@ def entry_key(entry: Entry) -> bytes:
 
 def _leaf_entry(mem: MemorySystem, words: Sequence) -> Entry:
     """Canonical entry for one leaf-line span of words."""
-    vals = _trim(words)
-    if not vals:
+    if not any(words):
         return 0
-    if mem.config.data_compaction:
-        inline = _pack(vals)
-        if inline is not None:
-            return inline
+    if mem.config.data_compaction and (packed := pack_for(words)):
+        return packed  # a pack is never 0
     line: Line = tuple(words) + (0,) * (mem.words_per_line - len(words))
     return ~mem.lookup(line)  # ref(plid), in line
 
@@ -162,15 +107,15 @@ def _canonical_interior(mem: MemorySystem, children: List[Entry], level: int) ->
         if child:
             count += 1
             last = i
-            packed = packed and isinstance(child, Inline)
+            packed = packed and child > WORD_MASK  # is_pack, in line
     if not count:
         return 0
     config = mem.config
-    # Data compaction: all children already packed (0/Inline) and the
+    # Data compaction: all children already packed (0/a pack) and the
     # combined trimmed words still fit one entry slot.
     if packed and config.data_compaction:
         child_span = entry_capacity(mem, level - 1)
-        last_values = children[last].values
+        last_values = pack_values(children[last])
         if last * child_span + len(last_values) <= 8:  # cheap pre-filter
             # Children past the last non-zero one contribute nothing, and
             # the pre-filter guarantees the expanded prefix stays tiny.
@@ -179,16 +124,15 @@ def _canonical_interior(mem: MemorySystem, children: List[Entry], level: int) ->
                 if not c:
                     combined.extend([0] * child_span)
                 else:
-                    combined.extend(c.values)
-                    combined.extend([0] * (child_span - len(c.values)))
+                    values = pack_values(c)
+                    combined.extend(values)
+                    combined.extend([0] * (child_span - len(values)))
             combined.extend(last_values)  # no trailing padding needed
-            inline = _inline_for(combined)
-            if inline is not None:
-                return inline
+            if entry := pack_for(combined):
+                return entry
     # Path compaction: a single non-zero child that is a line reference.
     child = children[last]
-    if (count == 1 and config.path_compaction and type(child) is int
-            and child < 0):
+    if count == 1 and config.path_compaction and child < 0:
         return ref(ref_plid(child), bytes((last,)) + ref_path(child))
     # Materialize the interior line; it consumes the caller's references
     # on its children (the second argument)
@@ -210,7 +154,7 @@ def _wrap_run(mem: MemorySystem, entry: Entry, level: int,
     config = mem.config
     n = len(digits)
     while n and entry:
-        if type(entry) is int:  # a non-zero entry int is a reference
+        if entry < 0:  # is_ref, in line
             if config.path_compaction:
                 return ref(ref_plid(entry),
                            bytes(digits[:n]) + ref_path(entry))
@@ -306,7 +250,7 @@ def read_word(mem: MemorySystem, entry: Entry, level: int, index: int,
 
     Returns a plain data ``int`` or, for segments that store references in
     their leaves (e.g. a map of value-segment roots), a reference word
-    (a negative ``int``) or an :class:`Inline` pack.
+    (a negative ``int``) or a pack (``2**64`` or more).
 
     With ``count > 1``, returns the list of ``count`` consecutive words
     from ``index``. Words that share a leaf line cost one descent — the
@@ -327,7 +271,7 @@ def read_word(mem: MemorySystem, entry: Entry, level: int, index: int,
     spans = mem.spans
     if count > 1 and index // spans[0] != last // spans[0]:
         return gather_words(mem, entry, level, index, count)
-    while type(entry) is int and entry < 0:  # is_ref, in line
+    while entry < 0:  # is_ref, in line
         x = ~entry
         if x > PLID_MASK:  # the path (ref_path, in line), then the line
             tail = x >> PLID_BITS
@@ -344,8 +288,8 @@ def read_word(mem: MemorySystem, entry: Entry, level: int, index: int,
         level -= 1
         j, index = divmod(index, spans[level])
         entry = line[j]
-    # a zero subtree, or an Inline pack (its trailing zeros are implicit)
-    values = entry.values if type(entry) is Inline else ()
+    # a zero subtree, or a pack (its trailing zeros are implicit)
+    values = pack_values(entry) if entry else ()
     if count == 1:
         return values[index] if index < len(values) else 0
     words = list(values[index:index + count])
@@ -384,8 +328,8 @@ def _gather(mem: MemorySystem, out: List, start: int, stop: int,
     order; only an interior child or a packed leaf recurses."""
     spans = mem.spans
     while entry:
-        if isinstance(entry, Inline):
-            for k, v in enumerate(entry.values):
+        if entry > WORD_MASK:  # is_pack, in line
+            for k, v in enumerate(pack_values(entry)):
                 pos = base + k
                 if start <= pos < stop and v:
                     out[pos - start] = v
@@ -410,7 +354,7 @@ def _gather(mem: MemorySystem, out: List, start: int, stop: int,
         last = last // span if last < span * len(line) else len(line) - 1
         for j in range(first, last):  # all but the last touched child
             child = line[j]
-            if level or type(child) is not int or child >= 0:
+            if level or child >= 0:
                 if child:
                     _gather(mem, out, start, stop, child, level,
                             base + j * span)
@@ -437,8 +381,8 @@ def iter_nonzero(mem: MemorySystem, entry: Entry, level: int,
     spans, fan = mem.spans, mem.fanout
 
     def visit(entry: Entry, level: int, base: int) -> Iterator[Tuple[int, object]]:
-        if isinstance(entry, Inline):
-            for k, v in enumerate(entry.values):
+        if entry > WORD_MASK:  # is_pack, in line
+            for k, v in enumerate(pack_values(entry)):
                 pos = base + k
                 if v and start <= pos < limit:
                     yield pos, v
@@ -485,12 +429,12 @@ def _expand(mem: MemorySystem, entry: Entry, level: int,
     width = mem.fanout if level else mem.words_per_line
     if not entry:
         return [0] * width
-    if isinstance(entry, Inline):
-        vals = entry.values  # trailing zeros are implicit
+    if entry > WORD_MASK:  # is_pack, in line
+        vals = pack_values(entry)  # trailing zeros are implicit
         if not level:
             return list(vals) + [0] * (width - len(vals))
         span = entry_capacity(mem, level - 1)
-        return [_inline_for(vals[j * span:(j + 1) * span]) or 0
+        return [pack_for(vals[j * span:(j + 1) * span]) or 0
                 for j in range(width)]
     x = ~entry
     if x > PLID_MASK:
@@ -502,7 +446,7 @@ def _expand(mem: MemorySystem, entry: Entry, level: int,
     words = list(mem.read(x))
     if owned:
         for word in words:
-            if type(word) is int and word < 0:  # is_ref, in line
+            if word < 0:  # is_ref, in line
                 mem.incref(~word & PLID_MASK)
         mem.decref(x)
     return words
@@ -535,15 +479,16 @@ def new_version(mem: MemorySystem, root: Entry, height: int, length: int,
     """``(new_root, new_height)``: the segment ``(root, height)``, whose
     reference stays the caller's, grown to ``length`` words with
     ``updates`` (offset -> tagged word) stored; a caller reference on
-    ``new_root``. The rebuild of every commit. An int that is neither
-    data nor a live line's reference is refused (``ValueError``) before
-    any reference is taken: failing half-way would leak lines.
+    ``new_root``. The rebuild of every commit. A word that is not an int
+    in the data range, a canonical pack or a live line's reference is
+    refused (``ValueError``) before any reference is taken: failing
+    half-way would leak lines.
     """
     live = mem.store.is_allocated
     for word in updates.values():
-        if type(word) is int and not (0 <= word <= WORD_MASK or word < 0
-                                      and live(~word & PLID_MASK)):
-            raise ValueError("not a data word or a live line's reference")
+        if not (type(word) is int and 0 <= word <= WORD_MASK
+                or is_word(word) and (word > 0 or live(~word & PLID_MASK))):
+            raise ValueError("not a data word, pack or live reference")
     retain_entry(mem, root)
     needed = height_for(mem, max(1, length))
     if needed > height:
@@ -589,9 +534,9 @@ def _rebuild(mem: MemorySystem, entry: Entry, level: int, base: int,
             prefix = (lo - base) // spans[below]
             digits = _digits(prefix, fan, level - below)
             base += prefix * spans[below]
-        elif isinstance(entry, Inline):
+        elif entry > WORD_MASK:  # is_pack, in line
             below = bisect_right(
-                spans, max(hi - base, len(entry.values) - 1), 0, level)
+                spans, max(hi - base, len(pack_values(entry)) - 1), 0, level)
             digits = (0,) * (level - below)
         else:
             path = ref_path(entry)
@@ -629,7 +574,7 @@ def _rebuild(mem: MemorySystem, entry: Entry, level: int, base: int,
     else:
         words = _expand(mem, entry, 0)
         owned = {i for i, word in enumerate(words)
-                 if type(word) is int and word < 0}  # is_ref, in line
+                 if word < 0}  # is_ref, in line
         for offset, value in items:
             i = offset - base
             if i in owned:

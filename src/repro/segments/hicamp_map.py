@@ -7,7 +7,7 @@ other threads until the commit of the revised segment map takes place."
 
 Layout: VSID ``v`` occupies the two-word slot at ``8 + 2*v``::
 
-    +0  root entry word (a tagged reference — or Inline for tiny content)
+    +0  root entry word (a tagged reference — or a pack for tiny content)
     +1  meta word: [length:47][height:8][flags:7][present:1]
 
 The map segment itself is anchored by one entry in a conventional

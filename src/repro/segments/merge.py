@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.errors import MergeConflictError
-from repro.memory.line import is_ref, ref, ref_path, ref_plid
+from repro.memory.line import is_ref, pack_values, ref, ref_path, ref_plid
 from repro.memory.system import MemorySystem
 from repro.params import WORD_MASK
 from repro.segments import dag
@@ -50,20 +50,19 @@ def three_way_merge_word(base, mine, theirs):
     Data words merge by difference (``theirs + (mine - base)``) — always,
     even when both sides happen to hold the same value: two concurrent
     "+1"s must sum to "+2", so the diff rule takes precedence over value
-    coincidence. Tagged reference words must match the base or one side
+    coincidence. Reference and pack words must match the base or one side
     (identical stores coalesce; distinct stores are a true conflict).
     """
     if mine == base:
         return theirs
     if theirs == base:
         return mine
-    if (isinstance(base, int) and isinstance(mine, int)
-            and isinstance(theirs, int) and min(base, mine, theirs) >= 0):
+    if 0 <= min(base, mine, theirs) and max(base, mine, theirs) <= WORD_MASK:
         return (theirs + mine - base) & WORD_MASK
     if mine == theirs:
         return mine  # identical reference stores coalesce
     raise MergeConflictError(
-        "distinct references stored into the same field: %r / %r (base %r)"
+        "distinct tagged words stored into the same field: %r / %r (base %r)"
         % (mine, theirs, base)
     )
 
@@ -81,7 +80,8 @@ def _shared_run(mem: MemorySystem, entries: Tuple[Entry, ...],
         if is_ref(entry):
             spine = ref_path(entry)
         else:
-            spine = bytes(level - dag.height_for(mem, len(entry.values)))
+            spine = bytes(level - dag.height_for(mem,
+                                                 len(pack_values(entry))))
         if run is None:
             run = spine
         else:

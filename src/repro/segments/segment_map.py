@@ -29,7 +29,7 @@ from typing import Dict, List
 from repro.errors import BadVsidError, ReadOnlyError
 from repro.memory.system import MemorySystem
 from repro.segments import dag
-from repro.segments.dag import Entry, entry_key
+from repro.segments.dag import Entry
 
 
 class SegmentFlags(enum.IntFlag):
@@ -129,7 +129,7 @@ class SegmentMap:
             raise ReadOnlyError("CAS through read-only reference to VSID %d" % vsid)
         self.cas_attempts += 1
         if (entry.height != expected_height
-                or entry_key(entry.root) != entry_key(expected_root)):
+                or entry.root != expected_root):
             self.cas_failures += 1
             return False
         old_root = entry.root

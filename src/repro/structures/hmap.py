@@ -32,7 +32,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.machine import Machine
 from repro.errors import MergeConflictError
-from repro.memory.line import PLID_MASK
+from repro.memory.line import PLID_MASK, encode_word
 from repro.memory.memo import MISS
 from repro.params import WORD_MASK
 from repro.segments import dag
@@ -61,9 +61,10 @@ def key_index(root, height: int, byte_length: int) -> int:
     makes this exact. Compacted roots (tiny keys) fall back to the full
     canonical encoding, placed in a disjoint, higher index space.
     """
-    if type(root) is int and root < 0 and ~root <= PLID_MASK:  # no path
+    if root < 0 and ~root <= PLID_MASK:  # a reference with no path
         return ((~root << 8 | height) << 36) | byte_length
-    raw = dag.entry_key(root) + bytes((height,)) + byte_length.to_bytes(5, "big")
+    raw = ((encode_word(root) if root else b"Z") + bytes((height,))
+           + byte_length.to_bytes(5, "big"))
     return _WIDE_SPACE + int.from_bytes(raw, "big")
 
 

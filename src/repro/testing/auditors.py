@@ -218,8 +218,7 @@ def audit_segment_map(machine: Machine) -> List[str]:
         except Exception as exc:  # any read failure is a finding
             failures.append("segmap: VSID %d unreadable: %s" % (vsid, exc))
             continue
-        canonical = (height == entry.height and
-                     dag.entry_key(rebuilt) == dag.entry_key(root))
+        canonical = height == entry.height and rebuilt == root
         dag.release_entry(mem, rebuilt)
         if not canonical:
             failures.append(

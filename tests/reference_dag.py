@@ -17,9 +17,10 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import MergeConflictError, SegmentRangeError
-from repro.memory.line import Inline, Line, is_ref, ref, ref_path, ref_plid
+from repro.memory.line import (
+    Line, is_pack, is_ref, pack, pack_values, ref, ref_path, ref_plid)
 from repro.memory.system import MemorySystem
-from repro.segments.dag import Entry, entry_key, release_entry, retain_entry
+from repro.segments.dag import Entry, release_entry, retain_entry
 from repro.segments.merge import MergeStats, three_way_merge_word
 
 _INLINE_WIDTHS = (1, 2, 4, 8)
@@ -45,8 +46,8 @@ def _trim(words: Sequence) -> Tuple:
     return tuple(words[:n])
 
 
-def _inline_for(words: Sequence) -> Optional[Inline]:
-    """Try to pack a subtree's words into one Inline entry (Figure 4b).
+def _inline_for(words: Sequence) -> Optional[int]:
+    """Try to pack a subtree's words into one pack entry (Figure 4b).
 
     Qualifies when the trimmed words are all plain data and fit a common
     width ``w`` with ``len * w <= 8`` bytes. Returns None when the subtree
@@ -55,14 +56,14 @@ def _inline_for(words: Sequence) -> Optional[Inline]:
     vals = _trim(words)
     if not vals:
         return None
-    if any(not isinstance(v, int) or is_ref(v) for v in vals):
+    if any(is_ref(v) for v in vals):
         return None
     biggest = max(vals)
     for width in _INLINE_WIDTHS:
         if len(vals) * width > 8:
             break
         if biggest < (1 << (8 * width)):
-            return Inline(width=width, values=vals, span=len(vals))
+            return pack(width, vals, len(vals))
     return None
 
 
@@ -93,13 +94,13 @@ def _canonical_interior(mem: MemorySystem, children: List[Entry], level: int) ->
     nonzero = [(i, c) for i, c in enumerate(children) if c != 0]
     if not nonzero:
         return 0
-    # Data compaction: all children already packed (0/Inline) and the
+    # Data compaction: all children already packed (0/a pack) and the
     # combined trimmed words still fit one entry slot.
     if mem.config.data_compaction and all(
-            isinstance(c, Inline) for _, c in nonzero):
+            is_pack(c) for _, c in nonzero):
         child_span = entry_capacity(mem, level - 1)
         last_idx, last_child = nonzero[-1]
-        combined_len = last_idx * child_span + len(last_child.values)
+        combined_len = last_idx * child_span + len(pack_values(last_child))
         if combined_len <= 8:  # cheap pre-filter before expanding
             # Children past the last non-zero one contribute nothing, and
             # the pre-filter guarantees the expanded prefix stays tiny.
@@ -108,9 +109,9 @@ def _canonical_interior(mem: MemorySystem, children: List[Entry], level: int) ->
                 if c == 0:
                     combined.extend([0] * child_span)
                 else:
-                    vals = list(c.values)
+                    vals = list(pack_values(c))
                     combined.extend(vals + [0] * (child_span - len(vals)))
-            combined.extend(last_child.values)  # no trailing padding needed
+            combined.extend(pack_values(last_child))  # no trailing padding
             inline = _inline_for(combined)
             if inline is not None:
                 return inline
@@ -179,8 +180,9 @@ def read_word(mem: MemorySystem, entry: Entry, level: int, index: int):
     while True:
         if entry == 0:
             return 0
-        if isinstance(entry, Inline):
-            return entry.values[index] if index < len(entry.values) else 0
+        if is_pack(entry):
+            values = pack_values(entry)
+            return values[index] if index < len(values) else 0
         # a reference: follow the compacted path, then the line.
         for p in ref_path(entry):
             child_span = entry_capacity(mem, level - 1)
@@ -218,8 +220,8 @@ def gather_words(mem: MemorySystem, entry: Entry, level: int,
         lo, hi = max(start, base), min(start + count, base + span)
         if lo >= hi:
             return
-        if isinstance(entry, Inline):
-            for k, v in enumerate(entry.values):
+        if is_pack(entry):
+            for k, v in enumerate(pack_values(entry)):
                 pos = base + k
                 if start <= pos < start + count and v:
                     out[pos - start] = v
@@ -264,8 +266,8 @@ def iter_nonzero(mem: MemorySystem, entry: Entry, level: int,
         span = entry_capacity(mem, level)
         if base + span <= start or base >= limit:
             return
-        if isinstance(entry, Inline):
-            for k, v in enumerate(entry.values):
+        if is_pack(entry):
+            for k, v in enumerate(pack_values(entry)):
                 pos = base + k
                 if v and start <= pos < limit:
                     yield pos, v
@@ -308,9 +310,9 @@ def _expand_children(mem: MemorySystem, entry: Entry, level: int) -> List[Entry]
     fan = mem.fanout
     if entry == 0:
         return [0] * fan
-    if isinstance(entry, Inline):
+    if is_pack(entry):
         child_span = entry_capacity(mem, level - 1)
-        vals = list(entry.values)  # trailing zeros are implicit
+        vals = list(pack_values(entry))  # trailing zeros are implicit
         children = []
         for j in range(fan):
             lo = j * child_span
@@ -345,8 +347,9 @@ def _expand_leaf(mem: MemorySystem, entry: Entry) -> List:
     w = mem.words_per_line
     if entry == 0:
         return [0] * w
-    if isinstance(entry, Inline):
-        return list(entry.values) + [0] * (w - len(entry.values))
+    if is_pack(entry):
+        values = list(pack_values(entry))
+        return values + [0] * (w - len(values))
     line = mem.read(ref_plid(entry))
     words = list(line)
     for word in words:
@@ -418,8 +421,9 @@ def _leaf_view(mem: MemorySystem, entry: Entry) -> List:
     w = mem.words_per_line
     if entry == 0:
         return [0] * w
-    if isinstance(entry, Inline):
-        return list(entry.values) + [0] * (w - len(entry.values))
+    if is_pack(entry):
+        values = list(pack_values(entry))
+        return values + [0] * (w - len(values))
     return list(mem.read(ref_plid(entry)))
 
 
@@ -428,9 +432,9 @@ def _children_view(mem: MemorySystem, entry: Entry, level: int) -> List[Entry]:
     fan = mem.fanout
     if entry == 0:
         return [0] * fan
-    if isinstance(entry, Inline):
+    if is_pack(entry):
         child_span = entry_capacity(mem, level - 1)
-        vals = list(entry.values)  # trailing zeros are implicit
+        vals = list(pack_values(entry))  # trailing zeros are implicit
         out: List[Entry] = []
         for j in range(fan):
             lo = j * child_span
@@ -455,17 +459,16 @@ def merge_entries(mem: MemorySystem, base: Entry, mine: Entry, theirs: Entry,
     """
     if stats is None:
         stats = MergeStats()
-    k_base, k_mine, k_theirs = entry_key(base), entry_key(mine), entry_key(theirs)
     # Uniqueness of segments lets unchanged sub-DAGs be skipped by a
     # single root compare (section 3.4). Note the sound skips are the
     # one-side-unchanged cases; two sides that made the *same-looking*
     # change must still merge word-by-word, or two identical counter
     # increments would collapse into one. (For the same reason there is
     # deliberately no ``mine == theirs`` short-circuit here.)
-    if k_mine == k_base:
+    if mine == base:
         stats.subtrees_skipped += 1
         return retain_entry(mem, theirs)
-    if k_theirs == k_base:
+    if theirs == base:
         stats.subtrees_skipped += 1
         return retain_entry(mem, mine)
     if level == 0:

@@ -9,7 +9,7 @@ ShardedHMap ``put_many``, and the router's group commit.
 import asyncio
 
 from repro import Machine
-from repro.memory.line import Inline, is_ref, ref_path
+from repro.memory.line import is_ref, ref_path
 from repro.net.framing import FrameDecoder
 from repro.net.router import ConnectionState, ShardRouter
 from repro.segments import dag
@@ -29,7 +29,7 @@ class TestWriteWordsBulkEdges:
         for index, value in updates.items():
             words[index] = value
         fresh = dag.build_entry(mem, words, height)
-        assert dag.entry_key(root) == dag.entry_key(fresh)
+        assert root == fresh
         dag.release_entry(mem, root)
         dag.release_entry(mem, fresh)
 
@@ -50,7 +50,7 @@ class TestWriteWordsBulkEdges:
         again = dag.write_words_bulk(mem, dense, height,
                                      {i: 0 for i in fill})
         expect = dag.write_words_bulk(mem, 0, height, {0: 7})
-        assert dag.entry_key(again) == dag.entry_key(expect)
+        assert again == expect
         dag.release_entry(mem, again)
         dag.release_entry(mem, expect)
 
@@ -69,7 +69,7 @@ class TestWriteWordsBulkEdges:
         trimmed = dag.write_words_bulk(mem, root, height,
                                        {cap - 1: 0, cap - 2: 0})
         expect = dag.write_words_bulk(mem, 0, height, {0: 1, 1: 2, 2: 3})
-        assert dag.entry_key(trimmed) == dag.entry_key(expect)
+        assert trimmed == expect
         dag.release_entry(mem, trimmed)
         dag.release_entry(mem, expect)
 

@@ -20,7 +20,7 @@ import pytest
 from repro.errors import BadPlidError
 from repro.memory.cache import HicampCache
 from repro.memory.dedup_store import DedupStore
-from repro.memory.line import ref
+from repro.memory.line import pack_for, ref
 from repro.params import CacheGeometry, MemoryConfig
 from tests import reference_cache
 from tests.dedup_model import SPILLED
@@ -83,8 +83,9 @@ class Twins:
         words[0] = self.rng.randrange(1, 28)
         words[-1] = self.rng.choice((0, 0, 7))
         if self.rng.random() < 0.1:
-            # encodes like its 64-bit residue, compares unequal to it
-            words[0] += 1 << 64
+            # a pack, or an int above the data range that encodes like it
+            # (a value bit past its count) and compares unequal to it
+            words[0] = pack_for((words[0],)) | self.rng.choice((0, 1 << 40))
         return tuple(words)
 
     def interior(self):

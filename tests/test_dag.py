@@ -4,9 +4,12 @@ import gc
 
 import pytest
 
+from repro import Machine
 from repro.errors import SegmentRangeError
-from repro.memory.line import Inline, is_ref, ref_path
+from repro.memory.line import (
+    encode_line, encode_word, is_pack, is_ref, pack_fields, pack_for, ref_path)
 from repro.segments import dag
+from repro.structures import HMap
 
 
 def build(mem, words):
@@ -52,13 +55,13 @@ class TestContentUniqueness:
     def test_same_content_same_root(self, mem):
         r1, h1 = build(mem, [5, 6, 7, 8, 9])
         r2, h2 = build(mem, [5, 6, 7, 8, 9])
-        assert dag.entry_key(r1) == dag.entry_key(r2)
+        assert r1 == r2
         assert h1 == h2
 
     def test_different_content_different_root(self, mem):
         r1, _ = build(mem, [5, 6, 7, 8, 9])
         r2, _ = build(mem, [5, 6, 7, 8, 10])
-        assert dag.entry_key(r1) != dag.entry_key(r2)
+        assert r1 != r2
 
     def test_incremental_matches_bulk(self, mem):
         words = [0, 7, 0, 0, 255, 1 << 40, 0, 3, 0, 0, 0, 9]
@@ -67,7 +70,7 @@ class TestContentUniqueness:
         for i, w in enumerate(words):
             if w:
                 root = dag.write_words_bulk(mem, root, height, {i: w})
-        assert dag.entry_key(root) == dag.entry_key(bulk)
+        assert root == bulk
 
     def test_write_then_erase_restores_root(self, mem):
         words = [1, 2, 3, 4, 5, 6, 7]
@@ -75,7 +78,7 @@ class TestContentUniqueness:
         r2 = dag.write_words_bulk(mem, dag.retain_entry(mem, r1) and r1, h, {3: 99})
         # note: retain above keeps r1 alive through the functional update
         r3 = dag.write_words_bulk(mem, r2, h, {3: 4})
-        assert dag.entry_key(r3) == dag.entry_key(r1)
+        assert r3 == r1
 
 
 class TestSharing:
@@ -115,13 +118,13 @@ class TestPathCompaction:
 class TestDataCompaction:
     def test_small_ints_inline(self, mem):
         root, height = build(mem, [1, 2, 3, 4])
-        assert isinstance(root, Inline)
+        assert is_pack(root)
         assert mem.footprint_lines() == 0  # fully inlined, no lines at all
 
     def test_two_32bit_values_pack(self, mem):
         root, _ = build(mem, [0xAAAA_BBBB, 0xCCCC_DDDD])
-        assert isinstance(root, Inline)
-        assert root.width == 4
+        assert is_pack(root)
+        assert pack_fields(root)[0] == 4
 
     def test_wide_values_do_not_inline(self, mem):
         root, _ = build(mem, [1 << 40, 1 << 40])
@@ -131,6 +134,57 @@ class TestDataCompaction:
         words = [9, 8, 7, 6, 5, 0, 0, 1]
         root, height = build(mem, words)
         assert dag.gather_words(mem, root, height, 0, 8) == words
+
+
+class TestPackedContentPins:
+    """Bytes and PLIDs recorded when a pack was a tagged object: a pack
+    that became an int hashes, places and fingerprints as it did."""
+
+    def test_a_packed_segment_root(self):
+        machine = Machine()
+        root = machine.segmap.entry(machine.create_segment([1, 2, 3])).root
+        assert root == pack_for((1, 2, 3))
+        assert encode_word(root).hex() == (
+            "49010303" "0000000000000001" "0000000000000002"
+            "0000000000000003")
+
+    def test_a_pack_inside_an_interior_line(self):
+        machine = Machine()
+        vsid = machine.create_segment([1 << 63, (1 << 63) + 1, 5, 0])
+        lines = dict(dag.walk_lines(machine.mem.store,
+                                    machine.segmap.entry(vsid).root))
+        assert {plid: encode_line(line).hex()
+                for plid, line in lines.items()} == {
+            120083: "44" "8000000000000000" "44" "8000000000000001",
+            89847: "50" "000000000001d513"  # the leaf line, 120083
+                   "49010101" "0000000000000005"
+                   "44" "0000000000000000" "44" "0000000000000000",
+        }
+        assert dag.segment_fingerprint(machine, vsid).hex() == \
+            "377a9926a01da35374da882a536030db"
+
+    def test_packs_in_map_leaf_slots(self):
+        machine = Machine()
+        kvp = HMap.create(machine)
+        kvp.put(b"k", b"v")
+        kvp.put(b"key-2", b"\x01\x02\x03\x04")
+        packed = {plid: encode_line(line).hex()
+                  for plid, line in dag.walk_lines(
+                      machine.mem.store, machine.segmap.entry(kvp.vsid).root)
+                  if any(is_pack(w) for w in line)}
+        assert packed == {
+            # a key's packed root beside its slot's meta word
+            125231: "490801016b00000000000000440000000100000003",
+            119616: "490801017600000000000000440000000100000003",
+            109736: "490801016b65792d3200000044000000010000000b",
+            84071: "490801010102030400000000440000000100000009",
+            # the count word's pack beside the slot spine
+            81313: "490101010000000000000002" "440000000000000000"
+                   "5000000000000198ce0100020001000000000100000000020301"
+                   "0102" "440000000000000000",
+        }
+        assert dag.segment_fingerprint(machine, kvp.vsid).hex() == \
+            "580587d5629150c9dc2133a038816ba3"
 
 
 class TestGrow:
@@ -146,7 +200,7 @@ class TestGrow:
         r1, h = build(mem, words)
         grown = dag.grow_entry(mem, r1, h, h + 2)
         r2 = dag.build_entry(mem, words, h + 2)
-        assert dag.entry_key(grown) == dag.entry_key(r2)
+        assert grown == r2
 
 
 class TestIterNonzero:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro import Machine, MachineConfig, MemoryConfig
 from repro.errors import MergeConflictError, SegmentRangeError
-from repro.memory.line import Inline, is_ref, ref_path
+from repro.memory.line import is_pack, is_ref, pack_values, ref_path
 from repro.params import CacheGeometry
 from repro.segments import dag, merge
 from repro.segments.merge import MergeStats
@@ -123,7 +123,7 @@ class Twins:
             root, height = self._updated(machine, impl, entry.root,
                                          entry.height, length, updates)
             machine.segmap.set_root(self.vsid, root, height, length)
-            return dag.entry_key(root), height
+            return root, height
         self._both(step)
         self.check()
 
@@ -151,7 +151,7 @@ class Twins:
                 for fork_root, _ in forks:
                     dag.release_entry(mem, fork_root)
             machine.segmap.set_root(self.vsid, root, height, length)
-            return dag.entry_key(root), height, dataclasses.asdict(stats)
+            return root, height, dataclasses.asdict(stats)
         outcome = self._both(step)
         self.check()
         return outcome
@@ -366,16 +366,16 @@ def test_parting_from_a_compacted_path_at_every_depth(line_bytes):
     lone_words = {anchor: 1 << 63, anchor + 1: 1 << 62}  # does not pack
     twins.write(lone_words)
     lone = twins.new.segmap.entry(twins.vsid)
-    assert is_ref(lone.root)
+    lone_root = lone.root
+    assert is_ref(lone_root)
     assert len(ref_path(lone.root)) == lone.height
-    lone_key = dag.entry_key(lone.root)
     for level in range(lone.height):
         other = anchor ^ dag.entry_capacity(mem, level)
         twins.write({other: 3 << 62})
         assert twins.words() == {**lone_words, other: 3 << 62}
         twins.write({other: 0})
         entry = twins.new.segmap.entry(twins.vsid)
-        assert dag.entry_key(entry.root) == lone_key
+        assert entry.root == lone_root
     twins.release()
 
 
@@ -383,13 +383,13 @@ def test_parting_from_a_compacted_path_at_every_depth(line_bytes):
 def test_inline_to_line_and_back(line_bytes):
     twins = Twins(line_bytes)
     twins.write({0: 1, 1: 2, 2: 3})
-    assert isinstance(twins.new.segmap.entry(twins.vsid).root, Inline)
+    assert is_pack(twins.new.segmap.entry(twins.vsid).root)
     twins.write({WIDE: 9})                  # packed spine under a huge root
     twins.write({1: 1 << 40})               # no longer packs
     assert is_ref(twins.new.segmap.entry(twins.vsid).root)
     twins.write({1: 2, WIDE: 0})            # packs again
     root = twins.new.segmap.entry(twins.vsid).root
-    assert isinstance(root, Inline) and root.values == (1, 2, 3)
+    assert is_pack(root) and pack_values(root) == (1, 2, 3)
     twins.write({7: 200, 2: 0})
     twins.write({0: 0, 1: 0, 7: 0})
     assert twins.new.segmap.entry(twins.vsid).root == 0
@@ -431,7 +431,7 @@ def test_build_and_grow_match_oracle(line_bytes):
                 built = impl.build_entry(mem, words, level)
                 grown = impl.grow_entry(mem, built, level, level + 3)
                 machine.segmap.create(grown, level + 3, len(words))
-                return dag.entry_key(grown)
+                return grown
             twins._both(step)
             twins.check()
     twins.release()

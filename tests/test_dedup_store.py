@@ -13,7 +13,7 @@ from repro.errors import BadPlidError, MemoryExhaustedError
 from repro.memory import cache as cache_module
 from repro.memory.cache import HicampCache
 from repro.memory.dedup_store import DedupStore
-from repro.memory.line import Inline, ZERO_PLID, make_leaf, ref
+from repro.memory.line import ZERO_PLID, make_leaf, ref
 from repro.params import MemoryConfig
 
 
@@ -326,9 +326,11 @@ class TestHostFootprint:
         # (4 000 more when it held a set per root)
         assert machine.mem.memo.sizes()["segment"] >= 2000
         assert sum(type(o) is set for o in after) - sets_before < 20
-        # a line of references, data and zeros is untracked once the
-        # collector has seen it; only one holding an Inline pack (a slots
-        # object) stays tracked
+        # every word is an int, so every line tuple is untracked once the
+        # collector has seen it, and so are the two per-line dicts that
+        # hold them (2 001 tracked lines kept both tracked while a pack
+        # was an object: one per key, and the map's count line)
         assert [line for line in store._lines.values()
-                if gc.is_tracked(line)
-                and not any(isinstance(w, Inline) for w in line)] == []
+                if gc.is_tracked(line)] == []
+        assert not gc.is_tracked(store._lines)
+        assert not gc.is_tracked(store._plid_by_line)

@@ -19,6 +19,7 @@ from repro.errors import (
     MergeConflictError,
     ReadOnlyError,
 )
+from repro.memory.line import pack, pack_for
 from repro.params import CacheGeometry, ConventionalConfig
 from repro.segments.anon import AnonSegment
 from repro.structures import HArray, HString
@@ -50,7 +51,11 @@ class TestDataWordRange:
             AnonSegment.from_words(machine.mem, words)
         assert machine.read_segment(vsid) == [1]
 
-    @pytest.mark.parametrize("word", [1 << 64, -12345])
+    @pytest.mark.parametrize("word", [
+        1 << 64, -12345,
+        pytest.param(pack(2, (1, 2), 2), id="pack-too-wide"),
+        pytest.param(pack_for((1, 2)) | 1 << 40, id="pack-stray-bits"),
+        pytest.param(1.5, id="float")])
     def test_write_words_refuses_what_is_neither_data_nor_a_reference(
             self, machine, word):
         # a negative int is a reference word: one naming no live line is
@@ -61,7 +66,11 @@ class TestDataWordRange:
         assert machine.read_segment(vsid) == [1, 2]
         assert audit_machine(machine, strict=True).ok
 
-    @pytest.mark.parametrize("word", [1 << 64, -12345])
+    @pytest.mark.parametrize("word", [
+        1 << 64, -12345,
+        pytest.param(pack(1, (1, 2), 4), id="pack-span"),
+        pytest.param(pack_for((1, 2)) | 1 << 40, id="pack-stray-bits"),
+        pytest.param(1.5, id="float")])
     def test_a_register_commit_refuses_it_too(self, machine, word):
         # the register's stores reach the same rebuild: a bad one is
         # refused before the commit takes a reference (it once raised
@@ -77,6 +86,23 @@ class TestDataWordRange:
             machine.release_iterator(it)
         assert machine.footprint_lines() == lines
         assert machine.read_segment(vsid) == [1, 2, 3]
+        assert audit_machine(machine, strict=True).ok
+
+    def test_a_word_that_is_no_int_is_refused_before_the_rebuild(
+            self, machine):
+        # a float passed the range test and failed in the line encoder
+        # half-way through the rebuild, leaking the lines it had taken
+        vsid = machine.create_segment([(1 << 40) + i for i in range(64)])
+        with pytest.raises(ValueError, match="not a data word"):
+            machine.write_words(vsid, {37: 1.5})
+        assert audit_machine(machine, strict=True).ok
+
+    def test_a_canonical_pack_is_a_word_a_segment_holds(self, machine):
+        # a map slot holds a tiny value's packed root the same way
+        word = pack_for((1, 2))
+        vsid = machine.create_segment([1, 2])
+        machine.write_word(vsid, 1, word)
+        assert machine.read_segment(vsid) == [1, word]
         assert audit_machine(machine, strict=True).ok
 
 

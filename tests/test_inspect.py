@@ -57,7 +57,7 @@ class TestReport:
         assert report.total_lines <= 2
 
     def test_single_small_value_is_pure_inline(self, machine):
-        # a lone small word propagates as an Inline entry all the way up:
+        # a lone small word propagates as a pack entry all the way up:
         # even path compaction is unnecessary
         vsid = machine.create_segment([])
         machine.write_word(vsid, 1 << 30, 7)

@@ -5,13 +5,18 @@ import random
 import pytest
 
 from repro.memory.line import (
-    Inline,
     encode_line,
     encode_word,
+    is_pack,
     is_ref,
+    is_word,
     is_zero_line,
     line_child_plids,
     make_leaf,
+    pack,
+    pack_fields,
+    pack_for,
+    pack_values,
     pack_words,
     ref,
     ref_path,
@@ -32,7 +37,7 @@ class TestZeroLine:
         assert not is_zero_line((ref(3), 0))
         # a reference to the zero line and an empty pack are not zero words
         assert not is_zero_line((ref(0), 0))
-        assert not is_zero_line((Inline(width=1, values=(), span=1), 0))
+        assert not is_zero_line((pack(1, (), 1), 0))
         assert is_zero_line((0,) * 4) and is_zero_line((False, 0))
 
 
@@ -63,7 +68,7 @@ class TestReferenceWord:
         for word in (ref(0), ref(7), ref(0, (0,)), ref((1 << 40) - 1)):
             assert is_ref(word) and word and not 0 <= word < 1 << 64
         assert not any(is_ref(w) for w in (0, 7, (1 << 64) - 1, True))
-        assert not is_ref(Inline(width=1, values=(1,), span=1))
+        assert not is_ref(pack(1, (1,), 1))
 
     def test_fields_roundtrip(self):
         for plid in (0, 1, 12345, (1 << 40) - 1):
@@ -83,18 +88,64 @@ class TestReferenceWord:
             ref(1, (256,))
 
 
-class TestInline:
+class TestPack:
     def test_width_bounds(self):
-        with pytest.raises(ValueError):
-            Inline(width=3, values=(1,), span=1)
+        for width in (0, 3, 257, -1):
+            with pytest.raises(ValueError):
+                pack(width, (1,), 1)
 
     def test_overflow_pack_rejected(self):
         with pytest.raises(ValueError):
-            Inline(width=4, values=(1, 2, 3), span=3)  # 12 bytes > 8
+            pack(4, (1, 2, 3), 3)  # 12 bytes > 8
+        with pytest.raises(ValueError):
+            pack(1, (1,), 256)  # the span is one byte
 
     def test_value_range_checked(self):
-        with pytest.raises(ValueError):
-            Inline(width=1, values=(256,), span=1)
+        for values in ((256,), (-1,), (1.5,)):
+            with pytest.raises(ValueError):
+                pack(1, values, 1)
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 8])
+    def test_every_shape_roundtrips(self, width):
+        rng = random.Random(width)
+        for count in range(8 // width + 1):
+            for span in (count, 8, 0xFF):
+                values = tuple(rng.getrandbits(8 * width)
+                               for _ in range(count))
+                word = pack(width, values, span)
+                # the third range: above every data word, never a reference
+                assert is_pack(word) and not is_ref(word)
+                assert pack_values(word) == values
+                assert pack_fields(word) == (width, values, span)
+                # canonical only as data compaction builds it
+                assert is_word(word) == (word == pack_for(values))
+
+    def test_pack_for_takes_the_narrowest_width(self):
+        assert pack_for((1, 2, 3)) == pack(1, (1, 2, 3), 3)
+        assert pack_for((1, 256)) == pack(2, (1, 256), 2)
+        assert pack_for((7, 1 << 16)) == pack(4, (7, 1 << 16), 2)
+        assert pack_for((1 << 32,)) == pack(8, (1 << 32,), 1)
+        assert pack_for(tuple(range(1, 9))) == pack(1, tuple(range(1, 9)), 8)
+        # too wide for the count, too many, none, a reference, a pack
+        for values in ((1, 1 << 32), (1,) * 9, (), (ref(3),),
+                       (pack_for((1,)),)):
+            assert pack_for(values) is None
+
+    def test_is_word_refuses_what_no_constructor_returns(self):
+        word = pack_for((1, 2))
+        for bad in (word | 1 << 40,          # a value past count * width
+                    3 << 64,                 # width 3
+                    (9 << 8 | 1) << 64,      # 9 values of one byte
+                    word | 1 << 88,          # a span past one byte
+                    pack(2, (1, 2), 2),      # not the narrowest width
+                    pack(1, (1, 2), 4),      # a span other than the count
+                    pack(1, (1, 0), 2),      # a trailing zero
+                    pack(1, (), 0),          # nothing packed
+                    ~((1 << 16 | 0) << 40),  # path digits without a length
+                    1.0, True, None, "7"):
+            assert not is_word(bad), bad
+        for good in (0, 7, (1 << 64) - 1, ref(0), ref(9, (0, 3)), word):
+            assert is_word(good), good
 
 
 class TestChildPlids:
@@ -116,9 +167,21 @@ class TestEncoding:
         assert encode_word(ref(7)) != encode_word(ref(7, (0,)))
 
     def test_inline_identity_includes_width(self):
-        a = Inline(width=1, values=(1,), span=1)
-        b = Inline(width=2, values=(1,), span=1)
-        assert encode_word(a) != encode_word(b)
+        assert encode_word(pack(1, (1,), 1)) != encode_word(pack(2, (1,), 1))
+
+    @pytest.mark.parametrize("args, encoded", [
+        ((1, (1, 2, 3), 3), "490103030000000000000001"
+                            "00000000000000020000000000000003"),
+        ((2, (1, 258), 2), "4902020200000000000000010000000000000102"),
+        ((4, (7, 0xDEADBEEF), 2), "49040202000000000000000700000000deadbeef"),
+        ((8, (0xFEDCBA9876543210,), 1), "49080101fedcba9876543210"),
+        ((2, (1, 2), 4), "4902040200000000000000010000000000000002"),
+        ((1, (5,), 8), "490108010000000000000005"),
+    ], ids=["w1", "w2", "w4", "w8", "trimmed", "trimmed-w1"])
+    def test_pack_bytes_are_the_tagged_encoding(self, args, encoded):
+        # the bytes a pack hashed to when it was a tagged object: ``I``,
+        # width, span, count, one u64 per value — so no PLID moves
+        assert encode_word(pack(*args)).hex() == encoded
 
     def test_line_encoding_concatenates(self):
         line = (1, ref(2))
@@ -131,12 +194,13 @@ class TestEncoding:
         0, 7, (1 << 64) - 1, -1, -(1 << 70), 1 << 64, (1 << 64) + 5,
         True, False, pytest.param(ref(0), id="word9"),
         pytest.param(ref(7, (1, 0, 3)), id="word10"),
-        Inline(width=2, values=(1, 2), span=4),
+        pytest.param(pack(2, (1, 2), 4), id="word11"),
     ])
     def test_line_fast_path_equals_per_word_encoding(self, word):
-        # encode_line packs data words in place; every word kind — and
-        # every int the mask folds, and negative ints, which are
-        # references — must still equal the per-word form
+        # encode_line packs data words in place; every word kind —
+        # negative ints, which are references, and ints from 2**64 up,
+        # which are packs (an empty one, and one whose value bits no
+        # count covers) — must still equal the per-word form
         for line in ((word, 9), (9, word), (word,) * 4):
             assert encode_line(line) == b"".join(
                 encode_word(w) for w in line)
@@ -151,7 +215,7 @@ class TestEncoding:
             lambda: rng.getrandbits(64), lambda: 0,
             lambda: ref(rng.getrandbits(32)),
             lambda: ref(rng.getrandbits(32), (rng.randrange(4), 1)),
-            lambda: Inline(width=2, values=(rng.getrandbits(16),), span=3),
+            lambda: pack(2, (rng.getrandbits(16),), 3),
             lambda: True, lambda: -1, lambda: 1 << 64,
         ]
         for _ in range(400):

@@ -154,13 +154,13 @@ class TestPayloadRead:
     #: 16-byte lines (2-word leaves, fan-out 4); every value is read
     #: both ways
     PAYLOADS = [
-        b"abc", b"abc\0",                      # Inline roots: walked
+        b"abc", b"abc\0",                      # packed roots: walked
         b"abc" * 10, b"abc" * 10 + b"\0",      # one root, two payloads
         b"abc" * 10 + b"\0\0",
         bytes(16) + b"\xff" * 16,              # root with a path ...
         b"\xff" * 16 + bytes(16),              # ... its mirror: only the
         b"\xff" * 16,                          # path differs; this one's PLID
-        b"\x01\x02", b"", bytes(24),           # Inline, empty, zero root
+        b"\x01\x02", b"", bytes(24),           # packed, empty, zero root
         b"payload-" * 40,
     ]
 
@@ -282,7 +282,7 @@ class TestKeyAddressedRead:
     """A get or membership test of a key the segment memo knows computes
     the slot from the memo's root: no key segment, no reference."""
 
-    #: tiny keys (Inline roots), keys whose root carries a path, one-line
+    #: tiny keys (packed roots), keys whose root carries a path, one-line
     #: and many-line keys: every kind of root a slot index is taken from
     KEYS = [b"k", b"key-%d" % 7, bytes(16) + b"\xff" * 16,
             b"\xff" * 16 + bytes(16), b"Q" * 16, b"long-key-" * 12] \

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import MergeConflictError
-from repro.memory.line import ref
+from repro.memory.line import is_pack, pack_for, ref
 from repro.segments import dag
 from repro.segments.merge import (
     MergeStats,
@@ -45,6 +45,18 @@ class TestWordRule:
     def test_mixed_tag_conflict_raises(self):
         with pytest.raises(MergeConflictError):
             three_way_merge_word(0, ref(1), 7)
+
+    def test_distinct_pack_stores_conflict(self):
+        # a pack is a non-negative int above the data range: it matches
+        # the base or one side, or the merge fails — never a difference
+        a, b, c = pack_for((1,)), pack_for((2,)), pack_for((1, 2))
+        for base in (0, 7, c):
+            with pytest.raises(MergeConflictError):
+                three_way_merge_word(base, a, b)
+        with pytest.raises(MergeConflictError):
+            three_way_merge_word(0, a, 7)
+        assert three_way_merge_word(0, a, a) == a
+        assert three_way_merge_word(c, a, c) == a
 
 
 def merged_words(mem, base, mine, theirs):
@@ -105,6 +117,23 @@ class TestSegmentMerge:
         with pytest.raises(MergeConflictError):
             root, _ = merge_roots(mem, (b, bh), (m, bh), (t, bh))
         for e in (b, m, t, value_a, value_b):
+            dag.release_entry(mem, e)
+        mem.store.check_refcounts()
+
+    def test_distinct_packed_roots_in_one_field_conflict(self, mem):
+        # two tiny values, stored into one slot the way a map stores a
+        # value root: both roots are packs, so the stores conflict
+        value_a, _ = dag.build_segment(mem, [1, 2])
+        value_b, _ = dag.build_segment(mem, [3])
+        assert is_pack(value_a) and is_pack(value_b)
+        b, bh = dag.build_segment(mem, [0] * (mem.words_per_line * 2))
+        m = dag.write_words_bulk(mem, dag.retain_entry(mem, b), bh,
+                                 {1: value_a})
+        t = dag.write_words_bulk(mem, dag.retain_entry(mem, b), bh,
+                                 {1: value_b})
+        with pytest.raises(MergeConflictError):
+            merge_roots(mem, (b, bh), (m, bh), (t, bh))
+        for e in (b, m, t):
             dag.release_entry(mem, e)
         mem.store.check_refcounts()
 

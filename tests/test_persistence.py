@@ -8,12 +8,14 @@ import os
 import pytest
 
 from repro.core.persistence import (
+    FORMAT_VERSION,
     load_machine,
     machine_image,
     restore_machine,
     save_machine,
 )
 from repro.errors import PersistenceError
+from repro.memory.line import pack, pack_for
 from repro.structures import HMap
 from repro.testing.auditors import audit_machine
 from tests.conftest import small_config
@@ -106,7 +108,7 @@ class TestRoundtrip:
 
     def test_malformed_image_rejected(self):
         with pytest.raises(PersistenceError, match="malformed"):
-            restore_machine({"format": 3, "config": {}})
+            restore_machine({"format": FORMAT_VERSION, "config": {}})
 
     def test_version_1_image_refused(self, populated):
         image = machine_image(populated[0])
@@ -123,12 +125,49 @@ class TestRoundtrip:
                            match="unsupported image format 2"):
             restore_machine(image)
 
+    def test_version_3_image_refused(self, populated):
+        # version 3 tagged references and packs as JSON objects
+        image = machine_image(populated[0])
+        image["format"] = 3
+        with pytest.raises(PersistenceError,
+                           match="unsupported image format 3"):
+            restore_machine(image)
+
+    def test_a_word_is_its_int(self, populated):
+        machine, a, *_ = populated
+        image = machine_image(machine)
+        words = [w for line in image["lines"].values() for w in line]
+        assert FORMAT_VERSION == 4 and {type(w) for w in words} == {int}
+        # the tiny segment's root is a pack, stored as the int itself
+        assert image["segmap"][str(a)]["root"] == pack_for((1, 2, 3))
+        assert json.loads(json.dumps(image)) == image
+
+    @pytest.mark.parametrize("bad", [
+        pack_for((1, 2)) | 1 << 40,    # a value past count * width
+        pack(2, (1, 2), 2),            # not the narrowest width
+        3 << 64,                       # width 3
+        ~((1 << 16) << 40),            # path digits without a length
+        {"t": "P", "p": 7, "q": []},   # a version-3 tagged word
+        True,
+    ])
+    def test_a_word_no_machine_holds_is_refused(self, populated, bad):
+        machine, a, *_ = populated
+        image = machine_image(machine)
+        plid = next(iter(image["lines"]))
+        image["lines"][plid][0] = bad
+        with pytest.raises(PersistenceError, match="not a data word"):
+            restore_machine(image)
+        image = machine_image(machine)
+        image["segmap"][str(a)]["root"] = bad
+        with pytest.raises(PersistenceError, match="not a data word"):
+            restore_machine(image)
+
     @pytest.mark.parametrize(
         "field", [f.name for f in dataclasses.fields(MemoryConfig)])
     def test_every_memory_field_is_carried_and_required(self, populated,
                                                         field):
         image = machine_image(populated[0])
-        assert image["format"] == 3
+        assert image["format"] == FORMAT_VERSION
         del image["config"][field]
         with pytest.raises(PersistenceError, match="malformed.*" + field):
             restore_machine(image)
@@ -152,11 +191,11 @@ class TestRoundtrip:
         assert restored.read_segment(vsid) == machine.read_segment(vsid)
 
     def test_image_from_the_per_bucket_store_restores(self):
-        # written before the store's buckets became flat rows, under the
-        # same format version: 2 buckets x 2 ways, both spilled, with a
-        # recycled overflow slot
+        # written before the store's buckets became flat rows: 2 buckets
+        # x 2 ways, both spilled, with a recycled overflow slot (written
+        # at version 3; its tagged words since rewritten as their ints)
         path = os.path.join(os.path.dirname(__file__), "data",
-                            "machine_image_v3.json")
+                            "machine_image_v4.json")
         with open(path) as f:
             image = json.load(f)
         restored, _ = load_machine(path)
@@ -180,7 +219,7 @@ class TestRoundtrip:
             assert extra == {}
         # the .gz file really is gzip-compressed JSON
         with gzip.open(str(tmp_path / "image.json.gz"), "rb") as f:
-            assert json.loads(f.read())["format"] == 3
+            assert json.loads(f.read())["format"] == FORMAT_VERSION
 
     def test_save_machine_file_extra_metadata(self, populated, tmp_path):
         machine, *_ = populated

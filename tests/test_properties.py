@@ -4,9 +4,12 @@
 * read-your-writes over arbitrary update sequences;
 * full reclamation — releasing all roots returns the store to empty;
 * merge-update — disjoint merges compose, counter merges sum;
-* structure laws — HMap behaves like a dict, HQueue like a deque.
+* structure laws — HMap behaves like a dict, HQueue like a deque;
+* word codecs — an image and the replication wire carry every word,
+  packs included, as the int it is, so content and PLIDs survive both.
 """
 
+import json
 from collections import deque
 
 import pytest
@@ -14,7 +17,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Machine, MachineConfig, MemoryConfig
+from repro.core.persistence import machine_image, restore_machine
+from repro.memory.line import encode_line, is_pack
 from repro.params import CacheGeometry
+from repro.replication import wire
 from repro.segments import dag
 from repro.segments.merge import merge_roots
 from repro.structures import HMap, HQueue
@@ -184,3 +190,54 @@ class TestStructureLaws:
             else:
                 expected = model.popleft() if model else None
                 assert q.dequeue() == expected
+
+
+# Small values, so data compaction packs them: roots, interior children
+# and (through the map) leaf slot words that are packs.
+small_lists = st.lists(st.one_of(st.just(0), st.integers(0, 255),
+                                 st.integers(0, (1 << 16) - 1)),
+                       min_size=1, max_size=40)
+
+
+class TestWordCodecs:
+    @SETTINGS
+    @given(contents=st.lists(small_lists, min_size=1, max_size=4),
+           items=st.dictionaries(st.binary(min_size=1, max_size=6),
+                                 st.binary(max_size=6), max_size=6))
+    def test_image_and_wire_keep_every_word(self, contents, items):
+        machine = fresh_machine()
+        vsids = [machine.create_segment(words) for words in contents]
+        kvp = HMap.create(machine)
+        # a 7-byte key no drawn one equals: its slot holds packed roots
+        for key, value in [(b"\xff" * 7, b"v")] + list(items.items()):
+            kvp.put(key, value)
+        vsids.append(kvp.vsid)
+        store = machine.mem.store
+        image = machine_image(machine)
+        # the image through JSON text, and each line and root through
+        # its wire frame, into a second image of the same machine
+        via_json = restore_machine(json.loads(json.dumps(image)))
+        shipped = json.loads(json.dumps(image))
+        for plid in store.live_plids():
+            line = store.peek(plid)
+            got, words = wire.decode_line_payload(
+                wire.encode_line_payload(plid, line))
+            assert got == plid and encode_line(words) == encode_line(line)
+            shipped["lines"][str(plid)] = list(words)
+        for vsid in vsids:
+            entry = machine.segmap.entry(vsid)
+            *_, length, root = wire.decode_advance_payload(
+                wire.encode_advance_payload(0, 1, vsid, entry.root,
+                                            entry.height, entry.length))
+            assert (length, root) == (entry.length, entry.root)
+            shipped["segmap"][str(vsid)]["root"] = root
+        via_wire = restore_machine(shipped)
+        for copy in (via_json, via_wire):
+            for plid in store.live_plids():
+                assert encode_line(copy.mem.store.peek(plid)) \
+                    == encode_line(store.peek(plid))
+            for vsid in vsids:
+                assert dag.segment_fingerprint(copy, vsid) \
+                    == dag.segment_fingerprint(machine, vsid)
+        assert any(is_pack(w) for plid in store.live_plids()
+                   for w in store.peek(plid))

@@ -14,7 +14,7 @@ import pytest
 
 from repro import Machine, MachineConfig, MemoryConfig
 from repro.errors import BadVsidError, SegmentRangeError
-from repro.memory.line import Inline, is_ref, ref, ref_path, ref_plid
+from repro.memory.line import is_pack, is_ref, ref, ref_path, ref_plid
 from repro.memory.stats import DramStats
 from repro.memory.system import MemorySystem
 from repro.params import CacheGeometry
@@ -67,7 +67,7 @@ def segments(mem: MemorySystem, rng: random.Random):
     """``(root, height)`` of segments that exercise every entry kind."""
     dense = [rng.randrange(1, 1 << 40) for _ in range(90)]
     yield dag.build_segment(mem, dense)
-    # Inline leaves and packed interiors (data compaction)
+    # packed leaves and packed interiors (data compaction)
     yield dag.build_segment(mem, [rng.randrange(4) for _ in range(70)])
     yield dag.build_segment(mem, [3, 1, 2])
     # zero subtrees between islands of content
@@ -83,6 +83,10 @@ def segments(mem: MemorySystem, rng: random.Random):
         (1 << 39) + 2: 9, (1 << 39) + 3: ref(0, (1,)), 7: 1})
     yield sparse, height
     yield 0, 3
+
+
+def _kind(word) -> str:
+    return "ref" if is_ref(word) else "pack" if is_pack(word) else "data"
 
 
 @pytest.mark.parametrize("compaction", [True, False])
@@ -107,12 +111,11 @@ def test_read_word_count_equals_single_reads(line_bytes, compaction):
                        for k in range(count)]
             found = dag.read_word(mem, root, height, index, count)
             assert found == (singles[0] if count == 1 else singles)
-            kinds.update("ref" if is_ref(word) else type(word)
-                         for word in singles)
-        kinds.add("ref" if is_ref(root) else type(root))
+            kinds.update(_kind(word) for word in singles)
+        kinds.add(_kind(root))
     # the segments held what they were built to hold
-    assert {int, "ref"} <= kinds
-    assert (Inline in kinds) == compaction
+    assert {"data", "ref"} <= kinds
+    assert ("pack" in kinds) == compaction
 
 
 @pytest.mark.parametrize("compaction", [True, False])
@@ -120,7 +123,7 @@ def test_read_word_count_equals_single_reads(line_bytes, compaction):
 def test_gather_reads_the_lines_the_oracle_reads(line_bytes, compaction,
                                                  monkeypatch):
     """``gather_words`` returns the oracle's words after reading the same
-    PLIDs in the same order, over compacted paths, Inline packs and zero
+    PLIDs in the same order, over compacted paths, packs and zero
     subtrees (the leaf copy is a slice; only branch points recurse)."""
     mem = memory_system(line_bytes, compaction)
     rng = random.Random(line_bytes)

@@ -3,47 +3,68 @@
 import pytest
 
 from repro.errors import ReplicationError
-from repro.memory.line import Inline, ref, ref_path
+from repro.memory.line import pack, pack_for, ref, ref_path
 from repro.replication import wire
 
 
+def _roundtrip(word):
+    """``word`` through a one-word LINE payload: (decoded, payload)."""
+    payload = wire.encode_line_payload(1, (word,))
+    plid, line = wire.decode_line_payload(payload)
+    assert plid == 1 and len(line) == 1
+    return line[0], payload
+
+
 class TestWordCodec:
+    """A word travels as one length-prefixed signed int."""
+
     def test_data_word_roundtrip(self):
-        for value in (0, 1, 0xDEAD, (1 << 64) - 1):
-            blob = wire.encode_wire_word(value)
-            word, pos = wire.decode_wire_word(blob, 0)
-            assert word == value and pos == len(blob)
+        for value in (0, 1, 0xDEAD, (1 << 63) - 1, 1 << 63, (1 << 64) - 1):
+            word, payload = _roundtrip(value)
+            assert word == value
+            # a byte count, then the minimal two's-complement bytes
+            raw = value.to_bytes(value.bit_length() // 8 + 1, "big")
+            assert payload[-len(raw) - 1:] == bytes((len(raw),)) + raw
 
     def test_reference_word_roundtrip(self):
         sent = ref(12345, (1, 0, 3))
-        blob = wire.encode_wire_word(sent)
-        word, pos = wire.decode_wire_word(blob, 0)
-        assert word == sent and pos == len(blob)
+        assert _roundtrip(sent)[0] == sent
 
     def test_pathless_reference_roundtrip(self):
-        blob = wire.encode_wire_word(ref(7))
-        word, _ = wire.decode_wire_word(blob, 0)
+        word, _ = _roundtrip(ref(7))
         assert word == ref(7) and ref_path(word) == b""
 
     def test_inline_word_roundtrip(self):
-        inline = Inline(width=2, values=(1, 2, 3), span=2)
-        blob = wire.encode_wire_word(inline)
-        word, pos = wire.decode_wire_word(blob, 0)
-        assert word == inline and pos == len(blob)
+        for values in ((1, 2, 3), (1 << 63,), (0, 0x102), tuple(range(1, 9))):
+            word = pack_for(values)
+            assert _roundtrip(word)[0] == word
 
     def test_truncated_word_rejected(self):
-        blob = wire.encode_wire_word(ref(9, (1, 2)))
-        with pytest.raises(ReplicationError):
-            wire.decode_wire_word(blob[:-1], 0)
+        payload = wire.encode_line_payload(1, (ref(9, (1, 2)),))
+        for cut in (1, 2, 5):
+            with pytest.raises(ReplicationError):
+                wire.decode_line_payload(payload[:-cut])
 
     def test_unknown_tag_rejected(self):
-        with pytest.raises(ReplicationError):
-            wire.decode_wire_word(b"X" + b"\x00" * 8, 0)
+        # an int above 2**64 that is no canonical pack — the range is the
+        # tag — and a reference whose path digits overflow its length
+        good = pack_for((1, 2))
+        for bad in (good | 1 << 40, 3 << 64, good | 1 << 88,
+                    pack(2, (1, 2), 4), ~((1 << 16) << 40)):
+            raw = bad.to_bytes(16, "big", signed=True)
+            payload = wire.encode_line_payload(1, (0,))[:-2] \
+                + bytes((16,)) + raw
+            with pytest.raises(ReplicationError, match="not a data word"):
+                wire.decode_line_payload(payload)
+            advance = wire.encode_advance_payload(0, 1, 2, 0, 1, 5)[:-2] \
+                + bytes((16,)) + raw
+            with pytest.raises(ReplicationError, match="not a data word"):
+                wire.decode_advance_payload(advance)
 
 
 class TestPayloads:
     def test_line_roundtrip(self):
-        line = (ref(4), 0, Inline(width=8, values=(9,), span=1), 77)
+        line = (ref(4), 0, pack_for((1 << 40,)), 77)
         payload = wire.encode_line_payload(31, line)
         plid, decoded = wire.decode_line_payload(payload)
         assert plid == 31 and decoded == line
@@ -70,6 +91,11 @@ class TestPayloads:
     def test_advance_roundtrip_zero_root(self):
         payload = wire.encode_advance_payload(0, 0, 1, 0, 0, 0)
         assert wire.decode_advance_payload(payload)[5] == 0
+
+    def test_advance_negative_length_rejected(self):
+        payload = wire.encode_advance_payload(0, 0, 1, 0, 0, -1)
+        with pytest.raises(ReplicationError, match="negative"):
+            wire.decode_advance_payload(payload)
 
     def test_ack_and_forget_roundtrip(self):
         assert wire.decode_ack_payload(
