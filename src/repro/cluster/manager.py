@@ -43,19 +43,20 @@ from repro.cluster.placement import ClusterTopology
 
 __all__ = ["TopologyManager"]
 
+#: seconds a liveness probe's ``version`` request may take
+PROBE_TIMEOUT = 0.25
+
 
 class TopologyManager:
     """Health-checks leaders and repairs the topology when one dies."""
 
     def __init__(self, cluster: Cluster,
                  probe_interval: float = 0.05,
-                 probe_timeout: float = 0.25,
                  failure_threshold: int = 2,
                  verify_timeout: float = 5.0,
                  recorder=None) -> None:
         self.cluster = cluster
         self.probe_interval = probe_interval
-        self.probe_timeout = probe_timeout
         self.failure_threshold = max(1, failure_threshold)
         self.verify_timeout = verify_timeout
         self.recorder = recorder if recorder is not None \
@@ -96,13 +97,14 @@ class TopologyManager:
 
     async def probe(self, leader_id: str) -> bool:
         """One in-band liveness check against a leader's serving port: a
-        ``version`` request answered within ``probe_timeout``."""
+        ``version`` request answered within :data:`PROBE_TIMEOUT`
+        seconds."""
         info = self.cluster.topology.node(leader_id)
         if info is None:
             return False
         self.cluster.metrics.probes += 1
         try:
-            ok = await wait_within(self._version(info), self.probe_timeout)
+            ok = await wait_within(self._version(info), PROBE_TIMEOUT)
         except (ConnectionError, OSError):
             ok = False
         if not ok:

@@ -26,7 +26,6 @@ from repro.errors import IteratorStateError
 from repro.memory.line import check_data_words
 from repro.memory.stats import DramStats
 from repro.memory.system import MemorySystem
-from repro.memory.transient import TransientRegion
 from repro.params import MachineConfig
 from repro.segments import dag
 from repro.segments.anon import AnonSegment
@@ -35,17 +34,15 @@ from repro.segments.segment_map import SegmentFlags, SegmentMap
 
 
 class Processor:
-    """One processor: a private iterator-register file and transient
-    region over the machine's shared memory system (sections 3.3 and
-    footnotes 2/7 — transient lines are per-core and never coherent)."""
+    """One processor: a private iterator-register file over the
+    machine's shared memory system (section 3.3). Each register buffers
+    its uncommitted stores in its own transient lines, so they are
+    per-core and never coherent (footnotes 2/7)."""
 
     def __init__(self, machine: "Machine", pid: int) -> None:
         self.pid = pid
-        self.transient = TransientRegion(
-            line_bytes=machine.config.memory.line_bytes)
         self._registers: List[IteratorRegister] = [
-            IteratorRegister(machine.mem, machine.segmap,
-                             transient_region=self.transient)
+            IteratorRegister(machine.mem, machine.segmap)
             for _ in range(machine.config.iterator_registers)
         ]
         self._free_registers = list(range(len(self._registers)))
@@ -93,11 +90,6 @@ class Machine:
         self.mem.store.hold_reclaim()
         self.mem.memo.enable()
         return self
-
-    @property
-    def transient(self) -> TransientRegion:
-        """Processor 0's transient region (single-processor shorthand)."""
-        return self.processors[0].transient
 
     # ------------------------------------------------------------------
     # iterator registers (processor-0 shorthand)

@@ -23,7 +23,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.core.machine import Machine
 from repro.errors import PersistenceError
-from repro.memory.line import Line, is_word
+from repro.memory.line import ZERO_PLID, Line, is_ref, is_word, ref_plid
 from repro.params import CacheGeometry, MachineConfig, MemoryConfig
 from repro.segments.segment_map import MapEntry, SegmentFlags
 
@@ -37,9 +37,9 @@ FORMAT_VERSION = 4
 def machine_image(machine: Machine) -> Dict[str, Any]:
     """The machine's durable state as a JSON-safe document.
 
-    Quiesces the reclaimer first (its queue is empty unless the store
-    is held): deferred-dead lines must not be serialized — restoring
-    them would leak count-zero lines into a machine with no reclaimer
+    Quiesces the store's reclamation queue first (it is empty unless
+    the store is held): deferred-dead lines must not be serialized —
+    restoring them would leak count-zero lines into a machine with no
     queue entry pointing at them.
     """
     store = machine.mem.store
@@ -71,7 +71,7 @@ def machine_image(machine: Machine) -> Dict[str, Any]:
             n_processors=mc.n_processors,
         ),
         "next_overflow": store._next_overflow,
-        "free_overflow": list(store.slots.free_overflow),
+        "free_overflow": list(store.free_overflow),
         "overflow_bucket": {str(p): b
                             for p, b in store._overflow_bucket.items()},
         "lines": lines,
@@ -86,7 +86,9 @@ def restore_machine(image: Dict[str, Any]) -> Machine:
 
     Raises :class:`PersistenceError` for images written by an unknown
     ``FORMAT_VERSION`` or missing required fields — a versioned refusal
-    beats silently misreading a future layout.
+    beats silently misreading a future layout — and, before restoring
+    anything, for a line word or segment root that references a PLID
+    the image does not hold.
     """
     if not isinstance(image, dict) or "format" not in image:
         raise PersistenceError("not a machine image (no format field)")
@@ -114,6 +116,12 @@ def restore_machine(image: Dict[str, Any]) -> Machine:
         if not all(map(is_word, words)):
             raise PersistenceError("a word in the image is not a data "
                                    "word, reference or pack")
+        held = {int(plid) for plid in image["lines"]} | {ZERO_PLID}
+        for word in words:
+            if is_ref(word) and ref_plid(word) not in held:
+                raise PersistenceError(
+                    "the image references PLID %d, which it does not hold"
+                    % ref_plid(word))
 
         # restore lines at their exact PLIDs
         for plid_str, words in image["lines"].items():
@@ -122,8 +130,7 @@ def restore_machine(image: Dict[str, Any]) -> Machine:
                                image["refcounts"][plid_str],
                                image["overflow_bucket"].get(plid_str))
         store._next_overflow = image["next_overflow"]
-        store.slots.free_overflow[:] = [int(p) for p
-                                        in image["free_overflow"]]
+        store.free_overflow[:] = [int(p) for p in image["free_overflow"]]
 
         # restore the segment map
         for vsid_str, rec in image["segmap"].items():

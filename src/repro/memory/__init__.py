@@ -24,8 +24,7 @@ from repro.memory.line import (
     zero_line,
 )
 from repro.memory.stats import DramStats, TrafficCounter
-from repro.memory.dedup_store import DedupStore
-from repro.memory.reclaim import EpochReclaimer, ReclaimStats, SlotAllocator
+from repro.memory.dedup_store import DedupStore, ReclaimStats
 from repro.memory.cache import HicampCache
 from repro.memory.system import MemorySystem
 from repro.memory.conventional import CacheLevel, ConventionalMemory
@@ -47,9 +46,7 @@ __all__ = [
     "DramStats",
     "TrafficCounter",
     "DedupStore",
-    "EpochReclaimer",
     "ReclaimStats",
-    "SlotAllocator",
     "HicampCache",
     "MemorySystem",
     "CacheLevel",

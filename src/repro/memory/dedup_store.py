@@ -29,11 +29,51 @@ recursive over a line's tagged child PLIDs (the paper's hardware state
 machine). RC traffic is filtered through a modelled RC cache so only
 spills/fills reach the DRAM counters, as in the paper.
 
-A line reaching zero is queued on the store's
-:class:`repro.memory.reclaim.EpochReclaimer`, and a drain of that queue
-is the only place a line is freed. An unheld store drains at the end of
-every outermost :meth:`DedupStore.decref`; a held one
-(:meth:`DedupStore.hold_reclaim`) leaves the drains to its owner.
+**Freeing.** The paper frees a dead subtree with a hardware state
+machine behind ``decref``; here that state machine is the store's
+reclamation queue. A line whose count reaches zero is appended to it,
+and only a drain of the queue frees lines. Freeing a line decrements
+its children, and a child that reaches zero joins the tail of the same
+queue, so the walk is iterative and one drain step does O(fanout) work.
+Deferral is a choice of *when* to free, not a second way:
+
+* An **unheld** store drains the queue to empty at the end of every
+  outermost :meth:`DedupStore.decref`: the paper's immediate free.
+* A **held** store (:meth:`DedupStore.hold_reclaim`: the shard router
+  and a replication follower, which own their machine's batch
+  boundaries) leaves the queue alone on release, so a release is O(1).
+  Its owner drains up to :data:`RECLAIM_BUDGET` lines per
+  :meth:`DedupStore.reclaim_advance` between batches, and
+  :meth:`DedupStore.reclaim_quiesce` drains everything for audits,
+  persistence images and replication FORGET flushing. A running drain
+  holds the store too, which is what keeps the frees it causes queued
+  instead of nested.
+
+**Capacity contract.** Dead lines never cost capacity: when
+``_allocate`` finds a bucket's ways full while the queue is not empty,
+it drains the queue to empty (counted in ``pressure_drains``) and
+claims a way again before it spills to the overflow area. A held store
+therefore spills and refuses (``MemoryExhaustedError``) exactly when an
+unheld store holding the same live lines in the same slots would. The
+slots can differ only after a lookup resurrects a dead line that an
+unheld store had already freed: the resurrected line keeps its old
+slot. Between drains the queue grows by one entry per release to zero.
+A freed overflow slot goes on ``free_overflow``, a LIFO stack, so PLID
+assignment (and with it machine images and modeled paper statistics)
+is the lowest free way, then the most recently freed overflow slot.
+
+Two consequences of deferral in a held store are deliberate:
+
+* **dealloc listeners fire at drain time**, not at release time. The
+  memo invalidation, RC-cache drop and replication FORGET hooks all key
+  off a PLID that is about to be *reused*, and a deferred line's slot
+  is not reusable until it is actually freed, so firing late is not
+  just safe but required for the FORGET protocol's "a known PLID is
+  never silently reused" invariant.
+* **deferred-dead lines can resurrect**: the content map still maps
+  their content, so a lookup landing on a count-zero line simply
+  increments it back to one (a dedup hit). The drain recognizes the
+  resurrection (count > 0) and skips the queue entry.
 
 A bucket is a row of flat data, not an object: byte ``bucket *
 (data_ways + 1) + way`` of one store-wide ``bytearray`` is a way's
@@ -50,9 +90,9 @@ collector.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 from zlib import crc32
 
 from repro.errors import BadPlidError, IntegrityError, MemoryExhaustedError
@@ -67,9 +107,16 @@ from repro.memory.line import (
     zero_line,
 )
 from repro.memory.memo import StructuralMemo
-from repro.memory.reclaim import EpochReclaimer, SlotAllocator
 from repro.memory.stats import DramStats, RowBuffer
 from repro.params import MemoryConfig
+
+#: Deferred lines a held store's owner drains per epoch advance: between
+#: a shard's commit batches, between a follower's applied root advances.
+#: The queue carries at most one batch's frees past it.
+RECLAIM_BUDGET = 512
+
+#: Reference counts the modelled RC cache holds (section 3.1).
+RC_CACHE_ENTRIES = 1 << 16
 
 
 def _plid_maps(num_buckets: int, overflow_base: int,
@@ -108,6 +155,21 @@ class StoreCounters:
     #: full-line compares performed against non-matching content
     #: (signature collisions + a spilled bucket's fingerprint collisions)
     false_positive_scans: int = 0
+
+
+@dataclass
+class ReclaimStats:
+    """Lifecycle counters of the free path (module docstring)."""
+
+    deferred_total: int = 0       # release-to-zero pushes (O(1) frees)
+    drained_freed: int = 0        # deferred lines actually deallocated
+    drained_resurrected: int = 0  # entries skipped: content re-looked-up
+    drained_stale: int = 0        # entries skipped: already freed
+    epochs_advanced: int = 0
+    quiesces: int = 0
+    max_pending: int = 0          # deepest the deferral queue has been
+    pressure_drains: int = 0      # full drains forced by a full bucket
+    overflow_reused: int = 0      # overflow slots claimed off the free list
 
 
 class _RcCache:
@@ -169,8 +231,7 @@ class _RcCache:
 class DedupStore:
     """Deduplicated, reference-counted, content-addressable line store."""
 
-    def __init__(self, config: Optional[MemoryConfig] = None,
-                 rc_cache_entries: int = 1 << 16) -> None:
+    def __init__(self, config: Optional[MemoryConfig] = None) -> None:
         self.config = config or MemoryConfig()
         #: recompute content hashes on every DRAM read (section 3.1's
         #: extra error-detection; off by default for speed)
@@ -182,8 +243,10 @@ class DedupStore:
         self._row_len = self.config.data_ways + 1
         self._overflow_base = self._row_len * self._num_buckets
         self._next_overflow = self._overflow_base
-        #: the overflow area's free list (LIFO reuse)
-        self._slots = SlotAllocator()
+        #: recycled overflow-area PLIDs, reused LIFO; persistence
+        #: serializes this list verbatim under the image's
+        #: ``free_overflow`` key
+        self.free_overflow: List[int] = []
         #: every bucket's signature line, one row per bucket (module
         #: docstring); a zero byte is a free way
         self._sigs = bytearray(self._row_len * self._num_buckets)
@@ -210,7 +273,7 @@ class DedupStore:
             self._num_buckets, self._overflow_base, self._overflow_bucket)
         #: open-row DRAM model (hash bucket == DRAM row, section 3.1)
         self.rows = RowBuffer()
-        self._rc_cache = _RcCache(rc_cache_entries, self.stats, self.rows,
+        self._rc_cache = _RcCache(RC_CACHE_ENTRIES, self.stats, self.rows,
                                   self._row_of)
         self._zero = zero_line(self.config.words_per_line)
         #: callbacks invoked with a PLID just before it is deallocated
@@ -220,9 +283,14 @@ class DedupStore:
         #: stack enables it — see memo.py)
         self.memo = StructuralMemo()
         self.dealloc_listeners.append(self.memo.on_dealloc)
-        #: the queue every released-to-zero line is freed through
-        #: (reclaim.py)
-        self._reclaimer = EpochReclaimer()
+        #: PLIDs released to zero, in release order; children freed by
+        #: a drain join the tail, keeping any one drain step O(fanout)
+        self._pending: Deque[int] = deque()
+        #: counted holds: owners that drain between batches, plus a
+        #: running drain. While any is taken, a release only queues.
+        self.reclaim_holds = 0
+        self.reclaim_epoch = 0
+        self.reclaim_stats = ReclaimStats()
 
     # ------------------------------------------------------------------
     # geometry helpers
@@ -316,8 +384,16 @@ class DedupStore:
         occupying new DRAM. The returned reference is counted and owned
         by the caller. Any tagged child PLIDs in ``line`` must already
         be allocated in *this* store (the wire protocol's
-        children-before-parents order guarantees it).
+        children-before-parents order guarantees it), and a line must
+        be as long as this store's leaves or interior lines
+        (``ValueError`` otherwise, before anything is allocated).
         """
+        if len(line) not in (self.config.words_per_line, self.config.fanout):
+            raise ValueError(
+                "install of a %d-word line; this store's lines hold %d "
+                "(leaf) or %d (interior) words"
+                % (len(line), self.config.words_per_line,
+                   self.config.fanout))
         for child in line_child_plids(line):
             if child != ZERO_PLID and child not in self._lines:
                 raise BadPlidError(
@@ -408,16 +484,17 @@ class DedupStore:
         """Claim the lowest free way (or an overflow slot) for new content.
 
         Dead lines never cost capacity: a full bucket drains the
-        reclaimer's queue before it spills (the contract in reclaim.py).
+        reclamation queue before it spills (the capacity contract in the
+        module docstring).
         The line's fingerprint is stored beside it either way, so a
         bucket that spills later already holds its ways' fingerprints.
         """
         sigs = self._sigs
         row = bucket_idx * self._row_len
         slot = sigs.find(0, row + 1, row + self._row_len)
-        if slot < 0 and self._reclaimer.pending():
-            self._reclaimer.stats.pressure_drains += 1
-            self._reclaimer.drain(self)
+        if slot < 0 and self._pending:
+            self.reclaim_stats.pressure_drains += 1
+            self._drain()
             slot = sigs.find(0, row + 1, row + self._row_len)
         if slot >= 0:
             plid = (slot - row) * self._num_buckets + bucket_idx
@@ -426,8 +503,10 @@ class DedupStore:
             self.stats.lookups += 1  # signature line written back
             self.rows.access(bucket_idx)
         else:
-            plid = self._slots.claim_overflow()
-            if plid is None:
+            if self.free_overflow:
+                self.reclaim_stats.overflow_reused += 1
+                plid = self.free_overflow.pop()
+            else:
                 plid = self._next_overflow
                 if plid - self._overflow_base >= self.config.overflow_lines:
                     raise MemoryExhaustedError(
@@ -501,8 +580,8 @@ class DedupStore:
         self._rc_cache.touch(plid)
 
     def decref(self, plid: int, count: int = 1) -> None:
-        """Drop references to a line; at zero, queue it for the
-        reclaimer, which frees it now unless the store is held."""
+        """Drop references to a line; at zero, queue it, and free the
+        queue now unless the store is held."""
         if plid == ZERO_PLID or count == 0:
             return
         rc = self._refcounts.get(plid)
@@ -519,25 +598,54 @@ class DedupStore:
         # content lookup) until a drain frees it; the free drops its RC
         # entry uncharged, so reaching zero touches no RC entry
         self._refcounts[plid] = 0
-        self._reclaimer.on_zero(self, plid)
+        pending = self._pending
+        pending.append(plid)
+        stats = self.reclaim_stats
+        stats.deferred_total += 1
+        if len(pending) > stats.max_pending:
+            stats.max_pending = len(pending)
+        if not self.reclaim_holds:
+            self._drain()
 
     def hold_reclaim(self) -> None:
         """Take a counted hold: releases to zero only queue, and the
         caller drains the queue between its batches
         (:meth:`reclaim_advance`, :meth:`reclaim_quiesce`)."""
-        self._reclaimer.holds += 1
+        self.reclaim_holds += 1
 
-    def _reclaim_one(self, plid: int) -> None:
-        """Drain-time free of one queued line.
+    def _drain(self, budget: Optional[int] = None) -> int:
+        """Free up to ``budget`` queued lines (all of them if None).
 
-        Children-first by deferral: each child loses its reference
-        through the normal decref path, and the running drain holds the
-        store, so a child reaching zero is queued rather than freed
-        inline — one call does O(fanout) work. Only then is the line
-        deallocated (listeners, content-map removal, slot release)."""
-        for child in line_child_plids(self._lines[plid]):
-            self.decref(child, 1)
-        self._deallocate(plid)
+        Children-first in effect: freeing a line decrements its
+        children through :meth:`decref`, and the running drain holds
+        the store, so a child reaching zero joins the tail of the queue
+        rather than being freed inline. An unbudgeted drain so reclaims
+        whole subtrees, and a budgeted one makes monotonic progress
+        without ever exceeding ``budget * fanout`` decrements. An entry
+        whose line is gone (freed by an earlier entry) is stale, and
+        one whose count is positive again was resurrected by a content
+        lookup; both are skipped. Returns the lines freed.
+        """
+        pending, lines, refcounts = self._pending, self._lines, self._refcounts
+        stats = self.reclaim_stats
+        freed = 0
+        self.reclaim_holds += 1
+        try:
+            while pending and (budget is None or freed < budget):
+                plid = pending.popleft()
+                if plid not in lines:
+                    stats.drained_stale += 1
+                elif refcounts.get(plid, 0) > 0:
+                    stats.drained_resurrected += 1
+                else:
+                    for child in line_child_plids(lines[plid]):
+                        self.decref(child)
+                    self._deallocate(plid)
+                    stats.drained_freed += 1
+                    freed += 1
+        finally:
+            self.reclaim_holds -= 1
+        return freed
 
     def _deallocate(self, plid: int) -> None:
         """Free a line: zero its signature and fingerprint, or release
@@ -560,7 +668,7 @@ class DedupStore:
                 # last spilled line gone: back to the signature compare
                 del self._overflow[bucket_idx]
                 del self._overflow_fps[bucket_idx]
-            self._slots.release_overflow(plid)
+            self.free_overflow.append(plid)
         else:
             slot = self._slot_of(plid)
             self._sigs[slot] = self._fps[slot] = 0
@@ -618,44 +726,54 @@ class DedupStore:
     # ------------------------------------------------------------------
     # reclamation
 
-    @property
-    def reclaimer(self) -> EpochReclaimer:
-        """The queue every released-to-zero line is freed through."""
-        return self._reclaimer
-
-    @property
-    def slots(self) -> SlotAllocator:
-        """The free-list slot allocator (persistence serializes its
-        overflow stack)."""
-        return self._slots
+    def pending_lines(self) -> int:
+        """Lines released to zero and not yet drained."""
+        return len(self._pending)
 
     def reclaim_advance(self, budget: Optional[int] = None) -> int:
-        """Advance the reclamation epoch and drain up to ``budget``
-        queued lines. A held store's owner calls this between
-        batches."""
-        return self._reclaimer.advance(self, budget)
+        """Seal the current epoch and drain up to ``budget`` queued
+        lines. A held store's owner calls this between batches, so the
+        frees one batch deferred are reclaimed, bounded, before the next
+        batch commits. Returns the lines freed."""
+        self.reclaim_epoch += 1
+        self.reclaim_stats.epochs_advanced += 1
+        return self._drain(budget)
 
     def reclaim_quiesce(self) -> int:
         """Synchronously drain the whole queue. After this a held store
         holds exactly the lines an unheld store that ran the same
-        workload holds — the contract audits, persistence images and
-        fingerprint observers rely on."""
-        return self._reclaimer.quiesce(self)
+        workload holds: the contract audits, persistence images and
+        fingerprint observers rely on (wired through
+        :meth:`repro.memory.system.MemorySystem.drain`). Returns the
+        lines freed."""
+        self.reclaim_stats.quiesces += 1
+        return self.reclaim_advance()
 
     def free_slots(self) -> int:
         """Free line slots: data ways with a zero signature byte, in
         every bucket, plus recycled overflow slots."""
         return (self._sigs.count(0) - self._num_buckets
-                + len(self._slots.free_overflow))
+                + len(self.free_overflow))
 
     def reclaim_snapshot(self) -> Dict:
         """JSON-safe view of reclamation state (stats json)."""
+        stats = self.reclaim_stats
         free_slots = self.free_slots()
-        free_ways = free_slots - len(self._slots.free_overflow)
         return {"free_slots": free_slots,
-                "allocator": {"free_ways": free_ways,
-                              **self._slots.snapshot()},
-                **self._reclaimer.snapshot()}
+                "allocator": {
+                    "free_ways": free_slots - len(self.free_overflow),
+                    "free_overflow": len(self.free_overflow),
+                    "overflow_reused": stats.overflow_reused},
+                "epoch": self.reclaim_epoch,
+                "pending_lines": len(self._pending),
+                "deferred_total": stats.deferred_total,
+                "drained_freed": stats.drained_freed,
+                "drained_resurrected": stats.drained_resurrected,
+                "drained_stale": stats.drained_stale,
+                "epochs_advanced": stats.epochs_advanced,
+                "quiesces": stats.quiesces,
+                "max_pending": stats.max_pending,
+                "pressure_drains": stats.pressure_drains}
 
     # ------------------------------------------------------------------
     # lookup-by-content

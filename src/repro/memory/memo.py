@@ -80,6 +80,11 @@ from repro.memory.line import is_ref, ref_plid
 #: table names, in the order reported by :meth:`StructuralMemo.snapshot`
 TABLES = ("segment", "digest", "read")
 
+#: segment-table entries kept (LRU)
+MAX_SEGMENTS = 1 << 13
+#: digest-cache entries kept before :meth:`StructuralMemo.trim_digests`
+#: empties it
+MAX_DIGESTS = 1 << 16
 #: answers the read table holds across all maps (the segment bound)
 MAX_READS = 1 << 13
 #: :meth:`StructuralMemo.get_read`'s "no answer recorded"
@@ -105,11 +110,10 @@ class StructuralMemo:
     correct under PLID reuse and bounded under churn.
     """
 
-    def __init__(self, max_segments: int = 1 << 13,
-                 max_digests: int = 1 << 16) -> None:
+    def __init__(self) -> None:
         self.enabled = False
-        self._max_segments = max(1, max_segments)
-        self._max_digests = max(1, max_digests)
+        self._max_segments = MAX_SEGMENTS
+        self._max_digests = MAX_DIGESTS
         self.stats: Dict[str, TableStats] = {t: TableStats() for t in TABLES}
         # never counted: benchmarks/ledger/ledger.py still reads it
         self.stats["line"] = TableStats()

@@ -106,8 +106,8 @@ class MemorySystem:
         """Flush caches so all deferred traffic reaches the DRAM counters.
 
         Call at the end of a measured run before reading :attr:`dram`.
-        Quiesces the reclaimer first (its queue is already empty unless
-        the store is held), so every observer that drains before
+        Quiesces reclamation first (the store's queue is already empty
+        unless the store is held), so every observer that drains before
         looking — machine auditors, HI fingerprints, persistence
         images — sees only live lines. The quiesce runs before
         the cache flush so the lines it frees leave their cache sets

@@ -55,12 +55,14 @@ class CollectorPauses:
         return {str(gen): n for gen, n in enumerate(counts)}
 
 
+#: most-recent request latencies a :class:`ServerMetrics` keeps for
+#: percentiles
+LATENCY_RESERVOIR = 4096
+
+
 @dataclass
 class ServerMetrics:
     """Counters and reservoirs for one serving process."""
-
-    #: keep this many most-recent request latencies for percentiles
-    reservoir_size: int = 4096
 
     #: time source for request timing and uptime. Injectable so tests
     #: can drive a deterministic monotonic clock and latency-percentile
@@ -99,12 +101,12 @@ class ServerMetrics:
     _started: float = -1.0
     #: requests by wire command bytes; :attr:`ops_by_command` decodes
     _by_command: Counter = field(default_factory=Counter)
-    _latencies: Deque[float] = field(init=False)
+    _latencies: Deque[float] = field(
+        default_factory=lambda: deque(maxlen=LATENCY_RESERVOIR))
 
     def __post_init__(self) -> None:
         if self._started < 0:
             self._started = self.clock()
-        self._latencies = deque(maxlen=self.reservoir_size)
 
     def now(self) -> float:
         """The metrics time source (the server timestamps through it)."""

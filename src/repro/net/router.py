@@ -51,13 +51,16 @@ from repro.apps.memcached.protocol import (
     CRLF, ProtocolError, ProtocolHandler, parse_exptime)
 from repro.apps.memcached.server import HicampMemcached
 from repro.core.machine import Machine
-from repro.memory.reclaim import RECLAIM_BUDGET
+from repro.memory.dedup_store import RECLAIM_BUDGET
 from repro.net.framing import Frame
 from repro.net.metrics import CollectorPauses, ServerMetrics
 from repro.obs import adapters
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_RECORDER, DramProbe
 from repro.params import MachineConfig, MemoryConfig
+
+#: Writes a shard's commit queue holds before ``dispatch`` waits on it.
+QUEUE_DEPTH = 256
 
 #: Commands that mutate the cache and therefore go through a commit queue.
 WRITE_COMMANDS = frozenset((b"set", b"add", b"replace", b"cas", b"delete",
@@ -108,7 +111,6 @@ class ShardRouter:
                  shard_count: int = 4,
                  backend_factory: Callable[[Machine], HicampMemcached]
                  = HicampMemcached,
-                 queue_depth: int = 256,
                  batch_limit: int = 16,
                  metrics: Optional[ServerMetrics] = None,
                  injector=None,
@@ -127,12 +129,11 @@ class ShardRouter:
         machine.configure_serving()
         servers = [backend_factory(machine) for _ in range(shard_count)]
         self._front(machine, servers, [ProtocolHandler(s) for s in servers],
-                    queue_depth, batch_limit, metrics, injector, recorder,
-                    registry)
+                    batch_limit, metrics, injector, recorder, registry)
 
     def _front(self, machine: Machine, servers: List[HicampMemcached],
-               handlers: List[ProtocolHandler], queue_depth=256,
-               batch_limit=16, metrics=None, injector=None, recorder=None,
+               handlers: List[ProtocolHandler], batch_limit=16,
+               metrics=None, injector=None, recorder=None,
                registry=None) -> None:
         """Front ``servers``, one per shard on a serving ``machine``,
         through ``handlers`` (a follower's router passes its replica's
@@ -144,7 +145,6 @@ class ShardRouter:
         self.machine = machine
         self.servers = servers
         self.handlers = handlers
-        self.queue_depth = queue_depth
         self.batch_limit = max(1, batch_limit)
         self.metrics = metrics if metrics is not None else ServerMetrics()
         #: trace recorder (:mod:`repro.obs.trace`); the no-op default
@@ -186,7 +186,7 @@ class ShardRouter:
         """Create the commit queues and start one worker per shard."""
         if self._workers:
             return
-        self.queues = [asyncio.Queue(maxsize=self.queue_depth)
+        self.queues = [asyncio.Queue(maxsize=QUEUE_DEPTH)
                        for _ in self.servers]
         self._workers = [asyncio.ensure_future(self._worker(i))
                          for i in range(len(self.servers))]
@@ -194,9 +194,9 @@ class ShardRouter:
     async def drain(self) -> None:
         """Wait until every enqueued commit has been applied.
 
-        Also quiesces the reclaimer's queue, so a drained router exposes
-        exact state to audits, persistence and replication FORGET
-        flushing. :meth:`abort` deliberately does not — a crash-stop
+        Also quiesces the store's reclamation queue, so a drained router
+        exposes exact state to audits, persistence and replication
+        FORGET flushing. :meth:`abort` deliberately does not — a crash-stop
         leaves deferred frees behind by design.
         """
         if self.queues:

@@ -29,7 +29,7 @@ Connection lifecycle:
   it owes, it takes the backlog as one chunk the same way, inline up to
   its first frame that needs ``dispatch``, and ends when nothing is
   owed;
-* **bounded in-flight** pipelining: at most ``max_inflight`` replies
+* **bounded in-flight** pipelining: at most :data:`MAX_INFLIGHT` replies
   are held before they are written, on top of the bounded per-shard
   commit queues; a transport whose write buffer passes its high-water
   mark pauses reading until it drains (the write-side backpressure);
@@ -67,6 +67,10 @@ from repro.net.router import WRITE_COMMANDS, ConnectionState, ShardRouter
 #: reading (a ``StreamReader`` pauses at twice its 64 KiB limit).
 BACKLOG_LIMIT = 1 << 17
 
+#: Replies a connection holds before it writes them (bounded in-flight
+#: pipelining).
+MAX_INFLIGHT = 64
+
 
 class MemcachedServer:
     """Asyncio TCP server speaking the memcached ASCII protocol.
@@ -86,14 +90,13 @@ class MemcachedServer:
                  machine: Optional[Machine] = None,
                  shard_count: int = 4,
                  read_timeout: Optional[float] = None,
-                 max_inflight: int = 64,
                  injector=None,
                  recorder=None,
                  **router_kwargs) -> None:
         self.host = host
         self.port = port
         self.read_timeout = read_timeout
-        self.max_inflight = max(1, max_inflight)
+        self.max_inflight = MAX_INFLIGHT
         #: optional :class:`repro.testing.faults.FaultInjector`. Hook
         #: points: split socket reads, reset-after-write-dispatch,
         #: delayed flushes, split response writes — plus the router's

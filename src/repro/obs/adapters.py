@@ -230,20 +230,19 @@ def register_index(registry: MetricsRegistry, store) -> None:
 RECLAIM_PREFIX = "repro_reclaim_"
 
 #: drain outcomes exposed as one reason-labeled counter; keys match the
-#: ``drained_*`` fields of :class:`repro.memory.reclaim.ReclaimStats`
+#: ``drained_*`` fields of :class:`repro.memory.dedup_store.ReclaimStats`
 RECLAIM_DRAIN_REASONS = ("freed", "resurrected", "stale")
 
 
 def register_reclaim(registry: MetricsRegistry, store) -> None:
     """Expose a :class:`DedupStore`'s reclamation state."""
     prefix = RECLAIM_PREFIX
-    reclaimer = store.reclaimer
-    stats = reclaimer.stats
+    stats = store.reclaim_stats
     registry.gauge(prefix + "pending_lines",
                    "deferred-dead lines awaiting drain",
-                   fn=reclaimer.pending)
+                   fn=store.pending_lines)
     registry.gauge(prefix + "epoch", "current reclamation epoch",
-                   fn=lambda: reclaimer.epoch)
+                   fn=lambda: store.reclaim_epoch)
     registry.counter(
         prefix + "drained_total",
         "deferral-queue entries processed, by drain outcome",
@@ -268,7 +267,7 @@ def register_reclaim(registry: MetricsRegistry, store) -> None:
                    fn=store.free_slots)
     registry.gauge(prefix + "free_overflow_slots",
                    "recycled overflow-area PLIDs awaiting reuse",
-                   fn=lambda: len(store.slots.free_overflow))
+                   fn=lambda: len(store.free_overflow))
 
 
 def register_router(registry: MetricsRegistry, router) -> None:

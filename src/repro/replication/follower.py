@@ -40,7 +40,7 @@ from repro.apps.memcached.protocol import ProtocolHandler
 from repro.apps.memcached.server import HicampMemcached
 from repro.core.machine import Machine
 from repro.errors import ReplicationError
-from repro.memory.reclaim import RECLAIM_BUDGET
+from repro.memory.dedup_store import RECLAIM_BUDGET
 from repro.net.framing import close_writer
 from repro.net.router import (
     READ_COMMANDS,
@@ -283,7 +283,11 @@ class ReplicationFollower:
         except KeyError as exc:
             self._nack(writer, -1, exc.args[0])
             return
-        local, created = self.machine.install_line(local_line)
+        try:
+            local, created = self.machine.install_line(local_line)
+        except ValueError as exc:
+            raise ReplicationError(
+                "LINE %d refused: %s" % (plid, exc)) from exc
         self.metrics.lines_installed += 1
         if not created:
             self.metrics.lines_deduped_on_arrival += 1

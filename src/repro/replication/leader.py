@@ -84,8 +84,8 @@ class FollowerSession:
         FORGET protocol needs: a deferred-dead line's slot cannot be
         reused until it actually deallocates, so a PLID in ``known``
         either still names that content or has been FORGOTten here
-        first. The router's ``drain()`` quiesces the reclaimer, so
-        forgets are flushed before any checkpoint or teardown.
+        first. The router's ``drain()`` quiesces the store's reclamation
+        queue, so forgets are flushed before any checkpoint or teardown.
         """
         if plid in self.known:
             self.known.discard(plid)

@@ -45,17 +45,13 @@ class IteratorStats:
 class IteratorRegister:
     """One iterator register bound to a memory system and segment map."""
 
-    def __init__(self, mem: MemorySystem, segmap: SegmentMap,
-                 transient_region=None) -> None:
+    def __init__(self, mem: MemorySystem, segmap: SegmentMap) -> None:
         self.mem = mem
         self.segmap = segmap
         #: DAG-aware prefetching (section 3.3): on a sequential leaf
         #: advance, the register fetches the next leaf's path ahead of
         #: demand, hiding its latency behind the current leaf's use.
         self.prefetch = True
-        #: per-processor conventional-mode area holding transient lines
-        #: (section 3.3; optional — accounting only)
-        self.transient_region = transient_region
         self._prefetched_base = -1
         self.stats = IteratorStats()
         self._vsid: Optional[int] = None
@@ -102,8 +98,6 @@ class IteratorRegister:
         self._leaf_base = -1
         self._leaf_words = None
         self._prefetched_base = -1
-        if self.transient_region is not None:
-            self.transient_region.reset()
 
     def _require_loaded(self) -> None:
         if self._vsid is None:
@@ -151,8 +145,6 @@ class IteratorRegister:
             offset = self._offset
         if offset in self._transient:
             self.stats.path_hits += 1
-            if self.transient_region is not None:
-                self.transient_region.read_word(offset)
             return self._transient[offset]
         w = self.mem.words_per_line
         base = offset - offset % w
@@ -242,8 +234,6 @@ class IteratorRegister:
         self._transient[offset] = value
         self.stats.writes += 1
         self.stats.transient_writes += 1
-        if self.transient_region is not None:
-            self.transient_region.write_word(offset)
         if offset >= self._length:
             self._length = offset + 1
         return self
@@ -260,8 +250,6 @@ class IteratorRegister:
         self._leaf_base = -1
         self._leaf_words = None
         self.stats.aborts += 1
-        if self.transient_region is not None:
-            self.transient_region.reset()
 
     def build_updated_root(self) -> Tuple[Entry, int]:
         """Materialize the snapshot plus transient stores as a new DAG.
@@ -318,6 +306,4 @@ class IteratorRegister:
         self._leaf_base = -1
         self._leaf_words = None
         self.stats.commits += 1
-        if self.transient_region is not None:
-            self.transient_region.reset()
         return True

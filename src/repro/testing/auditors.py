@@ -34,11 +34,11 @@ the dedup store and releases everything it allocated, leaving the
 footprint unchanged on a healthy machine.
 
 **Quiesce-then-audit:** in a held store (a router's or a follower's)
-released-to-zero lines stay resident until the reclaimer drains, which
+released-to-zero lines stay resident until the store drains them, which
 would trip the refcount auditor's non-positive-count check. The drain
 at the top of :func:`audit_refcounts` goes through
 :meth:`repro.memory.system.MemorySystem.drain`, which quiesces the
-reclaimer first — so every audit observes a store holding only live
+reclamation queue first — so every audit observes a store holding only live
 lines, held or not, and the auditors remain the oracle for the
 reclamation subsystem.
 """
@@ -107,9 +107,9 @@ def audit_refcounts(machine: Machine, strict: bool = False) -> List[str]:
     # quiesce deferred reclamation, then spill the deferred RC cache
     machine.drain()
     store = machine.mem.store
-    if store.reclaimer.pending():
+    if store.pending_lines():
         return ["reclaim: %d deferred lines survived quiesce"
-                % store.reclaimer.pending()]
+                % store.pending_lines()]
     internal: Dict[int, int] = {}
     for line in store._lines.values():
         for child in line_child_plids(line):

@@ -118,9 +118,9 @@ class EpisodeConfig:
     backend: Optional[Callable] = None
     #: memory geometry of the machine under test, passed whole: a small
     #: store spills buckets so lookups in them compare fingerprints
-    #: *during* the episode. Episodes quiesce the
-    #: reclaimer before the machine auditors run (via the router drain
-    #: and ``audit_refcounts``'s machine drain), and trace content is
+    #: *during* the episode. Episodes quiesce the store's reclamation
+    #: queue before the machine auditors run (via the router drain and
+    #: ``audit_refcounts``'s machine drain), and trace content is
     #: independent of every field by construction.
     memory: MemoryConfig = MemoryConfig()
     #: ``single``, ``replicated`` or ``cluster`` (see the module

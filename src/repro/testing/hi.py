@@ -81,7 +81,7 @@ class HIConfig:
     matrix_size: int = 32           # QuadTreeMatrix dimension (pow 2)
     #: memory geometry of the machines the schedules run on, passed
     #: whole. Every observation point drains the machine first, which
-    #: quiesces the reclaimer, so fingerprints/footprints must be
+    #: quiesces reclamation, so fingerprints/footprints must be
     #: identical whether or not the store is held and under any
     #: geometry; a small store makes buckets spill, so lookups in them
     #: compare fingerprints during the schedules.

@@ -61,7 +61,7 @@ class ModelledStore:
 
     def _forget_freed(self, plids) -> None:
         """Drop count-zero lines the store has freed. *When* a deferred
-        line is freed is the reclaimer's business; :meth:`check` then
+        line is freed is the drain's business; :meth:`check` then
         holds the store to everything else."""
         for plid in plids:
             if self.refs[plid] == 0 and not self.store.is_allocated(plid):

@@ -276,7 +276,7 @@ class TestRepairLoop:
         assert set(before["reclaim"]) == set(after["reclaim"])
         assert machine.config.memory == MemoryConfig()
         # the promoted router drains between batches, as its leader did
-        assert machine.mem.store.reclaimer.holds > 0
+        assert machine.mem.store.reclaim_holds > 0
         report = audit_machine(machine, strict=True)
         assert report.ok, report.failures
 

@@ -248,7 +248,7 @@ def test_spilled_bucket_compares_fingerprints_until_it_empties(held):
         assert _spilled(store) == {a1, a2, a3}
         assert lookup(a[2]) == (a2, False)
         store.reclaim_advance()
-        assert store.reclaimer.stats.drained_resurrected == 1
+        assert store.reclaim_stats.drained_resurrected == 1
         assert _spilled(store) == {a1, a2, a3}
         store.decref(a2)
         store.reclaim_advance()
@@ -298,11 +298,11 @@ def test_pressure_drain_returns_a_bucket_before_it_spills():
     assert _spilled(store) == {a0, a1, a2}
     store.decref(a2)
     store.decref(a0)
-    assert store.reclaimer.pending() == 2  # dead, still spilled
+    assert store.pending_lines() == 2  # dead, still spilled
     a3, created = store.lookup(a[3])
     assert created and a3 == a0  # a0's way, freed by the drain
-    assert store.reclaimer.stats.pressure_drains == 1
-    assert store.reclaimer.pending() == 0
+    assert store.reclaim_stats.pressure_drains == 1
+    assert store.pending_lines() == 0
     assert _spilled(store) == set()
     assert store.index_failures() == []
 

@@ -56,6 +56,17 @@ class TestLookup:
         with pytest.raises(BadPlidError):
             store.read_dram(999999)
 
+    def test_install_refuses_a_line_of_another_length(self):
+        machine = Machine()
+        for line in ((1, 2, 3), (1,), (1, 2, 3, 4, 5)):
+            with pytest.raises(ValueError, match="%d-word line" % len(line)):
+                machine.install_line(line)
+        assert machine.mem.store.footprint_lines() == 0
+        # a leaf (two words) and an interior line (fanout four) install
+        leaf, created = machine.install_line((1, 2))
+        assert created
+        assert machine.install_line((ref(leaf), 0, 0, 0))[1]
+
     def test_plid_encodes_way_and_bucket(self):
         store = small_store()
         plid, _ = store.lookup((3, 4))
@@ -232,9 +243,8 @@ class TestDramAccounting:
     def test_rc_cache_spills_charge_refcount_category(self):
         store = DedupStore(
             MemoryConfig(line_bytes=16, num_buckets=256, data_ways=4,
-                         overflow_lines=1024),
-            rc_cache_entries=2,
-        )
+                         overflow_lines=1024))
+        store._rc_cache._capacity = 2
         plids = [store.lookup((i, 0))[0] for i in range(1, 8)]
         for plid in plids:
             store.incref(plid)

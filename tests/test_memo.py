@@ -508,14 +508,16 @@ class TestBoundsStandalone:
     """LRU caps and reverse-map hygiene on a bare StructuralMemo."""
 
     def test_segment_table_bounded(self):
-        memo = StructuralMemo(max_segments=2).enable()
+        memo = StructuralMemo().enable()
+        memo._max_segments = 2
         for i in range(5):
             memo.put_segment(b"data-%d" % i, ref(50 + i), 1, 4)
         assert memo.sizes()["segment"] == 2
         assert memo.stats["segment"].evictions == 3
 
     def test_digest_cache_trims_wholesale(self):
-        memo = StructuralMemo(max_digests=8).enable()
+        memo = StructuralMemo().enable()
+        memo._max_digests = 8
         for plid in range(10):
             memo.digests[plid] = b"d%d" % plid
         memo.trim_digests()

@@ -42,11 +42,11 @@ class TestProcessors:
         it0 = machine.processors[0].iterator(vsid)
         it1 = machine.processors[1].iterator(vsid)
         it0.put(1, offset=0)
-        # transient lines are per-core (footnote 7): each register's
-        # region tracked its own writes
-        assert machine.processors[0].transient.live_words() == 1
-        assert machine.processors[1].transient.live_words() == 0
-        # and the other processor's snapshot does not see the store
+        # transient lines are per-core (footnote 7): the store sits in
+        # processor 0's register only
+        assert it0.dirty and not it1.dirty
+        assert it0.get(0) == 1
+        # and the other processor's register does not see it
         assert it1.get(0) == 0
         machine.processors[0].release_iterator(it0)
         machine.processors[1].release_iterator(it1)
@@ -81,4 +81,3 @@ class TestProcessors:
         it = machine.iterator(vsid)
         assert it in machine.processors[0]._registers
         machine.release_iterator(it)
-        assert machine.transient is machine.processors[0].transient

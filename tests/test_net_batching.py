@@ -220,8 +220,8 @@ def test_max_inflight_mid_burst_flush_keeps_order():
                         for i in range(7))
 
     async def go():
-        async with MemcachedServer(port=0, shard_count=2,
-                                   max_inflight=3) as server:
+        async with MemcachedServer(port=0, shard_count=2) as server:
+            server.max_inflight = 3  # read by each new connection
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", server.port)
             writer.write(burst)

@@ -102,7 +102,6 @@ def test_every_server_scalar_field_is_registered():
         | set(adapters.SERVER_GAUGE_FIELDS)
     scalar = {f.name for f in dataclass_fields(ServerMetrics)
               if f.type == "int" and not f.name.startswith("_")}
-    scalar -= {"reservoir_size"}  # config, not a metric
     assert scalar == covered
 
 
@@ -169,7 +168,7 @@ def test_reclaim_registration_mirrors_snapshot():
     parsed = parse_exposition(registry.exposition())
     snap = store.reclaim_snapshot()
     assert sample(parsed, "repro_reclaim_pending_lines") \
-        == snap["pending_lines"] == store.reclaimer.pending()
+        == snap["pending_lines"] == store.pending_lines()
     assert sample(parsed, "repro_reclaim_epoch") == snap["epoch"]
     for reason in adapters.RECLAIM_DRAIN_REASONS:
         assert sample(parsed, "repro_reclaim_drained_total",

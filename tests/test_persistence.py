@@ -15,7 +15,8 @@ from repro.core.persistence import (
     save_machine,
 )
 from repro.errors import PersistenceError
-from repro.memory.line import pack, pack_for
+from repro.memory.dedup_store import DedupStore
+from repro.memory.line import is_ref, pack, pack_for, ref
 from repro.structures import HMap
 from repro.testing.auditors import audit_machine
 from tests.conftest import small_config
@@ -162,6 +163,36 @@ class TestRoundtrip:
         with pytest.raises(PersistenceError, match="not a data word"):
             restore_machine(image)
 
+    def test_a_line_referencing_an_absent_plid_is_refused(
+            self, populated, monkeypatch):
+        image = machine_image(populated[0])
+        plid, at = next((plid, at) for plid, line in image["lines"].items()
+                        for at, word in enumerate(line) if is_ref(word))
+        image["lines"][plid][at] = ref(777777)
+        restored = []
+        monkeypatch.setattr(DedupStore, "restore_line",
+                            lambda *args: restored.append(args))
+        with pytest.raises(PersistenceError, match="PLID 777777"):
+            restore_machine(image)
+        assert restored == []  # refused before any line went in
+
+    def test_a_root_naming_an_absent_plid_is_refused(self, populated,
+                                                     monkeypatch):
+        machine, a, b, kvp = populated
+        image = machine_image(machine)
+        assert is_ref(image["segmap"][str(b)]["root"])
+        image["segmap"][str(b)]["root"] = ref(777777)
+        restored = []
+        monkeypatch.setattr(DedupStore, "restore_line",
+                            lambda *args: restored.append(args))
+        with pytest.raises(PersistenceError, match="PLID 777777"):
+            restore_machine(image)
+        assert restored == []
+        # the zero PLID counts as held
+        image["segmap"][str(b)]["root"] = ref(0)
+        monkeypatch.undo()
+        restore_machine(image)
+
     @pytest.mark.parametrize(
         "field", [f.name for f in dataclasses.fields(MemoryConfig)])
     def test_every_memory_field_is_carried_and_required(self, populated,
@@ -179,12 +210,12 @@ class TestRoundtrip:
         vsid = machine.create_segment([(i * 31 + 5) for i in range(200)])
         machine.drop_segment(machine.create_segment([9] * 64))
         assert store.counters.overflow_allocations > 0
-        assert store.reclaimer.pending() > 0
+        assert store.pending_lines() > 0
 
         restored = restore_machine(machine_image(machine))
         rstore = restored.mem.store
         assert restored.config.memory == machine.config.memory
-        assert store.reclaimer.pending() == 0  # imaging quiesced
+        assert store.pending_lines() == 0  # imaging quiesced
         assert indexed_plids(rstore) == indexed_plids(store) != set()
         assert rstore.indexed_buckets() == store.indexed_buckets()
         assert rstore.index_failures() == []

@@ -1,5 +1,5 @@
 """The one free path: placement, queue, drain, quiesce, resurrection
-and the capacity contract (repro.memory.reclaim and
+and the capacity contract (DedupStore's reclamation queue and
 DedupStore.hold_reclaim)."""
 
 import dataclasses
@@ -13,17 +13,16 @@ from repro.apps.memcached.server import HicampMemcached
 from repro.core.machine import Machine
 from repro.errors import BadPlidError, MemoryExhaustedError
 from repro.memory.dedup_store import DedupStore, StoreCounters
-from repro.memory.reclaim import SlotAllocator
 from repro.memory.stats import DramStats, RowBuffer
 from repro.params import MachineConfig, MemoryConfig, WORD_MASK
 from repro.structures import HMap
 
 
 def small_store(held=False, num_buckets=256, data_ways=4,
-                overflow=1024, **kwargs):
+                overflow=1024):
     store = DedupStore(MemoryConfig(num_buckets=num_buckets,
                                     data_ways=data_ways,
-                                    overflow_lines=overflow), **kwargs)
+                                    overflow_lines=overflow))
     if held:
         store.hold_reclaim()
     return store
@@ -50,8 +49,8 @@ def _placement_churn():
     overflow-slot reuses. Returns every PLID the lookups handed out,
     and the store."""
     store = DedupStore(MemoryConfig(num_buckets=4, data_ways=2,
-                                    overflow_lines=1 << 12),
-                       rc_cache_entries=4)
+                                    overflow_lines=1 << 12))
+    store._rc_cache._capacity = 4
     store.hold_reclaim()
     rng = random.Random(27)
     live, plids = [], []
@@ -99,7 +98,7 @@ class TestSlotAllocator:
         assert len(plids) == 2008
         digest = hashlib.sha256(repr(plids).encode()).hexdigest()
         assert digest[:16] == "df537c1ff363184a"
-        assert store.slots.free_overflow == [22, 15]
+        assert store.free_overflow == [22, 15]
         # the charges are the fingerprint compare's: a spilled bucket's
         # fingerprints are read with its signature line, and the RC
         # cache keeps its 4 entries
@@ -115,14 +114,20 @@ class TestSlotAllocator:
             signature_false_positives=20, false_positive_scans=35)
 
     def test_overflow_lifo_reuse(self):
-        alloc = SlotAllocator()
-        assert alloc.claim_overflow() is None  # empty free list: grow
-        alloc.release_overflow(5000)
-        alloc.release_overflow(5001)
-        assert alloc.claim_overflow() == 5001  # LIFO, like the legacy pop
-        assert alloc.claim_overflow() == 5000
-        assert alloc.claim_overflow() is None
-        assert alloc.overflow_reused == 2
+        # one bucket of one way: every line after the first spills
+        store = small_store(num_buckets=1, data_ways=1)
+        base = store._overflow_base
+        plids = [store.lookup((i + 1, 7))[0] for i in range(4)]
+        assert plids == [1, base, base + 1, base + 2]  # empty list: grow
+        store.decref(plids[1])
+        store.decref(plids[2])
+        assert store.free_overflow == [base, base + 1]
+        # LIFO: the most recently freed slot first
+        assert store.lookup((10, 7))[0] == base + 1
+        assert store.lookup((11, 7))[0] == base
+        assert store.free_overflow == []
+        assert store.lookup((12, 7))[0] == base + 3
+        assert store.reclaim_stats.overflow_reused == 2
 
     def test_free_slots_accounting(self):
         # free ways are zero signature bytes, in every bucket
@@ -149,16 +154,16 @@ class TestImmediateKind:
         baseline = machine.footprint_lines()
         plid, _ = store.lookup((1, 2))
         store.decref(plid)
-        assert store.reclaimer.pending() == 0
+        assert store.pending_lines() == 0
         assert store.footprint_lines() == baseline
         for tag in range(1, 4):
             vsid = machine.create_segment(_segment_words(tag, 300))
-            assert store.reclaimer.pending() == 0
+            assert store.pending_lines() == 0
             machine.drop_segment(vsid)
             # the whole subtree went through the queue and is gone
-            assert store.reclaimer.pending() == 0
+            assert store.pending_lines() == 0
             assert machine.footprint_lines() == baseline
-        stats = store.reclaimer.stats
+        stats = store.reclaim_stats
         assert stats.drained_freed == store.counters.deallocations > 3 * 150
         assert stats.deferred_total == stats.drained_freed
 
@@ -188,7 +193,7 @@ class TestEpochDefer:
         store.decref(plid)
         assert store.refcount(plid) == 0
         assert plid in store._lines  # resident, resurrectable
-        assert store.reclaimer.pending() == 1
+        assert store.pending_lines() == 1
         assert store.counters.deallocations == 0
         assert store.footprint_lines() == 1  # not reclaimed yet
 
@@ -201,7 +206,7 @@ class TestEpochDefer:
         assert store.refcount(plid) == 1
         # the queue entry is now moot: drain must skip it
         assert store.reclaim_quiesce() == 0
-        assert store.reclaimer.stats.drained_resurrected == 1
+        assert store.reclaim_stats.drained_resurrected == 1
         assert plid in store._lines
 
     def test_stale_queue_entry_after_refree(self):
@@ -210,9 +215,9 @@ class TestEpochDefer:
         store.decref(plid)          # entry 1
         store.lookup((1, 2))        # resurrect
         store.decref(plid)          # entry 2, same plid
-        assert store.reclaimer.pending() == 2
+        assert store.pending_lines() == 2
         store.reclaim_quiesce()
-        stats = store.reclaimer.stats
+        stats = store.reclaim_stats
         assert stats.drained_freed == 1
         assert stats.drained_stale == 1  # second entry found the line gone
         assert plid not in store._lines
@@ -226,11 +231,11 @@ class TestEpochDefer:
 
     def test_epoch_counter_advances(self):
         store = small_store(held=True)
-        before = store.reclaimer.epoch
+        before = store.reclaim_epoch
         store.reclaim_advance(8)
         store.reclaim_advance(8)
-        assert store.reclaimer.epoch == before + 2
-        assert store.reclaimer.stats.epochs_advanced == 2
+        assert store.reclaim_epoch == before + 2
+        assert store.reclaim_stats.epochs_advanced == 2
 
 
 class TestEpochDrain:
@@ -241,7 +246,7 @@ class TestEpochDrain:
         deallocs_before = store.counters.deallocations
         machine.drop_segment(vsid)
         # O(1) hot path: one queue entry, zero lines walked or freed
-        assert store.reclaimer.pending() == 1
+        assert store.pending_lines() == 1
         assert store.counters.deallocations == deallocs_before
 
     def test_bounded_drain_progresses_incrementally(self):
@@ -253,9 +258,9 @@ class TestEpochDrain:
         freed_first = store.reclaim_advance(10)
         assert freed_first <= 10
         # interior children re-defer as the walk descends: still pending
-        assert store.reclaimer.pending() > 0
+        assert store.pending_lines() > 0
         rounds = 0
-        while store.reclaimer.pending():
+        while store.pending_lines():
             assert store.reclaim_advance(10) > 0, "drain stalled"
             rounds += 1
             assert rounds < 1000
@@ -269,10 +274,10 @@ class TestEpochDrain:
         for tag in range(1, 4):
             vsid = machine.create_segment(_segment_words(tag, 256))
             machine.drop_segment(vsid)
-        assert store.reclaimer.pending() == 3
+        assert store.pending_lines() == 3
         freed = store.reclaim_quiesce()
         assert freed > 3  # whole subtrees, not just the roots
-        assert store.reclaimer.pending() == 0
+        assert store.pending_lines() == 0
         assert machine.footprint_lines() == baseline
 
     def test_dealloc_listeners_fire_at_drain_not_release(self):
@@ -291,9 +296,9 @@ class TestEpochDrain:
         store = machine.mem.store
         vsid = machine.create_segment(_segment_words(1, 128))
         machine.drop_segment(vsid)
-        assert store.reclaimer.pending() == 1
+        assert store.pending_lines() == 1
         machine.drain()
-        assert store.reclaimer.pending() == 0
+        assert store.pending_lines() == 0
 
     def test_plid_space_stays_bounded_under_churn(self):
         # a tiny bucket array keeps about half of a 16-line live window
@@ -320,7 +325,7 @@ class TestEpochDrain:
         # free list the space would grow by that much. A couple slots
         # of slack covers peak-occupancy jitter between drain points.
         assert store._next_overflow - high_water <= 2
-        assert store.slots.overflow_reused > 50
+        assert store.reclaim_stats.overflow_reused > 50
 
 
 # ----------------------------------------------------------------------
@@ -341,7 +346,7 @@ def sets_until_exhausted(held):
         while True:
             server.set(b"k%d" % sets, rng.randbytes(64))
             sets += 1
-    return sets, machine.mem.store.reclaimer.stats
+    return sets, machine.mem.store.reclaim_stats
 
 
 class TestCapacity:
@@ -370,10 +375,10 @@ class TestConfig:
         from repro.net.router import ShardRouter
         router = ShardRouter(shard_count=2)
         store = router.machine.mem.store
-        assert store.reclaimer.holds == 1
+        assert store.reclaim_holds == 1
         plid, _ = store.lookup((1, 2))
         store.decref(plid)
-        assert store.reclaimer.pending() == 1  # the workers drain it
+        assert store.pending_lines() == 1  # the workers drain it
 
     def test_hmap_workload_quiesces_clean(self):
         machine = held_machine()
@@ -381,6 +386,6 @@ class TestConfig:
         for i in range(64):
             kvp.put(b"k%02d" % (i % 8), b"v%04d" % i)
         machine.drain()
-        assert machine.mem.store.reclaimer.pending() == 0
+        assert machine.mem.store.pending_lines() == 0
         from repro.testing.auditors import audit_machine
         assert audit_machine(machine, strict=True).ok

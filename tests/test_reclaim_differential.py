@@ -64,7 +64,7 @@ def _churn(machine, seed=7, rounds=200):
 def _observe(held, seed=7):
     machine = _machine(held)
     kvp = _churn(machine, seed=seed)
-    machine.drain()  # quiesces the reclaimer before any observation
+    machine.drain()  # quiesces reclamation before any observation
     store = machine.mem.store
     return {
         "fingerprint": machine.segment_fingerprint(kvp.vsid).hex(),
@@ -72,7 +72,7 @@ def _observe(held, seed=7):
         "footprint_bytes": store.footprint_bytes(),
         "refcounts": sorted(store.refcount(p) for p in store.live_plids()),
         "audit": audit_machine(machine, strict=True),
-        "pending": store.reclaimer.pending(),
+        "pending": store.pending_lines(),
     }
 
 
@@ -141,18 +141,18 @@ class TestPersistence:
         # park dead subtrees in the deferral queue, then image
         vsid = machine.create_segment([0xAB0000 | w for w in range(96)])
         machine.drop_segment(vsid)
-        assert store.reclaimer.pending() > 0
+        assert store.pending_lines() > 0
         image = machine_image(machine)
         # imaging quiesced: deferred-dead lines never serialize
-        assert store.reclaimer.pending() == 0
+        assert store.pending_lines() == 0
         assert len(image["lines"]) == machine.footprint_lines()
 
         restored = restore_machine(image)
         rstore = restored.mem.store
-        assert rstore.reclaimer.holds == 0  # its next owner holds it
+        assert rstore.reclaim_holds == 0  # its next owner holds it
         assert restored.footprint_lines() == machine.footprint_lines()
         assert restored.segment_fingerprint(kvp.vsid) \
             == machine.segment_fingerprint(kvp.vsid)
         assert audit_machine(restored, strict=True).ok
         # the recycled-overflow free list survives the roundtrip
-        assert rstore.slots.free_overflow == store.slots.free_overflow
+        assert rstore.free_overflow == store.free_overflow

@@ -132,7 +132,7 @@ class TestConvergence:
         machine = asyncio.run(go())
         # a fresh follower builds its own machine and holds its store
         assert machine.config.memory == MemoryConfig()
-        assert machine.mem.store.reclaimer.holds == 1
+        assert machine.mem.store.reclaim_holds == 1
         audit_machine(machine, strict=True).raise_if_failed()
 
     def test_overwrites_and_deletes_keep_converging(self):

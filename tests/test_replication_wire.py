@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ReplicationError
 from repro.memory.line import pack, pack_for, ref, ref_path
-from repro.replication import wire
+from repro.replication import ReplicationFollower, wire
 
 
 def _roundtrip(word):
@@ -68,6 +68,15 @@ class TestPayloads:
         payload = wire.encode_line_payload(31, line)
         plid, decoded = wire.decode_line_payload(payload)
         assert plid == 31 and decoded == line
+
+    def test_follower_refuses_a_line_of_another_length(self):
+        follower = ReplicationFollower("127.0.0.1", 0)
+        payload = wire.encode_line_payload(9, (1, 2, 3))
+        with pytest.raises(ReplicationError, match="LINE 9 refused"):
+            follower._handle_line(None, payload)
+        assert follower.machine.mem.store.footprint_lines() == 0
+        assert follower.plid_map == {}
+        assert follower.metrics.lines_installed == 0
 
     def test_line_trailing_bytes_rejected(self):
         payload = wire.encode_line_payload(1, (0, 0)) + b"x"

@@ -228,3 +228,26 @@ def test_only_the_map_knows_its_slot_format():
         if found:
             uses[str(path.relative_to(ROOT))] = found
     assert uses == {}
+
+
+#: a line's count and its free: only ``repro.memory.dedup_store`` reads these
+FREE_PATH = {"_refcounts", "_deallocate", "_reclaim_one"}
+
+
+def test_only_the_store_frees_lines():
+    """Freeing is the memory's own state machine behind ``decref``
+    (section 3.1): no other module reads a store's counts or calls its
+    free routines, so the drain, the free list and the counts stay one
+    structure."""
+    owner = ROOT / "src/repro/memory/dedup_store.py"
+    uses = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path == owner:
+            continue
+        found = [(node.lineno, node.attr)
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.Attribute)
+                 and node.attr in FREE_PATH]
+        if found:
+            uses[str(path.relative_to(ROOT))] = found
+    assert uses == {}

@@ -1,45 +1,6 @@
-"""Tests for the per-processor transient region (section 3.3, fn. 2/7)."""
-
-from repro.memory.transient import TransientRegion
-
-
-class TestTransientRegion:
-    def test_resident_working_set_is_cheap(self):
-        region = TransientRegion(size_bytes=64 * 1024)
-        for _ in range(50):
-            for slot in range(16):
-                region.write_word(slot)
-                region.read_word(slot)
-        region.drain()
-        # a small reused buffer stays in the region's private cache:
-        # off-chip traffic is bounded by the working set, not by op count
-        assert region.dram.total() <= 32
-
-    def test_overflow_spills(self):
-        region = TransientRegion(size_bytes=1024, line_bytes=64)
-        for slot in range(4000):
-            region.write_word(slot)
-        region.drain()
-        assert region.dram.total() > 0  # capacity pressure reached DRAM
-
-    def test_reset_recycles(self):
-        region = TransientRegion()
-        for slot in range(10):
-            region.write_word(slot)
-        assert region.live_words() == 10
-        region.reset()
-        assert region.live_words() == 0
-
-    def test_iterator_charges_region(self, machine):
-        vsid = machine.create_segment([0] * 16)
-        it = machine.iterator(vsid)
-        before = machine.transient.live_words()
-        it.put(5, offset=3)
-        it.get(3)  # transient read
-        assert machine.transient.live_words() == before + 1
-        it.try_commit()
-        assert machine.transient.live_words() == 0  # recycled on commit
-        machine.release_iterator(it)
+"""Content-addressed queue slots under racing enqueues: an iterator
+register's transient stores become content-unique lines only at commit
+(section 3.3), so two racing identical payloads may share one line."""
 
 
 class TestQueueCoalescing:
