@@ -29,6 +29,9 @@ from repro.params import ConventionalConfig
 _HEADER_BYTES = 48  # next ptr, hash, key len, value len, flags, refcount...
 _SOCKET_BUF = 8 * 1024
 
+#: Chains in the item hash table.
+HASH_BUCKETS = 4096
+
 
 @dataclass
 class _Item:
@@ -42,12 +45,10 @@ class _Item:
 class ConventionalMemcached:
     """Trace-generating model of a classic memcached process."""
 
-    def __init__(self, config: ConventionalConfig = None,
-                 hash_buckets: int = 4096) -> None:
+    def __init__(self, config: ConventionalConfig = None) -> None:
         self.mem = ConventionalMemory(config or ConventionalConfig())
         self.arena = Arena(base=0x100000)
-        self.hash_buckets = hash_buckets
-        self.table_addr = self.arena.alloc(8 * hash_buckets)
+        self.table_addr = self.arena.alloc(8 * HASH_BUCKETS)
         # socket and client receive buffers, reused round-robin
         self.socket_buf = self.arena.alloc(_SOCKET_BUF)
         self.client_buf = self.arena.alloc(_SOCKET_BUF)
@@ -58,7 +59,7 @@ class ConventionalMemcached:
     # ------------------------------------------------------------------
 
     def _bucket(self, key: bytes) -> int:
-        return zlib.crc32(key) % self.hash_buckets
+        return zlib.crc32(key) % HASH_BUCKETS
 
     def _sock(self, size: int) -> int:
         """Rotating socket-buffer offset (buffers get reused)."""

@@ -115,7 +115,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server = MemcachedServer(
             host=args.host, port=args.port, shard_count=args.shards,
             read_timeout=args.read_timeout,
-            backend_factory=backend_factory, batch_limit=args.batch_limit)
+            backend_factory=backend_factory)
         await server.start()
         leader = None
         replication = ""
@@ -465,9 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="independent KVP shards (default 4)")
     p_srv.add_argument("--read-timeout", type=float, default=300.0,
                        help="idle-connection timeout in seconds")
-    p_srv.add_argument("--batch-limit", type=int, default=16,
-                       help="max queued writes a shard worker drains "
-                            "into one batch")
     p_srv.add_argument("--quota", type=int, default=None,
                        help="per-machine byte quota (enables LRU eviction)")
     p_srv.add_argument("--metrics-json", default=None,

@@ -38,26 +38,20 @@ class ClusterConfig:
     leaders: int = 2
     followers: int = 2          #: per leader
     shards: int = 2
-    vnodes: int = 16
     seed: int = 0
     host: str = "127.0.0.1"
-    lag_window: int = 256
-    heartbeat_interval: Optional[float] = None
-    reconnect_delay: float = 0.02
 
 
 class Cluster:
     """A fleet of leader/follower stacks sharing one event loop."""
 
     def __init__(self, config: Optional[ClusterConfig] = None,
-                 registry: Optional[MetricsRegistry] = None,
                  recorder=None, injector=None) -> None:
         self.config = config if config is not None else ClusterConfig()
         self.metrics = ClusterMetrics()
         #: cluster-level registry (node stacks keep their own); the obs
         #: adapter wires ``repro_cluster_*`` instruments into it
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         #: optional fault injector handed to every *leader's* serving
         #: front — the adversary for fuzz episodes
@@ -78,8 +72,6 @@ class Cluster:
         for i in range(cfg.leaders):
             node = LeaderNode(
                 "lead-%d" % i, shards=cfg.shards, host=cfg.host,
-                lag_window=cfg.lag_window,
-                heartbeat_interval=cfg.heartbeat_interval,
                 recorder=self.recorder, injector=self.injector)
             await node.start()
             self.leaders[node.node_id] = node
@@ -90,14 +82,12 @@ class Cluster:
             for j in range(cfg.followers):
                 node = FollowerNode(
                     "%s-f%d" % (leader_id, j), leader_id, leader.info(),
-                    host=cfg.host, reconnect_delay=cfg.reconnect_delay,
-                    recorder=self.recorder)
+                    host=cfg.host, recorder=self.recorder)
                 await node.start()
                 self.followers[node.node_id] = node
                 follower_infos.append(node.info())
-        self.publish(initial_topology(
-            leader_infos, follower_infos, vnodes=cfg.vnodes,
-            seed=cfg.seed))
+        self.publish(initial_topology(leader_infos, follower_infos,
+                                      seed=cfg.seed))
 
     async def stop(self) -> None:
         for node in self.followers.values():
@@ -222,10 +212,7 @@ class Cluster:
         dead = self.dead.get(follower.leader_id)
         shards = len(dead.router.servers) if dead is not None \
             else self.config.shards
-        node = await follower.promote(
-            shards, lag_window=self.config.lag_window,
-            heartbeat_interval=self.config.heartbeat_interval,
-            recorder=self.recorder)
+        node = await follower.promote(shards, recorder=self.recorder)
         self.leaders[node.node_id] = node
         self.metrics.forget_node(follower_id)
         return node

@@ -20,7 +20,7 @@ plan, *prove* it healthy, only then commit. Concretely, each tick:
    canonical DAG is history-independent, per-stream
    ``segment_fingerprint`` agreement across the new fleet *proves*
    byte-identical state no matter what each node lived through. A
-   repair that cannot converge within ``verify_timeout`` is **not**
+   repair that cannot converge within ``VERIFY_TIMEOUT`` is **not**
    committed — it stays pending and re-verifies on later ticks.
 5. **commit** — bump the epoch, publish the successor topology to every
    node, record the kill→convergence wall time.
@@ -37,7 +37,6 @@ from typing import Dict, List, Optional
 
 from repro.net.framing import close_writer
 from repro.net.server import wait_within
-from repro.obs.trace import NULL_RECORDER
 from repro.cluster.cluster import Cluster
 from repro.cluster.placement import ClusterTopology
 
@@ -46,22 +45,22 @@ __all__ = ["TopologyManager"]
 #: seconds a liveness probe's ``version`` request may take
 PROBE_TIMEOUT = 0.25
 
+#: seconds a proposed repair's fleet may take to converge before it is
+#: left pending for a later tick
+VERIFY_TIMEOUT = 5.0
+
 
 class TopologyManager:
     """Health-checks leaders and repairs the topology when one dies."""
 
     def __init__(self, cluster: Cluster,
                  probe_interval: float = 0.05,
-                 failure_threshold: int = 2,
-                 verify_timeout: float = 5.0,
-                 recorder=None) -> None:
+                 failure_threshold: int = 2) -> None:
         self.cluster = cluster
         self.probe_interval = probe_interval
         self.failure_threshold = max(1, failure_threshold)
-        self.verify_timeout = verify_timeout
-        self.recorder = recorder if recorder is not None \
-            else cluster.recorder if cluster.recorder is not None \
-            else NULL_RECORDER
+        self.verify_timeout = VERIFY_TIMEOUT
+        self.recorder = cluster.recorder
         #: consecutive probe failures per leader id
         self._failures: Dict[str, int] = {}
         #: an un-committed repair awaiting fingerprint convergence

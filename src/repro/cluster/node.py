@@ -48,6 +48,13 @@ from repro.cluster.placement import ClusterTopology, NodeInfo
 
 __all__ = ["ClusterRouter", "LeaderNode", "FollowerNode", "parse_moved"]
 
+#: A cluster leader ships no heartbeats: the topology manager probes
+#: its liveness in band.
+HEARTBEAT_INTERVAL = None
+
+#: Seconds a cluster follower waits before it redials its leader.
+RECONNECT_DELAY = 0.02
+
 
 def parse_moved(line: bytes):
     """``(epoch, node_id, host, port)`` from a MOVED line, else None."""
@@ -101,8 +108,6 @@ class LeaderNode:
                  machine: Optional[Machine] = None,
                  shards: int = 2,
                  host: str = "127.0.0.1", port: int = 0,
-                 lag_window: int = 256,
-                 heartbeat_interval: Optional[float] = None,
                  backend_factory=HicampMemcached,
                  recorder=None, injector=None) -> None:
         self.node_id = node_id
@@ -113,9 +118,7 @@ class LeaderNode:
                                       router=self.router,
                                       injector=injector)
         self.leader = ReplicationLeader(
-            self.router, host=host,
-            lag_window=lag_window,
-            heartbeat_interval=heartbeat_interval,
+            self.router, host=host, heartbeat_interval=HEARTBEAT_INTERVAL,
             recorder=recorder)
         self.host = host
         self.alive = True
@@ -180,14 +183,13 @@ class FollowerNode:
     def __init__(self, node_id: str, leader_id: str,
                  leader_info: NodeInfo,
                  host: str = "127.0.0.1", port: int = 0,
-                 reconnect_delay: float = 0.02,
                  recorder=None) -> None:
         self.node_id = node_id
         self.leader_id = leader_id
         self.host = host
         self.follower = ReplicationFollower(
             leader_info.host, leader_info.repl_port,
-            reconnect_delay=reconnect_delay, recorder=recorder)
+            reconnect_delay=RECONNECT_DELAY, recorder=recorder)
         self.router = FollowerRouter(self.follower, leader_info.host,
                                      leader_info.port)
         self.front = MemcachedServer(host=host, port=port,
@@ -227,10 +229,7 @@ class FollowerNode:
         self.follower.reparent(leader_info.host, leader_info.repl_port)
         self.router.set_upstream(leader_info.host, leader_info.port)
 
-    async def promote(self, shards: int,
-                      lag_window: int = 256,
-                      heartbeat_interval: Optional[float] = None,
-                      recorder=None) -> LeaderNode:
+    async def promote(self, shards: int, recorder=None) -> LeaderNode:
         """Turn this follower into a leader over its replicated state.
 
         Stops the follower stack (releasing the translation map's pins;
@@ -248,8 +247,7 @@ class FollowerNode:
         backends = iter(self.follower.servers[:shards])
         node = LeaderNode(
             self.node_id, machine=self.follower.machine, shards=shards,
-            host=self.host, port=port, lag_window=lag_window,
-            heartbeat_interval=heartbeat_interval,
+            host=self.host, port=port,
             # the router builds its shards in order: each takes the
             # next replicated backend while there is one
             backend_factory=lambda machine: next(

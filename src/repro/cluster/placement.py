@@ -38,6 +38,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 LEADER = "leader"
 FOLLOWER = "follower"
 
+#: Virtual points per slot on a cluster's ring (the topology document
+#: carries the count, so a ring read off the wire keeps its own).
+VNODES = 16
+
 
 def _point(seed: int, slot: str, replica: int) -> int:
     """Deterministic 64-bit ring position for one virtual node."""
@@ -224,11 +228,11 @@ class ClusterTopology:
 
 def initial_topology(leaders: Sequence[NodeInfo],
                      followers: Sequence[NodeInfo],
-                     vnodes: int = 32, seed: int = 0,
-                     epoch: int = 1) -> ClusterTopology:
-    """Epoch-1 topology: one slot per leader, bound in sorted id order."""
+                     seed: int = 0, epoch: int = 1) -> ClusterTopology:
+    """Epoch-1 topology: one slot per leader, bound in sorted id order,
+    on a ring of :data:`VNODES` points per slot."""
     slots = ["slot-%d" % i for i in range(len(leaders))]
-    ring = HashRing(slots, vnodes=vnodes, seed=seed)
+    ring = HashRing(slots, vnodes=VNODES, seed=seed)
     ordered = sorted(leaders, key=lambda info: info.node_id)
     slot_owner = {slot: info.node_id
                   for slot, info in zip(slots, ordered)}

@@ -165,7 +165,7 @@ class Machine:
         that is neither data nor a live line's reference is refused."""
         if not updates:
             return
-        entry = self.segmap.entry(vsid)
+        entry = self.segmap.writable(vsid)
         length = max(entry.length, max(updates) + 1)
         root, height = dag.new_version(self.mem, entry.root, entry.height,
                                        length, updates)

@@ -165,7 +165,7 @@ class ReclaimStats:
     drained_freed: int = 0        # deferred lines actually deallocated
     drained_resurrected: int = 0  # entries skipped: content re-looked-up
     drained_stale: int = 0        # entries skipped: already freed
-    epochs_advanced: int = 0
+    epochs_advanced: int = 0      # the reclamation epoch
     quiesces: int = 0
     max_pending: int = 0          # deepest the deferral queue has been
     pressure_drains: int = 0      # full drains forced by a full bucket
@@ -289,7 +289,6 @@ class DedupStore:
         #: counted holds: owners that drain between batches, plus a
         #: running drain. While any is taken, a release only queues.
         self.reclaim_holds = 0
-        self.reclaim_epoch = 0
         self.reclaim_stats = ReclaimStats()
 
     # ------------------------------------------------------------------
@@ -735,7 +734,6 @@ class DedupStore:
         lines. A held store's owner calls this between batches, so the
         frees one batch deferred are reclaimed, bounded, before the next
         batch commits. Returns the lines freed."""
-        self.reclaim_epoch += 1
         self.reclaim_stats.epochs_advanced += 1
         return self._drain(budget)
 
@@ -764,7 +762,7 @@ class DedupStore:
                     "free_ways": free_slots - len(self.free_overflow),
                     "free_overflow": len(self.free_overflow),
                     "overflow_reused": stats.overflow_reused},
-                "epoch": self.reclaim_epoch,
+                "epoch": stats.epochs_advanced,
                 "pending_lines": len(self._pending),
                 "deferred_total": stats.deferred_total,
                 "drained_freed": stats.drained_freed,

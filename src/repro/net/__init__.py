@@ -21,7 +21,7 @@ process never loads them.
 from repro.net.framing import Frame, FrameDecoder
 from repro.net.metrics import CollectorPauses, ServerMetrics
 from repro.net.router import ConnectionState, ShardRouter
-from repro.net.server import MemcachedServer, serve
+from repro.net.server import MemcachedServer
 
 __all__ = [
     "Frame",
@@ -31,5 +31,4 @@ __all__ = [
     "ConnectionState",
     "ShardRouter",
     "MemcachedServer",
-    "serve",
 ]

@@ -35,6 +35,9 @@ from repro.apps.memcached.protocol import (
 #: Longest accepted request line (real memcached: 2048; generous here).
 MAX_LINE_BYTES = 8192
 
+#: Largest payload a length-prefixed frame may declare.
+MAX_PAYLOAD = 1 << 24
+
 
 @dataclass
 class Frame:
@@ -174,7 +177,7 @@ class LengthPrefixedDecoder:
     the generic reassembly half, shared so any future binary protocol
     gets the same split-read handling the fault injector exercises.
 
-    ``max_payload`` bounds memory on a hostile or corrupted stream; an
+    :data:`MAX_PAYLOAD` bounds memory on a hostile or corrupted stream; an
     oversized declaration raises :class:`FrameTooLargeError` (a framing
     desynchronization is unrecoverable, unlike a malformed text request,
     so the connection must be dropped).
@@ -182,8 +185,8 @@ class LengthPrefixedDecoder:
 
     HEADER = struct.Struct("!BI")
 
-    def __init__(self, max_payload: int = 1 << 24) -> None:
-        self.max_payload = max_payload
+    def __init__(self) -> None:
+        self.max_payload = MAX_PAYLOAD
         self._buf = bytearray()
 
     @property

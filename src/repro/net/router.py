@@ -57,10 +57,12 @@ from repro.net.metrics import CollectorPauses, ServerMetrics
 from repro.obs import adapters
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_RECORDER, DramProbe
-from repro.params import MachineConfig, MemoryConfig
 
 #: Writes a shard's commit queue holds before ``dispatch`` waits on it.
 QUEUE_DEPTH = 256
+
+#: Frames a shard worker drains from its queue into one batch.
+BATCH_LIMIT = 16
 
 #: Commands that mutate the cache and therefore go through a commit queue.
 WRITE_COMMANDS = frozenset((b"set", b"add", b"replace", b"cas", b"delete",
@@ -111,30 +113,24 @@ class ShardRouter:
                  shard_count: int = 4,
                  backend_factory: Callable[[Machine], HicampMemcached]
                  = HicampMemcached,
-                 batch_limit: int = 16,
                  metrics: Optional[ServerMetrics] = None,
                  injector=None,
-                 recorder=None,
-                 registry: Optional[MetricsRegistry] = None,
-                 memory: Optional[MemoryConfig] = None) -> None:
+                 recorder=None) -> None:
         if shard_count < 1:
             raise ValueError("need at least one shard")
-        # ``memory`` only applies when the router owns its machine — a
-        # caller-supplied machine keeps its own config
         if machine is None:
-            machine = Machine(MachineConfig(memory=memory or MemoryConfig()))
+            machine = Machine()
         # the workers drain reclamation between commit batches, and a
         # memo hit skips a value's rebuild and its modeled lookups but
         # stays refcount-exact (docs/performance.md)
         machine.configure_serving()
         servers = [backend_factory(machine) for _ in range(shard_count)]
         self._front(machine, servers, [ProtocolHandler(s) for s in servers],
-                    batch_limit, metrics, injector, recorder, registry)
+                    metrics, injector, recorder)
 
     def _front(self, machine: Machine, servers: List[HicampMemcached],
-               handlers: List[ProtocolHandler], batch_limit=16,
-               metrics=None, injector=None, recorder=None,
-               registry=None) -> None:
+               handlers: List[ProtocolHandler], metrics=None,
+               injector=None, recorder=None) -> None:
         """Front ``servers``, one per shard on a serving ``machine``,
         through ``handlers`` (a follower's router passes its replica's
         lists, which grow as streams arrive)."""
@@ -145,7 +141,7 @@ class ShardRouter:
         self.machine = machine
         self.servers = servers
         self.handlers = handlers
-        self.batch_limit = max(1, batch_limit)
+        self.batch_limit = BATCH_LIMIT
         self.metrics = metrics if metrics is not None else ServerMetrics()
         #: trace recorder (:mod:`repro.obs.trace`); the no-op default
         #: keeps every span site zero-cost (guarded on ``enabled``)
@@ -153,8 +149,7 @@ class ShardRouter:
         #: the unified metrics registry: the server silo, the machine's
         #: DRAM counters and the router's cache-wide state all read
         #: through it (``stats prom`` serves its exposition in-band)
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
+        self.registry = MetricsRegistry()
         adapters.register_server_metrics(self.registry, self.metrics)
         adapters.register_dram_stats(self.registry, machine.mem.dram)
         adapters.register_router(self.registry, self)

@@ -561,16 +561,3 @@ async def stop_accepting(server: asyncio.AbstractServer) -> None:
         loop.remove_reader(sock.fileno())
     await asyncio.sleep(0)
     server.close()
-
-
-async def serve(host: str = "127.0.0.1", port: int = 11211,
-                **kwargs) -> None:
-    """Run a server until cancelled (the ``repro serve`` entry point)."""
-    server = MemcachedServer(host=host, port=port, **kwargs)
-    await server.start()
-    try:
-        await server.serve_forever()
-    except asyncio.CancelledError:
-        pass
-    finally:
-        await server.shutdown()

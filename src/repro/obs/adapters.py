@@ -242,7 +242,7 @@ def register_reclaim(registry: MetricsRegistry, store) -> None:
                    "deferred-dead lines awaiting drain",
                    fn=store.pending_lines)
     registry.gauge(prefix + "epoch", "current reclamation epoch",
-                   fn=lambda: store.reclaim_epoch)
+                   fn=lambda: stats.epochs_advanced)
     registry.counter(
         prefix + "drained_total",
         "deferral-queue entries processed, by drain outcome",

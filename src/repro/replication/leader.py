@@ -22,7 +22,8 @@ Per follower session the leader keeps:
   frames are flushed to the follower before the next delta so a reused
   PLID is never interpreted against a stale translation.
 * lag bookkeeping — commits observed minus commits acknowledged, per
-  stream. A follower farther behind than ``lag_window`` is resynced:
+  stream. A follower farther behind than :data:`LAG_WINDOW` commits
+  on a stream is resynced:
   RESET (the follower drops its translation map), then a full snapshot
   sync of every stream. The same fallback answers a NACK — a follower
   reporting a missing line is evidence the incremental state diverged,
@@ -50,6 +51,9 @@ from repro.replication.metrics import ReplicationMetrics
 from repro.segments import dag
 
 READ_CHUNK = 1 << 16
+
+#: Commits a follower may trail a stream by before it is resynced.
+LAG_WINDOW = 256
 
 
 class FollowerSession:
@@ -101,7 +105,6 @@ class ReplicationLeader:
 
     def __init__(self, router: ShardRouter,
                  host: str = "127.0.0.1", port: int = 0,
-                 lag_window: int = 256,
                  heartbeat_interval: Optional[float] = 1.0,
                  metrics: Optional[ReplicationMetrics] = None,
                  injector=None,
@@ -110,7 +113,7 @@ class ReplicationLeader:
         self.machine = router.machine
         self.host = host
         self.port = port
-        self.lag_window = max(1, lag_window)
+        self.lag_window = LAG_WINDOW
         self.heartbeat_interval = heartbeat_interval
         self.metrics = metrics if metrics is not None \
             else ReplicationMetrics()

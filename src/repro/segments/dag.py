@@ -180,27 +180,41 @@ def build_entry(mem: MemorySystem, words: Sequence, level: int) -> Entry:
     its last child has — the post-order of a recursive build, so lines
     are looked up in the same sequence — and the levels above the
     minimal height for ``len(words)`` are one :func:`_wrap_run`.
+
+    A refused allocation (or any other exception) releases every
+    reference the build holds before it propagates.
     """
     words = words[:entry_capacity(mem, level)]
     w, fan = mem.words_per_line, mem.fanout
     height = min(level, height_for(mem, len(words)))
-    # open_at[l]: the children so far of the unfinished interior at l + 1
+    # open_at[l]: the children so far of the unfinished interior at l + 1;
+    # each reference held is in one list or in ``entry``, never both
     open_at: List[List[Entry]] = [[] for _ in range(height)]
     entry: Entry = 0
-    for start in range(0, len(words), w):
-        entry = _leaf_entry(mem, words[start:start + w])
-        for below, children in enumerate(open_at):
-            children.append(entry)
-            if len(children) < fan:
-                break
-            entry = _canonical_interior(mem, children, below + 1)
-            del children[:]
-    for below, children in enumerate(open_at):  # close the right edge
-        if children:
-            children.extend([0] * (fan - len(children)))
-            entry = _canonical_interior(mem, children, below + 1)
-            if below + 1 < height:
-                open_at[below + 1].append(entry)
+    try:
+        for start in range(0, len(words), w):
+            entry = _leaf_entry(mem, words[start:start + w])
+            for below, children in enumerate(open_at):
+                children.append(entry)
+                entry = 0
+                if len(children) < fan:
+                    break
+                entry = _canonical_interior(mem, children, below + 1)
+                del children[:]
+        for below, children in enumerate(open_at):  # close the right edge
+            if children:
+                children.extend([0] * (fan - len(children)))
+                entry = _canonical_interior(mem, children, below + 1)
+                del children[:]
+                if below + 1 < height:
+                    open_at[below + 1].append(entry)
+                    entry = 0
+    except BaseException:
+        release_entry(mem, entry)
+        for children in open_at:
+            for child in children:
+                release_entry(mem, child)
+        raise
     return _wrap_run(mem, entry, height, (0,) * (level - height))
 
 

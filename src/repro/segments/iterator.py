@@ -279,6 +279,9 @@ class IteratorRegister:
         validates the snapshot is current.
         """
         self._require_loaded()
+        if self._read_only:  # refused before the build takes references
+            raise ReadOnlyError("CAS through read-only reference to VSID %d"
+                                % self._vsid)
         new_root, new_height = self.build_updated_root()
         ok = self.segmap.cas_root(
             self._vsid,

@@ -112,6 +112,16 @@ class SegmentMap:
         """True when the entry is flagged read-only."""
         return bool(self.entry(vsid).flags & SegmentFlags.READ_ONLY)
 
+    def writable(self, vsid: int, action: str = "write") -> MapEntry:
+        """The live entry for ``vsid``; a read-only reference raises
+        :class:`ReadOnlyError`. A writer asks before it builds, so a
+        refused write holds no version it must release."""
+        entry = self.entry(vsid)
+        if entry.flags & SegmentFlags.READ_ONLY:
+            raise ReadOnlyError("%s through read-only reference to VSID %d"
+                                % (action, vsid))
+        return entry
+
     # ------------------------------------------------------------------
 
     def cas_root(self, vsid: int, expected_root: Entry, expected_height: int,
@@ -124,9 +134,7 @@ class SegmentMap:
         the caller keeps its reference on ``new_root`` (and typically
         retries or merges).
         """
-        entry = self.entry(vsid)
-        if entry.flags & SegmentFlags.READ_ONLY:
-            raise ReadOnlyError("CAS through read-only reference to VSID %d" % vsid)
+        entry = self.writable(vsid, "CAS")
         self.cas_attempts += 1
         if (entry.height != expected_height
                 or entry.root != expected_root):
@@ -146,9 +154,7 @@ class SegmentMap:
 
         Takes over the caller's reference on ``new_root``.
         """
-        entry = self.entry(vsid)
-        if entry.flags & SegmentFlags.READ_ONLY:
-            raise ReadOnlyError("write through read-only reference to VSID %d" % vsid)
+        entry = self.writable(vsid)
         old_root = entry.root
         entry.root = new_root
         entry.height = new_height

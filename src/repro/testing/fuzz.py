@@ -53,7 +53,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.manager import TopologyManager
-from repro.cluster.placement import HashRing
+from repro.cluster.placement import VNODES, HashRing
 from repro.core.machine import Machine
 from repro.net.framing import (
     close_writer,
@@ -106,7 +106,6 @@ class EpisodeConfig:
     pipeline_depth: int = 4
     key_space: int = 8
     shards: int = 2
-    batch_limit: int = 4
     max_stall: int = 6
     rates: Optional[Dict[str, float]] = None
     #: fraction of planned sets that carry a seeded small TTL (the
@@ -124,8 +123,8 @@ class EpisodeConfig:
     #: independent of every field by construction.
     memory: MemoryConfig = MemoryConfig()
     #: ``single``, ``replicated`` or ``cluster`` (see the module
-    #: docstring). ``batch_limit``, ``backend`` and ``memory`` shape the
-    #: served machine of the first two; cluster nodes keep their own.
+    #: docstring). ``backend`` and ``memory`` shape the served machine
+    #: of the first two; cluster nodes keep their own.
     topology: str = "single"
 
 
@@ -355,6 +354,9 @@ class _Single:
     """One server: every client and the read-back talk to it."""
 
     title, label, heading, profile = "episode", "episode", "fuzz", None
+    #: frames a shard worker batches in an episode (a router's default
+    #: is ``repro.net.router.BATCH_LIMIT``)
+    BATCH_LIMIT = 4
 
     def __init__(self, seed: int, cfg: EpisodeConfig, plan: FaultPlan,
                  trace_recorder=None) -> None:
@@ -365,11 +367,12 @@ class _Single:
             else {"backend_factory": cfg.backend}
         self.server = MemcachedServer(
             port=0, machine=self.machine, shard_count=cfg.shards,
-            batch_limit=cfg.batch_limit, injector=self.injector,
-            recorder=trace_recorder, **backend_kwargs)
+            injector=self.injector, recorder=trace_recorder,
+            **backend_kwargs)
+        self.server.router.batch_limit = self.BATCH_LIMIT
 
     def shape(self) -> str:
-        return "batch_limit=%d" % self.cfg.batch_limit
+        return "batch_limit=%d" % self.BATCH_LIMIT
 
     def scripts(self) -> Dict[int, List]:
         return {cid: build_script(self.seed, cid, self.cfg)
@@ -417,8 +420,9 @@ class _Replicated(_Single):
                  trace_recorder=None) -> None:
         super().__init__(seed, cfg, plan, trace_recorder)
         self.leader = ReplicationLeader(
-            self.server.router, lag_window=self.LAG_WINDOW,
-            heartbeat_interval=None, injector=FaultInjector(plan))
+            self.server.router, heartbeat_interval=None,
+            injector=FaultInjector(plan))
+        self.leader.lag_window = self.LAG_WINDOW
         self.follower: Optional[ReplicationFollower] = None
 
     def shape(self) -> str:
@@ -496,12 +500,12 @@ class _Cluster:
         self.cluster = Cluster(config, recorder=trace_recorder,
                                injector=self.injector)
         self.manager = TopologyManager(self.cluster, probe_interval=0.05,
-                                       failure_threshold=2,
-                                       verify_timeout=CONVERGE_TIMEOUT)
+                                       failure_threshold=2)
+        self.manager.verify_timeout = CONVERGE_TIMEOUT
         # the ring Cluster.start() will build: a pure function of the
         # config, so the scripts are planned before anything starts
         self.ring = HashRing(["slot-%d" % i for i in range(self.LEADERS)],
-                             vnodes=config.vnodes, seed=config.seed)
+                             vnodes=VNODES, seed=config.seed)
 
     @classmethod
     def slot(cls, cid: int) -> str:

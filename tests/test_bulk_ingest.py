@@ -153,7 +153,7 @@ class TestRouterBulkCommit:
                    for i in range(8))
 
     def test_run_of_sets_stores_without_a_lost_cas(self):
-        router = ShardRouter(shard_count=1, batch_limit=16)
+        router = ShardRouter(shard_count=1)
         responses = _run_session(router, self.RAW)
         assert responses == [b"STORED\r\n"] * 8
         assert router.servers[0].item_count() == 8

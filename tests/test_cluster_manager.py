@@ -105,8 +105,8 @@ class TestRepairLoop:
             cluster = Cluster(ClusterConfig(
                 leaders=1, followers=2, shards=2))
             manager = TopologyManager(cluster, probe_interval=0.05,
-                                      failure_threshold=2,
-                                      verify_timeout=10.0)
+                                      failure_threshold=2)
+            manager.verify_timeout = 10.0
             client = ClusterClient(max_retries=100, retry_delay=0.02)
             async with cluster:
                 client.topology = cluster.topology
@@ -134,7 +134,8 @@ class TestRepairLoop:
         async def go():
             cluster = Cluster(ClusterConfig(
                 leaders=1, followers=2, shards=2))
-            manager = TopologyManager(cluster, verify_timeout=10.0)
+            manager = TopologyManager(cluster)
+            manager.verify_timeout = 10.0
             client = ClusterClient(max_retries=40, retry_delay=0.02)
             async with cluster:
                 client.topology = cluster.topology

@@ -30,7 +30,7 @@ def make_topology(leaders=2, followers=2):
                  13000 + i * 10 + j, role=FOLLOWER,
                  leader_id="lead-%d" % i)
         for i in range(leaders) for j in range(followers)]
-    return initial_topology(leader_infos, follower_infos, vnodes=16)
+    return initial_topology(leader_infos, follower_infos)
 
 
 class TestHashRing:

@@ -574,5 +574,6 @@ def test_router_snapshots_index():
                              "signature_false_positives": 0,
                              "indexed_buckets": 0}
     # another geometry serves through the same store
-    small = ShardRouter(shard_count=1, memory=MemoryConfig(num_buckets=16))
+    small = ShardRouter(machine=Machine(MachineConfig(
+        memory=MemoryConfig(num_buckets=16))), shard_count=1)
     assert sorted(small.snapshot()["index"]) == sorted(snap["index"])

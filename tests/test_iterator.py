@@ -5,6 +5,7 @@ import pytest
 from repro.errors import IteratorStateError, ReadOnlyError
 from repro.segments.iterator import IteratorRegister
 from repro.segments.segment_map import SegmentMap
+from repro.testing.auditors import audit_machine
 
 
 @pytest.fixture
@@ -104,6 +105,18 @@ class TestTransientWrites:
         it.load(ro)
         with pytest.raises(ReadOnlyError):
             it.put(9, offset=0)
+
+    def test_read_only_register_commit_is_refused_before_it_builds(
+            self, machine):
+        # words too wide to pack, so the build would take line references
+        vsid = machine.create_segment([1 << 63 | i for i in range(16)])
+        it = IteratorRegister(machine.mem, machine.segmap)
+        it.load(machine.share_read_only(vsid))
+        with pytest.raises(ReadOnlyError):
+            it.try_commit()
+        it.reset()
+        machine.drain()
+        assert audit_machine(machine, strict=True).failures == []
 
 
 class TestCommitRaces:

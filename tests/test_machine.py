@@ -7,6 +7,7 @@ import pytest
 from repro import Machine, IteratorStateError
 from repro.errors import ReadOnlyError
 from repro.structures import HMap
+from repro.testing.auditors import audit_machine
 
 
 class TestSegments:
@@ -113,6 +114,14 @@ class TestReadOnlySharing:
         with pytest.raises(ReadOnlyError):
             machine.write_word(ro, 0, 9)
         assert machine.read_segment(ro) == [1, 2, 3]
+
+    def test_refused_write_builds_no_version(self, machine):
+        # words too wide to pack, so the segment and an update are lines
+        vsid = machine.create_segment([1 << 63 | i for i in range(16)])
+        with pytest.raises(ReadOnlyError):
+            machine.write_words(machine.share_read_only(vsid), {3: 12345})
+        machine.drain()
+        assert audit_machine(machine, strict=True).failures == []
 
 
 class TestAtomicUpdate:

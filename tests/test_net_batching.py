@@ -59,7 +59,7 @@ def test_default_run_is_one_root_cas_and_one_rebuild(n, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(dag, "write_words_bulk", counted)
-    router = ShardRouter(shard_count=1, batch_limit=16)
+    router = ShardRouter(shard_count=1)
     segmap = router.machine.segmap
     attempts = segmap.cas_attempts
 
@@ -90,7 +90,7 @@ def _drain_calls(n: int, batch_size: int) -> int:
             calls += 1
 
     async def go():
-        router = ShardRouter(shard_count=1, batch_limit=16)
+        router = ShardRouter(shard_count=1)
         await router.start()
         loop = asyncio.get_running_loop()
         batch = [(frame, loop.create_future(), None)
@@ -250,8 +250,8 @@ def _full_store_run(batch_limit):
               for i in range(4)}
 
     async def go():
-        router = ShardRouter(machine=machine, shard_count=1,
-                             batch_limit=batch_limit)
+        router = ShardRouter(machine=machine, shard_count=1)
+        router.batch_limit = batch_limit
         await router.start()
         conn = ConnectionState()
         preload = await _session(

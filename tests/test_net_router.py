@@ -96,7 +96,7 @@ class TestRouting:
         # one root CAS, no manufactured lost CAS for merge-update to
         # absorb
         rec = TraceRecorder(clock=StepClock())
-        router = ShardRouter(shard_count=1, batch_limit=16, recorder=rec)
+        router = ShardRouter(shard_count=1, recorder=rec)
         segmap = router.machine.segmap
         attempts = segmap.cas_attempts
         raw = b"".join(b"set key%d 0 0 2\r\nv%d\r\n" % (i, i)

@@ -231,11 +231,11 @@ class TestEpochDefer:
 
     def test_epoch_counter_advances(self):
         store = small_store(held=True)
-        before = store.reclaim_epoch
+        before = store.reclaim_snapshot()["epoch"]
         store.reclaim_advance(8)
         store.reclaim_advance(8)
-        assert store.reclaim_epoch == before + 2
-        assert store.reclaim_stats.epochs_advanced == 2
+        assert store.reclaim_snapshot()["epoch"] == before + 2
+        assert store.reclaim_stats.epochs_advanced == before + 2
 
 
 class TestEpochDrain:

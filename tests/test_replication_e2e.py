@@ -58,10 +58,8 @@ async def wait_converged(leader, follower, timeout=10.0):
 class ReplicatedStack:
     """Leader serving stack + one follower, torn down cleanly."""
 
-    def __init__(self, shards=2, lag_window=256, with_front=False,
-                 follower_kwargs=None):
+    def __init__(self, shards=2, with_front=False, follower_kwargs=None):
         self.shards = shards
-        self.lag_window = lag_window
         self.with_front = with_front
         self.follower_kwargs = follower_kwargs or {}
         self.front = None
@@ -69,9 +67,8 @@ class ReplicatedStack:
     async def __aenter__(self):
         self.server = MemcachedServer(port=0, shard_count=self.shards)
         await self.server.start()
-        self.leader = ReplicationLeader(
-            self.server.router, lag_window=self.lag_window,
-            heartbeat_interval=None)
+        self.leader = ReplicationLeader(self.server.router,
+                                        heartbeat_interval=None)
         await self.leader.start()
         self.follower = ReplicationFollower(
             "127.0.0.1", self.leader.port, reconnect_delay=0.01,

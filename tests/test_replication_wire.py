@@ -139,7 +139,8 @@ class TestFraming:
             assert decoder.pending_bytes == 0
 
     def test_oversized_frame_rejected(self):
-        decoder = wire.LengthPrefixedDecoder(max_payload=16)
+        decoder = wire.LengthPrefixedDecoder()
+        decoder.max_payload = 16
         with pytest.raises(wire.FrameTooLargeError):
             decoder.feed(wire.encode_frame(wire.LINE, b"x" * 17))
 

@@ -251,3 +251,59 @@ def test_only_the_store_frees_lines():
         if found:
             uses[str(path.relative_to(ROOT))] = found
     assert uses == {}
+
+
+#: knobs with one production value: each is a constant in the module
+#: that reads it, and a test that needs another value sets the instance
+#: attribute after construction. The ``(signature, parameter)`` pairs are
+#: the knobs' only parameters: the ring's, which its topology document
+#: carries, and two that each have two production values.
+KNOBS = {"vnodes", "lag_window", "heartbeat_interval", "reconnect_delay",
+         "verify_timeout", "batch_limit", "max_payload", "hash_buckets"}
+KNOB_PARAMETERS = {("HashRing.__init__", "vnodes"),
+                   ("ReplicationLeader.__init__", "heartbeat_interval"),
+                   ("ReplicationFollower.__init__", "reconnect_delay")}
+#: signatures that build what they once took as a parameter
+BUILT_NOT_PASSED = {"Cluster.__init__": {"registry"},
+                    "TopologyManager.__init__": {"recorder"},
+                    "ShardRouter.__init__": {"registry", "memory"},
+                    "ShardRouter._front": {"registry"}}
+
+
+def _signatures_and_fields():
+    """``(qualified name, parameter)`` for every ``src/`` function and
+    ``(class name, field)`` for every annotated class attribute."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                found.update((child.name, stmt.target.id)
+                             for stmt in child.body
+                             if isinstance(stmt, ast.AnnAssign)
+                             and isinstance(stmt.target, ast.Name))
+                visit(child, child.name + ".")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                found.update(
+                    (prefix + child.name, arg.arg)
+                    for arg in args.posonlyargs + args.args
+                    + args.kwonlyargs)
+                visit(child, prefix + child.name + ".")
+
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), "")
+    return found
+
+
+def test_single_valued_knobs_are_constants():
+    found = _signatures_and_fields()
+    assert {(name, param) for name, param in found
+            if param in KNOBS} == KNOB_PARAMETERS
+    assert {(name, param) for name, param in found
+            if param in BUILT_NOT_PASSED.get(name, ())} == set()
+    # a cluster's config is the fleet's shape, nothing it tunes
+    assert {param for name, param in found if name == "ClusterConfig"} \
+        == {"leaders", "followers", "shards", "seed", "host"}
+    serve = _subparser(build_parser(), ["serve"])
+    assert "--batch-limit" not in serve._option_string_actions

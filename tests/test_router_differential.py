@@ -121,7 +121,8 @@ def _observe(machine, servers):
 async def _through_router(chunks):
     """Each chunk is one pipelined burst on a single connection: its
     frames pile into the shard queues before any worker runs."""
-    router = ShardRouter(shard_count=SHARDS, batch_limit=8)
+    router = ShardRouter(shard_count=SHARDS)
+    router.batch_limit = 8
     await router.start()
     conn = ConnectionState()
     frames, responses = [], []

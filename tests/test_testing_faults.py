@@ -7,6 +7,7 @@ import pytest
 
 from repro import Machine
 from repro.errors import MemoryExhaustedError
+from repro.segments.anon import AnonSegment
 from repro.structures.hmap import HMap
 from repro.testing.auditors import audit_machine
 from repro.testing.faults import (
@@ -194,12 +195,43 @@ class TestRefuseAllocation:
         assert machine.segmap.entry(kvp.vsid).root == root
         assert audit_machine(machine, strict=True).ok
 
+    @pytest.mark.parametrize("held", (False, True))
+    @pytest.mark.parametrize("memo", (False, True))
+    def test_refused_value_build_releases_what_it_holds(self, held, memo):
+        """``dag.build_entry``, behind every key and value a put stages,
+        drops the leaves and interiors it built so far when any of its
+        allocations is refused."""
+        def fresh():
+            machine = Machine()
+            if memo:
+                machine.mem.memo.enable()
+            if held:
+                machine.mem.store.hold_reclaim()
+            return machine
+
+        machine = fresh()
+        baseline = machine.footprint_lines()
+        store = machine.mem.store
+        before = store.counters.allocations
+        AnonSegment.from_bytes(machine.mem, NEW_VALUE).release()
+        allocations = store.counters.allocations - before
+        assert allocations > 1
+        for n in range(1, allocations + 1):
+            machine = fresh()
+            with refuse_allocation(machine.mem.store, n):
+                with pytest.raises(MemoryExhaustedError):
+                    AnonSegment.from_bytes(machine.mem, NEW_VALUE)
+            machine.drain()
+            assert audit_machine(machine, strict=True).failures == [], n
+            assert machine.footprint_lines() == baseline, n
+
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1 (failure-atomic commits): a put refused at its 2nd "
-    "to 10th allocation leaves references its rebuild took, so the "
-    "strict audit finds refcounts one too high; remove this marker when "
-    "the rebuild releases them on abort"))
+    "ROADMAP item 1 (failure-atomic commits): a put refused at its 6th "
+    "to 10th allocation, inside the map rebuild (dag._rebuild), leaves "
+    "references the rebuild took, so the strict audit finds refcounts "
+    "one too high; remove this marker when _rebuild releases them on "
+    "abort"))
 def test_refused_put_is_failure_atomic_at_every_allocation():
     problems = []
     for held in (False, True):
