@@ -68,7 +68,7 @@ class HashRing:
     full copies).
     """
 
-    def __init__(self, slots: Sequence[str], vnodes: int = 32,
+    def __init__(self, slots: Sequence[str], vnodes: int = VNODES,
                  seed: int = 0) -> None:
         if not slots:
             raise ValueError("a ring needs at least one slot")
@@ -232,7 +232,7 @@ def initial_topology(leaders: Sequence[NodeInfo],
     """Epoch-1 topology: one slot per leader, bound in sorted id order,
     on a ring of :data:`VNODES` points per slot."""
     slots = ["slot-%d" % i for i in range(len(leaders))]
-    ring = HashRing(slots, vnodes=VNODES, seed=seed)
+    ring = HashRing(slots, seed=seed)
     ordered = sorted(leaders, key=lambda info: info.node_id)
     slot_owner = {slot: info.node_id
                   for slot, info in zip(slots, ordered)}

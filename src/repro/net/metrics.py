@@ -70,8 +70,9 @@ class ServerMetrics:
     clock: Callable[[], float] = time.monotonic
 
     ops_total: int = 0
-    #: requests answered in the read callback, with no task and no
-    #: future (the rest of ``ops_total`` took the ordered path)
+    #: requests answered in the read callback, writes landed there
+    #: included, with no task and no future (the rest of ``ops_total``
+    #: took the ordered path)
     inline_requests: int = 0
     bytes_in: int = 0
     bytes_out: int = 0
@@ -88,7 +89,8 @@ class ServerMetrics:
     protocol_errors: int = 0
     server_errors: int = 0
 
-    #: write batches drained from a shard commit queue in one go
+    #: commit batches landed: a shard worker's drained batch, or one
+    #: shard's writes staged by a read callback
     commit_batches: int = 0
     queue_high_watermark: int = 0
     pending_at_shutdown: int = 0

@@ -1,4 +1,4 @@
-"""Shard routing and per-shard commit queues for the serving layer.
+"""Shard routing, per-shard commit queues and the one landing routine.
 
 The §5.1.1 closing remark — split a contended map so updates stop
 sharing a CAS target — is realized here at serving scale: the router
@@ -6,35 +6,52 @@ fans keys out across ``shard_count`` independent
 :class:`~repro.apps.memcached.server.HicampMemcached` backends, all on
 one shared :class:`~repro.core.machine.Machine` (so deduplication still
 spans the whole cache). Each shard owns an asyncio commit queue and a
-worker coroutine:
+worker coroutine, and a write reaches its shard by one of two entry
+points:
 
 * **reads** (``get``/``gets``/``stats``/``version``) are answered by
   :meth:`ShardRouter.answer`, with no queue and no future — they are
   snapshot reads and need no synchronization, the paper's headline
   memcached property — unless they wait on their connection's writes;
-* **writes** are enqueued to the owning shard, giving natural
-  backpressure (bounded queue);
-* a worker drains its queue in *batches* and has one way to land one,
-  chosen by what the batch contains: consecutive ``set`` requests are
-  staged into a run (repeated keys coalesce last-wins), a read fence
-  whose keys the run does not touch resolves early, a key-disjoint
-  non-``set`` write is applied in place, and anything that touches a
-  staged key — or a ``stats`` fence, which reads every key — splits the
-  run. A run of two or more lands as one **group commit**: one iterator
-  register, one tree rebuild, one root CAS (§2.2's snapshot → modify →
-  *one* CAS, via ``set_many`` → ``put_many``); a run of one is the
-  per-op path. A worker is the only writer of its shard's segment, so
-  there is no concurrent CAS for merge-update to absorb — merge-update
-  (§3.4) stays where writers are genuinely concurrent: ``HMap.put``
-  under the ``Scheduler``, ``conflict_sim``, the HI harness.
+* **land now**: a write whose shard has nothing queued and no batch in
+  hand (:meth:`ShardRouter.idle_shard`) is landed by the caller itself
+  through :meth:`ShardRouter.land`, in the loop turn that decoded it —
+  the server's read callback stages a chunk's writes per shard and
+  lands each shard's as one batch before anything reads them (PAPER
+  §2.2: whoever performs the one root swap publishes the version);
+* **enqueue**: every other write (a busy shard, a fault-injected
+  router, ``flush_all``) is enqueued to its shard through
+  :meth:`ShardRouter.dispatch`, giving natural backpressure (bounded
+  queue), and the shard's worker drains it in *batches* through the
+  same :meth:`ShardRouter.land`.
 
-**Ordering contract.** Promised: *per-key order* (two writes to one key
-apply in the order their shard queue received them; a write never
-passes an earlier write or fenced read of its key), *per-connection
-read-after-write* (:class:`ConnectionState` tracks the last write
-enqueued per shard and a later read from that connection waits behind a
-fence for it), and *responses in request order per connection*. Not
-promised: cross-key FIFO across a shard queue — a ``delete b`` queued
+:meth:`ShardRouter.land` has one way to land writes, chosen by what
+they are: consecutive ``set`` requests are staged into a run (repeated
+keys coalesce last-wins), a key-disjoint non-``set`` write is applied in
+place, and anything that touches a staged key splits the run. A run of
+two or more lands as one **group commit**: one iterator register, one
+tree rebuild, one root CAS (§2.2's snapshot → modify → *one* CAS, via
+``set_many`` → ``put_many``); a run of one is the per-op path. A worker
+also holds read fences: a fence whose keys none of the batch's writes
+touch resolves early, and one that reads a written key — or a
+``stats`` fence, which reads every key — lands the writes ahead of it
+first. One writer lands a shard's writes at a time (a worker's batch,
+or a read callback, which runs to completion), so there is no
+concurrent CAS for merge-update to absorb — merge-update (§3.4) stays
+where writers are genuinely concurrent: ``HMap.put`` under the
+``Scheduler``, ``conflict_sim``, the HI harness.
+
+**Ordering contract**, for both entry points. Promised: *per-key
+order* (two writes to one key apply in the order the router received
+them; a write never passes an earlier write or fenced read of its key:
+a write lands now only when its shard holds no earlier write, and a
+caller lands what it staged before a read of a staged key and before
+handing a later frame to :meth:`ShardRouter.dispatch`),
+*per-connection read-after-write* (:class:`ConnectionState` tracks the
+last write enqueued per shard and a later read from that connection
+waits behind a fence for it; a landed write is committed before its
+caller reads on), and *responses in request order per connection*.
+Not promised: cross-key FIFO within one landing — a ``delete b``
 behind ``set a`` may apply before it, and ``set a`` answers when its
 whole run lands. Memcached orders per key, never across keys.
 """
@@ -166,10 +183,12 @@ class ShardRouter:
             adapters.register_eviction(
                 self.registry, [s.eviction for s in servers])
         self.queues: List["asyncio.Queue"] = []
+        #: per shard: its worker holds a drained batch it has not landed
+        self._mid_batch: List[bool] = []
         self._workers: List["asyncio.Task"] = []
-        #: callbacks fired as ``listener(shard, vsid, commits)`` after a
-        #: shard worker applies a batch containing writes — ``commits``
-        #: root advances of the shard backend's current segment ``vsid``.
+        #: callbacks fired as ``listener(shard, vsid, commits)`` after
+        #: :meth:`land` lands a batch of writes — ``commits`` root
+        #: advances of the shard backend's current segment ``vsid``.
         #: The replication leader tails committed state through this hook
         #: (synchronous, must not block: mark-dirty-and-wake only).
         self.commit_listeners: List[Callable[[int, int, int], None]] = []
@@ -183,6 +202,7 @@ class ShardRouter:
             return
         self.queues = [asyncio.Queue(maxsize=QUEUE_DEPTH)
                        for _ in self.servers]
+        self._mid_batch = [False] * len(self.servers)
         self._workers = [asyncio.ensure_future(self._worker(i))
                          for i in range(len(self.servers))]
 
@@ -236,8 +256,10 @@ class ShardRouter:
 
     def answer(self, frame: Frame, conn: ConnectionState) -> Optional[bytes]:
         """The response to a frame that needs no queue, else ``None``:
-        writes, ``flush_all`` and reads of a shard holding a pending
-        write from ``conn`` go through :meth:`dispatch`."""
+        a write lands through :meth:`land` if :meth:`idle_shard` names
+        its shard, and through :meth:`dispatch` otherwise, as do
+        ``flush_all`` and reads of a shard holding a pending write from
+        ``conn``."""
         if frame.error is not None:
             self.metrics.protocol_errors += 1
             return b"CLIENT_ERROR %s\r\n" % frame.error.encode()
@@ -374,30 +396,37 @@ class ShardRouter:
         return asyncio.ensure_future(gather())
 
     # ------------------------------------------------------------------
-    # commit workers
+    # landing
 
-    async def _worker(self, shard: int) -> None:
-        queue = self.queues[shard]
-        while True:
-            batch = [await queue.get()]
-            while len(batch) < self.batch_limit:
-                try:
-                    batch.append(queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            try:
-                if self.injector is not None:
-                    # commit-queue stall: the batch is drained but its
-                    # commits are delayed while snapshot reads proceed
-                    await self.injector.before_commit(shard)
-                await self._apply_batch(shard, batch)
-            finally:
-                for _ in batch:
-                    queue.task_done()
+    def idle_shard(self, frame: Frame) -> Optional[int]:
+        """The shard a write ``frame`` may :meth:`land` on in this loop
+        turn, else ``None``: on a router with no fault injector, a write
+        whose shard has nothing queued and whose worker is not mid-batch
+        lands ahead of nothing."""
+        if self.injector is not None or frame.command not in WRITE_COMMANDS:
+            return None
+        shard = shard_of(frame.key, len(self.servers))
+        if self._mid_batch[shard] or self.queues[shard].qsize():
+            return None
+        return shard
 
-    async def _apply_batch(self, shard: int, batch) -> None:
+    def land(self, shard: int, writes: Sequence) -> List[bytes]:
+        """Land ``writes`` — ``(frame, request span)`` pairs for
+        ``shard``, in arrival order — as one commit batch; their
+        replies, in the same order.
+
+        The one landing routine, for a shard worker's batch and for a
+        read callback's chunk alike. A run of consecutive sets is staged
+        (repeated keys coalesce last-wins), a non-set write whose key the
+        run does not touch is applied in place, and anything that
+        touches a staged key splits the run; a run of two or more lands
+        as one group commit (:meth:`_commit_bulk_sets`), a run of one
+        through the per-op path. Then the commits are counted, the
+        ``commit_listeners`` told, and a bounded slice of the frees the
+        batch deferred is drained.
+        """
         self.metrics.commit_batches += 1
-        writes = sum(1 for frame, _, _ in batch if frame.command != FENCE)
+        count = len(writes)
         recorder = self.recorder
         batch_span = None
         dram_probe = None
@@ -406,21 +435,16 @@ class ShardRouter:
             # write it commits, and carries the DRAM-access delta the
             # whole batch caused (Figure 6 categories, attributed)
             batch_span = recorder.begin(
-                "commit_batch", shard=shard, ops=len(batch), writes=writes,
-                requests=[p for _, _, p in batch if p is not None])
+                "commit_batch", shard=shard, writes=count,
+                requests=[p for _, p in writes if p is not None])
             dram_probe = DramProbe(self.machine.mem.dram)
             dram_probe.__enter__()
-        # a run of sets keeps growing across key-disjoint fences and
-        # non-set writes instead of splitting at them: per-key order is
-        # untouched (anything touching a staged key splits), only the
-        # cross-key interleaving loosens, which memcached semantics
-        # never promised — so a mixed batch is one put_many, not one
-        # per fence/delete/cas gap
-        pending = list(batch)
-        while pending:
+        replies: List[bytes] = [b""] * count
+        index = 0
+        while index < count:
             run, keys = [], set()
-            while pending:
-                frame, future, _ = pending[0]
+            while index < count:
+                frame = writes[index][0]
                 if frame.command == b"set" and frame.payload is not None:
                     try:
                         exptime = parse_exptime(frame.args)
@@ -429,64 +453,45 @@ class ShardRouter:
                     # set_many's documented last-wins handling of a
                     # repeated key lets the run absorb hot-key repeats
                     keys.add(frame.key)
-                    pending.pop(0)
-                    run.append((frame, future, exptime))
+                    run.append((index, frame, exptime))
+                    index += 1
                     continue
                 if not run:
                     break
-                if frame.command == FENCE:
-                    if not frame.args \
-                            or any(k in keys for k in frame.args):
-                        break
-                    # the reader behind this fence fetches keys the
-                    # staged run never touches: resolve it now and
-                    # yield so the read lands before any later write
-                    # of those keys joins a run
-                    pending.pop(0)
-                    _resolve(future, b"")
-                    await asyncio.sleep(0)
-                    continue
                 if (frame.command in HOP_COMMANDS and frame.args
                         and not any(arg in keys for arg in frame.args)):
-                    pending.pop(0)
-                    self._apply_one(shard, frame, future)
+                    replies[index] = self._apply_one(shard, frame)
+                    index += 1
                     continue
                 break
             if len(run) > 1:
-                self._commit_bulk_sets(shard, run, batch_span)
+                self._commit_bulk_sets(shard, run, replies, batch_span)
             elif run:
-                self._apply_one(shard, run[0][0], run[0][1])
+                at, frame, _ = run[0]
+                replies[at] = self._apply_one(shard, frame)
             else:
-                frame, future, _ = pending.pop(0)
-                if frame.command == FENCE:
-                    _resolve(future, b"")
-                    # let the fenced reader run before any write that was
-                    # enqueued behind the fence commits
-                    await asyncio.sleep(0)
-                else:
-                    self._apply_one(shard, frame, future)
-        if writes:
-            kvp = getattr(self.servers[shard], "kvp", None)
-            vsid = kvp.vsid if kvp is not None else shard
-            for _ in range(writes):
-                self.metrics.observe_commit(vsid)
-            for listener in self.commit_listeners:
-                listener(shard, vsid, writes)
-            if batch_span is not None:
-                recorder.attach(batch_span, vsid=vsid)
+                replies[index] = self._apply_one(shard, writes[index][0])
+                index += 1
+        kvp = getattr(self.servers[shard], "kvp", None)
+        vsid = kvp.vsid if kvp is not None else shard
+        for _ in range(count):
+            self.metrics.observe_commit(vsid)
+        for listener in self.commit_listeners:
+            listener(shard, vsid, count)
         if batch_span is not None:
             dram_probe.__exit__(None, None, None)
-            recorder.end(batch_span, **dram_probe.attrs())
+            recorder.end(batch_span, vsid=vsid, **dram_probe.attrs())
         # epoch advancement between commit batches: drain a bounded
         # slice of the frees this batch deferred (the store is held) so
         # the queue stays shallow without putting subtree walks back on
         # any commit's critical path
         self.machine.mem.store.reclaim_advance(RECLAIM_BUDGET)
+        return replies
 
-    def _commit_bulk_sets(self, shard: int, run,
+    def _commit_bulk_sets(self, shard: int, run, replies: List[bytes],
                           batch_span: Optional[int] = None) -> None:
-        """Land a run of sets — ``(frame, future, exptime)`` each — as
-        one group commit.
+        """Land a run of sets — ``(index, frame, exptime)`` each — as
+        one group commit, each reply at ``replies[index]``.
 
         The entire run lands through :meth:`HicampMemcached.set_many` —
         one bottom-up tree rebuild and one root CAS for N sets, each
@@ -501,7 +506,7 @@ class ShardRouter:
         """
         recorder = self.recorder
         items = [(frame.key, frame.payload, exptime)
-                 for frame, _, exptime in run]
+                 for _, frame, exptime in run]
         bulk_span = None
         if recorder.enabled:
             staged = len({key for key, _, _ in items})
@@ -514,22 +519,79 @@ class ShardRouter:
             # re-apply per-op, in order (the group commit is one root
             # swap, so none of the run landed): only the sets that do
             # not fit answer SERVER_ERROR
-            for frame, future, _ in run:
-                self._apply_one(shard, frame, future)
+            for index, frame, _ in run:
+                replies[index] = self._apply_one(shard, frame)
         else:
-            for _, future, _ in run:
-                _resolve(future, b"STORED\r\n")
+            for index, _, _ in run:
+                replies[index] = b"STORED\r\n"
         if bulk_span is not None:
             recorder.end(bulk_span)
 
-    def _apply_one(self, shard: int, frame: Frame, future) -> None:
+    def _apply_one(self, shard: int, frame: Frame) -> bytes:
         try:
-            response = self._execute(shard, frame)
+            return self._execute(shard, frame)
         except Exception as exc:
             self.metrics.server_errors += 1
-            response = b"SERVER_ERROR %s\r\n" \
+            return b"SERVER_ERROR %s\r\n" \
                 % str(exc).encode("ascii", "replace")
-        _resolve(future, response)
+
+    # ------------------------------------------------------------------
+    # commit workers
+
+    async def _worker(self, shard: int) -> None:
+        queue = self.queues[shard]
+        mid_batch = self._mid_batch
+        while True:
+            batch = [await queue.get()]
+            mid_batch[shard] = True
+            while len(batch) < self.batch_limit:
+                try:
+                    batch.append(queue.get_nowait())
+                except asyncio.QueueEmpty:
+                    break
+            try:
+                if self.injector is not None:
+                    # commit-queue stall: the batch is drained but its
+                    # commits are delayed while snapshot reads proceed
+                    await self.injector.before_commit(shard)
+                await self._apply_batch(shard, batch)
+            finally:
+                mid_batch[shard] = False
+                for _ in batch:
+                    queue.task_done()
+
+    async def _apply_batch(self, shard: int, batch) -> None:
+        """Land a drained ``batch`` of ``(frame, future, span)`` items,
+        resolving each future with its reply.
+
+        Writes gather into one :meth:`land` across read fences whose
+        keys none of them touches: per-key order is untouched, only the
+        cross-key interleaving loosens, which memcached semantics never
+        promised — so a mixed batch is one commit batch, not one per
+        fence. A fence that reads a gathered key, or every key (a
+        ``stats`` fence; ``flush_all`` writes every key), lands the
+        writes ahead of it first. A resolved fence yields, so its reader
+        runs before any write behind it lands.
+        """
+        writes, futures, keys = [], [], set()
+        for frame, future, parent in batch:
+            if frame.command != FENCE:
+                writes.append((frame, parent))
+                futures.append(future)
+                keys.add(frame.key)  # None for flush_all
+                continue
+            if writes and (not frame.args or None in keys
+                           or not keys.isdisjoint(frame.args)):
+                self._land_resolving(shard, writes, futures)
+                writes, futures, keys = [], [], set()
+            _resolve(future, b"")
+            await asyncio.sleep(0)
+        if writes:
+            self._land_resolving(shard, writes, futures)
+
+    def _land_resolving(self, shard: int, writes, futures) -> None:
+        for future, reply in zip(futures, self.land(shard, writes)):
+            _resolve(future, reply)
 
     # ------------------------------------------------------------------
     # stats

@@ -8,9 +8,10 @@ complete frame through a router: a leader's
 :class:`~repro.net.router.ShardRouter`, or a follower's
 :class:`~repro.replication.follower.FollowerRouter` (reads from the
 replica, writes forwarded to the leader). Responses are written
-strictly in request order per connection — the memcached contract —
-while commits proceed asynchronously on the shard workers, so a
-pipelining client overlaps its requests with the server's commit work.
+strictly in request order per connection — the memcached contract. A
+write to an idle shard lands in the read callback that decoded it; a
+write to a busy shard commits on the shard's worker, so a pipelining
+client overlaps its requests with that worker's commit work.
 
 Connection lifecycle:
 
@@ -19,16 +20,23 @@ Connection lifecycle:
   a malformed frame) and writes the chunk's replies with one
   ``transport.write``. A hot get is answered in the loop turn its bytes
   arrive, with no task, no future and no extra turn (PAPER §2.2: a read
-  of a committed version never waits on a writer);
+  of a committed version never waits on a writer). A write whose shard
+  is idle (the router's ``idle_shard``) is staged there too, and each
+  shard's staged writes land as one commit batch (the router's
+  ``land``) before any frame that reads a staged key or every key
+  (``stats``), before every ``MAX_INFLIGHT`` write, before ``quit``,
+  before the rest of the chunk goes to the ordered path and at the end
+  of the chunk — so the chunk's replies, writes included, leave in
+  request order in one ``transport.write``;
 * **ordered path**: the first frame that needs the router's
-  ``dispatch`` (a write, a read fenced behind this connection's writes,
-  ``flush_all``), and every chunk of a fault-injected connection, hands
-  the rest of its chunk to the connection's one ordered task. Bytes
-  that arrive while it runs wait in a backlog (reading pauses once
-  ``BACKLOG_LIMIT`` bytes wait). Once the task has written every reply
-  it owes, it takes the backlog as one chunk the same way, inline up to
-  its first frame that needs ``dispatch``, and ends when nothing is
-  owed;
+  ``dispatch`` (a write to a shard with a write queued or in hand, a
+  read fenced behind this connection's queued writes, ``flush_all``),
+  and every chunk of a fault-injected connection, hands the rest of its
+  chunk to the connection's one ordered task. Bytes that arrive while
+  it runs wait in a backlog (reading pauses once ``BACKLOG_LIMIT``
+  bytes wait). Once the task has written every reply it owes, it takes
+  the backlog as one chunk the same way, inline up to its first frame
+  that needs ``dispatch``, and ends when nothing is owed;
 * **bounded in-flight** pipelining: at most :data:`MAX_INFLIGHT` replies
   are held before they are written, on top of the bounded per-shard
   commit queues; a transport whose write buffer passes its high-water
@@ -61,7 +69,8 @@ from typing import Optional
 from repro.core.machine import Machine
 from repro.net.framing import FrameDecoder
 from repro.net.metrics import ServerMetrics
-from repro.net.router import WRITE_COMMANDS, ConnectionState, ShardRouter
+from repro.net.router import (
+    READ_COMMANDS, WRITE_COMMANDS, ConnectionState, ShardRouter)
 
 #: Bytes a connection queues for its ordered task before it stops
 #: reading (a ``StreamReader`` pauses at twice its 64 KiB limit).
@@ -75,14 +84,16 @@ MAX_INFLIGHT = 64
 class MemcachedServer:
     """Asyncio TCP server speaking the memcached ASCII protocol.
 
-    A router is anything with ``answer``, ``dispatch``, ``metrics``,
-    ``recorder``, ``injector`` and the ``start``/``drain``/
-    ``pending_commits``/``stop``/``abort`` lifecycle; without one the
-    server builds a :class:`~repro.net.router.ShardRouter` from the
-    remaining arguments. ``answer(frame, conn)`` returns the response
-    bytes of a frame that needs no queue, else ``None``, and only then
-    is ``await dispatch(frame, conn, span)`` called: an awaitable of the
-    response.
+    A router is anything with ``answer``, ``idle_shard``, ``land``,
+    ``dispatch``, ``metrics``, ``recorder``, ``injector`` and the
+    ``start``/``drain``/``pending_commits``/``stop``/``abort``
+    lifecycle; without one the server builds a
+    :class:`~repro.net.router.ShardRouter` from the remaining arguments.
+    ``answer(frame, conn)`` returns the response bytes of a frame that
+    needs no queue, else ``None``; then ``idle_shard(frame)`` names the
+    shard a write may ``land(shard, writes)`` on now, else ``None``, and
+    only then is ``await dispatch(frame, conn, span)`` called: an
+    awaitable of the response.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -242,8 +253,9 @@ class MemcachedServer:
 class _Connection(asyncio.Protocol):
     """One client connection of a :class:`MemcachedServer`.
 
-    ``data_received`` answers inline what the router can answer; the
-    first frame it cannot hands the rest of the chunk to :meth:`_serve`,
+    ``data_received`` answers inline what the router can answer and
+    lands inline the writes whose shard is idle; the first frame it
+    cannot do either for hands the rest of the chunk to :meth:`_serve`,
     the connection's one ordered task, and what arrives while that task
     runs waits in ``backlog`` until the replies it owes are written.
     """
@@ -254,6 +266,8 @@ class _Connection(asyncio.Protocol):
         self.recorder = server.recorder
         self.injector = server.injector
         self.answer = server.router.answer
+        self.idle_shard = server.router.idle_shard
+        self.land = server.router.land
         self.max_inflight = server.max_inflight
         self.timeout = server.read_timeout
         self.decoder = FrameDecoder()
@@ -337,7 +351,13 @@ class _Connection(asyncio.Protocol):
         """Decode ``data`` and answer inline every frame the router can,
         up to the first it cannot: ``None`` when none is left, else
         ``(frames, decoded, span)`` for the ordered path (``span`` is
-        the first frame's request span, if open)."""
+        the first frame's request span, if open).
+
+        A write whose shard is idle is staged, and a shard's staged
+        writes land as one commit batch (``router.land``) before a frame
+        that reads a staged key or every key, before the replies are
+        written, and before the rest of the chunk goes to the ordered
+        path."""
         injector = self.injector
         if injector is not None:
             data = injector.on_read(self.scope, data)
@@ -355,18 +375,26 @@ class _Connection(asyncio.Protocol):
         decoded = metrics.now()
         answer, conn, recorder = self.answer, self.conn, self.recorder
         commands, replies, spans = [], [], []
-        # every frame before ``index`` is answered: ``replies`` holds
-        # those since the last write, and ``max_inflight`` is a write
+        # staged[shard]: (reply index, frame, span) of each write waiting
+        # to land there; keys: every key they write. Both are made by
+        # the chunk's first staged write, so a chunk of reads allocates
+        # nothing for them.
+        staged = keys = None
+        # every frame before ``index`` is answered or staged: ``replies``
+        # holds those since the last write, and ``max_inflight`` is a
+        # write
         write_at = self.max_inflight
         for index, frame in enumerate(frames):
             command = frame.command
             if command == b"quit":
-                self._write_inline(commands, replies, spans, decoded)
+                self._write_inline(commands, replies, spans, decoded,
+                                   staged, keys)
                 self.transport.close()
                 return None
             if index == write_at:
                 write_at += self.max_inflight
-                self._write_inline(commands, replies, spans, decoded)
+                self._write_inline(commands, replies, spans, decoded,
+                                   staged, keys)
                 commands, replies, spans = [], [], []
                 if self._drained is not None:
                     # the write buffer is full: the rest waits for drain
@@ -376,27 +404,52 @@ class _Connection(asyncio.Protocol):
                 span = recorder.begin(
                     "request", conn=self.id,
                     command=command.decode("ascii", "replace"))
+            if keys and (command == b"stats" or command in READ_COMMANDS
+                         and not keys.isdisjoint(frame.args)):
+                self._land(staged, keys, replies)
             response = answer(frame, conn)
             if response is None:
-                self._write_inline(commands, replies, spans, decoded)
-                return frames[index:], decoded, span
+                shard = self.idle_shard(frame)
+                if shard is None:
+                    self._write_inline(commands, replies, spans, decoded,
+                                       staged, keys)
+                    return frames[index:], decoded, span
+                if keys is None:
+                    staged, keys = {}, set()
+                staged.setdefault(shard, []).append(
+                    (len(replies), frame, span))
+                keys.add(frame.key)
             commands.append(command)
             replies.append(response)
             if span is not None:
-                spans.append((span, len(response)))
-        self._write_inline(commands, replies, spans, decoded)
+                spans.append((span, len(replies) - 1))
+        self._write_inline(commands, replies, spans, decoded, staged, keys)
         return None
 
-    def _write_inline(self, commands, replies, spans,
-                      decoded: float) -> None:
-        """Write the replies answered inline, all ready now."""
+    def _land(self, staged, keys, replies) -> None:
+        """Land every shard's staged writes, each reply in its place."""
+        land = self.land
+        for shard, held in staged.items():
+            landed = land(shard, [(frame, span) for _, frame, span in held])
+            for (at, _, _), reply in zip(held, landed):
+                replies[at] = reply
+        staged.clear()
+        keys.clear()
+
+    def _write_inline(self, commands, replies, spans, decoded: float,
+                      staged, keys) -> None:
+        """Land what is staged, then write the replies answered inline,
+        all ready now (``spans`` pairs each open request span with its
+        reply's index)."""
+        if keys:
+            self._land(staged, keys, replies)
         if not replies:
             return
         metrics = self.metrics
         data = b"".join(replies)
         metrics.observe_inline(commands, metrics.now() - decoded, len(data))
-        for span, size in spans:
-            self.recorder.end(span, response_bytes=size)
+        for span, at in spans:
+            self.recorder.end(span, response_bytes=len(replies[at]))
         self.transport.write(data)
 
     # ------------------------------------------------------------------

@@ -433,6 +433,10 @@ class FollowerRouter(ShardRouter):
                     else b"ERROR\r\n"
         return super().answer(frame, conn)
 
+    def idle_shard(self, frame) -> None:
+        """None: a follower lands no write, it forwards every one."""
+        return None
+
     async def dispatch(self, frame, conn, parent: Optional[int] = None):
         response = self.answer(frame, conn)
         if response is None:

@@ -149,7 +149,8 @@ def _wrap_run(mem: MemorySystem, entry: Entry, level: int,
     that materializes a line pays for one: under path compaction a line
     reference takes the whole run as a path prefix, and a packed entry
     is its own parent wherever it is child 0 (Figure 4). Consumes the
-    caller's reference on ``entry``; returns an entry carrying one.
+    caller's reference on ``entry``; returns an entry carrying one. A
+    refused allocation releases ``entry`` before it propagates.
     """
     config = mem.config
     n = len(digits)
@@ -169,7 +170,12 @@ def _wrap_run(mem: MemorySystem, entry: Entry, level: int,
         children[digits[n - 1]] = entry
         n -= 1
         level += 1
-        entry = _canonical_interior(mem, children, level)
+        try:
+            entry = _canonical_interior(mem, children, level)
+        except BaseException:
+            # a refused lookup consumed nothing: ``entry`` is still ours
+            release_entry(mem, entry)
+            raise
     return entry
 
 

@@ -53,7 +53,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.manager import TopologyManager
-from repro.cluster.placement import VNODES, HashRing
+from repro.cluster.placement import HashRing
 from repro.core.machine import Machine
 from repro.net.framing import (
     close_writer,
@@ -505,7 +505,7 @@ class _Cluster:
         # the ring Cluster.start() will build: a pure function of the
         # config, so the scripts are planned before anything starts
         self.ring = HashRing(["slot-%d" % i for i in range(self.LEADERS)],
-                             vnodes=VNODES, seed=config.seed)
+                             seed=config.seed)
 
     @classmethod
     def slot(cls, cid: int) -> str:

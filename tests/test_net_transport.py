@@ -335,7 +335,8 @@ def test_stats_json_reports_the_inline_share():
             return snap
 
     snap = asyncio.run(go())
-    # the set and the get behind it took the ordered path
+    # the set lands in the read callback (its shard is idle) and the
+    # get behind it reads what landed: nothing took the ordered path
     assert snap["ops_total"] == 5
-    assert snap["inline_requests"] == 3
+    assert snap["inline_requests"] == 5
     assert ServerMetrics().snapshot()["inline_requests"] == 0

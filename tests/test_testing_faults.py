@@ -7,6 +7,8 @@ import pytest
 
 from repro import Machine
 from repro.errors import MemoryExhaustedError
+from repro.params import MachineConfig
+from repro.segments import dag
 from repro.segments.anon import AnonSegment
 from repro.structures.hmap import HMap
 from repro.testing.auditors import audit_machine
@@ -224,6 +226,23 @@ class TestRefuseAllocation:
             machine.drain()
             assert audit_machine(machine, strict=True).failures == [], n
             assert machine.footprint_lines() == baseline, n
+
+
+    def test_refused_growth_releases_the_entry_it_wraps(self):
+        """``dag._wrap_run`` (behind ``grow_entry``, ``_rebuild`` and
+        ``segments.merge``) consumes its entry: a refused allocation
+        above it drops that reference instead of keeping it."""
+        machine = Machine(MachineConfig(path_compaction=False))
+        # two words too wide to pack: a leaf line, wrapped level by level
+        vsid = machine.create_segment([2**63 + 1, 2**63 + 2])
+        entry = machine.segmap.entry(vsid)
+        root = dag.retain_entry(machine.mem, entry.root)
+        with refuse_allocation(machine.mem.store, 1):
+            with pytest.raises(MemoryExhaustedError):
+                dag.grow_entry(machine.mem, root, entry.height,
+                               entry.height + 2)
+        machine.drain()
+        assert audit_machine(machine, strict=True).failures == []
 
 
 @pytest.mark.xfail(strict=True, reason=(
