@@ -87,8 +87,8 @@ class HicampMemcached:
         (:class:`~repro.apps.memcached.eviction.ManagedMemcached` does).
 
         The whole batch is one tree rebuild and one root swap
-        (:meth:`HMap.put_many`): how the router's queue worker lands
-        a run of sets. A repeated key is staged once with its last value
+        (:meth:`HMap.put_many`): how the router's ``land`` lands a run
+        of sets. A repeated key is staged once with its last value
         (what sequential sets would leave) but counts once per
         occurrence in ``sets``, which counts STORED replies.
         """

@@ -141,11 +141,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if args.metrics_json:
                 pathlib.Path(args.metrics_json).write_text(
                     json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
-            print("# served %d ops (%.0f ops/s), %d commit batches, "
-                  "%d pending at shutdown"
+            print("# served %d ops (%.0f ops/s), %d commit batches"
                   % (snapshot["ops_total"], snapshot["ops_per_second"],
-                     snapshot["commit_batches"],
-                     snapshot["pending_at_shutdown"]), file=sys.stderr)
+                     snapshot["commit_batches"]), file=sys.stderr)
             if leader is not None:
                 print("# replication: %s"
                       % json.dumps(leader.metrics.snapshot(),

@@ -39,8 +39,7 @@ from typing import Optional
 from repro.apps.memcached.server import HicampMemcached
 from repro.core.machine import Machine
 from repro.net.framing import Frame
-from repro.net.router import (ConnectionState, ShardRouter,
-                              WRITE_COMMANDS, cluster_response)
+from repro.net.router import ShardRouter, WRITE_COMMANDS, cluster_response
 from repro.net.server import MemcachedServer
 from repro.replication.follower import FollowerRouter, ReplicationFollower
 from repro.replication.leader import ReplicationLeader
@@ -83,8 +82,7 @@ class ClusterRouter(ShardRouter):
         self.topology: Optional[ClusterTopology] = None
         self.moved_responses = 0
 
-    def answer(self, frame: Frame,
-               conn: ConnectionState) -> Optional[bytes]:
+    def answer(self, frame: Frame) -> Optional[bytes]:
         if frame.command == b"cluster":
             return cluster_response(frame.args, self.topology)
         topology = self.topology
@@ -98,7 +96,7 @@ class ClusterRouter(ShardRouter):
                 return b"MOVED %d %s %s:%d\r\n" % (
                     topology.epoch, owner.encode(),
                     info.host.encode(), info.port)
-        return super().answer(frame, conn)
+        return super().answer(frame)
 
 
 class LeaderNode:
@@ -158,7 +156,7 @@ class LeaderNode:
         await self.server.shutdown()
 
     async def kill(self) -> None:
-        """Crash-stop: connections dropped, queued commits lost.
+        """Crash-stop: connections dropped, stalled writes lost.
 
         The adversarial path — this is what the topology manager's
         probes must detect and repair. The machine object survives (the

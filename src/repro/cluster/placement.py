@@ -3,7 +3,7 @@
 The cluster tier splits the keyspace across N leader shards the same way
 the paper splits a contended map (§5.1.1) — but at fleet scale, where
 "shard" means a whole serving stack (router + machine + replication
-leader) rather than a commit queue. Placement follows the classic
+leader) rather than one map. Placement follows the classic
 consistent-hashing construction:
 
 * the ring is built over **slots**, not node ids. A slot (``slot-0`` …

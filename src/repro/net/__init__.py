@@ -6,8 +6,8 @@ package provides that load path end to end:
 
 * :mod:`repro.net.framing` — streaming decoder for partial reads and
   pipelined requests;
-* :mod:`repro.net.router` — key fan-out across sharded backends with
-  per-shard asyncio commit queues and batched group commits;
+* :mod:`repro.net.router` — key fan-out across sharded backends, and
+  the one landing routine, which lands a run of sets as a group commit;
 * :mod:`repro.net.server` — the asyncio TCP server (timeouts,
   backpressure, graceful shutdown);
 * :mod:`repro.net.metrics` — ops/s, latency percentiles, pipeline depth,

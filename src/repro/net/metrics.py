@@ -89,11 +89,9 @@ class ServerMetrics:
     protocol_errors: int = 0
     server_errors: int = 0
 
-    #: commit batches landed: a shard worker's drained batch, or one
-    #: shard's writes staged by a read callback
+    #: commit batches landed: one shard's writes staged by a read
+    #: callback, or one write the ordered path dispatched
     commit_batches: int = 0
-    queue_high_watermark: int = 0
-    pending_at_shutdown: int = 0
 
     #: committed root advances per VSID — replication lag is measured in
     #: these units (commits the leader applied that a follower has not
@@ -142,9 +140,6 @@ class ServerMetrics:
         self.bytes_out += response_bytes
         self._latencies.extend([latency_s] * count)
 
-    def observe_queue_depth(self, depth: int) -> None:
-        self.queue_high_watermark = max(self.queue_high_watermark, depth)
-
     def observe_commit(self, vsid: int) -> None:
         """Account one committed root advance of segment ``vsid``."""
         self.commits_by_vsid[vsid] += 1
@@ -189,8 +184,6 @@ class ServerMetrics:
             "protocol_errors": self.protocol_errors,
             "server_errors": self.server_errors,
             "commit_batches": self.commit_batches,
-            "queue_high_watermark": self.queue_high_watermark,
-            "pending_at_shutdown": self.pending_at_shutdown,
             "commits_by_vsid": {str(v): n
                                 for v, n in self.commits_by_vsid.items()},
             "latency": latency_summary(self.latency_ms()),

@@ -9,9 +9,8 @@ complete frame through a router: a leader's
 :class:`~repro.replication.follower.FollowerRouter` (reads from the
 replica, writes forwarded to the leader). Responses are written
 strictly in request order per connection — the memcached contract. A
-write to an idle shard lands in the read callback that decoded it; a
-write to a busy shard commits on the shard's worker, so a pipelining
-client overlaps its requests with that worker's commit work.
+write lands in the read callback that decoded it, unless something
+must be awaited first.
 
 Connection lifecycle:
 
@@ -20,34 +19,33 @@ Connection lifecycle:
   a malformed frame) and writes the chunk's replies with one
   ``transport.write``. A hot get is answered in the loop turn its bytes
   arrive, with no task, no future and no extra turn (PAPER §2.2: a read
-  of a committed version never waits on a writer). A write whose shard
-  is idle (the router's ``idle_shard``) is staged there too, and each
-  shard's staged writes land as one commit batch (the router's
-  ``land``) before any frame that reads a staged key or every key
-  (``stats``), before every ``MAX_INFLIGHT`` write, before ``quit``,
-  before the rest of the chunk goes to the ordered path and at the end
-  of the chunk — so the chunk's replies, writes included, leave in
-  request order in one ``transport.write``;
+  of a committed version never waits on a writer). A write is staged
+  there too, and each shard's staged writes land as one commit batch
+  (the router's ``land``) before any frame that reads a staged key or
+  every key (``stats``), before every ``MAX_INFLIGHT`` write, before
+  ``quit``, before the rest of the chunk goes to the ordered path and
+  at the end of the chunk — so the chunk's replies, writes included,
+  leave in request order in one ``transport.write``;
 * **ordered path**: the first frame that needs the router's
-  ``dispatch`` (a write to a shard with a write queued or in hand, a
-  read fenced behind this connection's queued writes, ``flush_all``),
-  and every chunk of a fault-injected connection, hands the rest of its
-  chunk to the connection's one ordered task. Bytes that arrive while
-  it runs wait in a backlog (reading pauses once ``BACKLOG_LIMIT``
-  bytes wait). Once the task has written every reply it owes, it takes
-  the backlog as one chunk the same way, inline up to its first frame
-  that needs ``dispatch``, and ends when nothing is owed;
+  ``dispatch`` (``flush_all``, every write of a follower's front, which
+  forwards it), every chunk of a fault-injected connection or router
+  (its hooks await) and the rest of a chunk behind a full write buffer
+  go to the connection's one ordered task, which lands each write in
+  turn. Bytes that arrive while it runs wait in a backlog (reading
+  pauses once ``BACKLOG_LIMIT`` bytes wait). Once the task has written
+  every reply it owes, it takes the backlog as one chunk the same way,
+  inline up to its first frame that needs ``dispatch``, and ends when
+  nothing is owed;
 * **bounded in-flight** pipelining: at most :data:`MAX_INFLIGHT` replies
-  are held before they are written, on top of the bounded per-shard
-  commit queues; a transport whose write buffer passes its high-water
-  mark pauses reading until it drains (the write-side backpressure);
+  are held before they are written; a transport whose write buffer
+  passes its high-water mark pauses reading until it drains (the
+  write-side backpressure);
 * an **idle timer** per connection (``read_timeout``) drops a client
   that sends nothing for that long; it never fires while the server
   still owes the connection replies;
 * ``quit`` and EOF both flush outstanding replies before closing;
-* **graceful shutdown**: stop accepting, close every connection, flush
-  every commit queue, then stop the workers — no commit is ever
-  dropped.
+* **graceful shutdown**: stop accepting, close every connection, then
+  quiesce reclamation — every write answered has landed.
 
 Example::
 
@@ -69,8 +67,7 @@ from typing import Optional
 from repro.core.machine import Machine
 from repro.net.framing import FrameDecoder
 from repro.net.metrics import ServerMetrics
-from repro.net.router import (
-    READ_COMMANDS, WRITE_COMMANDS, ConnectionState, ShardRouter)
+from repro.net.router import READ_COMMANDS, WRITE_COMMANDS, ShardRouter
 
 #: Bytes a connection queues for its ordered task before it stops
 #: reading (a ``StreamReader`` pauses at twice its 64 KiB limit).
@@ -84,16 +81,16 @@ MAX_INFLIGHT = 64
 class MemcachedServer:
     """Asyncio TCP server speaking the memcached ASCII protocol.
 
-    A router is anything with ``answer``, ``idle_shard``, ``land``,
-    ``dispatch``, ``metrics``, ``recorder``, ``injector`` and the
-    ``start``/``drain``/``pending_commits``/``stop``/``abort``
+    A router is anything with ``answer``, ``lands_inline``, ``land``,
+    ``shard_index``, ``dispatch``, ``metrics``, ``recorder``,
+    ``injector`` and the ``start``/``drain``/``stop``/``abort``
     lifecycle; without one the server builds a
     :class:`~repro.net.router.ShardRouter` from the remaining arguments.
-    ``answer(frame, conn)`` returns the response bytes of a frame that
-    needs no queue, else ``None``; then ``idle_shard(frame)`` names the
-    shard a write may ``land(shard, writes)`` on now, else ``None``, and
-    only then is ``await dispatch(frame, conn, span)`` called: an
-    awaitable of the response.
+    ``answer(frame)`` returns the response bytes of a frame that lands
+    nothing, else ``None``; then, if ``lands_inline`` and no injector is
+    set, a write is staged for ``land(shard_index(key), writes)``, and
+    otherwise ``await dispatch(frame, parent=span)`` gives a completed
+    future holding the response.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -132,7 +129,7 @@ class MemcachedServer:
     # lifecycle
 
     async def start(self) -> None:
-        """Start the shard workers and begin accepting connections; the
+        """Start the router and begin accepting connections; the
         router's collector counter starts timing collections."""
         gc.callbacks.append(self.router.collector)
         await self.router.start()
@@ -145,19 +142,13 @@ class MemcachedServer:
         await self._server.serve_forever()
 
     async def shutdown(self) -> None:
-        """Graceful stop: drain connections, flush commits, stop workers.
-
-        After this returns, every accepted write has been committed —
-        ``metrics.pending_at_shutdown`` records the (always zero) count
-        of commits still queued when the workers stopped.
-        """
+        """Graceful stop: close connections, then stop the router (which
+        quiesces reclamation)."""
         await self._close_connections(abort=False)
-        await self.router.drain()
-        self.metrics.pending_at_shutdown = self.router.pending_commits()
         await self.router.stop()
 
     async def abort(self) -> None:
-        """Crash-stop: drop connections and queued commits on the floor.
+        """Crash-stop: drop connections, and stalled writes, on the floor.
 
         The fault-model counterpart of :meth:`shutdown` — nothing drains,
         nothing flushes. Used by the cluster harness to kill a leader the
@@ -168,9 +159,9 @@ class MemcachedServer:
 
     async def _close_connections(self, abort: bool) -> None:
         # stop accepting (a connection accepted before that closes
-        # itself in connection_made), cancel the ordered tasks (commits
-        # already enqueued still land: the queues drain after this),
-        # then close every transport. A graceful close first reads on:
+        # itself in connection_made), cancel the ordered tasks (a write
+        # one holds before it lands is dropped unanswered), then close
+        # every transport. A graceful close first reads on:
         # what a client sent is dropped unanswered, not left unread for
         # the close to answer with a reset. That takes two turns, as a
         # turn runs this task before the read callbacks its own poll
@@ -211,15 +202,10 @@ class MemcachedServer:
     # the ordered path's writer
 
     async def _flush(self, inflight, writer, scope: int = -1) -> None:
-        """Write outstanding responses (bytes, or awaitables of queued
-        ones) in request order through ``writer`` (``write``/``drain``:
-        a :class:`_Connection`).
-
-        Consecutive ready responses leave as one write; what is held is
-        written *before* suspending on an unresolved one, so no reply
-        waits on a later request's commit. A reply is ready to write at
-        the flush's start, or after the suspension that resolved it.
-        """
+        """Write outstanding responses in request order through
+        ``writer`` (``write``/``drain``: a :class:`_Connection`), as one
+        write unless the injector splits them; each is ready to write
+        at the flush's start."""
         injector = self.injector
         if injector is not None and inflight:
             await injector.before_flush(scope)
@@ -227,14 +213,6 @@ class MemcachedServer:
         ready = metrics.now()
         held = []
         for started, command, response, span in inflight:
-            if not isinstance(response, bytes):
-                suspends = not response.done()
-                if suspends and held:
-                    writer.write(b"".join(held))
-                    held.clear()
-                response = await response
-                if suspends:
-                    ready = metrics.now()
             metrics.observe_request(command, ready - started, len(response))
             if span is not None:
                 self.recorder.end(span, response_bytes=len(response))
@@ -254,10 +232,10 @@ class _Connection(asyncio.Protocol):
     """One client connection of a :class:`MemcachedServer`.
 
     ``data_received`` answers inline what the router can answer and
-    lands inline the writes whose shard is idle; the first frame it
-    cannot do either for hands the rest of the chunk to :meth:`_serve`,
-    the connection's one ordered task, and what arrives while that task
-    runs waits in ``backlog`` until the replies it owes are written.
+    lands inline the writes; the first frame it cannot do either for
+    hands the rest of the chunk to :meth:`_serve`, the connection's one
+    ordered task, and what arrives while that task runs waits in
+    ``backlog`` until the replies it owes are written.
     """
 
     def __init__(self, server: MemcachedServer) -> None:
@@ -265,13 +243,16 @@ class _Connection(asyncio.Protocol):
         self.metrics = server.metrics
         self.recorder = server.recorder
         self.injector = server.injector
-        self.answer = server.router.answer
-        self.idle_shard = server.router.idle_shard
-        self.land = server.router.land
+        router = server.router
+        self.answer = router.answer
+        #: writes land in the read callback (no injector to await, and a
+        #: router that lands rather than forwards)
+        self.lands = router.lands_inline and router.injector is None
+        self.shard_index = router.shard_index
+        self.land = router.land
         self.max_inflight = server.max_inflight
         self.timeout = server.read_timeout
         self.decoder = FrameDecoder()
-        self.conn = ConnectionState()
         self.loop = asyncio.get_running_loop()
         self.transport: Optional[asyncio.Transport] = None
         #: the ordered task while one runs; bytes read meanwhile queue
@@ -353,11 +334,10 @@ class _Connection(asyncio.Protocol):
         ``(frames, decoded, span)`` for the ordered path (``span`` is
         the first frame's request span, if open).
 
-        A write whose shard is idle is staged, and a shard's staged
-        writes land as one commit batch (``router.land``) before a frame
-        that reads a staged key or every key, before the replies are
-        written, and before the rest of the chunk goes to the ordered
-        path."""
+        A write is staged, and a shard's staged writes land as one
+        commit batch (``router.land``) before a frame that reads a
+        staged key or every key, before the replies are written, and
+        before the rest of the chunk goes to the ordered path."""
         injector = self.injector
         if injector is not None:
             data = injector.on_read(self.scope, data)
@@ -373,7 +353,7 @@ class _Connection(asyncio.Protocol):
         # a request's latency runs from here, its bytes decoded, to its
         # reply being ready to write
         decoded = metrics.now()
-        answer, conn, recorder = self.answer, self.conn, self.recorder
+        answer, recorder = self.answer, self.recorder
         commands, replies, spans = [], [], []
         # staged[shard]: (reply index, frame, span) of each write waiting
         # to land there; keys: every key they write. Both are made by
@@ -407,16 +387,15 @@ class _Connection(asyncio.Protocol):
             if keys and (command == b"stats" or command in READ_COMMANDS
                          and not keys.isdisjoint(frame.args)):
                 self._land(staged, keys, replies)
-            response = answer(frame, conn)
+            response = answer(frame)
             if response is None:
-                shard = self.idle_shard(frame)
-                if shard is None:
+                if not self.lands or command == b"flush_all":
                     self._write_inline(commands, replies, spans, decoded,
                                        staged, keys)
                     return frames[index:], decoded, span
                 if keys is None:
                     staged, keys = {}, set()
-                staged.setdefault(shard, []).append(
+                staged.setdefault(self.shard_index(frame.key), []).append(
                     (len(replies), frame, span))
                 keys.add(frame.key)
             commands.append(command)
@@ -501,11 +480,11 @@ class _Connection(asyncio.Protocol):
     async def _dispatch(self, frames, decoded: float, span) -> bool:
         """One chunk's frames through ``answer``, else ``dispatch``, and
         their replies flushed in order; False once ``quit`` is seen."""
-        server, conn, scope = self.server, self.conn, self.scope
+        server, scope = self.server, self.scope
         router, recorder, injector = server.router, self.recorder, \
             self.injector
         await self.drain()  # the inline path stopped on a full buffer
-        inflight = []  # (decode time, command, bytes or awaitable, span)
+        inflight = []  # (decode time, command, reply, span)
         for frame in frames:
             command = frame.command
             if command == b"quit":
@@ -517,15 +496,16 @@ class _Connection(asyncio.Protocol):
                 span = recorder.begin(
                     "request", conn=self.id,
                     command=command.decode("ascii", "replace"))
-            response = router.answer(frame, conn)
+            response = router.answer(frame)
             if response is None:
-                response = await router.dispatch(frame, conn, span)
+                response = (await router.dispatch(frame, parent=span)) \
+                    .result()
             inflight.append((decoded, command, response, span))
             span = None
             if injector is not None and command in WRITE_COMMANDS:
-                # may raise InjectedReset: the commit is already
-                # enqueued, the response is never flushed — the
-                # "connection reset mid-commit" scenario
+                # may raise InjectedReset: the write has landed, the
+                # response is never flushed — the "connection reset
+                # mid-commit" scenario
                 injector.after_dispatch(scope, command)
         await server._flush(inflight, self, scope)
         return True

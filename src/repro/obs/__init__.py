@@ -14,7 +14,7 @@ rigor, one mechanism per job:
   the memo, …), so one registry exposes everything without changing
   the silos' own output;
 * :mod:`repro.obs.trace` — spans with an injectable monotonic clock,
-  propagated request → commit-queue batch → group commit → replication
+  propagated request → commit batch → group commit → replication
   root advance, exportable as JSONL and Chrome ``trace_event``; a
   :class:`DramProbe` around a span's work attaches its DRAM deltas.
 

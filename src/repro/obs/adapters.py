@@ -44,7 +44,7 @@ SERVER_COUNTER_FIELDS = (
     "commit_batches",
 )
 SERVER_GAUGE_FIELDS = (
-    "max_pipeline_depth", "queue_high_watermark", "pending_at_shutdown",
+    "max_pipeline_depth",
 )
 
 REPLICATION_COUNTER_FIELDS = (
@@ -275,9 +275,6 @@ def register_router(registry: MetricsRegistry, router) -> None:
     :class:`ServerMetrics` (the extra keys of ``stats json``)."""
     registry.gauge("repro_server_shards", "shard backends",
                    fn=lambda: len(router.servers))
-    registry.gauge("repro_server_pending_commits",
-                   "writes enqueued but not yet applied",
-                   fn=router.pending_commits)
     registry.gauge("repro_machine_footprint_bytes",
                    "bytes of DRAM consumed by unique lines",
                    fn=router.machine.footprint_bytes)

@@ -16,7 +16,7 @@ in-band by ``stats prom``).
 
 An instrument's ``kind`` is ``"counter"`` (a monotonically increasing
 total: ops, bytes, commit batches, DRAM accesses) or ``"gauge"`` (a
-point-in-time value: queue high-watermarks, replication lag, latency
+point-in-time value: pipeline depth, replication lag, latency
 quantiles read off a silo's reservoir).
 
 Everything is single-threaded-asyncio friendly: no locks, collection is

@@ -1,6 +1,6 @@
 """Trace spans with DRAM-traffic attribution.
 
-A *span* is one timed operation — a request, a commit-queue batch, a
+A *span* is one timed operation — a request, a commit batch, a
 group commit, a replication root advance — with a name, a parent link,
 and free-form attributes. The recorder follows the same discipline as
 :class:`~repro.net.metrics.ServerMetrics`: the clock is injectable, so

@@ -390,6 +390,9 @@ class FollowerRouter(ShardRouter):
     line).
     """
 
+    #: every write is forwarded, through :meth:`dispatch`
+    lands_inline = False
+
     def __init__(self, follower: ReplicationFollower,
                  upstream_host: str, upstream_port: int) -> None:
         # the replica's machine serves already; its lists grow with it
@@ -407,16 +410,13 @@ class FollowerRouter(ShardRouter):
         self._upstream = None
         self._upstream_lock = asyncio.Lock()
 
-    async def start(self) -> None:
-        """No commit queues and no workers: every write is forwarded."""
-
     def set_upstream(self, host: str, port: int) -> None:
         """Re-point write forwarding (a follower re-parented mid-life);
         the next forwarded write dials the new address."""
         self.upstream_host = host
         self.upstream_port = port
 
-    def answer(self, frame, conn) -> Optional[bytes]:
+    def answer(self, frame) -> Optional[bytes]:
         """:meth:`ShardRouter.answer` over the replica; ``None`` for a
         write or ``flush_all``, which :meth:`dispatch` forwards."""
         if frame.error is None:
@@ -431,14 +431,10 @@ class FollowerRouter(ShardRouter):
                 # nothing replicated yet: an empty cache
                 return b"END\r\n" if command in READ_COMMANDS \
                     else b"ERROR\r\n"
-        return super().answer(frame, conn)
+        return super().answer(frame)
 
-    def idle_shard(self, frame) -> None:
-        """None: a follower lands no write, it forwards every one."""
-        return None
-
-    async def dispatch(self, frame, conn, parent: Optional[int] = None):
-        response = self.answer(frame, conn)
+    async def dispatch(self, frame, conn=None, parent: Optional[int] = None):
+        response = self.answer(frame)
         if response is None:
             response = await self._forward(frame.raw)
         return _completed(response)
@@ -498,9 +494,6 @@ class FollowerRouter(ShardRouter):
             self._upstream = None
 
     async def abort(self) -> None:
-        """:meth:`ShardRouter.abort`, then close the upstream link (a
-        graceful :meth:`~ShardRouter.stop` ends here too)."""
-        try:
-            await super().abort()
-        finally:
-            self._close_upstream()
+        """Close the upstream link (a graceful
+        :meth:`~ShardRouter.stop` ends here too)."""
+        self._close_upstream()

@@ -540,78 +540,103 @@ def _rebuild(mem: MemorySystem, entry: Entry, level: int, base: int,
     only a level where they part recurses, child by child in order of
     first appearance — so the memory system sees exactly the reads,
     lookups and reference changes of a level-at-a-time rebuild.
+
+    Consumes the caller's reference on ``entry``; returns an entry
+    carrying one. A refused allocation (or any other exception) releases
+    every reference the rebuild holds before it propagates.
     """
     spans, fan = mem.spans, mem.fanout
     # what to re-emit on the way up: (level, children, slot) for a line
-    # or split crossed, (level below, None, digits) for an elided run
+    # crossed, (level, children, None) for a split, (level below, None,
+    # digits) for an elided run. Each reference held is ``entry``'s or
+    # in one ``children`` list, never both: a crossed slot holds 0 until
+    # the entry rebuilt below it comes back.
     trail: List[tuple] = []
-    while level:
-        below = level
-        if not entry:
-            below = 0
-            while (lo - base) // spans[below] != (hi - base) // spans[below]:
-                below += 1
-            prefix = (lo - base) // spans[below]
-            digits = _digits(prefix, fan, level - below)
-            base += prefix * spans[below]
-        elif entry > WORD_MASK:  # is_pack, in line
-            below = bisect_right(
-                spans, max(hi - base, len(pack_values(entry)) - 1), 0, level)
-            digits = (0,) * (level - below)
-        else:
-            path = ref_path(entry)
-            for digit in path:
-                first = base + digit * spans[below - 1]
-                if lo < first or hi >= first + spans[below - 1]:
-                    break
-                base = first
-                below -= 1
-            digits = path[:level - below]
+    try:
+        while level:
+            below = level
+            if not entry:
+                below = 0
+                while (lo - base) // spans[below] \
+                        != (hi - base) // spans[below]:
+                    below += 1
+                prefix = (lo - base) // spans[below]
+                digits = _digits(prefix, fan, level - below)
+                base += prefix * spans[below]
+            elif entry > WORD_MASK:  # is_pack, in line
+                below = bisect_right(
+                    spans, max(hi - base, len(pack_values(entry)) - 1),
+                    0, level)
+                digits = (0,) * (level - below)
+            else:
+                path = ref_path(entry)
+                for digit in path:
+                    first = base + digit * spans[below - 1]
+                    if lo < first or hi >= first + spans[below - 1]:
+                        break
+                    base = first
+                    below -= 1
+                digits = path[:level - below]
+                if digits:
+                    entry = ref(ref_plid(entry), path[len(digits):])
             if digits:
-                entry = ref(ref_plid(entry), path[len(digits):])
-        if digits:
-            trail.append((below, None, digits))
-            level = below
-        if level:
-            children = _expand(mem, entry, level)
-            span = spans[level - 1]
-            slot = (lo - base) // span
-            if slot != (hi - base) // span:
-                groups: Dict[int, list] = {}
-                for item in items:
-                    groups.setdefault((item[0] - base) // span, []).append(item)
-                for slot, group in groups.items():
-                    offsets = [offset for offset, _ in group]
-                    children[slot] = _rebuild(
-                        mem, children[slot], level - 1, base + slot * span,
-                        group, min(offsets), max(offsets))
-                entry = _canonical_interior(mem, children, level)
-                break
-            trail.append((level, children, slot))
-            entry = children[slot]
-            base += slot * span
-            level -= 1
-    else:
-        words = _expand(mem, entry, 0)
-        owned = {i for i, word in enumerate(words)
-                 if word < 0}  # is_ref, in line
-        for offset, value in items:
-            i = offset - base
-            if i in owned:
-                mem.decref(~words[i] & PLID_MASK)
-                owned.discard(i)
-            words[i] = value
-        entry = _leaf_entry(mem, words)
-        # Release the expansion-owned references: the new leaf (if
-        # materialized) took its own on creation.
-        for i in owned:
-            mem.decref(~words[i] & PLID_MASK)
-    for level, children, where in reversed(trail):
-        if children is None:
-            entry = _wrap_run(mem, entry, level, where)
+                trail.append((below, None, digits))
+                level = below
+            if level:
+                children, entry = _expand(mem, entry, level), 0
+                span = spans[level - 1]
+                slot = (lo - base) // span
+                if slot != (hi - base) // span:
+                    trail.append((level, children, None))
+                    groups: Dict[int, list] = {}
+                    for item in items:
+                        groups.setdefault((item[0] - base) // span,
+                                          []).append(item)
+                    for slot, group in groups.items():
+                        offsets = [offset for offset, _ in group]
+                        child, children[slot] = children[slot], 0
+                        children[slot] = _rebuild(
+                            mem, child, level - 1, base + slot * span,
+                            group, min(offsets), max(offsets))
+                    break
+                trail.append((level, children, slot))
+                entry, children[slot] = children[slot], 0
+                base += slot * span
+                level -= 1
         else:
-            children[where] = entry
+            words, entry = _expand(mem, entry, 0), 0
+            owned = {i for i, word in enumerate(words)
+                     if word < 0}  # is_ref, in line
+            for offset, value in items:
+                i = offset - base
+                if i in owned:
+                    mem.decref(~words[i] & PLID_MASK)
+                    owned.discard(i)
+                words[i] = value
+            try:
+                entry = _leaf_entry(mem, words)
+            finally:
+                # Release the expansion-owned references: the new leaf
+                # (if materialized) took its own on creation.
+                for i in owned:
+                    mem.decref(~words[i] & PLID_MASK)
+        while trail:
+            level, children, where = trail[-1]
+            if children is None:
+                del trail[-1]
+                wrapped, entry = entry, 0  # _wrap_run releases it on error
+                entry = _wrap_run(mem, wrapped, level, where)
+                continue
+            if where is not None:
+                children[where], entry = entry, 0
             entry = _canonical_interior(mem, children, level)
+            del trail[-1]
+    except BaseException:
+        release_entry(mem, entry)
+        for _, children, _ in trail:
+            for child in children or ():
+                release_entry(mem, child)
+        raise
     return entry
 
 

@@ -242,8 +242,8 @@ class HMap:
         value deleting its key: the map's one write routine.
 
         The whole batch is one register, one bottom-up rebuild and one
-        root CAS — what the router's commit queue coalesces a run of
-        sets into. A merge-update map (the default) folds a lost CAS in,
+        root CAS — what the router's landing coalesces a run of sets
+        into. A merge-update map (the default) folds a lost CAS in,
         so writes of *different* keys never abort each other (section
         4.3). One flag per pair, in input order: True when it changed
         whether its key is present. A repeated key's later writes see

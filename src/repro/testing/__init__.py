@@ -8,7 +8,8 @@ package is that checker, in three layers:
 * :mod:`repro.testing.faults` — a seeded, deterministic **fault
   injector** wrapped around the asyncio server and shard router:
   connection resets mid-commit, partial reads/writes, delayed flushes,
-  commit-queue stalls, all decided by a pure function of the seed;
+  stalls of a write before it lands, all decided by a pure function of
+  the seed;
 * :mod:`repro.testing.history` — a **linearizability checker** over
   per-client operation histories against the memcached sequential
   specification (content-unique CAS tokens and merge-update's

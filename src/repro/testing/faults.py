@@ -3,7 +3,7 @@
 Every injection decision is a **pure function of the seed** — no RNG
 state is consumed at runtime, so the decision for the Nth event at a
 given hook point is the same no matter how the event loop interleaves
-connections and shard workers. A :class:`FaultPlan` answers "does fault
+connections. A :class:`FaultPlan` answers "does fault
 ``point`` fire for scope ``s`` at sequence number ``n``, and how hard?"
 by hashing ``(seed, point, scope, n)``; a :class:`FaultInjector` owns
 the per-scope counters and performs the actual injections from the hook
@@ -12,7 +12,7 @@ points in :class:`~repro.net.server.MemcachedServer` and
 
 ========================  ==============================================
 ``conn.reset``            drop the connection right after a write frame
-                          was dispatched — the commit is enqueued but
+                          was dispatched — the write has landed but
                           the response is never flushed ("reset
                           mid-commit"); keyed by per-connection write-
                           frame sequence, so *which* writes lose their
@@ -24,9 +24,9 @@ points in :class:`~repro.net.server.MemcachedServer` and
                           drain between them — partial writes
 ``flush.delay``           yield the event loop N extra times before
                           flushing a connection's responses
-``commit.stall``          stall a shard worker N event-loop turns before
-                          it applies a drained batch — commits stay
-                          queued while snapshot reads proceed
+``commit.stall``          stall a dispatched write N event-loop turns
+                          before it lands — its connection waits while
+                          other connections' reads and writes proceed
 ========================  ==============================================
 
 Scopes are small integers: the accept-order connection index for the
@@ -179,7 +179,7 @@ class FaultInjector:
     def after_dispatch(self, scope: int, command: bytes) -> None:
         """Maybe reset the connection right after a dispatched write.
 
-        The commit is already enqueued on its shard; raising here tears
+        The write has already landed on its shard; raising here tears
         the connection down before its response is flushed — the
         "connection reset mid-commit" scenario. Keyed by the connection's
         write-frame sequence so the decision is independent of how the
@@ -214,10 +214,10 @@ class FaultInjector:
         return [payload[:cut], payload[cut:]]
 
     # ------------------------------------------------------------------
-    # shard-worker hook (ShardRouter)
+    # landing hook (ShardRouter.dispatch)
 
     async def before_commit(self, shard: int) -> None:
-        """Maybe stall a shard worker before it applies a batch."""
+        """Maybe stall a write to ``shard`` before it lands."""
         seq = self._next_seq(COMMIT_STALL, shard)
         if self.plan.fires(COMMIT_STALL, shard, seq):
             turns = self.plan.amount(COMMIT_STALL, shard, seq, 1,

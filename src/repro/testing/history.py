@@ -9,8 +9,8 @@ The check is per key: operations on distinct keys commute, which is not
 an approximation here but the design itself — the router's batched
 merge-update path only ever merges commits on *distinct* keys (§3.4:
 no logical conflict, so a lost CAS is absorbed rather than retried),
-and per-key operations are serialized by the owning shard's FIFO commit
-queue. Modeling merge-update therefore costs nothing beyond the key
+and per-key operations are serialized by the owning shard's single
+writer: a landing runs to completion in one loop turn. Modeling merge-update therefore costs nothing beyond the key
 partition: the commutative set-merge is invisible at the level of
 single-key sequential semantics.
 
@@ -21,8 +21,8 @@ The order the checker must respect is the memcached contract, which is
   invoked (logical timestamps);
 * **per-connection program order**: a connection's operations take
   effect in submission order even when pipelined — a ``get`` pipelined
-  behind a ``set`` of the same key must observe it (the router's
-  read-after-write fence).
+  behind a ``set`` of the same key must observe it (the router lands a
+  write before its connection's next request is answered).
 
 CAS tokens are content identities (a HICAMP root compare), so token
 equality is value equality: a recorded ``cas`` carries the *value* its
@@ -32,7 +32,7 @@ when the register still holds that value.
 Operations whose response was never observed (connection reset before
 the reply — "reset mid-commit") are **pending**: the checker may
 linearize their effect at any point after invocation, or drop them,
-matching the reality that an enqueued commit may or may not have landed
+matching the reality that a dispatched write may or may not have landed
 from the client's point of view.
 
 **TTL expiry** extends the register: state is ``None`` (absent) or a

@@ -26,11 +26,12 @@ def test_episode_trace_is_index_independent():
     """The seed-deterministic trace and verdict are the ones the
     overflow-chain store produced (sha256 of the trace's ``repr``,
     recorded from its last commit, 2f10719, which printed no state
-    check)."""
+    check; re-recorded when the header line lost its ``batch_limit=4``
+    field, the one line that changed)."""
     result = run_episode(99, _spilled_cfg())
     assert result.ok, result.failures
     assert "state=ok" in result.trace
     trace = [line for line in result.trace if line != "state=ok"]
     assert hashlib.sha256(repr(trace).encode()).hexdigest() == (
-        "81334e5d37062ad0eb3237230414415a33592704aa10159ec9457b8283a5c1b4")
+        "f9f881963c3baf43a134d894855b71db5b4dee61f203b1ff39b1976ad799c1a5")
     assert result.fired.get(CONN_RESET, 0) == 2

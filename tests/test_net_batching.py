@@ -1,11 +1,10 @@
 """Batches stay batched — wall-clock-free pins on both ends of a request.
 
-(i) a drained run of sets lands as one group commit: one root CAS, none
-lost, one ``write_words_bulk`` rebuild, and never more host calls than
-per-op CAS commits of the same run;
-(ii) ``MemcachedServer._flush`` joins consecutive resolved responses
-into one ``writer.write``, writes what it holds before suspending on an
-unresolved one, and leaves the fault-injector write sequence alone;
+(i) a run of sets landed together lands as one group commit: one root
+CAS, none lost, one ``write_words_bulk`` rebuild, and never more host
+calls than per-op CAS commits of the same run;
+(ii) ``MemcachedServer._flush`` joins consecutive responses into one
+``writer.write`` and leaves the fault-injector write sequence alone;
 (iii) a group commit that raises on a full store is re-applied per set,
 so ``SERVER_ERROR`` granularity and ``cmd_set`` do not depend on how
 the sets were batched (the ``sets`` field against the per-op handler
@@ -20,7 +19,7 @@ import pytest
 from repro.core.machine import Machine
 from repro.errors import MemoryExhaustedError
 from repro.net.framing import FrameDecoder
-from repro.net.router import ConnectionState, ShardRouter
+from repro.net.router import ShardRouter
 from repro.net.server import MemcachedServer
 from repro.params import MachineConfig, MemoryConfig
 from repro.segments import dag
@@ -37,12 +36,20 @@ def _distinct_sets(n: int) -> bytes:
                     for i in range(n))
 
 
-async def _session(router: ShardRouter, conn: ConnectionState, raw: bytes):
-    """One pipelined burst: every frame is enqueued before the shard
-    worker gets the loop, so the burst drains as one batch."""
-    futures = [await router.dispatch(frame, conn)
-               for frame in FrameDecoder().feed(raw)]
-    return [await f for f in futures]
+def _writes(raw: bytes):
+    """The frames of ``raw`` as ``ShardRouter.land`` takes them."""
+    return [(frame, None) for frame in FrameDecoder().feed(raw)]
+
+
+def _land(router: ShardRouter, raw: bytes, batch_size: int = 0):
+    """The replies to ``raw``'s writes landed on shard 0 ``batch_size``
+    at a time (all in one batch by default)."""
+    writes = _writes(raw)
+    size = batch_size or len(writes)
+    replies = []
+    for i in range(0, len(writes), size):
+        replies += router.land(0, writes[i:i + size])
+    return replies
 
 
 # ----------------------------------------------------------------------
@@ -63,14 +70,7 @@ def test_default_run_is_one_root_cas_and_one_rebuild(n, monkeypatch):
     segmap = router.machine.segmap
     attempts = segmap.cas_attempts
 
-    async def go():
-        await router.start()
-        responses = await _session(router, ConnectionState(),
-                                   _distinct_sets(n))
-        await router.stop()
-        return responses
-
-    assert asyncio.run(go()) == [b"STORED\r\n"] * n
+    assert _land(router, _distinct_sets(n)) == [b"STORED\r\n"] * n
     assert segmap.cas_attempts - attempts == 1
     assert segmap.cas_failures == 0
     assert len(rebuilds) == 1
@@ -78,9 +78,9 @@ def test_default_run_is_one_root_cas_and_one_rebuild(n, monkeypatch):
     assert router.servers[0].stats.sets == n
 
 
-def _drain_calls(n: int, batch_size: int) -> int:
-    """Python + C calls one worker makes applying ``n`` distinct-key
-    sets drained ``batch_size`` at a time (no clock, no event-loop
+def _land_calls(n: int, batch_size: int) -> int:
+    """Python + C calls ``ShardRouter.land`` makes landing ``n``
+    distinct-key sets ``batch_size`` at a time (no clock, no event-loop
     machinery); a batch of one is the per-op path."""
     calls = 0
 
@@ -89,22 +89,16 @@ def _drain_calls(n: int, batch_size: int) -> int:
         if event in ("call", "c_call"):
             calls += 1
 
-    async def go():
-        router = ShardRouter(shard_count=1)
-        await router.start()
-        loop = asyncio.get_running_loop()
-        batch = [(frame, loop.create_future(), None)
-                 for frame in FrameDecoder().feed(_distinct_sets(n))]
-        sys.setprofile(count)
-        try:
-            for i in range(0, n, batch_size):
-                await router._apply_batch(0, batch[i:i + batch_size])
-        finally:
-            sys.setprofile(None)
-        assert [f.result() for _, f, _ in batch] == [b"STORED\r\n"] * n
-        await router.stop()
-
-    asyncio.run(go())
+    router = ShardRouter(shard_count=1)
+    writes = _writes(_distinct_sets(n))
+    replies = []
+    sys.setprofile(count)
+    try:
+        for i in range(0, n, batch_size):
+            replies += router.land(0, writes[i:i + batch_size])
+    finally:
+        sys.setprofile(None)
+    assert replies == [b"STORED\r\n"] * n
     return calls
 
 
@@ -115,8 +109,8 @@ def test_default_run_call_ceiling_is_per_op_cas(n):
     of a run committed against one stale snapshot, against
     2 003 / 4 085 / 17 727 per-op and 1 676 / 2 956 / 10 539 as one
     group commit) cannot return unnoticed."""
-    grouped = _drain_calls(n, batch_size=n)
-    per_op = _drain_calls(n, batch_size=1)
+    grouped = _land_calls(n, batch_size=n)
+    per_op = _land_calls(n, batch_size=1)
     assert grouped <= per_op, (grouped, per_op)
 
 
@@ -138,17 +132,9 @@ class RecordingWriter:
 
 
 def _inflight(server, responses):
-    """FIFO in-flight entries; ``None`` marks an unresolved response."""
-    loop = asyncio.get_running_loop()
-    entries, pending = [], []
-    for response in responses:
-        future = loop.create_future()
-        if response is None:
-            pending.append(future)
-        else:
-            future.set_result(response)
-        entries.append((server.metrics.now(), b"get", future, None))
-    return entries, pending
+    """FIFO in-flight entries of ``responses``."""
+    return [(server.metrics.now(), b"get", response, None)
+            for response in responses]
 
 
 def test_flush_joins_resolved_responses_into_one_write():
@@ -158,7 +144,7 @@ def test_flush_joins_resolved_responses_into_one_write():
     async def go():
         server = MemcachedServer(port=0, shard_count=1)
         writer = RecordingWriter()
-        inflight, _ = _inflight(server, responses)
+        inflight = _inflight(server, responses)
         await server._flush(inflight, writer)
         return server, writer, inflight
 
@@ -167,25 +153,6 @@ def test_flush_joins_resolved_responses_into_one_write():
     assert inflight == []
     assert server.metrics.ops_total == 8
     assert server.metrics.bytes_out == len(b"".join(responses))
-
-
-def test_flush_writes_held_responses_before_awaiting_a_commit():
-    async def go():
-        server = MemcachedServer(port=0, shard_count=1)
-        writer = RecordingWriter()
-        inflight, (pending,) = _inflight(
-            server, [b"A\r\n", b"B\r\n", b"C\r\n", None, b"E\r\n", b"F\r\n"])
-        flush = asyncio.ensure_future(server._flush(inflight, writer))
-        await asyncio.sleep(0)  # _flush runs up to the unresolved reply
-        before = list(writer.log)
-        pending.set_result(b"D\r\n")
-        await flush
-        return before, writer.log
-
-    before, log = asyncio.run(go())
-    # no reply waits on a later request's commit
-    assert before == [b"A\r\nB\r\nC\r\n"]
-    assert log == [b"A\r\nB\r\nC\r\n", b"D\r\nE\r\nF\r\n", "drain"]
 
 
 def test_flush_write_sequence_unchanged_under_fault_injector():
@@ -197,7 +164,7 @@ def test_flush_write_sequence_unchanged_under_fault_injector():
         server = MemcachedServer(port=0, shard_count=1,
                                  injector=FaultInjector(plan))
         writer = RecordingWriter()
-        inflight, _ = _inflight(server, responses)
+        inflight = _inflight(server, responses)
         await server._flush(inflight, writer, scope=0)
         return writer.log
 
@@ -237,10 +204,10 @@ def test_max_inflight_mid_burst_flush_keeps_order():
 # (iii) cmd_set and SERVER_ERROR granularity do not depend on batching
 
 
-def _full_store_run(batch_limit):
+def _full_store_run(batch_size):
     """On a store with no free line, a run of two sets that need none
     (a key re-set to its current value deduplicates completely) around
-    one that needs a new leaf. ``batch_limit=1`` drains one frame per
+    one that needs a new leaf. ``batch_size=1`` lands one frame per
     batch: the per-op reference."""
     # the 64 x 4 + 256 geometry tests/test_dedup_store.py exhausts
     machine = Machine(MachineConfig(memory=MemoryConfig(
@@ -249,54 +216,47 @@ def _full_store_run(batch_limit):
     values = {b"k%d" % i: b"value-%02d-0123456789abcdefghij" % i
               for i in range(4)}
 
-    async def go():
-        router = ShardRouter(machine=machine, shard_count=1)
-        router.batch_limit = batch_limit
-        await router.start()
-        conn = ConnectionState()
-        preload = await _session(
-            router, conn, b"".join(_set(k, v) for k, v in values.items()))
-        assert preload == [b"STORED\r\n"] * 4
-        # ballast: distinct leaves held by the test until every data
-        # way and overflow slot is taken
-        ballast, i = [], 0
-        while machine.footprint_lines() < 64 * 4 + 256:
-            i += 1
-            try:
-                ballast.append(mem.lookup((0xBA11A57 << 20 | i, i)))
-            except MemoryExhaustedError:
-                pass
-        responses = await _session(
-            router, conn,
-            _set(b"k0", values[b"k0"]) + _set(b"fresh", b"0123456789abcdef")
-            + _set(b"k1", values[b"k1"]) + _set(b"k0", values[b"k0"]))
-        await router.drain()
-        for plid in ballast:
-            mem.decref(plid)
-        machine.drain()
-        audit = audit_machine(machine, strict=True)
-        await router.stop()
-        server = router.servers[0]
-        return {
-            "responses": [r.split(b" ")[0] for r in responses],
-            "sets": server.stats.sets,
-            "server_errors": router.metrics.server_errors,
-            "fresh": server.kvp.get(b"fresh"),
-            "fingerprint": machine.segment_fingerprint(
-                server.kvp.vsid).hex(),
-            "footprint_lines": machine.footprint_lines(),
-            "audit": audit.failures,
-        }
-
-    return asyncio.run(go())
+    router = ShardRouter(machine=machine, shard_count=1)
+    preload = _land(router, b"".join(_set(k, v) for k, v in values.items()))
+    assert preload == [b"STORED\r\n"] * 4
+    # ballast: distinct leaves held by the test until every data
+    # way and overflow slot is taken
+    ballast, i = [], 0
+    while machine.footprint_lines() < 64 * 4 + 256:
+        i += 1
+        try:
+            ballast.append(mem.lookup((0xBA11A57 << 20 | i, i)))
+        except MemoryExhaustedError:
+            pass
+    responses = _land(
+        router,
+        _set(b"k0", values[b"k0"]) + _set(b"fresh", b"0123456789abcdef")
+        + _set(b"k1", values[b"k1"]) + _set(b"k0", values[b"k0"]),
+        batch_size)
+    machine.mem.store.reclaim_quiesce()
+    for plid in ballast:
+        mem.decref(plid)
+    machine.drain()
+    audit = audit_machine(machine, strict=True)
+    server = router.servers[0]
+    return {
+        "responses": [r.split(b" ")[0] for r in responses],
+        "sets": server.stats.sets,
+        "server_errors": router.metrics.server_errors,
+        "fresh": server.kvp.get(b"fresh"),
+        "fingerprint": machine.segment_fingerprint(
+            server.kvp.vsid).hex(),
+        "footprint_lines": machine.footprint_lines(),
+        "audit": audit.failures,
+    }
 
 
 def test_failed_group_commit_falls_back_to_per_set_errors():
-    baseline = _full_store_run(batch_limit=1)
+    baseline = _full_store_run(batch_size=1)
     assert baseline["responses"] == [b"STORED\r\n", b"SERVER_ERROR",
                                      b"STORED\r\n", b"STORED\r\n"]
     assert baseline["sets"] == 4 + 3  # the preload, then STORED replies
     assert baseline["server_errors"] == 1
     assert baseline["fresh"] is None
     assert baseline["audit"] == []
-    assert _full_store_run(batch_limit=16) == baseline
+    assert _full_store_run(batch_size=16) == baseline

@@ -1,8 +1,10 @@
-"""Graceful-drain edge cases and fences under injected commit stalls.
+"""Graceful-drain edge cases and read-after-write under injected
+commit stalls.
 
-Satellites: shutdown with non-empty commit queues, in-flight fences at
-shutdown, a client still connected when the drain starts, and the
-ShardRouter read-after-write fence under forced commit-queue stalls.
+Shutdown with a write stalled before it lands, a read in flight behind
+a stalled write at shutdown, a client still connected when the drain
+starts, and ``ShardRouter.dispatch``'s read-after-write when every
+write stalls before it lands.
 """
 
 import asyncio
@@ -13,6 +15,7 @@ import warnings
 from repro.net.framing import FrameDecoder
 from repro.net.router import ConnectionState, ShardRouter
 from repro.net.server import MemcachedServer
+from repro.testing.auditors import audit_machine
 from repro.testing.faults import COMMIT_STALL, FaultInjector, FaultPlan
 
 STALL_EVERY_BATCH = {COMMIT_STALL: 1.0}
@@ -32,8 +35,8 @@ def stalling_injector(seed=0, max_stall=20):
 
 class TestRouterFenceUnderStall:
     def test_read_after_write_sees_value_despite_stall(self):
-        """Satellite: a pipelined get behind a set of the same key must
-        return the new value even when every commit batch is stalled."""
+        """A get behind a set of the same key must return the new value
+        even when every write is stalled before it lands."""
 
         async def go():
             injector = stalling_injector()
@@ -42,11 +45,10 @@ class TestRouterFenceUnderStall:
             conn = ConnectionState()
             set_future = await router.dispatch(
                 frame(b"set k 0 0 2\r\nhi\r\n"), conn)
-            # the write is enqueued, not applied: the worker has not run
-            assert router.pending_commits() > 0
+            # the write has landed by the time dispatch returns
+            assert set_future.result() == b"STORED\r\n"
             get_future = await router.dispatch(frame(b"get k\r\n"), conn)
             response = await get_future
-            assert await set_future == b"STORED\r\n"
             await router.stop()
             return injector, response
 
@@ -55,19 +57,21 @@ class TestRouterFenceUnderStall:
         assert injector.fired[COMMIT_STALL] > 0
 
     def test_unrelated_connection_reads_stay_inline(self):
-        """Another connection's read takes the no-fence snapshot path —
-        it may run before the stalled commit lands (and must not hang)."""
+        """Another connection's read is a snapshot read answered inline —
+        it runs while the stalled write has not landed (and must not
+        hang)."""
 
         async def go():
             router = ShardRouter(shard_count=2,
                                  injector=stalling_injector(max_stall=50))
             await router.start()
             writer_conn, reader_conn = ConnectionState(), ConnectionState()
-            set_future = await router.dispatch(
-                frame(b"set k 0 0 2\r\nhi\r\n"), writer_conn)
-            early = await (await router.dispatch(frame(b"get k\r\n"),
-                                                 reader_conn))
-            await set_future
+            landing = asyncio.ensure_future(router.dispatch(
+                frame(b"set k 0 0 2\r\nhi\r\n"), writer_conn))
+            await asyncio.sleep(0)  # the write is in its stall
+            early = router.answer(frame(b"get k\r\n"))
+            assert not landing.done()
+            await (await landing)
             late = await (await router.dispatch(frame(b"get k\r\n"),
                                                 reader_conn))
             await router.stop()
@@ -79,37 +83,44 @@ class TestRouterFenceUnderStall:
 
 
 class TestGracefulDrain:
-    def test_shutdown_with_nonempty_commit_queues(self):
-        """Shutdown must commit every enqueued write before stopping."""
+    def test_shutdown_with_a_write_stalled_before_it_lands(self):
+        """Shutdown while a pipelined burst of sets is stalled on the
+        connection's ordered task: the task is cancelled, so every write
+        answered has landed, the one in its stall has not, and the
+        machine audits clean."""
 
         async def go():
             server = MemcachedServer(port=0, shard_count=2,
                                      injector=stalling_injector(max_stall=40))
             await server.start()
-            conn = ConnectionState()
-            futures = []
-            for i in range(8):
-                futures.append(await server.router.dispatch(
-                    frame(b"set k%02d 0 0 2\r\nv%d\r\n" % (i, i)), conn))
-            # nothing has been applied yet: the queues are non-empty at
-            # the moment the drain starts
-            assert server.router.pending_commits() > 0
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            writer.write(b"".join(b"set k%02d 0 0 2\r\nv%d\r\n" % (i, i)
+                                  for i in range(8)))
+            await writer.drain()
+            while server.metrics.commit_batches < 2:
+                await asyncio.sleep(0)
             await asyncio.wait_for(server.shutdown(), timeout=10)
-            return server, futures
+            replies = await asyncio.wait_for(reader.read(), timeout=5)
+            writer.close()
+            return server, replies
 
-        server, futures = asyncio.run(go())
-        assert server.metrics.pending_at_shutdown == 0
-        assert all(f.done() and f.result() == b"STORED\r\n"
-                   for f in futures)
-        # the committed values are really in the cache
+        server, replies = asyncio.run(go())
+        landed = server.metrics.commit_batches
+        assert 2 <= landed < 8
+        # every write answered has landed
+        answered = replies.count(b"STORED\r\n")
+        assert replies == b"STORED\r\n" * answered and answered <= landed
         for i in range(8):
             key = b"k%02d" % i
             backend = server.router.servers[server.router.shard_index(key)]
-            assert backend.get(key) == b"v%d" % i
+            assert backend.get(key) == (b"v%d" % i if i < landed else None)
+        assert audit_machine(server.router.machine, strict=True).ok
 
     def test_shutdown_resolves_inflight_fences(self):
-        """A fenced read in flight when shutdown starts must resolve
-        (with the fenced write's value), not deadlock the drain."""
+        """A read dispatched behind a stalled write before shutdown
+        starts answers with the write's value, and the drain does not
+        deadlock."""
 
         async def go():
             server = MemcachedServer(port=0, shard_count=2,
@@ -154,8 +165,7 @@ class TestGracefulDrain:
                 refused = True
             return server, eof, refused
 
-        server, eof, refused = asyncio.run(go())
-        assert server.metrics.pending_at_shutdown == 0
+        _, eof, refused = asyncio.run(go())
         assert eof.endswith(b"") and refused
 
     def test_a_connection_accepted_as_shutdown_begins_is_closed(self):
@@ -202,7 +212,8 @@ class TestGracefulDrain:
             server = MemcachedServer(port=0, shard_count=2)
             await server.start()
             await server.shutdown()
+            await server.shutdown()
             return server
 
         server = asyncio.run(go())
-        assert server.router.pending_commits() == 0
+        assert server.metrics.connections_opened == 0

@@ -1,4 +1,4 @@
-"""Tests for the shard router: fan-out, commit queues, merge batching."""
+"""Tests for the shard router: fan-out, landing, group commits."""
 
 import asyncio
 import json
@@ -50,13 +50,12 @@ class TestRouting:
         front = FollowerRouter(ReplicationFollower(
             "127.0.0.1", 1, machine=router.machine, streams=streams),
             "127.0.0.1", 1)
-        conn = ConnectionState()
         rng = random.Random(0)
         for _ in range(200):
             key = b"key-%d" % rng.getrandbits(32)
             router.servers[router.shard_index(key)].set(key, b"v")
             [frame] = frames_of(b"get %s\r\n" % key)
-            assert front.answer(frame, conn) \
+            assert front.answer(frame) \
                 == b"VALUE %s 0 1\r\nv\r\nEND\r\n" % key
 
     def test_set_get_roundtrip_across_shards(self):
@@ -91,17 +90,17 @@ class TestRouting:
         assert responses[2].endswith(b"END\r\n")
 
     def test_batched_sets_group_commit_by_default(self):
-        # distinct keys, same shard, enqueued before the worker runs:
-        # one group commit — one bulk_commit span under the batch span,
-        # one root CAS, no manufactured lost CAS for merge-update to
-        # absorb
+        # distinct keys, same shard, landed together: one group commit
+        # — one bulk_commit span under the batch span, one root CAS, no
+        # manufactured lost CAS for merge-update to absorb
         rec = TraceRecorder(clock=StepClock())
         router = ShardRouter(shard_count=1, recorder=rec)
         segmap = router.machine.segmap
         attempts = segmap.cas_attempts
         raw = b"".join(b"set key%d 0 0 2\r\nv%d\r\n" % (i, i)
                        for i in range(8))
-        assert run_session(router, raw) == [b"STORED\r\n"] * 8
+        writes = [(frame, None) for frame in frames_of(raw)]
+        assert router.land(0, writes) == [b"STORED\r\n"] * 8
         assert segmap.cas_attempts - attempts == 1
         assert segmap.cas_failures == 0
         (batch,) = rec.find("commit_batch")
@@ -153,17 +152,20 @@ class TestRouting:
         assert "adaptive" not in snapshot
 
     def test_drain_leaves_no_pending(self):
+        # every dispatched write has landed when dispatch returns, and
+        # drain() leaves no deferred free behind
         router = ShardRouter(shard_count=2)
+        store = router.machine.mem.store
 
         async def go():
             await router.start()
             conn = ConnectionState()
             raw = b"".join(b"set k%d 0 0 1\r\nx\r\n" % i for i in range(10))
-            pending = [await router.dispatch(frame, conn)
+            replies = [await router.dispatch(frame, conn)
                        for frame in frames_of(raw)]
+            assert all(f.done() for f in replies)
             await router.drain()
-            assert router.pending_commits() == 0
-            assert all(f.done() for f in pending)
+            assert store.reclaim_snapshot()["pending_lines"] == 0
             await router.stop()
 
         asyncio.run(go())
@@ -178,21 +180,3 @@ class TestRouting:
         assert responses[0] == b"STORED\r\n"
         assert b"v2" in responses[1]
 
-
-class TestAbort:
-    def test_a_cancel_of_the_caller_is_raised(self):
-        """``abort()`` cancels the workers and waits on them; a cancel
-        of the task awaiting ``abort()`` must end that task cancelled,
-        not be taken for a worker's own CancelledError."""
-        async def go():
-            router = ShardRouter(shard_count=2)
-            await router.start()
-            aborting = asyncio.ensure_future(router.abort())
-            await asyncio.sleep(0)  # abort() waits on the workers
-            aborting.cancel()
-            await asyncio.wait((aborting,), timeout=2.0)
-            return aborting, router
-
-        aborting, router = asyncio.run(go())
-        assert aborting.cancelled()
-        assert not router._workers

@@ -4,7 +4,7 @@ The acceptance test drives a live server with four concurrent pipelined
 recording clients (:mod:`repro.testing.fuzz`) and checks three
 criteria: a linearizable history with no protocol errors, nonzero
 pipelined-request and group-commit counters, and a graceful shutdown
-with no pending commits.
+that leaves a machine the strict audit passes.
 """
 
 import asyncio
@@ -26,6 +26,7 @@ from repro.replication import (
     ReplicationFollower,
     ReplicationLeader,
 )
+from repro.testing.auditors import audit_machine
 from repro.testing.fuzz import (
     READBACK_CLIENT,
     EpisodeConfig,
@@ -95,9 +96,8 @@ class TestServerEndToEnd:
         assert 0 < snapshot["commit_batches"] \
             < sum(snapshot["commits_by_vsid"].values())
         assert snapshot["ops_total"] >= 4 * 60
-        # (3) graceful shutdown flushed every pending commit
-        assert server.metrics.pending_at_shutdown == 0
-        assert server.router.pending_commits() == 0
+        # (3) graceful shutdown left exact state behind
+        assert audit_machine(server.router.machine, strict=True).ok
 
     def test_pipelined_burst_group_commits_by_default(self):
         """A burst to one shard is one group commit."""
@@ -227,7 +227,6 @@ class TestServerEndToEnd:
             return server
 
         server = asyncio.run(go())
-        assert server.metrics.pending_at_shutdown == 0
         assert sum(s.item_count() for s in server.router.servers) == 10
 
     def test_single_client_pipelined_cas_flow(self):

@@ -1,14 +1,15 @@
 """A write lands in the read callback that decoded it.
 
-A write whose shard has nothing queued and no batch in hand is staged
-in ``data_received``, and each shard's staged writes land through
-``ShardRouter.land`` as one commit batch before anything reads them:
-(a) one read of eight fresh sets is one root CAS per touched shard and
-no ordered task; (b) a get behind a set of its key in one chunk reads
-what that set wrote; (c) a shard with a write in hand sends the chunk
-down the ordered path, behind that write; (d) a fault-injected server
-and a follower front never land inline; (e) a chunk of fresh sets costs
-one read callback, within a call ceiling the ordered path exceeded.
+A write is staged in ``data_received``, and each shard's staged writes
+land through ``ShardRouter.land`` as one commit batch before anything
+reads them: (a) one read of eight fresh sets is one root CAS per
+touched shard and no ordered task; (b) a get behind a set of its key in
+one chunk reads what that set wrote; (c) on a fault-injected server, a
+write stalled before it lands holds back every later request of its
+connection, so a multi-key get reads no write sent after it; (d) a
+fault-injected server and a follower front never land inline; (e) a
+chunk of fresh sets costs one read callback, within a call ceiling the
+parent's queued path exceeded.
 """
 
 import asyncio
@@ -19,8 +20,7 @@ import sys
 import pytest
 
 from repro.net import server as server_module
-from repro.net.framing import FrameDecoder
-from repro.net.router import ConnectionState, shard_of
+from repro.net.router import shard_of
 from repro.net.server import MemcachedServer
 from repro.replication import FollowerRouter
 from repro.testing.faults import POINTS, FaultInjector, FaultPlan
@@ -101,64 +101,44 @@ def test_get_behind_a_set_of_its_key_reads_that_set(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# (c) a shard with a write in hand: the ordered path, behind it
+# (c) a write stalled before it lands holds back its connection
 
 
-def test_busy_shard_sends_the_chunk_down_the_ordered_path(monkeypatch):
-    started = _spy_ordered(monkeypatch)
+class _StallShardZero(FaultInjector):
+    """Every write to shard 0 stalls ``TURNS`` loop turns before it
+    lands; nothing else fires."""
+
+    TURNS = 20
+
+    async def before_commit(self, shard: int) -> None:
+        if shard == 0:
+            for _ in range(self.TURNS):
+                await asyncio.sleep(0)
+
+
+def test_multi_key_get_behind_a_stalled_write_reads_no_later_write():
+    assert shard_of(b"b0", 2) == 0 and shard_of(b"a", 2) == 1
+    chunk = (_put(b"a", b"v1") + _put(b"b0", b"v1") + b"get a b0\r\n"
+             + _put(b"a", b"v2"))
+    plan = FaultPlan(0, {point: 0.0 for point in POINTS})
 
     async def go():
-        async with MemcachedServer(port=0, shard_count=2) as server:
-            router = server.router
-            shard = router.shard_index(b"k")
-            gate = asyncio.Event()
-            apply_batch = router._apply_batch
+        server = MemcachedServer(port=0, shard_count=2,
+                                 injector=_StallShardZero(plan))
+        async with server:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            writer.write(chunk)
+            replies = [await read_reply(reader) for _ in range(4)]
+            writer.close()
+            await writer.wait_closed()
+            return replies, server.router.servers[1].get(b"a")
 
-            async def gated(*args):
-                await gate.wait()
-                await apply_batch(*args)
-
-            router._apply_batch = gated
-            try:
-                return await scenario(server, router, shard, gate)
-            finally:
-                gate.set()  # a failed step must not wedge the drain
-
-    async def scenario(server, router, shard, gate):
-        # another connection's ordered path: two writes the worker holds
-        # mid-batch, one queued behind them
-        other = ConnectionState()
-        first, second = [await router.dispatch(frame, other)
-                         for frame in FrameDecoder().feed(
-                             _put(b"k", b"a1") + _put(b"k", b"a2"))]
-        assert router._mid_batch[shard] is False
-        await asyncio.sleep(0)
-        assert router._mid_batch[shard] is True
-        (third,) = [await router.dispatch(frame, other) for frame in
-                    FrameDecoder().feed(_put(b"k", b"a3"))]
-        assert router.pending_commits() == 1
-        inline = server.metrics.inline_requests
-        reader, writer = await asyncio.open_connection(
-            "127.0.0.1", server.port)
-        writer.write(_put(b"k", b"b") + b"get k\r\n")
-        deadline = asyncio.get_running_loop().time() + 5.0
-        while not started["tasks"]:
-            assert asyncio.get_running_loop().time() < deadline
-            await asyncio.sleep(0)
-        assert not first.done()
-        gate.set()
-        replies = [await read_reply(reader) for _ in range(2)]
-        writer.close()
-        await writer.wait_closed()
-        return (replies, [await f for f in (first, second, third)],
-                server.metrics.inline_requests - inline,
-                router.servers[shard].get(b"k"))
-
-    replies, others, inline, final = asyncio.run(go())
-    assert others == [b"STORED\r\n"] * 3
-    assert replies == [b"STORED\r\n", b"VALUE k 0 1\r\nb\r\nEND\r\n"]
-    assert final == b"b"  # queued writes of k first, then this chunk's
-    assert inline == 0 and started["tasks"] == 1
+    replies, final = asyncio.run(go())
+    assert replies == [b"STORED\r\n", b"STORED\r\n",
+                       b"VALUE a 0 2\r\nv1\r\nVALUE b0 0 2\r\nv1\r\nEND\r\n",
+                       b"STORED\r\n"]
+    assert final == b"v2"
 
 
 # ----------------------------------------------------------------------
@@ -176,21 +156,19 @@ def test_injected_server_sends_every_write_down_the_ordered_path():
             dispatched = 0
             dispatch = router.dispatch
 
-            async def counting(*args):
+            async def counting(*args, **kwargs):
                 nonlocal dispatched
                 dispatched += 1
-                return await dispatch(*args)
+                return await dispatch(*args, **kwargs)
 
             router.dispatch = counting
             burst = b"".join(_put(key, b"v") for key in FRESH)
             out = await request(server.port, burst, lines=len(FRESH))
-            frame = FrameDecoder().feed(_put(b"k", b"v"))[0]
-            return (out, dispatched, server.metrics.inline_requests,
-                    router.idle_shard(frame))
+            return out, dispatched, server.metrics.inline_requests
 
-    out, dispatched, inline, idle = asyncio.run(go())
+    out, dispatched, inline = asyncio.run(go())
     assert out == b"STORED\r\n" * len(FRESH)
-    assert dispatched == len(FRESH) and inline == 0 and idle is None
+    assert dispatched == len(FRESH) and inline == 0
 
 
 def test_follower_front_forwards_every_write(monkeypatch):
@@ -226,10 +204,10 @@ def test_follower_front_forwards_every_write(monkeypatch):
 #: Python + C calls (``sys.setprofile``, builtins included) the loop
 #: thread makes while a two-shard server lands one read of eight fresh
 #: sets, the probing client's own polling included: 4 601 with each
-#: write queued to its shard worker (an ordered task, a future per set,
-#: a worker wake-up per shard and more loop turns), 4 168 with the writes
-#: landed in ``data_received`` (CPython 3.11). The group commits
-#: themselves are most of either count, so the ceiling sits ~5 % above
+#: write queued to a per-shard worker (an ordered task, a future per
+#: set, a worker wake-up per shard and more loop turns), 4 150 with the
+#: writes landed in ``data_received`` (CPython 3.11). The group commits
+#: themselves are most of either count, so the ceiling sits ~6 % above
 #: the last, below the first.
 FRESH_CHUNK_CALL_CEILING = 4400
 

@@ -69,7 +69,6 @@ def _busy_server_metrics(clock: FakeClock) -> ServerMetrics:
     metrics.observe_request(b"set", 0.004, 8)
     metrics.observe_request(b"get", 0.002, 40)
     metrics.observe_request(b"get", 0.001, 5)
-    metrics.observe_queue_depth(5)
     metrics.observe_commit(vsid=7)
     metrics.observe_commit(vsid=7)
     metrics.observe_commit(vsid=9)

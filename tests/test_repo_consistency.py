@@ -259,7 +259,7 @@ def test_only_the_store_frees_lines():
 #: the knobs' only parameters: the ring's, which its topology document
 #: carries, and two that each have two production values.
 KNOBS = {"vnodes", "lag_window", "heartbeat_interval", "reconnect_delay",
-         "verify_timeout", "batch_limit", "max_payload", "hash_buckets"}
+         "verify_timeout", "max_payload", "hash_buckets"}
 KNOB_PARAMETERS = {("HashRing.__init__", "vnodes"),
                    ("ReplicationLeader.__init__", "heartbeat_interval"),
                    ("ReplicationFollower.__init__", "reconnect_delay")}
@@ -305,5 +305,3 @@ def test_single_valued_knobs_are_constants():
     # a cluster's config is the fleet's shape, nothing it tunes
     assert {param for name, param in found if name == "ClusterConfig"} \
         == {"leaders", "followers", "shards", "seed", "host"}
-    serve = _subparser(build_parser(), ["serve"])
-    assert "--batch-limit" not in serve._option_string_actions

@@ -1,13 +1,15 @@
 """Router vs per-op handler: how a batch lands must be invisible.
 
-A shard worker stages consecutive sets into one group commit, resolves
-key-disjoint read fences early and applies key-disjoint non-set writes
-in place. History independence is what makes that safe: the canonical
-DAG does not remember how it was built. These tests replay one
-deterministic pipelined workload — dup-key sets a run coalesces
-last-wins, deletes/``cas``/counters that commute around staged runs,
-gets whose fences resolve early — through a started
-:class:`ShardRouter` and, one frame at a time, through
+A server's read callback stages a chunk's writes per shard and lands
+them through ``ShardRouter.land``, which stages consecutive sets into
+one group commit and applies key-disjoint non-set writes in place; a
+read of a staged key, or ``stats``, lands what is staged first, and a
+read of other keys is answered at once. History independence is what
+makes that safe: the canonical DAG does not remember how it was built.
+These tests replay one deterministic pipelined workload — dup-key sets
+a run coalesces last-wins, deletes/``cas``/counters that commute around
+staged runs, gets of keys staged and not — through a server
+connection's read callback and, one frame at a time, through
 ``ProtocolHandler.handle`` on a fresh machine, and demand identical
 per-key response sequences plus identical post-quiesce observables:
 per-shard segment fingerprints, unique-line footprints and the refcount
@@ -23,8 +25,10 @@ from repro.apps.memcached.eviction import ManagedMemcached
 from repro.apps.memcached.protocol import ProtocolHandler
 from repro.apps.memcached.server import HicampMemcached
 from repro.core.machine import Machine
+from repro.net import server as server_module
 from repro.net.framing import FrameDecoder
-from repro.net.router import ConnectionState, ShardRouter
+from repro.net.router import ShardRouter
+from repro.net.server import MemcachedServer
 from repro.obs.trace import StepClock, TraceRecorder
 from repro.testing.auditors import audit_machine
 
@@ -43,7 +47,7 @@ def _token(value):
 def _chunks(seed):
     """Three deterministic request chunks (raw protocol bytes): a mixed
     warmup, a dup/delete/cas-churning storm, then a counter-RMW tail.
-    Gets ride along in every chunk so fences land inside staged runs.
+    Gets ride along in every chunk, of staged keys and of others.
     ``model`` tracks what sequential execution leaves per key, so a
     ``cas`` can present the live token (or, one time in three, a stale
     one)."""
@@ -118,24 +122,51 @@ def _observe(machine, servers):
     }
 
 
-async def _through_router(chunks):
-    """Each chunk is one pipelined burst on a single connection: its
-    frames pile into the shard queues before any worker runs."""
+class _Transport:
+    """Collects what a connection writes, in memory."""
+
+    def __init__(self) -> None:
+        self.out = b""
+
+    def write(self, data: bytes) -> None:
+        self.out += data
+
+    def is_closing(self) -> bool:
+        return False
+
+
+def _serve(router, chunks):
+    """Each chunk is one read of a single connection of a server over
+    ``router``, handled by its read callback; the frames and their
+    replies, one per frame."""
+    async def go():
+        connection = server_module._Connection(
+            MemcachedServer(port=0, router=router))
+        connection.connection_made(_Transport())
+        for chunk in chunks:
+            connection.data_received(chunk)
+            assert connection.task is None  # all answered or landed
+        return connection.transport.out
+
+    out = asyncio.run(go())
+    frames = [f for chunk in chunks for f in FrameDecoder().feed(chunk)]
+    replies, at = [], 0
+    for frame in frames:
+        end = b"END\r\n" if frame.command in (b"get", b"gets", b"stats") \
+            else b"\r\n"
+        stop = out.index(end, at) + len(end)
+        replies.append(out[at:stop])
+        at = stop
+    assert at == len(out)
+    return frames, replies
+
+
+def _through_router(chunks):
     router = ShardRouter(shard_count=SHARDS)
-    router.batch_limit = 8
-    await router.start()
-    conn = ConnectionState()
-    frames, responses = [], []
-    for chunk in chunks:
-        burst = FrameDecoder().feed(chunk)
-        futures = [await router.dispatch(frame, conn) for frame in burst]
-        frames.extend(burst)
-        responses.extend([await f for f in futures])
-    await router.drain()
+    frames, responses = _serve(router, chunks)
     observed = _observe(router.machine, router.servers)
-    batches = router.metrics.commit_batches
-    await router.stop()
-    return frames, responses, observed, batches, router.shard_index
+    return (frames, responses, observed, router.metrics.commit_batches,
+            router.shard_index)
 
 
 def _through_handler(chunks, shard_index):
@@ -153,7 +184,7 @@ class TestRouterMatchesHandler:
         for seed in (3, 11, 29, 77):
             chunks = _chunks(seed)
             frames, responses, observed, batches, shard_index = \
-                asyncio.run(_through_router(chunks))
+                _through_router(chunks)
             ref_responses, ref_observed = _through_handler(
                 chunks, shard_index)
             assert _by_key(frames, responses) \
@@ -180,18 +211,9 @@ def _burst(raw, preload=b"", backend=HicampMemcached):
     rec = TraceRecorder(clock=StepClock())
     router = ShardRouter(shard_count=1, recorder=rec,
                          backend_factory=backend)
-
-    async def go():
-        await router.start()
-        conn = ConnectionState()
-        for chunk in (preload, raw):
-            futures = [await router.dispatch(frame, conn)
-                       for frame in FrameDecoder().feed(chunk)]
-            responses = [await f for f in futures]
-        await router.stop()
-        return responses
-
-    responses = asyncio.run(go())
+    frames, responses = _serve(router, [preload, raw])
+    responses = responses[len(frames) - len(FrameDecoder().feed(raw)):]
+    router.machine.drain()
     assert audit_machine(router.machine, strict=True).ok
     staged = [span.attrs["staged"] for span in rec.find("bulk_commit")]
     return responses, staged, router

@@ -245,12 +245,6 @@ class TestRefuseAllocation:
         assert audit_machine(machine, strict=True).failures == []
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1 (failure-atomic commits): a put refused at its 6th "
-    "to 10th allocation, inside the map rebuild (dag._rebuild), leaves "
-    "references the rebuild took, so the strict audit finds refcounts "
-    "one too high; remove this marker when _rebuild releases them on "
-    "abort"))
 def test_refused_put_is_failure_atomic_at_every_allocation():
     problems = []
     for held in (False, True):

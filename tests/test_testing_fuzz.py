@@ -1,11 +1,11 @@
 """Tests for the seeded fuzz episodes: reproducibility and sensitivity."""
 
-from unittest import mock
+import asyncio
 
 import pytest
 
 from repro.cli.main import main
-from repro.net.router import ConnectionState, ShardRouter
+from repro.net.router import ShardRouter
 from repro.structures.hmap import HMap
 from repro.testing.faults import COMMIT_STALL, CONN_RESET, FLUSH_DELAY
 from repro.testing.fuzz import (
@@ -17,8 +17,9 @@ from repro.testing.fuzz import (
     run_fuzz,
 )
 
-#: A fault mix that exercises the fence hard: every commit batch stalls,
-#: flushes are delayed, and some connections are reset mid-commit.
+#: A fault mix that exercises read-after-write hard: every write stalls
+#: before it lands, flushes are delayed, and some connections are reset
+#: mid-commit.
 ADVERSARIAL = {CONN_RESET: 0.12, COMMIT_STALL: 1.0, FLUSH_DELAY: 0.5}
 
 
@@ -48,20 +49,28 @@ class TestReproducibility:
 
 
 class TestCheckerSensitivity:
-    def test_reset_mid_commit_with_broken_fence_is_caught(self):
-        """The ISSUE acceptance criterion: an episode that injects
-        connection resets mid-commit passes on correct code, and the
-        linearizability checker catches it once the read-after-write
-        fence is deliberately broken."""
+    def test_reset_mid_commit_with_broken_fence_is_caught(self, monkeypatch):
+        """An episode that injects connection resets mid-commit passes
+        on correct code, and the linearizability checker catches it once
+        read-after-write is deliberately broken: a landing of sets
+        answers ``STORED`` at once but lands a loop turn later, so the
+        connection's next request can read past it."""
         cfg = EpisodeConfig(rates=ADVERSARIAL)
         healthy = run_episode(1, cfg)
         assert healthy.ok, healthy.failures
         # the episode really did reset connections mid-commit
         assert healthy.fired.get(CONN_RESET, 0) > 0
 
-        with mock.patch.object(ConnectionState, "depends_on",
-                               lambda self, shard: None):
-            broken = run_episode(1, cfg)
+        land = ShardRouter.land
+
+        def acknowledge_before_landing(self, shard, writes):
+            if any(frame.command != b"set" for frame, _ in writes):
+                return land(self, shard, writes)
+            asyncio.get_running_loop().call_soon(land, self, shard, writes)
+            return [b"STORED\r\n"] * len(writes)
+
+        monkeypatch.setattr(ShardRouter, "land", acknowledge_before_landing)
+        broken = run_episode(1, cfg)
         assert not broken.ok
         assert any("linearizability violation" in f
                    for f in broken.failures)
@@ -70,11 +79,13 @@ class TestCheckerSensitivity:
         (replication_config, 0), (cluster_config, 1)])
     def test_a_set_replayed_onto_another_key_is_caught(
             self, monkeypatch, config, seed):
-        """The first one-pair store through ``HMap.put_many`` that finds
+        """Every one-pair store through ``HMap.put_many`` that finds
         another key present also writes its value there: the checker
-        must name that key on the replicated and the cluster topology
+        must name such a key on the replicated and the cluster topology
         alike. Only a one-pair put is replayed; batches and deletes are
-        left alone."""
+        left alone. (Every write of a fault-injected episode lands on
+        its own, so the first such store comes early and is often
+        overwritten unseen: each one is replayed.)"""
         put_many = HMap.put_many
         replayed = []
 
@@ -84,7 +95,7 @@ class TestCheckerSensitivity:
                 return flags
             (key, value), = items
             others = [k for k in self.keys() if k != key]
-            if not replayed and others:
+            if others:
                 replayed.append(others[0])
                 put_many(self, [(others[0], value)])
             return flags
@@ -93,8 +104,8 @@ class TestCheckerSensitivity:
         result = run_episode(seed, config())
         assert replayed and not result.ok
         assert "linearizable=NO" in result.trace
-        assert any(f.startswith("linearizability violation on key %r"
-                                % replayed[0])
+        assert any(f.startswith("linearizability violation on key %r" % key)
+                   for key in replayed
                    for f in result.failures), result.failures
 
     def test_a_stray_key_fails_the_state_check_alone(self, monkeypatch):
