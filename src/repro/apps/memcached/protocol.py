@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 CRLF = b"\r\n"
 
 #: Storage commands carry a data block after the request line.
-STORAGE_COMMANDS = (b"set", b"add", b"replace", b"cas")
+STORAGE_COMMANDS = frozenset((b"set", b"add", b"replace", b"cas"))
 
 #: Hard cap on a declared data-block size (real memcached: 1 MB default).
 MAX_VALUE_BYTES = 1 << 20
@@ -65,7 +65,7 @@ def parse_frame(data: bytes, start: int = 0
     eol = data.find(CRLF, start)
     if eol < 0:
         raise IncompleteRequestError("unterminated request line")
-    body = eol + len(CRLF)
+    body = eol + 2  # past the CRLF
     parts = data[start:eol].split()
     if not parts:
         raise ProtocolError("empty request")
@@ -168,6 +168,8 @@ class ProtocolHandler:
         return b"VALUE %s 0 %d\r\n%s\r\n" % (key, len(value), value)
 
     def _cmd_get(self, args, payload, with_token: bool = False) -> bytes:
+        if not args:
+            return b"ERROR\r\n"  # memcached's answer to a bare get
         out = []
         for key in args:
             out.append(self.value_block(key, with_token))

@@ -92,7 +92,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 from zlib import crc32
 
 from repro.errors import BadPlidError, IntegrityError, MemoryExhaustedError
@@ -266,9 +266,9 @@ class DedupStore:
         self._overflow_bucket: Dict[int, int] = {}
         self._lines: Dict[int, Line] = {}
         self._refcounts: Dict[int, int] = {}
-        #: live lines whose deferred data write has been charged
-        #: (:meth:`writeback`); a store that never evicts keeps it empty
-        self._written: Set[int] = set()
+        #: a bit per PLID, set once its deferred data write is charged
+        #: (:meth:`writeback`): none until an eviction, and never walked
+        self._written = bytearray()
         self._row_of, self.bucket_of = _plid_maps(
             self._num_buckets, self._overflow_base, self._overflow_bucket)
         #: open-row DRAM model (hash bucket == DRAM row, section 3.1)
@@ -555,10 +555,19 @@ class DedupStore:
         ``_written``; a line deallocated before eviction is never
         written, and a line an image restored is written already.
         """
-        if plid in self._lines and plid not in self._written:
-            self._written.add(plid)
+        if plid in self._lines and self._note_written(plid):
             self.stats.writes += 1
             self.rows.access(self._row_of(plid))
+
+    def _note_written(self, plid: int) -> bool:
+        """Record ``plid``'s data write; False if it was already."""
+        written, at, bit = self._written, plid >> 3, 1 << (plid & 7)
+        if at >= len(written):  # grown with the PLID space
+            written.extend(bytes(at + 1 - len(written)))
+        elif written[at] & bit:
+            return False
+        written[at] |= bit
+        return True
 
     # ------------------------------------------------------------------
     # reference counting
@@ -672,7 +681,8 @@ class DedupStore:
             slot = self._slot_of(plid)
             self._sigs[slot] = self._fps[slot] = 0
         del self._refcounts[plid]
-        self._written.discard(plid)
+        if plid >> 3 < len(self._written):
+            self._written[plid >> 3] &= 255 ^ 1 << (plid & 7)
         self._rc_cache.drop(plid)
         self.counters.deallocations += 1
         # Zeroing the signature is one DRAM access; a line deallocated
@@ -816,7 +826,7 @@ class DedupStore:
         self._plid_by_line[line] = plid
         self._lines[plid] = line
         self._refcounts[plid] = refcount
-        self._written.add(plid)
+        self._note_written(plid)
 
     def index_failures(self) -> List[str]:
         """Prove the lookup structures are exactly reconstructible from

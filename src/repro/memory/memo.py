@@ -117,6 +117,7 @@ class StructuralMemo:
         self.stats: Dict[str, TableStats] = {t: TableStats() for t in TABLES}
         # never counted: benchmarks/ledger/ledger.py still reads it
         self.stats["line"] = TableStats()
+        self._read_stats = self.stats["read"]
         # segment memo: raw bytes -> (root entry, height, length). Path
         # compaction lets distinct contents share a root PLID (with
         # different paths), so the reverse map holds a tuple of keys per
@@ -196,20 +197,22 @@ class StructuralMemo:
     # read table
 
     def get_read(self, vsid: int, version: int, key: bytes):
-        """Map ``vsid``'s answer for ``key`` at ``version``, else MISS."""
-        stats = self.stats["read"]
-        if vsid in self._read_maps:
-            held, answers = self._read_maps[vsid]
-            if held != version:  # the map moved: forget its answers
+        """Map ``vsid``'s answer for ``key`` at ``version``, else MISS:
+        one ``dict.get`` per level."""
+        held = self._read_maps.get(vsid)
+        if held is not None:
+            if held[0] != version:  # the map moved: forget its answers
                 del self._read_maps[vsid]
-                for stale in answers:
+                for stale in held[1]:
                     del self._read_lru[(vsid, stale)]
-                stats.invalidations += len(answers)
-            elif key in answers:
-                self._read_lru.move_to_end((vsid, key))
-                stats.hits += 1
-                return answers[key]
-        stats.misses += 1
+                self._read_stats.invalidations += len(held[1])
+            else:
+                answer = held[1].get(key, MISS)
+                if answer is not MISS:
+                    self._read_lru.move_to_end((vsid, key))
+                    self._read_stats.hits += 1
+                    return answer
+        self._read_stats.misses += 1
         return MISS
 
     def put_read(self, vsid: int, version: int, key: bytes,
@@ -232,7 +235,7 @@ class StructuralMemo:
             del answers[vkey]
             if not answers:
                 del self._read_maps[vvsid]
-            self.stats["read"].evictions += 1
+            self._read_stats.evictions += 1
 
     def carry_reads(self, vsid: int, before: int, after: int,
                     answers: Iterable[Tuple[bytes, Optional[bytes]]]

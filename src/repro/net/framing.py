@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import asyncio
 import struct
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.memcached.protocol import (
     CRLF,
     IncompleteRequestError,
     ProtocolError,
+    STORAGE_COMMANDS,
     parse_frame,
 )
 
@@ -39,15 +39,15 @@ MAX_LINE_BYTES = 8192
 MAX_PAYLOAD = 1 << 24
 
 
-@dataclass
 class Frame:
     """One complete request as it appeared on the wire."""
 
-    raw: bytes
-    command: bytes = b""
-    args: List[bytes] = field(default_factory=list)
-    payload: Optional[bytes] = None
-    error: Optional[str] = None
+    __slots__ = ("raw", "command", "args", "payload", "error")
+
+    def __init__(self, raw: bytes, command: bytes = b"", args: Sequence = (),
+                 payload: Optional[bytes] = None, error: Optional[str] = None):
+        self.raw, self.command, self.args = raw, command, args
+        self.payload, self.error = payload, error
 
     @property
     def key(self) -> Optional[bytes]:
@@ -60,9 +60,6 @@ class FrameDecoder:
 
     def __init__(self) -> None:
         self._buf = b""
-
-    def __len__(self) -> int:
-        return len(self._buf)
 
     @property
     def pending_bytes(self) -> int:
@@ -77,20 +74,28 @@ class FrameDecoder:
         burst costs its own length and not its length per frame.
         """
         buf = self._buf + data
-        pos = 0
+        find, end, pos = buf.find, len(buf), 0
         frames: List[Frame] = []
-        while pos < len(buf):
+        append = frames.append
+        while pos < end:
+            eol = find(CRLF, pos) + 2
+            if eol < 2:  # the request line is still arriving
+                if end - pos > MAX_LINE_BYTES:
+                    # unterminated garbage: drop it or the buffer grows
+                    # without bound on a hostile/broken client
+                    append(Frame(raw=buf[pos:], error="request line too long"))
+                    pos = end
+                break
+            raw = buf[pos:eol]
+            parts = raw.split()  # its CRLF is whitespace
+            if parts and parts[0] not in STORAGE_COMMANDS:  # one line
+                append(Frame(raw, parts[0], parts[1:]))
+                pos = eol
+                continue
             try:
                 command, args, payload, consumed = parse_frame(buf, pos)
             except IncompleteRequestError:
-                if buf.find(CRLF, pos) < 0 \
-                        and len(buf) - pos > MAX_LINE_BYTES:
-                    # unterminated garbage: drop it or the buffer grows
-                    # without bound on a hostile/broken client
-                    frames.append(Frame(raw=buf[pos:],
-                                        error="request line too long"))
-                    pos = len(buf)
-                break
+                break  # its data block is still arriving
             except ProtocolError as exc:
                 # resync: the parser may know exactly how many bytes the
                 # malformed request occupied (request line plus its data
@@ -98,15 +103,13 @@ class FrameDecoder:
                 # way, what follows is re-examined as the next request
                 # (memcached behaves the same: CLIENT_ERROR, then the
                 # stream continues)
-                skip = getattr(exc, "resync_bytes", 0)
-                if not 0 < skip <= len(buf) - pos:
-                    skip = buf.find(CRLF, pos) + len(CRLF) - pos
-                frames.append(Frame(raw=buf[pos:pos + skip],
-                                    error=str(exc)))
+                skip = exc.resync_bytes
+                if not 0 < skip <= end - pos:
+                    skip = eol - pos
+                append(Frame(raw=buf[pos:pos + skip], error=str(exc)))
                 pos += skip
                 continue
-            frames.append(Frame(raw=buf[pos:pos + consumed],
-                                command=command, args=args, payload=payload))
+            append(Frame(buf[pos:pos + consumed], command, args, payload))
             pos += consumed
         self._buf = buf[pos:]
         return frames

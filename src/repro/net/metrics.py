@@ -136,7 +136,10 @@ class ServerMetrics:
         count = len(commands)
         self.ops_total += count
         self.inline_requests += count
-        self._by_command.update(commands)
+        if count and commands.count(commands[0]) == count:  # one command
+            self._by_command[commands[0]] += count
+        else:
+            self._by_command.update(commands)
         self.bytes_out += response_bytes
         self._latencies.extend([latency_s] * count)
 

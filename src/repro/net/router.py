@@ -8,9 +8,9 @@ one shared :class:`~repro.core.machine.Machine` (so deduplication still
 spans the whole cache).
 
 * **reads** (``get``/``gets``/``stats``/``version``) are answered by
-  :meth:`ShardRouter.answer`, with no task and no future — they are
-  snapshot reads and need no synchronization, the paper's headline
-  memcached property;
+  :meth:`ShardRouter.answer` — a ``get``/``gets`` by one read routine
+  over its keys' shards — with no task and no future: snapshot reads
+  need no synchronization, the paper's headline memcached property;
 * **writes** land through :meth:`ShardRouter.land`, the one way a write
   commits (PAPER §2.2: whoever performs the one root swap publishes the
   version). The server's read callback stages a chunk's writes per
@@ -50,9 +50,9 @@ from __future__ import annotations
 
 import asyncio
 import json
-import zlib
 from dataclasses import fields as dataclass_fields
 from typing import Callable, Dict, List, Optional, Sequence
+from zlib import crc32
 
 from repro.apps.memcached.protocol import (
     CRLF, ProtocolError, ProtocolHandler, parse_exptime)
@@ -84,7 +84,7 @@ READ_COMMANDS = frozenset((b"get", b"gets"))
 def shard_of(key: bytes, shards: int) -> int:
     """Owning shard of ``key`` among ``shards``: the one key → shard
     function, so a leader's router and a follower's reads agree."""
-    return zlib.crc32(key) % shards
+    return crc32(key) % shards
 
 
 class ConnectionState:
@@ -196,19 +196,16 @@ class ShardRouter:
     def answer(self, frame: Frame) -> Optional[bytes]:
         """The response to a frame that lands nothing, else ``None``: a
         write or ``flush_all``, which :meth:`land` or :meth:`dispatch`
-        commits."""
+        commits. Every ``get``/``gets`` goes to :meth:`_read_keys`."""
+        command = frame.command
+        if command in READ_COMMANDS:  # an error frame's command is b""
+            return self._read_keys(frame)
         if frame.error is not None:
             self.metrics.protocol_errors += 1
             return b"CLIENT_ERROR %s\r\n" % frame.error.encode()
-        command = frame.command
-        if command in READ_COMMANDS and frame.args:
-            if len(frame.args) == 1:
-                return self._execute(shard_of(frame.key, len(self.servers)),
-                                     frame)
-            return self._read_keys(frame)
         if command == b"stats":
             return self.stats_response(frame.args)
-        if command in WRITE_COMMANDS and frame.key is not None \
+        if command in WRITE_COMMANDS and frame.args \
                 or command == b"flush_all":
             return None
         # version, unknown commands, malformed writes: any handler can
@@ -242,15 +239,24 @@ class ShardRouter:
                                             frame.payload)
 
     def _read_keys(self, frame: Frame) -> bytes:
-        """A ``get``/``gets`` of one or more keys, each read from its
-        own shard."""
-        with_token = frame.command == b"gets"
-        handlers = self.handlers
-        shards = len(handlers)
-        out = [handlers[shard_of(key, shards)].value_block(key, with_token)
-               for key in frame.args]
-        out.append(b"END\r\n")
-        return b"".join(out)
+        """The one read routine: a ``get``/``gets`` of any number of
+        keys, each key's VALUE block from its shard's ``value_block`` in
+        request order; a bare one is ``ERROR``, as in memcached."""
+        keys, handlers = frame.args, self.handlers
+        shards, with_token = len(handlers), frame.command == b"gets"
+        # crc32(key) % shards is shard_of; no comprehension (CPython
+        # 3.11 would make a cell per captured local on every call)
+        if len(keys) == 1:
+            key = keys[0]
+            return handlers[crc32(key) % shards].value_block(
+                key, with_token) + b"END\r\n"
+        if not keys:
+            return b"ERROR\r\n"
+        blocks = []
+        for key in keys:
+            blocks.append(handlers[crc32(key) % shards].value_block(
+                key, with_token))
+        return b"".join(blocks) + b"END\r\n"
 
     # ------------------------------------------------------------------
     # landing

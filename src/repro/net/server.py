@@ -354,28 +354,27 @@ class _Connection(asyncio.Protocol):
         # reply being ready to write
         decoded = metrics.now()
         answer, recorder = self.answer, self.recorder
-        commands, replies, spans = [], [], []
+        replies, spans = [], []
         # staged[shard]: (reply index, frame, span) of each write waiting
         # to land there; keys: every key they write. Both are made by
         # the chunk's first staged write, so a chunk of reads allocates
         # nothing for them.
         staged = keys = None
         # every frame before ``index`` is answered or staged: ``replies``
-        # holds those since the last write, and ``max_inflight`` is a
-        # write
-        write_at = self.max_inflight
+        # holds those from ``start`` on, and ``write_at`` is a write
+        start, write_at = 0, self.max_inflight
         for index, frame in enumerate(frames):
             command = frame.command
             if command == b"quit":
-                self._write_inline(commands, replies, spans, decoded,
-                                   staged, keys)
+                self._write_inline(frames[start:index], replies, spans,
+                                   decoded, staged, keys)
                 self.transport.close()
                 return None
             if index == write_at:
-                write_at += self.max_inflight
-                self._write_inline(commands, replies, spans, decoded,
-                                   staged, keys)
-                commands, replies, spans = [], [], []
+                self._write_inline(frames[start:index], replies, spans,
+                                   decoded, staged, keys)
+                start, write_at = index, index + self.max_inflight
+                replies, spans = [], []
                 if self._drained is not None:
                     # the write buffer is full: the rest waits for drain
                     return frames[index:], decoded, None
@@ -390,19 +389,19 @@ class _Connection(asyncio.Protocol):
             response = answer(frame)
             if response is None:
                 if not self.lands or command == b"flush_all":
-                    self._write_inline(commands, replies, spans, decoded,
-                                       staged, keys)
+                    self._write_inline(frames[start:index], replies, spans,
+                                       decoded, staged, keys)
                     return frames[index:], decoded, span
                 if keys is None:
                     staged, keys = {}, set()
                 staged.setdefault(self.shard_index(frame.key), []).append(
                     (len(replies), frame, span))
                 keys.add(frame.key)
-            commands.append(command)
             replies.append(response)
             if span is not None:
                 spans.append((span, len(replies) - 1))
-        self._write_inline(commands, replies, spans, decoded, staged, keys)
+        self._write_inline(frames[start:], replies, spans, decoded, staged,
+                           keys)
         return None
 
     def _land(self, staged, keys, replies) -> None:
@@ -415,18 +414,19 @@ class _Connection(asyncio.Protocol):
         staged.clear()
         keys.clear()
 
-    def _write_inline(self, commands, replies, spans, decoded: float,
+    def _write_inline(self, answered, replies, spans, decoded: float,
                       staged, keys) -> None:
-        """Land what is staged, then write the replies answered inline,
-        all ready now (``spans`` pairs each open request span with its
-        reply's index)."""
+        """Land what is staged, then write the replies to the frames
+        ``answered`` inline, all ready now (``spans`` pairs each open
+        request span with its reply's index)."""
         if keys:
             self._land(staged, keys, replies)
         if not replies:
             return
         metrics = self.metrics
         data = b"".join(replies)
-        metrics.observe_inline(commands, metrics.now() - decoded, len(data))
+        metrics.observe_inline([frame.command for frame in answered],
+                               metrics.now() - decoded, len(data))
         for span, at in spans:
             self.recorder.end(span, response_bytes=len(replies[at]))
         self.transport.write(data)

@@ -430,7 +430,7 @@ class FollowerRouter(ShardRouter):
             if not self.servers and command != b"stats":
                 # nothing replicated yet: an empty cache
                 return b"END\r\n" if command in READ_COMMANDS \
-                    else b"ERROR\r\n"
+                    and frame.args else b"ERROR\r\n"
         return super().answer(frame)
 
     async def dispatch(self, frame, conn=None, parent: Optional[int] = None):

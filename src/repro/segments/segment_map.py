@@ -91,9 +91,9 @@ class SegmentMap:
         A weak alias resolves to its target's current entry while the
         target lives; afterwards it resolves to its own zeroed entry.
         """
-        target = self._weak_target.get(vsid)
-        if target is not None and target in self._entries:
-            live = self._entries[target]
+        if vsid in self._weak_target \
+                and self._weak_target[vsid] in self._entries:
+            live = self._entries[self._weak_target[vsid]]
             weak = self._entries[vsid]
             # mirror the target (read-only view of the current version)
             weak.root, weak.height = live.root, live.height

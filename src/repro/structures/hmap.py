@@ -132,25 +132,26 @@ class HMap:
         and its handle released once the slot is read. With the memo
         on, a key this map version already answered is not read again.
         """
-        mem, version = self.machine.mem, None
+        machine, vsid, version = self.machine, self.vsid, None
+        mem = machine.mem
         memo = mem.memo
         if memo.enabled and not mem.store.verify_reads:
-            version = self.machine.segmap.entry(self.vsid).version
-            answer = memo.get_read(self.vsid, version, key)
+            version = machine.segmap.entry(vsid).version
+            answer = memo.get_read(vsid, version, key)
             if answer is not MISS:
                 return answer
         base, key_seg = self._known_slot(key), None
         if base is None:
             key_seg, base = self._key_segment(key)
         try:
-            with self.machine.snapshot(self.vsid) as snap:
+            with machine.snapshot(vsid) as snap:
                 slot = self._read_slot(snap, base)
                 answer = None if slot is None else read_ref_slot(mem, *slot)
         finally:
             if key_seg is not None:
                 key_seg.release()
         if version is not None:
-            memo.put_read(self.vsid, version, key, answer)
+            memo.put_read(vsid, version, key, answer)
         return answer
 
     @staticmethod

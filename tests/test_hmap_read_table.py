@@ -590,9 +590,11 @@ def test_served_gets_report_their_hits_and_a_set_keeps_its_answer():
 
 
 #: Python calls (cProfile, builtins included) per repeated get of an
-#: unchanged map, memo on, CPython 3.11: 5.0 — the get, the map entry's
-#: version (two), the table probe and its LRU touch. A first get pays
-#: the read (``tests/test_dag_single_descent.py``'s budget).
+#: unchanged map, memo on, CPython 3.10-3.12: 6.0 — the get, the map
+#: entry's version, the table probe, its ``dict.get`` per level and its
+#: LRU touch (5.0 when the entry looked a weak alias up with ``get`` and
+#: the probe tested membership). A first get pays the read
+#: (``tests/test_dag_single_descent.py``'s budget).
 REPEATED_GET_CALL_CEILING = 7
 
 

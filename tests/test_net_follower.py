@@ -28,7 +28,7 @@ from repro.replication import (
 )
 from repro.segments import dag
 from repro.testing.auditors import audit_machine
-from tests.test_net_transport import HOT_CHUNK_CALL_CEILING, _put
+from tests.test_net_transport import _put
 
 
 async def wait_until(predicate, timeout=10.0):
@@ -120,14 +120,20 @@ async def _follower_front(stack):
     return server, follower, front
 
 
+#: The leader's clockless count for one read of eight hot gets
+#: (``HOT_CHUNK_CALL_CEILING`` in test_net_transport.py) through a
+#: follower's front: 252 calls on CPython 3.10 and 3.11 (251 on 3.12), a
+#: leader's 244 plus the follower's own ``answer``, one call per get. The
+#: ceiling sits ~10 % above.
+FRONT_HOT_CHUNK_CALL_CEILING = 277
+
+
 @pytest.mark.skipif(sys.getprofile() is not None,
                     reason="another profiler is installed")
 def test_hot_chunk_through_a_follower_front_costs_what_it_costs_a_leader():
-    """The leader's clockless ceiling for one read of eight hot gets
-    (``HOT_CHUNK_CALL_CEILING`` in test_net_transport.py) holds through
-    a follower's front: 359 calls on CPython 3.11 (a leader's 351 plus
-    the follower's own ``answer``, one call per get), where a follower
-    that built a map per get with the memo off made 1 151."""
+    """A hot read through a follower's front costs a leader's calls
+    plus one per get (``FRONT_HOT_CHUNK_CALL_CEILING``), where a
+    follower that built a map per get with the memo off made 1 151."""
     burst = b"get k\r\n" * 8
     expected = b"VALUE k 0 1\r\nv\r\nEND\r\n" * 8
 
@@ -175,7 +181,7 @@ def test_hot_chunk_through_a_follower_front_costs_what_it_costs_a_leader():
             client.close()
             return calls
 
-    assert asyncio.run(go(), debug=False) <= HOT_CHUNK_CALL_CEILING
+    assert asyncio.run(go(), debug=False) <= FRONT_HOT_CHUNK_CALL_CEILING
 
 
 def test_follower_exposition_carries_the_leader_machine_families():

@@ -269,9 +269,12 @@ def test_bytes_behind_a_stalled_commit_queue_up_to_the_backlog_limit():
 #: present key, the probing client's own polling included: 441 with the
 #: streams loop (a StreamReader waiter, a task wake-up and one more
 #: event-loop turn), 351 with the reply written from ``data_received``
-#: (CPython 3.11 and 3.12; 438 and 349 on 3.10). The ceiling sits
-#: ~10 % above the last.
-HOT_CHUNK_CALL_CEILING = 385
+#: (CPython 3.11 and 3.12; 438 and 349 on 3.10), 335-340 with a dataclass
+#: frame and a get entering its handler through ``execute``, and 244
+#: (3.10 and 3.11; 243 on 3.12) with a slotted frame split in the
+#: decoder, the router's one read routine and a one-probe read table.
+#: The ceiling sits ~10 % above the last.
+HOT_CHUNK_CALL_CEILING = 268
 
 
 @pytest.mark.skipif(sys.getprofile() is not None,
