@@ -65,40 +65,48 @@ def parse_frame(data: bytes, start: int = 0
     eol = data.find(CRLF, start)
     if eol < 0:
         raise IncompleteRequestError("unterminated request line")
-    body = eol + 2  # past the CRLF
+    body = eol + len(CRLF)
     parts = data[start:eol].split()
     if not parts:
         raise ProtocolError("empty request")
     command, args = parts[0], parts[1:]
     if command in STORAGE_COMMANDS:
-        if len(args) < 4:
-            raise ProtocolError("storage command needs key flags exptime bytes")
-        try:
-            nbytes = int(args[3])
-        except ValueError:
-            raise ProtocolError("bad byte count %r" % args[3])
-        if nbytes < 0:
-            raise ProtocolError("negative byte count")
-        if nbytes > MAX_VALUE_BYTES:
-            raise ProtocolError("object too large for cache")
-        end = body + nbytes
-        if len(data) < end + len(CRLF):
-            # data block shorter than the declared byte count: do NOT
-            # truncate — either more bytes are coming (streaming) or the
-            # request is rejected outright (complete-request callers)
-            raise IncompleteRequestError(
-                "data block shorter than declared %d bytes" % nbytes)
-        if data[end:end + len(CRLF)] != CRLF:
-            exc = ProtocolError("payload length mismatch")
-            # the data block's real terminator is the first CRLF at or
-            # after the declared length; everything up to it belongs to
-            # this (malformed) request, not the next one
-            terminator = data.find(CRLF, end)
-            if terminator != -1:
-                exc.resync_bytes = terminator + len(CRLF) - start
-            raise exc
-        return command, args, data[body:end], end + len(CRLF) - start
+        return (command, args, *parse_data_block(data, start, body, args))
     return command, args, None, body - start
+
+
+def parse_data_block(data: bytes, start: int, body: int,
+                     args: List[bytes]) -> Tuple[bytes, int]:
+    """``(payload, consumed)`` of the storage command whose request line,
+    split into ``args``, runs from ``data[start]`` to ``body`` (past its
+    CRLF); ``consumed`` counts that line too. Raises as :func:`parse_frame`."""
+    if len(args) < 4:
+        raise ProtocolError("storage command needs key flags exptime bytes")
+    try:
+        nbytes = int(args[3])
+    except ValueError:
+        raise ProtocolError("bad byte count %r" % args[3])
+    if nbytes < 0:
+        raise ProtocolError("negative byte count")
+    if nbytes > MAX_VALUE_BYTES:
+        raise ProtocolError("object too large for cache")
+    end = body + nbytes
+    if len(data) < end + len(CRLF):
+        # data block shorter than the declared byte count: do NOT
+        # truncate — either more bytes are coming (streaming) or the
+        # request is rejected outright (complete-request callers)
+        raise IncompleteRequestError(
+            "data block shorter than declared %d bytes" % nbytes)
+    if data[end:end + len(CRLF)] != CRLF:
+        exc = ProtocolError("payload length mismatch")
+        # the data block's real terminator is the first CRLF at or
+        # after the declared length; everything up to it belongs to
+        # this (malformed) request, not the next one
+        terminator = data.find(CRLF, end)
+        if terminator != -1:
+            exc.resync_bytes = terminator + len(CRLF) - start
+        raise exc
+    return data[body:end], end + len(CRLF) - start
 
 
 def parse_exptime(args: List[bytes]) -> int:

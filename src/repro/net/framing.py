@@ -29,7 +29,7 @@ from repro.apps.memcached.protocol import (
     IncompleteRequestError,
     ProtocolError,
     STORAGE_COMMANDS,
-    parse_frame,
+    parse_data_block,
 )
 
 #: Longest accepted request line (real memcached: 2048; generous here).
@@ -88,12 +88,17 @@ class FrameDecoder:
                 break
             raw = buf[pos:eol]
             parts = raw.split()  # its CRLF is whitespace
-            if parts and parts[0] not in STORAGE_COMMANDS:  # one line
-                append(Frame(raw, parts[0], parts[1:]))
+            if not parts:
+                append(Frame(raw, error="empty request"))
+                pos = eol
+                continue
+            command, args = parts[0], parts[1:]
+            if command not in STORAGE_COMMANDS:  # one line
+                append(Frame(raw, command, args))
                 pos = eol
                 continue
             try:
-                command, args, payload, consumed = parse_frame(buf, pos)
+                payload, consumed = parse_data_block(buf, pos, eol, args)
             except IncompleteRequestError:
                 break  # its data block is still arriving
             except ProtocolError as exc:

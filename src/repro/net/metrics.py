@@ -136,10 +136,7 @@ class ServerMetrics:
         count = len(commands)
         self.ops_total += count
         self.inline_requests += count
-        if count and commands.count(commands[0]) == count:  # one command
-            self._by_command[commands[0]] += count
-        else:
-            self._by_command.update(commands)
+        self._by_command.update(commands)
         self.bytes_out += response_bytes
         self._latencies.extend([latency_s] * count)
 

@@ -196,10 +196,22 @@ class ShardRouter:
     def answer(self, frame: Frame) -> Optional[bytes]:
         """The response to a frame that lands nothing, else ``None``: a
         write or ``flush_all``, which :meth:`land` or :meth:`dispatch`
-        commits. Every ``get``/``gets`` goes to :meth:`_read_keys`."""
+        commits. The one read routine: a ``get``/``gets`` of any number of
+        keys is each key's shard's ``value_block``, in request order; a
+        bare one is ``ERROR``, as in memcached."""
         command = frame.command
         if command in READ_COMMANDS:  # an error frame's command is b""
-            return self._read_keys(frame)
+            keys, handlers = frame.args, self.handlers
+            if not keys:
+                return b"ERROR\r\n"
+            shards, with_token = len(handlers), command == b"gets"
+            # crc32(key) % shards is shard_of; no comprehension (CPython
+            # 3.11 would make a cell per captured local on every call)
+            blocks = []
+            for key in keys:
+                blocks.append(handlers[crc32(key) % shards].value_block(
+                    key, with_token))
+            return b"".join(blocks) + b"END\r\n"
         if frame.error is not None:
             self.metrics.protocol_errors += 1
             return b"CLIENT_ERROR %s\r\n" % frame.error.encode()
@@ -237,26 +249,6 @@ class ShardRouter:
         parsed it, so the handler is entered past its parser."""
         return self.handlers[shard].execute(frame.command, frame.args,
                                             frame.payload)
-
-    def _read_keys(self, frame: Frame) -> bytes:
-        """The one read routine: a ``get``/``gets`` of any number of
-        keys, each key's VALUE block from its shard's ``value_block`` in
-        request order; a bare one is ``ERROR``, as in memcached."""
-        keys, handlers = frame.args, self.handlers
-        shards, with_token = len(handlers), frame.command == b"gets"
-        # crc32(key) % shards is shard_of; no comprehension (CPython
-        # 3.11 would make a cell per captured local on every call)
-        if len(keys) == 1:
-            key = keys[0]
-            return handlers[crc32(key) % shards].value_block(
-                key, with_token) + b"END\r\n"
-        if not keys:
-            return b"ERROR\r\n"
-        blocks = []
-        for key in keys:
-            blocks.append(handlers[crc32(key) % shards].value_block(
-                key, with_token))
-        return b"".join(blocks) + b"END\r\n"
 
     # ------------------------------------------------------------------
     # landing

@@ -344,7 +344,7 @@ class TestHostFootprint:
         assert not gc.is_tracked(store._lines)
         assert not gc.is_tracked(store._plid_by_line)
         # a drain writes every resident line back, and the record of
-        # those writes is a byte per PLID, which the collector never
+        # those writes is a bit per PLID, which the collector never
         # walks (a set of 496 000 PLIDs cost a full collection 23-34 ms)
         machine.drain()
         assert sum(store._written) > 0

@@ -122,9 +122,9 @@ async def _follower_front(stack):
 
 #: The leader's clockless count for one read of eight hot gets
 #: (``HOT_CHUNK_CALL_CEILING`` in test_net_transport.py) through a
-#: follower's front: 252 calls on CPython 3.10 and 3.11 (251 on 3.12), a
-#: leader's 244 plus the follower's own ``answer``, one call per get. The
-#: ceiling sits ~10 % above.
+#: follower's front: 256 calls on CPython 3.10 and 3.11 (255 on 3.12), a
+#: leader's 248 plus the follower's own ``answer``, one call per get. The
+#: ceiling sits ~8 % above.
 FRONT_HOT_CHUNK_CALL_CEILING = 277
 
 

@@ -7,6 +7,7 @@ import pytest
 from repro.apps.memcached.protocol import (
     IncompleteRequestError,
     ProtocolError,
+    parse_data_block,
     parse_frame,
     parse_request,
 )
@@ -182,24 +183,27 @@ class TestFrameDecoder:
         assert all(f.error is None for f in frames)
 
     def test_pipelined_burst_costs_its_own_length(self, monkeypatch):
-        """One read of 4 000 pipelined gets: the parser is handed one
-        buffer, not a fresh copy of the remaining burst per frame (three
-        whole-buffer copies per frame made a 64 KB read cost ~300 MB of
-        memcpy)."""
+        """One read of 4 000 pipelined gets and sets: the data-block
+        parser is handed one buffer, not a fresh copy of the remaining
+        burst per frame (three whole-buffer copies per frame made a
+        64 KB read cost ~300 MB of memcpy)."""
         from repro.net import framing
 
-        requests = [b"get key-%06d\r\n" % i for i in range(4000)]
+        requests = [b"get key-%06d\r\n" % i if i % 2 else
+                    b"set key-%06d 0 0 2\r\nhi\r\n" % i
+                    for i in range(4000)]
         data = b"".join(requests)
         handed = []  # every buffer the parser was given, kept alive
 
-        def spy(buf, *start):
+        def spy(buf, *rest):
             handed.append(buf)
-            return parse_frame(buf, *start)
+            return parse_data_block(buf, *rest)
 
-        monkeypatch.setattr(framing, "parse_frame", spy)
+        monkeypatch.setattr(framing, "parse_data_block", spy)
         decoder = FrameDecoder()
         burst = decoder.feed(data)
         distinct = {id(buf): len(buf) for buf in handed}
+        assert len(handed) == 2000
         assert sum(distinct.values()) <= 2 * len(data)
         assert decoder.pending_bytes == 0
 

@@ -1,8 +1,8 @@
 """The one read routine: every ``get``/``gets`` a router answers.
 
-``ShardRouter.answer`` hands each ``get``/``gets``, whatever its key
-count, to ``_read_keys``, which reads each key's VALUE block from its
-own shard's ``ProtocolHandler.value_block``. Pinned here: request order
+``ShardRouter.answer`` answers each ``get``/``gets``, whatever its key
+count, with one loop that reads each key's VALUE block from its own
+shard's ``ProtocolHandler.value_block``. Pinned here: request order
 and CAS tokens across shards, absent keys, error frames, memcached's
 answers to a bare ``get`` and a key-less ``delete`` on both the router
 and the ``ProtocolHandler.handle`` path, and one set of bytes from a

@@ -270,10 +270,10 @@ def test_bytes_behind_a_stalled_commit_queue_up_to_the_backlog_limit():
 #: streams loop (a StreamReader waiter, a task wake-up and one more
 #: event-loop turn), 351 with the reply written from ``data_received``
 #: (CPython 3.11 and 3.12; 438 and 349 on 3.10), 335-340 with a dataclass
-#: frame and a get entering its handler through ``execute``, and 244
-#: (3.10 and 3.11; 243 on 3.12) with a slotted frame split in the
-#: decoder, the router's one read routine and a one-probe read table.
-#: The ceiling sits ~10 % above the last.
+#: frame and a get entering its handler through ``execute``, and 248
+#: (3.10 and 3.11; 247 on 3.12) with a slotted frame split in the
+#: decoder, one read loop in the router's ``answer`` and a one-probe
+#: read table. The ceiling sits ~8 % above the last.
 HOT_CHUNK_CALL_CEILING = 268
 
 
